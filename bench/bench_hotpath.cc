@@ -1,42 +1,30 @@
-// Hot-path microbenchmark for the simulator's metadata path (see DESIGN.md "Performance
-// architecture"): the zero-copy read path, the flat field map, the allocation-free scheduler
-// loop, and — since the tag-interning change — interned TagIds, the incremental GC frontier,
-// and coalesced index propagation.
-//
-// The binary embeds two faithful replicas so each speedup compares like with like inside one
-// process:
-//   * `legacy`  — the seed implementation: std::map field map, deep-copy reads, a per-tag
-//                 index that never shrinks on Trim, std::function-backed events;
-//   * `pr1`     — the previous PR's implementation: zero-copy shared records and compacted
-//                 deque streams, but with std::string tags — every operation builds and
-//                 hashes a tag string, and streams live in an unordered_map keyed by string.
-// Both replicas run the *same* simulated op sequence as the current implementation, and the
-// checksums must match exactly.
-//
-// The PR 3 baseline needs no replica: the group-commit batcher and the timer wheel both keep
-// a reference mode in the tree (AppendBatchConfig{.enabled = false}, QueueMode::
-// kPriorityQueue), so the driven log-heavy section runs the real cluster in last PR's
-// configuration against the current one and asserts the committed log content is identical.
+// Hot-path benchmark for the simulator's log path (see DESIGN.md "Performance architecture").
+// Every section measures the current code, and most also gate it:
+//   * driven log-heavy load on a real cluster: group commit + timer wheel against their
+//     in-tree reference modes (per-request appends, binary-heap queue), with committed
+//     content asserted identical;
+//   * shard scaling (>= 1.8x simulated throughput at 4 shards), pipelined group commit
+//     (>= 1.5x at depth 4), parallel-engine thread scaling (wall clock), and the node-local
+//     read cache (>= 60% hit rate);
+//   * tag-intern, frontier (its init-stream scan cross-checks the incremental frontier),
+//     index-propagation coalescing and timer-wheel micro-sections;
+//   * the zero-copy audit (read_record_copies == 0) and the advisor drift section (advisor
+//     below both static protocols).
+// Simulated-time gates are deterministic and therefore hard. Every section pins its own
+// cluster config; no HM_* variable other than HM_BENCH_SCALE (workload size) is read.
 //
 // Output: BENCH_hotpath.json in the working directory, plus a human-readable summary on
-// stdout. HM_BENCH_SCALE scales the workload size.
+// stdout.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
-#include <functional>
-#include <map>
-#include <memory>
 #include <optional>
-#include <queue>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
-#include <variant>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -62,442 +50,8 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-// ---------------------------------------------------------------------------
-// Baseline replica: the seed implementation, verbatim in structure.
-// ---------------------------------------------------------------------------
-namespace legacy {
-
-using Tag = std::string;
-using Field = std::variant<int64_t, std::string>;
-
-class FieldMap {
- public:
-  void SetInt(const std::string& key, int64_t v) { fields_[key] = v; }
-  void SetStr(const std::string& key, std::string v) { fields_[key] = std::move(v); }
-  int64_t GetInt(const std::string& key) const { return std::get<int64_t>(fields_.at(key)); }
-  const std::string& GetStr(const std::string& key) const {
-    return std::get<std::string>(fields_.at(key));
-  }
-  size_t ByteSize() const {
-    size_t total = 0;
-    for (const auto& [key, field] : fields_) {
-      total += 2;
-      total += std::holds_alternative<int64_t>(field) ? 8 : std::get<std::string>(field).size();
-    }
-    return total;
-  }
-
- private:
-  std::map<std::string, Field> fields_;
-};
-
-struct LogRecord {
-  SeqNum seqnum = 0;
-  std::vector<Tag> tags;
-  FieldMap fields;
-  size_t ByteSize() const {
-    size_t total = 8 + fields.ByteSize();
-    for (const Tag& tag : tags) total += tag.size();
-    return total;
-  }
-};
-
-// The seed's LogSpace: records stored by value, reads deep-copy, the per-tag index keeps
-// every seqnum ever appended (Trim only advances a cursor), and prefix enumeration scans all
-// streams then sorts.
-class LogSpace {
- public:
-  SeqNum Append(std::vector<Tag> tags, FieldMap fields) {
-    SeqNum seqnum = next_seqnum_++;
-    LogRecord record;
-    record.seqnum = seqnum;
-    record.tags = std::move(tags);
-    record.fields = std::move(fields);
-    StoredRecord stored;
-    stored.live_tag_refs = static_cast<int>(record.tags.size());
-    for (const Tag& tag : record.tags) {
-      streams_[tag].seqnums.push_back(seqnum);
-    }
-    stored.record = std::move(record);
-    records_.emplace(seqnum, std::move(stored));
-    return seqnum;
-  }
-
-  std::optional<LogRecord> ReadPrev(const Tag& tag, SeqNum max_seqnum) const {
-    auto it = streams_.find(tag);
-    if (it == streams_.end()) return std::nullopt;
-    const TagStream& stream = it->second;
-    for (size_t i = stream.seqnums.size(); i > stream.trimmed; --i) {
-      SeqNum seqnum = stream.seqnums[i - 1];
-      if (seqnum > max_seqnum) continue;
-      std::optional<LogRecord> record = LookupLive(seqnum);
-      if (record.has_value()) return record;
-    }
-    return std::nullopt;
-  }
-
-  std::vector<LogRecord> ReadStream(const Tag& tag) const {
-    std::vector<LogRecord> result;
-    auto it = streams_.find(tag);
-    if (it == streams_.end()) return result;
-    const TagStream& stream = it->second;
-    for (size_t i = stream.trimmed; i < stream.seqnums.size(); ++i) {
-      std::optional<LogRecord> record = LookupLive(stream.seqnums[i]);
-      if (record.has_value()) result.push_back(std::move(*record));
-    }
-    return result;
-  }
-
-  std::optional<LogRecord> FindFirstByStep(const Tag& tag, const std::string& op,
-                                           int64_t step) const {
-    auto it = streams_.find(tag);
-    if (it == streams_.end()) return std::nullopt;
-    const TagStream& stream = it->second;
-    for (size_t i = stream.trimmed; i < stream.seqnums.size(); ++i) {
-      std::optional<LogRecord> record = LookupLive(stream.seqnums[i]);
-      if (!record.has_value()) continue;
-      if (record->fields.GetStr("op") == op && record->fields.GetInt("step") == step) {
-        return record;
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::vector<Tag> StreamTagsWithPrefix(const std::string& prefix) const {
-    std::vector<Tag> tags;
-    for (const auto& [tag, stream] : streams_) {
-      if (tag.size() >= prefix.size() && tag.compare(0, prefix.size(), prefix) == 0 &&
-          stream.trimmed < stream.seqnums.size()) {
-        tags.push_back(tag);
-      }
-    }
-    std::sort(tags.begin(), tags.end());
-    return tags;
-  }
-
-  void Trim(const Tag& tag, SeqNum upto) {
-    auto it = streams_.find(tag);
-    if (it == streams_.end()) return;
-    TagStream& stream = it->second;
-    while (stream.trimmed < stream.seqnums.size() && stream.seqnums[stream.trimmed] <= upto) {
-      ReleaseRef(stream.seqnums[stream.trimmed]);
-      ++stream.trimmed;
-    }
-  }
-
- private:
-  struct TagStream {
-    std::vector<SeqNum> seqnums;  // Grows forever; Trim only advances `trimmed`.
-    size_t trimmed = 0;
-  };
-  struct StoredRecord {
-    LogRecord record;
-    int live_tag_refs = 0;
-  };
-
-  std::optional<LogRecord> LookupLive(SeqNum seqnum) const {
-    auto it = records_.find(seqnum);
-    if (it == records_.end()) return std::nullopt;
-    return it->second.record;  // Deep copy: tags, field map nodes, value bytes.
-  }
-
-  void ReleaseRef(SeqNum seqnum) {
-    auto it = records_.find(seqnum);
-    if (it == records_.end()) return;
-    if (--it->second.live_tag_refs <= 0) records_.erase(it);
-  }
-
-  SeqNum next_seqnum_ = 1;
-  std::unordered_map<SeqNum, StoredRecord> records_;
-  std::unordered_map<Tag, TagStream> streams_;
-};
-
-// The seed's event queue: std::function-backed events, PostResume wrapping via a lambda.
-class EventQueue {
- public:
-  void Post(SimTime time, std::function<void()> fn) {
-    queue_.push(Event{time, next_seq_++, std::move(fn)});
-  }
-  uint64_t Drain() {
-    uint64_t fired = 0;
-    while (!queue_.empty()) {
-      Event event = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      event.fn();
-      ++fired;
-    }
-    return fired;
-  }
-
- private:
-  struct Event {
-    SimTime time;
-    uint64_t seq;
-    std::function<void()> fn;
-    bool operator>(const Event& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  uint64_t next_seq_ = 0;
-};
-
-}  // namespace legacy
-
-// ---------------------------------------------------------------------------
-// PR 1 replica: zero-copy records and compacted streams, but std::string tags.
-// Every append/read/trim materializes a tag string and hashes its bytes; the stream table is
-// an unordered_map keyed by string; live tags mirror into a std::set<std::string>.
-// ---------------------------------------------------------------------------
-namespace pr1 {
-
-using Tag = std::string;
-
-struct LogRecord {
-  SeqNum seqnum = 0;
-  std::vector<Tag> tags;
-  FieldMap fields;  // PR 1 already had the flat field map.
-  size_t ByteSize() const {
-    size_t total = 8 + fields.ByteSize();
-    for (const Tag& tag : tags) total += tag.size();
-    return total;
-  }
-};
-using LogRecordPtr = std::shared_ptr<const LogRecord>;
-
-class LogSpace {
- public:
-  SeqNum Append(std::vector<Tag> tags, FieldMap fields) {
-    SeqNum seqnum = next_seqnum_++;
-    auto record = std::make_shared<LogRecord>();
-    record->seqnum = seqnum;
-    record->tags = std::move(tags);
-    record->fields = std::move(fields);
-    StoredRecord stored;
-    stored.live_tag_refs = static_cast<int>(record->tags.size());
-    gauge_.Add(0, static_cast<int64_t>(record->ByteSize()));
-    for (const Tag& tag : record->tags) {
-      TagStream& stream = streams_[tag];
-      if (stream.seqnums.empty()) live_tags_.insert(tag);
-      stream.seqnums.push_back(seqnum);
-    }
-    stored.record = std::move(record);
-    records_.emplace(seqnum, std::move(stored));
-    return seqnum;
-  }
-
-  LogRecordPtr ReadPrev(const Tag& tag, SeqNum max_seqnum) const {
-    const TagStream* stream = FindStream(tag);
-    if (stream == nullptr) return nullptr;
-    auto upper = std::upper_bound(stream->seqnums.begin(), stream->seqnums.end(), max_seqnum);
-    if (upper == stream->seqnums.begin()) return nullptr;
-    return LookupLive(*(upper - 1));
-  }
-
-  std::vector<LogRecordPtr> ReadStream(const Tag& tag) const {
-    std::vector<LogRecordPtr> out;
-    const TagStream* stream = FindStream(tag);
-    if (stream == nullptr) return out;
-    out.reserve(stream->seqnums.size());
-    for (SeqNum seqnum : stream->seqnums) {
-      LogRecordPtr record = LookupLive(seqnum);
-      if (record != nullptr) out.push_back(std::move(record));
-    }
-    return out;
-  }
-
-  LogRecordPtr FindFirstByStep(const Tag& tag, const std::string& op, int64_t step) const {
-    const TagStream* stream = FindStream(tag);
-    if (stream == nullptr) return nullptr;
-    for (SeqNum seqnum : stream->seqnums) {
-      LogRecordPtr record = LookupLive(seqnum);
-      if (record == nullptr) continue;
-      if (record->fields.GetStr("op") == op && record->fields.GetInt("step") == step) {
-        return record;
-      }
-    }
-    return nullptr;
-  }
-
-  std::vector<Tag> StreamTagsWithPrefix(const std::string& prefix) const {
-    std::vector<Tag> tags;
-    for (auto it = live_tags_.lower_bound(prefix); it != live_tags_.end(); ++it) {
-      if (it->compare(0, prefix.size(), prefix) != 0) break;
-      tags.push_back(*it);
-    }
-    return tags;
-  }
-
-  void Trim(const Tag& tag, SeqNum upto) {
-    auto it = streams_.find(tag);
-    if (it == streams_.end()) return;
-    TagStream& stream = it->second;
-    while (!stream.seqnums.empty() && stream.seqnums.front() <= upto) {
-      ReleaseRef(stream.seqnums.front());
-      stream.seqnums.pop_front();
-      ++stream.base;
-    }
-    if (stream.seqnums.empty() && stream.base > 0) live_tags_.erase(tag);
-  }
-
- private:
-  struct TagStream {
-    std::deque<SeqNum> seqnums;
-    size_t base = 0;
-  };
-  struct StoredRecord {
-    LogRecordPtr record;
-    int live_tag_refs = 0;
-  };
-
-  const TagStream* FindStream(const Tag& tag) const {
-    auto it = streams_.find(tag);
-    return it == streams_.end() ? nullptr : &it->second;
-  }
-
-  LogRecordPtr LookupLive(SeqNum seqnum) const {
-    auto it = records_.find(seqnum);
-    if (it == records_.end()) return nullptr;
-    return it->second.record;
-  }
-
-  void ReleaseRef(SeqNum seqnum) {
-    auto it = records_.find(seqnum);
-    if (it == records_.end()) return;
-    if (--it->second.live_tag_refs <= 0) {
-      gauge_.Add(0, -static_cast<int64_t>(it->second.record->ByteSize()));
-      records_.erase(it);
-    }
-  }
-
-  SeqNum next_seqnum_ = 1;
-  std::unordered_map<SeqNum, StoredRecord> records_;
-  std::unordered_map<Tag, TagStream> streams_;
-  std::set<Tag> live_tags_;
-  metrics::StorageGauge gauge_;  // PR 1 carried the same storage accounting.
-};
-
-}  // namespace pr1
-
-// ---------------------------------------------------------------------------
-// Workload: identical op sequence against any of the three implementations.
-// ---------------------------------------------------------------------------
-
-struct WorkloadShape {
-  int rounds = 8;
-  int appends_per_round = 1024;
-  int read_reps = 6;      // ReadStream sweeps per instance per round.
-  int instances = 16;     // Step-log streams.
-  int objects = 64;       // Per-object write-log streams ("k:...").
-  size_t value_bytes = 256;
-};
-
-// The tag-cost section: metadata-only records (value_bytes = 0 — Halfmoon's log records
-// carry op/step metadata, values live in the KV store), few stream sweeps, and a wide tag
-// universe so per-op tag handling (string building + hashing against string-keyed tables vs
-// interned-id indexing) dominates.
-WorkloadShape LogHeavyShape() {
-  WorkloadShape shape;
-  shape.rounds = 6;
-  shape.appends_per_round = 8192;
-  shape.read_reps = 4;
-  shape.instances = 256;
-  shape.objects = 4096;
-  shape.value_bytes = 0;
-  return shape;
-}
-
-struct WorkloadResult {
-  uint64_t ops = 0;        // Simulated log operations (appends + reads + trims + scans).
-  uint64_t checksum = 0;   // Fold of observed data; defeats dead-code elimination.
-  double seconds = 0.0;
-};
-
-// Drives one implementation through the append/read/trim cycle. `Adapter` supplies the
-// implementation-specific calls; the sequence of simulated operations is identical.
-template <typename Adapter>
-WorkloadResult RunLogWorkload(const WorkloadShape& shape, Adapter& impl) {
-  WorkloadResult out;
-  auto start = std::chrono::steady_clock::now();
-  int64_t step = 0;
-  for (int round = 0; round < shape.rounds; ++round) {
-    for (int i = 0; i < shape.appends_per_round; ++i) {
-      int instance = i % shape.instances;
-      int object = i % shape.objects;
-      impl.Append(instance, object, step++, shape.value_bytes);
-      ++out.ops;
-    }
-    for (int rep = 0; rep < shape.read_reps; ++rep) {
-      for (int instance = 0; instance < shape.instances; instance += 16) {
-        out.checksum += impl.ReadStreamBytes(instance);
-        ++out.ops;
-      }
-      for (int object = 0; object < shape.objects; ++object) {
-        out.checksum += impl.ReadPrevSeq(object);
-        ++out.ops;
-      }
-    }
-    for (int instance = 0; instance < shape.instances; instance += 8) {
-      out.checksum += impl.FindFirstSeq(instance, step - 1 - instance);
-      ++out.ops;
-    }
-    out.checksum += impl.PrefixScanCount();
-    ++out.ops;
-    // GC pass: trim everything but the last round's suffix from the object streams, and the
-    // step streams entirely (retired instances re-register next round).
-    if (round % 2 == 1) {
-      for (int object = 0; object < shape.objects; ++object) {
-        impl.TrimObjectHalf(object);
-        ++out.ops;
-      }
-    }
-  }
-  out.seconds = SecondsSince(start);
-  return out;
-}
-
-// Best-of-N wall-clock measurement with the two sides interleaved pass by pass (fresh
-// adapters each pass), so transient load on the host hits both sides alike instead of
-// skewing whichever happened to run during the noisy window. Every pass of every side must
-// observe identical data.
-template <typename BaselineT, typename CandidateT>
-std::pair<WorkloadResult, WorkloadResult> BestOfInterleaved(int passes,
-                                                            const WorkloadShape& shape) {
-  WorkloadResult best_base, best_cand;
-  for (int pass = 0; pass < passes; ++pass) {
-    BaselineT baseline(shape);
-    WorkloadResult base = RunLogWorkload(shape, baseline);
-    CandidateT candidate(shape);
-    WorkloadResult cand = RunLogWorkload(shape, candidate);
-    HM_CHECK_MSG(base.checksum == cand.checksum, "workload sides observed different data");
-    if (pass == 0) {
-      best_base = base;
-      best_cand = cand;
-    } else {
-      HM_CHECK_MSG(base.checksum == best_base.checksum,
-                   "workload passes observed different data");
-      if (base.seconds < best_base.seconds) best_base = base;
-      if (cand.seconds < best_cand.seconds) best_cand = cand;
-    }
-  }
-  return {best_base, best_cand};
-}
-
-// Pre-built identities shared by the adapters so every implementation receives the same
-// inputs the runtime would hand it: an instance id and an object key. What differs is what
-// each implementation has to *do* with them per operation. Names use realistic lengths —
-// instance ids are invocation UUIDs and object keys are composite ("table/partition/object")
-// in real deployments, not three-byte labels.
-std::vector<std::string> InstanceNames(int n) {
-  std::vector<std::string> out;
-  for (int i = 0; i < n; ++i) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "ssf-instance-%08x-4242-attempt-0", i * 2654435761u);
-    out.push_back(buf);
-  }
-  return out;
-}
+// Object keys of realistic length: composite "table/partition/object" names, as in real
+// deployments, not three-byte labels.
 std::vector<std::string> ObjectKeys(int n) {
   std::vector<std::string> out;
   for (int i = 0; i < n; ++i) {
@@ -507,185 +61,6 @@ std::vector<std::string> ObjectKeys(int n) {
   }
   return out;
 }
-
-// Current implementation: step tags interned once per instance (as Env::step_tag does) and
-// object tags resolved by the two-part InternPrefixed hit path (as Env::WriteTag does) —
-// one hash of the key bytes, no string building, vector-indexed streams. The per-object
-// version index (Halfmoon's per-key version list in the KV store) is keyed by TagId.
-class OptimizedAdapter {
- public:
-  explicit OptimizedAdapter(const WorkloadShape& shape)
-      : keys_(ObjectKeys(shape.objects)), has_value_(shape.value_bytes > 0) {
-    for (const std::string& name : InstanceNames(shape.instances)) {
-      step_tags_.push_back(space_.tags().Intern(name));
-    }
-  }
-
-  void Append(int instance, int object, int64_t step, size_t value_bytes) {
-    FieldMap fields;
-    fields.SetStr("op", "write");
-    fields.SetInt("step", step);
-    if (value_bytes > 0) fields.SetStr("value", PadValue("x", value_bytes));
-    TagId obj = ObjTag(object);
-    last_ = space_.Append(0, sharedlog::TwoTags(step_tags_[instance], obj), std::move(fields));
-    // PutVersioned: record the write in the version index (flat, indexed by dense TagId —
-    // mirrors KvState::versioned_).
-    if (obj >= versions_.size()) versions_.resize(obj + 1);
-    versions_[obj].push_back(last_);
-  }
-  uint64_t ReadStreamBytes(int instance) {
-    uint64_t bytes = 0;
-    for (const LogRecordPtr& record : space_.ReadStream(step_tags_[instance])) {
-      bytes += has_value_ ? record->fields.GetStr("value").size()
-                          : static_cast<uint64_t>(record->fields.GetInt("step"));
-    }
-    return bytes;
-  }
-  uint64_t ReadPrevSeq(int object) {
-    TagId obj = ObjTag(object);
-    uint64_t latest = 0;  // GetVersioned's index lookup: one bounds-checked vector access.
-    if (obj < versions_.size() && !versions_[obj].empty()) latest = versions_[obj].back();
-    LogRecordPtr record = space_.ReadPrev(obj, last_);
-    return (record != nullptr ? record->seqnum : 0) + latest;
-  }
-  uint64_t FindFirstSeq(int instance, int64_t step) {
-    LogRecordPtr record = space_.FindFirstByStep(step_tags_[instance], "write", step);
-    return record != nullptr ? record->seqnum : 0;
-  }
-  uint64_t PrefixScanCount() { return space_.LiveTagsWithPrefix("k:").size(); }
-  void TrimObjectHalf(int object) {
-    TagId tag = ObjTag(object);
-    LogRecordPtr latest = space_.ReadPrev(tag, last_);
-    if (latest != nullptr && latest->seqnum > 0) space_.Trim(0, tag, latest->seqnum - 1);
-    if (tag < versions_.size()) {
-      std::vector<SeqNum>& versions = versions_[tag];  // GC drops superseded versions.
-      if (versions.size() > 1) versions.erase(versions.begin(), versions.end() - 1);
-    }
-  }
-
- private:
-  TagId ObjTag(int object) { return space_.tags().InternPrefixed("k:", keys_[object]); }
-  sharedlog::LogSpace space_;
-  std::vector<TagId> step_tags_;
-  std::vector<std::string> keys_;
-  std::vector<std::vector<SeqNum>> versions_;  // Flat, indexed by dense TagId.
-  SeqNum last_ = 0;
-  bool has_value_ = true;
-};
-
-// PR 1: same zero-copy storage, but every operation builds (or copies) a tag string and
-// hashes its bytes against a string-keyed table; the version index is keyed by key string.
-class Pr1Adapter {
- public:
-  explicit Pr1Adapter(const WorkloadShape& shape)
-      : instances_(InstanceNames(shape.instances)),
-        keys_(ObjectKeys(shape.objects)),
-        has_value_(shape.value_bytes > 0) {}
-
-  void Append(int instance, int object, int64_t step, size_t value_bytes) {
-    FieldMap fields;
-    fields.SetStr("op", "write");
-    fields.SetInt("step", step);
-    if (value_bytes > 0) fields.SetStr("value", PadValue("x", value_bytes));
-    // TwoTags(step_tag, WriteLogTag(key)) in PR 1: one copy, one move into the tag vector.
-    std::vector<pr1::Tag> tags;
-    tags.reserve(2);
-    tags.push_back(instances_[instance]);
-    tags.push_back(ObjTag(object));
-    last_ = space_.Append(std::move(tags), std::move(fields));
-    versions_[keys_[object]].push_back(last_);  // PutVersioned against the string-keyed index.
-  }
-  uint64_t ReadStreamBytes(int instance) {
-    uint64_t bytes = 0;
-    for (const pr1::LogRecordPtr& record : space_.ReadStream(instances_[instance])) {
-      bytes += has_value_ ? record->fields.GetStr("value").size()
-                          : static_cast<uint64_t>(record->fields.GetInt("step"));
-    }
-    return bytes;
-  }
-  uint64_t ReadPrevSeq(int object) {
-    const std::vector<SeqNum>& versions = versions_[keys_[object]];
-    uint64_t latest = versions.empty() ? 0 : versions.back();
-    pr1::LogRecordPtr record = space_.ReadPrev(ObjTag(object), last_);
-    return (record != nullptr ? record->seqnum : 0) + latest;
-  }
-  uint64_t FindFirstSeq(int instance, int64_t step) {
-    pr1::LogRecordPtr record = space_.FindFirstByStep(instances_[instance], "write", step);
-    return record != nullptr ? record->seqnum : 0;
-  }
-  uint64_t PrefixScanCount() { return space_.StreamTagsWithPrefix("k:").size(); }
-  void TrimObjectHalf(int object) {
-    pr1::Tag tag = ObjTag(object);
-    pr1::LogRecordPtr latest = space_.ReadPrev(tag, last_);
-    if (latest != nullptr && latest->seqnum > 0) space_.Trim(tag, latest->seqnum - 1);
-    std::vector<SeqNum>& versions = versions_[keys_[object]];
-    if (versions.size() > 1) versions.erase(versions.begin(), versions.end() - 1);
-  }
-
- private:
-  // What WriteLogTag(key) did before interning: build "k:<key>" for every operation.
-  pr1::Tag ObjTag(int object) { return "k:" + keys_[object]; }
-  pr1::LogSpace space_;
-  std::vector<std::string> instances_;
-  std::vector<std::string> keys_;
-  std::unordered_map<std::string, std::vector<SeqNum>> versions_;
-  SeqNum last_ = 0;
-  bool has_value_ = true;
-};
-
-// Seed implementation driver (deep-copy reads, unbounded index).
-class LegacyAdapter {
- public:
-  explicit LegacyAdapter(const WorkloadShape& shape)
-      : instances_(InstanceNames(shape.instances)),
-        keys_(ObjectKeys(shape.objects)),
-        has_value_(shape.value_bytes > 0) {}
-
-  void Append(int instance, int object, int64_t step, size_t value_bytes) {
-    legacy::FieldMap fields;
-    fields.SetStr("op", "write");
-    fields.SetInt("step", step);
-    if (value_bytes > 0) fields.SetStr("value", PadValue("x", value_bytes));
-    last_ = space_.Append({instances_[instance], ObjTag(object)}, std::move(fields));
-    versions_[keys_[object]].push_back(last_);
-  }
-  uint64_t ReadStreamBytes(int instance) {
-    uint64_t bytes = 0;
-    for (const legacy::LogRecord& record : space_.ReadStream(instances_[instance])) {
-      bytes += has_value_ ? record.fields.GetStr("value").size()
-                          : static_cast<uint64_t>(record.fields.GetInt("step"));
-    }
-    return bytes;
-  }
-  uint64_t ReadPrevSeq(int object) {
-    const std::vector<SeqNum>& versions = versions_[keys_[object]];
-    uint64_t latest = versions.empty() ? 0 : versions.back();
-    std::optional<legacy::LogRecord> record = space_.ReadPrev(ObjTag(object), last_);
-    return (record.has_value() ? record->seqnum : 0) + latest;
-  }
-  uint64_t FindFirstSeq(int instance, int64_t step) {
-    std::optional<legacy::LogRecord> record =
-        space_.FindFirstByStep(instances_[instance], "write", step);
-    return record.has_value() ? record->seqnum : 0;
-  }
-  uint64_t PrefixScanCount() { return space_.StreamTagsWithPrefix("k:").size(); }
-  void TrimObjectHalf(int object) {
-    legacy::Tag tag = ObjTag(object);
-    std::optional<legacy::LogRecord> latest = space_.ReadPrev(tag, last_);
-    if (latest.has_value() && latest->seqnum > 0) space_.Trim(tag, latest->seqnum - 1);
-    std::vector<SeqNum>& versions = versions_[keys_[object]];
-    if (versions.size() > 1) versions.erase(versions.begin(), versions.end() - 1);
-  }
-
- private:
-  legacy::Tag ObjTag(int object) { return "k:" + keys_[object]; }
-  legacy::LogSpace space_;
-  std::vector<std::string> instances_;
-  std::vector<std::string> keys_;
-  std::unordered_map<std::string, std::vector<SeqNum>> versions_;
-  SeqNum last_ = 0;
-  bool has_value_ = true;
-};
 
 // ---------------------------------------------------------------------------
 // Tag-intern micro-section: resolving "k:<key>" per operation, PR 1 style (build the string,
@@ -836,58 +211,6 @@ PropagationResult RunPropagation(bool coalesce, int appends_per_node) {
 }
 
 // ---------------------------------------------------------------------------
-// Event-loop workload: post + drain cycles through either queue implementation.
-// ---------------------------------------------------------------------------
-
-struct EventResult {
-  uint64_t events = 0;
-  double seconds = 0.0;
-};
-
-// Events capture what the simulation's real call sites capture: a couple of pointers plus a
-// value (~32 bytes) — beyond std::function's small-buffer optimization, within the
-// scheduler's inline event storage.
-EventResult RunLegacyEvents(uint64_t total, int batch) {
-  legacy::EventQueue queue;
-  EventResult out;
-  uint64_t counter = 0;
-  uint64_t sink = 0;
-  auto start = std::chrono::steady_clock::now();
-  while (out.events < total) {
-    for (int i = 0; i < batch; ++i) {
-      queue.Post(static_cast<SimTime>(i % 7), [&counter, &sink, &out, i] {
-        counter += static_cast<uint64_t>(i) + sink + out.events;
-      });
-    }
-    out.events += queue.Drain();
-  }
-  out.seconds = SecondsSince(start);
-  if (counter == 0) std::printf("(unreachable)\n");
-  return out;
-}
-
-EventResult RunOptimizedEvents(uint64_t total, int batch) {
-  sim::Scheduler scheduler;
-  EventResult out;
-  uint64_t counter = 0;
-  uint64_t sink = 0;
-  auto start = std::chrono::steady_clock::now();
-  while (out.events < total) {
-    uint64_t before = scheduler.events_processed();
-    for (int i = 0; i < batch; ++i) {
-      scheduler.Post(static_cast<SimDuration>(i % 7), [&counter, &sink, &out, i] {
-        counter += static_cast<uint64_t>(i) + sink + out.events;
-      });
-    }
-    scheduler.Run();
-    out.events += scheduler.events_processed() - before;
-  }
-  out.seconds = SecondsSince(start);
-  if (counter == 0) std::printf("(unreachable)\n");
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Driven log-heavy section: a real cluster (LogClient + stations + scheduler) under
 // concurrent appenders. The embedded PR 2 baseline is the same binary with group commit
 // disabled and the binary-heap scheduler — exactly the previous PR's configuration. The
@@ -910,6 +233,31 @@ struct DrivenShape {
   int workers_per_node = 48;
   int ops_per_worker = 192;
 };
+
+// One single-writer stream per worker ("w:<i>"), interned before any load runs.
+std::vector<TagId> InternWorkerTags(runtime::Cluster& cluster, const DrivenShape& shape) {
+  std::vector<TagId> tags;
+  for (int w = 0; w < shape.nodes * shape.workers_per_node; ++w) {
+    tags.push_back(cluster.log_space().tags().Intern("w:" + std::to_string(w)));
+  }
+  return tags;
+}
+
+// Content fingerprint: each worker stream's step sequence in order (program order for its
+// single writer), combined order-independently across workers — invariant under batching,
+// sharding and pipelining, which may change when records commit but never what commits.
+uint64_t WorkerStreamChecksum(runtime::Cluster& cluster, const std::vector<TagId>& tags) {
+  uint64_t checksum = 0;
+  for (TagId tag : tags) {
+    uint64_t h = 1469598103934665603ull;
+    for (const LogRecordPtr& record :
+         cluster.log_space().ReadStreamUpTo(tag, sharedlog::kMaxSeqNum)) {
+      h = (h ^ static_cast<uint64_t>(record->fields.GetInt("step"))) * 1099511628211ull;
+    }
+    checksum ^= h;
+  }
+  return checksum;
+}
 
 sim::Task<void> DrivenWorker(runtime::Cluster* cluster, int node, TagId own, TagId obj,
                              int ops, uint64_t* read_sink) {
@@ -946,18 +294,14 @@ DrivenResult RunDrivenLogHeavy(bool batched, const DrivenShape& shape) {
   config.queue_mode = batched ? sim::QueueMode::kTimerWheel : sim::QueueMode::kPriorityQueue;
   runtime::Cluster cluster(config);
 
-  int total_workers = shape.nodes * shape.workers_per_node;
-  std::vector<TagId> worker_tags;
-  worker_tags.reserve(total_workers);
-  for (int w = 0; w < total_workers; ++w) {
-    worker_tags.push_back(cluster.log_space().tags().Intern("w:" + std::to_string(w)));
-  }
+  std::vector<TagId> worker_tags = InternWorkerTags(cluster, shape);
   uint64_t read_sink = 0;
   auto start = std::chrono::steady_clock::now();
-  for (int w = 0; w < total_workers; ++w) {
+  for (size_t w = 0; w < worker_tags.size(); ++w) {
     TagId obj = cluster.log_space().tags().InternPrefixed("k:", std::to_string(w % 32));
-    cluster.scheduler().Spawn(DrivenWorker(&cluster, w % shape.nodes, worker_tags[w], obj,
-                                           shape.ops_per_worker, &read_sink));
+    cluster.scheduler().Spawn(DrivenWorker(&cluster, static_cast<int>(w) % shape.nodes,
+                                           worker_tags[w], obj, shape.ops_per_worker,
+                                           &read_sink));
   }
   cluster.scheduler().Run();
 
@@ -969,19 +313,9 @@ DrivenResult RunDrivenLogHeavy(bool batched, const DrivenShape& shape) {
     out.append_rounds += cluster.node(n).log().stats().append_rounds;
     out.batched_requests += cluster.node(n).log().stats().batched_requests;
   }
-  // Content fingerprint: each worker stream's step sequence in order (program order for its
-  // single writer), combined order-independently across workers. Identical for the batched
-  // and unbatched runs — group commit must not change what commits, only when.
-  for (int w = 0; w < total_workers; ++w) {
-    uint64_t h = 1469598103934665603ull;
-    for (const LogRecordPtr& record :
-         cluster.log_space().ReadStreamUpTo(worker_tags[w], sharedlog::kMaxSeqNum)) {
-      h = (h ^ static_cast<uint64_t>(record->fields.GetInt("step"))) * 1099511628211ull;
-    }
-    out.checksum ^= h;
-  }
-  // The committed record count must also agree (no stream escaped the fingerprint).
-  out.checksum += cluster.log_space().next_seqnum();
+  // Group commit must not change what commits, only when. The committed record count must
+  // also agree (no stream escaped the fingerprint).
+  out.checksum = WorkerStreamChecksum(cluster, worker_tags) + cluster.log_space().next_seqnum();
   if (read_sink == ~0ull) std::printf("(unreachable)\n");  // Keep the reads observable.
   return out;
 }
@@ -1007,22 +341,39 @@ std::pair<DrivenResult, DrivenResult> BestOfDriven(int passes, const DrivenShape
 }
 
 // ---------------------------------------------------------------------------
-// Shard-scaling section: the same offered load against a 1-shard and a 4-shard log. The
-// bottleneck sharding removes is the sequencer: each node's batcher keeps at most one
-// sequencer round in flight per shard, so with hundreds of concurrent workers per node a
-// single shard serializes rounds end to end while four shards run four rounds concurrently.
-// The measured quantity is *simulated* throughput — committed appends per virtual second —
-// at identical offered load; committed per-stream content must be shard-invariant.
+// Append-storm sections: closed-loop appenders against a configurable log, measured in
+// *simulated* throughput (committed appends per virtual second) at identical offered load.
+//   * Shard scaling: 1 vs 4 shards at pipeline depth 1. The bottleneck sharding removes is
+//     the sequencer: each node's batcher keeps one round in flight per shard, so with
+//     hundreds of concurrent workers per node a single shard serializes rounds end to end
+//     while four shards run four rounds concurrently.
+//   * Pipeline: one shard at depth 1/2/4/8. More concurrent workers per node than max_batch,
+//     so the pending queue always holds more than one full round — the regime where
+//     overlapping rounds pays.
+// Committed per-stream content must be invariant across shard counts and depths (and the
+// final seqnum across depths: the FIFO commit-ticket assertion at full scale). Simulated
+// time is deterministic, so the throughput floors are hard gates, not wall-clock guesses.
 // ---------------------------------------------------------------------------
 
-struct ShardRunResult {
+struct StormResult {
   uint64_t appends = 0;
   SimTime end_time = 0;
-  uint64_t checksum = 0;      // Order-independent fold of per-worker stream contents.
+  uint64_t checksum = 0;   // Order-independent fold of per-worker stream contents.
+  uint64_t next_seqnum = 0;
   int64_t append_rounds = 0;  // Sequencer rounds across all nodes and shards.
+  int64_t rounds_overlapped = 0;
+  int64_t max_inflight = 0;
+  int64_t ctrl_raised = 0;
+  int64_t ctrl_widened = 0;
+  int64_t ctrl_narrowed = 0;
+  int64_t ctrl_lowered = 0;
+
+  double AppendsPerVsec() const {
+    return static_cast<double>(appends) / ToSecondsDouble(end_time);
+  }
 };
 
-sim::Task<void> ShardWorker(runtime::Cluster* cluster, int node, TagId own, TagId obj,
+sim::Task<void> StormWorker(runtime::Cluster* cluster, int node, TagId own, TagId obj,
                             int ops) {
   sharedlog::LogClient& log = cluster->node(node).log();
   for (int i = 0; i < ops; ++i) {
@@ -1033,94 +384,23 @@ sim::Task<void> ShardWorker(runtime::Cluster* cluster, int node, TagId own, TagI
   }
 }
 
-ShardRunResult RunShardScaling(int shards, const DrivenShape& shape) {
+StormResult RunAppendStorm(int shards, int depth, const DrivenShape& shape) {
   runtime::ClusterConfig config;
   config.function_nodes = shape.nodes;
   config.seed = 1;
   config.log_shards = shards;
-  config.append_batch_pipeline = 1;  // The PR 5 baseline: serial rounds, shard scaling only
-                                     // (the pipeline section measures depth; pinned so the
-                                     // CI HM_PIPELINE legs don't move this gate).
+  config.append_batch_pipeline = depth;
   runtime::Cluster cluster(config);
 
-  int total_workers = shape.nodes * shape.workers_per_node;
-  std::vector<TagId> worker_tags;
-  worker_tags.reserve(total_workers);
-  for (int w = 0; w < total_workers; ++w) {
-    worker_tags.push_back(cluster.log_space().tags().Intern("w:" + std::to_string(w)));
-  }
-  for (int w = 0; w < total_workers; ++w) {
+  std::vector<TagId> worker_tags = InternWorkerTags(cluster, shape);
+  for (size_t w = 0; w < worker_tags.size(); ++w) {
     TagId obj = cluster.log_space().tags().InternPrefixed("k:", std::to_string(w % 64));
-    cluster.scheduler().Spawn(ShardWorker(&cluster, w % shape.nodes, worker_tags[w], obj,
-                                          shape.ops_per_worker));
+    cluster.scheduler().Spawn(StormWorker(&cluster, static_cast<int>(w) % shape.nodes,
+                                          worker_tags[w], obj, shape.ops_per_worker));
   }
   cluster.scheduler().Run();
 
-  ShardRunResult out;
-  out.end_time = cluster.scheduler().Now();
-  out.appends = static_cast<uint64_t>(cluster.TotalLogAppends());
-  for (int n = 0; n < cluster.node_count(); ++n) {
-    out.append_rounds += cluster.node(n).log().stats().append_rounds;
-  }
-  // Per-worker streams are single-writer, so their step sequences are program order under
-  // any shard count; fold them order-independently across workers.
-  for (int w = 0; w < total_workers; ++w) {
-    uint64_t h = 1469598103934665603ull;
-    for (const LogRecordPtr& record :
-         cluster.log_space().ReadStreamUpTo(worker_tags[w], sharedlog::kMaxSeqNum)) {
-      h = (h ^ static_cast<uint64_t>(record->fields.GetInt("step"))) * 1099511628211ull;
-    }
-    out.checksum ^= h;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Pipeline section: the same round-limited append storm against the serial group-commit
-// engine (pipeline depth 1, the PR 3 baseline) and the pipelined engine (depth 4). One
-// explicit shard so the single sequencer is the bottleneck, and more concurrent workers per
-// node than max_batch so the pending queue always holds more than one full round — the
-// regime where overlapping rounds pays. Committed content and the final seqnum must be
-// depth-invariant (the FIFO commit-ticket assertion at full scale); the measured quantity is
-// simulated throughput, so the >= 1.5x gate below is deterministic, not a wall-clock guess.
-// ---------------------------------------------------------------------------
-
-struct PipelineRunResult {
-  uint64_t appends = 0;
-  SimTime end_time = 0;
-  uint64_t checksum = 0;   // Order-independent fold of per-worker stream contents.
-  uint64_t next_seqnum = 0;
-  int64_t append_rounds = 0;
-  int64_t rounds_overlapped = 0;
-  int64_t max_inflight = 0;
-  int64_t ctrl_raised = 0;
-  int64_t ctrl_widened = 0;
-  int64_t ctrl_narrowed = 0;
-  int64_t ctrl_lowered = 0;
-};
-
-PipelineRunResult RunPipelineStorm(int depth, const DrivenShape& shape) {
-  runtime::ClusterConfig config;
-  config.function_nodes = shape.nodes;
-  config.seed = 1;
-  config.log_shards = 1;                 // One sequencer: the round-limited regime.
-  config.append_batch_pipeline = depth;  // Pinned, independent of HM_PIPELINE.
-  runtime::Cluster cluster(config);
-
-  int total_workers = shape.nodes * shape.workers_per_node;
-  std::vector<TagId> worker_tags;
-  worker_tags.reserve(total_workers);
-  for (int w = 0; w < total_workers; ++w) {
-    worker_tags.push_back(cluster.log_space().tags().Intern("w:" + std::to_string(w)));
-  }
-  for (int w = 0; w < total_workers; ++w) {
-    TagId obj = cluster.log_space().tags().InternPrefixed("k:", std::to_string(w % 64));
-    cluster.scheduler().Spawn(ShardWorker(&cluster, w % shape.nodes, worker_tags[w], obj,
-                                          shape.ops_per_worker));
-  }
-  cluster.scheduler().Run();
-
-  PipelineRunResult out;
+  StormResult out;
   out.end_time = cluster.scheduler().Now();
   out.appends = static_cast<uint64_t>(cluster.TotalLogAppends());
   out.next_seqnum = cluster.log_space().next_seqnum();
@@ -1134,14 +414,7 @@ PipelineRunResult RunPipelineStorm(int depth, const DrivenShape& shape) {
     out.ctrl_narrowed += stats.ctrl_window_narrowed;
     out.ctrl_lowered += stats.ctrl_depth_lowered;
   }
-  for (int w = 0; w < total_workers; ++w) {
-    uint64_t h = 1469598103934665603ull;
-    for (const LogRecordPtr& record :
-         cluster.log_space().ReadStreamUpTo(worker_tags[w], sharedlog::kMaxSeqNum)) {
-      h = (h ^ static_cast<uint64_t>(record->fields.GetInt("step"))) * 1099511628211ull;
-    }
-    out.checksum ^= h;
-  }
+  out.checksum = WorkerStreamChecksum(cluster, worker_tags);
   return out;
 }
 
@@ -1212,6 +485,13 @@ CacheRunResult RunReadCache(bool cache_enabled, const DrivenShape& shape) {
 // wheel's busiest regime.
 // ---------------------------------------------------------------------------
 
+struct EventResult {
+  uint64_t events = 0;
+  double seconds = 0.0;
+};
+
+// Events capture what the simulation's real call sites capture: a couple of pointers plus a
+// value (~32 bytes), within the scheduler's inline event storage.
 EventResult RunSchedulerEvents(sim::QueueMode mode, uint64_t total, int batch) {
   sim::Scheduler scheduler(mode);
   EventResult out;
@@ -1236,12 +516,8 @@ EventResult RunSchedulerEvents(sim::QueueMode mode, uint64_t total, int batch) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy audit: exercise the client read paths and report the stats counters.
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
 // Thread-scaling section: the shard-parallel workload on runtime::ParallelCluster, one
-// shared single-threaded scheduler (HM_PARALLEL=0 semantics) vs one OS thread per partition
+// shared single-threaded scheduler (parallel = false) vs one OS thread per partition
 // under the conservative engine. Unlike every other section, the measured quantity is
 // WALL-CLOCK events per second — virtual time and committed content are identical across
 // modes by construction (asserted every pass), so the only thing the threads can change is
@@ -1306,6 +582,10 @@ ParallelScalingResult RunParallelScaling(int partitions, bool parallel,
   out.messages = pc.messages_routed();
   return out;
 }
+
+// ---------------------------------------------------------------------------
+// Zero-copy audit: exercise the client read paths and report the stats counters.
+// ---------------------------------------------------------------------------
 
 struct AuditResult {
   int64_t shared = 0;
@@ -1481,36 +761,14 @@ AdvisorDriftResult RunAdvisorDrift(double scale) {
 
 void Report() {
   double scale = BenchScale();
-  WorkloadShape shape;
-  shape.rounds = std::max(2, static_cast<int>(shape.rounds * scale));
-  WorkloadShape heavy = LogHeavyShape();
-  heavy.rounds = std::max(2, static_cast<int>(heavy.rounds * scale));
   const uint64_t event_total = static_cast<uint64_t>(2'000'000 * scale);
   const uint64_t intern_iters = static_cast<uint64_t>(4'000'000 * scale);
   const uint64_t frontier_iters = static_cast<uint64_t>(4'000'000 * scale);
   constexpr int kEventBatch = 4096;
 
-  std::printf("== Hot-path benchmark: seed baseline vs PR 1 (string tags) vs current ==\n");
+  std::printf("== Hot-path benchmark ==\n");
 
-  // Warm-up all sides once to stabilize the allocator, then measure.
-  {
-    WorkloadShape tiny = shape;
-    tiny.rounds = 1;
-    LegacyAdapter warm_legacy(tiny);
-    RunLogWorkload(tiny, warm_legacy);
-    Pr1Adapter warm_pr1(tiny);
-    RunLogWorkload(tiny, warm_pr1);
-    OptimizedAdapter warm_opt(tiny);
-    RunLogWorkload(tiny, warm_opt);
-  }
-
-  // Section 1: the seed baseline comparison (the original shape, payload-heavy).
-  auto [base, opt] = BestOfInterleaved<LegacyAdapter, OptimizedAdapter>(2, shape);
-
-  // Section 2: PR 1 vs current on the log-heavy data-structure shape (tag handling).
-  auto [pr1_res, opt_heavy] = BestOfInterleaved<Pr1Adapter, OptimizedAdapter>(9, heavy);
-
-  // Section 2b: the driven log-heavy shape — a real cluster under concurrent appenders.
+  // Section 1: the driven log-heavy shape — a real cluster under concurrent appenders.
   // Baseline = PR 2 configuration (per-request appends, binary-heap scheduler); candidate =
   // group commit + timer wheel. Committed content is asserted identical every pass.
   DrivenShape driven_shape;
@@ -1519,40 +777,31 @@ void Report() {
   RunDrivenLogHeavy(/*batched=*/true, DrivenShape{2, 8, 32});  // Warm-up.
   auto [pr2_driven, cur_driven] = BestOfDriven(5, driven_shape);
 
-  // Section 2c: shard scaling. High per-node concurrency so a single shard's one-round-in-
-  // flight sequencer pipeline is the bottleneck; four shards run four rounds concurrently.
-  // Simulated time is deterministic, so one run per side suffices.
-  DrivenShape shard_shape;
-  shard_shape.nodes = 2;
-  shard_shape.workers_per_node = 256;
-  shard_shape.ops_per_worker = std::max(12, static_cast<int>(48 * scale));
-  ShardRunResult one_shard = RunShardScaling(1, shard_shape);
-  ShardRunResult four_shard = RunShardScaling(4, shard_shape);
+  // Sections 2 and 3: the append storm, 2 nodes x 256 workers. The 1-shard depth-1 run is
+  // the baseline of both sections.
+  DrivenShape storm_shape;
+  storm_shape.nodes = 2;
+  storm_shape.workers_per_node = 256;
+  storm_shape.ops_per_worker = std::max(12, static_cast<int>(48 * scale));
+  const StormResult one_shard = RunAppendStorm(/*shards=*/1, /*depth=*/1, storm_shape);
+
+  // Section 2: shard scaling — four shards must scale throughput by at least 1.8x.
+  StormResult four_shard = RunAppendStorm(/*shards=*/4, /*depth=*/1, storm_shape);
   HM_CHECK_MSG(one_shard.checksum == four_shard.checksum,
                "sharding changed committed log content");
   HM_CHECK(one_shard.appends == four_shard.appends);
-  double one_shard_tput =
-      static_cast<double>(one_shard.appends) / ToSecondsDouble(one_shard.end_time);
-  double four_shard_tput =
-      static_cast<double>(four_shard.appends) / ToSecondsDouble(four_shard.end_time);
+  double one_shard_tput = one_shard.AppendsPerVsec();
+  double four_shard_tput = four_shard.AppendsPerVsec();
   double shard_speedup = four_shard_tput / one_shard_tput;
-  // Simulated time is deterministic, so this is a hard regression gate, not a flaky perf
-  // assertion: four shards must scale log-heavy throughput by at least 1.8x.
   HM_CHECK_MSG(shard_speedup >= 1.8, "shard scaling fell below the 1.8x floor");
 
-  // Section 2f: pipelined group commit. Same offered load through one sequencer at pipeline
-  // depth 1 (the PR 3 serial engine) and depth 4; committed content and the final seqnum
-  // must be identical, and depth 4 must commit the storm at least 1.5x faster in simulated
-  // time. Deterministic, so the floor is a hard regression gate.
-  DrivenShape pipe_shape;
-  pipe_shape.nodes = 2;
-  pipe_shape.workers_per_node = 256;
-  pipe_shape.ops_per_worker = std::max(12, static_cast<int>(48 * scale));
-  PipelineRunResult pipe_d1 = RunPipelineStorm(1, pipe_shape);
-  PipelineRunResult pipe_d2 = RunPipelineStorm(2, pipe_shape);
-  PipelineRunResult pipe_d4 = RunPipelineStorm(4, pipe_shape);
-  PipelineRunResult pipe_d8 = RunPipelineStorm(8, pipe_shape);
-  for (const PipelineRunResult* r : {&pipe_d2, &pipe_d4, &pipe_d8}) {
+  // Section 3: pipelined group commit through one sequencer — depth 4 must commit the storm
+  // at least 1.5x faster than the serial depth-1 engine.
+  const StormResult& pipe_d1 = one_shard;
+  StormResult pipe_d2 = RunAppendStorm(/*shards=*/1, /*depth=*/2, storm_shape);
+  StormResult pipe_d4 = RunAppendStorm(/*shards=*/1, /*depth=*/4, storm_shape);
+  StormResult pipe_d8 = RunAppendStorm(/*shards=*/1, /*depth=*/8, storm_shape);
+  for (const StormResult* r : {&pipe_d2, &pipe_d4, &pipe_d8}) {
     HM_CHECK_MSG(pipe_d1.checksum == r->checksum,
                  "pipelining changed committed log content");
     HM_CHECK_MSG(pipe_d1.next_seqnum == r->next_seqnum,
@@ -1560,18 +809,15 @@ void Report() {
     HM_CHECK(pipe_d1.appends == r->appends);
   }
   HM_CHECK_MSG(pipe_d1.rounds_overlapped == 0, "serial engine overlapped rounds");
-  auto pipe_tput = [](const PipelineRunResult& r) {
-    return static_cast<double>(r.appends) / ToSecondsDouble(r.end_time);
-  };
-  double pipe_d1_tput = pipe_tput(pipe_d1);
-  double pipe_d2_tput = pipe_tput(pipe_d2);
-  double pipe_d4_tput = pipe_tput(pipe_d4);
-  double pipe_d8_tput = pipe_tput(pipe_d8);
+  double pipe_d1_tput = pipe_d1.AppendsPerVsec();
+  double pipe_d2_tput = pipe_d2.AppendsPerVsec();
+  double pipe_d4_tput = pipe_d4.AppendsPerVsec();
+  double pipe_d8_tput = pipe_d8.AppendsPerVsec();
   double pipe_speedup = pipe_d4_tput / pipe_d1_tput;
   HM_CHECK_MSG(pipe_d4.rounds_overlapped > 0, "depth-4 pipeline never overlapped rounds");
   HM_CHECK_MSG(pipe_speedup >= 1.5, "pipelined group commit fell below the 1.5x floor");
 
-  // Section 2e: thread scaling on the shard-parallel workload (wall clock, best-of-3). The
+  // Section 4: thread scaling on the shard-parallel workload (wall clock, best-of-3). The
   // two modes must be observably identical — same committed content, same event count — so
   // only the wall-clock ratio is a measurement; everything else is an equivalence assertion.
   const int thread_workers = 4;
@@ -1618,7 +864,7 @@ void Report() {
     HM_CHECK_MSG(thread_speedup >= 3.0, "thread scaling fell below the 3.0x floor");
   }
 
-  // Section 2d: the node-local read cache on the Halfmoon-read log-free read mix (1 write
+  // Section 5: the node-local read cache on the Halfmoon-read log-free read mix (1 write
   // per 8 reads over shared objects). Cache-off is the reference; the cache must cut
   // simulated completion time, and the hit rate is the headline number.
   DrivenShape cache_shape;
@@ -1637,11 +883,12 @@ void Report() {
   // Also deterministic: the log-free read mix must hit the cache at least 60% of the time.
   HM_CHECK_MSG(cache_hit_rate >= 0.6, "read-cache hit rate fell below the 60% floor");
 
-  // Section 3: tag interning and frontier micro-sections.
+  // Section 6: tag interning and frontier micro-sections (the frontier scan doubles as a
+  // correctness cross-check of the incremental frontier).
   TagInternResult intern = RunTagInternMicro(intern_iters);
   FrontierResult frontier = RunFrontierMicro(frontier_iters);
 
-  // Section 4: index-propagation coalescing on a real cluster. The reference run must be
+  // Section 7: index-propagation coalescing on a real cluster. The reference run must be
   // observably identical (bit-identical virtual time and final replica state).
   int appends_per_node = std::max(16, static_cast<int>(64 * scale));
   PropagationResult coalesced = RunPropagation(/*coalesce=*/true, appends_per_node);
@@ -1652,27 +899,19 @@ void Report() {
   double coalescing_ratio = static_cast<double>(coalesced.commits) /
                             static_cast<double>(std::max<int64_t>(1, coalesced.ticks));
 
-  EventResult base_events = RunLegacyEvents(event_total, kEventBatch);
-  EventResult opt_events = RunOptimizedEvents(event_total, kEventBatch);
-
-  // Section 5: binary-heap reference vs timer wheel on the same multi-level delay storm.
+  // Section 8: binary-heap reference vs timer wheel on the same multi-level delay storm.
   EventResult pq_events = RunSchedulerEvents(sim::QueueMode::kPriorityQueue, event_total,
                                              kEventBatch);
   EventResult wheel_events = RunSchedulerEvents(sim::QueueMode::kTimerWheel, event_total,
                                                 kEventBatch);
 
+  // Section 9: zero-copy audit of the client read paths.
   AuditResult audit = RunZeroCopyAudit();
   HM_CHECK_MSG(audit.copies == 0, "read path copied a record");
 
-  // Section 6: the online advisor over a drifting million-object keyspace (gates inside).
+  // Section 10: the online advisor over a drifting million-object keyspace (gates inside).
   AdvisorDriftResult drift = RunAdvisorDrift(scale);
 
-  double base_ops = static_cast<double>(base.ops) / base.seconds;
-  double opt_ops = static_cast<double>(opt.ops) / opt.seconds;
-  double pr1_ops = static_cast<double>(pr1_res.ops) / pr1_res.seconds;
-  double opt_heavy_ops = static_cast<double>(opt_heavy.ops) / opt_heavy.seconds;
-  double base_eps = static_cast<double>(base_events.events) / base_events.seconds;
-  double opt_eps = static_cast<double>(opt_events.events) / opt_events.seconds;
   double pq_eps = static_cast<double>(pq_events.events) / pq_events.seconds;
   double wheel_eps = static_cast<double>(wheel_events.events) / wheel_events.seconds;
   double pr2_ops = static_cast<double>(pr2_driven.sim_ops) / pr2_driven.seconds;
@@ -1684,10 +923,6 @@ void Report() {
   double occupancy = static_cast<double>(cur_driven.batched_requests) /
                      static_cast<double>(std::max<int64_t>(1, cur_driven.append_rounds));
 
-  std::printf("  log ops:     seed %.0f ops/s, current %.0f ops/s (%.2fx)\n", base_ops,
-              opt_ops, opt_ops / base_ops);
-  std::printf("  log-heavy (struct): pr1 %.0f ops/s, current %.0f ops/s (%.2fx)\n", pr1_ops,
-              opt_heavy_ops, opt_heavy_ops / pr1_ops);
   std::printf("  log-heavy (driven): pr2 %.0f ops/s (%.2f ev/op), current %.0f ops/s"
               " (%.2f ev/op) (%.2fx)\n",
               pr2_ops, pr2_epo, cur_ops, cur_epo, cur_ops / pr2_ops);
@@ -1731,8 +966,6 @@ void Report() {
   std::printf("  propagation: %lld commits -> %lld wake-ups (%.2fx coalescing)\n",
               static_cast<long long>(coalesced.commits),
               static_cast<long long>(coalesced.ticks), coalescing_ratio);
-  std::printf("  events:      baseline %.0f ev/s, optimized %.0f ev/s (%.2fx)\n", base_eps,
-              opt_eps, opt_eps / base_eps);
   std::printf("  zero-copy:   read_record_shared=%lld read_record_copies=%lld\n",
               static_cast<long long>(audit.shared), static_cast<long long>(audit.copies));
   std::printf("  advisor drift: %lld objects (%lld hot), advisor %lld B vs static-read"
@@ -1756,15 +989,6 @@ void Report() {
   std::fprintf(json,
                "{\n"
                "  \"bench\": \"hotpath\",\n"
-               "  \"baseline\": {\"sim_ops_per_sec\": %.1f, \"events_per_sec\": %.1f,\n"
-               "               \"log_ops\": %llu, \"events\": %llu},\n"
-               "  \"optimized\": {\"sim_ops_per_sec\": %.1f, \"events_per_sec\": %.1f,\n"
-               "                \"log_ops\": %llu, \"events\": %llu},\n"
-               "  \"speedup_sim_ops\": %.3f,\n"
-               "  \"speedup_events\": %.3f,\n"
-               "  \"log_heavy_struct\": {\"pr1_sim_ops_per_sec\": %.1f,\n"
-               "                \"optimized_sim_ops_per_sec\": %.1f, \"log_ops\": %llu},\n"
-               "  \"speedup_vs_pr1\": %.3f,\n"
                "  \"log_heavy\": {\"pr2_sim_ops_per_sec\": %.1f,\n"
                "                \"optimized_sim_ops_per_sec\": %.1f, \"sim_ops\": %llu,\n"
                "                \"pr2_events_per_op\": %.2f, \"optimized_events_per_op\": %.2f,\n"
@@ -1809,12 +1033,6 @@ void Report() {
                "  \"read_record_shared\": %lld,\n"
                "  \"read_record_copies\": %lld\n"
                "}\n",
-               base_ops, base_eps, static_cast<unsigned long long>(base.ops),
-               static_cast<unsigned long long>(base_events.events), opt_ops, opt_eps,
-               static_cast<unsigned long long>(opt.ops),
-               static_cast<unsigned long long>(opt_events.events), opt_ops / base_ops,
-               opt_eps / base_eps, pr1_ops, opt_heavy_ops,
-               static_cast<unsigned long long>(opt_heavy.ops), opt_heavy_ops / pr1_ops,
                pr2_ops, cur_ops, static_cast<unsigned long long>(cur_driven.sim_ops),
                pr2_epo, cur_epo, static_cast<long long>(cur_driven.append_rounds),
                static_cast<long long>(cur_driven.batched_requests), occupancy,

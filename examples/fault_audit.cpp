@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "src/core/config_env.h"
 #include "src/core/ssf_runtime.h"
 #include "src/metrics/table_printer.h"
 #include "src/runtime/cluster.h"
@@ -41,13 +42,13 @@ struct AuditResult {
 
 // Runs the workflow once per crash site; an anomaly is any final state other than the
 // exactly-once outcome (90, 110).
-AuditResult Audit(core::ProtocolKind protocol) {
+AuditResult Audit(const runtime::ClusterConfig& cluster_config, core::RuntimeConfig config,
+                  core::ProtocolKind protocol) {
   AuditResult audit;
+  config.default_protocol = protocol;
   // Count the crash sites of a clean run.
   {
-    runtime::Cluster cluster(runtime::ClusterConfig{});
-    core::RuntimeConfig config;
-    config.default_protocol = protocol;
+    runtime::Cluster cluster(cluster_config);
     core::SsfRuntime runtime(&cluster, config);
     RegisterTransfer(runtime);
     cluster.scheduler().Spawn([](core::SsfRuntime* rt) -> sim::Task<void> {
@@ -58,9 +59,7 @@ AuditResult Audit(core::ProtocolKind protocol) {
   }
 
   for (int64_t site = 0; site < audit.crash_sites; ++site) {
-    runtime::Cluster cluster(runtime::ClusterConfig{});
-    core::RuntimeConfig config;
-    config.default_protocol = protocol;
+    runtime::Cluster cluster(cluster_config);
     core::SsfRuntime runtime(&cluster, config);
     RegisterTransfer(runtime);
     cluster.failure_injector().CrashAtSiteHits({site});
@@ -79,11 +78,14 @@ AuditResult Audit(core::ProtocolKind protocol) {
 
 int main() {
   std::printf("Crash-at-every-site audit of a money transfer (exactly-once => 90,110)\n\n");
+  runtime::ClusterConfig cluster_config;
+  core::RuntimeConfig runtime_config;
+  core::ApplyConfigEnv(&cluster_config, &runtime_config);
   metrics::TablePrinter table({"protocol", "crash_sites_tested", "anomalies"});
   for (core::ProtocolKind protocol :
        {core::ProtocolKind::kBoki, core::ProtocolKind::kHalfmoonRead,
         core::ProtocolKind::kHalfmoonWrite, core::ProtocolKind::kUnsafe}) {
-    AuditResult audit = Audit(protocol);
+    AuditResult audit = Audit(cluster_config, runtime_config, protocol);
     table.AddRow({core::ProtocolName(protocol), std::to_string(audit.crash_sites),
                   std::to_string(audit.anomalies)});
   }

@@ -40,7 +40,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 # per-stream content, and repeated parallel runs must agree bit-for-bit. Any MISMATCH line —
 # or a missing match line — fails the run.
 "${BUILD_DIR}"/tests/parallel_cluster_test \
-  --gtest_filter='ParallelClusterTest.ModesCommitIdenticalContent:ParallelClusterTest.ParallelRunsAreDeterministic' \
+  --gtest_filter='ParallelClusterTest.*ModesCommitIdenticalContent:ParallelClusterTest.*ParallelRunsAreDeterministic' \
   --gtest_brief=1 | grep '^\[parallel\]' | tee /dev/stderr | grep -q ' match' \
   || { echo "check.sh: FAIL — parallel-mode checksums diverged" >&2; exit 1; }
 
@@ -55,50 +55,30 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 
 # Faultcheck smoke: re-run the schedule-explorer suites standalone so the explored-schedule
 # counts are visible in the log (ctest swallows the stdout of passing tests). Set
-# HM_FAULTCHECK_FULL=1 for the exhaustive depth-2 sweep (see EXPERIMENTS.md). Runs under
-# HM_PARALLEL=1 on purpose: schedule exploration/replay is single-threaded by design
-# (DESIGN.md §10.4), so the sweep must print its notice and produce identical results with
-# the variable set.
-HM_PARALLEL=1 "${BUILD_DIR}"/tests/faultcheck_explorer_test --gtest_brief=1 | grep '^\[faultcheck\]'
-HM_PARALLEL=1 "${BUILD_DIR}"/tests/faultcheck_switch_test --gtest_brief=1 | grep '^\[faultcheck\]'
+# HM_FAULTCHECK_FULL=1 for the exhaustive depth-2 sweep (see EXPERIMENTS.md). The advisor,
+# node-kill (DESIGN.md §13) and checkpoint (§14) families set their own cluster config;
+# 'failures=0' is enforced by each test itself.
+"${BUILD_DIR}"/tests/faultcheck_explorer_test --gtest_brief=1 | grep '^\[faultcheck\]'
+"${BUILD_DIR}"/tests/faultcheck_switch_test --gtest_brief=1 | grep '^\[faultcheck\]'
 "${BUILD_DIR}"/tests/faultcheck_advisor_test --gtest_brief=1 | grep '^\[faultcheck\]'
+"${BUILD_DIR}"/tests/faultcheck_node_failure_test --gtest_brief=1 | grep '^\[faultcheck\]'
+"${BUILD_DIR}"/tests/faultcheck_checkpoint_test --gtest_brief=1 | grep '^\[faultcheck\]'
 "${BUILD_DIR}"/tests/faultcheck_negative_test --gtest_brief=1 | grep -c '^\[faultcheck\]   FAIL' \
   | sed 's/^/[faultcheck] negative-control failing schedules (expected nonzero): /'
 
-# Durability smoke (DESIGN.md §13). Leg 1: HM_DURABLE=0 must stay bit-identical to the
-# pre-storage-engine implementation — the PR 4 golden tuples (events, virtual end time,
-# seqnums, content FNV) re-checked with the variable explicitly off. Leg 2: the node-grain
-# kill/restart sweeps (storage / sequencer / function-node kills at traced positions) must
-# pass the consistency oracle with the journaled tier on; the '[faultcheck]' lines surface
-# the explored-schedule counts, and 'failures=0' is enforced by the test itself.
-HM_DURABLE=0 "${BUILD_DIR}"/tests/sharded_equivalence_test \
-  --gtest_filter='ShardedEquivalenceTest.OneShardIsBitIdenticalToPreShardingGoldens' \
-  --gtest_brief=1 \
-  || { echo "check.sh: FAIL — HM_DURABLE=0 is no longer bit-identical to the goldens" >&2; exit 1; }
-HM_DURABLE=1 "${BUILD_DIR}"/tests/faultcheck_node_failure_test --gtest_brief=1 \
-  | grep '^\[faultcheck\]'
-
-# Checkpoint smoke (DESIGN.md §14). Leg 1: cluster-grain recovery must actually come up
-# through load-image + replay-suffix — a silent regression to full replay would still pass
-# the equivalence assertions, so the 'mode=image+suffix' line is enforced here. Leg 2: the
-# checkpoint-round failure sweeps (daemon crashes inside a round, node kills around one)
-# must pass the consistency oracle; 'failures=0' is enforced by the test itself.
-HM_DURABLE=1 HM_CHECKPOINT=1 "${BUILD_DIR}"/tests/checkpoint_recovery_test \
+# Checkpoint smoke (DESIGN.md §14): cluster-grain recovery must actually come up through
+# load-image + replay-suffix — a silent regression to full replay would still pass the
+# equivalence assertions, so the 'mode=image+suffix' line is enforced here.
+"${BUILD_DIR}"/tests/checkpoint_recovery_test \
   --gtest_brief=1 | grep '^\[checkpoint\]' | tee /dev/stderr | grep -q 'mode=image+suffix' \
   || { echo "check.sh: FAIL — checkpointed recovery silently fell back to full replay" >&2; exit 1; }
-HM_DURABLE=1 HM_CHECKPOINT=1 "${BUILD_DIR}"/tests/faultcheck_checkpoint_test --gtest_brief=1 \
-  | grep '^\[faultcheck\]' | sed 's/$/ (HM_CHECKPOINT=1)/'
 
 # Advisor smoke (DESIGN.md §11): the drift byte gate (advisor strictly below both static
-# protocols), the hysteresis/dwell counters, and the HM_ADVISOR=0 golden content checksum,
-# surfaced via their '[advisor]' summary lines. A missing 'win' line — the byte gate — or a
-# missing pinned-checksum line fails the run. Runs only the advisor-aware binaries: the
-# HM_ADVISOR default would perturb the golden timing pins of the full suite.
+# protocols), the hysteresis/dwell counters, and the advisor-off golden content checksum,
+# surfaced via their '[advisor]' summary lines. A missing 'win' line — the byte gate —
+# fails the run.
 "${BUILD_DIR}"/tests/online_advisor_test --gtest_brief=1 | grep '^\[advisor\]' \
   | tee /dev/stderr | grep -q ' win' \
   || { echo "check.sh: FAIL — advisor drift byte gate did not report a win" >&2; exit 1; }
-HM_ADVISOR=1 "${BUILD_DIR}"/tests/faultcheck_advisor_test --gtest_brief=1 \
-  | grep '^\[faultcheck\]' \
-  | sed 's/^\[faultcheck\]/[advisor]/;s/$/ (HM_ADVISOR=1)/'
 
 echo "check.sh: all tests passed"

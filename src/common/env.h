@@ -1,18 +1,19 @@
-// Centralized HM_* environment-variable parsing.
+// Strict HM_* environment-variable parsing.
 //
-// Runtime knobs (HM_SHARDS, HM_PARALLEL, HM_ADVISOR, HM_FAULTCHECK_FULL, ...) used to
-// hand-roll getenv+parse at each consumer; these helpers are the single implementation.
-// Header-only and dependency-free so every layer (sim, sharedlog, runtime, core, tests)
-// can include it without cycles — core/env.h, for example, includes runtime/cluster.h,
-// which itself needs EnvInt for its shard-count default.
+// The library never reads the environment on its own: configs carry plain constant defaults,
+// and binaries opt in at their entry point through core::ApplyConfigEnv (cluster + runtime
+// knobs) or read a harness knob directly (HM_BENCH_SCALE, HM_FAULTCHECK_FULL). These helpers
+// are the one parser all of those share. Header-only and dependency-free.
 
 #ifndef HALFMOON_COMMON_ENV_H_
 #define HALFMOON_COMMON_ENV_H_
 
 #include <cerrno>
-#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace halfmoon {
 
@@ -25,69 +26,47 @@ namespace halfmoon {
 }
 
 // Integer-valued knob: unset or empty -> fallback. Anything else must parse COMPLETELY as a
-// base-10 integer >= min_value; trailing garbage, overflow, and out-of-range values abort
-// with the offending variable named.
-inline int EnvInt(const char* name, int min_value, int fallback) {
+// base-10 integer in [min_value, max_value]; trailing garbage, overflow, and out-of-range
+// values abort with the offending variable named.
+inline int64_t EnvInt(const char* name, int64_t min_value, int64_t max_value,
+                      int64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   errno = 0;
   char* end = nullptr;
-  long value = std::strtol(raw, &end, 10);
+  long long value = std::strtoll(raw, &end, 10);
   if (end == raw || *end != '\0') {
     EnvParseError(name, raw, "not an integer (trailing garbage rejected)");
   }
-  if (errno == ERANGE || value < INT_MIN || value > INT_MAX) {
-    EnvParseError(name, raw, "out of integer range");
-  }
-  if (value < min_value) {
-    EnvParseError(name, raw, "below the knob's minimum value");
-  }
-  return static_cast<int>(value);
+  if (errno == ERANGE) EnvParseError(name, raw, "out of integer range");
+  if (value < min_value) EnvParseError(name, raw, "below the knob's minimum value");
+  if (value > max_value) EnvParseError(name, raw, "above the knob's maximum value");
+  return value;
 }
 
-// Boolean knob: on when set to anything non-empty not starting with '0'.
-inline bool EnvFlag(const char* name) {
+// Boolean knob: unset or empty -> fallback; otherwise exactly "0" or "1".
+inline bool EnvBool(const char* name, bool fallback) {
   const char* raw = std::getenv(name);
-  return raw != nullptr && *raw != '\0' && *raw != '0';
+  if (raw == nullptr || *raw == '\0') return fallback;
+  if (std::strcmp(raw, "0") == 0) return false;
+  if (std::strcmp(raw, "1") == 0) return true;
+  EnvParseError(name, raw, "not a boolean (expected 0 or 1)");
 }
 
-// Group-commit knobs (DESIGN.md §7.5, §12). These are the environment defaults that
-// ClusterConfig / ParallelClusterConfig inherit, so benches and CI can sweep the append
-// path without code changes.
-
-// HM_PIPELINE: sequencer rounds in flight per node-shard batcher. 1 (the default) is the
-// serial engine, bit-identical to the pre-pipelining implementation.
-inline int DefaultAppendPipelineDepth() { return EnvInt("HM_PIPELINE", 1, 1); }
-
-// HM_BATCH_WINDOW: extra batching window in microseconds before a round departs. 0 keeps
-// isolated appends at exactly the unbatched latency.
-inline int DefaultAppendBatchWindowUs() { return EnvInt("HM_BATCH_WINDOW", 0, 0); }
-
-// HM_BATCH_MAX: cap on requests per sequencer round.
-inline int DefaultAppendBatchMax() { return EnvInt("HM_BATCH_MAX", 1, 64); }
-
-// HM_DURABLE: attach the simulated durable medium (DESIGN.md §13) under the shared log and
-// KV store. Off (the default) constructs no storage engine at all — bit-identical to the
-// pre-storage simulation, pinned by the golden checksums.
-inline bool DefaultDurableMode() { return EnvFlag("HM_DURABLE"); }
-
-// HM_CHECKPOINT: attach the incremental checkpoint + journal-compaction tier (DESIGN.md
-// §14) on top of the durable medium. Only effective with HM_DURABLE=1 (there is no journal
-// to compact otherwise). Off (the default) constructs no checkpoint service at all —
-// bit-identical to the PR 9 durable engine.
-inline bool DefaultCheckpointMode() { return EnvFlag("HM_CHECKPOINT"); }
-
-// HM_CHECKPOINT_SLICE: checkpoint-walk items emitted per slice before the daemon yields to
-// foreground traffic (bounds how fuzzy an image gets and how long a slice blocks).
-inline int DefaultCheckpointSliceBudget() { return EnvInt("HM_CHECKPOINT_SLICE", 1, 4096); }
-
-// HM_CHECKPOINT_BYTES: journal growth (bytes appended since the last round began) that
-// auto-triggers the next checkpoint round. 0 disables auto-triggering (rounds are then
-// explicit via CheckpointService::TriggerRound — what the faultcheck `ckpt@<hit>` arming and
-// the benches use). The default is large enough that short tests never checkpoint
-// spontaneously, keeping their timing pins stable.
-inline int DefaultCheckpointTriggerBytes() {
-  return EnvInt("HM_CHECKPOINT_BYTES", 0, 64 << 20);
+// Positive real-valued knob: unset or empty -> fallback; otherwise the whole string must
+// parse as a finite number > 0.
+inline double EnvPositiveDouble(const char* name, double fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  char* end = nullptr;
+  double value = std::strtod(raw, &end);
+  if (end == raw || *end != '\0') {
+    EnvParseError(name, raw, "not a number (trailing garbage rejected)");
+  }
+  if (!std::isfinite(value) || value <= 0.0) {
+    EnvParseError(name, raw, "must be a finite number > 0");
+  }
+  return value;
 }
 
 }  // namespace halfmoon

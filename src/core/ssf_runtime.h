@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/env.h"
 #include "src/core/env.h"
 #include "src/core/ssf_context.h"
 #include "src/metrics/workload_sketch.h"
@@ -20,12 +19,6 @@
 #include "src/sim/task.h"
 
 namespace halfmoon::core {
-
-// The HM_ADVISOR environment default: enables advisor mode (per-object protocol resolution
-// + hot-path workload sketching, DESIGN.md §11) for every runtime that does not set the
-// knob explicitly. Unset / 0 keeps the runtime bit-identical to the static per-scope
-// behavior — pinned by online_advisor_test's golden checksum.
-inline bool DefaultAdvisorMode() { return EnvFlag("HM_ADVISOR"); }
 
 struct RuntimeConfig {
   ProtocolKind default_protocol = ProtocolKind::kHalfmoonRead;
@@ -61,10 +54,10 @@ struct RuntimeConfig {
   // Advisor mode (DESIGN.md §11): every state access is counted in a space-bounded workload
   // sketch, and protocol resolution is per OBJECT — each object's "switch:k:<key>" stream
   // overrides default_protocol, so the background OnlineAdvisor can move individual objects
-  // between HM-read and HM-write as their read ratio drifts. Off (the default when
-  // HM_ADVISOR is unset) leaves resolution, interning order, and committed content exactly
-  // as in the static runtime.
-  bool advisor = DefaultAdvisorMode();
+  // between HM-read and HM-write as their read ratio drifts. Off (the default) leaves
+  // resolution, interning order, and committed content exactly as in the static runtime —
+  // pinned by online_advisor_test's golden checksum.
+  bool advisor = false;
 
   // Sketch geometry for advisor mode; the memory bound is a function of this alone.
   metrics::WorkloadSketchConfig sketch;

@@ -55,10 +55,10 @@ Explorer::RunOutcome Explorer::RunSchedule(const Schedule& schedule, bool record
   ccfg.seed = options_.seed;
   ccfg.function_nodes = 4;
   ccfg.workers_per_node = 8;
-  if (options_.log_shards > 0) ccfg.log_shards = options_.log_shards;
-  if (options_.pipeline_depth > 0) ccfg.append_batch_pipeline = options_.pipeline_depth;
-  if (options_.durable >= 0) ccfg.durable = options_.durable != 0;
-  if (options_.checkpoints) ccfg.checkpoint = true;
+  ccfg.log_shards = options_.log_shards;
+  ccfg.append_batch_pipeline = options_.pipeline_depth;
+  ccfg.durable = options_.durable;
+  ccfg.checkpoint = options_.checkpoints;
   runtime::Cluster cluster(ccfg);
 
   core::RuntimeConfig rcfg;
@@ -108,8 +108,8 @@ Explorer::RunOutcome Explorer::RunSchedule(const Schedule& schedule, bool record
         break;
       case FaultKind::kNodeKill:
         HM_CHECK_MSG(ccfg.durable,
-                     "node-kill fault points require the durable storage tier (HM_DURABLE=1 "
-                     "or ExplorerOptions::durable = 1)");
+                     "node-kill fault points require the durable storage tier "
+                     "(ExplorerOptions::durable)");
         injector.RunAtHit(point.at_hit, [&cluster, domain = point.site] {
           if (domain == "store") {
             cluster.KillRestartStorage();
@@ -128,9 +128,9 @@ Explorer::RunOutcome Explorer::RunSchedule(const Schedule& schedule, bool record
         });
         break;
       case FaultKind::kCheckpoint:
-        HM_CHECK_MSG(ccfg.durable && ccfg.checkpoint,
+        HM_CHECK_MSG(ccfg.checkpoint,
                      "checkpoint fault points require the checkpoint tier "
-                     "(ExplorerOptions::checkpoints with durable = 1)");
+                     "(ExplorerOptions::checkpoints with durable)");
         injector.RunAtHit(point.at_hit,
                           [&cluster] { cluster.checkpoint_service()->TriggerRound(); });
         break;

@@ -36,16 +36,15 @@ struct ExplorerOptions {
   core::ProtocolKind switch_target = core::ProtocolKind::kHalfmoonWrite;
   uint64_t seed = 1;
 
-  // Shared-log shard count for every cluster the sweep spins up; 0 = inherit the
-  // environment default (HM_SHARDS, usually 1). Sweeping N > 1 re-checks the oracle
-  // against the tag-partitioned log's cross-shard merge order.
-  int log_shards = 0;
+  // Shared-log shard count for every cluster the sweep spins up. Sweeping N > 1 re-checks
+  // the oracle against the tag-partitioned log's cross-shard merge order.
+  int log_shards = 1;
 
-  // Append-pipeline depth for every cluster the sweep spins up; 0 = inherit the environment
-  // default (HM_PIPELINE, usually 1). Sweeping depth > 1 makes the batch.depart/batch.reply
-  // sites race crashed-function retries against rounds still in flight, and the depth-2
-  // crash-pair family then covers crashes between two concurrently in-flight rounds.
-  int pipeline_depth = 0;
+  // Append-pipeline depth for every cluster the sweep spins up. Sweeping depth > 1 makes the
+  // batch.depart/batch.reply sites race crashed-function retries against rounds still in
+  // flight, and the depth-2 crash-pair family then covers crashes between two concurrently
+  // in-flight rounds.
+  int pipeline_depth = 1;
 
   // Platform timing: a tight duplicate delay makes scheduled peers actually race.
   SimDuration duplicate_delay = Milliseconds(1);
@@ -57,18 +56,17 @@ struct ExplorerOptions {
   // from "switch:k:<key>" transition streams, and kAdvisorFire points become meaningful.
   bool advisor_mode = false;
 
-  // Durable-cluster override for every cluster the sweep spins up: -1 inherits the
-  // environment default (HM_DURABLE), 0 forces the volatile store, 1 forces the journaled
-  // storage tier (DESIGN.md §13). Node-kill fault points require the durable tier.
-  int durable = -1;
+  // Runs every cluster the sweep spins up on the journaled storage tier (DESIGN.md §13)
+  // instead of the volatile store. Node-kill fault points require it.
+  bool durable = false;
 
   // Depth-1 node-kill family: kill + restart a whole node at each strided trace position,
   // for every domain listed below, then let the remaining invocations run against the
-  // replayed state. Requires durable = 1.
+  // replayed state. Requires durable.
   bool node_kills = false;
   std::vector<std::string> kill_domains = {"store", "seq", "fn0"};
 
-  // Checkpoint family (requires durable = 1; every cluster then runs with the checkpoint
+  // Checkpoint family (requires durable; every cluster then runs with the checkpoint
   // tier attached): trigger a checkpoint round at each strided trace position — alone, with
   // the daemon crashing inside the round (ckpt.write / ckpt.install / ckpt.truncate), and
   // with whole-node kills landing mid-round and right after it, so recovery comes up from a

@@ -12,6 +12,9 @@ Cluster::Cluster(const ClusterConfig& config)
       rng_(config.seed),
       models_(config.calibration),
       log_space_(static_cast<uint32_t>(config.log_shards)) {
+  HM_CHECK_MSG(config.durable || !config.checkpoint,
+               "ClusterConfig: checkpoint = true needs durable = true (the checkpoint tier "
+               "compacts the durable journal)");
   if (config.model_queueing) {
     // One sequencer station per log shard: sequencer rounds bound for different shards no
     // longer contend, which is the shard-scaling mechanism (DESIGN.md §9).
@@ -53,8 +56,8 @@ Cluster::Cluster(const ClusterConfig& config)
 
   // Durable medium (DESIGN.md §13): one journal per storage domain. The services draw flush
   // latencies from their own derived RNG streams (distinct salts), so attaching them never
-  // perturbs the main sample sequence — and HM_DURABLE=0, which skips this block entirely,
-  // stays bit-identical to the pre-storage engine.
+  // perturbs the main sample sequence — and durable = false, which skips this block
+  // entirely, stays bit-identical to the pre-storage engine.
   if (config.durable) {
     log_durability_ =
         std::make_unique<storage::DurabilityService>(&scheduler_, &models_, config.seed);
@@ -74,7 +77,7 @@ Cluster::Cluster(const ClusterConfig& config)
   // walking both storage domains into sibling checkpoint stores. Like the durability
   // services it draws pacing samples from its OWN derived RNG stream, and when disabled it
   // is simply never constructed — bit-identical to the PR 9 durable engine.
-  if (config.durable && config.checkpoint) {
+  if (config.checkpoint) {
     log_ckpt_ = std::make_unique<storage::CheckpointStore>();
     kv_ckpt_ = std::make_unique<storage::CheckpointStore>();
     ckpt_service_ =
@@ -324,24 +327,6 @@ int64_t Cluster::TotalLogReads() const {
   for (const auto& node : nodes_) {
     const auto& s = node->log().stats();
     total += s.read_prev_cached + s.read_prev_uncached + s.read_next + s.stream_reads;
-  }
-  return total;
-}
-
-int64_t Cluster::TotalKvReads() const {
-  int64_t total = 0;
-  for (const auto& node : nodes_) {
-    const auto& s = node->kv().stats();
-    total += s.reads + s.versioned_reads;
-  }
-  return total;
-}
-
-int64_t Cluster::TotalKvWrites() const {
-  int64_t total = 0;
-  for (const auto& node : nodes_) {
-    const auto& s = node->kv().stats();
-    total += s.plain_writes + s.cond_writes + s.versioned_writes;
   }
   return total;
 }

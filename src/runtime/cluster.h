@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/env.h"
 #include "src/common/latency_model.h"
 #include "src/common/rng.h"
 #include "src/kvstore/kv_client.h"
@@ -37,18 +36,10 @@
 
 namespace halfmoon::runtime {
 
-// Default shard count for the shared log: the HM_SHARDS environment variable (so CI can run
-// the whole tier-1 suite sharded), 1 otherwise.
-//
-// Note on HM_PARALLEL (DESIGN.md §10): the full-protocol Cluster always runs on ONE
-// single-threaded scheduler regardless of that variable — protocol execution shares state
-// synchronously across components (tag interning, completion bookkeeping, cross-shard
-// reads), which is what keeps faultcheck schedules replayable. HM_PARALLEL selects worker
-// threads only in runtime::ParallelCluster, the shard-parallel log layer (see
-// parallel_cluster.h); with it unset or 0 every code path in the repo is bit-identical to
-// the pre-parallel implementation.
-inline int DefaultLogShards() { return EnvInt("HM_SHARDS", 1, 1); }
-
+// Every default below is a plain constant; binaries that want HM_* overrides apply them at
+// their entry point (core::ApplyConfigEnv). The full-protocol Cluster always runs on ONE
+// single-threaded scheduler (DESIGN.md §10): protocol execution shares state synchronously
+// across components, which is what keeps faultcheck schedules replayable.
 struct ClusterConfig {
   // §6: eight function nodes; worker slots bound per-node concurrency.
   int function_nodes = 8;
@@ -63,7 +54,7 @@ struct ClusterConfig {
   // per-node batcher queue, so appends to tags on different shards commit in parallel
   // simulated time. 1 (the default) is bit-identical to the unsharded log; committed content
   // is shard-count-invariant (asserted by the shard-equivalence tests).
-  int log_shards = DefaultLogShards();
+  int log_shards = 1;
 
   // Node-local consistent payload cache in every LogClient (DESIGN.md §9): logReadPrev hits
   // validated against the index replica skip the storage hop and the index walk. Off by
@@ -87,38 +78,37 @@ struct ClusterConfig {
   // issued while a node's sequencer round is in flight share the next round. Committed
   // records and protocol outcomes are identical to the per-request reference mode (asserted
   // by the equivalence tests); only timing differs. window/max/pipeline knobs mirror
-  // AppendBatchConfig and default from the environment (HM_BATCH_WINDOW in µs, HM_BATCH_MAX,
-  // HM_PIPELINE) so CI and benches can sweep them. append_batch_pipeline > 1 keeps that many
-  // sequencer rounds in flight per node-shard, committed strictly in departure order
-  // (DESIGN.md §12); 1 is bit-identical to the serial engine.
+  // AppendBatchConfig. append_batch_pipeline > 1 keeps that many sequencer rounds in flight
+  // per node-shard, committed strictly in departure order (DESIGN.md §12); 1 is bit-identical
+  // to the serial engine.
   bool group_commit_appends = true;
-  SimDuration append_batch_window = Microseconds(DefaultAppendBatchWindowUs());
-  int append_batch_max = DefaultAppendBatchMax();
-  int append_batch_pipeline = DefaultAppendPipelineDepth();
+  SimDuration append_batch_window = 0;
+  int append_batch_max = 64;
+  int append_batch_pipeline = 1;
 
   // Event-queue implementation for the scheduler: the timer wheel (default) or the
   // binary-heap reference mode, which fires the exact same event order (equivalence-tested)
   // at O(log n) per event.
   sim::QueueMode queue_mode = sim::QueueMode::kTimerWheel;
 
-  // Durable medium + crash-restart recovery (DESIGN.md §13), from HM_DURABLE by default.
-  // When set, the shared log and the KV store journal every mutation to simulated devices
-  // with a write-ahead ordering contract (acks and index propagation gate on the flush), and
-  // the cluster supports whole-node KillRestart* with log-replay recovery. When clear, no
-  // durability service is ever constructed and the simulation — including its RNG draws — is
-  // bit-identical to the pre-storage engine.
-  bool durable = DefaultDurableMode();
+  // Durable medium + crash-restart recovery (DESIGN.md §13). When set, the shared log and
+  // the KV store journal every mutation to simulated devices with a write-ahead ordering
+  // contract (acks and index propagation gate on the flush), and the cluster supports
+  // whole-node KillRestart* with log-replay recovery. When clear, no durability service is
+  // ever constructed and the simulation — including its RNG draws — is bit-identical to the
+  // pre-storage engine.
+  bool durable = false;
 
-  // Incremental checkpointing + journal compaction (DESIGN.md §14), from HM_CHECKPOINT by
-  // default. Effective only with `durable` (there is no journal to compact otherwise); the
-  // combination durable=0 + checkpoint=1 silently runs without the checkpoint tier. When
-  // clear, no checkpoint service or store is ever constructed — bit-identical to the PR 9
-  // durable engine.
-  bool checkpoint = DefaultCheckpointMode();
+  // Incremental checkpointing + journal compaction (DESIGN.md §14). Requires `durable`
+  // (there is no journal to compact otherwise): the constructor aborts on checkpoint without
+  // durable. When clear, no checkpoint service or store is ever constructed — bit-identical
+  // to the durable engine without checkpoints.
+  bool checkpoint = false;
   // Walk items per checkpoint slice before the daemon yields to foreground traffic.
-  int64_t checkpoint_slice = DefaultCheckpointSliceBudget();
-  // Journal growth in bytes that auto-triggers a round (0 = explicit TriggerRound only).
-  int64_t checkpoint_trigger_bytes = DefaultCheckpointTriggerBytes();
+  int64_t checkpoint_slice = 4096;
+  // Journal growth in bytes that auto-triggers a round (0 = explicit TriggerRound only). Large
+  // enough that short runs never checkpoint spontaneously.
+  int64_t checkpoint_trigger_bytes = 64 << 20;
 
   uint64_t seed = 1;
   LatencyCalibration calibration;
@@ -288,11 +278,6 @@ class Cluster {
   // protocol classes come from core::LogAppendClass).
   int64_t TotalLoggedBytes() const;
   int64_t TotalLoggedBytesByClass(int cls) const;
-
-  // Aggregate external-state traffic, split by direction (feeds the auto-switch advisor's
-  // read/write-intensity estimate).
-  int64_t TotalKvReads() const;
-  int64_t TotalKvWrites() const;
 
  private:
   ClusterConfig config_;

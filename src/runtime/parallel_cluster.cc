@@ -133,6 +133,9 @@ sharedlog::LogRecoveryStats LogPartition::RestartFromJournal() {
 ParallelCluster::ParallelCluster(const ParallelClusterConfig& config)
     : config_(config), models_(config.calibration) {
   HM_CHECK(config.partitions >= 1);
+  HM_CHECK_MSG(config.durable || !config.checkpoint,
+               "ParallelClusterConfig: checkpoint = true needs durable = true (the checkpoint "
+               "tier compacts the durable journal)");
   if (config.parallel) {
     engine_ = std::make_unique<sim::ParallelEngine>(config.partitions, CrossShardLookahead(),
                                                     config.queue_mode);

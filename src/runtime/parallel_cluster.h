@@ -4,8 +4,8 @@
 // every log shard its own event loop: shard p's LogSpace, its sequencer ServiceStation, its
 // storage station, its AppendBatchers, and the function-node clients that generate shard p's
 // traffic all live on worker p — either a real OS thread driven by sim::ParallelEngine
-// (parallel mode, HM_PARALLEL=1) or a slice of one shared single-threaded Scheduler
-// (HM_PARALLEL=0, which routes everything through exactly today's event loop). The two modes
+// (parallel = true) or a slice of one shared single-threaded Scheduler (parallel = false,
+// which routes everything through exactly today's event loop). The two modes
 // run the same partitions, the same RNG streams, and the same message timestamps; with one
 // partition they are bit-identical, and at any partition count they commit the same records
 // in the same per-tag order (pinned by parallel_cluster_test).
@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/env.h"
 #include "src/common/latency_model.h"
 #include "src/common/rng.h"
 #include "src/metrics/latency_recorder.h"
@@ -46,20 +45,15 @@
 
 namespace halfmoon::runtime {
 
-// The HM_PARALLEL environment default: 1 (or any non-empty value other than 0) turns real
-// worker threads on for the components that support them; 0/unset keeps every experiment on
-// the single-threaded scheduler, bit-identical to the pre-parallel repo.
-inline bool DefaultParallelMode() { return EnvFlag("HM_PARALLEL"); }
-
 struct ParallelClusterConfig {
   // Worker threads == log shards. Each partition is a full log stack (shard + sequencer +
   // clients); 1 degenerates to a plain single-log, single-thread cluster.
   int partitions = 4;
 
-  // false = HM_PARALLEL=0: all partitions share one single-threaded Scheduler (today's event
-  // loop); true = one OS thread per partition under the conservative engine. Everything else
-  // — component wiring, RNG streams, latency samples, message timestamps — is identical.
-  bool parallel = DefaultParallelMode();
+  // false: all partitions share one single-threaded Scheduler (today's event loop); true:
+  // one OS thread per partition under the conservative engine. Everything else — component
+  // wiring, RNG streams, latency samples, message timestamps — is identical.
+  bool parallel = false;
 
   // Function-node clients per partition (the per-shard analogue of function_nodes).
   int clients_per_partition = 2;
@@ -68,27 +62,27 @@ struct ParallelClusterConfig {
   int sequencer_servers = 6;
   int storage_servers = 12;
 
-  // Node-local group commit, as in ClusterConfig: window/max/pipeline default from the
-  // environment (HM_BATCH_WINDOW in us, HM_BATCH_MAX, HM_PIPELINE). Each partition's
-  // batchers pipeline independently, so cross-partition appends overlap both across shards
-  // and across rounds within a shard (DESIGN.md S12).
+  // Node-local group commit, as in ClusterConfig. Each partition's batchers pipeline
+  // independently, so cross-partition appends overlap both across shards and across rounds
+  // within a shard (DESIGN.md §12).
   bool group_commit_appends = true;
-  SimDuration append_batch_window = Microseconds(DefaultAppendBatchWindowUs());
-  int append_batch_max = DefaultAppendBatchMax();
-  int append_batch_pipeline = DefaultAppendPipelineDepth();
+  SimDuration append_batch_window = 0;
+  int append_batch_max = 64;
+  int append_batch_pipeline = 1;
 
   // Durable storage tier (DESIGN.md §13): each partition gets its own journal + group
   // flusher on its own event loop, and appends only ack after their frames are flush-
   // ordered — the same write-ahead contract as ClusterConfig::durable, shard-parallel.
-  // false (HM_DURABLE=0/unset) constructs no storage machinery at all and stays
-  // bit-identical to the pre-storage engine.
-  bool durable = DefaultDurableMode();
+  // false constructs no storage machinery at all and stays bit-identical to the
+  // pre-storage engine.
+  bool durable = false;
 
   // Checkpoint + compaction tier (DESIGN.md §14): each partition gets its own sibling
   // checkpoint store. Rounds are explicit (LogPartition::CheckpointNow between drains) —
   // there is no background daemon on the worker loops, so the conservative-window protocol
-  // and the cross-mode determinism pins are untouched. Only effective with durable = true.
-  bool checkpoint = DefaultCheckpointMode();
+  // and the cross-mode determinism pins are untouched. Requires durable = true (the
+  // constructor aborts otherwise).
+  bool checkpoint = false;
 
   sim::QueueMode queue_mode = sim::QueueMode::kTimerWheel;
   uint64_t seed = 1;

@@ -308,7 +308,7 @@ class LogClient {
 
   // Write-ahead gate (DESIGN.md §13): with a durability service attached, every append path
   // waits for the committed record's journal frame before its reply leg / caller resumption,
-  // so every externally-known seqnum is durable. Null detaches (the HM_DURABLE=0 path never
+  // so every externally-known seqnum is durable. Null detaches (the volatile store never
   // attaches and stays bit-identical to the pre-storage engine).
   void SetDurability(storage::DurabilityService* durability) { durability_ = durability; }
 

@@ -20,7 +20,7 @@
 // the window contents, the message sets, and the merge order — is a pure function of the
 // simulation state, never of OS thread timing. A parallel run is bit-reproducible: same
 // events, same order, same virtual timestamps on every run and on any machine. (This is
-// stronger than the content-determinism the tests pin, and it is what makes HM_PARALLEL=1
+// stronger than the content-determinism the tests pin, and it is what makes parallel-mode
 // failures replayable.)
 //
 // Threading contract: scheduler(w) and all simulation state reachable from it belong to

@@ -122,7 +122,8 @@ void ReplayImage(const CheckpointStore& store, const InstalledManifest& m,
 //
 // Like the DurabilityService, the service draws its pacing samples from its OWN derived RNG
 // stream (a distinct salt) so constructing it never perturbs the main simulation stream, and
-// HM_CHECKPOINT=0 — which never constructs one — stays bit-identical to the PR 9 engine.
+// checkpoint = false — which never constructs one — stays bit-identical to the durable-only
+// engine.
 class CheckpointService {
  public:
   struct Target {

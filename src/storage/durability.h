@@ -48,9 +48,9 @@ class DurabilityService {
   };
 
   // The service draws flush latencies from its OWN derived RNG stream so that attaching it
-  // (HM_DURABLE=1) never perturbs the sample sequence of the main simulation stream — and
-  // HM_DURABLE=0, which simply never constructs one, stays bit-identical to the pre-storage
-  // engine (the PR 4 golden checksums pin this).
+  // (durable = true) never perturbs the sample sequence of the main simulation stream — and
+  // durable = false, which simply never constructs one, stays bit-identical to the
+  // pre-storage engine (the golden checksums pin this).
   DurabilityService(sim::Scheduler* scheduler, const LatencyModels* models, uint64_t seed)
       : scheduler_(scheduler),
         models_(models),

@@ -3,7 +3,7 @@
 //     run log strictly fewer simulated bytes than BOTH static protocol choices;
 //   * hysteresis: an oscillating object switches at most once per dwell window;
 //   * the token bucket bounds the cluster-wide switch rate;
-//   * HM_ADVISOR=0 bit-identity: with advisor mode off, the runtime reproduces the
+//   * advisor-off bit-identity: with advisor mode off, the runtime reproduces the
 //     pre-advisor golden execution exactly (events, end time, seqnums, content checksum);
 //   * abandoned transitions (daemon died between BEGIN and END) are completed by a later
 //     advisor sweep;
@@ -253,7 +253,7 @@ TEST(OnlineAdvisorTest, SketchMemoryIndependentOfLiveObjects) {
 }
 
 // ---------------------------------------------------------------------------
-// HM_ADVISOR=0 bit-identity
+// Advisor-off bit-identity
 // ---------------------------------------------------------------------------
 
 uint64_t HashBytes(uint64_t h, std::string_view s) {
@@ -275,11 +275,6 @@ struct PinnedRun {
 
 PinnedRun RunCounterWithAdvisorFlag(bool advisor) {
   runtime::ClusterConfig ccfg;  // Defaults: seed 1 — matches the PR 4 golden capture.
-  // The golden tuple witnesses the serial append engine on the volatile store; pin both
-  // explicitly so the HM_PIPELINE=4 / HM_DURABLE=1 CI legs (which change the environment
-  // defaults) don't shift the timing.
-  ccfg.append_batch_pipeline = 1;
-  ccfg.durable = false;
   runtime::Cluster cluster(ccfg);
   core::RuntimeConfig rcfg;
   rcfg.default_protocol = ProtocolKind::kHalfmoonRead;
@@ -334,7 +329,7 @@ TEST(OnlineAdvisorTest, AdvisorOffIsBitIdenticalToStaticRuntime) {
   EXPECT_EQ(r.end_now, 23700364ull);
   EXPECT_EQ(r.next_seqnum, 11ull);
   EXPECT_EQ(r.content_fnv, 0xa75e9b1f8b1c59c9ull);
-  std::printf("[advisor] HM_ADVISOR=0 content checksum 0x%llx (pinned)\n",
+  std::printf("[advisor] advisor-off content checksum 0x%llx (pinned)\n",
               static_cast<unsigned long long>(r.content_fnv));
 
   // Advisor mode with no advisor service running appends the same records — resolution is a

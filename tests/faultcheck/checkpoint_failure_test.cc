@@ -42,7 +42,7 @@ const ProtocolKind kFaultTolerant[] = {
 ExplorerOptions CheckpointSweepOptions(ProtocolKind protocol) {
   ExplorerOptions options;
   options.protocol = protocol;
-  options.durable = 1;
+  options.durable = true;
   options.checkpoints = true;
   options.kill_domains = {"store", "seq"};
   options.crash_pairs = false;
@@ -146,9 +146,10 @@ TEST(CheckpointScheduleCodecTest, RoundTripsAndRejectsMalformedPoints) {
 
 TEST(CheckpointGuardDeathTest, CheckpointPointsRequireTheCheckpointTier) {
   // A round trigger against a cluster without the checkpoint tier has no service to drive —
-  // arming one must abort loudly instead of silently exploring nothing.
+  // the explorer's own guard (not the Cluster constructor's) must abort the sweep loudly.
   ExplorerOptions options = CheckpointSweepOptions(ProtocolKind::kHalfmoonRead);
-  options.durable = 0;
+  options.durable = true;
+  options.checkpoints = false;
   Explorer explorer(faultcheck::CounterWorkload(), options);
   Schedule schedule;
   schedule.points.push_back(FaultPoint::Checkpoint(0));

@@ -35,12 +35,12 @@ const ProtocolKind kFaultTolerant[] = {
 };
 
 // Node kills ride on the depth-1 sweep (Explorer::Run always explores single crashes too,
-// which under durable = 1 re-checks every crash site against the write-ahead ack gating).
+// which under durable re-checks every crash site against the write-ahead ack gating).
 // Depth-2 families are covered by explorer_test.cc and would triple the runtime here.
 ExplorerOptions DurableKillOptions(ProtocolKind protocol) {
   ExplorerOptions options;
   options.protocol = protocol;
-  options.durable = 1;
+  options.durable = true;
   options.node_kills = true;
   options.kill_domains = {"store", "seq", "fn0", "fn1"};
   options.crash_pairs = false;
@@ -149,7 +149,7 @@ TEST(NodeKillGuardDeathTest, KillsRequireDurableCluster) {
   // A kill against a volatile cluster has no journal to replay from — arming one must abort
   // loudly instead of silently losing state.
   ExplorerOptions options = DurableKillOptions(ProtocolKind::kHalfmoonRead);
-  options.durable = 0;
+  options.durable = false;
   Explorer explorer(faultcheck::CounterWorkload(), options);
   Schedule schedule;
   schedule.points.push_back(FaultPoint::NodeKill("store", 0));

@@ -7,7 +7,6 @@
 #ifndef HALFMOON_TESTS_FAULTCHECK_SWEEP_MODE_H_
 #define HALFMOON_TESTS_FAULTCHECK_SWEEP_MODE_H_
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -16,25 +15,7 @@
 
 namespace halfmoon::faultcheck {
 
-inline bool FullSweep() { return EnvFlag("HM_FAULTCHECK_FULL"); }
-
-// The faultcheck explorer always executes protocol runs on the single-threaded scheduler:
-// injected schedules address events by global (time, seq) indices of ONE event loop, which
-// is exactly what makes a printed failing schedule replayable (DESIGN.md §10.4). HM_PARALLEL
-// therefore does not change explorer results — this prints a one-line notice in the sweep
-// reports when the variable is set, so a log reader is not left wondering whether the sweep
-// ran differently.
-inline void NoteParallelEnv() {
-  static bool noted = false;
-  if (noted) return;
-  noted = true;
-  const char* env = std::getenv("HM_PARALLEL");
-  if (EnvFlag("HM_PARALLEL")) {
-    std::cout << "[faultcheck] HM_PARALLEL=" << env
-              << " ignored: schedule exploration/replay is single-threaded by design"
-                 " (DESIGN.md §10.4)\n";
-  }
-}
+inline bool FullSweep() { return EnvBool("HM_FAULTCHECK_FULL", false); }
 
 // Applies smoke bounds unless the full sweep is requested. The defaults keep each suite in
 // tier-1 time budget; pass larger strides for heavyweight workloads.
@@ -51,7 +32,6 @@ inline ExplorerOptions Bounded(ExplorerOptions options, int first_stride = 2,
 // Prints the per-family explored-schedule counts (surfaced in CI logs / check.sh) and every
 // failing schedule in replayable printed form.
 inline void PrintReport(const std::string& label, const ExplorerReport& report) {
-  NoteParallelEnv();
   std::cout << "[faultcheck] " << label << ": " << report.Summary() << "\n";
   for (const FailingSchedule& failure : report.failures) {
     std::cout << "[faultcheck]   FAIL " << failure.schedule.ToString() << " -> "

@@ -23,6 +23,14 @@ TEST(ClusterTest, BuildsConfiguredTopology) {
   EXPECT_EQ(cluster.scheduler().Now(), 0);
 }
 
+TEST(ClusterDeathTest, CheckpointWithoutDurableAborts) {
+  // The checkpoint tier compacts the durable journal; asking for it without one is a
+  // configuration error, not a silent downgrade to the volatile engine.
+  ClusterConfig config;
+  config.checkpoint = true;
+  EXPECT_DEATH(Cluster cluster(config), "checkpoint = true needs durable = true");
+}
+
 TEST(ClusterTest, PickNodeRoundRobins) {
   ClusterConfig config;
   config.function_nodes = 3;

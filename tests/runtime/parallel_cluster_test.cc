@@ -1,8 +1,8 @@
 // Cross-mode and cross-run pins for the shard-parallel cluster (DESIGN.md §10).
 //
 // Contracts:
-//   1. Content equivalence across modes: the same seed through HM_PARALLEL=0 (one shared
-//      single-threaded scheduler) and HM_PARALLEL=1 (one OS thread per partition under the
+//   1. Content equivalence across modes: the same seed through parallel = false (one shared
+//      single-threaded scheduler) and parallel = true (one OS thread per partition under the
 //      conservative engine) commits the same records in the same per-tag order — pinned by
 //      the FNV content checksum, and by equal event counts and virtual end times (both modes
 //      run the same events at the same timestamps; only wall-clock interleaving differs).
@@ -36,6 +36,7 @@ struct RunResult {
   int64_t remote = 0;
   uint64_t windows = 0;
   uint64_t messages = 0;
+  int64_t max_inflight = 0;
 };
 
 // One client's load: `ops` appends, every `remote_every`-th shipped to the next partition
@@ -58,14 +59,25 @@ sim::Task<void> ClientLoad(ParallelCluster* pc, int p, int client, int ops, int 
   }
 }
 
+// Group-commit shape of a run. kDeepPipeline queues several appends per batcher in small
+// rounds, so the adaptive controller opens pipeline slots and rounds overlap (DESIGN.md §12).
+struct Pipelining {
+  int depth = 1;
+  int batch_max = 64;
+  int loads_per_client = 1;
+};
+constexpr Pipelining kDeepPipeline{.depth = 4, .batch_max = 2, .loads_per_client = 4};
+
 RunResult RunWorkload(int partitions, bool parallel, uint64_t seed, int ops_per_client = 40,
-                      int remote_every = 4, bool durable = false) {
+                      int remote_every = 4, bool durable = false, Pipelining pipelining = {}) {
   ParallelClusterConfig config;
   config.partitions = partitions;
   config.parallel = parallel;
   config.clients_per_partition = 2;
   config.seed = seed;
   config.durable = durable;
+  config.append_batch_pipeline = pipelining.depth;
+  config.append_batch_max = pipelining.batch_max;
   ParallelCluster pc(config);
 
   // tags[owner][src] = the stream on `owner` fed by partition `src`. Interned before Run, as
@@ -79,7 +91,9 @@ RunResult RunWorkload(int partitions, bool parallel, uint64_t seed, int ops_per_
   }
   for (int p = 0; p < partitions; ++p) {
     for (int c = 0; c < config.clients_per_partition; ++c) {
-      pc.Spawn(p, ClientLoad(&pc, p, c, ops_per_client, remote_every, tags));
+      for (int load = 0; load < pipelining.loads_per_client; ++load) {
+        pc.Spawn(p, ClientLoad(&pc, p, c, ops_per_client, remote_every, tags));
+      }
     }
   }
 
@@ -91,6 +105,7 @@ RunResult RunWorkload(int partitions, bool parallel, uint64_t seed, int ops_per_
   result.remote = pc.remote_appends();
   result.windows = pc.windows();
   result.messages = pc.messages_routed();
+  result.max_inflight = pc.AggregateClientStats().pipeline_max_inflight;
 
   // Sanity on the aggregation fold: every append recorded exactly one end-to-end latency.
   EXPECT_EQ(pc.MergedAppendLatency().count(), static_cast<size_t>(result.appends));
@@ -98,7 +113,7 @@ RunResult RunWorkload(int partitions, bool parallel, uint64_t seed, int ops_per_
 }
 
 TEST(ParallelClusterTest, ModesCommitIdenticalContent) {
-  // The cross-mode pin: HM_PARALLEL=0 and HM_PARALLEL=1 with the same seed commit the same
+  // The cross-mode pin: single-threaded and parallel mode with the same seed commit the same
   // records in the same per-tag order, run the same events, and end at the same virtual time.
   RunResult single = RunWorkload(/*partitions=*/4, /*parallel=*/false, /*seed=*/7);
   RunResult parallel = RunWorkload(/*partitions=*/4, /*parallel=*/true, /*seed=*/7);
@@ -187,6 +202,36 @@ TEST(ParallelClusterTest, DurableParallelRunsAreDeterministic) {
   }
 }
 
+TEST(ParallelClusterTest, PipelinedModesCommitIdenticalContent) {
+  // Depth-4 group commit: overlapping sequencer rounds per batcher alongside the worker
+  // threads. The cross-mode pin must hold exactly as at depth 1.
+  RunResult single = RunWorkload(4, /*parallel=*/false, /*seed=*/7, 40, 4, false, kDeepPipeline);
+  RunResult parallel = RunWorkload(4, /*parallel=*/true, /*seed=*/7, 40, 4, false, kDeepPipeline);
+  EXPECT_EQ(parallel.checksum, single.checksum);
+  EXPECT_EQ(parallel.events, single.events);
+  EXPECT_EQ(parallel.end, single.end);
+  EXPECT_GT(parallel.remote, 0);
+  EXPECT_GT(parallel.max_inflight, 1) << "depth 4 must actually overlap rounds";
+  std::printf("[parallel] seed=7 parts=4 pipeline=4 mode0=%016llx mode1=%016llx %s\n",
+              static_cast<unsigned long long>(single.checksum),
+              static_cast<unsigned long long>(parallel.checksum),
+              single.checksum == parallel.checksum ? "match" : "MISMATCH");
+}
+
+TEST(ParallelClusterTest, PipelinedParallelRunsAreDeterministic) {
+  RunResult reference = RunWorkload(2, true, /*seed=*/11, 40, 4, false, kDeepPipeline);
+  EXPECT_GT(reference.max_inflight, 1);
+  for (int run = 0; run < 3; ++run) {
+    RunResult repeat = RunWorkload(2, true, /*seed=*/11, 40, 4, false, kDeepPipeline);
+    EXPECT_EQ(repeat.checksum, reference.checksum) << "run " << run;
+    EXPECT_EQ(repeat.events, reference.events) << "run " << run;
+    EXPECT_EQ(repeat.end, reference.end) << "run " << run;
+    EXPECT_EQ(repeat.windows, reference.windows) << "run " << run;
+  }
+  std::printf("[parallel] seed=11 parts=2 pipeline=4 cross-run checksum=%016llx match\n",
+              static_cast<unsigned long long>(reference.checksum));
+}
+
 TEST(ParallelClusterTest, DurableGatingDelaysAcksButKeepsContent) {
   // Write-ahead acks cost time (flush-ordered before the reply leg) but never change what
   // commits; volatile mode constructs no storage machinery at all.
@@ -270,19 +315,13 @@ TEST(ParallelClusterTest, CheckpointCompactsEveryPartitionAndRestartsFromTheImag
   EXPECT_EQ(pc.ContentChecksum(), before);
 }
 
-TEST(ParallelClusterTest, DefaultParallelModeReadsEnvironment) {
-  // HM_PARALLEL semantics: unset/0/"" off, anything else on.
-  unsetenv("HM_PARALLEL");
-  EXPECT_FALSE(DefaultParallelMode());
-  setenv("HM_PARALLEL", "0", 1);
-  EXPECT_FALSE(DefaultParallelMode());
-  setenv("HM_PARALLEL", "", 1);
-  EXPECT_FALSE(DefaultParallelMode());
-  setenv("HM_PARALLEL", "1", 1);
-  EXPECT_TRUE(DefaultParallelMode());
-  setenv("HM_PARALLEL", "2", 1);
-  EXPECT_TRUE(DefaultParallelMode());
-  unsetenv("HM_PARALLEL");
+TEST(ParallelClusterDeathTest, CheckpointWithoutDurableAborts) {
+  // The checkpoint tier compacts the durable journal; asking for it without one is a
+  // configuration error, not a silent downgrade to the volatile engine.
+  ParallelClusterConfig config;
+  config.partitions = 1;
+  config.checkpoint = true;
+  EXPECT_DEATH(ParallelCluster pc(config), "checkpoint = true needs durable = true");
 }
 
 }  // namespace

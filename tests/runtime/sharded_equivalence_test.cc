@@ -83,13 +83,7 @@ RunResult RunWorkload(ProtocolKind protocol, const faultcheck::Workload& workloa
   runtime::ClusterConfig ccfg;  // Defaults: seed 1, 8 nodes — matches the golden capture.
   ccfg.log_shards = log_shards;
   ccfg.log_read_cache = read_cache;
-  // Pinned explicitly (not the HM_PIPELINE environment default): the golden tuples witness
-  // the serial append engine, and CI runs this suite with HM_PIPELINE=4 exported.
   ccfg.append_batch_pipeline = pipeline_depth;
-  // Same for the durable tier: the goldens witness the volatile store, and CI runs this
-  // suite with HM_DURABLE=1 exported. scripts/check.sh re-checks the goldens with
-  // HM_DURABLE=0 through the environment default path.
-  ccfg.durable = false;
   runtime::Cluster cluster(ccfg);
   core::RuntimeConfig rcfg;
   rcfg.default_protocol = protocol;

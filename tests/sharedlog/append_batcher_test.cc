@@ -7,13 +7,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/common/env.h"
 #include "src/common/latency_model.h"
 #include "src/common/rng.h"
 #include "src/sharedlog/log_client.h"
@@ -426,36 +424,6 @@ TEST(AppendBatcherTest, AdaptiveControllerWidensUnderStormAndNarrowsWhenIdle) {
   ASSERT_NE(batcher, nullptr);
   EXPECT_EQ(batcher->effective_window(), 0);
   EXPECT_EQ(batcher->effective_depth(), 1);
-}
-
-// HM_PIPELINE / HM_BATCH_WINDOW / HM_BATCH_MAX environment plumbing (src/common/env.h).
-TEST(AppendBatcherTest, PipelineKnobsReadEnvironment) {
-  auto with_env = [](const char* name, const char* value, auto probe) {
-    const char* old = getenv(name);
-    std::string saved = old != nullptr ? old : "";
-    bool had = old != nullptr;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-    probe();
-    if (had) {
-      setenv(name, saved.c_str(), 1);
-    } else {
-      unsetenv(name);
-    }
-  };
-  with_env("HM_PIPELINE", nullptr, [] { EXPECT_EQ(DefaultAppendPipelineDepth(), 1); });
-  with_env("HM_PIPELINE", "4", [] { EXPECT_EQ(DefaultAppendPipelineDepth(), 4); });
-  // Out-of-range values abort with a diagnostic instead of silently clamping: a typo'd knob
-  // (HM_PIPELINE=O1, =0) must never run a sweep with a config the user did not ask for.
-  with_env("HM_PIPELINE", "0",
-           [] { EXPECT_DEATH(DefaultAppendPipelineDepth(), "below the knob's minimum"); });
-  with_env("HM_BATCH_WINDOW", nullptr, [] { EXPECT_EQ(DefaultAppendBatchWindowUs(), 0); });
-  with_env("HM_BATCH_WINDOW", "150", [] { EXPECT_EQ(DefaultAppendBatchWindowUs(), 150); });
-  with_env("HM_BATCH_MAX", nullptr, [] { EXPECT_EQ(DefaultAppendBatchMax(), 64); });
-  with_env("HM_BATCH_MAX", "16", [] { EXPECT_EQ(DefaultAppendBatchMax(), 16); });
 }
 
 }  // namespace

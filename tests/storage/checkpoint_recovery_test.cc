@@ -3,7 +3,7 @@
 // a full replay would rebuild (pinned by an FNV-1a content checksum, like recovery_test) but
 // touching only the journal suffix above the manifest's cut. Also covers the fallback chain
 // (corrupt newest image -> previous manifest -> full replay), recovery idempotence, seqnum
-// exactness across truncation, and HM_CHECKPOINT=0 bit-identity with the durable-only engine.
+// exactness across truncation, and checkpoint-off bit-identity with the durable-only engine.
 //
 // The "[checkpoint] recovery: mode=image+suffix ..." lines printed here are load-bearing:
 // scripts/check.sh greps them to prove the replay-suffix path actually engaged (a silent
@@ -289,7 +289,7 @@ TEST(CheckpointRecoveryTest, KillMidRoundAbandonsAndRecoversFromTheJournal) {
 }
 
 TEST(CheckpointRecoveryTest, CheckpointOffIsBitIdenticalToTheDurableEngine) {
-  // HM_CHECKPOINT=1 with no round triggered must not perturb the simulation: the service
+  // checkpoint = true with no round triggered must not perturb the simulation: the service
   // draws from its own derived RNG stream and schedules nothing on its own. Same events,
   // same virtual clock, same state as the PR 9 durable-only engine.
   ClusterConfig plain = CheckpointConfig();

@@ -26,8 +26,7 @@ struct TestWorldOptions {
   bool enable_switching = false;
   int function_nodes = 4;
   int workers_per_node = 8;
-  // Shared-log shard count; 0 = inherit the environment default (HM_SHARDS, usually 1).
-  int log_shards = 0;
+  int log_shards = 1;  // Shared-log shard count.
 };
 
 class TestWorld {
@@ -37,7 +36,7 @@ class TestWorld {
     ccfg.seed = options.seed;
     ccfg.function_nodes = options.function_nodes;
     ccfg.workers_per_node = options.workers_per_node;
-    if (options.log_shards > 0) ccfg.log_shards = options.log_shards;
+    ccfg.log_shards = options.log_shards;
     cluster_ = std::make_unique<runtime::Cluster>(ccfg);
 
     core::RuntimeConfig rcfg;
