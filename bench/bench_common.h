@@ -4,8 +4,8 @@
 // Every binary prints the rows/series of one table or figure from the paper's evaluation
 // (§6). Durations default to a few simulated seconds per data point so the full suite runs in
 // minutes; set HM_BENCH_SCALE (e.g. 3.0) to lengthen the measurement windows for tighter
-// percentiles. ExperimentWorld also honours the cluster/runtime HM_* knobs
-// (core::ApplyConfigEnv) underneath the fields each experiment pins.
+// percentiles. Cluster and runtime knobs are plain config fields: ExperimentWorld starts
+// from the library defaults and sets the fields each experiment pins.
 
 #ifndef HALFMOON_BENCH_BENCH_COMMON_H_
 #define HALFMOON_BENCH_BENCH_COMMON_H_
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/common/env.h"
-#include "src/core/config_env.h"
 #include "src/core/gc_service.h"
 #include "src/core/ssf_runtime.h"
 #include "src/metrics/table_printer.h"
@@ -57,8 +56,6 @@ class ExperimentWorld {
  public:
   explicit ExperimentWorld(const ExperimentOptions& options) {
     runtime::ClusterConfig ccfg;
-    core::RuntimeConfig rcfg;
-    core::ApplyConfigEnv(&ccfg, &rcfg);
     ccfg.seed = options.seed;
     ccfg.workers_per_node = options.workers_per_node;
     ccfg.sequencer_servers = options.sequencer_servers;
@@ -66,6 +63,7 @@ class ExperimentWorld {
     ccfg.calibration = options.calibration;
     cluster_ = std::make_unique<runtime::Cluster>(ccfg);
 
+    core::RuntimeConfig rcfg;
     rcfg.default_protocol = options.protocol;
     rcfg.enable_switching = options.enable_switching;
     rcfg.inherit_child_cursor = options.inherit_child_cursor;

@@ -808,7 +808,7 @@ void Report() {
                  "pipelining changed the committed record count");
     HM_CHECK(pipe_d1.appends == r->appends);
   }
-  HM_CHECK_MSG(pipe_d1.rounds_overlapped == 0, "serial engine overlapped rounds");
+  HM_CHECK_MSG(pipe_d1.rounds_overlapped == 0, "depth 1 overlapped rounds");
   double pipe_d1_tput = pipe_d1.AppendsPerVsec();
   double pipe_d2_tput = pipe_d2.AppendsPerVsec();
   double pipe_d4_tput = pipe_d4.AppendsPerVsec();

@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "src/core/advisor.h"
-#include "src/core/config_env.h"
 #include "src/core/switch_manager.h"
 #include "src/core/ssf_runtime.h"
 #include "src/runtime/cluster.h"
@@ -18,11 +17,10 @@ using namespace halfmoon;
 
 int main() {
   runtime::ClusterConfig cluster_config;
-  core::RuntimeConfig runtime_config;
-  core::ApplyConfigEnv(&cluster_config, &runtime_config);
   cluster_config.seed = 11;
   runtime::Cluster cluster(cluster_config);
 
+  core::RuntimeConfig runtime_config;
   runtime_config.default_protocol = core::ProtocolKind::kHalfmoonWrite;
   runtime_config.enable_switching = true;
   core::SsfRuntime runtime(&cluster, runtime_config);

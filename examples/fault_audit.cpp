@@ -6,7 +6,6 @@
 
 #include <cstdio>
 
-#include "src/core/config_env.h"
 #include "src/core/ssf_runtime.h"
 #include "src/metrics/table_printer.h"
 #include "src/runtime/cluster.h"
@@ -42,9 +41,10 @@ struct AuditResult {
 
 // Runs the workflow once per crash site; an anomaly is any final state other than the
 // exactly-once outcome (90, 110).
-AuditResult Audit(const runtime::ClusterConfig& cluster_config, core::RuntimeConfig config,
-                  core::ProtocolKind protocol) {
+AuditResult Audit(core::ProtocolKind protocol) {
   AuditResult audit;
+  runtime::ClusterConfig cluster_config;
+  core::RuntimeConfig config;
   config.default_protocol = protocol;
   // Count the crash sites of a clean run.
   {
@@ -78,14 +78,11 @@ AuditResult Audit(const runtime::ClusterConfig& cluster_config, core::RuntimeCon
 
 int main() {
   std::printf("Crash-at-every-site audit of a money transfer (exactly-once => 90,110)\n\n");
-  runtime::ClusterConfig cluster_config;
-  core::RuntimeConfig runtime_config;
-  core::ApplyConfigEnv(&cluster_config, &runtime_config);
   metrics::TablePrinter table({"protocol", "crash_sites_tested", "anomalies"});
   for (core::ProtocolKind protocol :
        {core::ProtocolKind::kBoki, core::ProtocolKind::kHalfmoonRead,
         core::ProtocolKind::kHalfmoonWrite, core::ProtocolKind::kUnsafe}) {
-    AuditResult audit = Audit(cluster_config, runtime_config, protocol);
+    AuditResult audit = Audit(protocol);
     table.AddRow({core::ProtocolName(protocol), std::to_string(audit.crash_sites),
                   std::to_string(audit.anomalies)});
   }

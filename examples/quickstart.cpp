@@ -6,7 +6,6 @@
 
 #include <cstdio>
 
-#include "src/core/config_env.h"
 #include "src/core/gc_service.h"
 #include "src/core/ssf_runtime.h"
 #include "src/runtime/cluster.h"
@@ -15,14 +14,12 @@ using namespace halfmoon;
 
 int main() {
   // 1. A simulated cluster: 8 function nodes, a Boki-like shared log, a DynamoDB-like store.
-  //    HM_* variables (HM_SHARDS, HM_DURABLE, ...) may override the defaults.
   runtime::ClusterConfig cluster_config;
-  core::RuntimeConfig runtime_config;
-  core::ApplyConfigEnv(&cluster_config, &runtime_config);
   cluster_config.seed = 2026;
   runtime::Cluster cluster(cluster_config);
 
   // 2. The Halfmoon runtime, using the log-free-read protocol.
+  core::RuntimeConfig runtime_config;
   runtime_config.default_protocol = core::ProtocolKind::kHalfmoonRead;
   core::SsfRuntime runtime(&cluster, runtime_config);
 

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "src/core/advisor.h"
-#include "src/core/config_env.h"
 #include "src/core/gc_service.h"
 #include "src/core/ssf_runtime.h"
 #include "src/metrics/table_printer.h"
@@ -27,11 +26,12 @@ struct RunSummary {
   int64_t peers;
 };
 
-RunSummary RunRetwis(runtime::ClusterConfig cluster_config,
-                     core::RuntimeConfig runtime_config, core::ProtocolKind protocol) {
+RunSummary RunRetwis(core::ProtocolKind protocol) {
+  runtime::ClusterConfig cluster_config;
   cluster_config.seed = 7;
   runtime::Cluster cluster(cluster_config);
 
+  core::RuntimeConfig runtime_config;
   runtime_config.default_protocol = protocol;
   core::SsfRuntime runtime(&cluster, runtime_config);
 
@@ -61,15 +61,12 @@ RunSummary RunRetwis(runtime::ClusterConfig cluster_config,
 
 int main() {
   std::printf("Retwis (post/follow/timeline/profile) at 500 req/s, 5%% duplicate instances\n\n");
-  runtime::ClusterConfig cluster_config;
-  core::RuntimeConfig runtime_config;
-  core::ApplyConfigEnv(&cluster_config, &runtime_config);
 
   metrics::TablePrinter table({"protocol", "median_ms", "p99_ms", "log_appends", "peers"});
   for (core::ProtocolKind protocol :
        {core::ProtocolKind::kBoki, core::ProtocolKind::kHalfmoonWrite,
         core::ProtocolKind::kHalfmoonRead}) {
-    RunSummary s = RunRetwis(cluster_config, runtime_config, protocol);
+    RunSummary s = RunRetwis(protocol);
     table.AddRow({core::ProtocolName(protocol), metrics::TablePrinter::FormatDouble(s.median_ms),
                   metrics::TablePrinter::FormatDouble(s.p99_ms), std::to_string(s.log_appends),
                   std::to_string(s.peers)});

@@ -17,6 +17,13 @@ if git ls-files | grep -qE '^build'; then
   exit 1
 fi
 
+# Configuration is a value set in code (DESIGN.md §5): nothing under src/ may read the
+# environment except the strict HM_* parsers in src/common/env.h.
+if grep -rn 'getenv' src/ | grep -v '^src/common/env\.h:'; then
+  echo "check.sh: FAIL — getenv under src/ outside src/common/env.h (listed above)" >&2
+  exit 1
+fi
+
 cmake -B "${BUILD_DIR}" -S . -DHM_WERROR=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure
@@ -44,10 +51,10 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[parallel\]' | tee /dev/stderr | grep -q ' match' \
   || { echo "check.sh: FAIL — parallel-mode checksums diverged" >&2; exit 1; }
 
-# Pipeline smoke: the same seed through the serial (depth 1) and pipelined (depth 2/4/8)
-# group-commit engines must commit identical per-stream content (FNV checksums printed per
-# protocol/workload pair at depth 4). Any MISMATCH line — or a missing match line — fails
-# the run.
+# Pipeline smoke: the same seed through the group-commit engine at depth 1 and at depth
+# 2/4/8 (one engine at every depth; depth 1 runs one round at a time) must commit identical
+# per-stream content (FNV checksums printed per protocol/workload pair at depth 4). Any
+# MISMATCH line — or a missing match line — fails the run.
 "${BUILD_DIR}"/tests/sharded_equivalence_test \
   --gtest_filter='ShardedEquivalenceTest.PipelineDepthsCommitIdenticalContent' \
   --gtest_brief=1 | grep '^\[pipeline\]' | tee /dev/stderr | grep -q ' match' \

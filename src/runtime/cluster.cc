@@ -28,6 +28,8 @@ Cluster::Cluster(const ClusterConfig& config)
     db_station_ = std::make_unique<sim::ServiceStation>(&scheduler_, config.db_servers);
   }
   HM_CHECK(config.function_nodes > 0);
+  // Checked before the size_t cast: a negative cap would wrap to a huge one.
+  HM_CHECK_MSG(config.append_batch_max >= 1, "ClusterConfig: append_batch_max must be >= 1");
   sharedlog::AppendBatchConfig batch;
   batch.enabled = config.group_commit_appends;
   batch.window = config.append_batch_window;

@@ -36,8 +36,8 @@
 
 namespace halfmoon::runtime {
 
-// Every default below is a plain constant; binaries that want HM_* overrides apply them at
-// their entry point (core::ApplyConfigEnv). The full-protocol Cluster always runs on ONE
+// Every default below is a plain constant, and nothing reads the environment: experiments
+// pin the fields they vary in code. The full-protocol Cluster always runs on ONE
 // single-threaded scheduler (DESIGN.md §10): protocol execution shares state synchronously
 // across components, which is what keeps faultcheck schedules replayable.
 struct ClusterConfig {
@@ -79,8 +79,8 @@ struct ClusterConfig {
   // records and protocol outcomes are identical to the per-request reference mode (asserted
   // by the equivalence tests); only timing differs. window/max/pipeline knobs mirror
   // AppendBatchConfig. append_batch_pipeline > 1 keeps that many sequencer rounds in flight
-  // per node-shard, committed strictly in departure order (DESIGN.md §12); 1 is bit-identical
-  // to the serial engine.
+  // per node-shard, committed strictly in departure order (DESIGN.md §12); 1 runs one round
+  // at a time, bit-identical to the pre-pipelining loop.
   bool group_commit_appends = true;
   SimDuration append_batch_window = 0;
   int append_batch_max = 64;

@@ -136,6 +136,9 @@ ParallelCluster::ParallelCluster(const ParallelClusterConfig& config)
   HM_CHECK_MSG(config.durable || !config.checkpoint,
                "ParallelClusterConfig: checkpoint = true needs durable = true (the checkpoint "
                "tier compacts the durable journal)");
+  // Checked before LogPartition's size_t cast: a negative cap would wrap to a huge one.
+  HM_CHECK_MSG(config.append_batch_max >= 1,
+               "ParallelClusterConfig: append_batch_max must be >= 1");
   if (config.parallel) {
     engine_ = std::make_unique<sim::ParallelEngine>(config.partitions, CrossShardLookahead(),
                                                     config.queue_mode);

@@ -21,11 +21,7 @@ void AppendBatcher::Enqueue(Submission* submission) {
     // was submitted — same latency as the unbatched path. Requests submitted while a round
     // is in flight accumulate here and depart together in a later round.
     round_loop_active_ = true;
-    if (config_.pipeline_depth > 1) {
-      owner_->scheduler_->Spawn(RunPipeline());
-    } else {
-      owner_->scheduler_->Spawn(RunRounds());
-    }
+    owner_->scheduler_->Spawn(RunPipeline());
   }
 }
 
@@ -103,7 +99,8 @@ void AppendBatcher::RaiseCrash(const char* site) const {
 }
 
 void AppendBatcher::UpdateController(size_t occupancy, bool backlog) {
-  if (!config_.adaptive) return;
+  // At depth 1 the window and depth stay as configured: there is no pipeline to saturate.
+  if (config_.pipeline_depth <= 1) return;
   LogClientStats& stats = owner_->stats_;
   if (occupancy <= 1 && in_flight_ <= 1) {
     // Isolated traffic: this singleton round is the only thing in flight. Decay toward the
@@ -112,7 +109,7 @@ void AppendBatcher::UpdateController(size_t occupancy, bool backlog) {
       // Halve the widened excess, snapping to the floor once it is negligible so a finite
       // idle tail really does restore the exact unbatched latency.
       SimDuration excess = (effective_window_ - config_.window) / 2;
-      if (excess <= config_.max_window / 64) excess = 0;
+      if (excess <= kMaxWindow / 64) excess = 0;
       effective_window_ = config_.window + excess;
       ++stats.ctrl_window_narrowed;
     }
@@ -131,8 +128,8 @@ void AppendBatcher::UpdateController(size_t occupancy, bool backlog) {
     // Every slot is busy yet rounds depart under-filled — the arrival rate is round-limited,
     // not batch-limited. Hold departures open a little longer so each round carries more
     // (classic Nagle widening); capped so latency stays bounded.
-    SimDuration next = effective_window_ == 0 ? config_.max_window / 8 : effective_window_ * 2;
-    next = std::min(next, config_.max_window);
+    SimDuration next = effective_window_ == 0 ? kMaxWindow / 8 : effective_window_ * 2;
+    next = std::min(next, kMaxWindow);
     if (next != effective_window_) {
       effective_window_ = next;
       ++stats.ctrl_window_widened;
@@ -156,53 +153,15 @@ void AppendBatcher::WakeCommitWaiter() {
   }
 }
 
-// Serial engine — the pre-pipelining implementation, kept verbatim (plus the no-cost crash
-// probes) because the PR 4 golden tuples pin its exact event sequence.
-sim::Task<void> AppendBatcher::RunRounds() {
-  LogSpace* space = space_ != nullptr ? space_ : owner_->space_;
-  sim::ServiceStation* station = station_ != nullptr ? station_ : owner_->sequencer_station_;
-  while (head_ != nullptr) {
-    if (config_.window > 0) {
-      // Hold the departure open so near-simultaneous requests can still join this round.
-      co_await owner_->scheduler_->Delay(config_.window);
-    }
-
-    // Detach up to max_batch submissions in FIFO order; later arrivals ride the next round.
-    std::vector<Submission*> round;
-    std::vector<LogSpace::GroupRequest> requests;
-    DetachRound(&round, &requests);
-    ++owner_->stats_.pipeline_inflight_hist[1];
-    ProbeDepartCrash(round);
-
-    // One sequencer round for the whole group: the same leg/service split as an unbatched
-    // append, sampled once, so requests sharing a round share its latency.
-    SimDuration total = owner_->models_->log_append.Sample(*owner_->rng_);
-    auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
-    co_await owner_->scheduler_->Delay(leg);
-    co_await owner_->SequencerRoundAt(station, total);
-    CommitRound(space, round, std::move(requests));
-    co_await owner_->scheduler_->Delay(leg);  // Shared reply leg.
-    ProbeReplyCrash(round);
-
-    // Wake the round's submitters in submission order; they all resume at the reply time.
-    for (Submission* s : round) {
-      if (s == nullptr) continue;
-      owner_->scheduler_->PostResume(0, s->waiter);
-    }
-  }
-  round_loop_active_ = false;
-}
-
-// Pipelined dispatcher: detaches rounds in FIFO order and launches each as its own task,
-// keeping up to EffectiveDepth() rounds in flight. The latency sample is drawn HERE, in
-// departure order, so the stream of draws is deterministic regardless of how the in-flight
-// rounds interleave.
+// Dispatcher: detaches rounds in FIFO order and runs each as its own task, keeping up to
+// effective_depth_ rounds in flight. The latency sample is drawn HERE, in departure order, so
+// the stream of draws is deterministic regardless of how the in-flight rounds interleave.
 sim::Task<void> AppendBatcher::RunPipeline() {
   while (head_ != nullptr) {
     if (effective_window_ > 0) {
       co_await owner_->scheduler_->Delay(effective_window_);
     }
-    while (in_flight_ >= EffectiveDepth()) {
+    while (in_flight_ >= effective_depth_) {
       co_await SlotFree{this};
     }
 
@@ -218,9 +177,19 @@ sim::Task<void> AppendBatcher::RunPipeline() {
     UpdateController(round.size(), head_ != nullptr);
     ProbeDepartCrash(round);
 
+    // One sequencer round for the whole group: the same leg/service split as an unbatched
+    // append, sampled once, so requests sharing a round share its latency.
     SimDuration total = owner_->models_->log_append.Sample(*owner_->rng_);
-    owner_->scheduler_->Spawn(
-        RunOneRound(std::move(round), std::move(requests), total, next_ticket_++));
+    sim::Task<void> one =
+        RunOneRound(std::move(round), std::move(requests), total, next_ticket_++);
+    if (config_.pipeline_depth <= 1) {
+      // Depth 1: run the round inline. Task's symmetric transfer enters and leaves it with
+      // no scheduler event, so detach → sample → legs → commit → reply happen in exactly the
+      // order of a plain serial loop, and the next round detaches at this one's reply time.
+      co_await std::move(one);
+    } else {
+      owner_->scheduler_->Spawn(std::move(one));
+    }
   }
   // Rounds may still be in flight; a new arrival restarts the dispatcher (Enqueue), and the
   // ticket/in-flight state lives on the batcher, so the pipeline drains independently.
@@ -237,7 +206,7 @@ sim::Task<void> AppendBatcher::RunOneRound(std::vector<Submission*> round,
   co_await owner_->SequencerRoundAt(station, total);
   // FIFO commit: the sequencer station is multi-server, so rounds can finish service out of
   // departure order. Hold each round until its ticket comes up — this is what makes the
-  // committed content identical to the serial engine at any depth.
+  // committed content identical at every depth.
   if (commit_ticket_ != ticket) {
     co_await CommitTurn{this, ticket};
   }
@@ -245,8 +214,9 @@ sim::Task<void> AppendBatcher::RunOneRound(std::vector<Submission*> round,
   CommitRound(space, round, std::move(requests));
   ++commit_ticket_;
   WakeCommitWaiter();
-  co_await owner_->scheduler_->Delay(leg);  // Reply leg.
+  co_await owner_->scheduler_->Delay(leg);  // Shared reply leg.
   ProbeReplyCrash(round);
+  // Wake the round's submitters in submission order; they all resume at the reply time.
   for (Submission* s : round) {
     if (s == nullptr) continue;
     owner_->scheduler_->PostResume(0, s->waiter);

@@ -15,14 +15,15 @@
 // unbatched path. Only timing differs: requests that share a round also share its latency
 // sample.
 //
-// Pipelining (DESIGN.md §12): with pipeline_depth > 1 the batcher keeps up to that many
-// sequencer rounds in flight concurrently — round k+1's request leg overlaps round k's
-// service and reply legs, so a node under sustained storm commits depth rounds per RTT
-// instead of one. Rounds still reach LogSpace::AppendGroup strictly in departure order
-// (enforced by a commit ticket and asserted, not assumed), so the committed records, their
-// per-tag order, and the cond-append verdicts are identical to the serial engine at any
-// depth. pipeline_depth == 1 takes the historic serial loop verbatim — bit-identical to the
-// pre-pipelining implementation, which the PR 4 golden tuples pin.
+// Pipelining (DESIGN.md §12): the batcher keeps up to pipeline_depth sequencer rounds in
+// flight concurrently — round k+1's request leg overlaps round k's service and reply legs,
+// so a node under sustained storm commits depth rounds per RTT instead of one. Rounds still
+// reach LogSpace::AppendGroup strictly in departure order (enforced by a commit ticket and
+// asserted, not assumed), so the committed records, their per-tag order, and the cond-append
+// verdicts are identical at every depth. There is one engine: at pipeline_depth == 1 the
+// dispatcher awaits each round inline instead of spawning it, which runs the rounds one at a
+// time with no extra scheduler event — bit-identical to the pre-pipelining serial loop that
+// the pre-sharding golden tuples in sharded_equivalence_test pin.
 
 #ifndef HALFMOON_SHAREDLOG_APPEND_BATCHER_H_
 #define HALFMOON_SHAREDLOG_APPEND_BATCHER_H_
@@ -33,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/time.h"
 #include "src/sharedlog/log_space.h"
 #include "src/sim/task.h"
@@ -52,18 +54,15 @@ struct AppendBatchConfig {
   // an isolated append at exactly the unbatched latency (rounds still batch whatever arrived
   // while the previous round was in flight).
   SimDuration window = 0;
-  // Cap on requests per sequencer round; arrivals beyond it ride the next round.
+  // Cap on requests per sequencer round (>= 1); arrivals beyond it ride the next round.
   size_t max_batch = 64;
-  // Sequencer rounds in flight per batcher. 1 = the serial engine (one round at a time,
-  // bit-identical to PR 3); K > 1 overlaps up to K rounds, committed in departure order.
+  // Sequencer rounds in flight per batcher. 1 = one round at a time (bit-identical to the
+  // pre-pipelining loop); K > 1 overlaps up to K rounds, committed in departure order.
+  // Above 1 a Nagle-style controller widens the effective batching window when the
+  // pipeline is saturated by under-filled rounds and raises the effective depth under
+  // backlog; both decay when the queue drains, so isolated appends keep the unbatched
+  // latency.
   int pipeline_depth = 1;
-  // Nagle-style controller (active only at pipeline_depth > 1): widens the effective
-  // batching window when the pipeline is saturated by under-filled rounds and raises the
-  // effective depth under backlog; both decay when the queue drains, so isolated appends
-  // keep the unbatched latency. Off = fixed window/depth.
-  bool adaptive = true;
-  // Ceiling for the controller's widened window.
-  SimDuration max_window = Microseconds(200);
 };
 
 class AppendBatcher {
@@ -79,10 +78,9 @@ class AppendBatcher {
         config_(config),
         space_(space),
         station_(station),
-        effective_window_(config.window),
-        // Adaptive mode ramps the depth up under backlog; fixed mode opens every slot
-        // immediately.
-        effective_depth_(config.adaptive ? 1 : std::max(config.pipeline_depth, 1)) {}
+        effective_window_(config.window) {
+    HM_CHECK_MSG(config.max_batch >= 1, "AppendBatchConfig: max_batch must be >= 1");
+  }
   AppendBatcher(const AppendBatcher&) = delete;
   AppendBatcher& operator=(const AppendBatcher&) = delete;
 
@@ -131,7 +129,7 @@ class AppendBatcher {
   // single handle suffices.
   struct SlotFree {
     AppendBatcher* b;
-    bool await_ready() const noexcept { return b->in_flight_ < b->EffectiveDepth(); }
+    bool await_ready() const noexcept { return b->in_flight_ < b->effective_depth_; }
     void await_suspend(std::coroutine_handle<> handle) noexcept { b->slot_waiter_ = handle; }
     void await_resume() const noexcept {}
   };
@@ -151,11 +149,8 @@ class AppendBatcher {
   // Appends `submission` to the pending queue and starts the round engine if idle.
   void Enqueue(Submission* submission);
 
-  // Serial engine (pipeline_depth <= 1): the historic PR 3 loop, one round in flight.
-  sim::Task<void> RunRounds();
-
-  // Pipelined engine (pipeline_depth > 1): the dispatcher detaches rounds and spawns
-  // RunOneRound for each, keeping up to EffectiveDepth() rounds in flight.
+  // The round engine: the dispatcher detaches rounds and runs RunOneRound for each, keeping
+  // up to effective_depth_ rounds in flight (spawned above depth 1, awaited inline at 1).
   sim::Task<void> RunPipeline();
   sim::Task<void> RunOneRound(std::vector<Submission*> round,
                               std::vector<LogSpace::GroupRequest> requests, SimDuration total,
@@ -178,12 +173,11 @@ class AppendBatcher {
   void ProbeReplyCrash(std::vector<Submission*>& round);
   [[noreturn]] void RaiseCrash(const char* site) const;
 
-  // Adaptive window/depth controller, consulted once per departing round.
+  // Adaptive window/depth controller, consulted once per departing round; idle at depth 1.
   void UpdateController(size_t occupancy, bool backlog);
 
-  int EffectiveDepth() const {
-    return config_.pipeline_depth <= 1 ? 1 : effective_depth_;
-  }
+  // Ceiling for the controller's widened window.
+  static constexpr SimDuration kMaxWindow = Microseconds(200);
 
   void WakeSlotWaiter();
   void WakeCommitWaiter();
@@ -196,7 +190,7 @@ class AppendBatcher {
   Submission* tail_ = nullptr;
   bool round_loop_active_ = false;
 
-  // Pipeline state (pipeline_depth > 1).
+  // Pipeline state.
   int in_flight_ = 0;
   uint64_t next_ticket_ = 0;
   uint64_t commit_ticket_ = 0;

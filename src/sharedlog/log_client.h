@@ -95,8 +95,8 @@ struct LogClientStats {
   int64_t batched_requests = 0;
   int64_t max_round_occupancy = 0;
   // Pipeline observability (DESIGN.md §12). pipeline_inflight_hist[d] counts rounds that
-  // departed with d rounds in flight (themselves included; the serial engine always lands in
-  // bucket 1, deeper pipelines clamp into the last bucket). rounds "merged" — requests that
+  // departed with d rounds in flight (themselves included; depth 1 always lands in bucket 1,
+  // deeper pipelines clamp into the last bucket). rounds "merged" — requests that
   // shared a round instead of paying their own — is batched_requests - append_rounds, so no
   // separate counter. The ctrl_* counters record the adaptive controller's decisions.
   static constexpr int kPipelineHistBuckets = 9;

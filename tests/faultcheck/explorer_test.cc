@@ -97,9 +97,9 @@ TEST_P(ExplorerSweepTest, TransferSurvivesDepth2SchedulesWithFourShards) {
 }
 
 TEST_P(ExplorerSweepTest, CounterSurvivesDepth2SchedulesWithPipelinedAppends) {
-  // Pipelined group commit (HM_PIPELINE-style depth 4): batch.depart crashes race the
-  // victim's retry against a round still in flight, and crash pairs land across two
-  // concurrently in-flight rounds. Every schedule must still pass the oracle.
+  // Pipelined group commit (depth 4): batch.depart crashes race the victim's retry against
+  // a round still in flight, and crash pairs land across two concurrently in-flight rounds.
+  // Every schedule must still pass the oracle.
   ExplorerOptions options;
   options.protocol = GetParam();
   options.pipeline_depth = 4;

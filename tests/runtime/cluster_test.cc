@@ -31,6 +31,16 @@ TEST(ClusterDeathTest, CheckpointWithoutDurableAborts) {
   EXPECT_DEATH(Cluster cluster(config), "checkpoint = true needs durable = true");
 }
 
+TEST(ClusterDeathTest, NonPositiveAppendBatchMaxAborts) {
+  // A zero cap would dispatch empty rounds forever; a negative one would wrap in the size_t
+  // cast to an effectively unbounded cap.
+  for (int max : {0, -1}) {
+    ClusterConfig config;
+    config.append_batch_max = max;
+    EXPECT_DEATH(Cluster cluster(config), "append_batch_max must be >= 1") << max;
+  }
+}
+
 TEST(ClusterTest, PickNodeRoundRobins) {
   ClusterConfig config;
   config.function_nodes = 3;

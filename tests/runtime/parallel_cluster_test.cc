@@ -324,5 +324,14 @@ TEST(ParallelClusterDeathTest, CheckpointWithoutDurableAborts) {
   EXPECT_DEATH(ParallelCluster pc(config), "checkpoint = true needs durable = true");
 }
 
+TEST(ParallelClusterDeathTest, NonPositiveAppendBatchMaxAborts) {
+  for (int max : {0, -1}) {
+    ParallelClusterConfig config;
+    config.partitions = 1;
+    config.append_batch_max = max;
+    EXPECT_DEATH(ParallelCluster pc(config), "append_batch_max must be >= 1") << max;
+  }
+}
+
 }  // namespace
 }  // namespace halfmoon::runtime

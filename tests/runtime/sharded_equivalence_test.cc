@@ -225,11 +225,11 @@ TEST(ShardedEquivalenceTest, ShardCountsProduceEquivalentExecutions) {
 }
 
 TEST(ShardedEquivalenceTest, PipelineDepthsCommitIdenticalContent) {
-  // The pipelined append engine (DESIGN.md §12) commits rounds strictly in departure order,
-  // so at ANY depth the per-stream content, the seqnum supply, and the oracle verdict must
-  // match the serial engine exactly. Event counts and end times legitimately differ — the
-  // dispatcher runs rounds as separate tasks — which is precisely why depth 1 bypasses the
-  // pipelined engine entirely (pinned by OneShardIsBitIdenticalToPreShardingGoldens above).
+  // The append engine (DESIGN.md §12) commits rounds strictly in departure order, so at ANY
+  // depth the per-stream content, the seqnum supply, and the oracle verdict must match
+  // depth 1 exactly. Event counts and end times legitimately differ — above depth 1 the
+  // dispatcher spawns rounds as separate tasks — which is precisely why depth 1 awaits each
+  // round inline instead (pinned by OneShardIsBitIdenticalToPreShardingGoldens above).
   std::vector<faultcheck::Workload> all = faultcheck::AllWorkloads();
   for (ProtocolKind protocol : kProtocols) {
     for (const faultcheck::Workload& workload : all) {

@@ -1,5 +1,6 @@
 // Tests for node-local group commit (AppendBatcher): batched-vs-unbatched equivalence,
-// in-round conflict resolution, window batching, and occupancy accounting.
+// in-round conflict resolution, window batching, occupancy accounting, and the pipelined
+// round engine with its adaptive controller.
 
 #include "src/sharedlog/append_batcher.h"
 
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -259,11 +261,11 @@ TEST(AppendBatcherTest, IsolatedAppendKeepsUnbatchedLatency) {
 
 // ---- Pipelined group commit (DESIGN.md §12) -------------------------------------------------
 //
-// The pipelined engine keeps up to pipeline_depth sequencer rounds in flight but commits
-// them strictly in departure order, so the protocol-visible outcome at any depth must be
-// identical to the serial engine's. The workload shape uses a small max_batch so the
-// round-limited regime (more pending work than one round can carry) actually engages the
-// pipeline.
+// The round engine keeps up to pipeline_depth sequencer rounds in flight but commits them
+// strictly in departure order, so the protocol-visible outcome at any depth must be
+// identical to depth 1's, where rounds run one at a time. The workload shape uses a small
+// max_batch so the round-limited regime (more pending work than one round can carry)
+// actually engages the pipeline.
 
 TEST(AppendBatcherTest, PipelinedMatchesSerialContent) {
   for (uint64_t seed : {1u, 13u, 977u}) {
@@ -301,9 +303,9 @@ TEST(AppendBatcherTest, PipelinedRunsAreBitIdenticalAcrossRepeats) {
   EXPECT_EQ(first.rounds_overlapped, second.rounds_overlapped);
 }
 
-// Depth 1 must run the historic serial loop — an explicitly-constructed depth-1 config and
-// the default config are the same engine, bit for bit (the cluster-level golden pins in
-// sharded_equivalence_test check the same property against the PR 4 capture).
+// Depth 1 runs one round at a time — an explicitly-constructed depth-1 config and the default
+// config are the same engine, bit for bit (the cluster-level golden pins in
+// sharded_equivalence_test check depth 1 against a capture of the pre-pipelining loop).
 TEST(AppendBatcherTest, DepthOneIsBitIdenticalToSerialEngine) {
   RunResult serial = RunWorkload(AppendBatchConfig{.enabled = true}, 7, 6, 12);
   RunResult depth1 =
@@ -312,6 +314,7 @@ TEST(AppendBatcherTest, DepthOneIsBitIdenticalToSerialEngine) {
   EXPECT_EQ(depth1.log_by_seqnum, serial.log_by_seqnum);
   EXPECT_EQ(depth1.append_rounds, serial.append_rounds);
   EXPECT_EQ(depth1.rounds_overlapped, 0);
+  EXPECT_EQ(depth1.max_inflight, 1);
 }
 
 // Cond-conflict-heavy shape: many workers race cond-appends on ONE stream, retrying with an
@@ -370,60 +373,87 @@ TEST(AppendBatcherTest, CondConflictHeavyShapeIsDepthInvariant) {
   }
 }
 
-// With max_batch 1 every append is its own round, so a burst of simultaneous appends is the
-// purest pipelining scenario: depth K should run ~K rounds concurrently and finish in ~1/K
-// the serial time.
+// With max_batch 2 a burst of 32 simultaneous appends is 16 full rounds of backlog, so the
+// controller opens every pipeline slot: depth K should run ~K rounds concurrently and finish
+// in ~1/K of depth 1's time.
 TEST(AppendBatcherTest, PipelineOverlapsRoundsAndShrinksMakespan) {
   auto run_at_depth = [](int depth) {
-    BatchFixture fx(AppendBatchConfig{.enabled = true, .max_batch = 1,
-                                      .pipeline_depth = depth, .adaptive = false},
+    BatchFixture fx(AppendBatchConfig{.enabled = true, .max_batch = 2,
+                                      .pipeline_depth = depth},
                     /*nodes=*/1, /*seed=*/3);
     auto submit = [](BatchFixture* fx) -> sim::Task<void> {
       co_await fx->clients[0]->Append(OneTag("t"), FieldMap());
     };
-    for (int i = 0; i < 16; ++i) fx.scheduler.Spawn(submit(&fx));
+    for (int i = 0; i < 32; ++i) fx.scheduler.Spawn(submit(&fx));
     fx.scheduler.Run();
     return std::make_pair(fx.scheduler.Now(), fx.clients[0]->stats().pipeline_max_inflight);
   };
   auto [serial_time, serial_inflight] = run_at_depth(1);
   auto [piped_time, piped_inflight] = run_at_depth(4);
-  EXPECT_EQ(serial_inflight, 0);  // Serial engine never reports pipeline depth.
+  EXPECT_EQ(serial_inflight, 1);  // Depth 1 reports its one slot.
   EXPECT_EQ(piped_inflight, 4);
-  // 16 rounds at depth 4 ≈ 4 serial "generations" plus skew: comfortably under half.
+  // 16 rounds at depth 4 ≈ 4 depth-1 "generations" plus ramp-up: comfortably under half.
   EXPECT_LT(piped_time * 2, serial_time);
 }
 
 // The adaptive controller: a storm of small arrivals saturates the pipeline with
 // under-filled rounds, so the window widens and the depth rises; once the storm passes,
-// isolated appends shrink both back toward the configured floor.
+// isolated appends shrink both back toward the configured floor. At depth 1 the same storm
+// must leave the controller idle — there is no pipeline to widen for.
 TEST(AppendBatcherTest, AdaptiveControllerWidensUnderStormAndNarrowsWhenIdle) {
-  BatchFixture fx(AppendBatchConfig{.enabled = true, .pipeline_depth = 4},
-                  /*nodes=*/1, /*seed=*/9);
-  // Open-loop burst: arrivals far outpace the round rate, so the queue holds several full
-  // rounds (depth raises) and the drain tail departs under-filled with every slot busy
-  // (window widens).
-  auto storm = [](BatchFixture* fx, int i) -> sim::Task<void> {
-    co_await fx->scheduler.Delay(Microseconds(i));
-    co_await fx->clients[0]->Append(OneTag("t"), FieldMap());
+  auto run_storm = [](int depth) {
+    BatchFixture fx(AppendBatchConfig{.enabled = true, .pipeline_depth = depth},
+                    /*nodes=*/1, /*seed=*/9);
+    // Open-loop burst: arrivals far outpace the round rate, so the queue holds several full
+    // rounds (depth raises) and the drain tail departs under-filled with every slot busy
+    // (window widens).
+    auto storm = [](BatchFixture* fx, int i) -> sim::Task<void> {
+      co_await fx->scheduler.Delay(Microseconds(i));
+      co_await fx->clients[0]->Append(OneTag("t"), FieldMap());
+    };
+    for (int i = 0; i < 400; ++i) fx.scheduler.Spawn(storm(&fx, i));
+    auto tail = [](BatchFixture* fx, int i) -> sim::Task<void> {
+      co_await fx->scheduler.Delay(Milliseconds(50 + 20 * i));  // Long-idle isolated appends.
+      co_await fx->clients[0]->Append(OneTag("t"), FieldMap());
+    };
+    for (int i = 0; i < 8; ++i) fx.scheduler.Spawn(tail(&fx, i));
+    fx.scheduler.Run();
+    AppendBatcher* batcher = fx.clients[0]->batcher();
+    EXPECT_NE(batcher, nullptr);
+    return std::make_tuple(fx.clients[0]->stats(), batcher->effective_window(),
+                           batcher->effective_depth());
   };
-  for (int i = 0; i < 400; ++i) fx.scheduler.Spawn(storm(&fx, i));
-  auto tail = [](BatchFixture* fx, int i) -> sim::Task<void> {
-    co_await fx->scheduler.Delay(Milliseconds(50 + 20 * i));  // Long-idle isolated appends.
-    co_await fx->clients[0]->Append(OneTag("t"), FieldMap());
-  };
-  for (int i = 0; i < 8; ++i) fx.scheduler.Spawn(tail(&fx, i));
-  fx.scheduler.Run();
-  const LogClientStats& stats = fx.clients[0]->stats();
-  EXPECT_GT(stats.ctrl_depth_raised, 0);
-  EXPECT_GT(stats.ctrl_window_widened, 0);
-  EXPECT_GT(stats.ctrl_window_narrowed, 0);
-  EXPECT_GT(stats.ctrl_depth_lowered, 0);
-  EXPECT_GT(stats.pipeline_rounds_overlapped, 0);
-  // Fully decayed by the idle tail: the next isolated append pays no residual window.
-  AppendBatcher* batcher = fx.clients[0]->batcher();
-  ASSERT_NE(batcher, nullptr);
-  EXPECT_EQ(batcher->effective_window(), 0);
-  EXPECT_EQ(batcher->effective_depth(), 1);
+
+  {
+    SCOPED_TRACE("depth 4");
+    auto [stats, window, depth] = run_storm(4);
+    EXPECT_GT(stats.ctrl_depth_raised, 0);
+    EXPECT_GT(stats.ctrl_window_widened, 0);
+    EXPECT_GT(stats.ctrl_window_narrowed, 0);
+    EXPECT_GT(stats.ctrl_depth_lowered, 0);
+    EXPECT_GT(stats.pipeline_rounds_overlapped, 0);
+    // Fully decayed by the idle tail: the next isolated append pays no residual window.
+    EXPECT_EQ(window, 0);
+    EXPECT_EQ(depth, 1);
+  }
+  {
+    SCOPED_TRACE("depth 1");
+    auto [stats, window, depth] = run_storm(1);
+    EXPECT_GT(stats.batched_requests, stats.append_rounds);  // The storm did batch.
+    EXPECT_EQ(stats.ctrl_depth_raised, 0);
+    EXPECT_EQ(stats.ctrl_depth_lowered, 0);
+    EXPECT_EQ(stats.ctrl_window_widened, 0);
+    EXPECT_EQ(stats.ctrl_window_narrowed, 0);
+    EXPECT_EQ(stats.pipeline_rounds_overlapped, 0);
+    EXPECT_EQ(window, 0);  // The configured window.
+    EXPECT_EQ(depth, 1);
+  }
+}
+
+// A zero round cap would dispatch empty rounds forever; the batcher refuses it up front.
+TEST(AppendBatcherDeathTest, ZeroMaxBatchAborts) {
+  EXPECT_DEATH(BatchFixture fx(AppendBatchConfig{.enabled = true, .max_batch = 0}),
+               "max_batch must be >= 1");
 }
 
 }  // namespace
