@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/check.h"
@@ -51,9 +52,61 @@ void LogSpace::SetPeers(std::vector<LogSpace*> peers) {
 }
 
 LogSpace::TagStream& LogSpace::StreamFor(TagId tag) {
+  // Growing streams_ relocates every stream; that must be a move (a pointer swap), not a
+  // copy of each stream's buffer.
+  static_assert(std::is_nothrow_move_constructible_v<TagStream>);
   HM_CHECK_MSG(shared_->tags.Contains(tag), "LogSpace: tag id was never interned");
   if (tag >= streams_.size()) streams_.resize(tag + 1);
   return streams_[tag];
+}
+
+void LogSpace::TagStream::DropFront(size_t n) {
+  head += n;
+  if (head == entries.size()) {
+    std::vector<SeqNum>().swap(entries);  // Fully trimmed: give the buffer back.
+    head = 0;
+  } else if (head >= entries.size() - head) {
+    entries.erase(entries.begin(), entries.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+}
+
+const LogSpace::StoredRecord* LogSpace::FindSlot(SeqNum seqnum) const {
+  SeqNum local = seqnum / shard_count_;
+  size_t page = static_cast<size_t>(local / kRecordPageSlots);
+  if (page >= pages_.size() || pages_[page] == nullptr) return nullptr;
+  const StoredRecord& slot = pages_[page]->slots[local % kRecordPageSlots];
+  return slot.record != nullptr ? &slot : nullptr;
+}
+
+LogSpace::StoredRecord* LogSpace::FindSlot(SeqNum seqnum) {
+  return const_cast<StoredRecord*>(std::as_const(*this).FindSlot(seqnum));
+}
+
+LogSpace::StoredRecord& LogSpace::InstallSlot(LogRecordPtr record, int live_tag_refs) {
+  // The page table grows by moving unique_ptrs; pages themselves never move.
+  static_assert(std::is_nothrow_move_constructible_v<std::unique_ptr<RecordPage>>);
+  static_assert(std::is_nothrow_move_constructible_v<RecordPage>);
+  static_assert(std::is_nothrow_move_constructible_v<StoredRecord>);
+  static_assert(sizeof(StoredRecord) == sizeof(LogRecordPtr) + 8,
+                "the checkpoint stamp must fit in StoredRecord's padding");
+  SeqNum local = record->seqnum / shard_count_;
+  size_t page = static_cast<size_t>(local / kRecordPageSlots);
+  if (page >= pages_.size()) pages_.resize(page + 1);
+  if (pages_[page] == nullptr) pages_[page] = std::make_unique<RecordPage>();
+  StoredRecord& slot = pages_[page]->slots[local % kRecordPageSlots];
+  HM_CHECK_MSG(slot.record == nullptr, "record store: seqnum installed twice");
+  slot.record = std::move(record);
+  slot.live_tag_refs = live_tag_refs;
+  slot.ckpt_round = 0;
+  ++pages_[page]->occupied;
+  ++live_records_;
+  return slot;
+}
+
+size_t LogSpace::RecordPages() const {
+  return static_cast<size_t>(
+      std::count_if(pages_.begin(), pages_.end(), [](const auto& p) { return p != nullptr; }));
 }
 
 SeqNum LogSpace::Append(SimTime now, std::vector<TagId> tags, FieldMap fields) {
@@ -87,22 +140,19 @@ LogRecordPtr LogSpace::MakeRecord(SeqNum seqnum, std::vector<TagId> tags, FieldM
 LogRecordPtr LogSpace::InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
                                      FieldMap fields) {
   LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
-  StoredRecord stored;
-  stored.live_tag_refs = static_cast<int>(record->tags.size());
   shared_->gauge.Add(now, static_cast<int64_t>(record->ByteSize()));
   // Each tag's sub-stream lives on the tag's owning shard; the encoded seqnums are allocated
   // in global commit order, so pushing to the back keeps every stream sorted — also on shards
   // other than the sequencing one.
   for (TagId tag : record->tags) {
     TagStream& stream = TagOwner(tag)->StreamFor(tag);
-    if (stream.seqnums.empty()) {
+    if (stream.empty()) {
       shared_->live_tags.emplace(std::string_view(shared_->tags.Name(tag)), tag);
     }
-    stream.seqnums.push_back(seqnum);
+    stream.entries.push_back(seqnum);
   }
-  stored.record = record;
-  records_.emplace(seqnum, std::move(stored));
-  return record;
+  int live_tag_refs = static_cast<int>(record->tags.size());
+  return InstallSlot(std::move(record), live_tag_refs).record;
 }
 
 std::string LogSpace::EncodeRecordPayload(const LogRecord& record) {
@@ -157,22 +207,21 @@ void LogSpace::RestoreRecordFuzzyLocal(SimTime now, SeqNum seqnum, std::vector<T
   // once; each stream does a sorted check-and-insert so already-absorbed frames are no-ops.
   // Seqnums need not arrive above the watermark — image streams already carried later ones.
   if (shared_->watermark < seqnum) shared_->watermark = seqnum;
-  auto it = records_.find(seqnum);
-  if (it == records_.end()) {
+  StoredRecord* stored = FindSlot(seqnum);
+  if (stored == nullptr) {
     LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
     shared_->gauge.Add(now, static_cast<int64_t>(record->ByteSize()));
-    it = records_.emplace(seqnum, StoredRecord{std::move(record), 0}).first;
+    stored = &InstallSlot(std::move(record), 0);
   }
-  StoredRecord& stored = it->second;
-  for (TagId tag : stored.record->tags) {
+  for (TagId tag : stored->record->tags) {
     TagStream& stream = TagOwner(tag)->StreamFor(tag);
-    auto pos = std::lower_bound(stream.seqnums.begin(), stream.seqnums.end(), seqnum);
-    if (pos != stream.seqnums.end() && *pos == seqnum) continue;  // Image already has it.
-    if (stream.seqnums.empty()) {
+    const SeqNum* pos = std::lower_bound(stream.begin(), stream.end(), seqnum);
+    if (pos != stream.end() && *pos == seqnum) continue;  // Image already has it.
+    if (stream.empty()) {
       shared_->live_tags.emplace(std::string_view(shared_->tags.Name(tag)), tag);
     }
-    stream.seqnums.insert(pos, seqnum);
-    ++stored.live_tag_refs;
+    stream.InsertAt(static_cast<size_t>(pos - stream.begin()), seqnum);
+    ++stored->live_tag_refs;
   }
 }
 
@@ -183,35 +232,34 @@ void LogSpace::RestoreTrim(SimTime now, TagId tag, SeqNum upto, size_t base_afte
 
 void LogSpace::RestoreTrimLocal(SimTime now, TagId tag, SeqNum upto, size_t base_after) {
   TagStream& stream = StreamFor(tag);
-  while (!stream.seqnums.empty() && stream.seqnums.front() <= upto) {
-    ReleaseRef(now, stream.seqnums.front());
-    stream.seqnums.pop_front();
-  }
-  // max() rather than += pops: when the image already absorbed (part of) this trim the pops
-  // above release fewer records than the original did, but the journaled base_after is the
-  // exact base the original trim left behind — logical offsets stay correct either way.
+  TrimPrefix(now, stream, upto);
+  // max() rather than += drops: when the image already absorbed (part of) this trim the
+  // trim above releases fewer records than the original did, but the journaled base_after
+  // is the exact base the original trim left behind — logical offsets stay correct either
+  // way.
   if (stream.base < base_after) stream.base = base_after;
-  if (stream.seqnums.empty() && stream.base > 0) {
+  if (stream.empty() && stream.base > 0) {
     shared_->live_tags.erase(std::string_view(shared_->tags.Name(tag)));
   }
 }
 
-size_t LogSpace::CheckpointTag(TagId tag, storage::CheckpointStore* store,
-                               std::unordered_set<SeqNum>* emitted_bodies,
-                               int64_t* frames) const {
+size_t LogSpace::CheckpointTag(TagId tag, storage::CheckpointStore* store, uint32_t round,
+                               int64_t* frames) {
+  HM_CHECK_MSG(round != 0, "checkpoint round 0 is the never-emitted stamp");
   const TagStream* stream = FindStream(tag);
   if (stream == nullptr || stream->length() == 0) return 0;
   size_t consumed = 1;
   std::string payload;
   storage::PutU64(&payload, tag);
   storage::PutU64(&payload, stream->base);
-  storage::PutU32(&payload, static_cast<uint32_t>(stream->seqnums.size()));
-  for (SeqNum seqnum : stream->seqnums) {
+  storage::PutU32(&payload, static_cast<uint32_t>(stream->size()));
+  for (SeqNum seqnum : *stream) {
     // Emit each referenced body once per round, before the first stream that references it.
-    if (emitted_bodies->insert(seqnum).second) {
-      LogRecordPtr record = LookupLive(seqnum);
-      HM_CHECK_MSG(record != nullptr, "checkpoint walk: stream references a dead record");
-      store->AppendFrame(storage::FrameType::kCkptRecord, EncodeRecordPayload(*record));
+    StoredRecord* slot = SeqOwner(seqnum)->FindSlot(seqnum);
+    HM_CHECK_MSG(slot != nullptr, "checkpoint walk: stream references a dead record");
+    if (slot->ckpt_round != round) {
+      slot->ckpt_round = round;
+      store->AppendFrame(storage::FrameType::kCkptRecord, EncodeRecordPayload(*slot->record));
       ++*frames;
       ++consumed;
     }
@@ -229,8 +277,7 @@ void LogSpace::RestoreCheckpointRecord(SimTime now, SeqNum seqnum, std::vector<T
   LogSpace* owner = SeqOwner(seqnum);
   LogRecordPtr record = owner->MakeRecord(seqnum, std::move(tags), std::move(fields));
   shared_->gauge.Add(now, static_cast<int64_t>(record->ByteSize()));
-  bool inserted = owner->records_.emplace(seqnum, StoredRecord{std::move(record), 0}).second;
-  HM_CHECK_MSG(inserted, "checkpoint image installs a record twice");
+  owner->InstallSlot(std::move(record), 0);
   if (shared_->watermark < seqnum) shared_->watermark = seqnum;
 }
 
@@ -244,30 +291,32 @@ void LogSpace::RestoreCheckpointStreamLocal(SimTime now, TagId tag, size_t base,
                                             const std::vector<SeqNum>& seqnums) {
   (void)now;
   TagStream& stream = StreamFor(tag);
-  HM_CHECK_MSG(stream.seqnums.empty() && stream.base == 0,
+  HM_CHECK_MSG(stream.empty() && stream.base == 0,
                "checkpoint image restores a stream twice");
   stream.base = base;
+  stream.entries.reserve(seqnums.size());
   for (SeqNum seqnum : seqnums) {
-    HM_CHECK_MSG(stream.seqnums.empty() || stream.seqnums.back() < seqnum,
+    HM_CHECK_MSG(stream.empty() || stream.back() < seqnum,
                  "checkpoint image stream is not sorted");
-    stream.seqnums.push_back(seqnum);
+    stream.entries.push_back(seqnum);
     SeqOwner(seqnum)->TakeRefLocal(seqnum);
     if (shared_->watermark < seqnum) shared_->watermark = seqnum;
   }
-  if (!stream.seqnums.empty()) {
+  if (!stream.empty()) {
     shared_->live_tags.emplace(std::string_view(shared_->tags.Name(tag)), tag);
   }
 }
 
 void LogSpace::TakeRefLocal(SeqNum seqnum) {
-  auto it = records_.find(seqnum);
-  HM_CHECK_MSG(it != records_.end(),
+  StoredRecord* slot = FindSlot(seqnum);
+  HM_CHECK_MSG(slot != nullptr,
                "checkpoint image stream references a record the image does not carry");
-  ++it->second.live_tag_refs;
+  ++slot->live_tag_refs;
 }
 
 void LogSpace::ResetShardVolatile() {
-  records_.clear();
+  pages_.clear();
+  live_records_ = 0;
   streams_.clear();
 }
 
@@ -286,7 +335,7 @@ bool LogSpace::CondHolds(TagId cond_tag, size_t cond_pos, SeqNum* existing) {
   // a live SSF may seek), so the offset must fall in the retained suffix.
   HM_CHECK_MSG(cond_pos >= stream.base,
                "logCondAppend: conflicting offset was already trimmed");
-  *existing = stream.seqnums[cond_pos - stream.base];
+  *existing = stream[cond_pos - stream.base];
   return false;
 }
 
@@ -399,7 +448,7 @@ LogRecordPtr LogSpace::FindFirstByStep(TagId tag, OpId op, int64_t step) const {
   if (owner == nullptr) return nullptr;
   const TagStream* stream = owner->FindStream(tag);
   if (stream == nullptr) return nullptr;
-  for (SeqNum seqnum : stream->seqnums) {
+  for (SeqNum seqnum : *stream) {
     LogRecordPtr record = LookupLive(seqnum);
     if (record == nullptr) continue;
     if (record->op == op && record->fields.GetInt("step") == step) {
@@ -431,10 +480,8 @@ std::vector<std::string> LogSpace::StreamTagsWithPrefix(std::string_view prefix)
 }
 
 LogRecordPtr LogSpace::LookupLive(SeqNum seqnum) const {
-  const LogSpace* owner = SeqOwner(seqnum);
-  auto it = owner->records_.find(seqnum);
-  if (it == owner->records_.end()) return nullptr;
-  return it->second.record;
+  const StoredRecord* slot = SeqOwner(seqnum)->FindSlot(seqnum);
+  return slot != nullptr ? slot->record : nullptr;
 }
 
 LogRecordPtr LogSpace::ReadPrev(TagId tag, SeqNum max_seqnum) const {
@@ -443,8 +490,8 @@ LogRecordPtr LogSpace::ReadPrev(TagId tag, SeqNum max_seqnum) const {
   const TagStream* stream = owner->FindStream(tag);
   if (stream == nullptr) return nullptr;
   // Last seqnum <= max_seqnum within the live (untrimmed) suffix.
-  auto upper = std::upper_bound(stream->seqnums.begin(), stream->seqnums.end(), max_seqnum);
-  if (upper == stream->seqnums.begin()) return nullptr;
+  const SeqNum* upper = std::upper_bound(stream->begin(), stream->end(), max_seqnum);
+  if (upper == stream->begin()) return nullptr;
   return LookupLive(*(upper - 1));
 }
 
@@ -453,8 +500,8 @@ SeqNum LogSpace::LatestSeqNoAtMost(TagId tag, SeqNum max_seqnum) const {
   if (owner == nullptr) return kInvalidSeqNum;
   const TagStream* stream = owner->FindStream(tag);
   if (stream == nullptr) return kInvalidSeqNum;
-  auto upper = std::upper_bound(stream->seqnums.begin(), stream->seqnums.end(), max_seqnum);
-  if (upper == stream->seqnums.begin()) return kInvalidSeqNum;
+  const SeqNum* upper = std::upper_bound(stream->begin(), stream->end(), max_seqnum);
+  if (upper == stream->begin()) return kInvalidSeqNum;
   return *(upper - 1);
 }
 
@@ -463,8 +510,8 @@ LogRecordPtr LogSpace::ReadNext(TagId tag, SeqNum min_seqnum) const {
   if (owner == nullptr) return nullptr;
   const TagStream* stream = owner->FindStream(tag);
   if (stream == nullptr) return nullptr;
-  auto lower = std::lower_bound(stream->seqnums.begin(), stream->seqnums.end(), min_seqnum);
-  if (lower == stream->seqnums.end()) return nullptr;
+  const SeqNum* lower = std::lower_bound(stream->begin(), stream->end(), min_seqnum);
+  if (lower == stream->end()) return nullptr;
   return LookupLive(*lower);
 }
 
@@ -478,8 +525,8 @@ std::vector<LogRecordPtr> LogSpace::ReadStreamUpTo(TagId tag, SeqNum max_seqnum)
   if (owner == nullptr) return out;
   const TagStream* stream = owner->FindStream(tag);
   if (stream == nullptr) return out;
-  out.reserve(stream->seqnums.size());
-  for (SeqNum seqnum : stream->seqnums) {
+  out.reserve(stream->size());
+  for (SeqNum seqnum : *stream) {
     if (seqnum > max_seqnum) break;
     LogRecordPtr record = LookupLive(seqnum);
     if (record != nullptr) out.push_back(std::move(record));
@@ -492,12 +539,22 @@ void LogSpace::ReleaseRef(SimTime now, SeqNum seqnum) {
 }
 
 void LogSpace::ReleaseRefLocal(SimTime now, SeqNum seqnum) {
-  auto it = records_.find(seqnum);
-  HM_CHECK_MSG(it != records_.end(), "ReleaseRef on missing record");
-  if (--it->second.live_tag_refs == 0) {
-    shared_->gauge.Add(now, -static_cast<int64_t>(it->second.record->ByteSize()));
-    records_.erase(it);
-  }
+  StoredRecord* slot = FindSlot(seqnum);
+  HM_CHECK_MSG(slot != nullptr, "ReleaseRef on missing record");
+  if (--slot->live_tag_refs > 0) return;
+  shared_->gauge.Add(now, -static_cast<int64_t>(slot->record->ByteSize()));
+  slot->record.reset();
+  --live_records_;
+  size_t page = static_cast<size_t>(seqnum / shard_count_ / kRecordPageSlots);
+  if (--pages_[page]->occupied == 0) pages_[page].reset();
+}
+
+size_t LogSpace::TrimPrefix(SimTime now, TagStream& stream, SeqNum upto) {
+  const SeqNum* cut = std::upper_bound(stream.begin(), stream.end(), upto);
+  size_t n = static_cast<size_t>(cut - stream.begin());
+  for (const SeqNum* it = stream.begin(); it != cut; ++it) ReleaseRef(now, *it);
+  stream.DropFront(n);
+  return n;
 }
 
 size_t LogSpace::Trim(SimTime now, TagId tag, SeqNum upto) {
@@ -508,14 +565,9 @@ size_t LogSpace::Trim(SimTime now, TagId tag, SeqNum upto) {
 size_t LogSpace::TrimLocal(SimTime now, TagId tag, SeqNum upto, bool journal) {
   if (tag >= streams_.size()) return 0;
   TagStream& stream = streams_[tag];
-  size_t released = 0;
-  while (!stream.seqnums.empty() && stream.seqnums.front() <= upto) {
-    ReleaseRef(now, stream.seqnums.front());
-    stream.seqnums.pop_front();
-    ++stream.base;
-    ++released;
-  }
-  if (stream.seqnums.empty() && stream.base > 0) {
+  size_t released = TrimPrefix(now, stream, upto);
+  stream.base += released;
+  if (stream.empty() && stream.base > 0) {
     shared_->live_tags.erase(std::string_view(shared_->tags.Name(tag)));
   }
   // Trims are journaled fire-and-forget: nothing external depends on a trim being durable,
@@ -542,7 +594,15 @@ size_t LogSpace::StreamLength(TagId tag) const {
 size_t LogSpace::IndexEntries() const {
   size_t total = 0;
   for (const TagStream& stream : streams_) {
-    total += stream.seqnums.size();
+    total += stream.size();
+  }
+  return total;
+}
+
+size_t LogSpace::IndexCapacity() const {
+  size_t total = 0;
+  for (const TagStream& stream : streams_) {
+    total += stream.entries.capacity();
   }
   return total;
 }

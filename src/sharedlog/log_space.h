@@ -24,23 +24,25 @@
 //     TagId only, so no std::string is built or hashed per operation. The string-named
 //     overloads below are convenience entry points for tests and cold bootstrap code; they
 //     intern (writes) or look up (reads) the name and forward to the TagId path.
-//   * A sub-stream keeps only its untrimmed seqnum suffix (deque + base offset), so trimmed
-//     history costs no memory while logical logCondAppend offsets stay stable.
+//   * A sub-stream keeps only its untrimmed seqnum suffix (flat vector + head and base
+//     offsets), so trimmed history costs no memory while logical logCondAppend offsets stay
+//     stable. An empty stream allocates nothing.
+//   * The record store is node-free: slots indexed by seqnum / shard_count in 64-slot pages,
+//     allocated on first install and freed with their last record.
 //   * Live stream tags are mirrored in a name-ordered index, so prefix scans (the GC's
 //     per-object write-log enumeration) are range scans instead of full-table scans.
 
 #ifndef HALFMOON_SHAREDLOG_LOG_SPACE_H_
 #define HALFMOON_SHAREDLOG_LOG_SPACE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/time.h"
@@ -273,14 +275,15 @@ class LogSpace {
 
   // ---- Incremental checkpointing (DESIGN.md §14) ----
   // Emits the image frames of THIS shard's `tag` sub-stream into the checkpoint store: first
-  // a kCkptRecord body for every referenced record not yet emitted this round (dedup via
-  // `emitted_bodies` — records are multi-tag, bodies are written once), then one
-  // kCkptTagStream frame with the stream's base and live seqnums. Fully-trimmed streams
-  // (empty deque, base > 0) are emitted too: their base carries the logical offsets
-  // logCondAppend depends on. Returns the walk-budget items consumed (0 when the tag has no
-  // stream here); increments *frames per frame appended.
-  size_t CheckpointTag(TagId tag, storage::CheckpointStore* store,
-                       std::unordered_set<SeqNum>* emitted_bodies, int64_t* frames) const;
+  // a kCkptRecord body for every referenced record not yet emitted in checkpoint round
+  // `round` (records are multi-tag, bodies are written once per round: each emitted record's
+  // slot is stamped with `round`, so `round` must differ from every earlier round's and be
+  // nonzero), then one kCkptTagStream frame with the stream's base and live seqnums.
+  // Fully-trimmed streams (no live entries, base > 0) are emitted too: their base carries
+  // the logical offsets logCondAppend depends on. Returns the walk-budget items consumed (0
+  // when the tag has no stream here); increments *frames per frame appended.
+  size_t CheckpointTag(TagId tag, storage::CheckpointStore* store, uint32_t round,
+                       int64_t* frames);
 
   // Image-restore installers. A body installs with zero live-tag refs (streams re-reference
   // it as they restore); a stream sets its base, pushes its seqnums and takes one ref per
@@ -300,13 +303,23 @@ class LogSpace {
 
   // Number of records currently held by THIS shard (not yet trimmed from all their tags).
   // ShardedLog::live_records() sums across shards.
-  size_t live_records() const { return records_.size(); }
+  size_t live_records() const { return live_records_; }
+
+  // Record-store pages currently allocated on THIS shard (each holds kRecordPageSlots
+  // slots). Zero once every record is released. Cold accessor (scans the page table).
+  size_t RecordPages() const;
+  static constexpr size_t kRecordPageSlots = 64;
 
   // Total seqnum entries retained across this shard's sub-stream indices. Bounded by the
   // number of live (tag, record) pairs: trimmed prefixes are compacted away, so a fully
   // trimmed stream holds zero entries no matter how long its history (regression guard for
   // the old keep-forever index).
   size_t IndexEntries() const;
+
+  // Seqnum slots allocated across this shard's sub-stream indices (Σ vector capacities).
+  // Returns to 0 once every stream is fully trimmed: an emptied stream gives its buffer
+  // back, so fully-trimmed tags cost only their fixed-size stream header.
+  size_t IndexCapacity() const;
 
   int64_t CurrentBytes() const { return shared_->gauge.CurrentBytes(); }
   metrics::StorageGauge& gauge() { return shared_->gauge; }
@@ -320,15 +333,33 @@ class LogSpace {
   }
 
  private:
+  // One tag's sub-stream index. The live (untrimmed) seqnums appended under the tag are
+  // entries[head..], in order; entries[0, head) were trimmed and await compaction. The
+  // logical offset of live entry i in the stream's full history is base + i, so logical
+  // offsets for logCondAppend are stable positions even after the trimmed prefix is
+  // compacted away. An empty stream owns no buffer, and the type is nothrow-movable, so
+  // growing streams_ moves streams instead of copying them.
   struct TagStream {
-    // Untrimmed seqnums appended under this tag, in order. The logical offset of seqnums[i]
-    // in the stream's full history is base + i: logical offsets for logCondAppend are stable
-    // positions even after the trimmed prefix is compacted away.
-    std::deque<SeqNum> seqnums;
-    // Number of entries trimmed (and freed) from the front of the stream's history.
+    std::vector<SeqNum> entries;
+    size_t head = 0;
+    // Number of entries trimmed from the front of the stream's history.
     size_t base = 0;
 
-    size_t length() const { return base + seqnums.size(); }
+    const SeqNum* begin() const { return entries.data() + head; }
+    const SeqNum* end() const { return entries.data() + entries.size(); }
+    size_t size() const { return entries.size() - head; }
+    bool empty() const { return head == entries.size(); }
+    SeqNum back() const { return entries.back(); }
+    SeqNum operator[](size_t i) const { return entries[head + i]; }
+    size_t length() const { return base + size(); }
+    // Inserts `seqnum` before live entry `i` (sorted insert; fuzzy replay only).
+    void InsertAt(size_t i, SeqNum seqnum) {
+      entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(head + i), seqnum);
+    }
+    // Drops the first `n` live entries (their refs already released). The dead prefix is
+    // erased in one step once it outweighs the live suffix, so trimming costs amortized O(1)
+    // per entry; a stream left empty gives its buffer back.
+    void DropFront(size_t n);
   };
 
   std::vector<TagId> InternAll(std::vector<std::string> names) {
@@ -338,10 +369,19 @@ class LogSpace {
     return ids;
   }
 
+  // One record-store slot; occupied iff `record` is non-null.
   struct StoredRecord {
     LogRecordPtr record;
     // Number of tags that still reference this record (not yet trimmed past it).
     int live_tag_refs = 0;
+    // Last checkpoint round that emitted this body (0 = none); see CheckpointTag. Sits in
+    // what would otherwise be padding after live_tag_refs.
+    uint32_t ckpt_round = 0;
+  };
+  // The slots of kRecordPageSlots consecutive local seqnums (seqnum / shard_count).
+  struct RecordPage {
+    std::array<StoredRecord, kRecordPageSlots> slots;
+    size_t occupied = 0;
   };
 
   void PreinternWellKnown();
@@ -405,9 +445,19 @@ class LogSpace {
   }
   TagStream& StreamFor(TagId tag);
 
+  // ---- Record store (THIS shard's slots) ----
+  // Slot of `seqnum` if occupied, else null. `seqnum` must be sequenced by this shard.
+  StoredRecord* FindSlot(SeqNum seqnum);
+  const StoredRecord* FindSlot(SeqNum seqnum) const;
+  // Installs `record` into its (empty — HM_CHECKed) slot, allocating the page on demand.
+  StoredRecord& InstallSlot(LogRecordPtr record, int live_tag_refs);
+
   LogRecordPtr LookupLive(SeqNum seqnum) const;
   void ReleaseRef(SimTime now, SeqNum seqnum);
   void ReleaseRefLocal(SimTime now, SeqNum seqnum);
+  // Releases one ref on each of `stream`'s live entries <= upto and drops them from the
+  // stream. Returns the number of entries dropped.
+  size_t TrimPrefix(SimTime now, TagStream& stream, SeqNum upto);
 
   // Evaluates a logCondAppend condition against the current stream state. Returns true when
   // the append may proceed; on conflict fills `existing` with the occupant of `cond_pos`.
@@ -419,7 +469,11 @@ class LogSpace {
   uint32_t shard_count_ = 1;
   std::vector<LogSpace*> peers_;  // Indexed by shard id; {this} when standalone.
 
-  std::unordered_map<SeqNum, StoredRecord> records_;
+  // Indexed by (seqnum / shard_count) / kRecordPageSlots; null where no slot is occupied.
+  // Each shard's locals are a disjoint subset of one global sequence, so with N shards a
+  // page is ~1/N occupied; the pointer table costs 8 B per page of seqnum history.
+  std::vector<std::unique_ptr<RecordPage>> pages_;
+  size_t live_records_ = 0;
   std::vector<TagStream> streams_;  // Indexed by TagId; grown on first append of a tag.
 };
 

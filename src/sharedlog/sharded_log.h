@@ -20,10 +20,11 @@
 #ifndef HALFMOON_SHAREDLOG_SHARDED_LOG_H_
 #define HALFMOON_SHAREDLOG_SHARDED_LOG_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -176,13 +177,16 @@ class ShardedLog {
 
   // ---- Incremental checkpointing (DESIGN.md §14) ----
   // One checkpoint round walks every interned tag in id order (stable across registry
-  // growth), emitting record bodies (deduped round-wide — records are multi-tag) and
-  // per-tag stream snapshots. The walk is resumable in bounded slices; tags interned after a
-  // slice are picked up by later slices, and their records also ride the replay suffix, so
-  // either way the image + suffix composition is exact.
+  // growth), emitting record bodies (deduped round-wide — records are multi-tag — by
+  // stamping each emitted record's slot with the round number) and per-tag stream
+  // snapshots. The walk is resumable in bounded slices; tags interned after a slice are
+  // picked up by later slices, and their records also ride the replay suffix, so either way
+  // the image + suffix composition is exact.
   void BeginCheckpointWalk() {
+    HM_CHECK_MSG(walk_round_ < std::numeric_limits<uint32_t>::max(),
+                 "checkpoint round counter exhausted");
     walk_next_tag_ = 0;
-    walk_emitted_.clear();
+    ++walk_round_;
   }
   // Emits roughly `budget` items' worth of image frames; returns true once every tag has
   // been walked. *frames counts frames appended by this slice.
@@ -191,8 +195,8 @@ class ShardedLog {
     while (walk_next_tag_ < shared_.tags.size()) {
       if (consumed >= budget) return false;
       TagId tag = walk_next_tag_++;
-      const LogSpace& owner = *shards_[shared_.tags.ShardOf(tag)];
-      consumed += static_cast<int64_t>(owner.CheckpointTag(tag, store, &walk_emitted_, frames));
+      LogSpace& owner = *shards_[shared_.tags.ShardOf(tag)];
+      consumed += static_cast<int64_t>(owner.CheckpointTag(tag, store, walk_round_, frames));
     }
     return true;
   }
@@ -224,9 +228,10 @@ class ShardedLog {
   LogSpace::Shared shared_;
   std::vector<std::unique_ptr<LogSpace>> shards_;
 
-  // Checkpoint-walk cursor (valid between BeginCheckpointWalk and the slice returning true).
+  // Checkpoint-walk cursor (valid between BeginCheckpointWalk and the slice returning true)
+  // and the current round's body stamp (0 = no round yet, the never-emitted stamp).
   TagId walk_next_tag_ = 0;
-  std::unordered_set<SeqNum> walk_emitted_;
+  uint32_t walk_round_ = 0;
 };
 
 }  // namespace halfmoon::sharedlog

@@ -1,6 +1,14 @@
 #include "src/sharedlog/log_space.h"
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "src/sharedlog/sharded_log.h"
+#include "src/storage/checkpoint.h"
+#include "src/storage/journal.h"
 
 namespace halfmoon::sharedlog {
 namespace {
@@ -240,6 +248,47 @@ TEST(LogSpaceTest, FullyTrimmedStreamsLeaveNoResidue) {
   EXPECT_TRUE(log.StreamTagsWithPrefix("k:").empty());
 }
 
+TEST(LogSpaceTest, FullyTrimmedStreamsGiveTheirIndexBufferBack) {
+  // Regression: each stream used to hold a std::deque, which allocates ~576 B even when
+  // empty, so every tag ever appended kept index memory after a full trim. A fully trimmed
+  // stream must own no buffer at all.
+  LogSpace log;
+  constexpr int kTags = 10000;
+  for (int i = 0; i < kTags; ++i) {
+    std::string tag = "step:" + std::to_string(i);
+    log.Append(0, OneTag(tag), Fields("w", 0));
+    log.Append(0, OneTag(tag), Fields("w", 1));
+  }
+  EXPECT_GE(log.IndexCapacity(), 2u * kTags);
+  for (int i = 0; i < kTags; ++i) {
+    log.Trim(0, "step:" + std::to_string(i), kMaxSeqNum);
+  }
+  EXPECT_EQ(log.IndexEntries(), 0u);
+  EXPECT_EQ(log.IndexCapacity(), 0u);
+  EXPECT_EQ(log.live_records(), 0u);
+  EXPECT_EQ(log.RecordPages(), 0u);
+}
+
+TEST(LogSpaceTest, IncrementalTrimKeepsOrderAndOffsets) {
+  // Trimming one entry at a time exercises the deferred prefix compaction: reads, logical
+  // offsets and conflict reports must see exactly the untrimmed suffix after every step.
+  LogSpace log;
+  std::vector<SeqNum> seqs;
+  for (int i = 0; i < 100; ++i) seqs.push_back(log.Append(0, OneTag("t"), Fields("w", i)));
+  for (size_t i = 0; i < seqs.size(); ++i) {
+    EXPECT_EQ(log.Trim(0, "t", seqs[i]), 1u);
+    EXPECT_EQ(log.IndexEntries(), seqs.size() - i - 1);
+    EXPECT_EQ(log.StreamLength("t"), seqs.size());
+    if (i + 1 == seqs.size()) break;
+    EXPECT_EQ(log.ReadNext("t", 0)->seqnum, seqs[i + 1]);
+    EXPECT_EQ(log.ReadPrev("t", kMaxSeqNum)->seqnum, seqs.back());
+    CondAppendResult stale = log.CondAppend(0, OneTag("t"), Fields("x", 0), "t", i + 1);
+    ASSERT_FALSE(stale.ok);
+    EXPECT_EQ(stale.existing_seqnum, seqs[i + 1]);
+  }
+  EXPECT_EQ(log.IndexCapacity(), 0u);
+}
+
 TEST(LogSpaceTest, CondAppendOffsetsStayStableAfterCompaction) {
   // A trimmed prefix must not shift logCondAppend positions: the next logical offset is the
   // full-history length, and appends at stale offsets still conflict.
@@ -425,6 +474,180 @@ TEST(LogSpaceTest, ByteAccountingMatchesRecordSizes) {
   EXPECT_EQ(log.CurrentBytes(), 2 * one);
   log.Trim(0, "t", kMaxSeqNum);
   EXPECT_EQ(log.CurrentBytes(), 0);
+}
+
+// ---- Record store: seqnum-indexed slots in pages of kRecordPageSlots ----
+
+// The first probe name "<prefix><i>" owned by `shard`.
+TagId TagOwnedBy(ShardedLog& log, uint32_t shard, const std::string& prefix = "t") {
+  for (int i = 0;; ++i) {
+    TagId tag = log.tags().Intern(prefix + std::to_string(i));
+    if (log.ShardOfTag(tag) == shard) return tag;
+  }
+}
+
+TEST(LogSpaceRecordStoreTest, SeqnumsMapToPerShardSlots) {
+  constexpr size_t kSlots = LogSpace::kRecordPageSlots;
+  for (uint32_t shards : {2u, 4u}) {
+    SCOPED_TRACE(shards);
+    ShardedLog log(shards);
+    TagId first = TagOwnedBy(log, 0);
+    TagId last = TagOwnedBy(log, shards - 1);
+    // Back-to-back appends sequenced by one shard take consecutive local seqnums
+    // (seqnum / shards), starting at 1: locals 1..63 fill page 0 exactly.
+    std::vector<SeqNum> run;
+    for (size_t i = 1; i < kSlots; ++i) run.push_back(log.Append(0, OneTag(first), Fields("w", 0)));
+    for (size_t i = 0; i < run.size(); ++i) {
+      EXPECT_EQ(log.ShardOfSeq(run[i]), 0u);
+      EXPECT_EQ(run[i] / shards, i + 1);
+    }
+    EXPECT_EQ(log.shard(0).RecordPages(), 1u);
+    SeqNum spill = log.Append(0, OneTag(first), Fields("w", 0));
+    EXPECT_EQ(spill / shards, kSlots);
+    EXPECT_EQ(log.shard(0).RecordPages(), 2u);
+
+    // Interleaved with another shard: each local is taken by exactly one shard, so the two
+    // shards' slot spaces are sparse but never collide, and each record stays findable.
+    std::vector<SeqNum> a;
+    std::vector<SeqNum> b;
+    for (int i = 0; i < 10; ++i) {
+      a.push_back(log.Append(0, OneTag(first), Fields("a", i)));
+      b.push_back(log.Append(0, OneTag(last), Fields("b", i)));
+    }
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(log.ShardOfSeq(a[i]), 0u);
+      EXPECT_EQ(log.ShardOfSeq(b[i]), shards - 1);
+      EXPECT_EQ(b[i] / shards, a[i] / shards + 1);
+      EXPECT_EQ(log.Get(a[i])->fields.GetStr("op"), "a");
+      EXPECT_EQ(log.Get(b[i])->fields.GetStr("op"), "b");
+      EXPECT_EQ(log.Get(a[i])->fields.GetInt("step"), static_cast<int64_t>(i));
+    }
+    EXPECT_EQ(log.shard(0).live_records(), kSlots + 10);
+    EXPECT_EQ(log.shard(shards - 1).live_records(), 10u);
+    EXPECT_EQ(log.shard(shards - 1).RecordPages(), 1u);
+    for (uint32_t mid = 1; mid + 1 < shards; ++mid) {
+      EXPECT_EQ(log.shard(mid).live_records(), 0u);
+      EXPECT_EQ(log.shard(mid).RecordPages(), 0u);
+    }
+    EXPECT_EQ(log.live_records(), kSlots + 20);
+    // A seqnum whose slot was never filled reads as absent, on either side of the store.
+    EXPECT_EQ(log.Get(a[0] + shards), nullptr);
+    EXPECT_EQ(log.Get(1000 * kSlots * shards), nullptr);
+  }
+}
+
+TEST(LogSpaceRecordStoreTest, FuzzyRestoreInstallsOutOfOrderAndBelowWatermark) {
+  // Replay-suffix on top of a checkpoint image: frames may name seqnums below the restored
+  // watermark, in any order, and across pages; each installs into its own slot.
+  LogSpace log;
+  TagId t = log.tags().Intern("t");
+  TagId u = log.tags().Intern("u");
+  log.EnsureWatermark(500);
+  log.RestoreRecord(0, 300, OneTag(t), Fields("w", 3), /*fuzzy=*/true);
+  log.RestoreRecord(0, 100, TwoTags(t, u), Fields("w", 1), /*fuzzy=*/true);
+  log.RestoreRecord(0, 200, OneTag(t), Fields("w", 2), /*fuzzy=*/true);
+  EXPECT_EQ(log.next_seqnum(), 501u);  // The watermark never moves down.
+  EXPECT_EQ(log.live_records(), 3u);
+  EXPECT_EQ(log.RecordPages(), 3u);  // 100, 200 and 300 sit on pages 1, 3 and 4.
+  std::vector<SeqNum> order;
+  for (const LogRecordPtr& r : log.ReadStream(t)) order.push_back(r->seqnum);
+  EXPECT_EQ(order, (std::vector<SeqNum>{100, 200, 300}));
+
+  // Re-replaying an absorbed frame is a no-op.
+  log.RestoreRecord(0, 200, OneTag(t), Fields("w", 2), /*fuzzy=*/true);
+  EXPECT_EQ(log.live_records(), 3u);
+  EXPECT_EQ(log.IndexEntries(), 4u);
+
+  log.Trim(0, t, kMaxSeqNum);
+  EXPECT_EQ(log.live_records(), 1u);  // 100 is still referenced by u.
+  EXPECT_EQ(log.RecordPages(), 1u);
+  EXPECT_EQ(log.Get(100)->fields.GetInt("step"), 1);
+  log.Trim(0, u, kMaxSeqNum);
+  EXPECT_EQ(log.live_records(), 0u);
+  EXPECT_EQ(log.RecordPages(), 0u);
+}
+
+TEST(LogSpaceRecordStoreTest, PageIsFreedWithItsLastRecord) {
+  LogSpace log;
+  // Seqnums 1..63 fill page 0; 64..70 start page 1. Record 70 also carries tag u.
+  for (int i = 1; i < 70; ++i) log.Append(0, OneTag("t"), Fields("w", i));
+  SeqNum shared = log.Append(0, TwoTags("t", "u"), Fields("w", 70));
+  ASSERT_EQ(shared, 70u);
+  EXPECT_EQ(log.RecordPages(), 2u);
+  log.Trim(0, "t", 62);
+  EXPECT_EQ(log.RecordPages(), 2u);  // Seqnum 63 still holds page 0.
+  log.Trim(0, "t", 63);
+  EXPECT_EQ(log.RecordPages(), 1u);
+  EXPECT_EQ(log.Get(63), nullptr);
+  ASSERT_NE(log.Get(64), nullptr);
+  log.Trim(0, "t", kMaxSeqNum);
+  EXPECT_EQ(log.RecordPages(), 1u);  // u still references record 70.
+  EXPECT_EQ(log.live_records(), 1u);
+  log.Trim(0, "u", kMaxSeqNum);
+  EXPECT_EQ(log.RecordPages(), 0u);
+  EXPECT_EQ(log.live_records(), 0u);
+  EXPECT_EQ(log.CurrentBytes(), 0);
+  // A freed page is allocated afresh by a later install on it.
+  SeqNum next = log.Append(0, OneTag("t"), Fields("w", 71));
+  EXPECT_EQ(log.RecordPages(), 1u);
+  EXPECT_EQ(log.Get(next)->fields.GetInt("step"), 71);
+}
+
+TEST(LogSpaceRecordStoreDeathTest, InstallingAnOccupiedSlotFails) {
+  LogSpace log;
+  TagId t = log.tags().Intern("t");
+  SeqNum s = log.Append(0, OneTag(t), Fields("w", 0));
+  EXPECT_DEATH(log.RestoreCheckpointRecord(0, s, OneTag(t), Fields("w", 0)),
+               "seqnum installed twice");
+}
+
+// Number of kCkptRecord frames per seqnum in the store's durable bytes from `from` on.
+std::map<SeqNum, int> BodiesEmitted(storage::CheckpointStore* store, uint64_t from) {
+  store->Flush();
+  std::map<SeqNum, int> bodies;
+  storage::ReplayFrames(store->buffer(), from, store->durable(),
+                        [&](storage::FrameType type, storage::Cursor cursor) {
+                          if (type == storage::FrameType::kCkptRecord) ++bodies[cursor.U64()];
+                        });
+  return bodies;
+}
+
+TEST(LogSpaceRecordStoreTest, CheckpointRoundEmitsEveryLiveBodyOnce) {
+  for (uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    ShardedLog log(shards);
+    TagId a = TagOwnedBy(log, 0, "a");
+    TagId b = TagOwnedBy(log, shards - 1, "b");
+    TagId c = log.tags().Intern("c");
+    // Multi-tag records are referenced from several streams, possibly on other shards.
+    for (int i = 0; i < 40; ++i) {
+      log.Append(0, TwoTags(a, b), Fields("ab", i));
+      log.Append(0, TwoTags(b, c), Fields("bc", i));
+      log.Append(0, OneTag(c), Fields("c", i));
+    }
+    storage::CheckpointStore store;
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE(round);
+      uint64_t from = store.tail();
+      log.BeginCheckpointWalk();
+      int64_t frames = 0;
+      // A small budget splits the walk into several resumable slices.
+      while (!log.WriteCheckpointSlice(&store, /*budget=*/7, &frames)) {
+      }
+      std::map<SeqNum, int> bodies = BodiesEmitted(&store, from);
+      // The second round finds every surviving slot stamped by the first and must emit it
+      // again: stamps are per round, not per lifetime.
+      EXPECT_EQ(bodies.size(), log.live_records());
+      for (const auto& [seqnum, count] : bodies) {
+        EXPECT_EQ(count, 1) << "seqnum " << seqnum;
+        EXPECT_NE(log.Get(seqnum), nullptr);
+      }
+      // Between rounds: drop some records and add new ones.
+      log.Trim(0, a, kMaxSeqNum);
+      log.Trim(0, c, log.ReadStream(c)[30]->seqnum);
+      log.Append(0, TwoTags(a, c), Fields("ac", round));
+    }
+  }
 }
 
 }  // namespace
