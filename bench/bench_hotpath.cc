@@ -35,7 +35,7 @@
 #include "src/runtime/cluster.h"
 #include "src/runtime/parallel_cluster.h"
 #include "src/sharedlog/log_client.h"
-#include "src/sharedlog/log_space.h"
+#include "src/sharedlog/sharded_log.h"
 #include "src/sharedlog/tag_registry.h"
 #include "src/sim/scheduler.h"
 
@@ -596,8 +596,15 @@ AuditResult RunZeroCopyAudit() {
   sim::Scheduler scheduler;
   Rng rng{11};
   LatencyModels models;
-  sharedlog::LogSpace space;
-  sharedlog::LogClient client{&scheduler, &rng, &models, &space, nullptr, nullptr};
+  sharedlog::ShardedLog log_space;
+  sharedlog::LogClient client{&scheduler,
+                              &rng,
+                              &models,
+                              &log_space,
+                              {nullptr},
+                              nullptr,
+                              sharedlog::AppendBatchConfig{.enabled = false},
+                              /*read_cache=*/false};
   scheduler.Spawn([](sharedlog::LogClient* log) -> sim::Task<void> {
     for (int i = 0; i < 64; ++i) {
       FieldMap fields;

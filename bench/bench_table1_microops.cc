@@ -25,9 +25,16 @@ struct MicroFixture {
   sim::Scheduler scheduler;
   Rng rng{1};
   LatencyModels models;
-  sharedlog::LogSpace space;
+  sharedlog::ShardedLog log_space;
   kvstore::KvState state;
-  sharedlog::LogClient log{&scheduler, &rng, &models, &space, nullptr, nullptr};
+  sharedlog::LogClient log{&scheduler,
+                           &rng,
+                           &models,
+                           &log_space,
+                           {nullptr},
+                           nullptr,
+                           sharedlog::AppendBatchConfig{.enabled = false},
+                           /*read_cache=*/false};
   kvstore::KvClient kv{&scheduler, &rng, &models, &state, nullptr};
 };
 
@@ -43,7 +50,7 @@ enum class MicroOp { kLogAppend, kLogReadPrevCached, kDbRead, kDbCondWrite, kDbP
 // The node-local payload cache (ClusterConfig::log_read_cache) under the Halfmoon-read
 // log-free read: repeated bounded logReadPrev of the same tag. The first read misses and
 // populates; every following read is validated against the index replica and served from
-// node memory. Uses the sharded-client constructor, the only one that takes the cache flag.
+// node memory.
 metrics::LatencyRecorder RunNodeCacheMicroOp(int count, sharedlog::LogClientStats* stats) {
   sim::Scheduler scheduler;
   Rng rng{1};
@@ -53,7 +60,7 @@ metrics::LatencyRecorder RunNodeCacheMicroOp(int count, sharedlog::LogClientStat
                            &rng,
                            &models,
                            &log_space,
-                           {},
+                           {nullptr},
                            nullptr,
                            sharedlog::AppendBatchConfig{.enabled = false},
                            /*read_cache=*/true};

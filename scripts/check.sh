@@ -24,6 +24,15 @@ if grep -rn 'getenv' src/ | grep -v '^src/common/env\.h:'; then
   exit 1
 fi
 
+# One shared-log type (DESIGN.md §9): code outside src/sharedlog/ holds sharedlog::ShardedLog
+# and never names a per-shard log class. Whole-word match, so historical test suite names
+# such as LogSpaceTest do not trip it.
+if grep -rnw --include='*.h' --include='*.cc' --include='CMakeLists.txt' 'LogSpace' \
+    src/ bench/ examples/ tests/ e2ebench/ | grep -v '^src/sharedlog/'; then
+  echo "check.sh: FAIL — LogSpace named outside src/sharedlog/ (listed above)" >&2
+  exit 1
+fi
+
 cmake -B "${BUILD_DIR}" -S . -DHM_WERROR=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure

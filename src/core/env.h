@@ -62,7 +62,7 @@ struct Env {
   // Recovery state: shared views of the instance's step-log records in stream order, and the
   // logical position the next logged record will occupy. During re-execution, positions <
   // step_logs.size() are replayed from the log instead of re-executed. The views alias the
-  // records held by LogSpace — fetching a step log never copies record payloads.
+  // records held by the ShardedLog — fetching a step log never copies record payloads.
   std::vector<sharedlog::LogRecordPtr> step_logs;
   size_t log_pos = 0;
 

@@ -10,7 +10,7 @@ namespace halfmoon::core {
 using sharedlog::CondAppendResult;
 using sharedlog::LogRecord;
 using sharedlog::LogRecordPtr;
-using sharedlog::LogSpace;
+using sharedlog::ShardedLog;
 using sharedlog::SeqNum;
 using sharedlog::TagId;
 
@@ -98,7 +98,7 @@ sim::Task<BatchLogResult> LogStepBatch(Env& env, std::vector<FieldMap> fields) {
   TagId step_tag = env.step_tag;
   std::vector<std::string> ops;  // Survives the moves; feeds the lost-race sanity checks.
   ops.reserve(n);
-  std::vector<LogSpace::BatchEntry> batch(n);
+  std::vector<ShardedLog::BatchEntry> batch(n);
   for (size_t i = 0; i < n; ++i) {
     ops.push_back(fields[i].GetStr("op"));
     batch[i].tags = sharedlog::OneTag(step_tag);

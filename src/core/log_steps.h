@@ -21,7 +21,7 @@
 namespace halfmoon::core {
 
 struct StepLogResult {
-  // Shared view of the committed (or adopted) record — aliases LogSpace's copy.
+  // Shared view of the committed (or adopted) record — aliases the log's copy.
   sharedlog::LogRecordPtr record;
   // True when the record pre-existed (replay or lost race): the operation's side effect has
   // already happened (or is owned by a peer) and must be skipped.

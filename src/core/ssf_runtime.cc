@@ -255,11 +255,11 @@ class ContextImpl final : public SsfContext {
     }
 
     // Log missing pre records (one batched append round, as Boki clients batch).
-    std::vector<sharedlog::LogSpace::BatchEntry> pre_batch;
+    std::vector<sharedlog::ShardedLog::BatchEntry> pre_batch;
     for (size_t i = 0; i < n; ++i) {
       if (!callees[i].empty()) continue;
       callees[i] = env.instance_id + "/" + env.RandomId();
-      sharedlog::LogSpace::BatchEntry entry;
+      sharedlog::ShardedLog::BatchEntry entry;
       entry.tags = sharedlog::OneTag(step_tag);
       entry.fields.SetStr("op", "invoke-pre");
       entry.fields.SetInt("step", steps[i]);
@@ -296,10 +296,10 @@ class ContextImpl final : public SsfContext {
       }
       std::vector<Value> fresh = co_await RunChildrenConcurrently(
           std::move(pending_callees), std::move(pending), std::move(pending_cursors));
-      std::vector<sharedlog::LogSpace::BatchEntry> post_batch;
+      std::vector<sharedlog::ShardedLog::BatchEntry> post_batch;
       for (size_t j = 0; j < pending_index.size(); ++j) {
         results[pending_index[j]] = fresh[j];
-        sharedlog::LogSpace::BatchEntry entry;
+        sharedlog::ShardedLog::BatchEntry entry;
         entry.tags = sharedlog::OneTag(step_tag);
         entry.fields.SetStr("op", "invoke");
         entry.fields.SetInt("step", steps[pending_index[j]]);

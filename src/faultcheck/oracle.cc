@@ -4,7 +4,7 @@
 
 #include "src/kvstore/kv_state.h"
 #include "src/sharedlog/log_record.h"
-#include "src/sharedlog/log_space.h"
+#include "src/sharedlog/sharded_log.h"
 
 namespace halfmoon::faultcheck {
 
@@ -19,7 +19,7 @@ std::string Show(const Value& value) {
 }
 
 // The value an idealized crash-free reader invoked after quiescence would observe for `key`,
-// computed directly against the raw LogSpace/KvState along the configured protocol's read
+// computed directly against the raw ShardedLog/KvState along the configured protocol's read
 // path. Returns false (with `error` set) when the representation itself is broken — e.g. a
 // committed write-log record whose version is missing from the store.
 bool ObservableValue(runtime::Cluster& cluster, core::ProtocolKind protocol, bool switching,

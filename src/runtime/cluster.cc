@@ -16,6 +16,11 @@ Cluster::Cluster(const ClusterConfig& config)
                "ClusterConfig: checkpoint = true needs durable = true (the checkpoint tier "
                "compacts the durable journal)");
   if (config.model_queueing) {
+    // A station with no servers never serves: the first request would wait forever and the
+    // run would drain with the invocation still pending.
+    HM_CHECK_MSG(config.sequencer_servers >= 1, "ClusterConfig: sequencer_servers must be >= 1");
+    HM_CHECK_MSG(config.storage_servers >= 1, "ClusterConfig: storage_servers must be >= 1");
+    HM_CHECK_MSG(config.db_servers >= 1, "ClusterConfig: db_servers must be >= 1");
     // One sequencer station per log shard: sequencer rounds bound for different shards no
     // longer contend, which is the shard-scaling mechanism (DESIGN.md §9).
     sequencer_stations_.reserve(static_cast<size_t>(config.log_shards));
@@ -28,6 +33,8 @@ Cluster::Cluster(const ClusterConfig& config)
     db_station_ = std::make_unique<sim::ServiceStation>(&scheduler_, config.db_servers);
   }
   HM_CHECK(config.function_nodes > 0);
+  // Zero worker slots would park every invocation on the node's semaphore forever.
+  HM_CHECK_MSG(config.workers_per_node >= 1, "ClusterConfig: workers_per_node must be >= 1");
   // Checked before the size_t cast: a negative cap would wrap to a huge one.
   HM_CHECK_MSG(config.append_batch_max >= 1, "ClusterConfig: append_batch_max must be >= 1");
   sharedlog::AppendBatchConfig batch;
@@ -35,9 +42,11 @@ Cluster::Cluster(const ClusterConfig& config)
   batch.window = config.append_batch_window;
   batch.max_batch = static_cast<size_t>(config.append_batch_max);
   batch.pipeline_depth = config.append_batch_pipeline;
-  std::vector<sim::ServiceStation*> sequencer_ptrs;
-  sequencer_ptrs.reserve(sequencer_stations_.size());
-  for (auto& station : sequencer_stations_) sequencer_ptrs.push_back(station.get());
+  // One slot per shard; null slots (model_queueing off) make sequencing a plain delay.
+  std::vector<sim::ServiceStation*> sequencer_ptrs(log_space_.shard_count(), nullptr);
+  for (size_t s = 0; s < sequencer_stations_.size(); ++s) {
+    sequencer_ptrs[s] = sequencer_stations_[s].get();
+  }
   nodes_.reserve(config.function_nodes);
   for (int i = 0; i < config.function_nodes; ++i) {
     nodes_.push_back(std::make_unique<FunctionNode>(

@@ -27,7 +27,6 @@
 #include "src/runtime/failure_injector.h"
 #include "src/sharedlog/log_client.h"
 #include "src/sharedlog/log_recovery.h"
-#include "src/sharedlog/log_space.h"
 #include "src/sharedlog/sharded_log.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/service_station.h"

@@ -139,6 +139,14 @@ ParallelCluster::ParallelCluster(const ParallelClusterConfig& config)
   // Checked before LogPartition's size_t cast: a negative cap would wrap to a huge one.
   HM_CHECK_MSG(config.append_batch_max >= 1,
                "ParallelClusterConfig: append_batch_max must be >= 1");
+  // A station with no servers never serves, and a partition without clients cannot take the
+  // remote calls routed to it (ServeRemote picks a proxy modulo client_count()).
+  HM_CHECK_MSG(config.sequencer_servers >= 1,
+               "ParallelClusterConfig: sequencer_servers must be >= 1");
+  HM_CHECK_MSG(config.storage_servers >= 1,
+               "ParallelClusterConfig: storage_servers must be >= 1");
+  HM_CHECK_MSG(config.clients_per_partition >= 1,
+               "ParallelClusterConfig: clients_per_partition must be >= 1");
   if (config.parallel) {
     engine_ = std::make_unique<sim::ParallelEngine>(config.partitions, CrossShardLookahead(),
                                                     config.queue_mode);

@@ -1,7 +1,7 @@
 // The shard-parallel cluster: one log shard per worker thread (DESIGN.md §10).
 //
 // Where runtime::Cluster turns the whole testbed on ONE scheduler, a ParallelCluster gives
-// every log shard its own event loop: shard p's LogSpace, its sequencer ServiceStation, its
+// every log shard its own event loop: shard p's ShardedLog, its sequencer ServiceStation, its
 // storage station, its AppendBatchers, and the function-node clients that generate shard p's
 // traffic all live on worker p — either a real OS thread driven by sim::ParallelEngine
 // (parallel = true) or a slice of one shared single-threaded Scheduler (parallel = false,

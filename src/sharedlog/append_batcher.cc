@@ -26,7 +26,7 @@ void AppendBatcher::Enqueue(Submission* submission) {
 }
 
 void AppendBatcher::DetachRound(std::vector<Submission*>* round,
-                                std::vector<LogSpace::GroupRequest>* requests) {
+                                std::vector<ShardedLog::GroupRequest>* requests) {
   while (head_ != nullptr && round->size() < config_.max_batch) {
     Submission* s = head_;
     head_ = s->next;
@@ -41,10 +41,10 @@ void AppendBatcher::DetachRound(std::vector<Submission*>* round,
   }
 }
 
-void AppendBatcher::CommitRound(LogSpace* space, std::vector<Submission*>& round,
-                                std::vector<LogSpace::GroupRequest> requests) {
-  std::vector<LogSpace::GroupVerdict> verdicts =
-      space->AppendGroup(owner_->scheduler_->Now(), std::move(requests));
+void AppendBatcher::CommitRound(std::vector<Submission*>& round,
+                                std::vector<ShardedLog::GroupRequest> requests) {
+  std::vector<ShardedLog::GroupVerdict> verdicts =
+      owner_->log_->AppendGroup(shard_, owner_->scheduler_->Now(), std::move(requests));
   HM_CHECK(verdicts.size() == round.size());
   bool any_committed = false;
   for (size_t i = 0; i < round.size(); ++i) {
@@ -55,7 +55,7 @@ void AppendBatcher::CommitRound(LogSpace* space, std::vector<Submission*>& round
   if (any_committed) {
     // The node learns the round's seqnums with the reply (AppendGroup ran synchronously,
     // so next_seqnum() - 1 is exactly the round's last committed record).
-    owner_->AdvanceIndex(space->next_seqnum() - 1);
+    owner_->AdvanceIndex(owner_->log_->next_seqnum() - 1);
   }
 }
 
@@ -166,7 +166,7 @@ sim::Task<void> AppendBatcher::RunPipeline() {
     }
 
     std::vector<Submission*> round;
-    std::vector<LogSpace::GroupRequest> requests;
+    std::vector<ShardedLog::GroupRequest> requests;
     DetachRound(&round, &requests);
     ++in_flight_;
     LogClientStats& stats = owner_->stats_;
@@ -197,13 +197,11 @@ sim::Task<void> AppendBatcher::RunPipeline() {
 }
 
 sim::Task<void> AppendBatcher::RunOneRound(std::vector<Submission*> round,
-                                           std::vector<LogSpace::GroupRequest> requests,
+                                           std::vector<ShardedLog::GroupRequest> requests,
                                            SimDuration total, uint64_t ticket) {
-  LogSpace* space = space_ != nullptr ? space_ : owner_->space_;
-  sim::ServiceStation* station = station_ != nullptr ? station_ : owner_->sequencer_station_;
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
   co_await owner_->scheduler_->Delay(leg);
-  co_await owner_->SequencerRoundAt(station, total);
+  co_await owner_->SequencerRoundAt(station_, total);
   // FIFO commit: the sequencer station is multi-server, so rounds can finish service out of
   // departure order. Hold each round until its ticket comes up — this is what makes the
   // committed content identical at every depth.
@@ -211,7 +209,7 @@ sim::Task<void> AppendBatcher::RunOneRound(std::vector<Submission*> round,
     co_await CommitTurn{this, ticket};
   }
   HM_CHECK(commit_ticket_ == ticket);
-  CommitRound(space, round, std::move(requests));
+  CommitRound(round, std::move(requests));
   ++commit_ticket_;
   WakeCommitWaiter();
   co_await owner_->scheduler_->Delay(leg);  // Shared reply leg.

@@ -2,7 +2,7 @@
 //
 // Every LogClient owns an AppendBatcher (when enabled): append requests issued while the
 // node's sequencer round is in flight — or within a configurable batching window — are
-// collected and shipped as ONE batched sequencer round (LogSpace::AppendGroup), then the
+// collected and shipped as ONE batched sequencer round (ShardedLog::AppendGroup), then the
 // consecutive seqnums and per-request cond-append verdicts are demultiplexed back to the
 // waiting coroutines. This is the group-commit idea of Boki/Beldi-style shims: the sequencer
 // orders many records per round, so a node under concurrency pays one append latency per
@@ -18,7 +18,7 @@
 // Pipelining (DESIGN.md §12): the batcher keeps up to pipeline_depth sequencer rounds in
 // flight concurrently — round k+1's request leg overlaps round k's service and reply legs,
 // so a node under sustained storm commits depth rounds per RTT instead of one. Rounds still
-// reach LogSpace::AppendGroup strictly in departure order (enforced by a commit ticket and
+// reach ShardedLog::AppendGroup strictly in departure order (enforced by a commit ticket and
 // asserted, not assumed), so the committed records, their per-tag order, and the cond-append
 // verdicts are identical at every depth. There is one engine: at pipeline_depth == 1 the
 // dispatcher awaits each round inline instead of spawning it, which runs the rounds one at a
@@ -36,7 +36,7 @@
 
 #include "src/common/check.h"
 #include "src/common/time.h"
-#include "src/sharedlog/log_space.h"
+#include "src/sharedlog/sharded_log.h"
 #include "src/sim/task.h"
 
 namespace halfmoon::sim {
@@ -67,16 +67,16 @@ struct AppendBatchConfig {
 
 class AppendBatcher {
  public:
-  // `space` is the log shard this batcher's rounds commit through and `station` that shard's
-  // sequencer station; null means "the owner's defaults" (unsharded clients). A sharded
+  // `shard` is the log shard this batcher's rounds are sequenced by and `station` that
+  // shard's sequencer station (null: no queueing, the round's service is a plain delay). A
   // LogClient owns one batcher per shard, so rounds bound for different shards are
   // independent queues with independently in-flight rounds — that is the source of the
   // shard-scaling throughput (DESIGN.md §9).
-  AppendBatcher(LogClient* owner, AppendBatchConfig config, LogSpace* space = nullptr,
-                sim::ServiceStation* station = nullptr)
+  AppendBatcher(LogClient* owner, AppendBatchConfig config, uint32_t shard,
+                sim::ServiceStation* station)
       : owner_(owner),
         config_(config),
-        space_(space),
+        shard_(shard),
         station_(station),
         effective_window_(config.window) {
     HM_CHECK_MSG(config.max_batch >= 1, "AppendBatchConfig: max_batch must be >= 1");
@@ -88,12 +88,12 @@ class AppendBatcher {
   // while suspended), so the pending queue is an intrusive list — no allocation per request.
   struct Submission {
     AppendBatcher* batcher;
-    LogSpace::GroupRequest request;
+    ShardedLog::GroupRequest request;
     // Fault-injection eligibility: true only for protocol-class appends, whose submitting
     // coroutine runs inside an SSF attempt with crash-retry handling. Control appends
     // (init/invoke/switch/GC) run in detached service tasks and must never crash here.
     bool crashable = false;
-    LogSpace::GroupVerdict verdict{};
+    ShardedLog::GroupVerdict verdict{};
     // Armed by the batcher's crash probe; await_resume raises the runtime's crash exception
     // through the owner's installed thrower.
     const char* crash_site = nullptr;
@@ -105,7 +105,7 @@ class AppendBatcher {
       waiter = handle;
       batcher->Enqueue(this);
     }
-    LogSpace::GroupVerdict await_resume() const {
+    ShardedLog::GroupVerdict await_resume() const {
       if (crash_site != nullptr) batcher->RaiseCrash(crash_site);
       return verdict;
     }
@@ -113,7 +113,7 @@ class AppendBatcher {
 
   // Files a request for the next departing round; resumes with its verdict once that round
   // commits. Waiters resume in submission order (FIFO), all at the round's reply time.
-  Submission Submit(LogSpace::GroupRequest request, bool crashable = false) {
+  Submission Submit(ShardedLog::GroupRequest request, bool crashable = false) {
     return Submission{this, std::move(request), crashable};
   }
 
@@ -153,16 +153,16 @@ class AppendBatcher {
   // up to effective_depth_ rounds in flight (spawned above depth 1, awaited inline at 1).
   sim::Task<void> RunPipeline();
   sim::Task<void> RunOneRound(std::vector<Submission*> round,
-                              std::vector<LogSpace::GroupRequest> requests, SimDuration total,
+                              std::vector<ShardedLog::GroupRequest> requests, SimDuration total,
                               uint64_t ticket);
 
   // Detaches up to max_batch pending submissions in FIFO order into `round`/`requests`.
   void DetachRound(std::vector<Submission*>* round,
-                   std::vector<LogSpace::GroupRequest>* requests);
+                   std::vector<ShardedLog::GroupRequest>* requests);
 
   // Commits a serviced round: AppendGroup in ticket order, verdict demux, index advance.
-  void CommitRound(LogSpace* space, std::vector<Submission*>& round,
-                   std::vector<LogSpace::GroupRequest> requests);
+  void CommitRound(std::vector<Submission*>& round,
+                   std::vector<ShardedLog::GroupRequest> requests);
 
   // Crash probes (no-ops unless the runtime installed hooks AND the round carries a
   // crashable submission). Depart: the victim's request still departs with the round — the
@@ -184,8 +184,8 @@ class AppendBatcher {
 
   LogClient* owner_;
   AppendBatchConfig config_;
-  LogSpace* space_;               // Null: use the owner's default log space.
-  sim::ServiceStation* station_;  // Null: use the owner's default sequencer station.
+  uint32_t shard_;
+  sim::ServiceStation* station_;
   Submission* head_ = nullptr;
   Submission* tail_ = nullptr;
   bool round_loop_active_ = false;

@@ -42,15 +42,15 @@ sim::Task<SeqNum> LogClient::Append(std::vector<TagId> tags, FieldMap fields) {
   const int64_t bytes = RecordBytes(tags, fields);
   if (!batchers_.empty()) {
     AppendBatcher* batcher = BatcherForTag(tags[0]);
-    LogSpace::GroupRequest request;
-    request.entries.push_back(LogSpace::BatchEntry{std::move(tags), std::move(fields)});
-    LogSpace::GroupVerdict verdict =
+    ShardedLog::GroupRequest request;
+    request.entries.push_back(ShardedLog::BatchEntry{std::move(tags), std::move(fields)});
+    ShardedLog::GroupVerdict verdict =
         co_await batcher->Submit(std::move(request), /*crashable=*/cls != 0);
     NoteAppendedBytes(cls, bytes);
     if (durability_ != nullptr && !co_await AwaitDurable(verdict.seqnum, cls != 0)) {
       co_return verdict.seqnum;  // Rolled back by a kill; nothing left to cache.
     }
-    if (read_cache_enabled_) CacheCommitted(space_->Get(verdict.seqnum));
+    if (read_cache_enabled_) CacheCommitted(log_->Get(verdict.seqnum));
     co_return verdict.seqnum;  // Unconditional requests always commit.
   }
   sim::ServiceStation* station = SequencerStationForTag(tags[0]);
@@ -58,11 +58,11 @@ sim::Task<SeqNum> LogClient::Append(std::vector<TagId> tags, FieldMap fields) {
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
   co_await scheduler_->Delay(leg);          // Request travels to the sequencer.
   co_await SequencerRoundAt(station, total);  // Ordering + replication to storage nodes.
-  SeqNum seqnum = space_->Append(scheduler_->Now(), std::move(tags), std::move(fields));
+  SeqNum seqnum = log_->Append(scheduler_->Now(), std::move(tags), std::move(fields));
   NoteAppendedBytes(cls, bytes);
   if (durability_ == nullptr || co_await AwaitDurable(seqnum, cls != 0)) {
     AdvanceIndex(seqnum);                   // The appender learns its own seqnum with the reply.
-    if (read_cache_enabled_) CacheCommitted(space_->Get(seqnum));
+    if (read_cache_enabled_) CacheCommitted(log_->Get(seqnum));
   }
   co_await scheduler_->Delay(leg);          // Reply.
   co_return seqnum;
@@ -74,8 +74,8 @@ sim::Task<CondAppendResult> LogClient::CondAppend(std::vector<TagId> tags, Field
   const int cls = std::exchange(append_class_, 0);
   const int64_t bytes = RecordBytes(tags, fields);
   if (!batchers_.empty()) {
-    LogSpace::GroupRequest request;
-    request.entries.push_back(LogSpace::BatchEntry{std::move(tags), std::move(fields)});
+    ShardedLog::GroupRequest request;
+    request.entries.push_back(ShardedLog::BatchEntry{std::move(tags), std::move(fields)});
     request.cond_tag = cond_tag;
     request.cond_pos = cond_pos;
     CondAppendResult result = co_await SubmitCond(std::move(request), /*crashable=*/cls != 0);
@@ -88,8 +88,7 @@ sim::Task<CondAppendResult> LogClient::CondAppend(std::vector<TagId> tags, Field
   co_await scheduler_->Delay(leg);
   co_await SequencerRoundAt(station, total);
   CondAppendResult result =
-      space_->CondAppend(scheduler_->Now(), std::move(tags), std::move(fields), cond_tag,
-                         cond_pos);
+      log_->CondAppend(scheduler_->Now(), std::move(tags), std::move(fields), cond_tag, cond_pos);
   if (result.ok) {
     NoteAppendedBytes(cls, bytes);
     if (durability_ == nullptr || co_await AwaitDurable(result.seqnum, cls != 0)) {
@@ -105,11 +104,11 @@ sim::Task<CondAppendResult> LogClient::CondAppend(std::vector<TagId> tags, Field
 
 // Shared batched tail of CondAppend / CondAppendBatch: ships the request through the shard's
 // batcher and rebuilds the CondAppendResult (verdict + shared view of the first record).
-sim::Task<CondAppendResult> LogClient::SubmitCond(LogSpace::GroupRequest request,
+sim::Task<CondAppendResult> LogClient::SubmitCond(ShardedLog::GroupRequest request,
                                                   bool crashable) {
   AppendBatcher* batcher = BatcherForTag(request.cond_tag);
   size_t entries = request.entries.size();
-  LogSpace::GroupVerdict verdict = co_await batcher->Submit(std::move(request), crashable);
+  ShardedLog::GroupVerdict verdict = co_await batcher->Submit(std::move(request), crashable);
   CondAppendResult result;
   result.ok = verdict.ok;
   result.seqnum = verdict.seqnum;
@@ -118,7 +117,7 @@ sim::Task<CondAppendResult> LogClient::SubmitCond(LogSpace::GroupRequest request
     if (durability_ != nullptr && !co_await AwaitDurable(verdict.seqnum, crashable)) {
       co_return result;  // Rolled back by a kill; the record view no longer exists.
     }
-    result.record = space_->Get(verdict.seqnum);
+    result.record = log_->Get(verdict.seqnum);
     if (entries > 1) {
       CacheBatch(verdict.seqnum, entries);
     } else {
@@ -130,14 +129,14 @@ sim::Task<CondAppendResult> LogClient::SubmitCond(LogSpace::GroupRequest request
   co_return result;
 }
 
-sim::Task<CondAppendResult> LogClient::CondAppendBatch(std::vector<LogSpace::BatchEntry> batch,
+sim::Task<CondAppendResult> LogClient::CondAppendBatch(std::vector<ShardedLog::BatchEntry> batch,
                                                        TagId cond_tag, size_t cond_pos) {
   stats_.cond_appends += static_cast<int64_t>(batch.size());
   const int cls = std::exchange(append_class_, 0);
   int64_t bytes = 0;
-  for (const LogSpace::BatchEntry& entry : batch) bytes += RecordBytes(entry.tags, entry.fields);
+  for (const ShardedLog::BatchEntry& entry : batch) bytes += RecordBytes(entry.tags, entry.fields);
   if (!batchers_.empty()) {
-    LogSpace::GroupRequest request;
+    ShardedLog::GroupRequest request;
     request.entries = std::move(batch);
     request.cond_tag = cond_tag;
     request.cond_pos = cond_pos;
@@ -152,14 +151,14 @@ sim::Task<CondAppendResult> LogClient::CondAppendBatch(std::vector<LogSpace::Bat
   co_await scheduler_->Delay(leg);
   co_await SequencerRoundAt(station, total);
   CondAppendResult result =
-      space_->CondAppendBatch(scheduler_->Now(), std::move(batch), cond_tag, cond_pos);
+      log_->CondAppendBatch(scheduler_->Now(), std::move(batch), cond_tag, cond_pos);
   if (result.ok) {
     NoteAppendedBytes(cls, bytes);
     // The batch is journaled as one run of frames; the last entry's seqnum gates them all.
     if (durability_ == nullptr ||
-        co_await AwaitDurable(space_->BatchSeq(result.seqnum, entries - 1), cls != 0)) {
+        co_await AwaitDurable(log_->BatchSeq(result.seqnum, entries - 1), cls != 0)) {
       // The batch commits in one round; the replica learns its seqnums with the reply.
-      AdvanceIndex(space_->next_seqnum() - 1);
+      AdvanceIndex(log_->next_seqnum() - 1);
       CacheBatch(result.seqnum, entries);
     }
   } else {
@@ -169,22 +168,22 @@ sim::Task<CondAppendResult> LogClient::CondAppendBatch(std::vector<LogSpace::Bat
   co_return result;
 }
 
-sim::Task<SeqNum> LogClient::AppendBatch(std::vector<LogSpace::BatchEntry> batch) {
+sim::Task<SeqNum> LogClient::AppendBatch(std::vector<ShardedLog::BatchEntry> batch) {
   HM_CHECK(!batch.empty());
   stats_.appends += static_cast<int64_t>(batch.size());
   const int cls = std::exchange(append_class_, 0);
   int64_t bytes = 0;
-  for (const LogSpace::BatchEntry& entry : batch) bytes += RecordBytes(entry.tags, entry.fields);
+  for (const ShardedLog::BatchEntry& entry : batch) bytes += RecordBytes(entry.tags, entry.fields);
   if (!batchers_.empty()) {
     AppendBatcher* batcher = BatcherForTag(batch[0].tags.empty() ? kInitTagId : batch[0].tags[0]);
     size_t entries = batch.size();
-    LogSpace::GroupRequest request;
+    ShardedLog::GroupRequest request;
     request.entries = std::move(batch);
-    LogSpace::GroupVerdict verdict =
+    ShardedLog::GroupVerdict verdict =
         co_await batcher->Submit(std::move(request), /*crashable=*/cls != 0);
     NoteAppendedBytes(cls, bytes);
     if (durability_ != nullptr &&
-        !co_await AwaitDurable(space_->BatchSeq(verdict.seqnum, entries - 1), cls != 0)) {
+        !co_await AwaitDurable(log_->BatchSeq(verdict.seqnum, entries - 1), cls != 0)) {
       co_return verdict.seqnum;  // Rolled back by a kill; nothing left to cache.
     }
     CacheBatch(verdict.seqnum, entries);
@@ -197,11 +196,11 @@ sim::Task<SeqNum> LogClient::AppendBatch(std::vector<LogSpace::BatchEntry> batch
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
   co_await scheduler_->Delay(leg);
   co_await SequencerRoundAt(station, total);
-  SeqNum first = space_->AppendBatch(scheduler_->Now(), std::move(batch));
+  SeqNum first = log_->AppendBatch(scheduler_->Now(), std::move(batch));
   NoteAppendedBytes(cls, bytes);
   if (durability_ == nullptr ||
-      co_await AwaitDurable(space_->BatchSeq(first, entries - 1), cls != 0)) {
-    AdvanceIndex(space_->next_seqnum() - 1);
+      co_await AwaitDurable(log_->BatchSeq(first, entries - 1), cls != 0)) {
+    AdvanceIndex(log_->next_seqnum() - 1);
     CacheBatch(first, entries);
   }
   co_await scheduler_->Delay(leg);
@@ -211,7 +210,7 @@ sim::Task<SeqNum> LogClient::AppendBatch(std::vector<LogSpace::BatchEntry> batch
 sim::Task<LogRecordPtr> LogClient::FindFirstByStep(TagId tag, OpId op, int64_t step) {
   ++stats_.reads_index_local;
   co_await scheduler_->Delay(models_->log_read_cached.Sample(*rng_));
-  LogRecordPtr record = space_->FindFirstByStep(tag, op, step);
+  LogRecordPtr record = log_->FindFirstByStep(tag, op, step);
   if (record != nullptr) ++stats_.read_record_shared;
   co_return record;
 }
@@ -225,7 +224,7 @@ sim::Task<LogRecordPtr> LogClient::ReadPrev(TagId tag, SeqNum max_seqnum) {
       // Payload-cache fast path: the index replica answers "which seqnum would this read
       // return" locally; if the cached payload for the tag IS that record, no index walk and
       // no storage hop happen at all. Stale entries simply fail the seqnum comparison.
-      SeqNum latest = space_->LatestSeqNoAtMost(tag, max_seqnum);
+      SeqNum latest = log_->LatestSeqNoAtMost(tag, max_seqnum);
       auto it = read_cache_.find(tag);
       if (it != read_cache_.end() && latest != kInvalidSeqNum &&
           it->second->seqnum == latest) {
@@ -237,7 +236,7 @@ sim::Task<LogRecordPtr> LogClient::ReadPrev(TagId tag, SeqNum max_seqnum) {
         // Re-validate after the suspension: a Trim that ran during the delay may have
         // released the cached record, and serving it would resurrect trimmed data. Fail
         // closed — drop the entry and fall through to the index-local read below.
-        if (space_->LatestSeqNoAtMost(tag, max_seqnum) == latest) {
+        if (log_->LatestSeqNoAtMost(tag, max_seqnum) == latest) {
           ++stats_.read_record_shared;
           co_return cached;
         }
@@ -246,7 +245,7 @@ sim::Task<LogRecordPtr> LogClient::ReadPrev(TagId tag, SeqNum max_seqnum) {
       }
     }
     co_await scheduler_->Delay(models_->log_read_cached.Sample(*rng_));
-    LogRecordPtr record = space_->ReadPrev(tag, max_seqnum);
+    LogRecordPtr record = log_->ReadPrev(tag, max_seqnum);
     if (record != nullptr) {
       ++stats_.read_record_shared;
       if (read_cache_enabled_) {
@@ -263,7 +262,7 @@ sim::Task<LogRecordPtr> LogClient::ReadPrev(TagId tag, SeqNum max_seqnum) {
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
   co_await scheduler_->Delay(leg);
   co_await StorageRound(total);
-  LogRecordPtr record = space_->ReadPrev(tag, max_seqnum);
+  LogRecordPtr record = log_->ReadPrev(tag, max_seqnum);
   if (record != nullptr) {
     ++stats_.read_record_shared;
     if (read_cache_enabled_) {
@@ -283,7 +282,7 @@ sim::Task<LogRecordPtr> LogClient::ReadNext(TagId tag, SeqNum min_seqnum) {
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
   co_await scheduler_->Delay(leg);
   co_await StorageRound(total);
-  LogRecordPtr record = space_->ReadNext(tag, min_seqnum);
+  LogRecordPtr record = log_->ReadNext(tag, min_seqnum);
   if (record != nullptr) ++stats_.read_record_shared;
   co_await scheduler_->Delay(leg);
   co_return record;
@@ -297,7 +296,7 @@ sim::Task<std::vector<LogRecordPtr>> LogClient::ReadStream(TagId tag) {
   // Records beyond the replica's horizon may be missed — harmless, because every logged step
   // is re-validated through logCondAppend and a conflict adopts the existing record.
   co_await scheduler_->Delay(models_->log_read_cached.Sample(*rng_));
-  std::vector<LogRecordPtr> records = space_->ReadStreamUpTo(tag, indexed_upto_);
+  std::vector<LogRecordPtr> records = log_->ReadStreamUpTo(tag, indexed_upto_);
   stats_.read_record_shared += static_cast<int64_t>(records.size());
   co_return records;
 }
@@ -308,7 +307,7 @@ sim::Task<void> LogClient::Trim(TagId tag, SeqNum upto) {
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
   co_await scheduler_->Delay(leg);
   co_await StorageRound(total);
-  space_->Trim(scheduler_->Now(), tag, upto);
+  log_->Trim(scheduler_->Now(), tag, upto);
   // Drop this client's own cached payload if the trim released it; peers catch theirs via
   // the post-delay revalidation in ReadPrev.
   if (read_cache_enabled_) {

@@ -1,4 +1,4 @@
-// Per-function-node client of the shared log. Adds what LogSpace deliberately leaves out:
+// Per-function-node client of the shared log. Adds what ShardedLog deliberately leaves out:
 // operation latencies (calibrated to Boki, Table 1 / §4.1), queueing at the sequencer and
 // storage stations, and the node-local index replica that makes logReadPrev cheap.
 //
@@ -7,10 +7,10 @@
 // local index iff the replica already covers `max_seqnum` (the 0.12 ms path); otherwise the
 // client syncs with a storage node (the slower path).
 //
-// Sharded mode (DESIGN.md §9): constructed against a ShardedLog, the client routes each
-// append to the shard owning its routing tag — per-shard AppendBatcher queues and per-shard
-// sequencer stations, so appends to tags on different shards commit in parallel simulated
-// time. Reads need no fan-out: every LogSpace shard answers queries for the whole log.
+// Sharding (DESIGN.md §9): the client holds one sequencer station per log shard and routes
+// each append to the shard owning its routing tag — with group commit on, through that
+// shard's AppendBatcher queue — so appends to tags on different shards commit in parallel
+// simulated time. Reads need no fan-out: the ShardedLog answers queries for the whole log.
 //
 // On top of the index replica the client can keep a consistent *payload* cache: committed
 // LogRecordPtrs by tag, validated on each logReadPrev against the index replica's
@@ -37,7 +37,6 @@
 #include "src/common/rng.h"
 #include "src/sharedlog/append_batcher.h"
 #include "src/sharedlog/log_record.h"
-#include "src/sharedlog/log_space.h"
 #include "src/sharedlog/sharded_log.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/service_station.h"
@@ -158,51 +157,35 @@ struct LogClientStats {
 
 class LogClient {
  public:
-  // `sequencer_station` and `storage_station` may be null to disable queueing (microbenches).
-  // `batch` enables node-local group commit: appends and cond-appends are collected by an
-  // AppendBatcher and shipped in shared sequencer rounds (see append_batcher.h). Disabled by
-  // default so microbenches and unit fixtures get the reference per-request path; the
-  // cluster runtime enables it via ClusterConfig.
-  LogClient(sim::Scheduler* scheduler, Rng* rng, const LatencyModels* models, LogSpace* space,
-            sim::ServiceStation* sequencer_station, sim::ServiceStation* storage_station,
-            AppendBatchConfig batch = AppendBatchConfig{.enabled = false})
-      : scheduler_(scheduler),
-        rng_(rng),
-        models_(models),
-        space_(space),
-        sequencer_station_(sequencer_station),
-        storage_station_(storage_station) {
-    if (batch.enabled) batchers_.push_back(std::make_unique<AppendBatcher>(this, batch));
-  }
-
-  // Sharded-cluster client. `sequencer_stations` holds one station per shard (may be empty
-  // to disable queueing); appends route to the shard owning their routing tag, each shard
-  // with its own batcher queue. `read_cache` enables the node-local payload cache.
+  // `sequencer_stations` holds one station per log shard and `storage_station` serves reads
+  // and trims; a null station disables queueing there (the service time becomes a plain
+  // delay). `batch.enabled` turns on node-local group commit: appends and cond-appends are
+  // collected by one AppendBatcher per shard and shipped in shared sequencer rounds (see
+  // append_batcher.h); off, every request pays its own round. `read_cache` enables the
+  // node-local payload cache.
   LogClient(sim::Scheduler* scheduler, Rng* rng, const LatencyModels* models, ShardedLog* log,
             std::vector<sim::ServiceStation*> sequencer_stations,
             sim::ServiceStation* storage_station, AppendBatchConfig batch, bool read_cache)
       : scheduler_(scheduler),
         rng_(rng),
         models_(models),
-        space_(&log->shard(0)),
-        sequencer_station_(sequencer_stations.empty() ? nullptr : sequencer_stations[0]),
+        log_(log),
         storage_station_(storage_station),
         sequencer_stations_(std::move(sequencer_stations)),
         read_cache_enabled_(read_cache) {
-    HM_CHECK(sequencer_stations_.empty() ||
-             sequencer_stations_.size() == log->shard_count());
+    HM_CHECK_MSG(sequencer_stations_.size() == log->shard_count(),
+                 "LogClient: needs one sequencer station slot per log shard");
     if (batch.enabled) {
       batchers_.reserve(log->shard_count());
       for (uint32_t i = 0; i < log->shard_count(); ++i) {
-        batchers_.push_back(std::make_unique<AppendBatcher>(
-            this, batch, &log->shard(i),
-            sequencer_stations_.empty() ? nullptr : sequencer_stations_[i]));
+        batchers_.push_back(
+            std::make_unique<AppendBatcher>(this, batch, i, sequencer_stations_[i]));
       }
     }
   }
 
-  // The log's tag interner (shared across all clients of the same LogSpace).
-  TagRegistry& tags() { return space_->tags(); }
+  // The log's tag interner (shared across all clients of the same log).
+  TagRegistry& tags() { return log_->tags(); }
 
   // logAppend: returns the record's seqnum. The record commits mid-flight (after the request
   // leg), so other nodes can observe it before the reply reaches the caller.
@@ -214,13 +197,13 @@ class LogClient {
 
   // Conditionally appends several records in one sequencer round (Boki's batched append).
   // Costs a single append latency; the records receive consecutive batch seqnums
-  // (LogSpace::BatchSeq).
-  sim::Task<CondAppendResult> CondAppendBatch(std::vector<LogSpace::BatchEntry> batch,
+  // (ShardedLog::BatchSeq).
+  sim::Task<CondAppendResult> CondAppendBatch(std::vector<ShardedLog::BatchEntry> batch,
                                               TagId cond_tag, size_t cond_pos);
 
   // Unconditional batched append (one round, consecutive batch seqnums); returns the first
   // seqnum.
-  sim::Task<SeqNum> AppendBatch(std::vector<LogSpace::BatchEntry> batch);
+  sim::Task<SeqNum> AppendBatch(std::vector<ShardedLog::BatchEntry> batch);
 
   // Boki-style conflict resolution: the first record logged for (op, step) in `tag` wins.
   // Served against the local index replica at cache cost; used immediately after an append,
@@ -228,7 +211,7 @@ class LogClient {
   // OpId (the kOp* constants) so the scan is integer compares.
   sim::Task<LogRecordPtr> FindFirstByStep(TagId tag, OpId op, int64_t step);
   sim::Task<LogRecordPtr> FindFirstByStep(TagId tag, const std::string& op, int64_t step) {
-    return FindFirstByStep(tag, space_->ops().Find(op), step);
+    return FindFirstByStep(tag, log_->ops().Find(op), step);
   }
 
   // logReadPrev / logReadNext. Return shared views of the committed records (null when no
@@ -255,7 +238,7 @@ class LogClient {
   }
   sim::Task<LogRecordPtr> FindFirstByStep(std::string_view tag, const std::string& op,
                                           int64_t step) {
-    return FindFirstByStep(tags().Find(tag), space_->ops().Find(op), step);
+    return FindFirstByStep(tags().Find(tag), log_->ops().Find(op), step);
   }
   sim::Task<LogRecordPtr> ReadPrev(std::string_view tag, SeqNum max_seqnum) {
     return ReadPrev(tags().Find(tag), max_seqnum);
@@ -292,8 +275,7 @@ class LogClient {
 
   bool read_cache_enabled() const { return read_cache_enabled_; }
 
-  // Non-null iff node-local group commit is enabled for this client (shard 0's batcher in
-  // sharded mode).
+  // Non-null iff node-local group commit is enabled for this client (shard 0's batcher).
   AppendBatcher* batcher() { return batchers_.empty() ? nullptr : batchers_[0].get(); }
 
   // Fault-injection hooks, installed by the runtime layer (Cluster). `probe` consults the
@@ -330,21 +312,15 @@ class LogClient {
     return ids;
   }
 
-  // The batcher queue / sequencer station owning `tag`'s shard. Unsharded clients fall back
-  // to their single queue / station, so routing compiles down to the historic path.
-  AppendBatcher* BatcherForTag(TagId tag) {
-    if (batchers_.empty()) return nullptr;
-    if (batchers_.size() == 1) return batchers_[0].get();
-    return batchers_[space_->tags().ShardOf(tag)].get();
-  }
+  // The batcher queue / sequencer station of `tag`'s shard.
+  AppendBatcher* BatcherForTag(TagId tag) { return batchers_[log_->ShardOfTag(tag)].get(); }
   sim::ServiceStation* SequencerStationForTag(TagId tag) const {
-    if (sequencer_stations_.size() <= 1) return sequencer_station_;
-    return sequencer_stations_[space_->tags().ShardOf(tag)];
+    return sequencer_stations_[log_->ShardOfTag(tag)];
   }
 
   sim::Task<void> SequencerRoundAt(sim::ServiceStation* station, SimDuration total_latency);
   sim::Task<void> StorageRound(SimDuration total_latency);
-  sim::Task<CondAppendResult> SubmitCond(LogSpace::GroupRequest request, bool crashable);
+  sim::Task<CondAppendResult> SubmitCond(ShardedLog::GroupRequest request, bool crashable);
   // The write-ahead gate for one committed seqnum. Returns false when a kill destroyed the
   // record before it reached the device; crashable waiters (protocol-class appends, which
   // run inside attempts) abort into the runtime's retry loop instead of returning.
@@ -372,16 +348,15 @@ class LogClient {
   void CacheBatch(SeqNum first, size_t count) {
     if (!read_cache_enabled_) return;
     // In batch order, so for tags shared across entries the last (freshest) entry wins.
-    for (size_t i = 0; i < count; ++i) CacheCommitted(space_->Get(space_->BatchSeq(first, i)));
+    for (size_t i = 0; i < count; ++i) CacheCommitted(log_->Get(log_->BatchSeq(first, i)));
   }
 
   sim::Scheduler* scheduler_;
   Rng* rng_;
   const LatencyModels* models_;
-  LogSpace* space_;
-  sim::ServiceStation* sequencer_station_;
+  ShardedLog* log_;
   sim::ServiceStation* storage_station_;
-  std::vector<sim::ServiceStation*> sequencer_stations_;  // Per shard; empty when unsharded.
+  std::vector<sim::ServiceStation*> sequencer_stations_;  // Per shard; null = no queueing.
   std::vector<std::unique_ptr<AppendBatcher>> batchers_;  // Per shard; empty when disabled.
   SeqNum indexed_upto_ = 0;
   // Node-local consistent payload cache: latest committed record seen per tag. Entries are

@@ -31,16 +31,16 @@ using TagId = uint64_t;
 using SeqNum = uint64_t;
 
 inline constexpr TagId kInvalidTagId = std::numeric_limits<TagId>::max();
-// LogSpace pre-interns the two global streams so their ids are fixed constants.
+// ShardedLog pre-interns the two global streams so their ids are fixed constants.
 inline constexpr TagId kInitTagId = 0;    // "ssf.init" (§4.7 "scans the init log records")
 inline constexpr TagId kFinishTagId = 1;  // "ssf.finish" (GC condition (b) of §4.5)
 
-// Dense interned id of a record's "op" field (a second TagRegistry owned by LogSpace).
+// Dense interned id of a record's "op" field (a second TagRegistry owned by ShardedLog).
 // Step arbitration (FindFirstByStep) compares these integers instead of the op strings.
 using OpId = uint64_t;
 
 inline constexpr OpId kInvalidOpId = std::numeric_limits<OpId>::max();
-// LogSpace pre-interns the protocol op names so their ids are fixed constants everywhere.
+// ShardedLog pre-interns the protocol op names so their ids are fixed constants everywhere.
 inline constexpr OpId kOpInit = 0;         // "init": SSF Init records.
 inline constexpr OpId kOpRead = 1;         // "read": Boki-read step records.
 inline constexpr OpId kOpWritePre = 2;     // "write-pre": Boki-write intentions (§5.1).
@@ -77,7 +77,7 @@ inline std::string FinishLogTag() { return "ssf.finish"; }
 // Tag-vector helpers. Braced-init-list arguments to coroutines miscompile on GCC 12
 // (PR c++/102489 family), so call sites build tag vectors through these instead.
 // The TagId overloads are the hot-path spelling; the string overloads feed the name-based
-// convenience entry points of LogSpace/LogClient (tests and cold bootstrap code).
+// convenience entry points of ShardedLog/LogClient (tests and cold bootstrap code).
 inline std::vector<TagId> NoTags() { return {}; }
 inline std::vector<TagId> OneTag(TagId t) {
   std::vector<TagId> v;
@@ -106,7 +106,7 @@ struct LogRecord {
   SeqNum seqnum = kInvalidSeqNum;
   std::vector<TagId> tags;
   // Interned id of fields["op"] (kInvalidOpId when the record has no "op" field), filled in
-  // by LogSpace::Append so step arbitration scans compare integers instead of strings.
+  // by ShardedLog::Append so step arbitration scans compare integers instead of strings.
   OpId op = kInvalidOpId;
   FieldMap fields;
 
@@ -127,8 +127,8 @@ struct LogRecord {
   }
 };
 
-// Records are immutable once committed, so every reader shares one copy: LogSpace stores each
-// record behind a shared_ptr-to-const and the whole read path (LogSpace, LogClient, the
+// Records are immutable once committed, so every reader shares one copy: ShardedLog stores
+// each record behind a shared_ptr-to-const and the whole read path (ShardedLog, LogClient, the
 // protocols' step-log caches) passes these views around instead of deep-copying. A null
 // pointer means "no such record" where the old API returned an empty optional.
 using LogRecordPtr = std::shared_ptr<const LogRecord>;

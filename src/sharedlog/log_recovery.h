@@ -8,7 +8,7 @@
 //   * a valid manifest → install its image (record bodies, then the per-tag stream
 //     snapshots that reference them), then replay only the journal frames at or above the
 //     manifest's cut, fuzzily: the image may already reflect any prefix of the suffix, so
-//     every restore is an idempotent check-and-insert (see LogSpace::RestoreRecord).
+//     every restore is an idempotent check-and-insert (see ShardedLog::RestoreRecord).
 // Either way the watermark ends at least at the journal's durable seqnum — truncation can
 // erase the highest durable (trimmed) records, and their seqnums must never be re-issued.
 

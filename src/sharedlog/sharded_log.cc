@@ -1,45 +1,401 @@
 #include "src/sharedlog/sharded_log.h"
 
+#include <algorithm>
+#include <limits>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 
+#include "src/common/check.h"
+#include "src/storage/checkpoint.h"
 #include "src/storage/durability.h"
 
 namespace halfmoon::sharedlog {
 
-ShardedLog::ShardedLog(uint32_t shard_count) {
+ShardedLog::ShardedLog(uint32_t shard_count) : shard_count_(shard_count) {
   HM_CHECK_MSG(shard_count >= 1, "ShardedLog: shard_count must be >= 1");
-  // The tag → shard mapping must be fixed before any tag is interned (the LogSpace
-  // constructors pre-intern the well-known tags and ops).
-  shared_.tags.SetShardCount(shard_count);
-  shards_.reserve(shard_count);
-  for (uint32_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<LogSpace>(&shared_, i, shard_count));
+  // The tag → shard mapping must be fixed before any tag is interned.
+  tags_.SetShardCount(shard_count);
+  stores_.resize(shard_count);
+  PreinternWellKnown();
+}
+
+void ShardedLog::PreinternWellKnown() {
+  // Pre-intern the two global streams so their ids are compile-time constants everywhere.
+  HM_CHECK(tags_.Intern(InitLogTag()) == kInitTagId);
+  HM_CHECK(tags_.Intern(FinishLogTag()) == kFinishTagId);
+  // Same for the protocol op names (the kOp* constants of log_record.h).
+  HM_CHECK(ops_.Intern("init") == kOpInit);
+  HM_CHECK(ops_.Intern("read") == kOpRead);
+  HM_CHECK(ops_.Intern("write-pre") == kOpWritePre);
+  HM_CHECK(ops_.Intern("write") == kOpWrite);
+  HM_CHECK(ops_.Intern("invoke-pre") == kOpInvokePre);
+  HM_CHECK(ops_.Intern("invoke") == kOpInvoke);
+  HM_CHECK(ops_.Intern("sync") == kOpSync);
+  HM_CHECK(ops_.Intern("BEGIN") == kOpSwitchBegin);
+  HM_CHECK(ops_.Intern("END") == kOpSwitchEnd);
+}
+
+std::vector<TagId> ShardedLog::InternAll(std::vector<std::string> names) {
+  std::vector<TagId> ids;
+  ids.reserve(names.size());
+  for (const std::string& name : names) ids.push_back(tags_.Intern(name));
+  return ids;
+}
+
+ShardedLog::TagStream& ShardedLog::StreamFor(TagId tag) {
+  // Growing streams_ relocates every stream; that must be a move (a pointer swap), not a
+  // copy of each stream's buffer.
+  static_assert(std::is_nothrow_move_constructible_v<TagStream>);
+  HM_CHECK_MSG(tags_.Contains(tag), "ShardedLog: tag id was never interned");
+  if (tag >= streams_.size()) streams_.resize(tag + 1);
+  return streams_[tag];
+}
+
+void ShardedLog::TagStream::DropFront(size_t n) {
+  head += n;
+  if (head == entries.size()) {
+    std::vector<SeqNum>().swap(entries);  // Fully trimmed: give the buffer back.
+    head = 0;
+  } else if (head >= entries.size() - head) {
+    entries.erase(entries.begin(), entries.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
   }
-  std::vector<LogSpace*> peers;
-  peers.reserve(shard_count);
-  for (auto& shard : shards_) peers.push_back(shard.get());
-  for (auto& shard : shards_) shard->SetPeers(peers);
+}
+
+// ---- Record store ----
+
+const ShardedLog::StoredRecord* ShardedLog::FindSlot(SeqNum seqnum) const {
+  const RecordStore& store = stores_[ShardOfSeq(seqnum)];
+  SeqNum local = seqnum / shard_count_;
+  size_t page = static_cast<size_t>(local / kRecordPageSlots);
+  if (page >= store.pages.size() || store.pages[page] == nullptr) return nullptr;
+  const StoredRecord& slot = store.pages[page]->slots[local % kRecordPageSlots];
+  return slot.record != nullptr ? &slot : nullptr;
+}
+
+ShardedLog::StoredRecord* ShardedLog::FindSlot(SeqNum seqnum) {
+  return const_cast<StoredRecord*>(std::as_const(*this).FindSlot(seqnum));
+}
+
+ShardedLog::StoredRecord& ShardedLog::InstallSlot(LogRecordPtr record, int live_tag_refs) {
+  // The page table grows by moving unique_ptrs; pages themselves never move.
+  static_assert(std::is_nothrow_move_constructible_v<std::unique_ptr<RecordPage>>);
+  static_assert(std::is_nothrow_move_constructible_v<RecordPage>);
+  static_assert(std::is_nothrow_move_constructible_v<StoredRecord>);
+  static_assert(sizeof(StoredRecord) == sizeof(LogRecordPtr) + 8,
+                "the checkpoint stamp must fit in StoredRecord's padding");
+  RecordStore& store = stores_[ShardOfSeq(record->seqnum)];
+  SeqNum local = record->seqnum / shard_count_;
+  size_t page = static_cast<size_t>(local / kRecordPageSlots);
+  if (page >= store.pages.size()) store.pages.resize(page + 1);
+  if (store.pages[page] == nullptr) store.pages[page] = std::make_unique<RecordPage>();
+  StoredRecord& slot = store.pages[page]->slots[local % kRecordPageSlots];
+  HM_CHECK_MSG(slot.record == nullptr, "record store: seqnum installed twice");
+  slot.record = std::move(record);
+  slot.live_tag_refs = live_tag_refs;
+  slot.ckpt_round = 0;
+  ++store.pages[page]->occupied;
+  ++store.live;
+  return slot;
+}
+
+void ShardedLog::ReleaseRef(SimTime now, SeqNum seqnum) {
+  StoredRecord* slot = FindSlot(seqnum);
+  HM_CHECK_MSG(slot != nullptr, "ReleaseRef on missing record");
+  if (--slot->live_tag_refs > 0) return;
+  gauge_.Add(now, -static_cast<int64_t>(slot->record->ByteSize()));
+  slot->record.reset();
+  RecordStore& store = stores_[ShardOfSeq(seqnum)];
+  --store.live;
+  size_t page = static_cast<size_t>(seqnum / shard_count_ / kRecordPageSlots);
+  if (--store.pages[page]->occupied == 0) store.pages[page].reset();
+}
+
+size_t ShardedLog::RecordPages(uint32_t shard) const {
+  const auto& pages = stores_[shard].pages;
+  return static_cast<size_t>(
+      std::count_if(pages.begin(), pages.end(), [](const auto& p) { return p != nullptr; }));
 }
 
 size_t ShardedLog::live_records() const {
   size_t total = 0;
-  for (const auto& shard : shards_) total += shard->live_records();
+  for (const RecordStore& store : stores_) total += store.live;
   return total;
+}
+
+// ---- Append paths ----
+
+LogRecordPtr ShardedLog::MakeRecord(SeqNum seqnum, std::vector<TagId> tags, FieldMap fields) {
+  auto record = std::make_shared<LogRecord>();
+  record->seqnum = seqnum;
+  record->tags = std::move(tags);
+  record->fields = std::move(fields);
+  if (record->fields.Has("op")) {
+    record->op = ops_.Intern(record->fields.GetStr("op"));
+  }
+  return record;
+}
+
+LogRecordPtr ShardedLog::InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
+                                       FieldMap fields) {
+  LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
+  gauge_.Add(now, static_cast<int64_t>(record->ByteSize()));
+  // Encoded seqnums are allocated in global commit order, so pushing to the back keeps every
+  // stream sorted, whichever shard sequenced the record.
+  for (TagId tag : record->tags) {
+    TagStream& stream = StreamFor(tag);
+    if (stream.empty()) live_tags_.emplace(std::string_view(tags_.Name(tag)), tag);
+    stream.entries.push_back(seqnum);
+  }
+  int live_tag_refs = static_cast<int>(record->tags.size());
+  return InstallSlot(std::move(record), live_tag_refs).record;
+}
+
+SeqNum ShardedLog::Commit(uint32_t shard, SimTime now, std::vector<TagId> tags,
+                          FieldMap fields) {
+  HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
+  SeqNum seqnum = AllocSeqNum(shard);
+  LogRecordPtr record = InstallRecord(now, seqnum, std::move(tags), std::move(fields));
+  if (durability_ != nullptr) JournalRecord(*record);
+  return seqnum;
+}
+
+SeqNum ShardedLog::CommitEntries(uint32_t shard, SimTime now, std::vector<BatchEntry>& entries,
+                                 SeqNum* last) {
+  HM_CHECK(!entries.empty());
+  SeqNum first = kInvalidSeqNum;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    *last = Commit(shard, now, std::move(entries[i].tags), std::move(entries[i].fields));
+    if (i == 0) first = *last;
+  }
+  return first;
+}
+
+bool ShardedLog::CondHolds(TagId cond_tag, size_t cond_pos, SeqNum* existing) {
+  TagStream& stream = StreamFor(cond_tag);
+  if (stream.length() == cond_pos) return true;
+  // Conflict: some peer already appended at (or past) the expected offset. Report the record
+  // occupying that offset so the caller can recover its peer's state. Unlike the description
+  // in §5.1 we can check *before* physically appending because this object is the
+  // linearization point itself; the observable behaviour (append undone, existing seqnum
+  // returned) is identical.
+  HM_CHECK_MSG(cond_pos < stream.length(),
+               "logCondAppend: expected offset beyond stream end (missed a step?)");
+  // A conflict below the compacted prefix would mean the occupying record was already
+  // GC-trimmed — impossible while the losing instance still runs (§4.5 keeps every record
+  // a live SSF may seek), so the offset must fall in the retained suffix.
+  HM_CHECK_MSG(cond_pos >= stream.base,
+               "logCondAppend: conflicting offset was already trimmed");
+  *existing = stream[cond_pos - stream.base];
+  return false;
+}
+
+SeqNum ShardedLog::Append(SimTime now, std::vector<TagId> tags, FieldMap fields) {
+  HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
+  uint32_t shard = ShardOfTag(tags[0]);  // Before the move below: argument order is unspecified.
+  SeqNum seqnum = Commit(shard, now, std::move(tags), std::move(fields));
+  Announce(seqnum);
+  return seqnum;
+}
+
+CondAppendResult ShardedLog::CondAppend(SimTime now, std::vector<TagId> tags, FieldMap fields,
+                                        TagId cond_tag, size_t cond_pos) {
+  // The conditional tag must be among the record's tags, otherwise the offset check is
+  // meaningless (the new record would never appear in the conditional stream).
+  HM_CHECK_MSG(std::find(tags.begin(), tags.end(), cond_tag) != tags.end(),
+               "logCondAppend: cond_tag must be one of the record's tags");
+  // The shard owning cond_tag sequences the append, so racing cond-appends on one tag
+  // serialize through one shard's sequencer no matter which node issued them.
+  uint32_t shard = ShardOfTag(cond_tag);
+  CondAppendResult result;
+  if (!CondHolds(cond_tag, cond_pos, &result.existing_seqnum)) return result;
+  result.ok = true;
+  result.seqnum = Commit(shard, now, std::move(tags), std::move(fields));
+  Announce(result.seqnum);
+  result.record = LookupLive(result.seqnum);
+  return result;
+}
+
+CondAppendResult ShardedLog::CondAppendBatch(SimTime now, std::vector<BatchEntry> batch,
+                                             TagId cond_tag, size_t cond_pos) {
+  HM_CHECK(!batch.empty());
+  uint32_t shard = ShardOfTag(cond_tag);
+  CondAppendResult result;
+  if (!CondHolds(cond_tag, cond_pos, &result.existing_seqnum)) return result;
+  result.ok = true;
+  // The batch becomes visible to index replicas as a unit (one notification carrying the
+  // last seqnum), so no replica ever observes half of an atomically committed group.
+  SeqNum last = kInvalidSeqNum;
+  result.seqnum = CommitEntries(shard, now, batch, &last);
+  Announce(last);
+  result.record = LookupLive(result.seqnum);
+  return result;
+}
+
+SeqNum ShardedLog::AppendBatch(SimTime now, std::vector<BatchEntry> batch) {
+  HM_CHECK(!batch.empty());
+  HM_CHECK_MSG(!batch[0].tags.empty(), "log records must carry at least one tag");
+  SeqNum last = kInvalidSeqNum;
+  SeqNum first = CommitEntries(ShardOfTag(batch[0].tags[0]), now, batch, &last);
+  Announce(last);
+  return first;
+}
+
+std::vector<ShardedLog::GroupVerdict> ShardedLog::AppendGroup(
+    uint32_t shard, SimTime now, std::vector<GroupRequest> requests) {
+  HM_CHECK(shard < shard_count_);
+  // The round becomes visible to index replicas as a unit (one notification carrying the
+  // last committed seqnum), so no replica ever observes part of an atomically committed
+  // sub-group.
+  std::vector<GroupVerdict> verdicts(requests.size());
+  SeqNum last = kInvalidSeqNum;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    GroupRequest& request = requests[i];
+    GroupVerdict& verdict = verdicts[i];
+    HM_CHECK(!request.entries.empty());
+    if (request.cond_tag != kInvalidTagId) {
+      HM_CHECK_MSG(std::find(request.entries[0].tags.begin(), request.entries[0].tags.end(),
+                             request.cond_tag) != request.entries[0].tags.end(),
+                   "AppendGroup: cond_tag must be one of the first entry's tags");
+      if (!CondHolds(request.cond_tag, request.cond_pos, &verdict.existing_seqnum)) {
+        continue;  // This request loses; later requests still get their turn.
+      }
+    }
+    verdict.ok = true;
+    verdict.seqnum = CommitEntries(shard, now, request.entries, &last);
+  }
+  Announce(last);
+  return verdicts;
+}
+
+// ---- Read paths ----
+
+LogRecordPtr ShardedLog::FindFirstByStep(TagId tag, OpId op, int64_t step) const {
+  if (op == kInvalidOpId) return nullptr;  // The op name was never appended anywhere.
+  const TagStream* stream = FindStream(tag);
+  if (stream == nullptr) return nullptr;
+  for (SeqNum seqnum : *stream) {
+    LogRecordPtr record = LookupLive(seqnum);
+    if (record == nullptr) continue;
+    if (record->op == op && record->fields.GetInt("step") == step) {
+      return record;
+    }
+  }
+  return nullptr;
+}
+
+std::vector<TagId> ShardedLog::LiveTagsWithPrefix(std::string_view prefix) const {
+  std::vector<TagId> out;
+  // live_tags_ is name-ordered, so all matches form one contiguous range starting at the
+  // first name >= prefix; results come out in name order for free.
+  for (auto it = live_tags_.lower_bound(prefix); it != live_tags_.end(); ++it) {
+    if (it->first.substr(0, prefix.size()) != prefix) break;
+    out.push_back(it->second);
+  }
+  return out;
+}
+
+std::vector<std::string> ShardedLog::StreamTagsWithPrefix(std::string_view prefix) const {
+  std::vector<std::string> names;
+  for (TagId tag : LiveTagsWithPrefix(prefix)) names.emplace_back(tags_.Name(tag));
+  return names;
+}
+
+LogRecordPtr ShardedLog::ReadPrev(TagId tag, SeqNum max_seqnum) const {
+  SeqNum seqnum = LatestSeqNoAtMost(tag, max_seqnum);
+  return seqnum == kInvalidSeqNum ? nullptr : LookupLive(seqnum);
+}
+
+SeqNum ShardedLog::LatestSeqNoAtMost(TagId tag, SeqNum max_seqnum) const {
+  const TagStream* stream = FindStream(tag);
+  if (stream == nullptr) return kInvalidSeqNum;
+  // Last seqnum <= max_seqnum within the live (untrimmed) suffix.
+  const SeqNum* upper = std::upper_bound(stream->begin(), stream->end(), max_seqnum);
+  if (upper == stream->begin()) return kInvalidSeqNum;
+  return *(upper - 1);
+}
+
+LogRecordPtr ShardedLog::ReadNext(TagId tag, SeqNum min_seqnum) const {
+  const TagStream* stream = FindStream(tag);
+  if (stream == nullptr) return nullptr;
+  const SeqNum* lower = std::lower_bound(stream->begin(), stream->end(), min_seqnum);
+  if (lower == stream->end()) return nullptr;
+  return LookupLive(*lower);
+}
+
+std::vector<LogRecordPtr> ShardedLog::ReadStreamUpTo(TagId tag, SeqNum max_seqnum) const {
+  std::vector<LogRecordPtr> out;
+  const TagStream* stream = FindStream(tag);
+  if (stream == nullptr) return out;
+  out.reserve(stream->size());
+  for (SeqNum seqnum : *stream) {
+    if (seqnum > max_seqnum) break;
+    LogRecordPtr record = LookupLive(seqnum);
+    if (record != nullptr) out.push_back(std::move(record));
+  }
+  return out;
+}
+
+size_t ShardedLog::StreamLength(TagId tag) const {
+  const TagStream* stream = FindStream(tag);
+  return stream == nullptr ? 0 : stream->length();
 }
 
 size_t ShardedLog::IndexEntries() const {
   size_t total = 0;
-  for (const auto& shard : shards_) total += shard->IndexEntries();
+  for (const TagStream& stream : streams_) total += stream.size();
   return total;
 }
 
+size_t ShardedLog::IndexCapacity() const {
+  size_t total = 0;
+  for (const TagStream& stream : streams_) total += stream.entries.capacity();
+  return total;
+}
+
+// ---- GC ----
+
+size_t ShardedLog::TrimPrefix(SimTime now, TagStream& stream, SeqNum upto) {
+  const SeqNum* cut = std::upper_bound(stream.begin(), stream.end(), upto);
+  size_t n = static_cast<size_t>(cut - stream.begin());
+  for (const SeqNum* it = stream.begin(); it != cut; ++it) ReleaseRef(now, *it);
+  stream.DropFront(n);
+  return n;
+}
+
+size_t ShardedLog::Trim(SimTime now, TagId tag, SeqNum upto) {
+  if (tag >= streams_.size()) return 0;
+  TagStream& stream = streams_[tag];
+  size_t released = TrimPrefix(now, stream, upto);
+  stream.base += released;
+  if (stream.empty() && stream.base > 0) {
+    live_tags_.erase(std::string_view(tags_.Name(tag)));
+  }
+  // Trims are journaled fire-and-forget: nothing external depends on a trim being durable,
+  // and a trim lost to a crash merely resurrects garbage the next GC pass re-collects. The
+  // resulting base rides along so fuzzy replay (DESIGN.md §14) can restore logical offsets
+  // without re-counting pops the image may have absorbed.
+  if (released > 0 && durability_ != nullptr) {
+    std::string payload;
+    storage::PutU64(&payload, tag);
+    storage::PutU64(&payload, upto);
+    storage::PutU64(&payload, stream.base);
+    durability_->AppendFrame(storage::FrameType::kTrim, payload);
+  }
+  return released;
+}
+
+// ---- Durable medium + crash-restart recovery ----
+
 void ShardedLog::AttachDurability(storage::DurabilityService* svc) {
-  shared_.durability = svc;
+  durability_ = svc;
   if (svc == nullptr) {
-    shared_.tags.SetInternSink(nullptr);
+    tags_.SetInternSink(nullptr);
     return;
   }
-  shared_.tags.SetInternSink([svc](TagId id, std::string_view name) {
+  tags_.SetInternSink([svc](TagId id, std::string_view name) {
     std::string payload;
     storage::PutU64(&payload, id);
     storage::PutStr(&payload, name);
@@ -48,10 +404,170 @@ void ShardedLog::AttachDurability(storage::DurabilityService* svc) {
 }
 
 void ShardedLog::ResetVolatile(SimTime now) {
-  shared_.gauge.Add(now, -shared_.gauge.CurrentBytes());
-  shared_.live_tags.clear();
-  shared_.watermark = 0;
-  for (auto& shard : shards_) shard->ResetShardVolatile();
+  gauge_.Add(now, -gauge_.CurrentBytes());
+  live_tags_.clear();
+  watermark_ = 0;
+  streams_.clear();
+  for (RecordStore& store : stores_) store = RecordStore{};
+}
+
+std::string ShardedLog::EncodeRecordPayload(const LogRecord& record) {
+  std::string payload;
+  storage::PutU64(&payload, record.seqnum);
+  storage::PutU32(&payload, static_cast<uint32_t>(record.tags.size()));
+  for (TagId tag : record.tags) storage::PutU64(&payload, tag);
+  storage::PutU32(&payload, static_cast<uint32_t>(record.fields.size()));
+  for (const auto& [key, field] : record.fields) {
+    storage::PutStr(&payload, key);
+    if (const int64_t* i = std::get_if<int64_t>(&field)) {
+      storage::PutU8(&payload, 0);
+      storage::PutU64(&payload, static_cast<uint64_t>(*i));
+    } else {
+      storage::PutU8(&payload, 1);
+      storage::PutStr(&payload, std::get<std::string>(field));
+    }
+  }
+  return payload;
+}
+
+void ShardedLog::JournalRecord(const LogRecord& record) {
+  uint64_t end =
+      durability_->AppendFrame(storage::FrameType::kRecord, EncodeRecordPayload(record));
+  durability_->NoteCommit(record.seqnum, end);
+}
+
+void ShardedLog::RestoreRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
+                               FieldMap fields, bool fuzzy) {
+  HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
+  if (fuzzy) {
+    RestoreRecordFuzzy(now, seqnum, std::move(tags), std::move(fields));
+    return;
+  }
+  // Frames replay in append order and seqnums are allocated in commit order, so a replay
+  // observes strictly increasing seqnums; the watermark lands exactly where the original
+  // run's durable prefix left it.
+  HM_CHECK_MSG(seqnum > watermark_, "journal replay out of commit order");
+  watermark_ = seqnum;
+  InstallRecord(now, seqnum, std::move(tags), std::move(fields));
+}
+
+void ShardedLog::RestoreRecordFuzzy(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
+                                    FieldMap fields) {
+  // Replay-suffix on top of a fuzzy image: the image may reflect this record in none, some,
+  // or all of its streams (each stream was snapshotted at its own instant). The body installs
+  // once; each stream does a sorted check-and-insert so already-absorbed frames are no-ops.
+  // Seqnums need not arrive above the watermark — image streams already carried later ones.
+  EnsureWatermark(seqnum);
+  StoredRecord* stored = FindSlot(seqnum);
+  if (stored == nullptr) {
+    LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
+    gauge_.Add(now, static_cast<int64_t>(record->ByteSize()));
+    stored = &InstallSlot(std::move(record), 0);
+  }
+  for (TagId tag : stored->record->tags) {
+    TagStream& stream = StreamFor(tag);
+    const SeqNum* pos = std::lower_bound(stream.begin(), stream.end(), seqnum);
+    if (pos != stream.end() && *pos == seqnum) continue;  // Image already has it.
+    if (stream.empty()) live_tags_.emplace(std::string_view(tags_.Name(tag)), tag);
+    stream.InsertAt(static_cast<size_t>(pos - stream.begin()), seqnum);
+    ++stored->live_tag_refs;
+  }
+}
+
+void ShardedLog::RestoreTrim(SimTime now, TagId tag, SeqNum upto, size_t base_after) {
+  HM_CHECK_MSG(tags_.Contains(tag), "journal replay trims an unknown tag");
+  TagStream& stream = StreamFor(tag);
+  TrimPrefix(now, stream, upto);
+  // max() rather than += drops: when the image already absorbed (part of) this trim the
+  // trim above releases fewer records than the original did, but the journaled base_after
+  // is the exact base the original trim left behind — logical offsets stay correct either
+  // way.
+  if (stream.base < base_after) stream.base = base_after;
+  if (stream.empty() && stream.base > 0) {
+    live_tags_.erase(std::string_view(tags_.Name(tag)));
+  }
+}
+
+void ShardedLog::VerifyTagDef(TagId id, std::string_view name) const {
+  HM_CHECK_MSG(tags_.Contains(id) && tags_.Name(id) == name,
+               "journal replay: tag definition does not match the registry");
+}
+
+// ---- Incremental checkpointing ----
+
+void ShardedLog::BeginCheckpointWalk() {
+  HM_CHECK_MSG(walk_round_ < std::numeric_limits<uint32_t>::max(),
+               "checkpoint round counter exhausted");
+  walk_next_tag_ = 0;
+  ++walk_round_;
+}
+
+bool ShardedLog::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budget,
+                                      int64_t* frames) {
+  int64_t consumed = 0;
+  while (walk_next_tag_ < tags_.size()) {
+    if (consumed >= budget) return false;
+    consumed += static_cast<int64_t>(CheckpointTag(walk_next_tag_++, store, frames));
+  }
+  return true;
+}
+
+size_t ShardedLog::CheckpointTag(TagId tag, storage::CheckpointStore* store, int64_t* frames) {
+  HM_CHECK_MSG(walk_round_ != 0, "checkpoint round 0 is the never-emitted stamp");
+  const TagStream* stream = FindStream(tag);
+  if (stream == nullptr || stream->length() == 0) return 0;
+  size_t consumed = 1;
+  std::string payload;
+  storage::PutU64(&payload, tag);
+  storage::PutU64(&payload, stream->base);
+  storage::PutU32(&payload, static_cast<uint32_t>(stream->size()));
+  for (SeqNum seqnum : *stream) {
+    // Emit each referenced body once per round, before the first stream that references it.
+    StoredRecord* slot = FindSlot(seqnum);
+    HM_CHECK_MSG(slot != nullptr, "checkpoint walk: stream references a dead record");
+    if (slot->ckpt_round != walk_round_) {
+      slot->ckpt_round = walk_round_;
+      store->AppendFrame(storage::FrameType::kCkptRecord, EncodeRecordPayload(*slot->record));
+      ++*frames;
+      ++consumed;
+    }
+    storage::PutU64(&payload, seqnum);
+    ++consumed;
+  }
+  store->AppendFrame(storage::FrameType::kCkptTagStream, payload);
+  ++*frames;
+  return consumed;
+}
+
+void ShardedLog::RestoreCheckpointRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
+                                         FieldMap fields) {
+  HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
+  LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
+  gauge_.Add(now, static_cast<int64_t>(record->ByteSize()));
+  InstallSlot(std::move(record), 0);
+  EnsureWatermark(seqnum);
+}
+
+void ShardedLog::RestoreCheckpointStream(SimTime now, TagId tag, size_t base,
+                                         const std::vector<SeqNum>& seqnums) {
+  (void)now;
+  HM_CHECK_MSG(tags_.Contains(tag), "checkpoint image names an unknown tag");
+  TagStream& stream = StreamFor(tag);
+  HM_CHECK_MSG(stream.empty() && stream.base == 0,
+               "checkpoint image restores a stream twice");
+  stream.base = base;
+  stream.entries.reserve(seqnums.size());
+  for (SeqNum seqnum : seqnums) {
+    HM_CHECK_MSG(stream.empty() || stream.back() < seqnum,
+                 "checkpoint image stream is not sorted");
+    stream.entries.push_back(seqnum);
+    StoredRecord* slot = FindSlot(seqnum);
+    HM_CHECK_MSG(slot != nullptr,
+                 "checkpoint image stream references a record the image does not carry");
+    ++slot->live_tag_refs;
+    EnsureWatermark(seqnum);
+  }
+  if (!stream.empty()) live_tags_.emplace(std::string_view(tags_.Name(tag)), tag);
 }
 
 }  // namespace halfmoon::sharedlog

@@ -1,155 +1,244 @@
-// Tag-partitioned sharded shared log (DESIGN.md §9).
+// The shared log (DESIGN.md §9): the sequencer's counter, the record store, and the per-tag
+// sub-stream index. ShardedLog is the only log type the layers above hold.
 //
-// A ShardedLog owns N LogSpace shards plus the state they share (interners, storage gauge,
-// seqnum watermark, live-tag index, commit listener). Tags are partitioned across shards by a
-// pure function of the tag name (TagRegistry::ShardOf), so every cond-append arbitration, GC
-// stream, and switch transition-log entry — all keyed by tags — lands wholly on one shard and
-// keeps its single-log semantics. Each shard runs its own sequencer rounds (see LogClient),
-// which is what lets appends to disjoint tags commit in parallel simulated time.
+// ShardedLog is pure state — all latency, caching, and queueing live in LogClient. This split
+// mirrors Boki: a metalog/sequencer that orders records, storage nodes that hold them, and
+// per-function-node index replicas that trail the authoritative index by a propagation delay.
 //
-// Sequence numbers are encoded as `local * shard_count + shard` against one shared watermark
-// (the cross-shard merge rule, see log_space.h), so seqnums from different shards stay
-// totally ordered in commit order: cursorTS comparisons, logReadPrev bounds, and
-// FindFirstByStep checkpoints need no changes. With shard_count == 1 the encoding — and every
-// observable behaviour — is bit-identical to the unsharded log.
+// Sharding: tags are partitioned across `shard_count` sequencers by a pure function of the tag
+// name (TagRegistry::ShardOf), so every cond-append arbitration, GC stream, and switch
+// transition-log entry — all keyed by tags — is ordered by one shard and keeps its
+// single-log semantics. Each shard runs its own sequencer rounds (LogClient keeps one batcher
+// queue and one sequencer station per shard), which is what lets appends to disjoint tags
+// commit in parallel simulated time. A shard is an argument of the sequencing calls, not an
+// object: every append routes to its shard once (the routing tag's shard, or the caller's for
+// AppendGroup), and every query is answered by this one object.
 //
-// Because every LogSpace shard routes each call to the owning shard itself, the facade is
-// thin: queries delegate to shard 0 (any shard answers for the whole log) and only the
-// storage accountants (live_records, IndexEntries) aggregate across shards.
+// Sequence numbers use a (local round, shard) encoding against one shared watermark,
+//     enc = local * shard_count + shard,   local = floor(watermark / shard_count) + 1,
+// so encoded seqnums are strictly increasing in commit order across ALL shards (the watermark
+// is the cross-shard merge rule): per-tag streams stay sorted by construction, cursorTS stays
+// a total order, and shard_count == 1 degenerates to the historic next_seqnum_++ bit for bit.
+// Each shard stores the records it sequenced (seqnum % shard_count names the shard).
+//
+// Performance notes (see DESIGN.md "Performance architecture"):
+//   * Records are immutable after commit and stored behind shared_ptr-to-const; every read
+//     API returns a shared view (LogRecordPtr), never a copy.
+//   * Tags are interned ids (see tag_registry.h): the steady-state append/read/trim API takes
+//     TagId only, so no std::string is built or hashed per operation. The string-named
+//     overloads below are convenience entry points for tests and cold bootstrap code; they
+//     intern (writes) or look up (reads) the name and forward to the TagId path.
+//   * A sub-stream keeps only its untrimmed seqnum suffix (flat vector + head and base
+//     offsets), so trimmed history costs no memory while logical logCondAppend offsets stay
+//     stable. An empty stream allocates nothing.
+//   * The record store is node-free: per shard, slots indexed by seqnum / shard_count in
+//     64-slot pages, allocated on first install and freed with their last record.
+//   * Live stream tags are mirrored in a name-ordered index, so prefix scans (the GC's
+//     per-object write-log enumeration) are range scans instead of full-table scans.
 
 #ifndef HALFMOON_SHAREDLOG_SHARDED_LOG_H_
 #define HALFMOON_SHAREDLOG_SHARDED_LOG_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <limits>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "src/common/check.h"
 #include "src/common/time.h"
 #include "src/metrics/storage_sampler.h"
 #include "src/sharedlog/log_record.h"
-#include "src/sharedlog/log_space.h"
 #include "src/sharedlog/tag_registry.h"
+
+namespace halfmoon::storage {
+class CheckpointStore;
+class DurabilityService;
+}  // namespace halfmoon::storage
 
 namespace halfmoon::sharedlog {
 
 class ShardedLog {
  public:
-  using BatchEntry = LogSpace::BatchEntry;
-  using GroupRequest = LogSpace::GroupRequest;
-  using GroupVerdict = LogSpace::GroupVerdict;
-
   explicit ShardedLog(uint32_t shard_count = 1);
   ShardedLog(const ShardedLog&) = delete;
   ShardedLog& operator=(const ShardedLog&) = delete;
 
-  uint32_t shard_count() const { return static_cast<uint32_t>(shards_.size()); }
-  // Shard i as a LogSpace; any shard routes every call, so &shard(0) serves legacy
-  // LogSpace* consumers for the whole log.
-  LogSpace& shard(uint32_t i) { return *shards_[i]; }
-  const LogSpace& shard(uint32_t i) const { return *shards_[i]; }
-
-  // Shard owning `tag`'s sub-stream (pure function of the tag name).
-  uint32_t ShardOfTag(TagId tag) const { return shared_.tags.ShardOf(tag); }
+  uint32_t shard_count() const { return shard_count_; }
+  // Shard owning `tag`'s sub-stream (pure function of the tag name); appends routed by `tag`
+  // are sequenced there.
+  uint32_t ShardOfTag(TagId tag) const { return tags_.ShardOf(tag); }
   // Shard that sequenced (and stores) the record at `seqnum`.
   uint32_t ShardOfSeq(SeqNum seqnum) const {
-    return static_cast<uint32_t>(seqnum % shards_.size());
+    return static_cast<uint32_t>(seqnum % shard_count_);
   }
 
-  TagRegistry& tags() { return shared_.tags; }
-  const TagRegistry& tags() const { return shared_.tags; }
-  TagRegistry& ops() { return shared_.ops; }
-  const TagRegistry& ops() const { return shared_.ops; }
+  // The tag interner shared by everything layered on this log. "ssf.init" and "ssf.finish"
+  // are pre-interned to kInitTagId / kFinishTagId.
+  TagRegistry& tags() { return tags_; }
+  const TagRegistry& tags() const { return tags_; }
 
-  // ---- Append paths (routed to the owning shard by LogSpace itself) ----
-  SeqNum Append(SimTime now, std::vector<TagId> tags, FieldMap fields) {
-    return shards_[0]->Append(now, std::move(tags), std::move(fields));
-  }
-  SeqNum Append(SimTime now, std::vector<std::string> tag_names, FieldMap fields) {
-    return shards_[0]->Append(now, std::move(tag_names), std::move(fields));
-  }
+  // The op-name interner ("op" field values). The protocol ops are pre-interned to the kOp*
+  // constants of log_record.h; Append stamps each record's `op` id from its fields.
+  TagRegistry& ops() { return ops_; }
+  const TagRegistry& ops() const { return ops_; }
+
+  // Appends a record, assigning the next sequence number. `now` feeds storage accounting.
+  // Notifies the commit listener (used for index propagation to clients). Sequenced by the
+  // shard owning the first tag; the record's seqnum encodes that shard.
+  SeqNum Append(SimTime now, std::vector<TagId> tags, FieldMap fields);
+
+  // Conditional append (§5.1): appends, then verifies that the new record lands at logical
+  // offset `cond_pos` of the `cond_tag` sub-stream. On mismatch the append is undone and the
+  // seqnum of the record actually at that offset is returned. Sequenced by (and arbitrated
+  // on) the shard owning cond_tag.
   CondAppendResult CondAppend(SimTime now, std::vector<TagId> tags, FieldMap fields,
-                              TagId cond_tag, size_t cond_pos) {
-    return shards_[0]->CondAppend(now, std::move(tags), std::move(fields), cond_tag, cond_pos);
+                              TagId cond_tag, size_t cond_pos);
+
+  // Atomically appends a batch of records under the same condition (offset of the *first*
+  // record in `cond_tag`'s stream). Either all records commit — at consecutive batch
+  // positions, see BatchSeq() — or none do. Models Boki's batched append, which Halfmoon-read
+  // uses to install the version record and the commit record of a write in one sequencer
+  // round (§4.1).
+  struct BatchEntry {
+    std::vector<TagId> tags;
+    FieldMap fields;
+  };
+  CondAppendResult CondAppendBatch(SimTime now, std::vector<BatchEntry> batch, TagId cond_tag,
+                                   size_t cond_pos);
+
+  // Unconditional atomic batch append; returns the first seqnum (the i-th record receives
+  // BatchSeq(first, i)). Index replicas learn about the batch as a unit.
+  SeqNum AppendBatch(SimTime now, std::vector<BatchEntry> batch);
+
+  // Seqnum of the i-th record of an atomic batch whose first record committed at `first`.
+  // One shard allocates the whole batch, so in-batch neighbours are `shard_count` apart in
+  // the encoded space (adjacent when unsharded).
+  SeqNum BatchSeq(SeqNum first, size_t i) const {
+    return first + static_cast<SeqNum>(i) * shard_count_;
+  }
+
+  // One request of a group-committed sequencer round (see AppendGroup). The entries form an
+  // atomic sub-group: all of them commit (at consecutive batch positions) or none do. A
+  // request with cond_tag == kInvalidTagId is unconditional; otherwise it carries the
+  // logCondAppend condition "the first entry lands at logical offset cond_pos of cond_tag's
+  // stream".
+  struct GroupRequest {
+    std::vector<BatchEntry> entries;
+    TagId cond_tag = kInvalidTagId;
+    size_t cond_pos = 0;
+  };
+  // Per-request outcome of AppendGroup. On success `seqnum` is the first entry's position;
+  // on conflict `existing_seqnum` is the record occupying the expected offset.
+  struct GroupVerdict {
+    bool ok = false;
+    SeqNum seqnum = kInvalidSeqNum;
+    SeqNum existing_seqnum = kInvalidSeqNum;
+  };
+
+  // Group commit: orders several independent append requests in ONE sequencer round of
+  // `shard` (callers route requests to the shard owning their cond tag / first tag — see
+  // AppendBatcher). Requests are evaluated strictly in vector order, each seeing the stream
+  // state left by its predecessors — exactly as if the requests had been submitted
+  // back-to-back as separate rounds in that order, which is what makes node-local append
+  // batching protocol-invisible. Index replicas learn about the whole round as a unit: the
+  // commit listener fires once, with the round's last committed seqnum (not at all if every
+  // request conflicted).
+  std::vector<GroupVerdict> AppendGroup(uint32_t shard, SimTime now,
+                                        std::vector<GroupRequest> requests);
+
+  // Shared view of the live record at `seqnum`; null if absent or fully trimmed.
+  LogRecordPtr Get(SeqNum seqnum) const { return LookupLive(seqnum); }
+
+  // First live record in `tag`'s sub-stream whose "op" and "step" fields match. Boki resolves
+  // peer races by honoring the first record logged for a step (§5.1). The scan compares the
+  // record's interned op id — no string comparison per record.
+  LogRecordPtr FindFirstByStep(TagId tag, OpId op, int64_t step) const;
+
+  // Ids of all live streams whose name starts with `prefix` (GC scan over per-object write
+  // logs). Served by an ordered range scan over the live-tag index: O(log streams + matches);
+  // results are in name order.
+  std::vector<TagId> LiveTagsWithPrefix(std::string_view prefix) const;
+
+  // Name-returning variant of LiveTagsWithPrefix, for tests and display.
+  std::vector<std::string> StreamTagsWithPrefix(std::string_view prefix) const;
+
+  // Latest record in `tag`'s sub-stream with seqnum <= max (logReadPrev).
+  LogRecordPtr ReadPrev(TagId tag, SeqNum max_seqnum) const;
+
+  // Seqnum of the record ReadPrev(tag, max_seqnum) would return, or kInvalidSeqNum if none.
+  // This is a pure index-replica query (tag → seqnum list; no record payload touched), which
+  // is what LogClient's node-local read cache validates its cached payloads against.
+  SeqNum LatestSeqNoAtMost(TagId tag, SeqNum max_seqnum) const;
+
+  // Earliest record in `tag`'s sub-stream with seqnum >= min (logReadNext).
+  LogRecordPtr ReadNext(TagId tag, SeqNum min_seqnum) const;
+
+  // All live records of a sub-stream, in seqnum order (used to fetch step logs in Init).
+  std::vector<LogRecordPtr> ReadStream(TagId tag) const {
+    return ReadStreamUpTo(tag, kMaxSeqNum);
+  }
+
+  // Live records of a sub-stream with seqnum <= max_seqnum: the view of an index replica
+  // that has caught up to max_seqnum.
+  std::vector<LogRecordPtr> ReadStreamUpTo(TagId tag, SeqNum max_seqnum) const;
+
+  // Garbage-collects a sub-stream: logically deletes records with seqnum <= upto from `tag`,
+  // and frees the trimmed prefix of the stream's seqnum index. A record's storage is freed
+  // once every one of its tags has trimmed past it. Returns the number of records removed
+  // from this stream (0 when the tag has no stream or the prefix was already trimmed), which
+  // feeds the GC's per-category trim counters.
+  size_t Trim(SimTime now, TagId tag, SeqNum upto);
+
+  // Logical offset (position since the beginning of time) that the *next* record appended to
+  // `tag` would occupy. Used by clients to pre-check conditional appends in tests.
+  size_t StreamLength(TagId tag) const;
+
+  // ---- Name-based convenience entry points (tests, cold bootstrap paths) ----
+  // Writes intern their tag names; reads resolve without interning, so probing a name that
+  // was never appended does not grow the registry.
+  SeqNum Append(SimTime now, std::vector<std::string> tag_names, FieldMap fields) {
+    return Append(now, InternAll(std::move(tag_names)), std::move(fields));
   }
   CondAppendResult CondAppend(SimTime now, std::vector<std::string> tag_names, FieldMap fields,
                               std::string_view cond_tag, size_t cond_pos) {
-    return shards_[0]->CondAppend(now, std::move(tag_names), std::move(fields), cond_tag,
-                                  cond_pos);
-  }
-  CondAppendResult CondAppendBatch(SimTime now, std::vector<BatchEntry> batch, TagId cond_tag,
-                                   size_t cond_pos) {
-    return shards_[0]->CondAppendBatch(now, std::move(batch), cond_tag, cond_pos);
-  }
-  SeqNum AppendBatch(SimTime now, std::vector<BatchEntry> batch) {
-    return shards_[0]->AppendBatch(now, std::move(batch));
-  }
-
-  // Seqnum of the i-th record of an atomic batch that committed first at `first`
-  // (in-batch stride is the shard count; see log_space.h).
-  SeqNum BatchSeq(SeqNum first, size_t i) const { return shards_[0]->BatchSeq(first, i); }
-
-  // ---- Read paths ----
-  LogRecordPtr Get(SeqNum seqnum) const { return shards_[0]->Get(seqnum); }
-  LogRecordPtr FindFirstByStep(TagId tag, OpId op, int64_t step) const {
-    return shards_[0]->FindFirstByStep(tag, op, step);
+    return CondAppend(now, InternAll(std::move(tag_names)), std::move(fields),
+                      tags_.Intern(cond_tag), cond_pos);
   }
   LogRecordPtr FindFirstByStep(TagId tag, const std::string& op, int64_t step) const {
-    return shards_[0]->FindFirstByStep(tag, op, step);
+    return FindFirstByStep(tag, ops_.Find(op), step);
   }
-  LogRecordPtr FindFirstByStep(std::string_view tag, const std::string& op,
-                               int64_t step) const {
-    return shards_[0]->FindFirstByStep(tag, op, step);
-  }
-  std::vector<TagId> LiveTagsWithPrefix(std::string_view prefix) const {
-    return shards_[0]->LiveTagsWithPrefix(prefix);
-  }
-  std::vector<std::string> StreamTagsWithPrefix(std::string_view prefix) const {
-    return shards_[0]->StreamTagsWithPrefix(prefix);
-  }
-  LogRecordPtr ReadPrev(TagId tag, SeqNum max_seqnum) const {
-    return shards_[0]->ReadPrev(tag, max_seqnum);
+  LogRecordPtr FindFirstByStep(std::string_view tag, const std::string& op, int64_t step) const {
+    return FindFirstByStep(tags_.Find(tag), op, step);
   }
   LogRecordPtr ReadPrev(std::string_view tag, SeqNum max_seqnum) const {
-    return shards_[0]->ReadPrev(tag, max_seqnum);
-  }
-  SeqNum LatestSeqNoAtMost(TagId tag, SeqNum max_seqnum) const {
-    return shards_[0]->LatestSeqNoAtMost(tag, max_seqnum);
-  }
-  LogRecordPtr ReadNext(TagId tag, SeqNum min_seqnum) const {
-    return shards_[0]->ReadNext(tag, min_seqnum);
+    return ReadPrev(tags_.Find(tag), max_seqnum);
   }
   LogRecordPtr ReadNext(std::string_view tag, SeqNum min_seqnum) const {
-    return shards_[0]->ReadNext(tag, min_seqnum);
+    return ReadNext(tags_.Find(tag), min_seqnum);
   }
-  std::vector<LogRecordPtr> ReadStream(TagId tag) const { return shards_[0]->ReadStream(tag); }
   std::vector<LogRecordPtr> ReadStream(std::string_view tag) const {
-    return shards_[0]->ReadStream(tag);
-  }
-  std::vector<LogRecordPtr> ReadStreamUpTo(TagId tag, SeqNum max_seqnum) const {
-    return shards_[0]->ReadStreamUpTo(tag, max_seqnum);
+    return ReadStream(tags_.Find(tag));
   }
   std::vector<LogRecordPtr> ReadStreamUpTo(std::string_view tag, SeqNum max_seqnum) const {
-    return shards_[0]->ReadStreamUpTo(tag, max_seqnum);
+    return ReadStreamUpTo(tags_.Find(tag), max_seqnum);
   }
-  size_t StreamLength(TagId tag) const { return shards_[0]->StreamLength(tag); }
-  size_t StreamLength(std::string_view tag) const { return shards_[0]->StreamLength(tag); }
-
-  // ---- GC ----
-  size_t Trim(SimTime now, TagId tag, SeqNum upto) { return shards_[0]->Trim(now, tag, upto); }
   size_t Trim(SimTime now, std::string_view tag, SeqNum upto) {
-    return shards_[0]->Trim(now, tag, upto);
+    return Trim(now, tags_.Find(tag), upto);
   }
+  size_t StreamLength(std::string_view tag) const { return StreamLength(tags_.Find(tag)); }
 
-  // ---- Durable medium + crash-restart recovery (DESIGN.md §13) ----
+  // ---- Durable medium + crash-restart recovery (DESIGN.md §13, §14) ----
   // Attaches the durability service: every commit journals a kRecord frame, every releasing
   // trim a kTrim frame, and every newly interned tag a kTagDef frame. Must be attached before
   // the first workload append (earlier interns — the pre-interned protocol tags — are
-  // deterministic constructor state and need no journal).
+  // deterministic constructor state and need no journal). Without one (the default) the log
+  // journals nothing and draws no extra latency samples — bit-identical to the pre-storage
+  // simulation.
   void AttachDurability(storage::DurabilityService* svc);
 
   // Drops everything a node loss destroys: records, sub-stream indices, the live-tag index,
@@ -157,22 +246,33 @@ class ShardedLog {
   // are deterministic client-side handles, and replay cross-checks them via kTagDef frames.
   void ResetVolatile(SimTime now);
 
-  // Journal replay entry points (frames decoded by RestoreLogFromJournal). `fuzzy` marks a
-  // replay-suffix on top of a checkpoint image (DESIGN.md §14): restores become idempotent
-  // check-and-inserts instead of strictly ordered installs.
+  // Reinstalls a committed record from its journal frame: same index/stream/gauge effects as
+  // the original append, but no commit listener and no re-journaling. In strict mode (full
+  // replay) frames arrive in commit order, so seqnums are strictly increasing (asserted) and
+  // the watermark advances to each restored seqnum. In fuzzy mode (replay-suffix on top of a
+  // checkpoint image, §14) the image may already reflect the record in some — or all — of its
+  // streams: the body is installed only if absent and each stream gets a sorted
+  // check-and-insert, so replaying an already-absorbed frame is a no-op.
   void RestoreRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags, FieldMap fields,
-                     bool fuzzy = false) {
-    shards_[0]->RestoreRecord(now, seqnum, std::move(tags), std::move(fields), fuzzy);
-  }
-  void RestoreTrim(SimTime now, TagId tag, SeqNum upto, size_t base_after) {
-    shards_[0]->RestoreTrim(now, tag, upto, base_after);
-  }
+                     bool fuzzy = false);
+
+  // Re-applies a durable trim during replay (no re-journaling). `base_after` is the stream's
+  // logical base right after the original trim (journaled in the kTrim frame): restoring
+  // takes max(base, base_after) instead of counting pops, which lands on the exact original
+  // base whether or not the checkpoint image had already absorbed the trim.
+  void RestoreTrim(SimTime now, TagId tag, SeqNum upto, size_t base_after);
+
   // Cross-checks a replayed kTagDef frame against the surviving registry: the journaled
   // (id, name) assignment must match bit for bit, or the replayed record frames' tag ids
   // would silently index the wrong streams.
-  void VerifyTagDef(TagId id, std::string_view name) const {
-    HM_CHECK_MSG(shared_.tags.Contains(id) && shared_.tags.Name(id) == name,
-                 "journal replay: tag definition does not match the registry");
+  void VerifyTagDef(TagId id, std::string_view name) const;
+
+  // Raises the watermark to at least `floor` (no-op when already past it). Recovery calls
+  // this with the manifest's watermark floor / the journal's durable seqnum: truncation can
+  // erase the highest durable records (trimmed ones), and the restored allocator must still
+  // never re-issue their seqnums.
+  void EnsureWatermark(SeqNum floor) {
+    if (watermark_ < floor) watermark_ = floor;
   }
 
   // ---- Incremental checkpointing (DESIGN.md §14) ----
@@ -182,51 +282,196 @@ class ShardedLog {
   // snapshots. The walk is resumable in bounded slices; tags interned after a slice are
   // picked up by later slices, and their records also ride the replay suffix, so either way
   // the image + suffix composition is exact.
-  void BeginCheckpointWalk() {
-    HM_CHECK_MSG(walk_round_ < std::numeric_limits<uint32_t>::max(),
-                 "checkpoint round counter exhausted");
-    walk_next_tag_ = 0;
-    ++walk_round_;
-  }
+  void BeginCheckpointWalk();
   // Emits roughly `budget` items' worth of image frames; returns true once every tag has
   // been walked. *frames counts frames appended by this slice.
-  bool WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budget, int64_t* frames) {
-    int64_t consumed = 0;
-    while (walk_next_tag_ < shared_.tags.size()) {
-      if (consumed >= budget) return false;
-      TagId tag = walk_next_tag_++;
-      LogSpace& owner = *shards_[shared_.tags.ShardOf(tag)];
-      consumed += static_cast<int64_t>(owner.CheckpointTag(tag, store, walk_round_, frames));
-    }
-    return true;
-  }
+  bool WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budget, int64_t* frames);
 
-  // Image-restore entry points (any shard routes to the owner).
+  // Image-restore installers. A body installs with zero live-tag refs (streams re-reference
+  // it as they restore); a stream sets its base, pushes its seqnums and takes one ref per
+  // entry. Bodies precede the streams that reference them in every image.
   void RestoreCheckpointRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
-                               FieldMap fields) {
-    shards_[0]->RestoreCheckpointRecord(now, seqnum, std::move(tags), std::move(fields));
-  }
+                               FieldMap fields);
   void RestoreCheckpointStream(SimTime now, TagId tag, size_t base,
-                               const std::vector<SeqNum>& seqnums) {
-    shards_[0]->RestoreCheckpointStream(now, tag, base, seqnums);
-  }
-  // Raises the watermark to at least `floor` (see LogSpace::EnsureWatermark).
-  void EnsureWatermark(SeqNum floor) { shards_[0]->EnsureWatermark(floor); }
+                               const std::vector<SeqNum>& seqnums);
 
   // ---- Accounting / hooks ----
-  SeqNum next_seqnum() const { return shards_[0]->next_seqnum(); }
-  size_t live_records() const;   // Summed across shards.
-  size_t IndexEntries() const;   // Summed across shards.
-  int64_t CurrentBytes() const { return shared_.gauge.CurrentBytes(); }
-  metrics::StorageGauge& gauge() { return shared_.gauge; }
-  // Fires in strictly increasing seqnum order across all shards (see log_space.h).
+  // Smallest seqnum the next append could receive; strictly greater than every committed
+  // seqnum (watermark + 1, which IS the next seqnum when unsharded).
+  SeqNum next_seqnum() const { return watermark_ + 1; }
+
+  // Number of records currently held (not yet trimmed from all their tags), in total and on
+  // one shard's record store.
+  size_t live_records() const;
+  size_t live_records(uint32_t shard) const { return stores_[shard].live; }
+
+  // Record-store pages currently allocated on `shard` (each holds kRecordPageSlots slots).
+  // Zero once every record is released. Cold accessor (scans the page table).
+  size_t RecordPages(uint32_t shard) const;
+  static constexpr size_t kRecordPageSlots = 64;
+
+  // Total seqnum entries retained across the sub-stream indices. Bounded by the number of
+  // live (tag, record) pairs: trimmed prefixes are compacted away, so a fully trimmed stream
+  // holds zero entries no matter how long its history (regression guard for the old
+  // keep-forever index).
+  size_t IndexEntries() const;
+
+  // Seqnum slots allocated across the sub-stream indices (Σ vector capacities). Returns to 0
+  // once every stream is fully trimmed: an emptied stream gives its buffer back, so
+  // fully-trimmed tags cost only their fixed-size stream header.
+  size_t IndexCapacity() const;
+
+  int64_t CurrentBytes() const { return gauge_.CurrentBytes(); }
+  metrics::StorageGauge& gauge() { return gauge_; }
+
+  // Invoked synchronously at each commit (once per atomic batch or group round, with its
+  // last seqnum); the runtime uses it to schedule index propagation to every function node.
+  // Encoded seqnums are allocated in commit order, so the listener observes a strictly
+  // increasing sequence no matter which shards commit.
   void SetCommitListener(std::function<void(SeqNum)> listener) {
-    shared_.commit_listener = std::move(listener);
+    commit_listener_ = std::move(listener);
   }
 
  private:
-  LogSpace::Shared shared_;
-  std::vector<std::unique_ptr<LogSpace>> shards_;
+  // One tag's sub-stream index. The live (untrimmed) seqnums appended under the tag are
+  // entries[head..], in order; entries[0, head) were trimmed and await compaction. The
+  // logical offset of live entry i in the stream's full history is base + i, so logical
+  // offsets for logCondAppend are stable positions even after the trimmed prefix is
+  // compacted away. An empty stream owns no buffer, and the type is nothrow-movable, so
+  // growing streams_ moves streams instead of copying them.
+  struct TagStream {
+    std::vector<SeqNum> entries;
+    size_t head = 0;
+    // Number of entries trimmed from the front of the stream's history.
+    size_t base = 0;
+
+    const SeqNum* begin() const { return entries.data() + head; }
+    const SeqNum* end() const { return entries.data() + entries.size(); }
+    size_t size() const { return entries.size() - head; }
+    bool empty() const { return head == entries.size(); }
+    SeqNum back() const { return entries.back(); }
+    SeqNum operator[](size_t i) const { return entries[head + i]; }
+    size_t length() const { return base + size(); }
+    // Inserts `seqnum` before live entry `i` (sorted insert; fuzzy replay only).
+    void InsertAt(size_t i, SeqNum seqnum) {
+      entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(head + i), seqnum);
+    }
+    // Drops the first `n` live entries (their refs already released). The dead prefix is
+    // erased in one step once it outweighs the live suffix, so trimming costs amortized O(1)
+    // per entry; a stream left empty gives its buffer back.
+    void DropFront(size_t n);
+  };
+
+  // One record-store slot; occupied iff `record` is non-null.
+  struct StoredRecord {
+    LogRecordPtr record;
+    // Number of tags that still reference this record (not yet trimmed past it).
+    int live_tag_refs = 0;
+    // Last checkpoint round that emitted this body (0 = none); see CheckpointTag. Sits in
+    // what would otherwise be padding after live_tag_refs.
+    uint32_t ckpt_round = 0;
+  };
+  // The slots of kRecordPageSlots consecutive local seqnums (seqnum / shard_count).
+  struct RecordPage {
+    std::array<StoredRecord, kRecordPageSlots> slots;
+    size_t occupied = 0;
+  };
+  // One shard's record store: the records it sequenced. Indexed by (seqnum / shard_count) /
+  // kRecordPageSlots; null where no slot is occupied. Each shard's locals are a disjoint
+  // subset of one global sequence, so with N shards a page is ~1/N occupied; the pointer
+  // table costs 8 B per page of seqnum history.
+  struct RecordStore {
+    std::vector<std::unique_ptr<RecordPage>> pages;
+    size_t live = 0;
+  };
+
+  void PreinternWellKnown();
+  std::vector<TagId> InternAll(std::vector<std::string> names);
+
+  // Allocates the next encoded seqnum for an append sequenced by `shard` and advances the
+  // watermark. Strictly increasing across shards; exactly watermark + 1 when unsharded.
+  SeqNum AllocSeqNum(uint32_t shard) {
+    SeqNum local = watermark_ / shard_count_ + 1;
+    SeqNum enc = local * shard_count_ + shard;
+    watermark_ = enc;
+    return enc;
+  }
+
+  // Sequences one record on `shard`: allocates its seqnum, installs it, and journals it.
+  // Write-ahead ordering: the frame is journaled at commit, before Announce can start index
+  // propagation — the cluster gates propagation (and the client gates its external ack) on
+  // this frame becoming durable. The caller announces once per atomic unit.
+  SeqNum Commit(uint32_t shard, SimTime now, std::vector<TagId> tags, FieldMap fields);
+  // Commits `entries` at consecutive batch positions of `shard`; returns the first seqnum and
+  // sets *last to the last one.
+  SeqNum CommitEntries(uint32_t shard, SimTime now, std::vector<BatchEntry>& entries,
+                       SeqNum* last);
+  // Fires the commit listener for a committed unit ending at `last` (if any committed).
+  void Announce(SeqNum last) {
+    if (commit_listener_ && last != kInvalidSeqNum) commit_listener_(last);
+  }
+
+  // Evaluates a logCondAppend condition against the current stream state. Returns true when
+  // the append may proceed; on conflict fills `existing` with the occupant of `cond_pos`.
+  bool CondHolds(TagId cond_tag, size_t cond_pos, SeqNum* existing);
+
+  // Builds the immutable record object (op interned) without installing it anywhere.
+  LogRecordPtr MakeRecord(SeqNum seqnum, std::vector<TagId> tags, FieldMap fields);
+  // The shared body of Commit and strict RestoreRecord: builds the immutable record and
+  // installs it into the record store, the per-tag sub-streams, the live-tag index, and the
+  // storage gauge — everything EXCEPT seqnum allocation, journaling, and commit notification,
+  // which is exactly what differs between a live append and a journal replay.
+  LogRecordPtr InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
+                             FieldMap fields);
+  // The kRecord / kCkptRecord payload (they share one encoding): seqnum, tags, fields.
+  static std::string EncodeRecordPayload(const LogRecord& record);
+  void JournalRecord(const LogRecord& record);
+  void RestoreRecordFuzzy(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
+                          FieldMap fields);
+
+  // Emits the image frames of `tag`'s sub-stream into the checkpoint store: first a
+  // kCkptRecord body for every referenced record not yet emitted in round walk_round_ (each
+  // emitted record's slot is stamped with the round), then one kCkptTagStream frame with the
+  // stream's base and live seqnums. Fully-trimmed streams (no live entries, base > 0) are
+  // emitted too: their base carries the logical offsets logCondAppend depends on. Returns
+  // the walk-budget items consumed (0 when the tag has no stream); increments *frames per
+  // frame appended.
+  size_t CheckpointTag(TagId tag, storage::CheckpointStore* store, int64_t* frames);
+
+  // Stream for `tag`, or null if the tag never had an append. Interned ids are dense, so the
+  // stream table is a flat vector indexed by id: the per-op "hash" is a bounds check.
+  const TagStream* FindStream(TagId tag) const {
+    return tag < streams_.size() ? &streams_[tag] : nullptr;
+  }
+  TagStream& StreamFor(TagId tag);
+
+  // ---- Record store ----
+  // Slot of `seqnum` on its sequencing shard's store if occupied, else null.
+  StoredRecord* FindSlot(SeqNum seqnum);
+  const StoredRecord* FindSlot(SeqNum seqnum) const;
+  // Installs `record` into its (empty — HM_CHECKed) slot, allocating the page on demand.
+  StoredRecord& InstallSlot(LogRecordPtr record, int live_tag_refs);
+
+  LogRecordPtr LookupLive(SeqNum seqnum) const {
+    const StoredRecord* slot = FindSlot(seqnum);
+    return slot != nullptr ? slot->record : nullptr;
+  }
+  void ReleaseRef(SimTime now, SeqNum seqnum);
+  // Releases one ref on each of `stream`'s live entries <= upto and drops them from the
+  // stream. Returns the number of entries dropped.
+  size_t TrimPrefix(SimTime now, TagStream& stream, SeqNum upto);
+
+  const uint32_t shard_count_;
+  TagRegistry tags_;
+  TagRegistry ops_;
+  metrics::StorageGauge gauge_;
+  SeqNum watermark_ = 0;  // Largest encoded seqnum committed; 0 = none, the first is >= 1.
+  std::map<std::string_view, TagId> live_tags_;
+  std::function<void(SeqNum)> commit_listener_;
+  storage::DurabilityService* durability_ = nullptr;  // See AttachDurability.
+
+  std::vector<TagStream> streams_;    // Indexed by TagId; grown on first append of a tag.
+  std::vector<RecordStore> stores_;   // Indexed by shard.
 
   // Checkpoint-walk cursor (valid between BeginCheckpointWalk and the slice returning true)
   // and the current round's body stamp (0 = no round yet, the never-emitted stamp).

@@ -1,7 +1,7 @@
 // The simulated durable medium: a byte-addressed device written in aligned 4 KiB blocks.
 //
 // The device is the ONLY state in the simulation that survives a node kill. Everything above
-// it (the block buffer's volatile tail, LogSpace indices, KvState maps) is reconstructed by
+// it (the block buffer's volatile tail, ShardedLog indices, KvState maps) is reconstructed by
 // replaying the journal frames recorded here (see durability.h). Writes are paid for in whole
 // blocks — flushing a 100-byte journal frame rewrites its 4 KiB tail block — which is what
 // makes group-flush worth modeling and gives bench_recovery_cost a real write-amplification

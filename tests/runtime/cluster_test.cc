@@ -1,5 +1,7 @@
 #include "src/runtime/cluster.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/sim/sync.h"
@@ -38,6 +40,23 @@ TEST(ClusterDeathTest, NonPositiveAppendBatchMaxAborts) {
     ClusterConfig config;
     config.append_batch_max = max;
     EXPECT_DEATH(Cluster cluster(config), "append_batch_max must be >= 1") << max;
+  }
+}
+
+TEST(ClusterDeathTest, ZeroCapacityFieldsAbortNamingTheField) {
+  // A station with no servers (or a node with no worker slots) never serves: without the
+  // check the first invocation waits forever and the scheduler drains with it still pending.
+  struct Case {
+    const char* field;
+    int ClusterConfig::*member;
+  };
+  for (const Case& c : {Case{"db_servers", &ClusterConfig::db_servers},
+                        Case{"workers_per_node", &ClusterConfig::workers_per_node},
+                        Case{"sequencer_servers", &ClusterConfig::sequencer_servers},
+                        Case{"storage_servers", &ClusterConfig::storage_servers}}) {
+    ClusterConfig config;
+    config.*c.member = 0;
+    EXPECT_DEATH(Cluster cluster(config), std::string(c.field) + " must be >= 1") << c.field;
   }
 }
 

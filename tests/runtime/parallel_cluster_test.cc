@@ -333,5 +333,23 @@ TEST(ParallelClusterDeathTest, NonPositiveAppendBatchMaxAborts) {
   }
 }
 
+TEST(ParallelClusterDeathTest, ZeroCapacityFieldsAbortNamingTheField) {
+  // A station with no servers never serves, and a partition without clients cannot proxy the
+  // remote calls routed to it; either way the run would drain with work still pending.
+  struct Case {
+    const char* field;
+    int ParallelClusterConfig::*member;
+  };
+  for (const Case& c :
+       {Case{"sequencer_servers", &ParallelClusterConfig::sequencer_servers},
+        Case{"storage_servers", &ParallelClusterConfig::storage_servers},
+        Case{"clients_per_partition", &ParallelClusterConfig::clients_per_partition}}) {
+    ParallelClusterConfig config;
+    config.partitions = 1;
+    config.*c.member = 0;
+    EXPECT_DEATH(ParallelCluster pc(config), std::string(c.field) + " must be >= 1") << c.field;
+  }
+}
+
 }  // namespace
 }  // namespace halfmoon::runtime

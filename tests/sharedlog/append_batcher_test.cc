@@ -17,13 +17,13 @@
 #include "src/common/latency_model.h"
 #include "src/common/rng.h"
 #include "src/sharedlog/log_client.h"
-#include "src/sharedlog/log_space.h"
+#include "src/sharedlog/sharded_log.h"
 #include "src/sim/scheduler.h"
 
 namespace halfmoon::sharedlog {
 namespace {
 
-// A mini-cluster of `nodes` LogClients sharing one LogSpace, with group commit configurable
+// A mini-cluster of `nodes` LogClients sharing one ShardedLog, with group commit configurable
 // per fixture. The scheduler is declared first so clients (and their batcher round loops)
 // are destroyed before the scheduler tears down any still-suspended detached frames.
 struct BatchFixture {
@@ -31,14 +31,15 @@ struct BatchFixture {
       : rng(seed) {
     for (int i = 0; i < nodes; ++i) {
       clients.push_back(std::make_unique<LogClient>(&scheduler, &rng, &models, &space,
-                                                    nullptr, nullptr, batch));
+                                                    std::vector<sim::ServiceStation*>{nullptr},
+                                                    nullptr, batch, /*read_cache=*/false));
     }
   }
 
   sim::Scheduler scheduler;
   Rng rng;
   LatencyModels models;
-  LogSpace space;
+  ShardedLog space;
   std::vector<std::unique_ptr<LogClient>> clients;
 };
 
@@ -101,7 +102,7 @@ sim::Task<void> WorkerProgram(LogClient* client, TagId own, TagId shared, uint64
         break;
       }
       default: {  // Batched cond-append: two records, atomic, consecutive offsets.
-        std::vector<LogSpace::BatchEntry> batch(2);
+        std::vector<ShardedLog::BatchEntry> batch(2);
         batch[0].tags = OneTag(own);
         batch[0].fields = Payload(value + "a");
         batch[1].tags = TwoTags(own, shared);

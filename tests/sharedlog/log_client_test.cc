@@ -14,11 +14,13 @@ struct ClientFixture {
   sim::Scheduler scheduler;
   Rng rng{7};
   LatencyModels models;
-  LogSpace space;
-  LogClient client{&scheduler, &rng, &models, &space, nullptr, nullptr};
+  ShardedLog log;
+  LogClient client{&scheduler, &rng, &models, &log, {nullptr}, nullptr,
+                   AppendBatchConfig{.enabled = false}, /*read_cache=*/false};
 
-  // Second client on another "node" sharing the space but with its own index replica.
-  LogClient other{&scheduler, &rng, &models, &space, nullptr, nullptr};
+  // Second client on another "node" sharing the log but with its own index replica.
+  LogClient other{&scheduler, &rng, &models, &log, {nullptr}, nullptr,
+                  AppendBatchConfig{.enabled = false}, /*read_cache=*/false};
 };
 
 FieldMap Fields(const std::string& op) {
@@ -105,7 +107,7 @@ TEST(LogClientTest, CondAppendBatchCostsOneRound) {
   fx.scheduler.Spawn([](ClientFixture* fx) -> sim::Task<void> {
     TagId s = fx->client.tags().Intern("s");
     TagId kx = fx->client.tags().Intern("k:x");
-    std::vector<LogSpace::BatchEntry> batch(2);
+    std::vector<ShardedLog::BatchEntry> batch(2);
     batch[0].tags = OneTag(s);
     batch[0].fields = Fields("write-pre");
     batch[1].tags = TwoTags(s, kx);
@@ -151,7 +153,7 @@ TEST(LogClientTest, TrimRemovesRecords) {
   EXPECT_EQ(fx.client.stats().trims, 1);
 }
 
-// Fixture with the node-local payload cache on (requires the sharded-cluster constructor).
+// Fixture with the node-local payload cache on.
 struct CachedClientFixture {
   sim::Scheduler scheduler;
   Rng rng{7};
@@ -161,7 +163,7 @@ struct CachedClientFixture {
                    &rng,
                    &models,
                    &log,
-                   {},
+                   {nullptr},
                    nullptr,
                    AppendBatchConfig{.enabled = false},
                    /*read_cache=*/true};

@@ -1,4 +1,4 @@
-#include "src/sharedlog/log_space.h"
+#include "src/sharedlog/sharded_log.h"
 
 #include <map>
 #include <string>
@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/sharedlog/sharded_log.h"
 #include "src/storage/checkpoint.h"
 #include "src/storage/journal.h"
 
@@ -21,7 +20,7 @@ FieldMap Fields(const std::string& op, int64_t step) {
 }
 
 TEST(LogSpaceTest, AppendAssignsMonotonicSeqnums) {
-  LogSpace log;
+  ShardedLog log;
   SeqNum a = log.Append(0, OneTag("t"), Fields("x", 0));
   SeqNum b = log.Append(0, OneTag("t"), Fields("x", 1));
   SeqNum c = log.Append(0, OneTag("u"), Fields("x", 2));
@@ -31,12 +30,12 @@ TEST(LogSpaceTest, AppendAssignsMonotonicSeqnums) {
 
 TEST(LogSpaceTest, SeqnumsStartAboveZero) {
   // Seqnum 0 is reserved as "before everything" (fresh objects carry version 0).
-  LogSpace log;
+  ShardedLog log;
   EXPECT_GT(log.Append(0, OneTag("t"), Fields("x", 0)), 0u);
 }
 
 TEST(LogSpaceTest, ReadPrevFindsLatestAtOrBefore) {
-  LogSpace log;
+  ShardedLog log;
   SeqNum a = log.Append(0, OneTag("t"), Fields("a", 0));
   SeqNum b = log.Append(0, OneTag("t"), Fields("b", 0));
   log.Append(0, OneTag("t"), Fields("c", 0));
@@ -56,7 +55,7 @@ TEST(LogSpaceTest, ReadPrevFindsLatestAtOrBefore) {
 }
 
 TEST(LogSpaceTest, ReadPrevRespectsSubStreams) {
-  LogSpace log;
+  ShardedLog log;
   log.Append(0, OneTag("t1"), Fields("one", 0));
   log.Append(0, OneTag("t2"), Fields("two", 0));
   auto r = log.ReadPrev("t1", kMaxSeqNum);
@@ -66,7 +65,7 @@ TEST(LogSpaceTest, ReadPrevRespectsSubStreams) {
 }
 
 TEST(LogSpaceTest, ReadNextFindsEarliestAtOrAfter) {
-  LogSpace log;
+  ShardedLog log;
   log.Append(0, OneTag("t"), Fields("a", 0));
   SeqNum b = log.Append(0, OneTag("t"), Fields("b", 0));
   auto r = log.ReadNext("t", b);
@@ -76,14 +75,14 @@ TEST(LogSpaceTest, ReadNextFindsEarliestAtOrAfter) {
 }
 
 TEST(LogSpaceTest, MultiTagRecordsAppearInAllStreams) {
-  LogSpace log;
+  ShardedLog log;
   SeqNum s = log.Append(0, TwoTags("step", "obj"), Fields("w", 1));
   EXPECT_EQ(log.ReadPrev("step", kMaxSeqNum)->seqnum, s);
   EXPECT_EQ(log.ReadPrev("obj", kMaxSeqNum)->seqnum, s);
 }
 
 TEST(LogSpaceTest, ReadStreamReturnsRecordsInOrder) {
-  LogSpace log;
+  ShardedLog log;
   log.Append(0, OneTag("t"), Fields("a", 0));
   log.Append(0, OneTag("u"), Fields("skip", 0));
   log.Append(0, OneTag("t"), Fields("b", 1));
@@ -94,7 +93,7 @@ TEST(LogSpaceTest, ReadStreamReturnsRecordsInOrder) {
 }
 
 TEST(LogSpaceTest, TrimRemovesPrefixOfSubStream) {
-  LogSpace log;
+  ShardedLog log;
   SeqNum a = log.Append(0, OneTag("t"), Fields("a", 0));
   SeqNum b = log.Append(0, OneTag("t"), Fields("b", 1));
   log.Trim(0, "t", a);
@@ -104,7 +103,7 @@ TEST(LogSpaceTest, TrimRemovesPrefixOfSubStream) {
 }
 
 TEST(LogSpaceTest, TrimFreesStorageOnlyWhenAllTagsTrimmed) {
-  LogSpace log;
+  ShardedLog log;
   log.Append(0, TwoTags("a", "b"), Fields("w", 0));
   int64_t full = log.CurrentBytes();
   ASSERT_GT(full, 0);
@@ -118,7 +117,7 @@ TEST(LogSpaceTest, TrimFreesStorageOnlyWhenAllTagsTrimmed) {
 
 TEST(LogSpaceTest, StreamLengthCountsTrimmedHistory) {
   // Logical offsets must be stable across trims (logCondAppend positions).
-  LogSpace log;
+  ShardedLog log;
   log.Append(0, OneTag("t"), Fields("a", 0));
   log.Append(0, OneTag("t"), Fields("b", 1));
   log.Trim(0, "t", kMaxSeqNum);
@@ -126,7 +125,7 @@ TEST(LogSpaceTest, StreamLengthCountsTrimmedHistory) {
 }
 
 TEST(LogSpaceTest, CondAppendSucceedsAtExpectedOffset) {
-  LogSpace log;
+  ShardedLog log;
   CondAppendResult r0 = log.CondAppend(0, OneTag("s"), Fields("init", 0), "s", 0);
   EXPECT_TRUE(r0.ok);
   CondAppendResult r1 = log.CondAppend(0, OneTag("s"), Fields("read", 1), "s", 1);
@@ -135,7 +134,7 @@ TEST(LogSpaceTest, CondAppendSucceedsAtExpectedOffset) {
 }
 
 TEST(LogSpaceTest, CondAppendConflictReturnsExistingRecord) {
-  LogSpace log;
+  ShardedLog log;
   CondAppendResult winner = log.CondAppend(0, OneTag("s"), Fields("init", 0), "s", 0);
   CondAppendResult loser = log.CondAppend(0, OneTag("s"), Fields("init", 0), "s", 0);
   EXPECT_FALSE(loser.ok);
@@ -145,10 +144,10 @@ TEST(LogSpaceTest, CondAppendConflictReturnsExistingRecord) {
 }
 
 TEST(LogSpaceTest, CondAppendBatchCommitsConsecutively) {
-  LogSpace log;
+  ShardedLog log;
   TagId s = log.tags().Intern("s");
   TagId kx = log.tags().Intern("k:x");
-  std::vector<LogSpace::BatchEntry> batch(2);
+  std::vector<ShardedLog::BatchEntry> batch(2);
   batch[0].tags = OneTag(s);
   batch[0].fields = Fields("write-pre", 1);
   batch[1].tags = TwoTags(s, kx);
@@ -162,11 +161,11 @@ TEST(LogSpaceTest, CondAppendBatchCommitsConsecutively) {
 }
 
 TEST(LogSpaceTest, CondAppendBatchConflictIsAllOrNothing) {
-  LogSpace log;
+  ShardedLog log;
   log.CondAppend(0, OneTag("s"), Fields("init", 0), "s", 0);
   TagId s = log.tags().Find("s");
   TagId kx = log.tags().Intern("k:x");
-  std::vector<LogSpace::BatchEntry> batch(2);
+  std::vector<ShardedLog::BatchEntry> batch(2);
   batch[0].tags = OneTag(s);
   batch[0].fields = Fields("write-pre", 1);
   batch[1].tags = TwoTags(s, kx);
@@ -178,7 +177,7 @@ TEST(LogSpaceTest, CondAppendBatchConflictIsAllOrNothing) {
 }
 
 TEST(LogSpaceTest, FindFirstByStepHonorsStreamOrder) {
-  LogSpace log;
+  ShardedLog log;
   SeqNum first = log.Append(0, OneTag("s"), Fields("read", 3));
   log.Append(0, OneTag("s"), Fields("read", 3));  // A racing duplicate.
   auto r = log.FindFirstByStep("s", "read", 3);
@@ -188,7 +187,7 @@ TEST(LogSpaceTest, FindFirstByStepHonorsStreamOrder) {
 }
 
 TEST(LogSpaceTest, StreamTagsWithPrefixEnumeratesLiveStreams) {
-  LogSpace log;
+  ShardedLog log;
   log.Append(0, OneTag("k:a"), Fields("w", 0));
   log.Append(0, OneTag("k:b"), Fields("w", 0));
   log.Append(0, OneTag("other"), Fields("w", 0));
@@ -202,7 +201,7 @@ TEST(LogSpaceTest, StreamTagsWithPrefixEnumeratesLiveStreams) {
 
 TEST(LogSpaceTest, ReadsAliasTheStoredRecordWithoutCopying) {
   // Every read API must return a view of the one committed record, not a duplicate.
-  LogSpace log;
+  ShardedLog log;
   SeqNum s = log.Append(0, TwoTags("t", "u"), Fields("read", 5));
   LogRecordPtr stored = log.Get(s);
   ASSERT_TRUE(stored != nullptr);
@@ -217,7 +216,7 @@ TEST(LogSpaceTest, ReadsAliasTheStoredRecordWithoutCopying) {
 TEST(LogSpaceTest, TrimCompactsStreamIndexMemory) {
   // Regression: the old index kept every trimmed seqnum forever, so a long-lived stream's
   // index grew without bound. The compacted index must stay bounded by the live suffix.
-  LogSpace log;
+  ShardedLog log;
   for (int cycle = 0; cycle < 100; ++cycle) {
     for (int i = 0; i < 10; ++i) {
       log.Append(0, OneTag("t"), Fields("w", cycle * 10 + i));
@@ -235,7 +234,7 @@ TEST(LogSpaceTest, FullyTrimmedStreamsLeaveNoResidue) {
   // Regression for the fully-trimmed-stream leak: after every stream of a batch of objects
   // is trimmed, neither the record store, the per-tag indices, nor the live-tag set may
   // retain anything.
-  LogSpace log;
+  ShardedLog log;
   for (int i = 0; i < 50; ++i) {
     log.Append(0, OneTag("k:obj" + std::to_string(i)), Fields("w", i));
   }
@@ -252,7 +251,7 @@ TEST(LogSpaceTest, FullyTrimmedStreamsGiveTheirIndexBufferBack) {
   // Regression: each stream used to hold a std::deque, which allocates ~576 B even when
   // empty, so every tag ever appended kept index memory after a full trim. A fully trimmed
   // stream must own no buffer at all.
-  LogSpace log;
+  ShardedLog log;
   constexpr int kTags = 10000;
   for (int i = 0; i < kTags; ++i) {
     std::string tag = "step:" + std::to_string(i);
@@ -266,13 +265,13 @@ TEST(LogSpaceTest, FullyTrimmedStreamsGiveTheirIndexBufferBack) {
   EXPECT_EQ(log.IndexEntries(), 0u);
   EXPECT_EQ(log.IndexCapacity(), 0u);
   EXPECT_EQ(log.live_records(), 0u);
-  EXPECT_EQ(log.RecordPages(), 0u);
+  EXPECT_EQ(log.RecordPages(0), 0u);
 }
 
 TEST(LogSpaceTest, IncrementalTrimKeepsOrderAndOffsets) {
   // Trimming one entry at a time exercises the deferred prefix compaction: reads, logical
   // offsets and conflict reports must see exactly the untrimmed suffix after every step.
-  LogSpace log;
+  ShardedLog log;
   std::vector<SeqNum> seqs;
   for (int i = 0; i < 100; ++i) seqs.push_back(log.Append(0, OneTag("t"), Fields("w", i)));
   for (size_t i = 0; i < seqs.size(); ++i) {
@@ -292,7 +291,7 @@ TEST(LogSpaceTest, IncrementalTrimKeepsOrderAndOffsets) {
 TEST(LogSpaceTest, CondAppendOffsetsStayStableAfterCompaction) {
   // A trimmed prefix must not shift logCondAppend positions: the next logical offset is the
   // full-history length, and appends at stale offsets still conflict.
-  LogSpace log;
+  ShardedLog log;
   ASSERT_TRUE(log.CondAppend(0, OneTag("s"), Fields("a", 0), "s", 0).ok);
   ASSERT_TRUE(log.CondAppend(0, OneTag("s"), Fields("b", 1), "s", 1).ok);
   log.Trim(0, "s", kMaxSeqNum);
@@ -303,9 +302,9 @@ TEST(LogSpaceTest, CondAppendOffsetsStayStableAfterCompaction) {
 }
 
 TEST(LogSpaceTest, CondAppendBatchThenPartialTrimReleasesRefs) {
-  LogSpace log;
+  ShardedLog log;
   TagId s = log.tags().Intern("s");
-  std::vector<LogSpace::BatchEntry> batch(3);
+  std::vector<ShardedLog::BatchEntry> batch(3);
   for (int i = 0; i < 3; ++i) {
     batch[static_cast<size_t>(i)].tags = OneTag(s);
     batch[static_cast<size_t>(i)].fields = Fields("w", i);
@@ -332,7 +331,7 @@ TEST(LogSpaceTest, CondAppendBatchThenPartialTrimReleasesRefs) {
 }
 
 TEST(LogSpaceTest, CommitListenerFiresPerAppend) {
-  LogSpace log;
+  ShardedLog log;
   std::vector<SeqNum> seen;
   log.SetCommitListener([&](SeqNum s) { seen.push_back(s); });
   SeqNum a = log.Append(0, OneTag("t"), Fields("a", 0));
@@ -343,7 +342,7 @@ TEST(LogSpaceTest, CommitListenerFiresPerAppend) {
 TEST(LogSpaceTest, CondAppendBatchMismatchLeavesNoTrace) {
   // The undo path of a failed batch must restore every observable structure: seqnum counter,
   // record store, stream indices, and the commit listener must stay silent.
-  LogSpace log;
+  ShardedLog log;
   TagId s = log.tags().Intern("s");
   TagId kx = log.tags().Intern("k:x");
   log.CondAppend(0, OneTag(s), Fields("init", 0), s, 0);
@@ -354,7 +353,7 @@ TEST(LogSpaceTest, CondAppendBatchMismatchLeavesNoTrace) {
   int listener_calls = 0;
   log.SetCommitListener([&](SeqNum) { ++listener_calls; });
 
-  std::vector<LogSpace::BatchEntry> batch(2);
+  std::vector<ShardedLog::BatchEntry> batch(2);
   batch[0].tags = OneTag(s);
   batch[0].fields = Fields("write-pre", 1);
   batch[1].tags = TwoTags(s, kx);
@@ -374,13 +373,13 @@ TEST(LogSpaceTest, AppendGroupMixedVerdicts) {
   // conflicting cond request, and a trailing unconditional one. Each request sees the stream
   // state left by its predecessors; the conflicting one leaves no trace; the listener fires
   // exactly once, with the round's last committed seqnum.
-  LogSpace log;
+  ShardedLog log;
   TagId s = log.tags().Intern("s");
   TagId t = log.tags().Intern("t");
   std::vector<SeqNum> listener_calls;
   log.SetCommitListener([&](SeqNum n) { listener_calls.push_back(n); });
 
-  std::vector<LogSpace::GroupRequest> requests(4);
+  std::vector<ShardedLog::GroupRequest> requests(4);
   requests[0].entries.push_back({OneTag(t), Fields("a", 0)});
   requests[1].entries.push_back({OneTag(s), Fields("b", 0)});
   requests[1].cond_tag = s;
@@ -390,7 +389,8 @@ TEST(LogSpaceTest, AppendGroupMixedVerdicts) {
   requests[2].cond_pos = 0;  // Stale: request 1 already took offset 0.
   requests[3].entries.push_back({TwoTags(s, t), Fields("d", 1)});
 
-  std::vector<LogSpace::GroupVerdict> verdicts = log.AppendGroup(0, std::move(requests));
+  std::vector<ShardedLog::GroupVerdict> verdicts =
+      log.AppendGroup(/*shard=*/0, /*now=*/0, std::move(requests));
   ASSERT_EQ(verdicts.size(), 4u);
   EXPECT_TRUE(verdicts[0].ok);
   EXPECT_TRUE(verdicts[1].ok);
@@ -407,18 +407,19 @@ TEST(LogSpaceTest, AppendGroupMixedVerdicts) {
 }
 
 TEST(LogSpaceTest, AppendGroupAllConflictingKeepsListenerSilent) {
-  LogSpace log;
+  ShardedLog log;
   TagId s = log.tags().Intern("s");
   log.CondAppend(0, OneTag(s), Fields("init", 0), s, 0);
   int listener_calls = 0;
   log.SetCommitListener([&](SeqNum) { ++listener_calls; });
-  std::vector<LogSpace::GroupRequest> requests(2);
+  std::vector<ShardedLog::GroupRequest> requests(2);
   for (auto& request : requests) {
     request.entries.push_back({OneTag(s), Fields("x", 0)});
     request.cond_tag = s;
     request.cond_pos = 0;  // Both stale.
   }
-  std::vector<LogSpace::GroupVerdict> verdicts = log.AppendGroup(0, std::move(requests));
+  std::vector<ShardedLog::GroupVerdict> verdicts =
+      log.AppendGroup(/*shard=*/0, /*now=*/0, std::move(requests));
   EXPECT_FALSE(verdicts[0].ok);
   EXPECT_FALSE(verdicts[1].ok);
   EXPECT_EQ(listener_calls, 0);
@@ -428,9 +429,9 @@ TEST(LogSpaceTest, AppendGroupAllConflictingKeepsListenerSilent) {
 TEST(LogSpaceTest, AppendGroupMultiEntryRequestCommitsAtomically) {
   // A request's entries are an atomic sub-group (the batched cond-append shape): on success
   // they take consecutive seqnums, on conflict none of them appear.
-  LogSpace log;
+  ShardedLog log;
   TagId s = log.tags().Intern("s");
-  std::vector<LogSpace::GroupRequest> requests(2);
+  std::vector<ShardedLog::GroupRequest> requests(2);
   requests[0].entries.push_back({OneTag(s), Fields("pre", 0)});
   requests[0].entries.push_back({OneTag(s), Fields("commit", 0)});
   requests[0].cond_tag = s;
@@ -439,7 +440,8 @@ TEST(LogSpaceTest, AppendGroupMultiEntryRequestCommitsAtomically) {
   requests[1].entries.push_back({OneTag(s), Fields("commit", 1)});
   requests[1].cond_tag = s;
   requests[1].cond_pos = 0;  // Conflicts: request 0 grew the stream to length 2.
-  std::vector<LogSpace::GroupVerdict> verdicts = log.AppendGroup(0, std::move(requests));
+  std::vector<ShardedLog::GroupVerdict> verdicts =
+      log.AppendGroup(/*shard=*/0, /*now=*/0, std::move(requests));
   EXPECT_TRUE(verdicts[0].ok);
   EXPECT_FALSE(verdicts[1].ok);
   EXPECT_EQ(verdicts[1].existing_seqnum, verdicts[0].seqnum);
@@ -450,7 +452,7 @@ TEST(LogSpaceTest, AppendGroupMultiEntryRequestCommitsAtomically) {
 TEST(LogSpaceTest, OpIdsAreInternedAndStamped) {
   // Protocol op names are pre-interned to the kOp* constants; Append stamps each record's
   // dense op id so FindFirstByStep scans with integer compares.
-  LogSpace log;
+  ShardedLog log;
   EXPECT_EQ(log.ops().Find("read"), kOpRead);
   EXPECT_EQ(log.ops().Find("write"), kOpWrite);
   EXPECT_EQ(log.ops().Find("invoke-pre"), kOpInvokePre);
@@ -466,7 +468,7 @@ TEST(LogSpaceTest, OpIdsAreInternedAndStamped) {
 }
 
 TEST(LogSpaceTest, ByteAccountingMatchesRecordSizes) {
-  LogSpace log;
+  ShardedLog log;
   EXPECT_EQ(log.CurrentBytes(), 0);
   log.Append(0, OneTag("t"), Fields("a", 0));
   int64_t one = log.CurrentBytes();
@@ -487,7 +489,7 @@ TagId TagOwnedBy(ShardedLog& log, uint32_t shard, const std::string& prefix = "t
 }
 
 TEST(LogSpaceRecordStoreTest, SeqnumsMapToPerShardSlots) {
-  constexpr size_t kSlots = LogSpace::kRecordPageSlots;
+  constexpr size_t kSlots = ShardedLog::kRecordPageSlots;
   for (uint32_t shards : {2u, 4u}) {
     SCOPED_TRACE(shards);
     ShardedLog log(shards);
@@ -501,10 +503,10 @@ TEST(LogSpaceRecordStoreTest, SeqnumsMapToPerShardSlots) {
       EXPECT_EQ(log.ShardOfSeq(run[i]), 0u);
       EXPECT_EQ(run[i] / shards, i + 1);
     }
-    EXPECT_EQ(log.shard(0).RecordPages(), 1u);
+    EXPECT_EQ(log.RecordPages(0), 1u);
     SeqNum spill = log.Append(0, OneTag(first), Fields("w", 0));
     EXPECT_EQ(spill / shards, kSlots);
-    EXPECT_EQ(log.shard(0).RecordPages(), 2u);
+    EXPECT_EQ(log.RecordPages(0), 2u);
 
     // Interleaved with another shard: each local is taken by exactly one shard, so the two
     // shards' slot spaces are sparse but never collide, and each record stays findable.
@@ -522,12 +524,12 @@ TEST(LogSpaceRecordStoreTest, SeqnumsMapToPerShardSlots) {
       EXPECT_EQ(log.Get(b[i])->fields.GetStr("op"), "b");
       EXPECT_EQ(log.Get(a[i])->fields.GetInt("step"), static_cast<int64_t>(i));
     }
-    EXPECT_EQ(log.shard(0).live_records(), kSlots + 10);
-    EXPECT_EQ(log.shard(shards - 1).live_records(), 10u);
-    EXPECT_EQ(log.shard(shards - 1).RecordPages(), 1u);
+    EXPECT_EQ(log.live_records(0), kSlots + 10);
+    EXPECT_EQ(log.live_records(shards - 1), 10u);
+    EXPECT_EQ(log.RecordPages(shards - 1), 1u);
     for (uint32_t mid = 1; mid + 1 < shards; ++mid) {
-      EXPECT_EQ(log.shard(mid).live_records(), 0u);
-      EXPECT_EQ(log.shard(mid).RecordPages(), 0u);
+      EXPECT_EQ(log.live_records(mid), 0u);
+      EXPECT_EQ(log.RecordPages(mid), 0u);
     }
     EXPECT_EQ(log.live_records(), kSlots + 20);
     // A seqnum whose slot was never filled reads as absent, on either side of the store.
@@ -539,7 +541,7 @@ TEST(LogSpaceRecordStoreTest, SeqnumsMapToPerShardSlots) {
 TEST(LogSpaceRecordStoreTest, FuzzyRestoreInstallsOutOfOrderAndBelowWatermark) {
   // Replay-suffix on top of a checkpoint image: frames may name seqnums below the restored
   // watermark, in any order, and across pages; each installs into its own slot.
-  LogSpace log;
+  ShardedLog log;
   TagId t = log.tags().Intern("t");
   TagId u = log.tags().Intern("u");
   log.EnsureWatermark(500);
@@ -548,7 +550,7 @@ TEST(LogSpaceRecordStoreTest, FuzzyRestoreInstallsOutOfOrderAndBelowWatermark) {
   log.RestoreRecord(0, 200, OneTag(t), Fields("w", 2), /*fuzzy=*/true);
   EXPECT_EQ(log.next_seqnum(), 501u);  // The watermark never moves down.
   EXPECT_EQ(log.live_records(), 3u);
-  EXPECT_EQ(log.RecordPages(), 3u);  // 100, 200 and 300 sit on pages 1, 3 and 4.
+  EXPECT_EQ(log.RecordPages(0), 3u);  // 100, 200 and 300 sit on pages 1, 3 and 4.
   std::vector<SeqNum> order;
   for (const LogRecordPtr& r : log.ReadStream(t)) order.push_back(r->seqnum);
   EXPECT_EQ(order, (std::vector<SeqNum>{100, 200, 300}));
@@ -560,41 +562,41 @@ TEST(LogSpaceRecordStoreTest, FuzzyRestoreInstallsOutOfOrderAndBelowWatermark) {
 
   log.Trim(0, t, kMaxSeqNum);
   EXPECT_EQ(log.live_records(), 1u);  // 100 is still referenced by u.
-  EXPECT_EQ(log.RecordPages(), 1u);
+  EXPECT_EQ(log.RecordPages(0), 1u);
   EXPECT_EQ(log.Get(100)->fields.GetInt("step"), 1);
   log.Trim(0, u, kMaxSeqNum);
   EXPECT_EQ(log.live_records(), 0u);
-  EXPECT_EQ(log.RecordPages(), 0u);
+  EXPECT_EQ(log.RecordPages(0), 0u);
 }
 
 TEST(LogSpaceRecordStoreTest, PageIsFreedWithItsLastRecord) {
-  LogSpace log;
+  ShardedLog log;
   // Seqnums 1..63 fill page 0; 64..70 start page 1. Record 70 also carries tag u.
   for (int i = 1; i < 70; ++i) log.Append(0, OneTag("t"), Fields("w", i));
   SeqNum shared = log.Append(0, TwoTags("t", "u"), Fields("w", 70));
   ASSERT_EQ(shared, 70u);
-  EXPECT_EQ(log.RecordPages(), 2u);
+  EXPECT_EQ(log.RecordPages(0), 2u);
   log.Trim(0, "t", 62);
-  EXPECT_EQ(log.RecordPages(), 2u);  // Seqnum 63 still holds page 0.
+  EXPECT_EQ(log.RecordPages(0), 2u);  // Seqnum 63 still holds page 0.
   log.Trim(0, "t", 63);
-  EXPECT_EQ(log.RecordPages(), 1u);
+  EXPECT_EQ(log.RecordPages(0), 1u);
   EXPECT_EQ(log.Get(63), nullptr);
   ASSERT_NE(log.Get(64), nullptr);
   log.Trim(0, "t", kMaxSeqNum);
-  EXPECT_EQ(log.RecordPages(), 1u);  // u still references record 70.
+  EXPECT_EQ(log.RecordPages(0), 1u);  // u still references record 70.
   EXPECT_EQ(log.live_records(), 1u);
   log.Trim(0, "u", kMaxSeqNum);
-  EXPECT_EQ(log.RecordPages(), 0u);
+  EXPECT_EQ(log.RecordPages(0), 0u);
   EXPECT_EQ(log.live_records(), 0u);
   EXPECT_EQ(log.CurrentBytes(), 0);
   // A freed page is allocated afresh by a later install on it.
   SeqNum next = log.Append(0, OneTag("t"), Fields("w", 71));
-  EXPECT_EQ(log.RecordPages(), 1u);
+  EXPECT_EQ(log.RecordPages(0), 1u);
   EXPECT_EQ(log.Get(next)->fields.GetInt("step"), 71);
 }
 
 TEST(LogSpaceRecordStoreDeathTest, InstallingAnOccupiedSlotFails) {
-  LogSpace log;
+  ShardedLog log;
   TagId t = log.tags().Intern("t");
   SeqNum s = log.Append(0, OneTag(t), Fields("w", 0));
   EXPECT_DEATH(log.RestoreCheckpointRecord(0, s, OneTag(t), Fields("w", 0)),

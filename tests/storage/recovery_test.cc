@@ -16,6 +16,7 @@
 #include "src/sharedlog/log_record.h"
 #include "src/sharedlog/sharded_log.h"
 #include "src/sim/task.h"
+#include "tests/testing/state_checksum.h"
 
 namespace halfmoon::runtime {
 namespace {
@@ -24,59 +25,7 @@ using kvstore::VersionTuple;
 using sharedlog::LogRecordPtr;
 using sharedlog::SeqNum;
 using sharedlog::TagId;
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvBytes(uint64_t h, const void* data, size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
-uint64_t FnvU64(uint64_t h, uint64_t v) { return FnvBytes(h, &v, sizeof(v)); }
-uint64_t FnvStr(uint64_t h, const std::string& s) { return FnvBytes(h, s.data(), s.size()); }
-
-// Content checksum of the rebuilt state: every live tag's stream (name, seqnums, field maps)
-// XOR-folded, plus the KV latest slots and version index of the keys/objects the test wrote.
-// Seqnums ARE included — recovery must rebuild the identical assignment, not merely the same
-// per-tag order.
-uint64_t StateChecksum(Cluster& cluster, const std::vector<std::string>& kv_keys,
-                       const std::vector<TagId>& objects) {
-  uint64_t combined = 0;
-  sharedlog::ShardedLog& log = cluster.log_space();
-  for (TagId tag : log.LiveTagsWithPrefix("")) {
-    uint64_t h = kFnvOffset;
-    h = FnvStr(h, log.tags().Name(tag));
-    for (const LogRecordPtr& record : log.ReadStreamUpTo(tag, sharedlog::kMaxSeqNum)) {
-      h = FnvU64(h, record->seqnum);
-      for (const auto& [key, field] : record->fields) {
-        h = FnvStr(h, key);
-        if (const int64_t* iv = std::get_if<int64_t>(&field)) {
-          h = FnvU64(h, static_cast<uint64_t>(*iv));
-        } else {
-          h = FnvStr(h, std::get<std::string>(field));
-        }
-      }
-    }
-    combined ^= h;
-  }
-
-  uint64_t kv_hash = kFnvOffset;
-  kv_hash = FnvU64(kv_hash, log.next_seqnum());
-  for (const std::string& key : kv_keys) {
-    kv_hash = FnvStr(kv_hash, key);
-    auto value = cluster.kv_state().Get(key);
-    kv_hash = FnvStr(kv_hash, value.has_value() ? *value : std::string("<missing>"));
-    auto version = cluster.kv_state().GetVersion(key);
-    kv_hash = FnvU64(kv_hash, version.has_value() ? version->cursor_ts : ~0ull);
-    kv_hash = FnvU64(kv_hash, version.has_value() ? version->counter : ~0ull);
-  }
-  for (TagId object : objects) {
-    kv_hash = FnvU64(kv_hash, object);
-    kv_hash = FnvU64(kv_hash, cluster.kv_state().VersionCount(object));
-  }
-  return combined ^ kv_hash;
-}
+using halfmoon::testing::StateChecksum;
 
 ClusterConfig DurableConfig() {
   ClusterConfig config;
