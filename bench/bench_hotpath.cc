@@ -6,8 +6,7 @@
 //   * shard scaling (>= 1.8x simulated throughput at 4 shards), pipelined group commit
 //     (>= 1.5x at depth 4), parallel-engine thread scaling (wall clock), and the node-local
 //     read cache (>= 60% hit rate);
-//   * tag-intern, frontier (its init-stream scan cross-checks the incremental frontier),
-//     index-propagation coalescing and timer-wheel micro-sections;
+//   * tag-intern, index-propagation coalescing and timer-wheel micro-sections;
 //   * the zero-copy audit (read_record_copies == 0) and the advisor drift section (advisor
 //     below both static protocols).
 // Simulated-time gates are deterministic and therefore hard. Every section pins its own
@@ -24,7 +23,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -104,70 +102,6 @@ TagInternResult RunTagInternMicro(uint64_t iters) {
   // At-most-once materialization: millions of requests, a fixed number of distinct names.
   HM_CHECK(out.intern_requests == static_cast<int64_t>(iters + keys.size()));
   HM_CHECK(out.distinct_tags == keys.size());
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Frontier micro-section: the O(1) incremental RunningFrontier() vs the from-scratch init
-// stream scan it replaced. The scan must walk every finished-but-untrimmed init record.
-// ---------------------------------------------------------------------------
-
-struct FrontierResult {
-  double scan_ns = 0.0;
-  double incremental_ns = 0.0;
-  size_t live_inits = 0;
-  uint64_t checksum = 0;
-};
-
-FrontierResult RunFrontierMicro(uint64_t iters) {
-  FrontierResult out;
-  runtime::ClusterConfig config;
-  config.function_nodes = 1;
-  runtime::Cluster cluster(config);
-  std::unordered_set<std::string> finished;
-
-  // 1024 instances on the init stream; the oldest 768 finished but not yet GC-trimmed —
-  // exactly the window a from-scratch scan has to wade through on every GC/switch query.
-  constexpr int kInstances = 1024;
-  constexpr int kFinished = 768;
-  for (int i = 0; i < kInstances; ++i) {
-    std::string instance = "inst-" + std::to_string(i);
-    FieldMap fields;
-    fields.SetStr("op", "init");
-    fields.SetInt("step", 0);
-    fields.SetStr("instance", instance);
-    TagId step_tag = cluster.log_space().tags().Intern(instance);
-    SeqNum seqnum = cluster.log_space().Append(
-        0, sharedlog::TwoTags(step_tag, sharedlog::kInitTagId), std::move(fields));
-    cluster.RegisterInitRecord(instance, seqnum);
-    if (i < kFinished) {
-      cluster.MarkInstanceFinished(instance);
-      finished.insert(instance);
-    }
-  }
-  out.live_inits = kInstances;
-
-  // From-scratch scan replica (the pre-incremental implementation).
-  auto scan = [&]() -> SeqNum {
-    for (const auto& record : cluster.log_space().ReadStream(sharedlog::kInitTagId)) {
-      if (finished.count(record->fields.GetStr("instance")) == 0) return record->seqnum;
-    }
-    return cluster.log_space().next_seqnum();
-  };
-
-  uint64_t scan_iters = iters / 64 + 1;  // The scan is orders of magnitude slower.
-  auto start = std::chrono::steady_clock::now();
-  for (uint64_t i = 0; i < scan_iters; ++i) out.checksum += scan();
-  out.scan_ns = SecondsSince(start) * 1e9 / static_cast<double>(scan_iters);
-
-  uint64_t base = 0;
-  start = std::chrono::steady_clock::now();
-  for (uint64_t i = 0; i < iters; ++i) base += cluster.RunningFrontier();
-  out.incremental_ns = SecondsSince(start) * 1e9 / static_cast<double>(iters);
-
-  HM_CHECK_MSG(cluster.RunningFrontier() == scan(),
-               "incremental frontier diverged from the init-stream scan");
-  out.checksum += base;
   return out;
 }
 
@@ -770,7 +704,6 @@ void Report() {
   double scale = BenchScale();
   const uint64_t event_total = static_cast<uint64_t>(2'000'000 * scale);
   const uint64_t intern_iters = static_cast<uint64_t>(4'000'000 * scale);
-  const uint64_t frontier_iters = static_cast<uint64_t>(4'000'000 * scale);
   constexpr int kEventBatch = 4096;
 
   std::printf("== Hot-path benchmark ==\n");
@@ -890,10 +823,8 @@ void Report() {
   // Also deterministic: the log-free read mix must hit the cache at least 60% of the time.
   HM_CHECK_MSG(cache_hit_rate >= 0.6, "read-cache hit rate fell below the 60% floor");
 
-  // Section 6: tag interning and frontier micro-sections (the frontier scan doubles as a
-  // correctness cross-check of the incremental frontier).
+  // Section 6: tag-interning micro-section.
   TagInternResult intern = RunTagInternMicro(intern_iters);
-  FrontierResult frontier = RunFrontierMicro(frontier_iters);
 
   // Section 7: index-propagation coalescing on a real cluster. The reference run must be
   // observably identical (bit-identical virtual time and final replica state).
@@ -967,9 +898,6 @@ void Report() {
               " -> %zu names\n",
               intern.string_ns, intern.interned_ns, intern.string_ns / intern.interned_ns,
               static_cast<long long>(intern.intern_requests), intern.distinct_tags);
-  std::printf("  frontier:    scan %.1f ns/op, incremental %.1f ns/op (%.0fx)\n",
-              frontier.scan_ns, frontier.incremental_ns,
-              frontier.scan_ns / frontier.incremental_ns);
   std::printf("  propagation: %lld commits -> %lld wake-ups (%.2fx coalescing)\n",
               static_cast<long long>(coalesced.commits),
               static_cast<long long>(coalesced.ticks), coalescing_ratio);
@@ -1028,8 +956,6 @@ void Report() {
                "  \"tag_intern\": {\"string_ns_per_op\": %.2f, \"interned_ns_per_op\": %.2f,\n"
                "                 \"speedup\": %.3f, \"intern_requests\": %lld,\n"
                "                 \"distinct_tags\": %zu},\n"
-               "  \"frontier\": {\"scan_ns_per_op\": %.1f, \"incremental_ns_per_op\": %.2f,\n"
-               "               \"speedup\": %.1f, \"live_inits\": %zu},\n"
                "  \"propagation\": {\"commits\": %lld, \"ticks\": %lld,\n"
                "                  \"coalescing_ratio\": %.3f},\n"
                "  \"advisor_drift\": {\"objects\": %lld, \"hot_objects\": %lld,\n"
@@ -1068,8 +994,6 @@ void Report() {
                pq_eps, wheel_eps, wheel_eps / pq_eps,
                intern.string_ns, intern.interned_ns, intern.string_ns / intern.interned_ns,
                static_cast<long long>(intern.intern_requests), intern.distinct_tags,
-               frontier.scan_ns, frontier.incremental_ns,
-               frontier.scan_ns / frontier.incremental_ns, frontier.live_inits,
                static_cast<long long>(coalesced.commits),
                static_cast<long long>(coalesced.ticks), coalescing_ratio,
                static_cast<long long>(drift.objects),

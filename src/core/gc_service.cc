@@ -78,14 +78,12 @@ void GcService::RunOnce() {
     }
   }
 
-  // (4) The global init stream: records below the frontier belong to finished SSFs. The
-  // completion bookkeeping of those SSFs is pruned with it, keeping tracking memory bounded.
+  // (4) The global init stream: records below the frontier belong to finished SSFs.
   // Counts trimmed *records*, not scans (a scan that trims nothing adds nothing).
   if (frontier > 0) {
     stats_.init_records_trimmed +=
         static_cast<int64_t>(log.Trim(now, sharedlog::kInitTagId, frontier - 1));
   }
-  cluster_->PruneFinishedTracking();
 }
 
 }  // namespace halfmoon::core

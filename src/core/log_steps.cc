@@ -149,9 +149,6 @@ sim::Task<void> InitSsf(Env& env, const Value& input) {
   StepLogResult init =
       co_await LogStep(env, sharedlog::OneTag(sharedlog::kInitTagId), std::move(fields));
   env.init_cursor_ts = init.record->seqnum;
-  // Feed the incremental GC/switch frontier. Idempotent across replays and peers: every
-  // attempt recovers the same init record, hence registers the same seqnum.
-  env.cluster->RegisterInitRecord(env.instance_id, init.record->seqnum);
 }
 
 sim::Task<void> InitChildSsf(Env& env, SeqNum inherited_cursor) {

@@ -47,8 +47,9 @@ struct BatchLogResult {
 sim::Task<BatchLogResult> LogStepBatch(Env& env, std::vector<FieldMap> fields);
 
 // Initializes the SSF environment (Figure 5, Init): fetches the step log, and appends (or
-// recovers) the init record, which doubles as the registration of this instance in the global
-// init stream used by GC and switching.
+// recovers) the init record, also tagged into the global init stream. Every attempt recovers
+// the same record, so env.init_cursor_ts is stable; the runtime reports a root's value to the
+// GC/switch frontier.
 sim::Task<void> InitSsf(Env& env, const Value& input);
 
 // Init for a child SSF of a workflow: per the §4.3 remark, the initial cursorTS only needs to

@@ -28,8 +28,9 @@ ProtocolKind KindFromInt(int64_t v) {
 
 class ContextImpl final : public SsfContext {
  public:
-  ContextImpl(SsfRuntime* runtime, Env* env, const Value* input, std::string root_id)
-      : runtime_(runtime), env_(env), input_(input), root_id_(std::move(root_id)) {}
+  ContextImpl(SsfRuntime* runtime, Env* env, const Value* input,
+              std::shared_ptr<SsfRuntime::Workflow> workflow)
+      : runtime_(runtime), env_(env), input_(input), workflow_(std::move(workflow)) {}
 
   sim::Task<Value> Read(std::string key) override {
     ProtocolResolution res = co_await ResolveFor(key, /*is_read=*/true);
@@ -124,7 +125,7 @@ class ContextImpl final : public SsfContext {
   sim::Task<Value> CallChild(std::string callee, std::string function, Value input,
                              SeqNum inherited_cursor) {
     env_->node->workers().Release();
-    Value result = co_await runtime_->RunInvocation(std::move(callee), root_id_,
+    Value result = co_await runtime_->RunInvocation(std::move(callee), workflow_,
                                                     std::move(function), std::move(input),
                                                     inherited_cursor);
     co_await env_->node->workers().Acquire();
@@ -152,7 +153,7 @@ class ContextImpl final : public SsfContext {
     for (size_t i = 0; i < calls.size(); ++i) {
       handles.push_back(sim::SpawnJoinable(
           env_->cluster->scheduler(),
-          runtime_->RunInvocation(callees[i], root_id_, std::move(calls[i].first),
+          runtime_->RunInvocation(callees[i], workflow_, std::move(calls[i].first),
                                   std::move(calls[i].second), cursors[i])));
     }
     std::vector<Value> results;
@@ -468,7 +469,7 @@ class ContextImpl final : public SsfContext {
   SsfRuntime* runtime_;
   Env* env_;
   const Value* input_;
-  std::string root_id_;
+  std::shared_ptr<SsfRuntime::Workflow> workflow_;
 };
 
 // ---------------------------------------------------------------------------
@@ -487,12 +488,14 @@ void SsfRuntime::RegisterFunction(std::string name, SsfBody body) {
 }
 
 sim::Task<Value> SsfRuntime::InvokeSsf(std::string name, Value input) {
-  std::string id = name + "#" + std::to_string(next_invocation_++);
+  auto workflow = std::make_shared<Workflow>();
+  workflow->root_id = name + "#" + std::to_string(next_invocation_++);
   inflight_.Add();
   ++stats_.invocations;
   Value result;
   try {
-    result = co_await RunInvocation(id, /*root_id=*/id, std::move(name), std::move(input));
+    result = co_await RunInvocation(workflow->root_id, workflow, std::move(name),
+                                    std::move(input));
   } catch (...) {
     inflight_.Done();
     throw;
@@ -501,11 +504,11 @@ sim::Task<Value> SsfRuntime::InvokeSsf(std::string name, Value input) {
   co_return result;
 }
 
-sim::Task<Value> SsfRuntime::RunInvocation(std::string instance_id, std::string root_id,
+sim::Task<Value> SsfRuntime::RunInvocation(std::string instance_id,
+                                           std::shared_ptr<Workflow> workflow,
                                            std::string name, Value input,
                                            sharedlog::SeqNum inherited_cursor) {
-  WorkflowState& workflow = workflows_[root_id];
-  workflow.members.push_back(instance_id);
+  workflow->members.push_back(instance_id);
   auto state = std::make_shared<InvocationState>();
 
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
@@ -514,28 +517,25 @@ sim::Task<Value> SsfRuntime::RunInvocation(std::string instance_id, std::string 
     // The platform may suspect a timeout and race a duplicate instance (§5.1).
     if (cluster_->failure_injector().ShouldDuplicate(cluster_->rng())) {
       ++stats_.peer_instances;
-      cluster_->scheduler().Spawn(RunPeer(state, instance_id, root_id, name, input,
+      cluster_->scheduler().Spawn(RunPeer(state, instance_id, workflow, name, input,
                                           attempt + 1000, inherited_cursor));
     }
 
     ++stats_.attempts;
-    ++state->live_attempts;
-    ++workflows_[root_id].live_attempts;
+    ++workflow->live_attempts;
     bool crashed = false;
     try {
-      Value result = co_await RunAttempt(state.get(), instance_id, root_id, name, input,
-                                         attempt, inherited_cursor);
-      --state->live_attempts;
+      Value result =
+          co_await RunAttempt(workflow, instance_id, name, input, attempt, inherited_cursor);
       if (!state->done) {
         state->done = true;
         state->result = std::move(result);
       }
     } catch (const runtime::SsfCrashed&) {
-      --state->live_attempts;
       ++stats_.crashes;
       crashed = true;
     }
-    --workflows_[root_id].live_attempts;
+    --workflow->live_attempts;
     if (!crashed) break;
     // Crash detected: the platform re-executes after the detection delay.
     co_await cluster_->scheduler().Delay(config_.retry_delay);
@@ -543,15 +543,15 @@ sim::Task<Value> SsfRuntime::RunInvocation(std::string instance_id, std::string 
 
   HM_CHECK_MSG(state->done, "invocation exhausted its retry budget");
   Value result = state->result;
-  if (instance_id == root_id) {
-    workflows_[root_id].root_done = true;
+  if (instance_id == workflow->root_id) {
+    workflow->root_done = true;
   }
-  MaybeFinishWorkflow(root_id);
+  MaybeFinishWorkflow(*workflow);
   co_return result;
 }
 
-sim::Task<Value> SsfRuntime::RunAttempt(InvocationState* state, const std::string& instance_id,
-                                        const std::string& root_id, const std::string& name,
+sim::Task<Value> SsfRuntime::RunAttempt(const std::shared_ptr<Workflow>& workflow,
+                                        const std::string& instance_id, const std::string& name,
                                         const Value& input, int attempt,
                                         sharedlog::SeqNum inherited_cursor) {
   auto it = functions_.find(name);
@@ -572,10 +572,17 @@ sim::Task<Value> SsfRuntime::RunAttempt(InvocationState* state, const std::strin
   env.preserve_write_order = config_.preserve_write_order;
   env.drop_commit_append = config_.drop_commit_append;
 
-  ContextImpl context(this, &env, &input, root_id);
+  ContextImpl context(this, &env, &input, workflow);
   if (config_.default_protocol != ProtocolKind::kUnsafe) {
     if (inherited_cursor == sharedlog::kInvalidSeqNum || !config_.inherit_child_cursor) {
       co_await InitSsf(env, input);
+      // Only the root's init record feeds the GC/switch frontier: it is older than every
+      // member's and holds the frontier until the whole workflow drains. Every attempt
+      // recovers the same record, so the first report wins.
+      if (workflow->root_init == sharedlog::kInvalidSeqNum && instance_id == workflow->root_id) {
+        workflow->root_init = env.init_cursor_ts;
+        cluster_->AddRunningRoot(workflow->root_init);
+      }
     } else {
       co_await InitChildSsf(env, inherited_cursor);
     }
@@ -584,42 +591,40 @@ sim::Task<Value> SsfRuntime::RunAttempt(InvocationState* state, const std::strin
 }
 
 sim::Task<void> SsfRuntime::RunPeer(std::shared_ptr<InvocationState> state,
-                                    std::string instance_id, std::string root_id,
+                                    std::string instance_id, std::shared_ptr<Workflow> workflow,
                                     std::string name, Value input, int attempt,
                                     sharedlog::SeqNum inherited_cursor) {
   co_await cluster_->scheduler().Delay(config_.duplicate_delay);
   if (state->done) co_return;  // The primary finished before the peer launched.
   ++stats_.attempts;
-  ++state->live_attempts;
-  ++workflows_[root_id].live_attempts;
+  ++workflow->live_attempts;
   try {
-    Value result = co_await RunAttempt(state.get(), instance_id, root_id, name, input,
-                                       attempt, inherited_cursor);
-    --state->live_attempts;
+    Value result =
+        co_await RunAttempt(workflow, instance_id, name, input, attempt, inherited_cursor);
     if (!state->done) {
       state->done = true;
       state->result = std::move(result);
     }
   } catch (const runtime::SsfCrashed&) {
     // Peers are not retried; the primary's retry loop drives progress.
-    --state->live_attempts;
     ++stats_.crashes;
   }
-  --workflows_[root_id].live_attempts;
-  MaybeFinishWorkflow(root_id);
+  --workflow->live_attempts;
+  MaybeFinishWorkflow(*workflow);
 }
 
-void SsfRuntime::MaybeFinishWorkflow(const std::string& root_id) {
-  auto it = workflows_.find(root_id);
-  if (it == workflows_.end()) return;
-  if (!it->second.root_done || it->second.live_attempts > 0) return;
+void SsfRuntime::MaybeFinishWorkflow(const Workflow& workflow) {
+  if (!workflow.root_done || workflow.live_attempts > 0) return;
   // The whole workflow has drained: the root's init record may now release the GC/switch
-  // frontier, and every member's step log becomes collectible.
-  cluster_->MarkInstanceFinished(root_id);
-  for (const std::string& member : it->second.members) {
+  // frontier, and every member's step log becomes collectible. Nothing runs in the workflow
+  // afterwards: each member invocation is awaited by some attempt, so all have completed,
+  // and a delayed peer wakes to a done invocation and never starts an attempt.
+  if (workflow.root_init != sharedlog::kInvalidSeqNum) {
+    cluster_->RemoveRunningRoot(workflow.root_init);
+  }
+  for (const std::string& member : workflow.members) {
     cluster_->EnqueueStepLogTrim(member);
   }
-  workflows_.erase(it);
 }
 
 void SsfRuntime::PopulateObject(const std::string& key, const Value& value) {

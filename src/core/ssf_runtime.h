@@ -5,7 +5,6 @@
 #define HALFMOON_CORE_SSF_RUNTIME_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -80,15 +79,6 @@ class SsfRuntime {
   // result after any retries. Tracks the whole workflow for garbage collection.
   sim::Task<Value> InvokeSsf(std::string name, Value input);
 
-  // Runs an invocation with a fixed instance ID (callee invocations and re-invocations).
-  // `root_id` names the root of the workflow for GC bookkeeping. Child SSFs pass
-  // `inherited_cursor` — the seqnum of the parent's invoke-pre record — and skip the init
-  // append entirely: per the §4.3 remark, the initial cursorTS only needs to be
-  // deterministic, and can be inherited from the parent SSF.
-  sim::Task<Value> RunInvocation(std::string instance_id, std::string root_id,
-                                 std::string name, Value input,
-                                 sharedlog::SeqNum inherited_cursor = sharedlog::kInvalidSeqNum);
-
   // Installs an object so that it is readable under every protocol: the LATEST slot, one
   // multi-version copy, and a write-log commit record. No latency (test/bench setup).
   void PopulateObject(const std::string& key, const Value& value);
@@ -137,38 +127,48 @@ class SsfRuntime {
  private:
   friend class ContextImpl;
 
-  struct InvocationState {
-    bool done = false;
-    Value result;
-    int live_attempts = 0;
-  };
-
-  // Per-workflow bookkeeping. A root's init record feeds the GC/switch frontier, so the root
-  // counts as running until the *entire* workflow — including lingering duplicate instances
-  // of its children — has drained; only then may versions its members might read be
-  // collected.
-  struct WorkflowState {
+  // The one record of SSF completion: a root invocation and every instance it transitively
+  // calls. The root's init seqnum holds the GC/switch frontier until the *entire* workflow —
+  // including lingering duplicate instances of its children — has drained; only then may
+  // versions its members might read be collected. Every member and attempt shares it, so a
+  // delayed peer can never outlive it.
+  struct Workflow {
+    std::string root_id;
     std::vector<std::string> members;
     int live_attempts = 0;
     bool root_done = false;
+    sharedlog::SeqNum root_init = sharedlog::kInvalidSeqNum;  // Reported to the frontier.
   };
 
-  sim::Task<Value> RunAttempt(InvocationState* state, const std::string& instance_id,
-                              const std::string& root_id, const std::string& name,
+  struct InvocationState {
+    bool done = false;
+    Value result;
+  };
+
+  // Runs an invocation with a fixed instance ID (the root, callee invocations and
+  // re-invocations) as a member of `workflow`. Child SSFs pass `inherited_cursor` — the
+  // seqnum of the parent's invoke-pre record — and skip the init append entirely: per the
+  // §4.3 remark, the initial cursorTS only needs to be deterministic, and can be inherited
+  // from the parent SSF.
+  sim::Task<Value> RunInvocation(std::string instance_id, std::shared_ptr<Workflow> workflow,
+                                 std::string name, Value input,
+                                 sharedlog::SeqNum inherited_cursor = sharedlog::kInvalidSeqNum);
+
+  sim::Task<Value> RunAttempt(const std::shared_ptr<Workflow>& workflow,
+                              const std::string& instance_id, const std::string& name,
                               const Value& input, int attempt,
                               sharedlog::SeqNum inherited_cursor);
 
   // Spawned when the platform suspects a timeout: races the primary attempt (§5.1).
   sim::Task<void> RunPeer(std::shared_ptr<InvocationState> state, std::string instance_id,
-                          std::string root_id, std::string name, Value input, int attempt,
-                          sharedlog::SeqNum inherited_cursor);
+                          std::shared_ptr<Workflow> workflow, std::string name, Value input,
+                          int attempt, sharedlog::SeqNum inherited_cursor);
 
-  void MaybeFinishWorkflow(const std::string& root_id);
+  void MaybeFinishWorkflow(const Workflow& workflow);
 
   runtime::Cluster* cluster_;
   RuntimeConfig config_;
   std::unordered_map<std::string, SsfBody> functions_;
-  std::unordered_map<std::string, WorkflowState> workflows_;
   RuntimeStats stats_;
   sim::WaitGroup inflight_;
   uint64_t next_invocation_ = 0;

@@ -246,66 +246,14 @@ void Cluster::ReplayLogJournal() {
 
 void Cluster::ReplayKvJournal() {
   SimTime now = scheduler_.Now();
-  sharedlog::LogRecoveryStats stats;
-  storage::InstalledManifest manifest;
-  bool have_image = kv_ckpt_ != nullptr &&
-                    storage::FindLatestValidManifest(*kv_ckpt_, storage::kCkptKvDomain,
-                                                     &manifest, &stats.manifests_rejected);
-  if (have_image) {
-    stats.used_checkpoint = true;
-    storage::ReplayImage(*kv_ckpt_, manifest,
-                         [&](storage::FrameType type, storage::Cursor cursor) {
-                           kv_state_.RestoreCheckpointFrame(now, type, cursor);
-                           ++stats.image_frames;
-                         });
-    kv_durability_->Replay(manifest.manifest.cut,
-                           [&](storage::FrameType type, storage::Cursor cursor) {
-                             kv_state_.RestoreFrame(now, type, cursor, /*fuzzy=*/true);
-                             ++stats.suffix_frames;
-                           });
-  } else {
-    HM_CHECK_MSG(kv_durability_->retained_offset() == 0,
-                 "kv journal was compacted but no valid checkpoint manifest exists");
-    kv_durability_->Replay([&](storage::FrameType type, storage::Cursor cursor) {
-      kv_state_.RestoreFrame(now, type, cursor);
-      ++stats.suffix_frames;
-    });
-  }
-  last_kv_recovery_ = stats;
-}
-
-void Cluster::RegisterInitRecord(const std::string& instance_id,
-                                 sharedlog::SeqNum init_seqnum) {
-  // A replayed Init (or a peer recovering the same init record) re-registers after the
-  // instance finished only if the finish marker still exists; post-prune the workflow can
-  // have no live attempts left, so a registration after pruning cannot occur.
-  if (finished_instances_.count(instance_id) > 0) return;
-  auto [it, inserted] = init_seqnums_.emplace(instance_id, init_seqnum);
-  if (!inserted) return;  // First registration wins; replays see the same seqnum anyway.
-  unfinished_inits_.insert(init_seqnum);
-}
-
-void Cluster::MarkInstanceFinished(const std::string& instance_id) {
-  if (!finished_instances_.insert(instance_id).second) return;
-  auto it = init_seqnums_.find(instance_id);
-  if (it != init_seqnums_.end()) {
-    unfinished_inits_.erase(it->second);
-    finished_by_init_.emplace(it->second, instance_id);
-  } else {
-    // No init record tracked (e.g. protocols that never append one): prunable immediately —
-    // keyed at seqnum 0, below every possible frontier.
-    finished_by_init_.emplace(0, instance_id);
-  }
-}
-
-void Cluster::PruneFinishedTracking() {
-  sharedlog::SeqNum frontier = RunningFrontier();
-  while (!finished_by_init_.empty() && finished_by_init_.begin()->first < frontier) {
-    const std::string& instance_id = finished_by_init_.begin()->second;
-    init_seqnums_.erase(instance_id);
-    finished_instances_.erase(instance_id);
-    finished_by_init_.erase(finished_by_init_.begin());
-  }
+  last_kv_recovery_ = storage::RecoverFromJournal(
+      storage::kCkptKvDomain, *kv_durability_, kv_ckpt_.get(),
+      [&](storage::FrameType type, storage::Cursor cursor) {
+        kv_state_.RestoreCheckpointFrame(now, type, cursor);
+      },
+      [&](storage::FrameType type, storage::Cursor cursor, bool fuzzy) {
+        kv_state_.RestoreFrame(now, type, cursor, fuzzy);
+      });
 }
 
 int64_t Cluster::TotalLogAppends() const {

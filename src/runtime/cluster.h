@@ -11,12 +11,9 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -211,35 +208,18 @@ class Cluster {
     return n;
   }
 
-  // ---- Completion bookkeeping (feeds GC condition (b) of §4.5 and the §4.7 switch wait) ----
+  // ---- Running-workflow frontier (GC condition (b) of §4.5 and the §4.7 switch wait) ----
 
-  // Records that `instance_id`'s Init record landed at `init_seqnum` on the global init
-  // stream. Called by InitSsf at init-append time (idempotent across replays: the first
-  // registration wins, and peers recovering the same init record register the same seqnum).
-  // This feeds the incremental frontier: the set of *unfinished* init seqnums is maintained
-  // here and shrunk in MarkInstanceFinished, so RunningFrontier() is O(1).
-  void RegisterInitRecord(const std::string& instance_id, sharedlog::SeqNum init_seqnum);
+  // The runtime's workflow ledger reports each root's init seqnum once the root's Init lands
+  // and withdraws it once the whole workflow has drained. Children are never reported: the
+  // root's init record is older than every member's and holds the frontier until the
+  // workflow drains (DESIGN.md §5, child cursors).
+  void AddRunningRoot(sharedlog::SeqNum init_seqnum) { running_roots_.insert(init_seqnum); }
+  void RemoveRunningRoot(sharedlog::SeqNum init_seqnum) { running_roots_.erase(init_seqnum); }
 
-  // Marks an invocation (instance ID) as fully finished: result delivered and no live peers.
-  // Feeds the running-SSF frontier used by GC and switching.
-  void MarkInstanceFinished(const std::string& instance_id);
-
-  bool IsInstanceFinished(const std::string& instance_id) const {
-    return finished_instances_.count(instance_id) > 0;
-  }
-
-  // Drops tracking state (finished marker + init seqnum) of every finished instance whose
-  // init record lies strictly below the frontier: nothing can query it anymore — the GC trims
-  // its init record in the same pass, and no new attempt of a finished workflow is ever
-  // started. Called by the GC scan; keeps completion bookkeeping bounded by the set of
-  // instances that started or finished since the previous scan instead of growing forever.
-  void PruneFinishedTracking();
-
-  // Instances currently tracked by the completion bookkeeping (unfinished + finished but not
-  // yet pruned). Tests assert this stays bounded under churn.
-  size_t live_tracking_entries() const {
-    return init_seqnums_.size() + finished_instances_.size();
-  }
+  // Roots currently holding the frontier. Tests assert this returns to zero as workflows
+  // drain.
+  size_t live_tracking_entries() const { return running_roots_.size(); }
 
   // Queues an instance's step log for trimming. Called only once the instance's *workflow
   // root* has finished, because a crashed parent may still replay through its callees' logs.
@@ -255,10 +235,9 @@ class Cluster {
   }
 
   // The GC/switch frontier: the largest seqnum t such that every SSF whose init record has
-  // seqnum < t has finished (§4.7). O(1): the smallest unfinished init seqnum is maintained
-  // incrementally at init-append and instance-finish time instead of scanning the init stream.
+  // seqnum < t has finished (§4.7). O(1): the smallest running root's init seqnum.
   sharedlog::SeqNum RunningFrontier() const {
-    return unfinished_inits_.empty() ? log_space_.next_seqnum() : *unfinished_inits_.begin();
+    return running_roots_.empty() ? log_space_.next_seqnum() : *running_roots_.begin();
   }
 
   // Number of index-propagation wake-up events that performed an advance, and the number of
@@ -319,14 +298,7 @@ class Cluster {
 
   FailureInjector injector_;
 
-  // Completion bookkeeping. All four containers are pruned together in
-  // PruneFinishedTracking once the frontier passes an instance's init record.
-  std::unordered_set<std::string> finished_instances_;
-  std::unordered_map<std::string, sharedlog::SeqNum> init_seqnums_;
-  std::set<sharedlog::SeqNum> unfinished_inits_;  // Ordered: begin() is the frontier bound.
-  // Finished instances awaiting prune, keyed by init seqnum (0 = no init record tracked).
-  std::multimap<sharedlog::SeqNum, std::string> finished_by_init_;
-
+  std::set<sharedlog::SeqNum> running_roots_;  // Ordered: begin() is the frontier.
   std::vector<std::string> trim_queue_;
 
   // Pending index-propagation arrivals (arrival time, committed seqnum), strictly increasing

@@ -33,7 +33,10 @@ using SeqNum = uint64_t;
 inline constexpr TagId kInvalidTagId = std::numeric_limits<TagId>::max();
 // ShardedLog pre-interns the two global streams so their ids are fixed constants.
 inline constexpr TagId kInitTagId = 0;    // "ssf.init" (§4.7 "scans the init log records")
-inline constexpr TagId kFinishTagId = 1;  // "ssf.finish" (GC condition (b) of §4.5)
+// "ssf.finish" is never appended: completion lives in the runtime's workflow ledger. The
+// stream stays pre-interned only so every later TagId (and every object id derived from it)
+// keeps its number.
+inline constexpr TagId kFinishTagId = 1;
 
 // Dense interned id of a record's "op" field (a second TagRegistry owned by ShardedLog).
 // Step arbitration (FindFirstByStep) compares these integers instead of the op strings.
@@ -57,21 +60,18 @@ inline constexpr SeqNum kMaxSeqNum = std::numeric_limits<SeqNum>::max() - 1;
 // Tag *name* constructors, so all modules agree on sub-stream naming. These build strings and
 // belong on cold paths only (interning, tests, display); steady-state code caches the TagId or
 // uses TagRegistry::InternPrefixed to avoid the concatenation.
-inline std::string StepLogTag(const std::string& instance_id) { return instance_id; }
 inline std::string WriteLogTag(const std::string& key) { return "k:" + key; }
 inline std::string TransitionLogTag(const std::string& scope) { return "switch:" + scope; }
 inline constexpr std::string_view kWriteLogPrefix = "k:";
-inline constexpr std::string_view kTransitionLogPrefix = "switch:";
 // Per-object transition sub-streams for the online advisor (DESIGN.md §11): the transition
-// log of object "k:<key>" is "switch:k:<key>", so the global per-scope stream and the
-// per-object streams share the transition prefix but never collide with each other (scopes
+// log of object "k:<key>" is "switch:k:<key>", so the global per-scope streams and the
+// per-object streams share the "switch:" prefix but never collide with each other (scopes
 // never start with "k:").
-inline std::string ObjectTransitionLogTag(const std::string& key) { return "switch:k:" + key; }
 inline constexpr std::string_view kObjectTransitionPrefix = "switch:k:";
 // Every Init record is also tagged into one global stream so the switch manager and the GC can
 // enumerate running SSFs (§4.7 "scans the init log records").
 inline std::string InitLogTag() { return "ssf.init"; }
-// Global stream of SSF completion markers, used by GC condition (b) of §4.5.
+// Name of the unused kFinishTagId stream (see above).
 inline std::string FinishLogTag() { return "ssf.finish"; }
 
 // Tag-vector helpers. Braced-init-list arguments to coroutines miscompile on GCC 12

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/storage/checkpoint.h"
 #include "src/storage/durability.h"
 
 namespace halfmoon::sharedlog {
@@ -92,38 +91,18 @@ void InstallImageFrame(SimTime now, ShardedLog* log, storage::FrameType type,
 LogRecoveryStats RestoreLogFromJournal(SimTime now, ShardedLog* log,
                                        const storage::DurabilityService* journal,
                                        const storage::CheckpointStore* ckpt) {
-  LogRecoveryStats stats;
   log->ResetVolatile(now);
-
-  storage::InstalledManifest manifest;
-  bool have_image =
-      ckpt != nullptr && storage::FindLatestValidManifest(*ckpt, storage::kCkptLogDomain,
-                                                          &manifest, &stats.manifests_rejected);
-  if (have_image) {
-    stats.used_checkpoint = true;
-    storage::ReplayImage(*ckpt, manifest,
-                         [&](storage::FrameType type, storage::Cursor cursor) {
-                           InstallImageFrame(now, log, type, cursor);
-                           ++stats.image_frames;
-                         });
-    journal->Replay(manifest.manifest.cut,
-                    [&](storage::FrameType type, storage::Cursor cursor) {
-                      ReplayJournalFrame(now, log, /*fuzzy=*/true, type, cursor);
-                      ++stats.suffix_frames;
-                    });
-    log->EnsureWatermark(manifest.manifest.watermark_floor);
-  } else {
-    // Full replay is only sound while every journaled frame survives: once the prefix was
-    // truncated, the image it was traded for is the ONLY copy of that history.
-    HM_CHECK_MSG(journal->retained_offset() == 0,
-                 "log journal was compacted but no valid checkpoint manifest exists");
-    journal->Replay([&](storage::FrameType type, storage::Cursor cursor) {
-      ReplayJournalFrame(now, log, /*fuzzy=*/false, type, cursor);
-      ++stats.suffix_frames;
-    });
-  }
+  LogRecoveryStats stats = storage::RecoverFromJournal(
+      storage::kCkptLogDomain, *journal, ckpt,
+      [&](storage::FrameType type, storage::Cursor cursor) {
+        InstallImageFrame(now, log, type, cursor);
+      },
+      [&](storage::FrameType type, storage::Cursor cursor, bool fuzzy) {
+        ReplayJournalFrame(now, log, fuzzy, type, cursor);
+      });
   // Truncation (or trims) can erase the highest durable records; the allocator must still
   // never re-issue their seqnums.
+  log->EnsureWatermark(stats.watermark_floor);
   log->EnsureWatermark(journal->durable_seq());
   return stats;
 }

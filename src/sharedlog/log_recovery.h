@@ -1,10 +1,11 @@
-// Crash-restart recovery driver for the shared log (DESIGN.md §13, §14).
+// Crash-restart recovery of the shared log (DESIGN.md §13, §14): the log's frame decoders
+// plugged into storage::RecoverFromJournal, the policy every domain shares.
 //
 // One entry point serves both restart paths (Cluster::KillRestart* and ParallelCluster's
 // per-partition restarts):
 //   * no checkpoint store, or no valid manifest in it → strict full replay of the journal's
-//     surviving prefix (byte-for-byte the PR 9 recovery path, including the in-order
-//     watermark asserts) — legal only while the journal was never truncated;
+//     surviving prefix (including the in-order watermark asserts) — legal only while the
+//     journal was never truncated;
 //   * a valid manifest → install its image (record bodies, then the per-tag stream
 //     snapshots that reference them), then replay only the journal frames at or above the
 //     manifest's cut, fuzzily: the image may already reflect any prefix of the suffix, so
@@ -19,22 +20,12 @@
 
 #include "src/common/time.h"
 #include "src/sharedlog/sharded_log.h"
-
-namespace halfmoon::storage {
-class CheckpointStore;
-class DurabilityService;
-}  // namespace halfmoon::storage
+#include "src/storage/checkpoint.h"
 
 namespace halfmoon::sharedlog {
 
-// What a restart actually did — tests and the check.sh smoke assert the replay-suffix path
-// is really taken (used_checkpoint) instead of silently falling back to full replay.
-struct LogRecoveryStats {
-  bool used_checkpoint = false;
-  int64_t image_frames = 0;    // State frames installed from the checkpoint image.
-  int64_t suffix_frames = 0;   // Journal frames replayed (the suffix, or the whole prefix).
-  int manifests_rejected = 0;  // Torn/corrupt newer manifests skipped by validation.
-};
+// What a restart actually did (see storage::RecoveryStats).
+using LogRecoveryStats = storage::RecoveryStats;
 
 // Resets the log's volatile state and rebuilds it from the durable medium. `ckpt` may be
 // null (no checkpoint tier); when non-null but without a valid manifest, recovery falls

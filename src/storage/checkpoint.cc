@@ -120,6 +120,37 @@ void ReplayImage(const CheckpointStore& store, const InstalledManifest& m,
   HM_CHECK_MSG(tiled, "validated checkpoint image no longer tiles its span");
 }
 
+RecoveryStats RecoverFromJournal(
+    uint8_t domain, const DurabilityService& journal, const CheckpointStore* ckpt,
+    const std::function<void(FrameType, Cursor)>& install_image,
+    const std::function<void(FrameType, Cursor, bool fuzzy)>& replay_frame) {
+  RecoveryStats stats;
+  InstalledManifest manifest;
+  if (ckpt != nullptr &&
+      FindLatestValidManifest(*ckpt, domain, &manifest, &stats.manifests_rejected)) {
+    stats.used_checkpoint = true;
+    stats.watermark_floor = manifest.manifest.watermark_floor;
+    ReplayImage(*ckpt, manifest, [&](FrameType type, Cursor cursor) {
+      install_image(type, cursor);
+      ++stats.image_frames;
+    });
+    journal.Replay(manifest.manifest.cut, [&](FrameType type, Cursor cursor) {
+      replay_frame(type, cursor, /*fuzzy=*/true);
+      ++stats.suffix_frames;
+    });
+    return stats;
+  }
+  HM_CHECK_MSG(journal.retained_offset() == 0,
+               domain == kCkptLogDomain
+                   ? "log journal was compacted but no valid checkpoint manifest exists"
+                   : "kv journal was compacted but no valid checkpoint manifest exists");
+  journal.Replay([&](FrameType type, Cursor cursor) {
+    replay_frame(type, cursor, /*fuzzy=*/false);
+    ++stats.suffix_frames;
+  });
+  return stats;
+}
+
 bool CheckpointService::TriggerRound() {
   if (inflight_ || targets_.empty()) return false;
   inflight_ = true;

@@ -112,6 +112,29 @@ bool FindLatestValidManifest(const CheckpointStore& store, uint8_t domain,
 void ReplayImage(const CheckpointStore& store, const InstalledManifest& m,
                  const std::function<void(FrameType, Cursor)>& fn);
 
+// What a crash-restart recovery actually did — tests and the check.sh smoke assert the
+// replay-suffix path is really taken (used_checkpoint) instead of silently falling back to
+// full replay.
+struct RecoveryStats {
+  bool used_checkpoint = false;
+  int64_t image_frames = 0;      // State frames installed from the checkpoint image.
+  int64_t suffix_frames = 0;     // Journal frames replayed (the suffix, or the whole prefix).
+  int manifests_rejected = 0;    // Torn/corrupt newer manifests skipped by validation.
+  uint64_t watermark_floor = 0;  // The installed manifest's seqnum floor (0 on full replay).
+};
+
+// The one crash-restart recovery policy, shared by every storage domain (DESIGN.md §13,
+// §14). With a valid manifest of `domain` in `ckpt`, installs its image through
+// `install_image`, then replays only the journal frames at or above its cut through
+// `replay_frame` with fuzzy = true (the image may already reflect any prefix of the
+// suffix). Otherwise — `ckpt` null, or no valid manifest — strictly replays the whole
+// journal (fuzzy = false), aborting with the journal named if its prefix was ever
+// truncated: the image it was traded for is then the only copy of that history.
+RecoveryStats RecoverFromJournal(
+    uint8_t domain, const DurabilityService& journal, const CheckpointStore* ckpt,
+    const std::function<void(FrameType, Cursor)>& install_image,
+    const std::function<void(FrameType, Cursor, bool fuzzy)>& replay_frame);
+
 // The background checkpoint daemon. One round walks every registered target: snapshot the
 // journal cut, emit the live-state image in bounded slices (yielding between slices so
 // foreground traffic keeps acking — the image is fuzzy), wait for the journal to cover the

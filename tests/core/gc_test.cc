@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/gc_service.h"
+#include "src/core/switch_manager.h"
 #include "tests/testing/test_world.h"
 
 namespace halfmoon {
@@ -11,6 +12,7 @@ namespace {
 
 using core::GcService;
 using core::ProtocolKind;
+using core::SwitchManager;
 using testing::TestWorld;
 using testing::TestWorldOptions;
 
@@ -186,6 +188,55 @@ TEST(GcTest, FrontierBlocksCollectionWhileSsfRuns) {
   EXPECT_TRUE(sleeper_done);
   gc.RunOnce();
   EXPECT_EQ(world.cluster().kv_state().VersionCount(world.ObjectIdFor("k")), 1u);
+}
+
+TEST(GcTest, ChildInitRecordsDoNotFreezeTheFrontier) {
+  // With child cursor inheritance off, every child appends an init record of its own. Only
+  // the root's init record may hold the frontier: a child's is newer than its root's, so once
+  // the workflow drains, GC and switching must see the frontier move past both.
+  runtime::ClusterConfig ccfg;
+  ccfg.function_nodes = 4;
+  ccfg.workers_per_node = 8;
+  runtime::Cluster cluster(ccfg);
+  core::RuntimeConfig rcfg;
+  rcfg.default_protocol = ProtocolKind::kHalfmoonRead;
+  rcfg.inherit_child_cursor = false;
+  core::SsfRuntime runtime(&cluster, rcfg);
+  runtime.PopulateObject("x", "seed");
+  runtime.RegisterFunction("parent", [](core::SsfContext& ctx) -> sim::Task<Value> {
+    co_return co_await ctx.Invoke("child", ctx.input());
+  });
+  runtime.RegisterFunction("child", [](core::SsfContext& ctx) -> sim::Task<Value> {
+    co_await ctx.Write("x", ctx.input());
+    co_return "";
+  });
+  for (int i = 0; i < 5; ++i) {
+    cluster.scheduler().Spawn(
+        [](core::SsfRuntime* rt, Value input) -> sim::Task<void> {
+          co_await rt->InvokeSsf("parent", std::move(input));
+        }(&runtime, "v" + std::to_string(i)));
+    cluster.scheduler().Run();
+  }
+  EXPECT_EQ(cluster.live_tracking_entries(), 0u);
+
+  // The switch waits for every SSF that started before its BEGIN; all have finished, so it
+  // must complete promptly (a frozen frontier would keep it polling forever).
+  SwitchManager manager(&cluster, rcfg.switch_scope);
+  bool switch_done = false;
+  cluster.scheduler().Spawn([](SwitchManager* m, bool* done) -> sim::Task<void> {
+    co_await m->SwitchTo(ProtocolKind::kHalfmoonWrite);
+    *done = true;
+  }(&manager, &switch_done));
+  cluster.scheduler().RunUntil(cluster.scheduler().Now() + Seconds(1));
+  EXPECT_TRUE(switch_done);
+
+  GcService gc(&cluster, Seconds(10));
+  gc.RunOnce();
+  EXPECT_EQ(cluster.RunningFrontier(), cluster.log_space().next_seqnum());
+  EXPECT_EQ(cluster.live_tracking_entries(), 0u);
+  // The seed version and the first four writes are superseded by the fifth.
+  EXPECT_EQ(gc.stats().versions_deleted, 5);
+  EXPECT_EQ(cluster.kv_state().VersionCount(testing::ObjectIdFor(cluster, "x")), 1u);
 }
 
 TEST(GcTest, PeriodicLoopRunsOnSchedule) {

@@ -103,17 +103,17 @@ TEST(ClusterTest, RunningFrontierTracksInitStream) {
   sharedlog::SeqNum b = cluster.log_space().Append(
       0, sharedlog::TwoTags("B", sharedlog::InitLogTag()), std::move(init2));
 
-  // The frontier is maintained incrementally: the runtime registers every init record as it
-  // is logged (InitSsf does this), so the cluster never rescans the init stream.
-  cluster.RegisterInitRecord("A", a);
-  cluster.RegisterInitRecord("B", b);
+  // The frontier is maintained incrementally: the runtime reports each root's init seqnum
+  // once its Init lands, so the cluster never rescans the init stream.
+  cluster.AddRunningRoot(a);
+  cluster.AddRunningRoot(b);
 
   // Both running: the frontier stops at A's init.
   EXPECT_EQ(cluster.RunningFrontier(), a);
-  cluster.MarkInstanceFinished("A");
+  cluster.RemoveRunningRoot(a);
   // A finished, B still running: frontier moves to B's init.
   EXPECT_EQ(cluster.RunningFrontier(), b);
-  cluster.MarkInstanceFinished("B");
+  cluster.RemoveRunningRoot(b);
   EXPECT_EQ(cluster.RunningFrontier(), cluster.log_space().next_seqnum());
 }
 

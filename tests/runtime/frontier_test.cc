@@ -1,7 +1,7 @@
 // The incremental GC/switch frontier and coalesced index propagation: the O(1) frontier must
 // agree with a from-scratch init-stream scan under arbitrary interleavings of init, finish,
-// and trim, completion bookkeeping must stay bounded under churn, and propagation coalescing
-// must be observably identical to the per-commit reference mode.
+// and trim, the running-root set must empty as roots finish, and propagation coalescing must
+// be observably identical to the per-commit reference mode.
 
 #include <gtest/gtest.h>
 
@@ -34,13 +34,13 @@ FieldMap OpFields(const std::string& op) {
   return f;
 }
 
-// Appends an init record the way InitSsf does: tagged with the instance's step log and the
-// global init stream, then registered with the cluster's frontier bookkeeping.
+// Appends a root's init record the way InitSsf does — tagged with the instance's step log
+// and the global init stream — then reports it to the frontier as the runtime does.
 SeqNum StartInstance(Cluster& cluster, const std::string& instance) {
   TagId step_tag = cluster.log_space().tags().Intern(instance);
   SeqNum seqnum = cluster.log_space().Append(
       0, sharedlog::TwoTags(step_tag, sharedlog::kInitTagId), InitFields(instance));
-  cluster.RegisterInitRecord(instance, seqnum);
+  cluster.AddRunningRoot(seqnum);
   return seqnum;
 }
 
@@ -56,7 +56,7 @@ SeqNum FrontierByScan(Cluster& cluster, const std::unordered_set<std::string>& f
 TEST(FrontierTest, RandomizedIncrementalFrontierMatchesInitStreamScan) {
   Cluster cluster(ClusterConfig{});
   Rng rng(20260806);
-  std::vector<std::string> running;
+  std::vector<std::pair<std::string, SeqNum>> running;
   std::unordered_set<std::string> finished;
   int next_instance = 0;
 
@@ -65,41 +65,39 @@ TEST(FrontierTest, RandomizedIncrementalFrontierMatchesInitStreamScan) {
     if (op < 5 || running.empty()) {
       std::string instance = "inst-" + std::to_string(next_instance++);
       SeqNum seqnum = StartInstance(cluster, instance);
-      // Replayed registration (a recovering peer re-reports the same init record) is a no-op.
-      cluster.RegisterInitRecord(instance, seqnum);
-      running.push_back(std::move(instance));
+      // A repeated report (a recovering attempt re-reads the same init record) is a no-op.
+      cluster.AddRunningRoot(seqnum);
+      running.emplace_back(std::move(instance), seqnum);
     } else if (op < 9) {
       size_t pick = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(running.size()) - 1));
-      cluster.MarkInstanceFinished(running[pick]);
-      finished.insert(running[pick]);
+      cluster.RemoveRunningRoot(running[pick].second);
+      finished.insert(running[pick].first);
       running.erase(running.begin() + static_cast<long>(pick));
     } else {
-      // A GC pass: trim the init stream below the frontier and prune finished bookkeeping.
+      // A GC pass: trim the init stream below the frontier.
       SeqNum frontier = cluster.RunningFrontier();
       cluster.log_space().Trim(0, sharedlog::kInitTagId, frontier - 1);
-      cluster.PruneFinishedTracking();
     }
     ASSERT_EQ(cluster.RunningFrontier(), FrontierByScan(cluster, finished)) << "step " << step;
   }
 }
 
 TEST(FrontierTest, TrackingEntriesStayBoundedUnderChurn) {
-  // Regression for the unbounded finished_instances_ growth: after each GC-style prune, the
-  // completion bookkeeping must hold nothing — not one entry per instance ever finished.
+  // The frontier tracks running roots only: each finish removes its entry at once, with no
+  // GC pass in between — never one entry per instance ever finished.
   Cluster cluster(ClusterConfig{});
   int next_instance = 0;
   for (int cycle = 0; cycle < 200; ++cycle) {
+    std::vector<SeqNum> inits;
     for (int i = 0; i < 10; ++i) {
-      std::string instance = "inst-" + std::to_string(next_instance++);
-      StartInstance(cluster, instance);
-      cluster.MarkInstanceFinished(instance);
-      EXPECT_TRUE(cluster.IsInstanceFinished(instance));
+      inits.push_back(StartInstance(cluster, "inst-" + std::to_string(next_instance++)));
     }
-    // Within a cycle the tracker holds at most this cycle's instances (init + finished sets).
-    EXPECT_LE(cluster.live_tracking_entries(), 20u);
-    cluster.log_space().Trim(0, sharedlog::kInitTagId, cluster.RunningFrontier() - 1);
-    cluster.PruneFinishedTracking();
+    for (size_t i = 0; i < inits.size(); ++i) {
+      EXPECT_EQ(cluster.live_tracking_entries(), inits.size() - i);
+      cluster.RemoveRunningRoot(inits[i]);
+    }
     EXPECT_EQ(cluster.live_tracking_entries(), 0u);
+    EXPECT_EQ(cluster.RunningFrontier(), cluster.log_space().next_seqnum());
   }
 }
 
