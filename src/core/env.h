@@ -31,6 +31,9 @@ enum class ProtocolKind {
 
 const char* ProtocolName(ProtocolKind kind);
 
+// The kind a transition record's "target" field names; aborts on an out-of-range value.
+ProtocolKind KindFromInt(int64_t v);
+
 // Append-class id under which a protocol's log records are accounted (see
 // LogClientStats::appended_bytes_by_class). Class 0 is reserved for control records (init,
 // invoke pre/post, switch transitions), so protocol classes start at 1.
@@ -88,6 +91,15 @@ struct Env {
   runtime::FunctionNode* node = nullptr;
 
   sharedlog::LogClient& log() { return node->log(); }
+  // The log client for an append this attempt issues: stamps the client's next append as
+  // in-attempt (LogClient::set_append_in_attempt), so a kill that loses its journal frame
+  // aborts this attempt into the retry loop instead of handing back a rolled-back record.
+  // Every append an attempt makes goes through here, in the append expression itself
+  // (`co_await env.attempt_log().Append(...)`), so no other coroutine can take the stamp.
+  sharedlog::LogClient& attempt_log() {
+    node->log().set_append_in_attempt();
+    return node->log();
+  }
   kvstore::KvClient& kv() { return node->kv(); }
 
   // Interned id of `key`'s write-log tag ("k:<key>"). The two-part intern hashes the logical

@@ -60,8 +60,8 @@ sim::Task<StepLogResult> LogStep(Env& env, std::vector<TagId> extra_tags, FieldM
 
   // Only the op name survives the move below; it is all the lost-race check needs.
   std::string op = fields.GetStr("op");
-  CondAppendResult result = co_await env.log().CondAppend(std::move(tags), std::move(fields),
-                                                          env.step_tag, pos);
+  CondAppendResult result = co_await env.attempt_log().CondAppend(
+      std::move(tags), std::move(fields), env.step_tag, pos);
   if (result.ok) {
     AdoptRecord(env, result.record);
     co_return StepLogResult{std::move(result.record), /*recovered=*/false};
@@ -104,7 +104,8 @@ sim::Task<BatchLogResult> LogStepBatch(Env& env, std::vector<FieldMap> fields) {
     batch[i].tags = sharedlog::OneTag(step_tag);
     batch[i].fields = std::move(fields[i]);
   }
-  CondAppendResult append = co_await env.log().CondAppendBatch(std::move(batch), step_tag, pos);
+  CondAppendResult append =
+      co_await env.attempt_log().CondAppendBatch(std::move(batch), step_tag, pos);
   if (append.ok) {
     // Consecutive batch seqnums (stride = shard count); the append reply carries the
     // committed group, so the views come straight from the record store without extra rounds
@@ -160,6 +161,11 @@ sim::Task<void> InitChildSsf(Env& env, SeqNum inherited_cursor) {
   env.consecutive_writes = 0;
   env.cursor_ts = inherited_cursor;
   env.init_cursor_ts = inherited_cursor;
+}
+
+ProtocolKind KindFromInt(int64_t v) {
+  HM_CHECK(v >= 0 && v <= static_cast<int64_t>(ProtocolKind::kTransitional));
+  return static_cast<ProtocolKind>(v);
 }
 
 const char* ProtocolName(ProtocolKind kind) {

@@ -117,9 +117,7 @@ void OnlineAdvisor::RunOnce() {
     bool abandoned = false;
     if (LogRecordPtr record = log.ReadPrev(ttag, sharedlog::kMaxSeqNum); record != nullptr) {
       if (record->op == sharedlog::kOpSwitchEnd) {
-        const int64_t target = record->fields.GetInt("target");
-        HM_CHECK(target >= 0 && target <= static_cast<int64_t>(ProtocolKind::kTransitional));
-        current = static_cast<ProtocolKind>(target);
+        current = KindFromInt(record->fields.GetInt("target"));
       } else if (switcher_->ObjectSwitchInFlight(ttag)) {
         ++stats_.suppressed_busy;
         continue;

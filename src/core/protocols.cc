@@ -191,7 +191,8 @@ sim::Task<Value> BokiRead(Env& env, const std::string& key) {
   fields.SetInt("step", env.step);
   fields.SetStr("data", value);
   env.log().set_append_class(LogAppendClass(ProtocolKind::kBoki));
-  SeqNum seqnum = co_await env.log().Append(sharedlog::OneTag(env.step_tag), std::move(fields));
+  SeqNum seqnum =
+      co_await env.attempt_log().Append(sharedlog::OneTag(env.step_tag), std::move(fields));
   // Boki's peer-race resolution: honor the first record logged for this step (§5.1). The
   // check rides on the append reply (auxiliary data), so it costs no extra round.
   LogRecordPtr first =
@@ -216,8 +217,8 @@ sim::Task<void> BokiWrite(Env& env, const std::string& key, Value value) {
     pre_fields.SetStr("op", "write-pre");
     pre_fields.SetInt("step", env.step);
     env.log().set_append_class(LogAppendClass(ProtocolKind::kBoki));
-    version_seq =
-        co_await env.log().Append(sharedlog::OneTag(env.step_tag), std::move(pre_fields));
+    version_seq = co_await env.attempt_log().Append(sharedlog::OneTag(env.step_tag),
+                                                    std::move(pre_fields));
     LogRecordPtr first =
         env.cluster->log_space().FindFirstByStep(env.step_tag, sharedlog::kOpWritePre, env.step);
     if (first != nullptr) version_seq = first->seqnum;
@@ -237,7 +238,8 @@ sim::Task<void> BokiWrite(Env& env, const std::string& key, Value value) {
   post_fields.SetStr("op", "write");
   post_fields.SetInt("step", env.step);
   env.log().set_append_class(LogAppendClass(ProtocolKind::kBoki));
-  co_await env.log().Append(sharedlog::OneTag(env.step_tag), std::move(post_fields));
+  co_await env.attempt_log().Append(sharedlog::OneTag(env.step_tag),
+                                    std::move(post_fields));
   env.MaybeCrash("boki.write.after_log");
 }
 

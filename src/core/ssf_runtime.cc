@@ -15,9 +15,18 @@ using sharedlog::SeqNum;
 
 namespace {
 
-ProtocolKind KindFromInt(int64_t v) {
-  HM_CHECK(v >= 0 && v <= static_cast<int64_t>(ProtocolKind::kTransitional));
-  return static_cast<ProtocolKind>(v);
+// Decodes the latest transition record of a scope or object (§4.7): none means the
+// configured default, an END names its target, and a BEGIN means a switch is in flight.
+ProtocolResolution ResolutionFrom(const LogRecordPtr& record, ProtocolKind default_kind) {
+  ProtocolResolution res;
+  if (record == nullptr) {
+    res.kind = default_kind;
+    return res;
+  }
+  res.kind = record->op == sharedlog::kOpSwitchEnd ? KindFromInt(record->fields.GetInt("target"))
+                                                   : ProtocolKind::kTransitional;
+  res.post_switch = true;
+  return res;
 }
 
 }  // namespace
@@ -268,7 +277,7 @@ class ContextImpl final : public SsfContext {
       pre_batch.push_back(std::move(entry));
     }
     if (!pre_batch.empty()) {
-      co_await env.log().AppendBatch(std::move(pre_batch));
+      co_await env.attempt_log().AppendBatch(std::move(pre_batch));
       for (size_t i = 0; i < n; ++i) {
         LogRecordPtr first = env.cluster->log_space().FindFirstByStep(
             step_tag, sharedlog::kOpInvokePre, steps[i]);
@@ -307,7 +316,7 @@ class ContextImpl final : public SsfContext {
         entry.fields.SetStr("result", fresh[j]);
         post_batch.push_back(std::move(entry));
       }
-      co_await env.log().AppendBatch(std::move(post_batch));
+      co_await env.attempt_log().AppendBatch(std::move(post_batch));
       for (size_t i = 0; i < n; ++i) {
         LogRecordPtr first =
             env.cluster->log_space().FindFirstByStep(step_tag, sharedlog::kOpInvoke, steps[i]);
@@ -329,15 +338,7 @@ class ContextImpl final : public SsfContext {
     } else {
       LogRecordPtr record =
           co_await env_->log().ReadPrev(runtime_->transition_tag(), env_->init_cursor_ts);
-      if (record == nullptr) {
-        res.kind = config.default_protocol;
-      } else if (record->op == sharedlog::kOpSwitchEnd) {
-        res.kind = KindFromInt(record->fields.GetInt("target"));
-        res.post_switch = true;
-      } else {
-        res.kind = ProtocolKind::kTransitional;
-        res.post_switch = true;
-      }
+      res = ResolutionFrom(record, config.default_protocol);
     }
     env_->resolution = res;
     co_return res;
@@ -363,15 +364,7 @@ class ContextImpl final : public SsfContext {
       co_return it->second;
     }
     LogRecordPtr record = co_await env_->log().ReadPrev(transition_tag, env_->init_cursor_ts);
-    if (record == nullptr) {
-      res.kind = config.default_protocol;
-    } else if (record->op == sharedlog::kOpSwitchEnd) {
-      res.kind = KindFromInt(record->fields.GetInt("target"));
-      res.post_switch = true;
-    } else {
-      res.kind = ProtocolKind::kTransitional;
-      res.post_switch = true;
-    }
+    res = ResolutionFrom(record, config.default_protocol);
     env_->object_resolutions.emplace(transition_tag, res);
     co_return res;
   }
@@ -443,7 +436,8 @@ class ContextImpl final : public SsfContext {
       pre_fields.SetStr("op", "invoke-pre");
       pre_fields.SetInt("step", env.step);
       pre_fields.SetStr("callee", env.instance_id + "/" + env.RandomId());
-      co_await env.log().Append(sharedlog::OneTag(step_tag), std::move(pre_fields));
+      co_await env.attempt_log().Append(sharedlog::OneTag(step_tag),
+                                        std::move(pre_fields));
       LogRecordPtr first =
           env.cluster->log_space().FindFirstByStep(step_tag, sharedlog::kOpInvokePre, env.step);
       HM_CHECK(first != nullptr);
@@ -459,7 +453,7 @@ class ContextImpl final : public SsfContext {
     post_fields.SetStr("op", "invoke");
     post_fields.SetInt("step", env.step);
     post_fields.SetStr("result", result);
-    co_await env.log().Append(sharedlog::OneTag(step_tag), std::move(post_fields));
+    co_await env.attempt_log().Append(sharedlog::OneTag(step_tag), std::move(post_fields));
     LogRecordPtr first =
         env.cluster->log_space().FindFirstByStep(step_tag, sharedlog::kOpInvoke, env.step);
     if (first != nullptr) result = first->fields.GetStr("result");

@@ -37,6 +37,12 @@ Cluster::Cluster(const ClusterConfig& config)
   HM_CHECK_MSG(config.workers_per_node >= 1, "ClusterConfig: workers_per_node must be >= 1");
   // Checked before the size_t cast: a negative cap would wrap to a huge one.
   HM_CHECK_MSG(config.append_batch_max >= 1, "ClusterConfig: append_batch_max must be >= 1");
+  // Depth 0 or below would silently run one round at a time.
+  HM_CHECK_MSG(config.append_batch_pipeline >= 1,
+               "ClusterConfig: append_batch_pipeline must be >= 1");
+  // A slice that walks nothing never finishes a round: the daemon livelocks writing
+  // zero-frame slices and the scheduler never drains.
+  HM_CHECK_MSG(config.checkpoint_slice >= 1, "ClusterConfig: checkpoint_slice must be >= 1");
   sharedlog::AppendBatchConfig batch;
   batch.enabled = config.group_commit_appends;
   batch.window = config.append_batch_window;
@@ -208,7 +214,7 @@ void Cluster::KillRestartSequencer() {
   HM_CHECK_MSG(log_durability_ != nullptr, "KillRestart* requires ClusterConfig.durable");
   // The ordering/replication tier dies: the log journal's volatile tail, its in-flight
   // flush, and every record past the durable frontier are lost. Waiters on lost records fail
-  // (crashable ones abort their attempts); restart replays the durable prefix. The
+  // (in-attempt ones abort their attempts); restart replays the durable prefix. The
   // checkpoint daemon rides the same tier: its in-flight round is abandoned and both stores'
   // unflushed tails die — the durable images and manifests survive for recovery.
   if (ckpt_service_ != nullptr) ckpt_service_->Kill();

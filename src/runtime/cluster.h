@@ -173,8 +173,8 @@ class Cluster {
   const sharedlog::LogRecoveryStats& last_kv_recovery() const { return last_kv_recovery_; }
 
   // Whole-node loss + immediate restart, atomic at the current instant. Each wipes the
-  // domain's volatile state, fails in-flight durability waiters (crashable waiters abort
-  // their attempts into the retry loop), replays the durable journal prefix to rebuild the
+  // domain's volatile state, fails in-flight durability waiters (waiters inside an SSF
+  // attempt abort it into the retry loop), replays the durable journal prefix to rebuild the
   // tag indices / version index, and rolls the nodes' soft state back to the durable
   // frontier. Require config.durable.
   void KillRestartStorage();    // Log + KV journals: the shared storage tier dies.

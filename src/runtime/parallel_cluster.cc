@@ -139,6 +139,9 @@ ParallelCluster::ParallelCluster(const ParallelClusterConfig& config)
   // Checked before LogPartition's size_t cast: a negative cap would wrap to a huge one.
   HM_CHECK_MSG(config.append_batch_max >= 1,
                "ParallelClusterConfig: append_batch_max must be >= 1");
+  // Depth 0 or below would silently run one round at a time.
+  HM_CHECK_MSG(config.append_batch_pipeline >= 1,
+               "ParallelClusterConfig: append_batch_pipeline must be >= 1");
   // A station with no servers never serves, and a partition without clients cannot take the
   // remote calls routed to it (ServeRemote picks a proxy modulo client_count()).
   HM_CHECK_MSG(config.sequencer_servers >= 1,

@@ -89,9 +89,10 @@ class AppendBatcher {
   struct Submission {
     AppendBatcher* batcher;
     ShardedLog::GroupRequest request;
-    // Fault-injection eligibility: true only for protocol-class appends, whose submitting
-    // coroutine runs inside an SSF attempt with crash-retry handling. Control appends
-    // (init/invoke/switch/GC) run in detached service tasks and must never crash here.
+    // Batch-site fault-probe eligibility: true only for protocol-class appends (byte class
+    // != 0), which always run inside an SSF attempt with crash-retry handling. Control-class
+    // appends are never probed here — some run in detached service tasks (switch records),
+    // and the explored batch-site schedules are pinned to this rule.
     bool crashable = false;
     ShardedLog::GroupVerdict verdict{};
     // Armed by the batcher's crash probe; await_resume raises the runtime's crash exception

@@ -6,16 +6,6 @@
 
 namespace halfmoon::sharedlog {
 
-sim::Task<bool> LogClient::AwaitDurable(SeqNum seqnum, bool crashable) {
-  bool ok = co_await durability_->WaitSeq(seqnum);
-  // A failed wait means a kill rolled the record back before it reached the device. An
-  // attempt must not act on (or ack) the lost append — abort it into the retry loop, where
-  // the re-executed attempt re-reads the rolled-back log. Control-path waits (class 0, e.g.
-  // detached service appends) resume normally; their callers skip the post-commit caching.
-  if (!ok && crashable && crash_thrower_) crash_thrower_("log.append.durability");
-  co_return ok;
-}
-
 sim::Task<void> LogClient::SequencerRoundAt(sim::ServiceStation* station,
                                             SimDuration total_latency) {
   auto service = static_cast<SimDuration>(static_cast<double>(total_latency) * kServiceFraction);
@@ -35,176 +25,99 @@ sim::Task<void> LogClient::StorageRound(SimDuration total_latency) {
   }
 }
 
+// GCC 12 note for the forms below: each GroupRequest is built in a named local and moved into
+// Submit. Passing an aggregate temporary straight into the co_await expression destroys it
+// twice (a heap-use-after-free under ASan).
+
 sim::Task<SeqNum> LogClient::Append(std::vector<TagId> tags, FieldMap fields) {
-  ++stats_.appends;
-  // Byte accounting: class and size snapshot before any suspension (and before the moves).
-  const int cls = std::exchange(append_class_, 0);
-  const int64_t bytes = RecordBytes(tags, fields);
-  if (!batchers_.empty()) {
-    AppendBatcher* batcher = BatcherForTag(tags[0]);
-    ShardedLog::GroupRequest request;
-    request.entries.push_back(ShardedLog::BatchEntry{std::move(tags), std::move(fields)});
-    ShardedLog::GroupVerdict verdict =
-        co_await batcher->Submit(std::move(request), /*crashable=*/cls != 0);
-    NoteAppendedBytes(cls, bytes);
-    if (durability_ != nullptr && !co_await AwaitDurable(verdict.seqnum, cls != 0)) {
-      co_return verdict.seqnum;  // Rolled back by a kill; nothing left to cache.
-    }
-    if (read_cache_enabled_) CacheCommitted(log_->Get(verdict.seqnum));
-    co_return verdict.seqnum;  // Unconditional requests always commit.
-  }
-  sim::ServiceStation* station = SequencerStationForTag(tags[0]);
-  SimDuration total = models_->log_append.Sample(*rng_);
-  auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
-  co_await scheduler_->Delay(leg);          // Request travels to the sequencer.
-  co_await SequencerRoundAt(station, total);  // Ordering + replication to storage nodes.
-  SeqNum seqnum = log_->Append(scheduler_->Now(), std::move(tags), std::move(fields));
-  NoteAppendedBytes(cls, bytes);
-  if (durability_ == nullptr || co_await AwaitDurable(seqnum, cls != 0)) {
-    AdvanceIndex(seqnum);                   // The appender learns its own seqnum with the reply.
-    if (read_cache_enabled_) CacheCommitted(log_->Get(seqnum));
-  }
-  co_await scheduler_->Delay(leg);          // Reply.
-  co_return seqnum;
+  ShardedLog::GroupRequest request;
+  request.entries.push_back(ShardedLog::BatchEntry{std::move(tags), std::move(fields)});
+  CondAppendResult result = co_await Submit(std::move(request));
+  co_return result.seqnum;  // Unconditional requests always commit.
 }
 
 sim::Task<CondAppendResult> LogClient::CondAppend(std::vector<TagId> tags, FieldMap fields,
                                                   TagId cond_tag, size_t cond_pos) {
-  ++stats_.cond_appends;
-  const int cls = std::exchange(append_class_, 0);
-  const int64_t bytes = RecordBytes(tags, fields);
-  if (!batchers_.empty()) {
-    ShardedLog::GroupRequest request;
-    request.entries.push_back(ShardedLog::BatchEntry{std::move(tags), std::move(fields)});
-    request.cond_tag = cond_tag;
-    request.cond_pos = cond_pos;
-    CondAppendResult result = co_await SubmitCond(std::move(request), /*crashable=*/cls != 0);
-    if (result.ok) NoteAppendedBytes(cls, bytes);
-    co_return result;
-  }
-  sim::ServiceStation* station = SequencerStationForTag(cond_tag);
-  SimDuration total = models_->log_append.Sample(*rng_);
-  auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
-  co_await scheduler_->Delay(leg);
-  co_await SequencerRoundAt(station, total);
-  CondAppendResult result =
-      log_->CondAppend(scheduler_->Now(), std::move(tags), std::move(fields), cond_tag, cond_pos);
-  if (result.ok) {
-    NoteAppendedBytes(cls, bytes);
-    if (durability_ == nullptr || co_await AwaitDurable(result.seqnum, cls != 0)) {
-      AdvanceIndex(result.seqnum);
-      CacheCommitted(result.record);
-    }
-  } else {
-    ++stats_.cond_append_conflicts;
-  }
-  co_await scheduler_->Delay(leg);
-  co_return result;
-}
-
-// Shared batched tail of CondAppend / CondAppendBatch: ships the request through the shard's
-// batcher and rebuilds the CondAppendResult (verdict + shared view of the first record).
-sim::Task<CondAppendResult> LogClient::SubmitCond(ShardedLog::GroupRequest request,
-                                                  bool crashable) {
-  AppendBatcher* batcher = BatcherForTag(request.cond_tag);
-  size_t entries = request.entries.size();
-  ShardedLog::GroupVerdict verdict = co_await batcher->Submit(std::move(request), crashable);
-  CondAppendResult result;
-  result.ok = verdict.ok;
-  result.seqnum = verdict.seqnum;
-  result.existing_seqnum = verdict.existing_seqnum;
-  if (verdict.ok) {
-    if (durability_ != nullptr && !co_await AwaitDurable(verdict.seqnum, crashable)) {
-      co_return result;  // Rolled back by a kill; the record view no longer exists.
-    }
-    result.record = log_->Get(verdict.seqnum);
-    if (entries > 1) {
-      CacheBatch(verdict.seqnum, entries);
-    } else {
-      CacheCommitted(result.record);
-    }
-  } else {
-    ++stats_.cond_append_conflicts;
-  }
-  co_return result;
+  ShardedLog::GroupRequest request;
+  request.entries.push_back(ShardedLog::BatchEntry{std::move(tags), std::move(fields)});
+  request.cond_tag = cond_tag;
+  request.cond_pos = cond_pos;
+  return Submit(std::move(request));
 }
 
 sim::Task<CondAppendResult> LogClient::CondAppendBatch(std::vector<ShardedLog::BatchEntry> batch,
                                                        TagId cond_tag, size_t cond_pos) {
-  stats_.cond_appends += static_cast<int64_t>(batch.size());
+  ShardedLog::GroupRequest request;
+  request.entries = std::move(batch);
+  request.cond_tag = cond_tag;
+  request.cond_pos = cond_pos;
+  return Submit(std::move(request));
+}
+
+sim::Task<SeqNum> LogClient::AppendBatch(std::vector<ShardedLog::BatchEntry> batch) {
+  ShardedLog::GroupRequest request;
+  request.entries = std::move(batch);
+  CondAppendResult result = co_await Submit(std::move(request));
+  co_return result.seqnum;
+}
+
+sim::Task<CondAppendResult> LogClient::Submit(ShardedLog::GroupRequest request) {
+  HM_CHECK(!request.entries.empty());
+  HM_CHECK_MSG(!request.entries[0].tags.empty(), "log records must carry at least one tag");
+  const size_t n = request.entries.size();
+  const bool conditional = request.cond_tag != kInvalidTagId;
+  (conditional ? stats_.cond_appends : stats_.appends) += static_cast<int64_t>(n);
+  // The caller's stamps and the byte size are snapshot before any suspension (and before the
+  // moves below); see set_append_class / set_append_in_attempt.
   const int cls = std::exchange(append_class_, 0);
+  const bool in_attempt = std::exchange(append_in_attempt_, false);
   int64_t bytes = 0;
-  for (const ShardedLog::BatchEntry& entry : batch) bytes += RecordBytes(entry.tags, entry.fields);
-  if (!batchers_.empty()) {
-    ShardedLog::GroupRequest request;
-    request.entries = std::move(batch);
-    request.cond_tag = cond_tag;
-    request.cond_pos = cond_pos;
-    CondAppendResult result = co_await SubmitCond(std::move(request), /*crashable=*/cls != 0);
-    if (result.ok) NoteAppendedBytes(cls, bytes);
-    co_return result;
+  for (const ShardedLog::BatchEntry& entry : request.entries) {
+    bytes += RecordBytes(entry.tags, entry.fields);
   }
-  sim::ServiceStation* station = SequencerStationForTag(cond_tag);
-  size_t entries = batch.size();
-  SimDuration total = models_->log_append.Sample(*rng_);
-  auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
-  co_await scheduler_->Delay(leg);
-  co_await SequencerRoundAt(station, total);
-  CondAppendResult result =
-      log_->CondAppendBatch(scheduler_->Now(), std::move(batch), cond_tag, cond_pos);
-  if (result.ok) {
+  // The shard owning the cond tag arbitrates the condition; otherwise the first tag routes.
+  const TagId route = conditional ? request.cond_tag : request.entries[0].tags[0];
+
+  ShardedLog::GroupVerdict verdict;
+  SimDuration leg = 0;
+  if (!batchers_.empty()) {
+    // Group commit: the shard's batcher ships the request in a shared sequencer round and
+    // resumes us at the round's reply time. Batch-site fault probes stay keyed to the byte
+    // class, so the explored crash schedules do not depend on the in-attempt stamp.
+    verdict = co_await BatcherForTag(route)->Submit(std::move(request), /*crashable=*/cls != 0);
+  } else {
+    SimDuration total = models_->log_append.Sample(*rng_);
+    leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
+    co_await scheduler_->Delay(leg);  // Request travels to the sequencer.
+    co_await SequencerRoundAt(SequencerStationForTag(route), total);
+    std::vector<ShardedLog::GroupRequest> round;
+    round.push_back(std::move(request));
+    verdict = log_->AppendGroup(log_->ShardOfTag(route), scheduler_->Now(), std::move(round))[0];
+  }
+
+  CondAppendResult result{verdict.ok, verdict.seqnum, verdict.existing_seqnum, nullptr};
+  if (verdict.ok) {
     NoteAppendedBytes(cls, bytes);
-    // The batch is journaled as one run of frames; the last entry's seqnum gates them all.
-    if (durability_ == nullptr ||
-        co_await AwaitDurable(log_->BatchSeq(result.seqnum, entries - 1), cls != 0)) {
-      // The batch commits in one round; the replica learns its seqnums with the reply.
-      AdvanceIndex(log_->next_seqnum() - 1);
-      CacheBatch(result.seqnum, entries);
+    // The request's frames are journaled as one run; its last seqnum gates them all.
+    const SeqNum last = log_->BatchSeq(verdict.seqnum, n - 1);
+    bool durable = durability_ == nullptr || co_await durability_->WaitSeq(last);
+    // A failed wait means a kill rolled the request back before it reached the device. An
+    // attempt must not act on (or ack) the lost append: abort it into the retry loop, where
+    // the re-executed attempt re-reads the rolled-back log. Appends from outside any attempt
+    // (detached service tasks) resume with no record view.
+    if (!durable && in_attempt && crash_thrower_) crash_thrower_("log.append.durability");
+    if (durable) {
+      // The unbatched appender learns its own seqnums with the reply — and only those: other
+      // nodes' records committed meanwhile may not be durable yet. (Batched rounds advance
+      // the replica at commit, in AppendBatcher::CommitRound.)
+      if (batchers_.empty()) AdvanceIndex(last);
+      result.record = CacheBatch(verdict.seqnum, n);
     }
   } else {
     ++stats_.cond_append_conflicts;
   }
-  co_await scheduler_->Delay(leg);
+  if (batchers_.empty()) co_await scheduler_->Delay(leg);  // Reply.
   co_return result;
-}
-
-sim::Task<SeqNum> LogClient::AppendBatch(std::vector<ShardedLog::BatchEntry> batch) {
-  HM_CHECK(!batch.empty());
-  stats_.appends += static_cast<int64_t>(batch.size());
-  const int cls = std::exchange(append_class_, 0);
-  int64_t bytes = 0;
-  for (const ShardedLog::BatchEntry& entry : batch) bytes += RecordBytes(entry.tags, entry.fields);
-  if (!batchers_.empty()) {
-    AppendBatcher* batcher = BatcherForTag(batch[0].tags.empty() ? kInitTagId : batch[0].tags[0]);
-    size_t entries = batch.size();
-    ShardedLog::GroupRequest request;
-    request.entries = std::move(batch);
-    ShardedLog::GroupVerdict verdict =
-        co_await batcher->Submit(std::move(request), /*crashable=*/cls != 0);
-    NoteAppendedBytes(cls, bytes);
-    if (durability_ != nullptr &&
-        !co_await AwaitDurable(log_->BatchSeq(verdict.seqnum, entries - 1), cls != 0)) {
-      co_return verdict.seqnum;  // Rolled back by a kill; nothing left to cache.
-    }
-    CacheBatch(verdict.seqnum, entries);
-    co_return verdict.seqnum;
-  }
-  sim::ServiceStation* station =
-      SequencerStationForTag(batch[0].tags.empty() ? kInitTagId : batch[0].tags[0]);
-  size_t entries = batch.size();
-  SimDuration total = models_->log_append.Sample(*rng_);
-  auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
-  co_await scheduler_->Delay(leg);
-  co_await SequencerRoundAt(station, total);
-  SeqNum first = log_->AppendBatch(scheduler_->Now(), std::move(batch));
-  NoteAppendedBytes(cls, bytes);
-  if (durability_ == nullptr ||
-      co_await AwaitDurable(log_->BatchSeq(first, entries - 1), cls != 0)) {
-    AdvanceIndex(log_->next_seqnum() - 1);
-    CacheBatch(first, entries);
-  }
-  co_await scheduler_->Delay(leg);
-  co_return first;
 }
 
 sim::Task<LogRecordPtr> LogClient::FindFirstByStep(TagId tag, OpId op, int64_t step) {

@@ -187,22 +187,23 @@ class LogClient {
   // The log's tag interner (shared across all clients of the same log).
   TagRegistry& tags() { return log_->tags(); }
 
-  // logAppend: returns the record's seqnum. The record commits mid-flight (after the request
-  // leg), so other nodes can observe it before the reply reaches the caller.
+  // The four append forms of the paper (§2, §4.1): logAppend, logCondAppend (§5.1), and
+  // Boki's batched append of either kind. Each builds one ShardedLog::GroupRequest and runs
+  // it through the one append engine (Submit), so every form pays the same costs and keeps
+  // the same guarantees: one sequencer round (shared with other requests under group
+  // commit), atomic sub-group commit at consecutive batch seqnums (ShardedLog::BatchSeq),
+  // and — with a durability service attached — no resumption before the request's last
+  // frame is durable. The record commits mid-flight (after the request leg), so other nodes
+  // can observe it before the reply reaches the caller.
+  //
+  // Append returns the record's seqnum; AppendBatch the first record's. The conditional forms
+  // return the verdict and, on success, a shared view of the (first) committed record; the
+  // view is null if a kill rolled the request back before it became durable.
   sim::Task<SeqNum> Append(std::vector<TagId> tags, FieldMap fields);
-
-  // logCondAppend (§5.1).
   sim::Task<CondAppendResult> CondAppend(std::vector<TagId> tags, FieldMap fields,
                                          TagId cond_tag, size_t cond_pos);
-
-  // Conditionally appends several records in one sequencer round (Boki's batched append).
-  // Costs a single append latency; the records receive consecutive batch seqnums
-  // (ShardedLog::BatchSeq).
   sim::Task<CondAppendResult> CondAppendBatch(std::vector<ShardedLog::BatchEntry> batch,
                                               TagId cond_tag, size_t cond_pos);
-
-  // Unconditional batched append (one round, consecutive batch seqnums); returns the first
-  // seqnum.
   sim::Task<SeqNum> AppendBatch(std::vector<ShardedLog::BatchEntry> batch);
 
   // Boki-style conflict resolution: the first record logged for (op, step) in `tag` wins.
@@ -263,15 +264,24 @@ class LogClient {
   const LogClientStats& stats() const { return stats_; }
   LogClientStats& mutable_stats() { return stats_; }
 
-  // Byte-attribution class for this client's NEXT append (0 = control, the default). Each
-  // append path consumes the stamp in its pre-suspension prologue and resets it to 0, so an
-  // unstamped append is always control. The caller must stamp synchronously immediately
-  // before the append call — no co_await in between — which makes the pairing correct even
-  // with other coroutines interleaving on the same client. (A stamped call that turns out
-  // to append nothing, e.g. a replayed step, leaves the stamp for the client's next append;
-  // that only shifts attribution of one control record during crash replay.)
+  // Per-append stamps for this client's NEXT append. The append engine consumes both in its
+  // pre-suspension prologue and resets them, so an unstamped append is a control append
+  // from outside any attempt. The caller must stamp synchronously before the append call —
+  // no co_await in between — which makes the pairing correct even with other coroutines
+  // interleaving on the same client.
+  //
+  // Byte-attribution class (0 = control, the default; the core layer stamps protocol
+  // classes). A stamped call that turns out to append nothing, e.g. a replayed step, leaves
+  // the class for the client's next append; that only shifts attribution of one control
+  // record during crash replay. The class also decides batch-site fault-probe eligibility.
   void set_append_class(int cls) { append_class_ = cls; }
   int append_class() const { return append_class_; }
+  // Fault scope: the next append is issued from inside an SSF attempt, whose retry loop
+  // handles the runtime's crash exception. If a kill then loses the append's journal frame,
+  // the append aborts the attempt through the installed thrower instead of resuming with a
+  // rolled-back record. Set it in the append expression itself, so a replayed step never
+  // leaves it behind for a detached service append.
+  void set_append_in_attempt() { append_in_attempt_ = true; }
 
   bool read_cache_enabled() const { return read_cache_enabled_; }
 
@@ -281,17 +291,18 @@ class LogClient {
   // Fault-injection hooks, installed by the runtime layer (Cluster). `probe` consults the
   // cluster's FailureInjector and returns true when a crash fires at the named site;
   // `thrower` raises the runtime's crash exception (SsfCrashed) — sharedlog stays unaware of
-  // the runtime types. Both null (the default) disables batch-site injection entirely.
+  // the runtime types. The thrower also aborts in-attempt appends whose journal frame a kill
+  // lost (set_append_in_attempt). Both null (the default) disables batch-site injection.
   void InstallCrashHooks(std::function<bool(const char*)> probe,
                          std::function<void(const char*)> thrower) {
     crash_probe_ = std::move(probe);
     crash_thrower_ = std::move(thrower);
   }
 
-  // Write-ahead gate (DESIGN.md §13): with a durability service attached, every append path
-  // waits for the committed record's journal frame before its reply leg / caller resumption,
-  // so every externally-known seqnum is durable. Null detaches (the volatile store never
-  // attaches and stays bit-identical to the pre-storage engine).
+  // Write-ahead gate (DESIGN.md §13): with a durability service attached, the append engine
+  // waits for a committed request's last journal frame before its reply leg / caller
+  // resumption, so every externally-known seqnum is durable. Null detaches (the volatile
+  // store never attaches and stays bit-identical to the pre-storage engine).
   void SetDurability(storage::DurabilityService* durability) { durability_ = durability; }
 
   // Node-loss soft-state wipe: rolls the index replica back to `durable_seqnum` (what replay
@@ -320,14 +331,17 @@ class LogClient {
 
   sim::Task<void> SequencerRoundAt(sim::ServiceStation* station, SimDuration total_latency);
   sim::Task<void> StorageRound(SimDuration total_latency);
-  sim::Task<CondAppendResult> SubmitCond(ShardedLog::GroupRequest request, bool crashable);
-  // The write-ahead gate for one committed seqnum. Returns false when a kill destroyed the
-  // record before it reached the device; crashable waiters (protocol-class appends, which
-  // run inside attempts) abort into the runtime's retry loop instead of returning.
-  sim::Task<bool> AwaitDurable(SeqNum seqnum, bool crashable);
+  // The one append engine behind the four public forms. It counts the request, snapshots
+  // the stamps and byte size, routes by cond tag (else the first entry's first tag), and
+  // sequences the request — through the shard's AppendBatcher under group commit, otherwise
+  // in a one-request AppendGroup round of its own between a request and a reply leg. Then,
+  // for a committed request: byte accounting, the write-ahead gate at the request's last
+  // seqnum (a lost in-attempt append aborts the attempt), the unbatched appender's replica
+  // advance to that same seqnum, and the record view + payload cache. Conflicts are counted.
+  sim::Task<CondAppendResult> Submit(ShardedLog::GroupRequest request);
 
   // Exactly LogRecord::ByteSize for the record these tags/fields will commit as. Computed
-  // in the append prologues BEFORE tags/fields are moved into the request, and credited to
+  // in the engine's prologue BEFORE tags/fields are moved into the request, and credited to
   // the stats only once the commit verdict is known.
   static int64_t RecordBytes(const std::vector<TagId>& tags, const FieldMap& fields) {
     return static_cast<int64_t>(sizeof(SeqNum) + 8 + tags.size() * sizeof(TagId) +
@@ -345,10 +359,13 @@ class LogClient {
     if (!read_cache_enabled_ || record == nullptr) return;
     for (TagId tag : record->tags) read_cache_[tag] = record;
   }
-  void CacheBatch(SeqNum first, size_t count) {
-    if (!read_cache_enabled_) return;
+  // Caches the `count` records of a committed request and returns the view of the first.
+  LogRecordPtr CacheBatch(SeqNum first, size_t count) {
     // In batch order, so for tags shared across entries the last (freshest) entry wins.
-    for (size_t i = 0; i < count; ++i) CacheCommitted(log_->Get(log_->BatchSeq(first, i)));
+    if (read_cache_enabled_) {
+      for (size_t i = 0; i < count; ++i) CacheCommitted(log_->Get(log_->BatchSeq(first, i)));
+    }
+    return log_->Get(first);
   }
 
   sim::Scheduler* scheduler_;
@@ -366,6 +383,7 @@ class LogClient {
   std::unordered_map<TagId, LogRecordPtr> read_cache_;
   storage::DurabilityService* durability_ = nullptr;  // See SetDurability.
   int append_class_ = 0;
+  bool append_in_attempt_ = false;
   std::function<bool(const char*)> crash_probe_;    // See InstallCrashHooks.
   std::function<void(const char*)> crash_thrower_;  // Must throw; never returns normally.
   LogClientStats stats_;

@@ -162,17 +162,6 @@ SeqNum ShardedLog::Commit(uint32_t shard, SimTime now, std::vector<TagId> tags,
   return seqnum;
 }
 
-SeqNum ShardedLog::CommitEntries(uint32_t shard, SimTime now, std::vector<BatchEntry>& entries,
-                                 SeqNum* last) {
-  HM_CHECK(!entries.empty());
-  SeqNum first = kInvalidSeqNum;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    *last = Commit(shard, now, std::move(entries[i].tags), std::move(entries[i].fields));
-    if (i == 0) first = *last;
-  }
-  return first;
-}
-
 bool ShardedLog::CondHolds(TagId cond_tag, size_t cond_pos, SeqNum* existing) {
   TagStream& stream = StreamFor(cond_tag);
   if (stream.length() == cond_pos) return true;
@@ -195,60 +184,26 @@ bool ShardedLog::CondHolds(TagId cond_tag, size_t cond_pos, SeqNum* existing) {
 SeqNum ShardedLog::Append(SimTime now, std::vector<TagId> tags, FieldMap fields) {
   HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
   uint32_t shard = ShardOfTag(tags[0]);  // Before the move below: argument order is unspecified.
-  SeqNum seqnum = Commit(shard, now, std::move(tags), std::move(fields));
-  Announce(seqnum);
-  return seqnum;
+  std::vector<GroupRequest> requests(1);
+  requests[0].entries.push_back(BatchEntry{std::move(tags), std::move(fields)});
+  return AppendGroup(shard, now, std::move(requests))[0].seqnum;
 }
 
 CondAppendResult ShardedLog::CondAppend(SimTime now, std::vector<TagId> tags, FieldMap fields,
                                         TagId cond_tag, size_t cond_pos) {
-  // The conditional tag must be among the record's tags, otherwise the offset check is
-  // meaningless (the new record would never appear in the conditional stream).
-  HM_CHECK_MSG(std::find(tags.begin(), tags.end(), cond_tag) != tags.end(),
-               "logCondAppend: cond_tag must be one of the record's tags");
-  // The shard owning cond_tag sequences the append, so racing cond-appends on one tag
-  // serialize through one shard's sequencer no matter which node issued them.
-  uint32_t shard = ShardOfTag(cond_tag);
-  CondAppendResult result;
-  if (!CondHolds(cond_tag, cond_pos, &result.existing_seqnum)) return result;
-  result.ok = true;
-  result.seqnum = Commit(shard, now, std::move(tags), std::move(fields));
-  Announce(result.seqnum);
-  result.record = LookupLive(result.seqnum);
+  std::vector<GroupRequest> requests(1);
+  requests[0].entries.push_back(BatchEntry{std::move(tags), std::move(fields)});
+  requests[0].cond_tag = cond_tag;
+  requests[0].cond_pos = cond_pos;
+  GroupVerdict verdict = AppendGroup(ShardOfTag(cond_tag), now, std::move(requests))[0];
+  CondAppendResult result{verdict.ok, verdict.seqnum, verdict.existing_seqnum, nullptr};
+  if (verdict.ok) result.record = LookupLive(verdict.seqnum);
   return result;
-}
-
-CondAppendResult ShardedLog::CondAppendBatch(SimTime now, std::vector<BatchEntry> batch,
-                                             TagId cond_tag, size_t cond_pos) {
-  HM_CHECK(!batch.empty());
-  uint32_t shard = ShardOfTag(cond_tag);
-  CondAppendResult result;
-  if (!CondHolds(cond_tag, cond_pos, &result.existing_seqnum)) return result;
-  result.ok = true;
-  // The batch becomes visible to index replicas as a unit (one notification carrying the
-  // last seqnum), so no replica ever observes half of an atomically committed group.
-  SeqNum last = kInvalidSeqNum;
-  result.seqnum = CommitEntries(shard, now, batch, &last);
-  Announce(last);
-  result.record = LookupLive(result.seqnum);
-  return result;
-}
-
-SeqNum ShardedLog::AppendBatch(SimTime now, std::vector<BatchEntry> batch) {
-  HM_CHECK(!batch.empty());
-  HM_CHECK_MSG(!batch[0].tags.empty(), "log records must carry at least one tag");
-  SeqNum last = kInvalidSeqNum;
-  SeqNum first = CommitEntries(ShardOfTag(batch[0].tags[0]), now, batch, &last);
-  Announce(last);
-  return first;
 }
 
 std::vector<ShardedLog::GroupVerdict> ShardedLog::AppendGroup(
     uint32_t shard, SimTime now, std::vector<GroupRequest> requests) {
   HM_CHECK(shard < shard_count_);
-  // The round becomes visible to index replicas as a unit (one notification carrying the
-  // last committed seqnum), so no replica ever observes part of an atomically committed
-  // sub-group.
   std::vector<GroupVerdict> verdicts(requests.size());
   SeqNum last = kInvalidSeqNum;
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -256,17 +211,24 @@ std::vector<ShardedLog::GroupVerdict> ShardedLog::AppendGroup(
     GroupVerdict& verdict = verdicts[i];
     HM_CHECK(!request.entries.empty());
     if (request.cond_tag != kInvalidTagId) {
-      HM_CHECK_MSG(std::find(request.entries[0].tags.begin(), request.entries[0].tags.end(),
-                             request.cond_tag) != request.entries[0].tags.end(),
-                   "AppendGroup: cond_tag must be one of the first entry's tags");
+      // Otherwise the offset check is meaningless: the new record would never appear in the
+      // conditional stream.
+      const std::vector<TagId>& tags = request.entries[0].tags;
+      HM_CHECK_MSG(std::find(tags.begin(), tags.end(), request.cond_tag) != tags.end(),
+                   "logCondAppend: cond_tag must be one of the first entry's tags");
       if (!CondHolds(request.cond_tag, request.cond_pos, &verdict.existing_seqnum)) {
         continue;  // This request loses; later requests still get their turn.
       }
     }
     verdict.ok = true;
-    verdict.seqnum = CommitEntries(shard, now, request.entries, &last);
+    for (size_t e = 0; e < request.entries.size(); ++e) {
+      BatchEntry& entry = request.entries[e];
+      last = Commit(shard, now, std::move(entry.tags), std::move(entry.fields));
+      if (e == 0) verdict.seqnum = last;
+    }
   }
-  Announce(last);
+  // One notification for the whole round (see the header).
+  if (commit_listener_ && last != kInvalidSeqNum) commit_listener_(last);
   return verdicts;
 }
 

@@ -10,9 +10,9 @@
 // transition-log entry — all keyed by tags — is ordered by one shard and keeps its
 // single-log semantics. Each shard runs its own sequencer rounds (LogClient keeps one batcher
 // queue and one sequencer station per shard), which is what lets appends to disjoint tags
-// commit in parallel simulated time. A shard is an argument of the sequencing calls, not an
-// object: every append routes to its shard once (the routing tag's shard, or the caller's for
-// AppendGroup), and every query is answered by this one object.
+// commit in parallel simulated time. A shard is an argument of the one sequencing call
+// (AppendGroup), not an object: every append routes to its shard once, and every query is
+// answered by this one object.
 //
 // Sequence numbers use a (local round, shard) encoding against one shared watermark,
 //     enc = local * shard_count + shard,   local = floor(watermark / shard_count) + 1,
@@ -87,33 +87,48 @@ class ShardedLog {
   TagRegistry& ops() { return ops_; }
   const TagRegistry& ops() const { return ops_; }
 
-  // Appends a record, assigning the next sequence number. `now` feeds storage accounting.
-  // Notifies the commit listener (used for index propagation to clients). Sequenced by the
-  // shard owning the first tag; the record's seqnum encodes that shard.
-  SeqNum Append(SimTime now, std::vector<TagId> tags, FieldMap fields);
-
-  // Conditional append (§5.1): appends, then verifies that the new record lands at logical
-  // offset `cond_pos` of the `cond_tag` sub-stream. On mismatch the append is undone and the
-  // seqnum of the record actually at that offset is returned. Sequenced by (and arbitrated
-  // on) the shard owning cond_tag.
-  CondAppendResult CondAppend(SimTime now, std::vector<TagId> tags, FieldMap fields,
-                              TagId cond_tag, size_t cond_pos);
-
-  // Atomically appends a batch of records under the same condition (offset of the *first*
-  // record in `cond_tag`'s stream). Either all records commit — at consecutive batch
-  // positions, see BatchSeq() — or none do. Models Boki's batched append, which Halfmoon-read
-  // uses to install the version record and the commit record of a write in one sequencer
-  // round (§4.1).
+  // One append request: `entries` form an atomic sub-group — all of them commit, at
+  // consecutive batch positions (see BatchSeq), or none do. A request with cond_tag ==
+  // kInvalidTagId is unconditional; otherwise it carries the logCondAppend condition (§5.1)
+  // "the first entry lands at logical offset cond_pos of cond_tag's stream", and cond_tag
+  // must be one of the first entry's tags. A multi-entry request models Boki's batched
+  // append, which Halfmoon-read uses to install the version record and the commit record of
+  // a write in one sequencer round (§4.1).
   struct BatchEntry {
     std::vector<TagId> tags;
     FieldMap fields;
   };
-  CondAppendResult CondAppendBatch(SimTime now, std::vector<BatchEntry> batch, TagId cond_tag,
-                                   size_t cond_pos);
+  struct GroupRequest {
+    std::vector<BatchEntry> entries;
+    TagId cond_tag = kInvalidTagId;
+    size_t cond_pos = 0;
+  };
+  // Per-request outcome of AppendGroup. On success `seqnum` is the first entry's position;
+  // on conflict `existing_seqnum` is the record occupying the expected offset (the request
+  // is undone without a trace).
+  struct GroupVerdict {
+    bool ok = false;
+    SeqNum seqnum = kInvalidSeqNum;
+    SeqNum existing_seqnum = kInvalidSeqNum;
+  };
 
-  // Unconditional atomic batch append; returns the first seqnum (the i-th record receives
-  // BatchSeq(first, i)). Index replicas learn about the batch as a unit.
-  SeqNum AppendBatch(SimTime now, std::vector<BatchEntry> batch);
+  // The one sequencing body: orders one or more independent append requests in ONE
+  // sequencer round of `shard`. Callers route each request to the shard owning its cond tag,
+  // or else its first entry's first tag, so racing cond-appends on one tag serialize through
+  // one shard (LogClient and AppendBatcher do this routing). Requests are evaluated strictly
+  // in vector order, each seeing the stream state left by its predecessors — exactly as if
+  // they had been submitted back-to-back as separate rounds in that order, which is what
+  // makes node-local group commit protocol-invisible. Index replicas learn about the whole
+  // round as a unit: the commit listener fires once, with the round's last committed seqnum
+  // (not at all if every request conflicted), so no replica observes part of a sub-group.
+  std::vector<GroupVerdict> AppendGroup(uint32_t shard, SimTime now,
+                                        std::vector<GroupRequest> requests);
+
+  // One-request forms of AppendGroup, routed as above. Append returns the record's seqnum;
+  // CondAppend returns the verdict plus a shared view of the committed record.
+  SeqNum Append(SimTime now, std::vector<TagId> tags, FieldMap fields);
+  CondAppendResult CondAppend(SimTime now, std::vector<TagId> tags, FieldMap fields,
+                              TagId cond_tag, size_t cond_pos);
 
   // Seqnum of the i-th record of an atomic batch whose first record committed at `first`.
   // One shard allocates the whole batch, so in-batch neighbours are `shard_count` apart in
@@ -121,35 +136,6 @@ class ShardedLog {
   SeqNum BatchSeq(SeqNum first, size_t i) const {
     return first + static_cast<SeqNum>(i) * shard_count_;
   }
-
-  // One request of a group-committed sequencer round (see AppendGroup). The entries form an
-  // atomic sub-group: all of them commit (at consecutive batch positions) or none do. A
-  // request with cond_tag == kInvalidTagId is unconditional; otherwise it carries the
-  // logCondAppend condition "the first entry lands at logical offset cond_pos of cond_tag's
-  // stream".
-  struct GroupRequest {
-    std::vector<BatchEntry> entries;
-    TagId cond_tag = kInvalidTagId;
-    size_t cond_pos = 0;
-  };
-  // Per-request outcome of AppendGroup. On success `seqnum` is the first entry's position;
-  // on conflict `existing_seqnum` is the record occupying the expected offset.
-  struct GroupVerdict {
-    bool ok = false;
-    SeqNum seqnum = kInvalidSeqNum;
-    SeqNum existing_seqnum = kInvalidSeqNum;
-  };
-
-  // Group commit: orders several independent append requests in ONE sequencer round of
-  // `shard` (callers route requests to the shard owning their cond tag / first tag — see
-  // AppendBatcher). Requests are evaluated strictly in vector order, each seeing the stream
-  // state left by its predecessors — exactly as if the requests had been submitted
-  // back-to-back as separate rounds in that order, which is what makes node-local append
-  // batching protocol-invisible. Index replicas learn about the whole round as a unit: the
-  // commit listener fires once, with the round's last committed seqnum (not at all if every
-  // request conflicted).
-  std::vector<GroupVerdict> AppendGroup(uint32_t shard, SimTime now,
-                                        std::vector<GroupRequest> requests);
 
   // Shared view of the live record at `seqnum`; null if absent or fully trimmed.
   LogRecordPtr Get(SeqNum seqnum) const { return LookupLive(seqnum); }
@@ -398,18 +384,10 @@ class ShardedLog {
   }
 
   // Sequences one record on `shard`: allocates its seqnum, installs it, and journals it.
-  // Write-ahead ordering: the frame is journaled at commit, before Announce can start index
-  // propagation — the cluster gates propagation (and the client gates its external ack) on
-  // this frame becoming durable. The caller announces once per atomic unit.
+  // Write-ahead ordering: the frame is journaled at commit, before AppendGroup's commit
+  // notification can start index propagation — the cluster gates propagation (and the client
+  // gates its external ack) on this frame becoming durable.
   SeqNum Commit(uint32_t shard, SimTime now, std::vector<TagId> tags, FieldMap fields);
-  // Commits `entries` at consecutive batch positions of `shard`; returns the first seqnum and
-  // sets *last to the last one.
-  SeqNum CommitEntries(uint32_t shard, SimTime now, std::vector<BatchEntry>& entries,
-                       SeqNum* last);
-  // Fires the commit listener for a committed unit ending at `last` (if any committed).
-  void Announce(SeqNum last) {
-    if (commit_listener_ && last != kInvalidSeqNum) commit_listener_(last);
-  }
 
   // Evaluates a logCondAppend condition against the current stream state. Returns true when
   // the append may proceed; on conflict fills `existing` with the occupant of `cond_pos`.

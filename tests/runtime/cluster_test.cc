@@ -1,5 +1,6 @@
 #include "src/runtime/cluster.h"
 
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -40,6 +41,27 @@ TEST(ClusterDeathTest, NonPositiveAppendBatchMaxAborts) {
     ClusterConfig config;
     config.append_batch_max = max;
     EXPECT_DEATH(Cluster cluster(config), "append_batch_max must be >= 1") << max;
+  }
+}
+
+TEST(ClusterDeathTest, NonPositiveAppendBatchPipelineAborts) {
+  // Depth 0 or below would otherwise run silently at depth 1.
+  for (int depth : {0, -1}) {
+    ClusterConfig config;
+    config.append_batch_pipeline = depth;
+    EXPECT_DEATH(Cluster cluster(config), "append_batch_pipeline must be >= 1") << depth;
+  }
+}
+
+TEST(ClusterDeathTest, NonPositiveCheckpointSliceAborts) {
+  // A slice that walks nothing never finishes a checkpoint round: the daemon would livelock
+  // writing empty slices and the scheduler would never drain.
+  for (int64_t slice : {int64_t{0}, int64_t{-1}}) {
+    ClusterConfig config;
+    config.durable = true;
+    config.checkpoint = true;
+    config.checkpoint_slice = slice;
+    EXPECT_DEATH(Cluster cluster(config), "checkpoint_slice must be >= 1") << slice;
   }
 }
 

@@ -333,6 +333,16 @@ TEST(ParallelClusterDeathTest, NonPositiveAppendBatchMaxAborts) {
   }
 }
 
+TEST(ParallelClusterDeathTest, NonPositiveAppendBatchPipelineAborts) {
+  // Depth 0 or below would otherwise run silently at depth 1.
+  for (int depth : {0, -1}) {
+    ParallelClusterConfig config;
+    config.partitions = 1;
+    config.append_batch_pipeline = depth;
+    EXPECT_DEATH(ParallelCluster pc(config), "append_batch_pipeline must be >= 1") << depth;
+  }
+}
+
 TEST(ParallelClusterDeathTest, ZeroCapacityFieldsAbortNamingTheField) {
   // A station with no servers never serves, and a partition without clients cannot proxy the
   // remote calls routed to it; either way the run would drain with work still pending.

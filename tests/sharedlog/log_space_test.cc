@@ -2,6 +2,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,17 @@ FieldMap Fields(const std::string& op, int64_t step) {
   f.SetStr("op", op);
   f.SetInt("step", step);
   return f;
+}
+
+// A conditional atomic batch (Boki's batched cond-append) as a one-request AppendGroup round,
+// sequenced by the shard owning `cond_tag`.
+ShardedLog::GroupVerdict CondBatch(ShardedLog& log, std::vector<ShardedLog::BatchEntry> batch,
+                                   TagId cond_tag, size_t cond_pos) {
+  std::vector<ShardedLog::GroupRequest> requests(1);
+  requests[0].entries = std::move(batch);
+  requests[0].cond_tag = cond_tag;
+  requests[0].cond_pos = cond_pos;
+  return log.AppendGroup(log.ShardOfTag(cond_tag), 0, std::move(requests))[0];
 }
 
 TEST(LogSpaceTest, AppendAssignsMonotonicSeqnums) {
@@ -152,7 +164,7 @@ TEST(LogSpaceTest, CondAppendBatchCommitsConsecutively) {
   batch[0].fields = Fields("write-pre", 1);
   batch[1].tags = TwoTags(s, kx);
   batch[1].fields = Fields("write", 1);
-  CondAppendResult r = log.CondAppendBatch(0, std::move(batch), s, 0);
+  ShardedLog::GroupVerdict r = CondBatch(log, std::move(batch), s, 0);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(log.StreamLength("s"), 2u);
   auto commit = log.ReadPrev("k:x", kMaxSeqNum);
@@ -170,7 +182,7 @@ TEST(LogSpaceTest, CondAppendBatchConflictIsAllOrNothing) {
   batch[0].fields = Fields("write-pre", 1);
   batch[1].tags = TwoTags(s, kx);
   batch[1].fields = Fields("write", 1);
-  CondAppendResult r = log.CondAppendBatch(0, std::move(batch), s, 0);  // Stale offset.
+  ShardedLog::GroupVerdict r = CondBatch(log, std::move(batch), s, 0);  // Stale offset.
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(log.StreamLength("s"), 1u);
   EXPECT_EQ(log.ReadPrev("k:x", kMaxSeqNum), nullptr);
@@ -309,7 +321,7 @@ TEST(LogSpaceTest, CondAppendBatchThenPartialTrimReleasesRefs) {
     batch[static_cast<size_t>(i)].tags = OneTag(s);
     batch[static_cast<size_t>(i)].fields = Fields("w", i);
   }
-  CondAppendResult r = log.CondAppendBatch(0, std::move(batch), s, 0);
+  ShardedLog::GroupVerdict r = CondBatch(log, std::move(batch), s, 0);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(log.live_records(), 3u);
 
@@ -358,7 +370,7 @@ TEST(LogSpaceTest, CondAppendBatchMismatchLeavesNoTrace) {
   batch[0].fields = Fields("write-pre", 1);
   batch[1].tags = TwoTags(s, kx);
   batch[1].fields = Fields("write", 1);
-  CondAppendResult r = log.CondAppendBatch(0, std::move(batch), s, /*cond_pos=*/0);
+  ShardedLog::GroupVerdict r = CondBatch(log, std::move(batch), s, /*cond_pos=*/0);
 
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(log.next_seqnum(), next_before);
