@@ -67,16 +67,18 @@ void GcService::RunOnce() {
     }
   }
 
-  // (3) Step logs of finished workflows. Resolve without interning: an instance that never
-  // logged (e.g. unsafe protocol) has no step stream and no registry entry to create.
+  // (3) Step logs of finished workflows: each instance's tag is retired — its stream trimmed
+  // to empty and the id closed for good, since the drained workflow never runs again. Resolve
+  // without interning: an instance that never logged (e.g. unsafe protocol) has no registry
+  // entry to create. Retirements journaled by earlier passes whose frames are now durable
+  // release their names and pages.
   for (const std::string& instance_id : cluster_->DrainStepLogTrimQueue()) {
     TagId step_tag = log.tags().Find(instance_id);
-    // Instances that never logged (e.g. unsafe protocol) have no step log to trim and must
-    // not inflate the counter.
-    if (step_tag != sharedlog::kInvalidTagId && log.Trim(now, step_tag, sharedlog::kMaxSeqNum) > 0) {
-      ++stats_.step_logs_trimmed;
-    }
+    if (step_tag == sharedlog::kInvalidTagId) continue;
+    // Empty streams (nothing logged) retire too, but must not inflate the counter.
+    if (log.Retire(now, step_tag) > 0) ++stats_.step_logs_trimmed;
   }
+  log.ReleaseRetired();
 
   // (4) The global init stream: records below the frontier belong to finished SSFs.
   // Counts trimmed *records*, not scans (a scan that trims nothing adds nothing).

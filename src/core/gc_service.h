@@ -7,9 +7,11 @@
 //      all records preceding it together with their object versions (condition (a): the
 //      marked record supersedes them; condition (b): no running or future SSF can still seek
 //      backward past the marked record);
-//   3. trims the step logs of instances whose workflow has finished (their lifetime equals
+//   3. retires the step logs of instances whose workflow has finished (their lifetime equals
 //      the initiating SSF's lifetime — this is where Halfmoon-write's read-log records and
-//      the version half of Halfmoon-read's write pairs get reclaimed);
+//      the version half of Halfmoon-read's write pairs get reclaimed): the stream is trimmed
+//      to empty and its tag id closed and freed, so memory tracks live instances, not
+//      history (DESIGN.md §7.1);
 //   4. trims the global init stream up to the frontier.
 //
 // Modeling note: GC mutations are applied directly to the storage state (no simulated

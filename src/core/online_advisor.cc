@@ -90,6 +90,7 @@ void OnlineAdvisor::RunOnce() {
       break;
     }
     const TagId id = static_cast<TagId>(cursor_++);
+    if (tags.Retired(id)) continue;  // A finished instance's step log: never an object.
     std::string_view name = tags.Name(id);
     if (!name.starts_with(sharedlog::kWriteLogPrefix)) continue;
 

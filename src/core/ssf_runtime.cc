@@ -548,6 +548,7 @@ sim::Task<Value> SsfRuntime::RunAttempt(const std::shared_ptr<Workflow>& workflo
                                         const std::string& instance_id, const std::string& name,
                                         const Value& input, int attempt,
                                         sharedlog::SeqNum inherited_cursor) {
+  HM_CHECK_MSG(!workflow->drained, "SsfRuntime: attempt started on a drained workflow");
   auto it = functions_.find(name);
   HM_CHECK_MSG(it != functions_.end(), "unknown function");
 
@@ -607,12 +608,14 @@ sim::Task<void> SsfRuntime::RunPeer(std::shared_ptr<InvocationState> state,
   MaybeFinishWorkflow(*workflow);
 }
 
-void SsfRuntime::MaybeFinishWorkflow(const Workflow& workflow) {
-  if (!workflow.root_done || workflow.live_attempts > 0) return;
+void SsfRuntime::MaybeFinishWorkflow(Workflow& workflow) {
+  if (!workflow.root_done || workflow.live_attempts > 0 || workflow.drained) return;
   // The whole workflow has drained: the root's init record may now release the GC/switch
   // frontier, and every member's step log becomes collectible. Nothing runs in the workflow
   // afterwards: each member invocation is awaited by some attempt, so all have completed,
-  // and a delayed peer wakes to a done invocation and never starts an attempt.
+  // and a delayed peer wakes to a done invocation and never starts an attempt (RunAttempt
+  // enforces it).
+  workflow.drained = true;
   if (workflow.root_init != sharedlog::kInvalidSeqNum) {
     cluster_->RemoveRunningRoot(workflow.root_init);
   }

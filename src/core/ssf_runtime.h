@@ -126,6 +126,7 @@ class SsfRuntime {
 
  private:
   friend class ContextImpl;
+  friend struct SsfRuntimeTestPeer;  // Drives RunAttempt directly in death tests.
 
   // The one record of SSF completion: a root invocation and every instance it transitively
   // calls. The root's init seqnum holds the GC/switch frontier until the *entire* workflow —
@@ -137,6 +138,10 @@ class SsfRuntime {
     std::vector<std::string> members;
     int live_attempts = 0;
     bool root_done = false;
+    // Set once the workflow has drained and its members' step logs were handed to GC, which
+    // retires their tags. No attempt may start afterwards: interning a retired instance id
+    // would open a fresh, empty step log and re-execute finished work.
+    bool drained = false;
     sharedlog::SeqNum root_init = sharedlog::kInvalidSeqNum;  // Reported to the frontier.
   };
 
@@ -164,7 +169,7 @@ class SsfRuntime {
                           std::shared_ptr<Workflow> workflow, std::string name, Value input,
                           int attempt, sharedlog::SeqNum inherited_cursor);
 
-  void MaybeFinishWorkflow(const Workflow& workflow);
+  void MaybeFinishWorkflow(Workflow& workflow);
 
   runtime::Cluster* cluster_;
   RuntimeConfig config_;

@@ -42,6 +42,7 @@ std::string ExplorerReport::Summary() const {
                     " switch=" + std::to_string(explored_switch) +
                     " advisor=" + std::to_string(explored_advisor) +
                     " kill=" + std::to_string(explored_kill) +
+                    " gc_kill=" + std::to_string(explored_gc_kill) +
                     " ckpt=" + std::to_string(explored_ckpt) + ")" +
                     " failures=" + std::to_string(failures.size());
   return out;
@@ -223,6 +224,16 @@ ExplorerReport Explorer::Run() {
         kill.points.push_back(FaultPoint::NodeKill(domain, static_cast<int64_t>(i)));
         ++report.explored_kill;
         NoteVerdict(kill, RunSchedule(kill).verdict, &report);
+      }
+      // GC × kill: a scan retires finished instances' step logs, then the storage tier dies
+      // with the kRetire frames still in the volatile tail (same hit) or after they may have
+      // flushed (later hits). Recovery must re-issue exactly the lost retirements.
+      for (int64_t delta : {0, 1, 4}) {
+        Schedule gc_kill;
+        gc_kill.points.push_back(FaultPoint::GcScan(static_cast<int64_t>(i)));
+        gc_kill.points.push_back(FaultPoint::NodeKill("store", static_cast<int64_t>(i) + delta));
+        ++report.explored_gc_kill;
+        NoteVerdict(gc_kill, RunSchedule(gc_kill).verdict, &report);
       }
     }
   }

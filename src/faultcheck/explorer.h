@@ -9,7 +9,9 @@
 //     meaningful): a second crash (dying inside retry/recovery), a scheduled peer instance,
 //     a GC scan at a chosen hit, or the start of a protocol switch;
 //   * node kills (opt-in, durable clusters only) — kill + restart a whole node at a traced
-//     hit, replay its journals, and run the remaining invocations against recovered state.
+//     hit, replay its journals, and run the remaining invocations against recovered state;
+//     the family also pairs a GC scan at a hit with a storage kill at or shortly after it,
+//     so kills land before and after the scan's tag retirements become durable.
 // Failing schedules are greedily shrunk (drop one fault at a time while the failure persists)
 // and reported with their printable form, which Schedule::Parse replays deterministically —
 // same seed, same schedule, same verdict.
@@ -62,7 +64,7 @@ struct ExplorerOptions {
 
   // Depth-1 node-kill family: kill + restart a whole node at each strided trace position,
   // for every domain listed below, then let the remaining invocations run against the
-  // replayed state. Requires durable.
+  // replayed state; plus GC scan × storage kill pairs at each position. Requires durable.
   bool node_kills = false;
   std::vector<std::string> kill_domains = {"store", "seq", "fn0"};
 
@@ -110,12 +112,14 @@ struct ExplorerReport {
   int64_t explored_switch = 0;
   int64_t explored_advisor = 0;
   int64_t explored_kill = 0;
+  int64_t explored_gc_kill = 0;
   int64_t explored_ckpt = 0;
   std::vector<FailingSchedule> failures;
 
   int64_t TotalExplored() const {
     return explored_none + explored_single + explored_pairs + explored_peer + explored_gc +
-           explored_switch + explored_advisor + explored_kill + explored_ckpt;
+           explored_switch + explored_advisor + explored_kill + explored_gc_kill +
+           explored_ckpt;
   }
   bool AllPassed() const { return failures.empty(); }
 

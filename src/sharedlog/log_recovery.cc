@@ -58,6 +58,11 @@ void ReplayJournalFrame(SimTime now, ShardedLog* log, bool fuzzy, storage::Frame
       log->RestoreTrim(now, tag, upto, base_after);
       break;
     }
+    case storage::FrameType::kRetire: {
+      TagId tag = cursor.U64();
+      log->RestoreRetire(now, tag, cursor.U64());
+      break;
+    }
     default:
       HM_CHECK_MSG(false, "unexpected frame type in the log journal");
   }
@@ -104,6 +109,7 @@ LogRecoveryStats RestoreLogFromJournal(SimTime now, ShardedLog* log,
   // never re-issue their seqnums.
   log->EnsureWatermark(stats.watermark_floor);
   log->EnsureWatermark(journal->durable_seq());
+  log->FinishReplay(now);
   return stats;
 }
 

@@ -44,13 +44,65 @@ std::vector<TagId> ShardedLog::InternAll(std::vector<std::string> names) {
   return ids;
 }
 
+const ShardedLog::TagStream* ShardedLog::FindStream(TagId tag) const {
+  if (const StreamPage* page = PageAt(tag)) {
+    HM_CHECK_MSG((page->closed & Bit(tag)) == 0, "ShardedLog: tag was retired");
+    return &page->streams[tag % kPageIds];
+  }
+  if (auto it = spilled_streams_.find(tag); it != spilled_streams_.end()) {
+    HM_CHECK_MSG(!it->second.closed, "ShardedLog: tag was retired");
+    return &it->second.stream;
+  }
+  HM_CHECK_MSG(!tags_.Retired(tag), "ShardedLog: tag was retired");
+  return nullptr;
+}
+
+ShardedLog::TagStream& ShardedLog::SlotFor(TagId tag) {
+  if (StreamPage* page = PageAt(tag)) return page->streams[tag % kPageIds];
+  size_t p = static_cast<size_t>(tag / kPageIds);
+  if (!tags_.PageLive(p)) return spilled_streams_[tag].stream;
+  // Pages never move (the table holds unique_ptrs), so stream references stay valid while
+  // other pages come and go.
+  if (p >= stream_pages_.size()) stream_pages_.resize(p + 1);
+  stream_pages_[p] = std::make_unique<StreamPage>();
+  stream_pages_[p]->closed = tags_.RetiredMask(p);
+  return stream_pages_[p]->streams[tag % kPageIds];
+}
+
+bool ShardedLog::Closed(TagId tag) const {
+  if (const StreamPage* page = PageAt(tag)) return (page->closed & Bit(tag)) != 0;
+  auto it = spilled_streams_.find(tag);
+  return it != spilled_streams_.end() && it->second.closed;
+}
+
+void ShardedLog::SetClosed(TagId tag) {
+  SlotFor(tag);  // The stream's home exists from here on.
+  if (StreamPage* page = PageAt(tag)) {
+    page->closed |= Bit(tag);
+  } else {
+    spilled_streams_[tag].closed = true;
+  }
+}
+
 ShardedLog::TagStream& ShardedLog::StreamFor(TagId tag) {
-  // Growing streams_ relocates every stream; that must be a move (a pointer swap), not a
-  // copy of each stream's buffer.
-  static_assert(std::is_nothrow_move_constructible_v<TagStream>);
-  HM_CHECK_MSG(tags_.Contains(tag), "ShardedLog: tag id was never interned");
-  if (tag >= streams_.size()) streams_.resize(tag + 1);
-  return streams_[tag];
+  HM_CHECK_MSG(tag < tags_.size(), "ShardedLog: tag id was never interned");
+  if (StreamPage* page = PageAt(tag)) {
+    HM_CHECK_MSG((page->closed & Bit(tag)) == 0, "ShardedLog: tag was retired");
+    return page->streams[tag % kPageIds];
+  }
+  HM_CHECK_MSG(tags_.Contains(tag) && !Closed(tag), "ShardedLog: tag was retired");
+  return SlotFor(tag);
+}
+
+ShardedLog::TagStream& ShardedLog::RestoreStreamFor(TagId tag) {
+  HM_CHECK_MSG(tag < tags_.size(), "journal replay names a tag that was never interned");
+  return SlotFor(tag);
+}
+
+void ShardedLog::NoteRestoredLive(TagId tag, const TagStream& stream) {
+  if (stream.empty() && !tags_.Retired(tag)) {
+    live_tags_.insert(tag);
+  }
 }
 
 void ShardedLog::TagStream::DropFront(size_t n) {
@@ -139,14 +191,20 @@ LogRecordPtr ShardedLog::MakeRecord(SeqNum seqnum, std::vector<TagId> tags, Fiel
 }
 
 LogRecordPtr ShardedLog::InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
-                                       FieldMap fields) {
+                                       FieldMap fields, bool restoring) {
   LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
   gauge_.Add(now, static_cast<int64_t>(record->ByteSize()));
   // Encoded seqnums are allocated in global commit order, so pushing to the back keeps every
   // stream sorted, whichever shard sequenced the record.
   for (TagId tag : record->tags) {
+    if (restoring) {
+      TagStream& stream = RestoreStreamFor(tag);
+      NoteRestoredLive(tag, stream);
+      stream.entries.push_back(seqnum);
+      continue;
+    }
     TagStream& stream = StreamFor(tag);
-    if (stream.empty()) live_tags_.emplace(std::string_view(tags_.Name(tag)), tag);
+    if (stream.empty()) live_tags_.insert(tag);
     stream.entries.push_back(seqnum);
   }
   int live_tag_refs = static_cast<int>(record->tags.size());
@@ -157,7 +215,8 @@ SeqNum ShardedLog::Commit(uint32_t shard, SimTime now, std::vector<TagId> tags,
                           FieldMap fields) {
   HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
   SeqNum seqnum = AllocSeqNum(shard);
-  LogRecordPtr record = InstallRecord(now, seqnum, std::move(tags), std::move(fields));
+  LogRecordPtr record =
+      InstallRecord(now, seqnum, std::move(tags), std::move(fields), /*restoring=*/false);
   if (durability_ != nullptr) JournalRecord(*record);
   return seqnum;
 }
@@ -253,8 +312,8 @@ std::vector<TagId> ShardedLog::LiveTagsWithPrefix(std::string_view prefix) const
   // live_tags_ is name-ordered, so all matches form one contiguous range starting at the
   // first name >= prefix; results come out in name order for free.
   for (auto it = live_tags_.lower_bound(prefix); it != live_tags_.end(); ++it) {
-    if (it->first.substr(0, prefix.size()) != prefix) break;
-    out.push_back(it->second);
+    if (!tags_.Name(*it).starts_with(prefix)) break;
+    out.push_back(*it);
   }
   return out;
 }
@@ -307,14 +366,19 @@ size_t ShardedLog::StreamLength(TagId tag) const {
 
 size_t ShardedLog::IndexEntries() const {
   size_t total = 0;
-  for (const TagStream& stream : streams_) total += stream.size();
+  ForEachStream([&](const TagStream& stream) { total += stream.size(); });
   return total;
 }
 
 size_t ShardedLog::IndexCapacity() const {
   size_t total = 0;
-  for (const TagStream& stream : streams_) total += stream.entries.capacity();
+  ForEachStream([&](const TagStream& stream) { total += stream.entries.capacity(); });
   return total;
+}
+
+size_t ShardedLog::StreamPages() const {
+  return static_cast<size_t>(std::count_if(stream_pages_.begin(), stream_pages_.end(),
+                                           [](const auto& p) { return p != nullptr; }));
 }
 
 // ---- GC ----
@@ -328,12 +392,13 @@ size_t ShardedLog::TrimPrefix(SimTime now, TagStream& stream, SeqNum upto) {
 }
 
 size_t ShardedLog::Trim(SimTime now, TagId tag, SeqNum upto) {
-  if (tag >= streams_.size()) return 0;
-  TagStream& stream = streams_[tag];
+  TagStream* found = FindStream(tag);
+  if (found == nullptr) return 0;
+  TagStream& stream = *found;
   size_t released = TrimPrefix(now, stream, upto);
   stream.base += released;
   if (stream.empty() && stream.base > 0) {
-    live_tags_.erase(std::string_view(tags_.Name(tag)));
+    live_tags_.erase(tag);
   }
   // Trims are journaled fire-and-forget: nothing external depends on a trim being durable,
   // and a trim lost to a crash merely resurrects garbage the next GC pass re-collects. The
@@ -347,6 +412,69 @@ size_t ShardedLog::Trim(SimTime now, TagId tag, SeqNum upto) {
     durability_->AppendFrame(storage::FrameType::kTrim, payload);
   }
   return released;
+}
+
+// ---- Tag retirement ----
+
+size_t ShardedLog::Retire(SimTime now, TagId tag) {
+  HM_CHECK_MSG(tags_.Contains(tag), "ShardedLog::Retire: tag id was never interned");
+  if (Closed(tag)) return 0;  // Already retiring.
+  size_t released = TrimAndClose(now, tag);
+  if (durability_ == nullptr) {
+    ReleaseTag(tag);  // Without a journal there is nothing to wait for: the name goes now.
+  } else {
+    pending_retire_.push_back(PendingRetire{tag, JournalRetire(tag)});
+  }
+  return released;
+}
+
+size_t ShardedLog::TrimAndClose(SimTime now, TagId tag) {
+  TagStream& stream = SlotFor(tag);
+  if (!stream.empty()) live_tags_.erase(tag);
+  size_t released = TrimPrefix(now, stream, kMaxSeqNum);
+  HM_CHECK_MSG(stream.empty(), "ShardedLog::Retire: stream still holds entries");
+  stream = TagStream{};
+  SetClosed(tag);
+  return released;
+}
+
+uint64_t ShardedLog::JournalRetire(TagId tag) {
+  // One frame carries the whole retirement (it replaces the kTrim frame the emptying trim
+  // would have journaled); the name hash lets replay check the id's kTagDef frame after the
+  // name itself is gone.
+  std::string payload;
+  storage::PutU64(&payload, tag);
+  storage::PutU64(&payload, TagRegistry::NameHash(tags_.Name(tag)));
+  return durability_->AppendFrame(storage::FrameType::kRetire, payload);
+}
+
+void ShardedLog::ReleaseTag(TagId tag) {
+  tags_.Retire(tag);
+  spilled_streams_.erase(tag);
+  size_t p = static_cast<size_t>(tag / kPageIds);
+  StreamPage* page = PageAt(tag);
+  if (page == nullptr || tags_.PageLive(p)) return;
+  // The registry freed the page (every id in it retired or spilled): the surviving streams
+  // spill alongside their names, and the page goes.
+  for (size_t i = 0; i < kPageIds; ++i) {
+    TagId id = p * kPageIds + i;
+    if (tags_.Retired(id)) continue;  // Retired streams are empty.
+    spilled_streams_.emplace(
+        id, SpilledStream{std::move(page->streams[i]), (page->closed & Bit(id)) != 0});
+  }
+  stream_pages_[p].reset();
+}
+
+size_t ShardedLog::ReleaseRetired() {
+  if (pending_retire_.empty()) return 0;
+  const uint64_t durable = durability_->durable_offset();
+  size_t before = pending_retire_.size();
+  std::erase_if(pending_retire_, [&](const PendingRetire& p) {
+    if (p.frame_end > durable) return false;
+    ReleaseTag(p.tag);
+    return true;
+  });
+  return before - pending_retire_.size();
 }
 
 // ---- Durable medium + crash-restart recovery ----
@@ -369,8 +497,55 @@ void ShardedLog::ResetVolatile(SimTime now) {
   gauge_.Add(now, -gauge_.CurrentBytes());
   live_tags_.clear();
   watermark_ = 0;
-  streams_.clear();
+  stream_pages_.clear();
+  spilled_streams_.clear();
+  unmatched_tag_defs_.clear();
   for (RecordStore& store : stores_) store = RecordStore{};
+  // Retiring tags stay closed: replay fills their streams (restore paths ignore the mark)
+  // and FinishReplay empties them again.
+  for (const PendingRetire& pending : pending_retire_) SetClosed(pending.tag);
+}
+
+void ShardedLog::FinishReplay(SimTime now) {
+  HM_CHECK_MSG(unmatched_tag_defs_.empty(),
+               "journal replay: a retired tag's kTagDef frame has no kRetire frame");
+  // Retired ids' transient streams must have been emptied by their kRetire frames; drop
+  // them. Stream pages only exist for live registry pages (SlotFor), so each has a mask.
+  for (size_t p = 0; p < stream_pages_.size(); ++p) {
+    StreamPage* page = stream_pages_[p].get();
+    if (page == nullptr) continue;
+    const uint64_t retired = tags_.RetiredMask(p);
+    for (size_t i = 0; i < kPageIds; ++i) {
+      if ((retired >> i & 1) == 0) continue;
+      HM_CHECK_MSG(page->streams[i].empty(),
+                   "journal replay: a retired tag still holds stream entries");
+      page->streams[i] = TagStream{};
+    }
+    page->closed |= retired;
+  }
+  for (auto it = spilled_streams_.begin(); it != spilled_streams_.end();) {
+    if (!tags_.Retired(it->first)) {
+      ++it;
+      continue;
+    }
+    HM_CHECK_MSG(it->second.stream.empty(),
+                 "journal replay: a retired tag still holds stream entries");
+    it = spilled_streams_.erase(it);
+  }
+  // Retiring tags: a kRetire frame the node loss destroyed is re-issued (trim + new frame);
+  // otherwise the replayed frame (or the image, for frames below its cut) already emptied
+  // the stream.
+  const uint64_t durable = durability_ == nullptr ? 0 : durability_->durable_offset();
+  for (PendingRetire& pending : pending_retire_) {
+    if (pending.frame_end > durable) {
+      TrimAndClose(now, pending.tag);
+      pending.frame_end = JournalRetire(pending.tag);
+      continue;
+    }
+    HM_CHECK_MSG(SlotFor(pending.tag).empty(),
+                 "journal replay: a durably retired tag still holds stream entries");
+  }
+  ReleaseRetired();
 }
 
 std::string ShardedLog::EncodeRecordPayload(const LogRecord& record) {
@@ -410,7 +585,7 @@ void ShardedLog::RestoreRecord(SimTime now, SeqNum seqnum, std::vector<TagId> ta
   // run's durable prefix left it.
   HM_CHECK_MSG(seqnum > watermark_, "journal replay out of commit order");
   watermark_ = seqnum;
-  InstallRecord(now, seqnum, std::move(tags), std::move(fields));
+  InstallRecord(now, seqnum, std::move(tags), std::move(fields), /*restoring=*/true);
 }
 
 void ShardedLog::RestoreRecordFuzzy(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
@@ -427,32 +602,54 @@ void ShardedLog::RestoreRecordFuzzy(SimTime now, SeqNum seqnum, std::vector<TagI
     stored = &InstallSlot(std::move(record), 0);
   }
   for (TagId tag : stored->record->tags) {
-    TagStream& stream = StreamFor(tag);
+    TagStream& stream = RestoreStreamFor(tag);
     const SeqNum* pos = std::lower_bound(stream.begin(), stream.end(), seqnum);
     if (pos != stream.end() && *pos == seqnum) continue;  // Image already has it.
-    if (stream.empty()) live_tags_.emplace(std::string_view(tags_.Name(tag)), tag);
+    NoteRestoredLive(tag, stream);
     stream.InsertAt(static_cast<size_t>(pos - stream.begin()), seqnum);
     ++stored->live_tag_refs;
   }
 }
 
 void ShardedLog::RestoreTrim(SimTime now, TagId tag, SeqNum upto, size_t base_after) {
-  HM_CHECK_MSG(tags_.Contains(tag), "journal replay trims an unknown tag");
-  TagStream& stream = StreamFor(tag);
+  TagStream& stream = RestoreStreamFor(tag);
   TrimPrefix(now, stream, upto);
   // max() rather than += drops: when the image already absorbed (part of) this trim the
   // trim above releases fewer records than the original did, but the journaled base_after
   // is the exact base the original trim left behind — logical offsets stay correct either
   // way.
   if (stream.base < base_after) stream.base = base_after;
-  if (stream.empty() && stream.base > 0) {
-    live_tags_.erase(std::string_view(tags_.Name(tag)));
+  if (stream.empty() && stream.base > 0 && !tags_.Retired(tag)) {
+    live_tags_.erase(tag);
   }
 }
 
-void ShardedLog::VerifyTagDef(TagId id, std::string_view name) const {
+void ShardedLog::VerifyTagDef(TagId id, std::string_view name) {
+  if (tags_.Retired(id)) {
+    unmatched_tag_defs_.emplace(id, TagRegistry::NameHash(name));
+    return;
+  }
   HM_CHECK_MSG(tags_.Contains(id) && tags_.Name(id) == name,
                "journal replay: tag definition does not match the registry");
+}
+
+void ShardedLog::RestoreRetire(SimTime now, TagId tag, uint64_t name_hash) {
+  if (tags_.Retired(tag)) {
+    if (auto it = unmatched_tag_defs_.find(tag); it != unmatched_tag_defs_.end()) {
+      HM_CHECK_MSG(it->second == name_hash,
+                   "journal replay: a retired tag's kTagDef does not match its kRetire frame");
+      unmatched_tag_defs_.erase(it);
+    }
+  } else {
+    HM_CHECK_MSG(Closed(tag), "journal replay: kRetire frame for a tag that was never retired");
+    HM_CHECK_MSG(TagRegistry::NameHash(tags_.Name(tag)) == name_hash,
+                 "journal replay: kRetire frame does not match the registry");
+  }
+  TagStream& stream = RestoreStreamFor(tag);
+  if (!stream.empty() && !tags_.Retired(tag)) {
+    live_tags_.erase(tag);
+  }
+  TrimPrefix(now, stream, kMaxSeqNum);
 }
 
 // ---- Incremental checkpointing ----
@@ -469,7 +666,22 @@ bool ShardedLog::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t b
   int64_t consumed = 0;
   while (walk_next_tag_ < tags_.size()) {
     if (consumed >= budget) return false;
-    consumed += static_cast<int64_t>(CheckpointTag(walk_next_tag_++, store, frames));
+    TagId tag = walk_next_tag_;
+    if (PageAt(tag) == nullptr) {
+      // No stream page: only spilled streams can live in this page's id range.
+      TagId page_end = (tag / kPageIds + 1) * kPageIds;
+      auto it = spilled_streams_.lower_bound(tag);
+      if (it == spilled_streams_.end() || it->first >= page_end) {
+        walk_next_tag_ = page_end;
+        continue;
+      }
+      tag = it->first;
+    }
+    walk_next_tag_ = tag + 1;
+    // Retiring and retired ids leave the image: their records are gone and no append may
+    // ever reach their streams again, so no logical offset needs preserving.
+    if (Closed(tag)) continue;
+    consumed += static_cast<int64_t>(CheckpointTag(tag, store, frames));
   }
   return true;
 }
@@ -513,8 +725,7 @@ void ShardedLog::RestoreCheckpointRecord(SimTime now, SeqNum seqnum, std::vector
 void ShardedLog::RestoreCheckpointStream(SimTime now, TagId tag, size_t base,
                                          const std::vector<SeqNum>& seqnums) {
   (void)now;
-  HM_CHECK_MSG(tags_.Contains(tag), "checkpoint image names an unknown tag");
-  TagStream& stream = StreamFor(tag);
+  TagStream& stream = RestoreStreamFor(tag);
   HM_CHECK_MSG(stream.empty() && stream.base == 0,
                "checkpoint image restores a stream twice");
   stream.base = base;
@@ -529,7 +740,9 @@ void ShardedLog::RestoreCheckpointStream(SimTime now, TagId tag, size_t base,
     ++slot->live_tag_refs;
     EnsureWatermark(seqnum);
   }
-  if (!stream.empty()) live_tags_.emplace(std::string_view(tags_.Name(tag)), tag);
+  if (!stream.empty() && !tags_.Retired(tag)) {
+    live_tags_.insert(tag);
+  }
 }
 
 }  // namespace halfmoon::sharedlog

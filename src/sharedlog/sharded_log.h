@@ -30,7 +30,9 @@
 //     intern (writes) or look up (reads) the name and forward to the TagId path.
 //   * A sub-stream keeps only its untrimmed seqnum suffix (flat vector + head and base
 //     offsets), so trimmed history costs no memory while logical logCondAppend offsets stay
-//     stable. An empty stream allocates nothing.
+//     stable. An empty stream allocates nothing. Streams live in pages of
+//     TagRegistry::kPageIds consecutive tag ids, freed along with the registry's page (see
+//     Retire), so a long run's finished instances cost no stream memory.
 //   * The record store is node-free: per shard, slots indexed by seqnum / shard_count in
 //     64-slot pages, allocated on first install and freed with their last record.
 //   * Live stream tags are mirrored in a name-ordered index, so prefix scans (the GC's
@@ -45,6 +47,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -184,6 +187,26 @@ class ShardedLog {
   // `tag` would occupy. Used by clients to pre-check conditional appends in tests.
   size_t StreamLength(TagId tag) const;
 
+  // ---- Tag retirement (DESIGN.md §7.1, §13) ----
+  // Retires a finished instance's step-log tag: trims every record from its stream, then
+  // closes the tag for good — append, cond-append, read and trim on it abort from now on,
+  // and the id is never reused. The registry name is freed (and the page holding the id,
+  // once the page empties) when the retirement is durable: immediately without a
+  // durability service, otherwise when a later ReleaseRetired finds the kRetire frame
+  // flushed. A tag that is already retiring is
+  // left alone. Returns the number of records removed from the stream.
+  size_t Retire(SimTime now, TagId tag);
+
+  // Frees the registry names and stream pages of every retiring tag whose kRetire frame is
+  // durable (GC calls this once per pass). Returns the number of tags released.
+  size_t ReleaseRetired();
+
+  // Retiring tags whose kRetire frame may not be durable yet.
+  size_t pending_retirements() const { return pending_retire_.size(); }
+
+  // Stream pages currently allocated. Cold accessor (scans the page table).
+  size_t StreamPages() const;
+
   // ---- Name-based convenience entry points (tests, cold bootstrap paths) ----
   // Writes intern their tag names; reads resolve without interning, so probing a name that
   // was never appended does not grow the registry.
@@ -220,17 +243,24 @@ class ShardedLog {
 
   // ---- Durable medium + crash-restart recovery (DESIGN.md §13, §14) ----
   // Attaches the durability service: every commit journals a kRecord frame, every releasing
-  // trim a kTrim frame, and every newly interned tag a kTagDef frame. Must be attached before
-  // the first workload append (earlier interns — the pre-interned protocol tags — are
-  // deterministic constructor state and need no journal). Without one (the default) the log
-  // journals nothing and draws no extra latency samples — bit-identical to the pre-storage
-  // simulation.
+  // trim a kTrim frame, every retirement a kRetire frame, and every newly interned tag a
+  // kTagDef frame. Must be attached before the first workload append (earlier interns — the
+  // pre-interned protocol tags — are deterministic constructor state and need no journal).
+  // Without one (the default) the log journals nothing and draws no extra latency samples —
+  // bit-identical to the pre-storage simulation.
   void AttachDurability(storage::DurabilityService* svc);
 
   // Drops everything a node loss destroys: records, sub-stream indices, the live-tag index,
-  // the watermark, and the storage gauge's current bytes. The tag/op interners survive — ids
-  // are deterministic client-side handles, and replay cross-checks them via kTagDef frames.
+  // the watermark, and the storage gauge's current bytes. The tag/op interners and the list
+  // of retiring tags survive — ids are deterministic client-side handles, and replay
+  // cross-checks them via kTagDef and kRetire frames.
   void ResetVolatile(SimTime now);
+
+  // Closes a replay (every restore path above has run). Aborts with a named error if a
+  // retired tag still holds stream entries or has a kTagDef frame no kRetire frame matched.
+  // Then re-issues every retirement whose kRetire frame the node loss destroyed (a new
+  // frame, so the lost trim is never forgotten) and releases those whose frames are durable.
+  void FinishReplay(SimTime now);
 
   // Reinstalls a committed record from its journal frame: same index/stream/gauge effects as
   // the original append, but no commit listener and no re-journaling. In strict mode (full
@@ -250,8 +280,14 @@ class ShardedLog {
 
   // Cross-checks a replayed kTagDef frame against the surviving registry: the journaled
   // (id, name) assignment must match bit for bit, or the replayed record frames' tag ids
-  // would silently index the wrong streams.
-  void VerifyTagDef(TagId id, std::string_view name) const;
+  // would silently index the wrong streams. A retired id's name is gone, so its frame is
+  // held until the id's kRetire frame supplies the name hash to compare against.
+  void VerifyTagDef(TagId id, std::string_view name);
+
+  // Re-applies a durable kRetire frame: checks the name hash, then empties the stream. A
+  // retired id's records were replayed into a transient stream (no live-tag entry), which
+  // this empties; a still-retiring id loses its live stream exactly as the original did.
+  void RestoreRetire(SimTime now, TagId tag, uint64_t name_hash);
 
   // Raises the watermark to at least `floor` (no-op when already past it). Recovery calls
   // this with the manifest's watermark floor / the journal's durable seqnum: truncation can
@@ -262,10 +298,10 @@ class ShardedLog {
   }
 
   // ---- Incremental checkpointing (DESIGN.md §14) ----
-  // One checkpoint round walks every interned tag in id order (stable across registry
-  // growth), emitting record bodies (deduped round-wide — records are multi-tag — by
-  // stamping each emitted record's slot with the round number) and per-tag stream
-  // snapshots. The walk is resumable in bounded slices; tags interned after a slice are
+  // One checkpoint round walks every live tag in id order (stable across registry growth;
+  // retiring and retired ids are skipped), emitting record bodies (deduped round-wide —
+  // records are multi-tag — by stamping each emitted record's slot with the round number)
+  // and per-tag stream snapshots. The walk is resumable in bounded slices; tags interned after a slice are
   // picked up by later slices, and their records also ride the replay suffix, so either way
   // the image + suffix composition is exact.
   void BeginCheckpointWalk();
@@ -304,7 +340,8 @@ class ShardedLog {
 
   // Seqnum slots allocated across the sub-stream indices (Σ vector capacities). Returns to 0
   // once every stream is fully trimmed: an emptied stream gives its buffer back, so
-  // fully-trimmed tags cost only their fixed-size stream header.
+  // fully-trimmed tags cost only their fixed-size stream header (and retired ones nothing,
+  // once their page goes).
   size_t IndexCapacity() const;
 
   int64_t CurrentBytes() const { return gauge_.CurrentBytes(); }
@@ -323,8 +360,7 @@ class ShardedLog {
   // entries[head..], in order; entries[0, head) were trimmed and await compaction. The
   // logical offset of live entry i in the stream's full history is base + i, so logical
   // offsets for logCondAppend are stable positions even after the trimmed prefix is
-  // compacted away. An empty stream owns no buffer, and the type is nothrow-movable, so
-  // growing streams_ moves streams instead of copying them.
+  // compacted away. An empty stream owns no buffer.
   struct TagStream {
     std::vector<SeqNum> entries;
     size_t head = 0;
@@ -398,9 +434,10 @@ class ShardedLog {
   // The shared body of Commit and strict RestoreRecord: builds the immutable record and
   // installs it into the record store, the per-tag sub-streams, the live-tag index, and the
   // storage gauge — everything EXCEPT seqnum allocation, journaling, and commit notification,
-  // which is exactly what differs between a live append and a journal replay.
+  // which is exactly what differs between a live append and a journal replay. `restoring`
+  // selects the replay stream lookup (RestoreStreamFor) over the live one.
   LogRecordPtr InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
-                             FieldMap fields);
+                             FieldMap fields, bool restoring);
   // The kRecord / kCkptRecord payload (they share one encoding): seqnum, tags, fields.
   static std::string EncodeRecordPayload(const LogRecord& record);
   void JournalRecord(const LogRecord& record);
@@ -410,18 +447,75 @@ class ShardedLog {
   // Emits the image frames of `tag`'s sub-stream into the checkpoint store: first a
   // kCkptRecord body for every referenced record not yet emitted in round walk_round_ (each
   // emitted record's slot is stamped with the round), then one kCkptTagStream frame with the
-  // stream's base and live seqnums. Fully-trimmed streams (no live entries, base > 0) are
-  // emitted too: their base carries the logical offsets logCondAppend depends on. Returns
+  // stream's base and live seqnums. Fully-trimmed live streams (no entries, base > 0) are
+  // emitted too: their base carries the logical offsets logCondAppend depends on (retired
+  // streams are skipped by the walk, never reaching here). Returns
   // the walk-budget items consumed (0 when the tag has no stream); increments *frames per
   // frame appended.
   size_t CheckpointTag(TagId tag, storage::CheckpointStore* store, int64_t* frames);
 
-  // Stream for `tag`, or null if the tag never had an append. Interned ids are dense, so the
-  // stream table is a flat vector indexed by id: the per-op "hash" is a bounds check.
-  const TagStream* FindStream(TagId tag) const {
-    return tag < streams_.size() ? &streams_[tag] : nullptr;
+  // The streams of TagRegistry::kPageIds consecutive tag ids. `closed` marks retiring and
+  // retired ids (bit i for id page * kPageIds + i): the live paths abort on them. A page is
+  // allocated on the first stream access in its range and freed with its registry page.
+  static constexpr size_t kPageIds = TagRegistry::kPageIds;
+  struct StreamPage {
+    std::array<TagStream, kPageIds> streams;
+    uint64_t closed = 0;
+  };
+  static uint64_t Bit(TagId tag) { return uint64_t{1} << (tag % kPageIds); }
+
+  // Streams of ids whose registry page spilled (TagRegistry::kSpillLive): moved here when
+  // the page goes, created here on demand. Ordered, so the checkpoint walk meets them in id
+  // order.
+  struct SpilledStream {
+    TagStream stream;
+    bool closed = false;
+  };
+
+  // The allocated stream page covering `tag`, or null.
+  StreamPage* PageAt(TagId tag) const {
+    size_t p = static_cast<size_t>(tag / kPageIds);
+    return p < stream_pages_.size() ? stream_pages_[p].get() : nullptr;
   }
+  // Live read path: `tag`'s stream, or null if it was never touched. Interned ids are dense,
+  // so the lookup is a page-table index (a spill-map lookup for the rare spilled id). Aborts
+  // on a retired tag.
+  const TagStream* FindStream(TagId tag) const;
+  TagStream* FindStream(TagId tag) {
+    return const_cast<TagStream*>(std::as_const(*this).FindStream(tag));
+  }
+  // Live write path: `tag`'s stream, created on demand. Aborts on a retired tag.
   TagStream& StreamFor(TagId tag);
+  // Replay path: like StreamFor, but a retired id gets a transient stream (no live-tag
+  // entry) that its kRetire frame empties — DESIGN.md §13's replay rule for retired ids.
+  TagStream& RestoreStreamFor(TagId tag);
+  // `tag`'s stream wherever it lives, created on demand with no state check: in its page
+  // while the registry page is live (allocating the page with its retired ids already
+  // closed), else in the spill map.
+  TagStream& SlotFor(TagId tag);
+  // Whether `tag` is retiring or retired (its closed bit / flag), and setting it.
+  bool Closed(TagId tag) const;
+  void SetClosed(TagId tag);
+  // Adds `tag` to the live-tag index when its stream gains a first entry during replay;
+  // retired ids' transient streams stay out of it.
+  void NoteRestoredLive(TagId tag, const TagStream& stream);
+  template <typename Fn>
+  void ForEachStream(Fn fn) const {
+    for (const auto& page : stream_pages_) {
+      if (page == nullptr) continue;
+      for (const TagStream& stream : page->streams) fn(stream);
+    }
+    for (const auto& [tag, spilled] : spilled_streams_) fn(spilled.stream);
+  }
+
+  // Trims `tag`'s stream to empty and closes the tag; returns the records removed. Then
+  // JournalRetire appends its kRetire frame and returns the frame's end offset. Shared by
+  // Retire and FinishReplay's re-issue.
+  size_t TrimAndClose(SimTime now, TagId tag);
+  uint64_t JournalRetire(TagId tag);
+  // Retires `tag` in the registry (freeing its name); when that frees the registry page, the
+  // page's surviving streams move to the spill map and the stream page goes too.
+  void ReleaseTag(TagId tag);
 
   // ---- Record store ----
   // Slot of `seqnum` on its sequencing shard's store if occupied, else null.
@@ -444,12 +538,32 @@ class ShardedLog {
   TagRegistry ops_;
   metrics::StorageGauge gauge_;
   SeqNum watermark_ = 0;  // Largest encoded seqnum committed; 0 = none, the first is >= 1.
-  std::map<std::string_view, TagId> live_tags_;
+  // Ids of the non-empty streams, ordered by name. The set holds ids, not names: names
+  // belong to the registry, which may move them (see TagRegistry's spill).
+  struct NameOrder {
+    using is_transparent = void;
+    const TagRegistry* tags;
+    bool operator()(TagId a, TagId b) const { return tags->Name(a) < tags->Name(b); }
+    bool operator()(std::string_view a, TagId b) const { return a < tags->Name(b); }
+    bool operator()(TagId a, std::string_view b) const { return tags->Name(a) < b; }
+  };
+  std::set<TagId, NameOrder> live_tags_{NameOrder{&tags_}};
   std::function<void(SeqNum)> commit_listener_;
   storage::DurabilityService* durability_ = nullptr;  // See AttachDurability.
 
-  std::vector<TagStream> streams_;    // Indexed by TagId; grown on first append of a tag.
-  std::vector<RecordStore> stores_;   // Indexed by shard.
+  std::vector<std::unique_ptr<StreamPage>> stream_pages_;  // Indexed by TagId / kPageIds.
+  std::map<TagId, SpilledStream> spilled_streams_;
+  std::vector<RecordStore> stores_;                         // Indexed by shard.
+
+  // Retiring tags (closed, name still interned) and the journal offset their kRetire frame
+  // ends at; see Retire. Survives ResetVolatile, like the registry.
+  struct PendingRetire {
+    TagId tag;
+    uint64_t frame_end;
+  };
+  std::vector<PendingRetire> pending_retire_;
+  // Replay only: name hashes of kTagDef frames for retired ids, awaiting their kRetire frame.
+  std::map<TagId, uint64_t> unmatched_tag_defs_;
 
   // Checkpoint-walk cursor (valid between BeginCheckpointWalk and the slice returning true)
   // and the current round's body stamp (0 = no round yet, the never-emitted stamp).

@@ -38,6 +38,8 @@ enum class FrameType : uint8_t {
   kCkptKvLatest = 10,   // str key, str value, u64 cursor_ts, u64 counter — one latest slot.
   kCkptKvVersion = 11,  // u64 object, str version_id, str value — one stored version.
   kCkptManifest = 12,   // See CheckpointManifest in checkpoint.h.
+
+  kRetire = 13,  // u64 tag id, u64 name hash — a step-log tag retired (DESIGN.md §13).
 };
 
 inline constexpr uint64_t kFrameHeaderBytes = 5;  // u32 len + u8 type.

@@ -3,9 +3,48 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <memory>
+#include <string>
+
 #include "src/core/gc_service.h"
 #include "src/core/switch_manager.h"
+#include "src/workloads/applications.h"
+#include "src/workloads/loadgen.h"
 #include "tests/testing/test_world.h"
+
+namespace halfmoon::core {
+
+// Reaches into the runtime's workflow ledger: runs a root invocation to completion on a
+// workflow the test keeps, then starts one more attempt on it, as a late peer or a replayed
+// invoke would.
+struct SsfRuntimeTestPeer {
+  static std::shared_ptr<SsfRuntime::Workflow> RunToDrain(SsfRuntime& runtime,
+                                                          const std::string& name) {
+    auto workflow = std::make_shared<SsfRuntime::Workflow>();
+    workflow->root_id = name + "#late";
+    runtime.cluster().scheduler().Spawn(
+        [](SsfRuntime* runtime, std::shared_ptr<SsfRuntime::Workflow> workflow,
+           std::string name) -> sim::Task<void> {
+          co_await runtime->RunInvocation(workflow->root_id, workflow, name, "v");
+        }(&runtime, workflow, name));
+    runtime.cluster().scheduler().Run();
+    return workflow;
+  }
+
+  static void StartAttempt(SsfRuntime& runtime, std::shared_ptr<SsfRuntime::Workflow> workflow,
+                           const std::string& name) {
+    runtime.cluster().scheduler().Spawn(
+        [](SsfRuntime* runtime, std::shared_ptr<SsfRuntime::Workflow> workflow,
+           std::string name) -> sim::Task<void> {
+          co_await runtime->RunAttempt(workflow, workflow->root_id, name, "v", /*attempt=*/0,
+                                       sharedlog::kInvalidSeqNum);
+        }(&runtime, std::move(workflow), name));
+    runtime.cluster().scheduler().Run();
+  }
+};
+
+}  // namespace halfmoon::core
 
 namespace halfmoon {
 namespace {
@@ -250,6 +289,68 @@ TEST(GcTest, PeriodicLoopRunsOnSchedule) {
   gc.Stop();
   EXPECT_EQ(gc.stats().scans, 3);
   EXPECT_EQ(world.cluster().kv_state().VersionCount(world.ObjectIdFor("k")), 1u);
+}
+
+TEST(GcDeathTest, AttemptOnADrainedWorkflowAborts) {
+  // Once a workflow drains, GC may retire its members' step-log tags; an attempt starting
+  // afterwards would re-intern its instance id as a fresh, empty step log and re-execute
+  // finished work. The runtime must refuse it outright.
+  TestWorld world(HmRead());
+  RegisterWriter(world);
+  auto workflow = core::SsfRuntimeTestPeer::RunToDrain(world.runtime(), "write_k");
+  ASSERT_TRUE(workflow->drained);
+  GcService gc(&world.cluster(), Seconds(10));
+  gc.RunOnce();
+  EXPECT_EQ(world.cluster().log_space().tags().Find(workflow->root_id), sharedlog::kInvalidTagId);
+  EXPECT_DEATH(core::SsfRuntimeTestPeer::StartAttempt(world.runtime(), workflow, "write_k"),
+               "attempt started on a drained workflow");
+}
+
+TEST(GcTest, TravelMemoryIsBoundedByLiveState) {
+  // The travel app under load with periodic GC: the registry keeps assigning ids (one per
+  // instance), but retired ones free their names and pages, so what stays allocated after
+  // T and after 2T simulated seconds is the same live state, not twice the history.
+  TestWorld world(HmRead());
+  workloads::AppDataset data;
+  workloads::RegisterTravelApp(world.runtime(), data);
+  GcService gc(&world.cluster(), Seconds(1));
+  gc.Start();
+  sharedlog::ShardedLog& log = world.cluster().log_space();
+
+  struct Footprint {
+    size_t ids, live, registry_pages, stream_pages;
+  };
+  auto run_for = [&](SimDuration duration) {
+    workloads::LoadGenConfig config;
+    config.requests_per_second = 200;
+    config.warmup = 0;
+    config.duration = duration;
+    workloads::LoadGenerator gen(&world.runtime(), config,
+                                 workloads::TravelRequestFactory(world.runtime(), data));
+    gen.RunToCompletion();
+    // Two more GC passes: the first retires the last workflows' tags, the second is a
+    // no-op here (no journal) but mirrors the durable release cadence.
+    world.scheduler().RunUntil(world.scheduler().Now() + Seconds(2));
+    return Footprint{log.tags().size(), log.tags().live_size(), log.tags().Pages(),
+                     log.StreamPages()};
+  };
+  constexpr SimDuration kT = Seconds(10);
+  Footprint at_t = run_for(kT);
+  Footprint at_2t = run_for(kT);
+  gc.Stop();
+
+  // The run really did churn through many instances in the second half...
+  EXPECT_GT(at_2t.ids - at_t.ids, 1000u);
+  // ...without the live footprint following it.
+  auto within_10_percent = [](size_t a, size_t b) {
+    return 10 * static_cast<size_t>(std::llabs(static_cast<long long>(a) -
+                                               static_cast<long long>(b))) < a;
+  };
+  EXPECT_TRUE(within_10_percent(at_t.live, at_2t.live)) << at_t.live << " vs " << at_2t.live;
+  EXPECT_TRUE(within_10_percent(at_t.registry_pages, at_2t.registry_pages))
+      << at_t.registry_pages << " vs " << at_2t.registry_pages;
+  EXPECT_TRUE(within_10_percent(at_t.stream_pages, at_2t.stream_pages))
+      << at_t.stream_pages << " vs " << at_2t.stream_pages;
 }
 
 }  // namespace

@@ -56,6 +56,7 @@ void ExpectKillSweepPasses(const Workload& workload, ExplorerOptions options) {
   EXPECT_GT(report.baseline_sites, 0);
   EXPECT_GT(report.explored_single, 0);
   EXPECT_GT(report.explored_kill, 0);
+  EXPECT_GT(report.explored_gc_kill, 0);
   if (!report.AllPassed()) {
     FAIL() << report.failures.size() << " failing schedules, first: "
            << report.failures[0].schedule.ToString() << " -> " << report.failures[0].reason;

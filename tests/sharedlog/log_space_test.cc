@@ -1,5 +1,6 @@
 #include "src/sharedlog/sharded_log.h"
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -662,6 +663,131 @@ TEST(LogSpaceRecordStoreTest, CheckpointRoundEmitsEveryLiveBodyOnce) {
       log.Append(0, TwoTags(a, c), Fields("ac", round));
     }
   }
+}
+
+TEST(LogSpaceRetireTest, RetireEmptiesTheStreamAndFreesFullyRetiredPages) {
+  ShardedLog log;
+  TagId keep = log.tags().Intern("k:x");
+  // Fill two whole pages' worth of instance-shaped tags past the pre-interned ones, each
+  // with a record shared with the long-lived object stream.
+  std::vector<TagId> instances;
+  while (instances.size() < 2 * TagRegistry::kPageIds) {
+    TagId t = log.tags().Intern("inst#" + std::to_string(instances.size()));
+    log.Append(0, TwoTags(t, keep), Fields("write", 1));
+    log.Append(0, OneTag(t), Fields("read", 2));
+    instances.push_back(t);
+  }
+  size_t pages_before = log.StreamPages();
+  size_t registry_pages_before = log.tags().Pages();
+  for (TagId t : instances) EXPECT_EQ(log.Retire(0, t), 2u);
+  // No durability service: the retirement is final at once.
+  EXPECT_EQ(log.pending_retirements(), 0u);
+  EXPECT_TRUE(log.tags().Retired(instances[0]));
+  EXPECT_EQ(log.tags().Find("inst#0"), kInvalidTagId);
+  EXPECT_EQ(log.StreamTagsWithPrefix("inst#"), std::vector<std::string>{});
+  // The shared records stay live through the object stream; the read records are gone.
+  EXPECT_EQ(log.live_records(), instances.size());
+  EXPECT_EQ(log.ReadStream(keep).size(), instances.size());
+  // At least one page lies wholly inside the retired range, in both the registry and the
+  // stream table.
+  EXPECT_LT(log.StreamPages(), pages_before);
+  EXPECT_LT(log.tags().Pages(), registry_pages_before);
+  EXPECT_EQ(log.tags().live_size(), log.tags().size() - instances.size());
+}
+
+TEST(LogSpaceRetireTest, CheckpointWalkSkipsRetiredTags) {
+  ShardedLog log;
+  TagId gone = log.tags().Intern("inst#1");
+  TagId live = log.tags().Intern("inst#2");
+  log.Append(0, OneTag(gone), Fields("read", 1));
+  log.Append(0, OneTag(live), Fields("read", 1));
+  log.Trim(0, live, kMaxSeqNum);  // Fully trimmed but live: its base stays in the image.
+  log.Retire(0, gone);
+  storage::CheckpointStore store;
+  log.BeginCheckpointWalk();
+  int64_t frames = 0;
+  while (!log.WriteCheckpointSlice(&store, /*budget=*/4, &frames)) {
+  }
+  store.Flush();
+  std::vector<TagId> streams;
+  storage::ReplayFrames(store.buffer(), 0, store.durable(),
+                        [&](storage::FrameType type, storage::Cursor cursor) {
+                          if (type == storage::FrameType::kCkptTagStream) {
+                            streams.push_back(cursor.U64());
+                          }
+                        });
+  EXPECT_EQ(streams, std::vector<TagId>{live});
+}
+
+TEST(LogSpaceRetireTest, SparsePageSurvivorsKeepWorkingAfterTheSpill) {
+  // An object tag interned among instance tags outlives them all: once its page turns sparse
+  // the page is freed and the object's name and stream move out, and every operation on it
+  // keeps working — including the checkpoint walk.
+  ShardedLog log;
+  while (log.tags().size() % TagRegistry::kPageIds != 0) {
+    log.tags().Intern("pad" + std::to_string(log.tags().size()));
+  }
+  std::vector<TagId> instances;
+  TagId object = kInvalidTagId;
+  for (size_t i = 0; i < TagRegistry::kPageIds; ++i) {
+    if (i == 10) {
+      object = log.tags().Intern("k:obj");
+      log.Append(0, OneTag(object), Fields("write", 0));
+      continue;
+    }
+    TagId t = log.tags().Intern("inst#" + std::to_string(i));
+    log.Append(0, object == kInvalidTagId ? OneTag(t) : TwoTags(t, object), Fields("read", 1));
+    instances.push_back(t);
+  }
+  size_t pages = log.StreamPages();
+  for (TagId t : instances) log.Retire(0, t);
+  EXPECT_EQ(log.StreamPages(), pages - 1);
+  EXPECT_EQ(log.tags().spilled(), 1u);
+  // The object's stream moved intact: every record shared with a retired instance survives.
+  std::vector<LogRecordPtr> stream = log.ReadStream(object);
+  ASSERT_EQ(stream.size(), 1u + (TagRegistry::kPageIds - 11));
+  EXPECT_EQ(log.StreamTagsWithPrefix("k:"), std::vector<std::string>{"k:obj"});
+  EXPECT_EQ(log.IndexEntries(), stream.size());
+  // Appends, cond-appends and trims still reach it.
+  size_t length = log.StreamLength(object);
+  EXPECT_TRUE(log.CondAppend(0, OneTag(object), Fields("write", 9), object, length).ok);
+  log.Trim(0, object, stream[0]->seqnum);
+  EXPECT_EQ(log.StreamLength(object), length + 1);
+  EXPECT_EQ(log.ReadPrev(object, kMaxSeqNum)->fields.GetInt("step"), 9);
+  // The checkpoint walk finds the spilled stream.
+  storage::CheckpointStore store;
+  log.BeginCheckpointWalk();
+  int64_t frames = 0;
+  while (!log.WriteCheckpointSlice(&store, /*budget=*/3, &frames)) {
+  }
+  store.Flush();
+  std::vector<TagId> streams;
+  storage::ReplayFrames(store.buffer(), 0, store.durable(),
+                        [&](storage::FrameType type, storage::Cursor cursor) {
+                          if (type == storage::FrameType::kCkptTagStream) {
+                            streams.push_back(cursor.U64());
+                          }
+                        });
+  EXPECT_NE(std::find(streams.begin(), streams.end(), object), streams.end());
+  // And it retires like any other tag.
+  log.Trim(0, object, kMaxSeqNum);
+  log.Retire(0, object);
+  EXPECT_EQ(log.tags().spilled(), 0u);
+  EXPECT_EQ(log.IndexEntries(), 0u);
+}
+
+TEST(LogSpaceRetireDeathTest, RetiredTagsFailClosed) {
+  ShardedLog log;
+  TagId t = log.tags().Intern("inst#9");
+  log.tags().Intern("neighbour");  // Keeps the page (and its stream table slot) allocated.
+  log.Append(0, OneTag(t), Fields("read", 1));
+  log.Retire(0, t);
+  EXPECT_DEATH(log.Append(0, OneTag(t), Fields("read", 2)), "TagId was retired");
+  EXPECT_DEATH(log.CondAppend(0, OneTag(t), Fields("read", 2), t, 1), "TagId was retired");
+  EXPECT_DEATH(log.ReadStream(t), "tag was retired");
+  EXPECT_DEATH(log.ReadPrev(t, kMaxSeqNum), "tag was retired");
+  EXPECT_DEATH(log.Trim(0, t, kMaxSeqNum), "tag was retired");
+  EXPECT_DEATH(log.Retire(0, t), "TagId was retired");
 }
 
 }  // namespace

@@ -65,26 +65,6 @@ TEST(TagRegistryTest, RepeatedInterningMaterializesEachNameOnce) {
   EXPECT_EQ(reg.intern_requests(), 3000);
 }
 
-TEST(TagRegistryTest, PrefixRangeMatchesNaiveStringFilter) {
-  TagRegistry reg;
-  // Include names that straddle the prefix boundary in byte order: "k" < "k:" < "k:..." <
-  // "k;..." — the range scan must include exactly the middle band.
-  const char* names[] = {"a",    "k",      "k:",      "k:a", "k:a/b", "k:z",
-                         "k;no", "switch", "ssf.init", "zz",  "k:mm"};
-  for (const char* name : names) reg.Intern(name);
-
-  for (const std::string prefix : {"k:", "k", "", "switch:", "zz", "nothing"}) {
-    std::vector<TagId> naive;
-    for (TagId id = 0; id < reg.size(); ++id) {
-      if (reg.Name(id).compare(0, prefix.size(), prefix) == 0) naive.push_back(id);
-    }
-    std::sort(naive.begin(), naive.end(), [&](TagId a, TagId b) {
-      return reg.Name(a) < reg.Name(b);
-    });
-    EXPECT_EQ(reg.IdsWithPrefix(prefix), naive) << "prefix \"" << prefix << "\"";
-  }
-}
-
 TEST(TagRegistryTest, NameViewsStayStableAcrossGrowth) {
   // Returned name references must survive arbitrary later interning (rehash of the name map).
   TagRegistry reg;
@@ -101,7 +81,7 @@ TEST(TagRegistryTest, InternPrefixedStaysStableAcrossRehashMidStream) {
   // Drive the open-addressed table through several growths (it grows at 2/3 load from 64
   // slots) while interleaving InternPrefixed and Intern of the same logical names. Ids
   // assigned before a rehash must resolve identically after it, no matter which entry point
-  // is used, and the ordered prefix index must keep enumerating every id exactly once.
+  // is used.
   TagRegistry reg;
   std::vector<TagId> prefixed_ids;
   std::vector<TagId> plain_ids;
@@ -127,15 +107,94 @@ TEST(TagRegistryTest, InternPrefixedStaysStableAcrossRehashMidStream) {
     EXPECT_EQ(reg.Name(prefixed_ids[i]), "k:key-" + std::to_string(i));
     EXPECT_EQ(reg.Name(plain_ids[i]), "plain-" + std::to_string(i));
   }
+}
 
-  // The ordered prefix index enumerates exactly the prefixed ids, each exactly once.
-  std::vector<TagId> scanned = reg.IdsWithPrefix("k:");
-  ASSERT_EQ(scanned.size(), prefixed_ids.size());
-  std::vector<TagId> expected = prefixed_ids;
-  std::sort(expected.begin(), expected.end());
-  std::vector<TagId> got = scanned;
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, expected);
+TEST(TagRegistryTest, RetireFreesTheNameAndNeverReusesTheId) {
+  TagRegistry reg;
+  TagId keep = reg.Intern("keep");
+  TagId gone = reg.Intern("instance#1");
+  reg.Retire(gone);
+  EXPECT_TRUE(reg.Retired(gone));
+  EXPECT_FALSE(reg.Retired(keep));
+  EXPECT_EQ(reg.Find("instance#1"), kInvalidTagId);
+  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_EQ(reg.live_size(), 1u);
+  // The same name interned again gets a fresh id: retired ids are never handed out twice.
+  TagId again = reg.Intern("instance#1");
+  EXPECT_EQ(again, 2u);
+  EXPECT_EQ(reg.Name(again), "instance#1");
+  EXPECT_EQ(reg.Find("keep"), keep);
+}
+
+TEST(TagRegistryTest, BackwardShiftDeletionKeepsEveryProbeChainReachable) {
+  // Retire a scattered half of a table driven through several growths, then check every
+  // survivor still resolves through both entry points and every retired name is gone. A
+  // deletion that left a hole mid-cluster would strand the entries probed past it.
+  TagRegistry reg;
+  constexpr int kCount = 3000;
+  std::vector<TagId> ids;
+  for (int i = 0; i < kCount; ++i) ids.push_back(reg.InternPrefixed("k:", std::to_string(i)));
+  for (int i = 0; i < kCount; ++i) {
+    if (i % 7 == 3 || i % 2 == 0) reg.Retire(ids[i]);
+  }
+  for (int i = 0; i < kCount; ++i) {
+    bool retired = i % 7 == 3 || i % 2 == 0;
+    std::string suffix = std::to_string(i);
+    EXPECT_EQ(reg.FindPrefixed("k:", suffix), retired ? kInvalidTagId : ids[i]) << i;
+    EXPECT_EQ(reg.Find("k:" + suffix), retired ? kInvalidTagId : ids[i]) << i;
+    EXPECT_EQ(reg.Retired(ids[i]), retired);
+  }
+  // Survivors are not re-materialized: re-interning them leaves the registry size flat.
+  size_t size = reg.size();
+  for (int i = 1; i < kCount; i += 2) {
+    if (i % 7 != 3) {
+      EXPECT_EQ(reg.InternPrefixed("k:", std::to_string(i)), ids[i]);
+    }
+  }
+  EXPECT_EQ(reg.size(), size);
+}
+
+TEST(TagRegistryTest, SparsePageSpillsItsSurvivorsAndIsFreed) {
+  TagRegistry reg;
+  constexpr size_t kPage = TagRegistry::kPageIds;
+  for (size_t i = 0; i < 3 * kPage; ++i) reg.Intern("i" + std::to_string(i));
+  EXPECT_EQ(reg.Pages(), 3u);
+  // Retire page 1 down to one live id more than the spill threshold: the page stays.
+  size_t live = kPage;
+  for (TagId id = 2 * kPage - 1; live > TagRegistry::kSpillLive + 1; --id, --live) reg.Retire(id);
+  EXPECT_EQ(reg.Pages(), 3u);
+  EXPECT_EQ(reg.spilled(), 0u);
+  // One more retirement leaves it sparse: the survivors move out and the page goes.
+  reg.Retire(kPage + TagRegistry::kSpillLive);
+  EXPECT_EQ(reg.Pages(), 2u);
+  EXPECT_FALSE(reg.PageLive(1));
+  EXPECT_EQ(reg.spilled(), TagRegistry::kSpillLive);
+  // Spilled ids keep their names, shards and lookups.
+  EXPECT_EQ(reg.Name(kPage), "i" + std::to_string(kPage));
+  EXPECT_EQ(reg.Find("i" + std::to_string(kPage)), kPage);
+  EXPECT_EQ(reg.ShardOf(kPage), 0u);
+  EXPECT_FALSE(reg.Retired(kPage));
+  EXPECT_TRUE(reg.Retired(kPage + TagRegistry::kSpillLive));
+  // Retiring a spilled id removes it for good.
+  reg.Retire(kPage);
+  EXPECT_EQ(reg.spilled(), TagRegistry::kSpillLive - 1);
+  EXPECT_TRUE(reg.Retired(kPage));
+  EXPECT_EQ(reg.Find("i" + std::to_string(kPage)), kInvalidTagId);
+  // Neighbouring pages are untouched.
+  EXPECT_EQ(reg.Name(0), "i0");
+  EXPECT_EQ(reg.Name(2 * kPage), "i" + std::to_string(2 * kPage));
+  EXPECT_EQ(reg.live_size(), 3 * kPage - (kPage - TagRegistry::kSpillLive) - 1);
+}
+
+TEST(TagRegistryDeathTest, RetiredIdsFailClosed) {
+  TagRegistry reg;
+  TagId id = reg.Intern("done#7");
+  reg.Intern("other");
+  reg.Retire(id);
+  EXPECT_DEATH(reg.Name(id), "TagId was retired");
+  EXPECT_DEATH(reg.ShardOf(id), "TagId was retired");
+  EXPECT_DEATH(reg.Contains(id), "TagId was retired");
+  EXPECT_DEATH(reg.Retire(id), "TagId was retired");
 }
 
 }  // namespace

@@ -282,5 +282,138 @@ TEST(CheckpointRecoveryTest, GcFrontierIsClampedWhileARoundIsInFlight) {
   EXPECT_EQ(cluster.CheckpointBound(), sharedlog::kMaxSeqNum);
 }
 
+// Appends four records under the instance-shaped tag `name`, two of them shared with the
+// long-lived "k:a" stream (as HM-read's write records are).
+sim::Task<void> AppendInstance(Cluster* cluster, std::string name) {
+  sharedlog::LogClient& log = cluster->node(0).log();
+  for (int i = 0; i < 4; ++i) {
+    std::vector<std::string> tags = {name};
+    if (i % 2 == 1) tags.push_back("k:a");
+    co_await log.Append(std::move(tags), Fields("step", i));
+  }
+}
+
+void Append(Cluster& cluster, const std::string& name) {
+  cluster.scheduler().Spawn(AppendInstance(&cluster, name));
+  cluster.scheduler().Run();
+}
+
+TagId Retire(Cluster& cluster, const std::string& name) {
+  sharedlog::ShardedLog& log = cluster.log_space();
+  TagId tag = log.tags().Find(name);
+  log.Retire(cluster.scheduler().Now(), tag);
+  return tag;
+}
+
+// Retirements before the checkpoint cut (a0, a1), between the records and the cut (a3:
+// retired after the round is triggered, before its walk), across it (a2: records in the
+// image, kRetire frame in the suffix), after it (c0), and one whose frame the kill destroys
+// (c1). Returns the ids retired before the walk ran.
+std::vector<TagId> RetirementScenario(Cluster& cluster, bool take_checkpoint) {
+  sharedlog::ShardedLog& log = cluster.log_space();
+  for (const char* name : {"a0", "a1", "a2", "a3"}) Append(cluster, name);
+  std::vector<TagId> before_walk = {Retire(cluster, "a0"), Retire(cluster, "a1")};
+  cluster.scheduler().Run();
+  EXPECT_EQ(log.ReleaseRetired(), 2u);
+  if (take_checkpoint) {
+    EXPECT_TRUE(cluster.checkpoint_service()->TriggerRound());
+  }
+  before_walk.push_back(Retire(cluster, "a3"));
+  cluster.scheduler().Run();
+  Retire(cluster, "a2");
+  cluster.scheduler().Run();
+  Append(cluster, "c0");
+  Append(cluster, "c1");
+  Retire(cluster, "c0");
+  cluster.scheduler().Run();
+  EXPECT_EQ(log.ReleaseRetired(), 3u);
+  Retire(cluster, "c1");  // Still in the journal's volatile tail at the kill.
+  EXPECT_EQ(log.pending_retirements(), 1u);
+  return before_walk;
+}
+
+TEST(CheckpointRecoveryTest, RetirementsAroundTheCutMatchFullReplay) {
+  // Full-replay reference: the same scenario on the durable engine without checkpoints.
+  ClusterConfig reference_config = CheckpointConfig();
+  reference_config.checkpoint = false;
+  Cluster reference(reference_config);
+  RetirementScenario(reference, /*take_checkpoint=*/false);
+  uint64_t acked = StateChecksum(reference, kKvKeys, kObjects);
+  reference.KillRestartStorage();
+  EXPECT_FALSE(reference.last_log_recovery().used_checkpoint);
+  EXPECT_EQ(StateChecksum(reference, kKvKeys, kObjects), acked);
+
+  Cluster cluster(CheckpointConfig());
+  std::vector<TagId> retired_at_walk = RetirementScenario(cluster, /*take_checkpoint=*/true);
+  EXPECT_EQ(cluster.checkpoint_service()->stats().rounds_completed, 1);
+  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), acked);
+  cluster.KillRestartStorage();
+  PrintRecovery("retirements", cluster);
+  EXPECT_TRUE(cluster.last_log_recovery().used_checkpoint);
+  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), acked);
+
+  // The image carries no stream of a tag retired before the walk reached it.
+  storage::CheckpointStore* store = cluster.log_checkpoint_store();
+  int image_streams = 0;
+  storage::ReplayFrames(store->buffer(), store->retained(), store->durable(),
+                        [&](storage::FrameType type, storage::Cursor cursor) {
+                          if (type != storage::FrameType::kCkptTagStream) return;
+                          ++image_streams;
+                          TagId tag = cursor.U64();
+                          for (TagId retired : retired_at_walk) EXPECT_NE(tag, retired);
+                        });
+  EXPECT_GT(image_streams, 0);
+
+  // Both recoveries re-issued c1's lost retirement; once it flushes, every retired id is
+  // released and nothing of the instances is left live.
+  for (Cluster* c : {&reference, &cluster}) {
+    c->scheduler().Run();
+    c->log_space().ReleaseRetired();
+    EXPECT_EQ(c->log_space().pending_retirements(), 0u);
+    for (const char* name : {"a0", "a1", "a2", "a3", "c0", "c1"}) {
+      EXPECT_EQ(c->log_space().tags().Find(name), sharedlog::kInvalidTagId) << name;
+    }
+    EXPECT_EQ(c->log_space().StreamTagsWithPrefix("k:a"), std::vector<std::string>{"k:a"});
+  }
+  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects),
+            StateChecksum(reference, kKvKeys, kObjects));
+}
+
+TEST(CheckpointRecoveryTest, SpilledStreamsSurviveReplayAndImage) {
+  // One page of tags, all instances but "k:a" — once they retire the page spills and k:a's
+  // name and stream move out of it. Both restart paths must rebuild that exactly: full
+  // replay (retired ids' records land in transient streams outside any page) and image +
+  // suffix (the walk must find the spilled stream).
+  Cluster cluster(CheckpointConfig());
+  sharedlog::ShardedLog& log = cluster.log_space();
+  while (log.tags().size() % sharedlog::TagRegistry::kPageIds != 0) {
+    log.tags().Intern("pad" + std::to_string(log.tags().size()));
+  }
+  Append(cluster, "i0");  // Interns i0, then k:a, inside the fresh page.
+  std::vector<std::string> instances = {"i0"};
+  while (log.tags().size() % sharedlog::TagRegistry::kPageIds != 0) {
+    instances.push_back("i" + std::to_string(instances.size()));
+    Append(cluster, instances.back());
+  }
+  for (const std::string& name : instances) Retire(cluster, name);
+  cluster.scheduler().Run();
+  EXPECT_EQ(log.ReleaseRetired(), instances.size());
+  EXPECT_EQ(log.tags().spilled(), 1u);
+  uint64_t acked = StateChecksum(cluster, kKvKeys, kObjects);
+
+  cluster.KillRestartStorage();
+  EXPECT_FALSE(cluster.last_log_recovery().used_checkpoint);
+  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), acked);
+
+  CheckpointOnce(cluster);
+  Append(cluster, "late");
+  acked = StateChecksum(cluster, kKvKeys, kObjects);
+  cluster.KillRestartStorage();
+  PrintRecovery("spilled", cluster);
+  EXPECT_TRUE(cluster.last_log_recovery().used_checkpoint);
+  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), acked);
+  EXPECT_EQ(log.ReadStream("k:a").size(), instances.size() * 2 + 2);
+}
+
 }  // namespace
 }  // namespace halfmoon::runtime

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "src/common/value.h"
+#include "src/core/gc_service.h"
+#include "src/core/ssf_runtime.h"
 #include "src/kvstore/kv_state.h"
 #include "src/runtime/cluster.h"
 #include "src/sharedlog/log_record.h"
@@ -156,6 +158,56 @@ TEST(RecoveryTest, FunctionNodeKillOnlyDropsSoftState) {
   cluster.scheduler().Run();
   ASSERT_NE(latest, nullptr);
   EXPECT_EQ(latest->fields.GetInt("step"), 3);
+}
+
+// Runs `n` HM-read roots "w#0".."w#<n-1>", each writing one object, to completion.
+void RunWriters(Cluster& cluster, core::SsfRuntime& runtime, int n) {
+  runtime.RegisterFunction("w", [](core::SsfContext& ctx) -> sim::Task<Value> {
+    co_await ctx.Write("x", ctx.input());
+    co_return "";
+  });
+  for (int i = 0; i < n; ++i) {
+    cluster.scheduler().Spawn([](core::SsfRuntime* runtime, int i) -> sim::Task<void> {
+      co_await runtime->InvokeSsf("w", "v" + std::to_string(i));
+    }(&runtime, i));
+    cluster.scheduler().Run();
+  }
+}
+
+TEST(RecoveryTest, StepLogRetirementsLostToAStorageKillAreReissued) {
+  // GC retires finished instances' step logs, and a storage kill then destroys the journal
+  // frames recording it before they flush. The records come back with the replayed
+  // journal; recovery must collect them again rather than leave them live for good (the
+  // one-shot trim queue that fed the first pass is already drained).
+  core::RuntimeConfig rcfg;
+  rcfg.default_protocol = core::ProtocolKind::kHalfmoonRead;
+
+  // Reference: the same run with no kill.
+  Cluster reference(DurableConfig());
+  core::SsfRuntime reference_runtime(&reference, rcfg);
+  RunWriters(reference, reference_runtime, 4);
+  core::GcService reference_gc(&reference, Seconds(10));
+  reference_gc.RunOnce();
+  reference.scheduler().Run();
+
+  Cluster cluster(DurableConfig());
+  core::SsfRuntime runtime(&cluster, rcfg);
+  RunWriters(cluster, runtime, 4);
+  core::GcService gc(&cluster, Seconds(10));
+  gc.RunOnce();
+  EXPECT_EQ(gc.stats().step_logs_trimmed, 4);
+  // The pass's journal frames are still in the volatile tail: the kill loses them.
+  ASSERT_GT(cluster.log_durability()->tail_offset(), cluster.log_durability()->durable_offset());
+  cluster.KillRestartStorage();
+  for (int pass = 0; pass < 2; ++pass) {
+    gc.RunOnce();
+    cluster.scheduler().Run();
+  }
+  EXPECT_EQ(cluster.log_space().live_records(), reference.log_space().live_records());
+  for (int i = 0; i < 4; ++i) {
+    std::string instance = "w#" + std::to_string(i);
+    EXPECT_EQ(cluster.log_space().tags().Find(instance), sharedlog::kInvalidTagId) << instance;
+  }
 }
 
 TEST(RecoveryTest, VolatileModeHasNoDurabilityMachinery) {
