@@ -13,7 +13,8 @@
 // simulated time. Reads need no fan-out: the ShardedLog answers queries for the whole log.
 //
 // On top of the index replica the client can keep a consistent *payload* cache: committed
-// LogRecordPtrs by tag, validated on each logReadPrev against the index replica's
+// LogRecordPtrs by tag (admitted on a logReadPrev miss, refreshed by the client's own
+// commits), validated on each logReadPrev against the index replica's
 // latest-seqnum-at-most answer. A hit skips the index walk and the storage hop entirely
 // (Halfmoon-read's log-free reads); a stale entry can never be returned because validation
 // compares seqnums, and the index replica is complete up to indexed_upto_.
@@ -284,6 +285,13 @@ class LogClient {
   void set_append_in_attempt() { append_in_attempt_ = true; }
 
   bool read_cache_enabled() const { return read_cache_enabled_; }
+  // Tags with a payload-cache entry, in no particular order. Cold accessor for tests.
+  std::vector<TagId> ReadCacheTags() const {
+    std::vector<TagId> out;
+    out.reserve(read_cache_.size());
+    for (const auto& [tag, record] : read_cache_) out.push_back(tag);
+    return out;
+  }
 
   // Non-null iff node-local group commit is enabled for this client (shard 0's batcher).
   AppendBatcher* batcher() { return batchers_.empty() ? nullptr : batchers_[0].get(); }
@@ -353,11 +361,15 @@ class LogClient {
     stats_.appended_bytes_by_class[cls] += bytes;
   }
 
-  // Payload-cache maintenance: committed records are the freshest for each of their tags at
-  // commit time, so read-your-writes hits come for free.
+  // Payload-cache maintenance: a committed record is the freshest for each of its tags at
+  // commit time, so it refreshes those tags' entries (read-your-writes hits come for free).
+  // It admits no new entry: only a ReadPrev miss does, so tags this node never reads (step
+  // logs) cost the cache nothing.
   void CacheCommitted(const LogRecordPtr& record) {
     if (!read_cache_enabled_ || record == nullptr) return;
-    for (TagId tag : record->tags) read_cache_[tag] = record;
+    for (TagId tag : record->tags) {
+      if (auto it = read_cache_.find(tag); it != read_cache_.end()) it->second = record;
+    }
   }
   // Caches the `count` records of a committed request and returns the view of the first.
   LogRecordPtr CacheBatch(SeqNum first, size_t count) {
@@ -376,9 +388,9 @@ class LogClient {
   std::vector<sim::ServiceStation*> sequencer_stations_;  // Per shard; null = no queueing.
   std::vector<std::unique_ptr<AppendBatcher>> batchers_;  // Per shard; empty when disabled.
   SeqNum indexed_upto_ = 0;
-  // Node-local consistent payload cache: latest committed record seen per tag. Entries are
-  // validated against the index replica before use, so they can be stale but never wrong;
-  // trimmed records fail validation and get overwritten on the next miss.
+  // Node-local consistent payload cache: latest committed record seen per ReadPrev'd tag.
+  // Entries are validated against the index replica before use, so they can be stale but
+  // never wrong; trimmed records fail validation and get overwritten on the next miss.
   bool read_cache_enabled_ = false;
   std::unordered_map<TagId, LogRecordPtr> read_cache_;
   storage::DurabilityService* durability_ = nullptr;  // See SetDurability.

@@ -44,75 +44,27 @@ std::vector<TagId> ShardedLog::InternAll(std::vector<std::string> names) {
   return ids;
 }
 
-const ShardedLog::TagStream* ShardedLog::FindStream(TagId tag) const {
-  if (const StreamPage* page = PageAt(tag)) {
-    HM_CHECK_MSG((page->closed & Bit(tag)) == 0, "ShardedLog: tag was retired");
-    return &page->streams[tag % kPageIds];
-  }
-  if (auto it = spilled_streams_.find(tag); it != spilled_streams_.end()) {
-    HM_CHECK_MSG(!it->second.closed, "ShardedLog: tag was retired");
-    return &it->second.stream;
-  }
-  HM_CHECK_MSG(!tags_.Retired(tag), "ShardedLog: tag was retired");
-  return nullptr;
+const TagStream* ShardedLog::FindStream(TagId tag) const {
+  if (tag >= tags_.size()) return nullptr;  // Never interned: no records.
+  const TagStream* stream = tags_.LiveStream(tag);
+  HM_CHECK_MSG(stream != nullptr, "ShardedLog: tag was retired");
+  return stream;
 }
 
-ShardedLog::TagStream& ShardedLog::SlotFor(TagId tag) {
-  if (StreamPage* page = PageAt(tag)) return page->streams[tag % kPageIds];
-  size_t p = static_cast<size_t>(tag / kPageIds);
-  if (!tags_.PageLive(p)) return spilled_streams_[tag].stream;
-  // Pages never move (the table holds unique_ptrs), so stream references stay valid while
-  // other pages come and go.
-  if (p >= stream_pages_.size()) stream_pages_.resize(p + 1);
-  stream_pages_[p] = std::make_unique<StreamPage>();
-  stream_pages_[p]->closed = tags_.RetiredMask(p);
-  return stream_pages_[p]->streams[tag % kPageIds];
-}
-
-bool ShardedLog::Closed(TagId tag) const {
-  if (const StreamPage* page = PageAt(tag)) return (page->closed & Bit(tag)) != 0;
-  auto it = spilled_streams_.find(tag);
-  return it != spilled_streams_.end() && it->second.closed;
-}
-
-void ShardedLog::SetClosed(TagId tag) {
-  SlotFor(tag);  // The stream's home exists from here on.
-  if (StreamPage* page = PageAt(tag)) {
-    page->closed |= Bit(tag);
-  } else {
-    spilled_streams_[tag].closed = true;
-  }
-}
-
-ShardedLog::TagStream& ShardedLog::StreamFor(TagId tag) {
+TagStream& ShardedLog::StreamFor(TagId tag) {
   HM_CHECK_MSG(tag < tags_.size(), "ShardedLog: tag id was never interned");
-  if (StreamPage* page = PageAt(tag)) {
-    HM_CHECK_MSG((page->closed & Bit(tag)) == 0, "ShardedLog: tag was retired");
-    return page->streams[tag % kPageIds];
-  }
-  HM_CHECK_MSG(tags_.Contains(tag) && !Closed(tag), "ShardedLog: tag was retired");
-  return SlotFor(tag);
+  return *FindStream(tag);
 }
 
-ShardedLog::TagStream& ShardedLog::RestoreStreamFor(TagId tag) {
+TagStream& ShardedLog::RestoreStreamFor(TagId tag) {
   HM_CHECK_MSG(tag < tags_.size(), "journal replay names a tag that was never interned");
-  return SlotFor(tag);
+  if (TagStream* stream = tags_.Stream(tag)) return *stream;
+  return replay_streams_[tag];
 }
 
 void ShardedLog::NoteRestoredLive(TagId tag, const TagStream& stream) {
   if (stream.empty() && !tags_.Retired(tag)) {
     live_tags_.insert(tag);
-  }
-}
-
-void ShardedLog::TagStream::DropFront(size_t n) {
-  head += n;
-  if (head == entries.size()) {
-    std::vector<SeqNum>().swap(entries);  // Fully trimmed: give the buffer back.
-    head = 0;
-  } else if (head >= entries.size() - head) {
-    entries.erase(entries.begin(), entries.begin() + static_cast<std::ptrdiff_t>(head));
-    head = 0;
   }
 }
 
@@ -376,11 +328,6 @@ size_t ShardedLog::IndexCapacity() const {
   return total;
 }
 
-size_t ShardedLog::StreamPages() const {
-  return static_cast<size_t>(std::count_if(stream_pages_.begin(), stream_pages_.end(),
-                                           [](const auto& p) { return p != nullptr; }));
-}
-
 // ---- GC ----
 
 size_t ShardedLog::TrimPrefix(SimTime now, TagStream& stream, SeqNum upto) {
@@ -418,10 +365,10 @@ size_t ShardedLog::Trim(SimTime now, TagId tag, SeqNum upto) {
 
 size_t ShardedLog::Retire(SimTime now, TagId tag) {
   HM_CHECK_MSG(tags_.Contains(tag), "ShardedLog::Retire: tag id was never interned");
-  if (Closed(tag)) return 0;  // Already retiring.
+  if (tags_.Closed(tag)) return 0;  // Already retiring.
   size_t released = TrimAndClose(now, tag);
   if (durability_ == nullptr) {
-    ReleaseTag(tag);  // Without a journal there is nothing to wait for: the name goes now.
+    tags_.Retire(tag);  // Without a journal there is nothing to wait for: the slot goes now.
   } else {
     pending_retire_.push_back(PendingRetire{tag, JournalRetire(tag)});
   }
@@ -429,12 +376,12 @@ size_t ShardedLog::Retire(SimTime now, TagId tag) {
 }
 
 size_t ShardedLog::TrimAndClose(SimTime now, TagId tag) {
-  TagStream& stream = SlotFor(tag);
+  TagStream& stream = *tags_.Stream(tag);
   if (!stream.empty()) live_tags_.erase(tag);
   size_t released = TrimPrefix(now, stream, kMaxSeqNum);
   HM_CHECK_MSG(stream.empty(), "ShardedLog::Retire: stream still holds entries");
   stream = TagStream{};
-  SetClosed(tag);
+  tags_.Close(tag);
   return released;
 }
 
@@ -448,30 +395,13 @@ uint64_t ShardedLog::JournalRetire(TagId tag) {
   return durability_->AppendFrame(storage::FrameType::kRetire, payload);
 }
 
-void ShardedLog::ReleaseTag(TagId tag) {
-  tags_.Retire(tag);
-  spilled_streams_.erase(tag);
-  size_t p = static_cast<size_t>(tag / kPageIds);
-  StreamPage* page = PageAt(tag);
-  if (page == nullptr || tags_.PageLive(p)) return;
-  // The registry freed the page (every id in it retired or spilled): the surviving streams
-  // spill alongside their names, and the page goes.
-  for (size_t i = 0; i < kPageIds; ++i) {
-    TagId id = p * kPageIds + i;
-    if (tags_.Retired(id)) continue;  // Retired streams are empty.
-    spilled_streams_.emplace(
-        id, SpilledStream{std::move(page->streams[i]), (page->closed & Bit(id)) != 0});
-  }
-  stream_pages_[p].reset();
-}
-
 size_t ShardedLog::ReleaseRetired() {
   if (pending_retire_.empty()) return 0;
   const uint64_t durable = durability_->durable_offset();
   size_t before = pending_retire_.size();
   std::erase_if(pending_retire_, [&](const PendingRetire& p) {
     if (p.frame_end > durable) return false;
-    ReleaseTag(p.tag);
+    tags_.Retire(p.tag);
     return true;
   });
   return before - pending_retire_.size();
@@ -497,41 +427,23 @@ void ShardedLog::ResetVolatile(SimTime now) {
   gauge_.Add(now, -gauge_.CurrentBytes());
   live_tags_.clear();
   watermark_ = 0;
-  stream_pages_.clear();
-  spilled_streams_.clear();
+  // Retiring tags stay closed: replay fills their streams (restore paths ignore the state)
+  // and FinishReplay empties them again.
+  tags_.ResetStreams();
+  replay_streams_.clear();
   unmatched_tag_defs_.clear();
   for (RecordStore& store : stores_) store = RecordStore{};
-  // Retiring tags stay closed: replay fills their streams (restore paths ignore the mark)
-  // and FinishReplay empties them again.
-  for (const PendingRetire& pending : pending_retire_) SetClosed(pending.tag);
 }
 
 void ShardedLog::FinishReplay(SimTime now) {
   HM_CHECK_MSG(unmatched_tag_defs_.empty(),
                "journal replay: a retired tag's kTagDef frame has no kRetire frame");
   // Retired ids' transient streams must have been emptied by their kRetire frames; drop
-  // them. Stream pages only exist for live registry pages (SlotFor), so each has a mask.
-  for (size_t p = 0; p < stream_pages_.size(); ++p) {
-    StreamPage* page = stream_pages_[p].get();
-    if (page == nullptr) continue;
-    const uint64_t retired = tags_.RetiredMask(p);
-    for (size_t i = 0; i < kPageIds; ++i) {
-      if ((retired >> i & 1) == 0) continue;
-      HM_CHECK_MSG(page->streams[i].empty(),
-                   "journal replay: a retired tag still holds stream entries");
-      page->streams[i] = TagStream{};
-    }
-    page->closed |= retired;
+  // them.
+  for (const auto& [tag, stream] : replay_streams_) {
+    HM_CHECK_MSG(stream.empty(), "journal replay: a retired tag still holds stream entries");
   }
-  for (auto it = spilled_streams_.begin(); it != spilled_streams_.end();) {
-    if (!tags_.Retired(it->first)) {
-      ++it;
-      continue;
-    }
-    HM_CHECK_MSG(it->second.stream.empty(),
-                 "journal replay: a retired tag still holds stream entries");
-    it = spilled_streams_.erase(it);
-  }
+  replay_streams_.clear();
   // Retiring tags: a kRetire frame the node loss destroyed is re-issued (trim + new frame);
   // otherwise the replayed frame (or the image, for frames below its cut) already emptied
   // the stream.
@@ -542,7 +454,7 @@ void ShardedLog::FinishReplay(SimTime now) {
       pending.frame_end = JournalRetire(pending.tag);
       continue;
     }
-    HM_CHECK_MSG(SlotFor(pending.tag).empty(),
+    HM_CHECK_MSG(tags_.Stream(pending.tag)->empty(),
                  "journal replay: a durably retired tag still holds stream entries");
   }
   ReleaseRetired();
@@ -641,7 +553,8 @@ void ShardedLog::RestoreRetire(SimTime now, TagId tag, uint64_t name_hash) {
       unmatched_tag_defs_.erase(it);
     }
   } else {
-    HM_CHECK_MSG(Closed(tag), "journal replay: kRetire frame for a tag that was never retired");
+    HM_CHECK_MSG(tags_.Closed(tag),
+                 "journal replay: kRetire frame for a tag that was never retired");
     HM_CHECK_MSG(TagRegistry::NameHash(tags_.Name(tag)) == name_hash,
                  "journal replay: kRetire frame does not match the registry");
   }
@@ -666,21 +579,12 @@ bool ShardedLog::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t b
   int64_t consumed = 0;
   while (walk_next_tag_ < tags_.size()) {
     if (consumed >= budget) return false;
-    TagId tag = walk_next_tag_;
-    if (PageAt(tag) == nullptr) {
-      // No stream page: only spilled streams can live in this page's id range.
-      TagId page_end = (tag / kPageIds + 1) * kPageIds;
-      auto it = spilled_streams_.lower_bound(tag);
-      if (it == spilled_streams_.end() || it->first >= page_end) {
-        walk_next_tag_ = page_end;
-        continue;
-      }
-      tag = it->first;
-    }
+    TagId tag = tags_.NextUnretired(walk_next_tag_);
     walk_next_tag_ = tag + 1;
+    if (tag >= tags_.size()) break;
     // Retiring and retired ids leave the image: their records are gone and no append may
     // ever reach their streams again, so no logical offset needs preserving.
-    if (Closed(tag)) continue;
+    if (tags_.Closed(tag)) continue;
     consumed += static_cast<int64_t>(CheckpointTag(tag, store, frames));
   }
   return true;
@@ -689,7 +593,7 @@ bool ShardedLog::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t b
 size_t ShardedLog::CheckpointTag(TagId tag, storage::CheckpointStore* store, int64_t* frames) {
   HM_CHECK_MSG(walk_round_ != 0, "checkpoint round 0 is the never-emitted stamp");
   const TagStream* stream = FindStream(tag);
-  if (stream == nullptr || stream->length() == 0) return 0;
+  if (stream->length() == 0) return 0;
   size_t consumed = 1;
   std::string payload;
   storage::PutU64(&payload, tag);

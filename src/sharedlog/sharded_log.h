@@ -28,11 +28,12 @@
 //     TagId only, so no std::string is built or hashed per operation. The string-named
 //     overloads below are convenience entry points for tests and cold bootstrap code; they
 //     intern (writes) or look up (reads) the name and forward to the TagId path.
-//   * A sub-stream keeps only its untrimmed seqnum suffix (flat vector + head and base
-//     offsets), so trimmed history costs no memory while logical logCondAppend offsets stay
-//     stable. An empty stream allocates nothing. Streams live in pages of
-//     TagRegistry::kPageIds consecutive tag ids, freed along with the registry's page (see
-//     Retire), so a long run's finished instances cost no stream memory.
+//   * A sub-stream (TagStream) keeps only its untrimmed seqnum suffix (flat vector + head
+//     and base offsets), so trimmed history costs no memory while logical logCondAppend
+//     offsets stay stable. An empty stream allocates nothing. The log owns no table of its
+//     own: each stream lives in its tag's registry slot, next to the name, shard and state,
+//     and is freed with the slot when the tag retires (see Retire), so a long run's finished
+//     instances cost no stream memory.
 //   * The record store is node-free: per shard, slots indexed by seqnum / shard_count in
 //     64-slot pages, allocated on first install and freed with their last record.
 //   * Live stream tags are mirrored in a name-ordered index, so prefix scans (the GC's
@@ -57,6 +58,7 @@
 #include "src/metrics/storage_sampler.h"
 #include "src/sharedlog/log_record.h"
 #include "src/sharedlog/tag_registry.h"
+#include "src/sharedlog/tag_stream.h"
 
 namespace halfmoon::storage {
 class CheckpointStore;
@@ -190,22 +192,18 @@ class ShardedLog {
   // ---- Tag retirement (DESIGN.md §7.1, §13) ----
   // Retires a finished instance's step-log tag: trims every record from its stream, then
   // closes the tag for good — append, cond-append, read and trim on it abort from now on,
-  // and the id is never reused. The registry name is freed (and the page holding the id,
-  // once the page empties) when the retirement is durable: immediately without a
-  // durability service, otherwise when a later ReleaseRetired finds the kRetire frame
-  // flushed. A tag that is already retiring is
+  // and the id is never reused. The registry slot (name and stream) is freed when the
+  // retirement is durable: immediately without a durability service, otherwise when a
+  // later ReleaseRetired finds the kRetire frame flushed. A tag that is already retiring is
   // left alone. Returns the number of records removed from the stream.
   size_t Retire(SimTime now, TagId tag);
 
-  // Frees the registry names and stream pages of every retiring tag whose kRetire frame is
-  // durable (GC calls this once per pass). Returns the number of tags released.
+  // Frees the registry slots of every retiring tag whose kRetire frame is durable (GC calls
+  // this once per pass). Returns the number of tags released.
   size_t ReleaseRetired();
 
   // Retiring tags whose kRetire frame may not be durable yet.
   size_t pending_retirements() const { return pending_retire_.size(); }
-
-  // Stream pages currently allocated. Cold accessor (scans the page table).
-  size_t StreamPages() const;
 
   // ---- Name-based convenience entry points (tests, cold bootstrap paths) ----
   // Writes intern their tag names; reads resolve without interning, so probing a name that
@@ -251,9 +249,10 @@ class ShardedLog {
   void AttachDurability(storage::DurabilityService* svc);
 
   // Drops everything a node loss destroys: records, sub-stream indices, the live-tag index,
-  // the watermark, and the storage gauge's current bytes. The tag/op interners and the list
-  // of retiring tags survive — ids are deterministic client-side handles, and replay
-  // cross-checks them via kTagDef and kRetire frames.
+  // the watermark, and the storage gauge's current bytes. The tag/op interners (names and
+  // states: retiring tags stay closed) and the list of retiring tags survive — ids are
+  // deterministic client-side handles, and replay cross-checks them via kTagDef and kRetire
+  // frames.
   void ResetVolatile(SimTime now);
 
   // Closes a replay (every restore path above has run). Aborts with a named error if a
@@ -285,8 +284,9 @@ class ShardedLog {
   void VerifyTagDef(TagId id, std::string_view name);
 
   // Re-applies a durable kRetire frame: checks the name hash, then empties the stream. A
-  // retired id's records were replayed into a transient stream (no live-tag entry), which
-  // this empties; a still-retiring id loses its live stream exactly as the original did.
+  // retired id's records were replayed into a transient stream (replay_streams_, no
+  // live-tag entry), which this empties; a still-retiring id loses its stream exactly as the
+  // original did.
   void RestoreRetire(SimTime now, TagId tag, uint64_t name_hash);
 
   // Raises the watermark to at least `floor` (no-op when already past it). Recovery calls
@@ -340,8 +340,7 @@ class ShardedLog {
 
   // Seqnum slots allocated across the sub-stream indices (Σ vector capacities). Returns to 0
   // once every stream is fully trimmed: an emptied stream gives its buffer back, so
-  // fully-trimmed tags cost only their fixed-size stream header (and retired ones nothing,
-  // once their page goes).
+  // fully-trimmed tags cost only their fixed-size stream header (and retired ones nothing).
   size_t IndexCapacity() const;
 
   int64_t CurrentBytes() const { return gauge_.CurrentBytes(); }
@@ -356,34 +355,6 @@ class ShardedLog {
   }
 
  private:
-  // One tag's sub-stream index. The live (untrimmed) seqnums appended under the tag are
-  // entries[head..], in order; entries[0, head) were trimmed and await compaction. The
-  // logical offset of live entry i in the stream's full history is base + i, so logical
-  // offsets for logCondAppend are stable positions even after the trimmed prefix is
-  // compacted away. An empty stream owns no buffer.
-  struct TagStream {
-    std::vector<SeqNum> entries;
-    size_t head = 0;
-    // Number of entries trimmed from the front of the stream's history.
-    size_t base = 0;
-
-    const SeqNum* begin() const { return entries.data() + head; }
-    const SeqNum* end() const { return entries.data() + entries.size(); }
-    size_t size() const { return entries.size() - head; }
-    bool empty() const { return head == entries.size(); }
-    SeqNum back() const { return entries.back(); }
-    SeqNum operator[](size_t i) const { return entries[head + i]; }
-    size_t length() const { return base + size(); }
-    // Inserts `seqnum` before live entry `i` (sorted insert; fuzzy replay only).
-    void InsertAt(size_t i, SeqNum seqnum) {
-      entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(head + i), seqnum);
-    }
-    // Drops the first `n` live entries (their refs already released). The dead prefix is
-    // erased in one step once it outweighs the live suffix, so trimming costs amortized O(1)
-    // per entry; a stream left empty gives its buffer back.
-    void DropFront(size_t n);
-  };
-
   // One record-store slot; occupied iff `record` is non-null.
   struct StoredRecord {
     LogRecordPtr record;
@@ -449,63 +420,33 @@ class ShardedLog {
   // emitted record's slot is stamped with the round), then one kCkptTagStream frame with the
   // stream's base and live seqnums. Fully-trimmed live streams (no entries, base > 0) are
   // emitted too: their base carries the logical offsets logCondAppend depends on (retired
-  // streams are skipped by the walk, never reaching here). Returns
-  // the walk-budget items consumed (0 when the tag has no stream); increments *frames per
-  // frame appended.
+  // streams are skipped by the walk, never reaching here). Returns the walk-budget items
+  // consumed (0 when the stream never held a record); increments *frames per frame
+  // appended.
   size_t CheckpointTag(TagId tag, storage::CheckpointStore* store, int64_t* frames);
 
-  // The streams of TagRegistry::kPageIds consecutive tag ids. `closed` marks retiring and
-  // retired ids (bit i for id page * kPageIds + i): the live paths abort on them. A page is
-  // allocated on the first stream access in its range and freed with its registry page.
-  static constexpr size_t kPageIds = TagRegistry::kPageIds;
-  struct StreamPage {
-    std::array<TagStream, kPageIds> streams;
-    uint64_t closed = 0;
-  };
-  static uint64_t Bit(TagId tag) { return uint64_t{1} << (tag % kPageIds); }
-
-  // Streams of ids whose registry page spilled (TagRegistry::kSpillLive): moved here when
-  // the page goes, created here on demand. Ordered, so the checkpoint walk meets them in id
-  // order.
-  struct SpilledStream {
-    TagStream stream;
-    bool closed = false;
-  };
-
-  // The allocated stream page covering `tag`, or null.
-  StreamPage* PageAt(TagId tag) const {
-    size_t p = static_cast<size_t>(tag / kPageIds);
-    return p < stream_pages_.size() ? stream_pages_[p].get() : nullptr;
-  }
-  // Live read path: `tag`'s stream, or null if it was never touched. Interned ids are dense,
-  // so the lookup is a page-table index (a spill-map lookup for the rare spilled id). Aborts
-  // on a retired tag.
+  // Live read path: `tag`'s stream, or null if the id was never assigned. Aborts on a
+  // retiring or retired tag.
   const TagStream* FindStream(TagId tag) const;
   TagStream* FindStream(TagId tag) {
     return const_cast<TagStream*>(std::as_const(*this).FindStream(tag));
   }
-  // Live write path: `tag`'s stream, created on demand. Aborts on a retired tag.
+  // Live write path: like FindStream, but the id must have been assigned.
   TagStream& StreamFor(TagId tag);
-  // Replay path: like StreamFor, but a retired id gets a transient stream (no live-tag
-  // entry) that its kRetire frame empties — DESIGN.md §13's replay rule for retired ids.
+  // Replay path: `tag`'s stream in any state. A retired id gets a transient stream in
+  // replay_streams_ (no live-tag entry) that its kRetire frame empties — DESIGN.md §13's
+  // replay rule (c).
   TagStream& RestoreStreamFor(TagId tag);
-  // `tag`'s stream wherever it lives, created on demand with no state check: in its page
-  // while the registry page is live (allocating the page with its retired ids already
-  // closed), else in the spill map.
-  TagStream& SlotFor(TagId tag);
-  // Whether `tag` is retiring or retired (its closed bit / flag), and setting it.
-  bool Closed(TagId tag) const;
-  void SetClosed(TagId tag);
   // Adds `tag` to the live-tag index when its stream gains a first entry during replay;
   // retired ids' transient streams stay out of it.
   void NoteRestoredLive(TagId tag, const TagStream& stream);
+  // Every stream: the registry's unretired ids' in id order, then the transient ones.
   template <typename Fn>
   void ForEachStream(Fn fn) const {
-    for (const auto& page : stream_pages_) {
-      if (page == nullptr) continue;
-      for (const TagStream& stream : page->streams) fn(stream);
+    for (TagId id = tags_.NextUnretired(0); id < tags_.size(); id = tags_.NextUnretired(id + 1)) {
+      fn(*tags_.Stream(id));
     }
-    for (const auto& [tag, spilled] : spilled_streams_) fn(spilled.stream);
+    for (const auto& [tag, stream] : replay_streams_) fn(stream);
   }
 
   // Trims `tag`'s stream to empty and closes the tag; returns the records removed. Then
@@ -513,9 +454,6 @@ class ShardedLog {
   // Retire and FinishReplay's re-issue.
   size_t TrimAndClose(SimTime now, TagId tag);
   uint64_t JournalRetire(TagId tag);
-  // Retires `tag` in the registry (freeing its name); when that frees the registry page, the
-  // page's surviving streams move to the spill map and the stream page goes too.
-  void ReleaseTag(TagId tag);
 
   // ---- Record store ----
   // Slot of `seqnum` on its sequencing shard's store if occupied, else null.
@@ -551,9 +489,7 @@ class ShardedLog {
   std::function<void(SeqNum)> commit_listener_;
   storage::DurabilityService* durability_ = nullptr;  // See AttachDurability.
 
-  std::vector<std::unique_ptr<StreamPage>> stream_pages_;  // Indexed by TagId / kPageIds.
-  std::map<TagId, SpilledStream> spilled_streams_;
-  std::vector<RecordStore> stores_;                         // Indexed by shard.
+  std::vector<RecordStore> stores_;  // Indexed by shard.
 
   // Retiring tags (closed, name still interned) and the journal offset their kRetire frame
   // ends at; see Retire. Survives ResetVolatile, like the registry.
@@ -562,8 +498,10 @@ class ShardedLog {
     uint64_t frame_end;
   };
   std::vector<PendingRetire> pending_retire_;
-  // Replay only: name hashes of kTagDef frames for retired ids, awaiting their kRetire frame.
+  // Replay only: name hashes of kTagDef frames for retired ids, awaiting their kRetire frame,
+  // and the transient streams of retired ids (see RestoreStreamFor).
   std::map<TagId, uint64_t> unmatched_tag_defs_;
+  std::map<TagId, TagStream> replay_streams_;
 
   // Checkpoint-walk cursor (valid between BeginCheckpointWalk and the slice returning true)
   // and the current round's body stamp (0 = no round yet, the never-emitted stamp).

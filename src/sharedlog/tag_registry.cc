@@ -1,7 +1,6 @@
 #include "src/sharedlog/tag_registry.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "src/common/check.h"
@@ -16,10 +15,10 @@ size_t TagRegistry::ProbeFor(uint64_t hash, std::string_view prefix,
                              std::string_view suffix) const {
   size_t i = Home(hash);
   while (true) {
-    const Slot& slot = table_[i];
-    if (slot.id == kInvalidTagId) return i;
-    if (slot.hash == hash) {
-      std::string_view name = *Locate(slot.id).name;  // Table entries are always live.
+    const Bucket& bucket = table_[i];
+    if (bucket.id == kInvalidTagId) return i;
+    if (bucket.hash == hash) {
+      std::string_view name = Locate(bucket.id).name;  // Table entries are never retired.
       if (name.size() == prefix.size() + suffix.size() &&
           name.substr(0, prefix.size()) == prefix && name.substr(prefix.size()) == suffix) {
         return i;
@@ -31,16 +30,16 @@ size_t TagRegistry::ProbeFor(uint64_t hash, std::string_view prefix,
 
 void TagRegistry::GrowTable() {
   size_t new_size = table_.empty() ? kInitialTableSize : table_.size() * 2;
-  std::vector<Slot> old = std::move(table_);
-  table_.assign(new_size, Slot{});
+  std::vector<Bucket> old = std::move(table_);
+  table_.assign(new_size, Bucket{});
   table_mask_ = new_size - 1;
   // Reinsertion only moves {hash, id} pairs — no name is rehashed or compared (entries are
   // unique by construction, so the first empty slot is always the right destination).
-  for (const Slot& slot : old) {
-    if (slot.id == kInvalidTagId) continue;
-    size_t i = Home(slot.hash);
+  for (const Bucket& bucket : old) {
+    if (bucket.id == kInvalidTagId) continue;
+    size_t i = Home(bucket.hash);
     while (table_[i].id != kInvalidTagId) i = (i + 1) & table_mask_;
-    table_[i] = slot;
+    table_[i] = bucket;
   }
 }
 
@@ -82,10 +81,28 @@ size_t TagRegistry::Pages() const {
       std::count_if(pages_.begin(), pages_.end(), [](const auto& p) { return p != nullptr; }));
 }
 
+TagId TagRegistry::NextUnretired(TagId from) const {
+  while (from < next_id_) {
+    const size_t p = static_cast<size_t>(from / kPageIds);
+    if (const IdPage* page = pages_[p].get()) {
+      if (page->slots[from % kPageIds].state != TagState::kRetired) return from;
+      ++from;
+      continue;
+    }
+    // A freed page: only spilled ids remain in its range.
+    const TagId page_end = (p + 1) * kPageIds;
+    auto it = spilled_.lower_bound(from);
+    if (it != spilled_.end() && it->first < page_end) return it->first;
+    from = page_end;
+  }
+  return next_id_;
+}
+
 void TagRegistry::Retire(TagId id) {
-  const std::string& name = Name(id);  // Aborts on unknown and already-retired ids.
-  size_t i = ProbeFor(HashName(name), name, {});
-  HM_CHECK_MSG(table_[i].id == id, "TagRegistry::Retire: live id missing from the table");
+  Slot& slot = MutableSlot(id);  // Aborts on unknown and already-retired ids.
+  HM_CHECK_MSG(slot.stream.empty(), "TagRegistry::Retire: the stream still holds entries");
+  size_t i = ProbeFor(HashName(slot.name), slot.name, {});
+  HM_CHECK_MSG(table_[i].id == id, "TagRegistry::Retire: unretired id missing from the table");
   // Backward-shift deletion: walk the cluster after the hole and pull back every entry whose
   // home does not lie cyclically in (hole, j] — it would otherwise become unreachable.
   for (size_t j = (i + 1) & table_mask_; table_[j].id != kInvalidTagId;
@@ -96,45 +113,57 @@ void TagRegistry::Retire(TagId id) {
     table_[i] = table_[j];
     i = j;
   }
-  table_[i] = Slot{};
+  table_[i] = Bucket{};
 
   ++retired_;
-  IdPage* page = pages_[id / kPageIds].get();
-  if (page == nullptr) {
+  const size_t p = static_cast<size_t>(id / kPageIds);
+  if (pages_[p] == nullptr) {
     spilled_.erase(id);
     return;
   }
-  std::string().swap(page->names[id % kPageIds]);
-  page->retired |= uint64_t{1} << (id % kPageIds);
-  MaybeSpill(id / kPageIds);
+  // Swapping frees the name's buffer; assigning an empty string would keep its capacity.
+  std::string().swap(slot.name);
+  slot.stream = TagStream{};
+  slot.state = TagState::kRetired;
+  --pages_[p]->unretired;
+  MaybeSpill(p);
 }
 
 void TagRegistry::MaybeSpill(size_t p) {
   if ((p + 1) * kPageIds > next_id_) return;  // Ids are still being assigned here.
   IdPage& page = *pages_[p];
-  if (kPageIds - static_cast<size_t>(std::popcount(page.retired)) > kSpillLive) return;
+  if (page.unretired > kSpillLive) return;
   for (size_t i = 0; i < kPageIds; ++i) {
-    if ((page.retired >> i & 1) != 0) continue;
-    spilled_.emplace(p * kPageIds + i, SpilledId{std::move(page.names[i]), page.shard[i]});
+    if (page.slots[i].state == TagState::kRetired) continue;
+    spilled_.emplace(p * kPageIds + i, std::move(page.slots[i]));
   }
   pages_[p].reset();
 }
 
+void TagRegistry::ResetStreams() {
+  for (TagId id = NextUnretired(0); id < next_id_; id = NextUnretired(id + 1)) {
+    *Stream(id) = TagStream{};
+  }
+}
+
 TagId TagRegistry::Register(std::string full_name, uint64_t hash) {
   TagId id = next_id_++;
+  const size_t p = static_cast<size_t>(id / kPageIds);
   if (id % kPageIds == 0) pages_.push_back(std::make_unique<IdPage>());
-  IdPage& page = *pages_.back();
-  std::string& name = page.names[id % kPageIds];
-  name = std::move(full_name);
+  IdPage& page = *pages_[p];
+  Slot& slot = page.slots[id % kPageIds];
+  slot.name = std::move(full_name);
   // The finalized name hash decides the owning shard, so the mapping depends only on the
   // name — never on interning order or process layout.
-  page.shard[id % kPageIds] =
-      shard_count_ <= 1 ? 0 : static_cast<uint8_t>(Finalize(hash) % shard_count_);
+  slot.shard = shard_count_ <= 1 ? 0 : static_cast<uint8_t>(Finalize(hash) % shard_count_);
+  ++page.unretired;
   if ((live_size() + 1) * 3 > table_.size() * 2) GrowTable();
   size_t i = Home(hash);
   while (table_[i].id != kInvalidTagId) i = (i + 1) & table_mask_;
-  table_[i] = Slot{hash, id};
-  if (intern_sink_) intern_sink_(id, name);
+  table_[i] = Bucket{hash, id};
+  if (intern_sink_) intern_sink_(id, slot.name);
+  // Completing a page can leave it sparse when most of its ids retired while it filled.
+  MaybeSpill(p);
   return id;
 }
 

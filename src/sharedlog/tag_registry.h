@@ -1,32 +1,39 @@
-// String-tag interning for the shared log.
+// The tag table of the shared log: string-tag interning plus every per-tag state.
 //
 // Every sub-stream name ("<instance-id>", "k:<key>", "switch:<scope>", "ssf.init", ...) is
 // interned exactly once into a dense 64-bit TagId. After that, every append/read/trim hashes
 // a single integer instead of building and hashing a fresh std::string — the metadata cost
 // Halfmoon's one-record-per-op design is meant to avoid (§4, Theorem 4.6).
 //
-// Three structures, all owned here:
+// One table, two structures:
 //   * table_   — open-addressed {hash, id} slots (no per-entry heap node): a lookup is a
 //                linear probe over a contiguous array plus one name verification, with
 //                heterogeneous support so a two-part name like ("k:", key) is hashed *as if
 //                concatenated* without allocating;
-//   * pages_   — id-indexed state (name, owning shard, retired bit) in pages of kPageIds
-//                consecutive ids, allocated when the page's first id is assigned;
-//   * spilled_ — the few live ids of a page that retirement left sparse. Once every id of a
-//                page is assigned and at most kSpillLive of them are still live, the
-//                survivors move here and the page is freed. Long-lived tags interned among
-//                short-lived instance ids (an object created mid-run) therefore never pin a
-//                page, and a long run's dead ids cost only their 8-byte page-table slot.
+//   * slots    — everything else a tag has: its name, owning shard, sub-stream (TagStream)
+//                and state (live, retiring, retired), one Slot per id. Slots sit in pages of
+//                kPageIds consecutive ids, allocated when the page's first id is assigned.
+//                A page whose ids are all assigned and at most kSpillLive of them unretired
+//                spills: the survivors' slots move, whole, into the ordered spill map and
+//                the page is freed. The one spill rule (MaybeSpill) runs when a retirement
+//                or an assignment could make a page complete and sparse. Long-lived tags
+//                interned among short-lived instance ids (an object created mid-run)
+//                therefore never pin a page, and a long run's dead ids cost only their
+//                8-byte page-table entry.
+//
+// Lifecycle: an id is live from its assignment; Close makes it retiring (name and stream
+// kept, ShardedLog's live paths abort on it); Retire makes it retired (name and slot freed).
 //
 // Invariants:
 //   * ids are dense, assigned in interning order, and never reused: size() counts every id
 //     ever assigned, retired or not;
-//   * a returned `const std::string&` / string_view stays valid until the next Retire:
-//     interning never moves a name, but a spill moves its page's surviving names;
+//   * a returned `const std::string&` / string_view / TagStream* stays valid until the next
+//     Intern or Retire: either may spill a page, which moves its surviving slots;
 //   * Retire(id) removes the name from the table by backward-shift deletion (linear probing
 //     needs no tombstones) and frees it. Interning the same name later assigns a NEW id;
 //     callers that must never revive a retired name (the runtime's step logs) guard that
-//     themselves. Name, ShardOf and Contains abort on a retired id with a named error;
+//     themselves. Name, ShardOf, Contains, Close and Retire abort on a retired id with a
+//     named error;
 //   * Intern(name) == InternPrefixed(prefix, suffix) whenever name == prefix + suffix —
 //     guaranteed by hashing the logical concatenation with the same streaming polynomial
 //     hash (split-invariant: mixing bytes in two parts equals mixing them in one);
@@ -40,21 +47,25 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/sharedlog/log_record.h"
+#include "src/sharedlog/tag_stream.h"
 
 namespace halfmoon::sharedlog {
 
 class TagRegistry {
  public:
-  // Ids per state page. ShardedLog pages its per-tag streams on the same boundaries.
-  static constexpr size_t kPageIds = 64;
+  // Ids per slot page. A page is kPageIds 72-byte slots (~2.3 KiB): small pages free the
+  // slots of retired ids sooner, and this size measured the lowest peak RSS on the e2e
+  // workloads (EXPERIMENTS.md "One tag table").
+  static constexpr size_t kPageIds = 32;
 
   TagRegistry() = default;
   TagRegistry(const TagRegistry&) = delete;
@@ -73,10 +84,10 @@ class TagRegistry {
   TagId Find(std::string_view name) const;
   TagId FindPrefixed(std::string_view prefix, std::string_view suffix) const;
 
-  // Full string name of a live id. Aborts on unknown and retired ids.
-  const std::string& Name(TagId id) const { return *Locate(id).name; }
+  // Full string name of an unretired id. Aborts on unknown and retired ids.
+  const std::string& Name(TagId id) const { return Locate(id).name; }
 
-  // True for every live id, false for ids never assigned; aborts on a retired id.
+  // True for every unretired id, false for ids never assigned; aborts on a retired id.
   bool Contains(TagId id) const {
     if (id >= next_id_) return false;
     Locate(id);
@@ -84,37 +95,58 @@ class TagRegistry {
   }
 
   // True iff `id` was assigned and then retired. Never aborts.
-  bool Retired(TagId id) const {
+  bool Retired(TagId id) const { return id < next_id_ && FindSlot(id) == nullptr; }
+  // True iff `id` was assigned and is retiring or retired. Never aborts.
+  bool Closed(TagId id) const {
     if (id >= next_id_) return false;
-    const IdPage* page = pages_[id / kPageIds].get();
-    if (page != nullptr) return (page->retired >> (id % kPageIds) & 1) != 0;
-    return !spilled_.contains(id);
+    const Slot* slot = FindSlot(id);
+    return slot == nullptr || slot->state != TagState::kLive;
   }
 
-  // Whether the state page covering ids [page * kPageIds, (page + 1) * kPageIds) is still
-  // allocated. Once it is not, every id in the range is retired or spilled.
-  bool PageLive(size_t page) const { return page < pages_.size() && pages_[page] != nullptr; }
-
-  // Bit i is set iff id page * kPageIds + i is retired. Live pages only.
-  uint64_t RetiredMask(size_t page) const {
-    HM_CHECK_MSG(PageLive(page), "TagRegistry::RetiredMask: page was freed");
-    return pages_[page]->retired;
+  // The sub-stream of an assigned id: LiveStream only while the id is live, Stream also
+  // while it is retiring. Null otherwise (unknown, closed or retired respectively). The
+  // pointer is invalidated like a name reference (see the header).
+  const TagStream* LiveStream(TagId id) const {
+    const Slot* slot = id < next_id_ ? FindSlot(id) : nullptr;
+    return slot != nullptr && slot->state == TagState::kLive ? &slot->stream : nullptr;
   }
+  TagStream* LiveStream(TagId id) {
+    return const_cast<TagStream*>(std::as_const(*this).LiveStream(id));
+  }
+  const TagStream* Stream(TagId id) const {
+    const Slot* slot = id < next_id_ ? FindSlot(id) : nullptr;
+    return slot != nullptr ? &slot->stream : nullptr;
+  }
+  TagStream* Stream(TagId id) { return const_cast<TagStream*>(std::as_const(*this).Stream(id)); }
 
-  // Retires a live id for good: its name leaves the table and its storage is freed; a page
-  // left sparse spills its survivors and goes (see spilled_ above).
+  // The first unretired (live or retiring) id >= `from`, or size() if there is none. Walks
+  // visit every unretired id in id order with
+  //   for (TagId id = NextUnretired(0); id < size(); id = NextUnretired(id + 1))
+  // skipping a freed page in one step.
+  TagId NextUnretired(TagId from) const;
+
+  // Marks a live or retiring id retiring: its name and stream stay, and ShardedLog's live
+  // paths abort on it from now on.
+  void Close(TagId id) { MutableSlot(id).state = TagState::kRetiring; }
+
+  // Retires an unretired id for good: its name leaves the table and its slot is freed (its
+  // stream must already be empty); a page left sparse spills (see the header).
   void Retire(TagId id);
+
+  // Empties every stream, keeping names and states: the log's records are gone after a node
+  // loss, the id assignment is not.
+  void ResetStreams();
 
   // Number of ids ever assigned (retired ones included): the next id to be assigned.
   size_t size() const { return next_id_; }
   // Ids assigned and not retired.
   size_t live_size() const { return next_id_ - retired_; }
-  // State pages currently allocated. Cold accessor (scans the page table).
+  // Slot pages currently allocated. Cold accessor (scans the page table).
   size_t Pages() const;
-  // Live ids held outside any page.
+  // Unretired ids held in the spill map, outside any page.
   size_t spilled() const { return spilled_.size(); }
 
-  // A complete page with at most this many live ids spills them and is freed.
+  // A complete page with at most this many unretired ids spills them and is freed.
   static constexpr size_t kSpillLive = kPageIds / 8;
 
   // The full-name hash Retire records (FNV-style streaming polynomial over the name bytes);
@@ -186,44 +218,54 @@ class TagRegistry {
     return h;
   }
 
-  // One open-addressing slot: the full 64-bit hash as a fingerprint plus the id. A slot is
-  // empty iff id == kInvalidTagId. Retire deletes by backward shift, so linear probing needs
-  // no tombstones, and growing the table reinserts {hash, id} pairs without touching a name.
-  struct Slot {
+  // One open-addressing bucket: the full 64-bit hash as a fingerprint plus the id. A bucket
+  // is empty iff id == kInvalidTagId. Retire deletes by backward shift, so linear probing
+  // needs no tombstones, and growing the table reinserts {hash, id} pairs without touching a
+  // name.
+  struct Bucket {
     uint64_t hash = 0;
     TagId id = kInvalidTagId;
   };
 
-  // The state of kPageIds consecutive ids. A retired id's name is freed at once (its
-  // string emptied); the page goes when it spills.
-  struct IdPage {
-    std::array<std::string, kPageIds> names;
-    std::array<uint8_t, kPageIds> shard{};
-    uint64_t retired = 0;  // Bit i: id (page * kPageIds + i) is retired.
-  };
-  struct SpilledId {
-    std::string name;
+  // An id's lifecycle (see the header).
+  enum class TagState : uint8_t { kLive, kRetiring, kRetired };
+  // Everything one id owns. A retired slot's name and stream are freed at once; the slot
+  // itself goes when its page spills or, once spilled, on retirement.
+  struct Slot {
+    // shard and state sit in the stream's tail padding, so a slot is 72 bytes, not 80.
+    [[no_unique_address]] TagStream stream;
     uint8_t shard = 0;
+    TagState state = TagState::kLive;
+    std::string name;
+  };
+  static_assert(sizeof(Slot) == sizeof(std::string) + sizeof(TagStream));
+  // The slots of kPageIds consecutive ids.
+  struct IdPage {
+    std::array<Slot, kPageIds> slots;
+    size_t unretired = 0;  // Assigned slots not yet retired.
   };
 
-  // Where a live id's state sits. Aborts with a named error on unknown and retired ids.
-  struct Entry {
-    const std::string* name;
-    uint8_t shard;
-  };
-  Entry Locate(TagId id) const {
-    HM_CHECK_MSG(id < next_id_, "TagRegistry: unknown TagId");
-    const IdPage* page = pages_[id / kPageIds].get();
-    if (page != nullptr) {
-      HM_CHECK_MSG((page->retired >> (id % kPageIds) & 1) == 0, "TagRegistry: TagId was retired");
-      return Entry{&page->names[id % kPageIds], page->shard[id % kPageIds]};
+  // `id`'s slot (id < size()), or null once retired.
+  const Slot* FindSlot(TagId id) const {
+    if (const IdPage* page = pages_[id / kPageIds].get()) {
+      const Slot& slot = page->slots[id % kPageIds];
+      return slot.state == TagState::kRetired ? nullptr : &slot;
     }
     auto it = spilled_.find(id);
-    HM_CHECK_MSG(it != spilled_.end(), "TagRegistry: TagId was retired");
-    return Entry{&it->second.name, it->second.shard};
+    return it == spilled_.end() ? nullptr : &it->second;
   }
+  Slot* FindSlot(TagId id) { return const_cast<Slot*>(std::as_const(*this).FindSlot(id)); }
+  // An unretired id's slot. Aborts with a named error on unknown and retired ids.
+  const Slot& Locate(TagId id) const {
+    HM_CHECK_MSG(id < next_id_, "TagRegistry: unknown TagId");
+    const Slot* slot = FindSlot(id);
+    HM_CHECK_MSG(slot != nullptr, "TagRegistry: TagId was retired");
+    return *slot;
+  }
+  Slot& MutableSlot(TagId id) { return const_cast<Slot&>(Locate(id)); }
 
-  // Frees page `p` if it is complete and sparse, moving its live ids to spilled_.
+  // The one spill rule: frees page `p` if it is complete and at most kSpillLive of its ids
+  // are unretired, moving their slots to spilled_.
   void MaybeSpill(size_t p);
 
   size_t Home(uint64_t hash) const { return static_cast<size_t>(Finalize(hash)) & table_mask_; }
@@ -236,10 +278,10 @@ class TagRegistry {
   TagId Register(std::string full_name, uint64_t hash);
   void GrowTable();
 
-  std::vector<Slot> table_;                    // Open-addressed name → id index.
-  size_t table_mask_ = 0;                      // table_.size() - 1 (size is a power of two).
+  std::vector<Bucket> table_;                   // Open-addressed name → id index.
+  size_t table_mask_ = 0;                       // table_.size() - 1 (size is a power of two).
   std::vector<std::unique_ptr<IdPage>> pages_;  // Indexed by id / kPageIds.
-  std::unordered_map<TagId, SpilledId> spilled_;
+  std::map<TagId, Slot> spilled_;               // Ordered, so NextUnretired can seek it.
   TagId next_id_ = 0;
   size_t retired_ = 0;
   int64_t intern_requests_ = 0;

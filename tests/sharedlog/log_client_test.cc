@@ -179,9 +179,10 @@ TEST(LogClientReadCacheTest, TrimDuringCacheHitDelayFailsClosed) {
   SeqNum seq = 0;
   fx.scheduler.Spawn([](CachedClientFixture* fx, TagId tag, SeqNum* out) -> sim::Task<void> {
     *out = co_await fx->client.Append(std::vector<TagId>(1, tag), Fields("a"));
+    co_await fx->client.ReadPrev(tag, *out);  // A miss: admits the record to the cache.
   }(&fx, tag, &seq));
   fx.scheduler.Run();
-  ASSERT_GT(seq, 0u);  // The appended record is now cached (CacheCommitted).
+  ASSERT_GT(seq, 0u);  // The appended record is now cached.
 
   LogRecordPtr result;
   bool done = false;
@@ -208,6 +209,9 @@ TEST(LogClientReadCacheTest, UntrimmedCacheHitStillServesAndCountsNoInvalidation
   CachedClientFixture fx;
   TagId tag = fx.client.tags().Intern("t");
   fx.scheduler.Spawn([](CachedClientFixture* fx, TagId tag) -> sim::Task<void> {
+    SeqNum first = co_await fx->client.Append(std::vector<TagId>(1, tag), Fields("a"));
+    co_await fx->client.ReadPrev(tag, first);  // A miss: admits the tag to the cache.
+    // The next commit refreshes the admitted entry, so reading it back is a hit.
     SeqNum seq = co_await fx->client.Append(std::vector<TagId>(1, tag), Fields("a"));
     LogRecordPtr record = co_await fx->client.ReadPrev(tag, seq);
     EXPECT_NE(record, nullptr);
@@ -216,6 +220,7 @@ TEST(LogClientReadCacheTest, UntrimmedCacheHitStillServesAndCountsNoInvalidation
   }(&fx, tag));
   fx.scheduler.Run();
   EXPECT_EQ(fx.client.stats().cache_hits, 1);
+  EXPECT_EQ(fx.client.stats().cache_misses, 1);
   EXPECT_EQ(fx.client.stats().read_cache_stale_invalidations, 0);
 }
 
@@ -226,6 +231,7 @@ TEST(LogClientReadCacheTest, OwnTrimEvictsTheCachedRecord) {
   TagId tag = fx.client.tags().Intern("t");
   fx.scheduler.Spawn([](CachedClientFixture* fx, TagId tag) -> sim::Task<void> {
     SeqNum seq = co_await fx->client.Append(std::vector<TagId>(1, tag), Fields("a"));
+    co_await fx->client.ReadPrev(tag, seq);  // A miss: admits the record to the cache.
     co_await fx->client.Trim(tag, seq);
     LogRecordPtr record = co_await fx->client.ReadPrev(tag, seq);
     EXPECT_EQ(record, nullptr);
@@ -233,6 +239,31 @@ TEST(LogClientReadCacheTest, OwnTrimEvictsTheCachedRecord) {
   fx.scheduler.Run();
   EXPECT_EQ(fx.client.stats().cache_hits, 0);
   EXPECT_EQ(fx.client.stats().read_cache_stale_invalidations, 0);
+}
+
+TEST(LogClientReadCacheTest, CommitsRefreshButNeverAdmitEntries) {
+  // Only a ReadPrev miss admits a tag: commits to a tag this client never read (a step log)
+  // leave the cache empty, so no entry pins a record nobody will read again.
+  CachedClientFixture fx;
+  TagId step = fx.client.tags().Intern("inst#1");
+  TagId object = fx.client.tags().Intern("k:x");
+  fx.scheduler.Spawn([](CachedClientFixture* fx, TagId step, TagId object) -> sim::Task<void> {
+    const std::vector<TagId> both = {step, object};
+    SeqNum last = kInvalidSeqNum;
+    for (int i = 0; i < 4; ++i) last = co_await fx->client.Append(both, Fields("w"));
+    const size_t entries_before_read = fx->client.ReadCacheTags().size();
+    EXPECT_EQ(entries_before_read, 0u);
+    co_await fx->client.ReadPrev(object, last);  // Miss: admits `object` only.
+    last = co_await fx->client.Append(both, Fields("w"));
+    const std::vector<TagId> cached = fx->client.ReadCacheTags();
+    EXPECT_EQ(cached.size(), 1u);
+    EXPECT_TRUE(cached.size() == 1 && cached[0] == object);
+    LogRecordPtr record = co_await fx->client.ReadPrev(object, last);  // Refreshed: a hit.
+    EXPECT_EQ(record == nullptr ? kInvalidSeqNum : record->seqnum, last);
+  }(&fx, step, object));
+  fx.scheduler.Run();
+  EXPECT_EQ(fx.client.stats().cache_misses, 1);
+  EXPECT_EQ(fx.client.stats().cache_hits, 1);
 }
 
 }  // namespace

@@ -677,8 +677,7 @@ TEST(LogSpaceRetireTest, RetireEmptiesTheStreamAndFreesFullyRetiredPages) {
     log.Append(0, OneTag(t), Fields("read", 2));
     instances.push_back(t);
   }
-  size_t pages_before = log.StreamPages();
-  size_t registry_pages_before = log.tags().Pages();
+  size_t pages_before = log.tags().Pages();
   for (TagId t : instances) EXPECT_EQ(log.Retire(0, t), 2u);
   // No durability service: the retirement is final at once.
   EXPECT_EQ(log.pending_retirements(), 0u);
@@ -688,10 +687,10 @@ TEST(LogSpaceRetireTest, RetireEmptiesTheStreamAndFreesFullyRetiredPages) {
   // The shared records stay live through the object stream; the read records are gone.
   EXPECT_EQ(log.live_records(), instances.size());
   EXPECT_EQ(log.ReadStream(keep).size(), instances.size());
-  // At least one page lies wholly inside the retired range, in both the registry and the
-  // stream table.
-  EXPECT_LT(log.StreamPages(), pages_before);
-  EXPECT_LT(log.tags().Pages(), registry_pages_before);
+  // At least one page lies wholly inside the retired range; its slots (names and streams)
+  // are gone, and no retired stream keeps an index entry.
+  EXPECT_LT(log.tags().Pages(), pages_before);
+  EXPECT_EQ(log.IndexEntries(), log.ReadStream(keep).size());
   EXPECT_EQ(log.tags().live_size(), log.tags().size() - instances.size());
 }
 
@@ -739,9 +738,9 @@ TEST(LogSpaceRetireTest, SparsePageSurvivorsKeepWorkingAfterTheSpill) {
     log.Append(0, object == kInvalidTagId ? OneTag(t) : TwoTags(t, object), Fields("read", 1));
     instances.push_back(t);
   }
-  size_t pages = log.StreamPages();
+  size_t pages = log.tags().Pages();
   for (TagId t : instances) log.Retire(0, t);
-  EXPECT_EQ(log.StreamPages(), pages - 1);
+  EXPECT_EQ(log.tags().Pages(), pages - 1);
   EXPECT_EQ(log.tags().spilled(), 1u);
   // The object's stream moved intact: every record shared with a retired instance survives.
   std::vector<LogRecordPtr> stream = log.ReadStream(object);

@@ -167,8 +167,14 @@ TEST(TagRegistryTest, SparsePageSpillsItsSurvivorsAndIsFreed) {
   // One more retirement leaves it sparse: the survivors move out and the page goes.
   reg.Retire(kPage + TagRegistry::kSpillLive);
   EXPECT_EQ(reg.Pages(), 2u);
-  EXPECT_FALSE(reg.PageLive(1));
   EXPECT_EQ(reg.spilled(), TagRegistry::kSpillLive);
+  // Page 1 is the freed one: a walk over it meets exactly its spilled survivors.
+  std::vector<TagId> walked;
+  for (TagId id = reg.NextUnretired(kPage); id < 2 * kPage; id = reg.NextUnretired(id + 1)) {
+    walked.push_back(id);
+  }
+  ASSERT_EQ(walked.size(), TagRegistry::kSpillLive);
+  for (size_t i = 0; i < walked.size(); ++i) EXPECT_EQ(walked[i], kPage + i);
   // Spilled ids keep their names, shards and lookups.
   EXPECT_EQ(reg.Name(kPage), "i" + std::to_string(kPage));
   EXPECT_EQ(reg.Find("i" + std::to_string(kPage)), kPage);
@@ -186,6 +192,72 @@ TEST(TagRegistryTest, SparsePageSpillsItsSurvivorsAndIsFreed) {
   EXPECT_EQ(reg.live_size(), 3 * kPage - (kPage - TagRegistry::kSpillLive) - 1);
 }
 
+TEST(TagRegistryTest, PageCompletedAfterMostOfItsIdsRetiredSpills) {
+  // Regression: the spill rule ran only on retirement and skipped incomplete pages, so a
+  // page whose last id was assigned after most of its ids had retired stayed allocated
+  // until one of its survivors retired.
+  constexpr size_t kPage = TagRegistry::kPageIds;
+  constexpr size_t kSurvivors = TagRegistry::kSpillLive;
+  TagRegistry reg;
+  for (size_t i = 0; i + 1 < kPage; ++i) reg.Intern("inst#" + std::to_string(i));
+  for (TagId id = 0; id + kSurvivors < kPage; ++id) reg.Retire(id);
+  // The late object completes page 0 with kSpillLive unretired ids.
+  TagId late = reg.Intern("k:late-object");
+  ASSERT_EQ(late, kPage - 1);
+  for (size_t i = 0; i < 10 * kPage; ++i) reg.Intern("more#" + std::to_string(i));
+  EXPECT_EQ(reg.Pages(), 10u);
+  EXPECT_EQ(reg.spilled(), kSurvivors);
+  EXPECT_EQ(reg.NextUnretired(0), kPage - kSurvivors);
+  EXPECT_EQ(reg.Name(late), "k:late-object");
+  EXPECT_EQ(reg.Find("k:late-object"), late);
+  EXPECT_EQ(reg.Name(kPage - kSurvivors), "inst#" + std::to_string(kPage - kSurvivors));
+}
+
+TEST(TagRegistryTest, SlotStateAndStreamFollowTheIdThroughCloseSpillAndReset) {
+  constexpr size_t kPage = TagRegistry::kPageIds;
+  TagRegistry reg;
+  for (size_t i = 0; i < kPage; ++i) reg.Intern("i" + std::to_string(i));
+  reg.Stream(3)->entries = {5, 9};
+  reg.Stream(4)->entries = {7};
+  // Closing keeps the name and the stream but hides the stream from live paths.
+  reg.Close(4);
+  EXPECT_FALSE(reg.Closed(3));
+  EXPECT_TRUE(reg.Closed(4));
+  EXPECT_FALSE(reg.Retired(4));
+  EXPECT_EQ(reg.Name(4), "i4");
+  EXPECT_EQ(reg.LiveStream(4), nullptr);
+  ASSERT_NE(reg.Stream(4), nullptr);
+  EXPECT_EQ(reg.Stream(4)->size(), 1u);
+  EXPECT_EQ(reg.LiveStream(3), reg.Stream(3));
+  // Unknown ids have no stream and are neither closed nor retired.
+  EXPECT_EQ(reg.Stream(kPage), nullptr);
+  EXPECT_FALSE(reg.Closed(kPage));
+  // Retire everything but ids 3 and 4: the page spills, and both slots move whole.
+  reg.Stream(4)->entries.clear();
+  for (TagId id = 0; id < kPage; ++id) {
+    if (id != 3 && id != 4) reg.Retire(id);
+  }
+  EXPECT_EQ(reg.Pages(), 0u);
+  EXPECT_EQ(reg.spilled(), 2u);
+  EXPECT_EQ(reg.NextUnretired(0), 3u);
+  EXPECT_EQ(reg.NextUnretired(4), 4u);
+  EXPECT_EQ(reg.NextUnretired(5), reg.size());
+  ASSERT_NE(reg.LiveStream(3), nullptr);
+  EXPECT_EQ(reg.LiveStream(3)->size(), 2u);
+  EXPECT_EQ((*reg.LiveStream(3))[1], 9u);
+  EXPECT_TRUE(reg.Closed(4));
+  EXPECT_EQ(reg.LiveStream(4), nullptr);
+  // A node loss empties every stream but keeps names and states.
+  reg.ResetStreams();
+  EXPECT_TRUE(reg.Stream(3)->empty());
+  EXPECT_EQ(reg.Stream(3)->entries.capacity(), 0u);
+  EXPECT_TRUE(reg.Closed(4));
+  EXPECT_EQ(reg.Name(3), "i3");
+  reg.Retire(4);
+  EXPECT_TRUE(reg.Retired(4));
+  EXPECT_EQ(reg.spilled(), 1u);
+}
+
 TEST(TagRegistryDeathTest, RetiredIdsFailClosed) {
   TagRegistry reg;
   TagId id = reg.Intern("done#7");
@@ -195,6 +267,11 @@ TEST(TagRegistryDeathTest, RetiredIdsFailClosed) {
   EXPECT_DEATH(reg.ShardOf(id), "TagId was retired");
   EXPECT_DEATH(reg.Contains(id), "TagId was retired");
   EXPECT_DEATH(reg.Retire(id), "TagId was retired");
+  EXPECT_DEATH(reg.Close(id), "TagId was retired");
+  // A slot whose stream still holds entries cannot retire.
+  TagId busy = reg.Intern("busy");
+  reg.Stream(busy)->entries = {1};
+  EXPECT_DEATH(reg.Retire(busy), "stream still holds entries");
 }
 
 }  // namespace
