@@ -89,6 +89,16 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[checkpoint\]' | tee /dev/stderr | grep -q 'mode=image+suffix' \
   || { echo "check.sh: FAIL — checkpointed recovery silently fell back to full replay" >&2; exit 1; }
 
+# One-copy smoke (DESIGN.md §13): after a checkpointed durable run, each journal's block
+# buffer must hold only its volatile tail plus the block under the durable frontier, and its
+# device only the retained bytes in whole pages. A second copy of the durable prefix (the
+# buffer mirroring the device) would still pass every recovery check, so the 'one-copy' line
+# is enforced here.
+"${BUILD_DIR}"/tests/checkpoint_recovery_test \
+  --gtest_filter='CheckpointRecoveryTest.DurableBytesAreHeldOnce' \
+  --gtest_brief=1 | grep '^\[storage\]' | tee /dev/stderr | grep -q ' one-copy' \
+  || { echo "check.sh: FAIL — the durable tier holds a second copy of its bytes" >&2; exit 1; }
+
 # Advisor smoke (DESIGN.md §11): the drift byte gate (advisor strictly below both static
 # protocols), the hysteresis/dwell counters, and the advisor-off golden content checksum,
 # surfaced via their '[advisor]' summary lines. A missing 'win' line — the byte gate —

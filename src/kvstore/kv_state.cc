@@ -1,5 +1,7 @@
 #include "src/kvstore/kv_state.h"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "src/common/check.h"
@@ -8,67 +10,122 @@
 
 namespace halfmoon::kvstore {
 
+uint32_t KvState::KeyHash(std::string_view key) {
+  return static_cast<uint32_t>(std::hash<std::string_view>{}(key));
+}
+
+size_t KvState::IndexPos(std::string_view key, uint32_t hash) const {
+  const size_t mask = latest_index_.size() - 1;
+  for (size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+    const IndexEntry& e = latest_index_[pos];
+    if (e.slot == kNoSlot || (e.hash == hash && latest_[e.slot].key == key)) return pos;
+  }
+}
+
+const KvState::LatestSlot* KvState::FindLatest(std::string_view key, uint32_t hash) const {
+  if (latest_index_.empty()) return nullptr;
+  const IndexEntry& e = latest_index_[IndexPos(key, hash)];
+  return e.slot == kNoSlot ? nullptr : &latest_[e.slot];
+}
+
+void KvState::InsertLatest(std::string key, uint32_t hash, Value value, VersionTuple version) {
+  HM_CHECK_MSG(latest_.size() < kNoSlot, "latest-slot table is full");
+  if ((latest_.size() + 1) * 4 > latest_index_.size() * 3) {
+    // Grow: re-place every slot by its stored hash; slots are distinct, so no key compares.
+    std::vector<IndexEntry> grown(std::max<size_t>(16, latest_index_.size() * 2));
+    const size_t mask = grown.size() - 1;
+    for (const IndexEntry& e : latest_index_) {
+      if (e.slot == kNoSlot) continue;
+      size_t pos = e.hash & mask;
+      while (grown[pos].slot != kNoSlot) pos = (pos + 1) & mask;
+      grown[pos] = e;
+    }
+    latest_index_ = std::move(grown);
+  }
+  IndexEntry& e = latest_index_[IndexPos(key, hash)];
+  HM_CHECK(e.slot == kNoSlot);
+  e = IndexEntry{hash, static_cast<uint32_t>(latest_.size())};
+  latest_.emplace_back(LatestSlot{std::move(key), std::move(value), version});
+}
+
+std::string KvState::EncodeLatest(std::string_view key, std::string_view value,
+                                  VersionTuple version) {
+  std::string payload;
+  payload.reserve(storage::StrBytes(key) + storage::StrBytes(value) + 16);
+  storage::PutStr(&payload, key);
+  storage::PutStr(&payload, value);
+  storage::PutU64(&payload, version.cursor_ts);
+  storage::PutU64(&payload, version.counter);
+  return payload;
+}
+
+std::string KvState::EncodeVersion(ObjectId object, std::string_view version_id,
+                                   std::string_view value) {
+  std::string payload;
+  payload.reserve(8 + storage::StrBytes(version_id) + storage::StrBytes(value));
+  storage::PutU64(&payload, object);
+  storage::PutStr(&payload, version_id);
+  storage::PutStr(&payload, value);
+  return payload;
+}
+
 std::optional<Value> KvState::Get(const std::string& key) const {
-  auto it = latest_.find(key);
-  if (it == latest_.end()) return std::nullopt;
-  return it->second.value;
+  const LatestSlot* slot = FindLatest(key, KeyHash(key));
+  if (slot == nullptr) return std::nullopt;
+  return slot->value;
 }
 
 void KvState::Put(SimTime now, const std::string& key, Value value) {
   if (durability_ != nullptr && !restoring_) {
     std::string payload;
+    payload.reserve(storage::StrBytes(key) + storage::StrBytes(value));
     storage::PutStr(&payload, key);
     storage::PutStr(&payload, value);
     JournalFrame(storage::FrameType::kKvPut, std::move(payload));
   }
-  auto [it, inserted] = latest_.try_emplace(key);
-  if (!inserted) {
-    gauge_.Add(now, -LatestEntryBytes(key, it->second.value));
-  }
+  const uint32_t hash = KeyHash(key);
+  LatestSlot* slot = FindLatest(key, hash);
+  if (slot != nullptr) gauge_.Add(now, -LatestEntryBytes(key, slot->value));
   gauge_.Add(now, LatestEntryBytes(key, value));
-  it->second.value = std::move(value);
+  if (slot == nullptr) {
+    InsertLatest(key, hash, std::move(value), VersionTuple{});
+  } else {
+    slot->value = std::move(value);
+  }
 }
 
 bool KvState::CondPut(SimTime now, const std::string& key, Value value, VersionTuple version) {
-  auto it = latest_.find(key);
+  const uint32_t hash = KeyHash(key);
+  LatestSlot* slot = FindLatest(key, hash);
   // Missing keys carry the zero version; the write applies iff its version is larger.
-  VersionTuple stored = it == latest_.end() ? VersionTuple{} : it->second.version;
+  VersionTuple stored = slot == nullptr ? VersionTuple{} : slot->version;
   if (!(stored < version)) return false;
   // Only applied conditional writes are journaled, so replay re-applies them verbatim.
   if (durability_ != nullptr && !restoring_) {
-    std::string payload;
-    storage::PutStr(&payload, key);
-    storage::PutStr(&payload, value);
-    storage::PutU64(&payload, version.cursor_ts);
-    storage::PutU64(&payload, version.counter);
-    JournalFrame(storage::FrameType::kKvCondPut, std::move(payload));
+    JournalFrame(storage::FrameType::kKvCondPut, EncodeLatest(key, value, version));
   }
-  if (it == latest_.end()) {
+  if (slot == nullptr) {
     gauge_.Add(now, LatestEntryBytes(key, value));
-    latest_.emplace(key, LatestSlot{std::move(value), version});
+    InsertLatest(key, hash, std::move(value), version);
     return true;
   }
-  gauge_.Add(now, -LatestEntryBytes(key, it->second.value));
+  gauge_.Add(now, -LatestEntryBytes(key, slot->value));
   gauge_.Add(now, LatestEntryBytes(key, value));
-  it->second.value = std::move(value);
-  it->second.version = version;
+  slot->value = std::move(value);
+  slot->version = version;
   return true;
 }
 
 std::optional<VersionTuple> KvState::GetVersion(const std::string& key) const {
-  auto it = latest_.find(key);
-  if (it == latest_.end()) return std::nullopt;
-  return it->second.version;
+  const LatestSlot* slot = FindLatest(key, KeyHash(key));
+  if (slot == nullptr) return std::nullopt;
+  return slot->version;
 }
 
 void KvState::PutVersioned(SimTime now, ObjectId object, const std::string& version_id,
                            Value value) {
   if (durability_ != nullptr && !restoring_) {
-    std::string payload;
-    storage::PutU64(&payload, object);
-    storage::PutStr(&payload, version_id);
-    storage::PutStr(&payload, value);
-    JournalFrame(storage::FrameType::kKvPutVersioned, std::move(payload));
+    JournalFrame(storage::FrameType::kKvPutVersioned, EncodeVersion(object, version_id, value));
   }
   if (object >= versioned_.size()) versioned_.resize(object + 1);
   auto& versions = versioned_[object];
@@ -100,6 +157,7 @@ bool KvState::DeleteVersioned(SimTime now, ObjectId object, const std::string& v
   // Journaled only when something is actually released (replay asserts the same).
   if (durability_ != nullptr && !restoring_) {
     std::string payload;
+    payload.reserve(8 + storage::StrBytes(version_id));
     storage::PutU64(&payload, object);
     storage::PutStr(&payload, version_id);
     JournalFrame(storage::FrameType::kKvDeleteVersioned, std::move(payload));
@@ -117,6 +175,7 @@ size_t KvState::VersionCount(ObjectId object) const {
 void KvState::ResetVolatile(SimTime now) {
   gauge_.Add(now, -gauge_.CurrentBytes());
   latest_.clear();
+  latest_index_ = {};
   versioned_.clear();
   versioned_objects_ = 0;
   // The journal tail rolled back to the durable frontier with the kill; future mutations
@@ -138,9 +197,19 @@ void KvState::RestoreFrame(SimTime now, storage::FrameType type, storage::Cursor
       std::string key(cursor.Str());
       Value value(cursor.Str());
       VersionTuple version{cursor.U64(), cursor.U64()};
+      // Fuzzy suffix replay: the image may already carry this version or a newer one.
+      // Applied versions strictly increase per key, so an equal stored version means the
+      // image reflects this very write: its value is set again, because a plain Put that
+      // preceded it in the suffix may just have been replayed over it. A newer stored
+      // version belongs to a later frame of the suffix, which replays after this one.
+      LatestSlot* slot = fuzzy ? FindLatest(key, KeyHash(key)) : nullptr;
+      if (slot != nullptr && slot->version == version) {
+        gauge_.Add(now, -LatestEntryBytes(key, slot->value));
+        gauge_.Add(now, LatestEntryBytes(key, value));
+        slot->value = std::move(value);
+        break;
+      }
       bool applied = CondPut(now, key, std::move(value), version);
-      // Fuzzy suffix replay: the image may already carry this (or a newer) version — the
-      // condition re-rejects it, which is exactly the idempotence we need.
       HM_CHECK_MSG(applied || fuzzy, "journal replay: conditional put no longer applies");
       break;
     }
@@ -167,10 +236,8 @@ void KvState::RestoreFrame(SimTime now, storage::FrameType type, storage::Cursor
 }
 
 void KvState::BeginCheckpointWalk() {
-  walk_keys_.clear();
-  walk_keys_.reserve(latest_.size());
-  for (const auto& [key, slot] : latest_) walk_keys_.push_back(key);
-  walk_key_idx_ = 0;
+  walk_slot_ = 0;
+  walk_slot_limit_ = latest_.size();
   walk_object_ = 0;
   walk_object_limit_ = versioned_.size();
   walk_version_.clear();
@@ -180,20 +247,15 @@ void KvState::BeginCheckpointWalk() {
 bool KvState::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budget,
                                    int64_t* frames) {
   int64_t consumed = 0;
-  // Latest slots first. The key list was snapshotted at round start (keys are never deleted,
-  // and the values/versions read here are whatever the slot holds NOW — fuzziness the replay
-  // suffix absorbs).
-  while (walk_key_idx_ < walk_keys_.size()) {
+  // Latest slots first: the ones that existed at round start, in insertion order (keys are
+  // never deleted, so the range stays valid; the values/versions read here are whatever the
+  // slot holds NOW — fuzziness the replay suffix absorbs).
+  HM_CHECK_MSG(walk_slot_limit_ <= latest_.size(), "checkpoint walk: latest slot vanished");
+  while (walk_slot_ < walk_slot_limit_) {
     if (consumed >= budget) return false;
-    const std::string& key = walk_keys_[walk_key_idx_++];
-    auto it = latest_.find(key);
-    HM_CHECK_MSG(it != latest_.end(), "checkpoint walk: latest slot vanished");
-    std::string payload;
-    storage::PutStr(&payload, key);
-    storage::PutStr(&payload, it->second.value);
-    storage::PutU64(&payload, it->second.version.cursor_ts);
-    storage::PutU64(&payload, it->second.version.counter);
-    store->AppendFrame(storage::FrameType::kCkptKvLatest, payload);
+    const LatestSlot& slot = latest_[walk_slot_++];
+    store->AppendFrame(storage::FrameType::kCkptKvLatest,
+                       EncodeLatest(slot.key, slot.value, slot.version));
     ++*frames;
     ++consumed;
   }
@@ -204,16 +266,10 @@ bool KvState::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budg
     const auto& versions = versioned_[walk_object_];
     auto it = walk_version_valid_ ? versions.upper_bound(walk_version_) : versions.begin();
     while (it != versions.end()) {
-      if (consumed >= budget) {
-        walk_version_ = it->first;
-        walk_version_valid_ = true;
-        return false;
-      }
-      std::string payload;
-      storage::PutU64(&payload, static_cast<uint64_t>(walk_object_));
-      storage::PutStr(&payload, it->first);
-      storage::PutStr(&payload, it->second);
-      store->AppendFrame(storage::FrameType::kCkptKvVersion, payload);
+      // walk_version_ names the last version emitted, so the next slice resumes just past it.
+      if (consumed >= budget) return false;
+      store->AppendFrame(storage::FrameType::kCkptKvVersion,
+                         EncodeVersion(walk_object_, it->first, it->second));
       ++*frames;
       ++consumed;
       walk_version_ = it->first;
@@ -236,9 +292,11 @@ void KvState::RestoreCheckpointFrame(SimTime now, storage::FrameType type,
       VersionTuple version{cursor.U64(), cursor.U64()};
       // Direct slot install: a slot's value (last Put) and version (last applied CondPut)
       // evolve independently, so neither public mutator alone could reproduce it.
-      auto [it, inserted] = latest_.try_emplace(key, LatestSlot{std::move(value), version});
-      HM_CHECK_MSG(inserted, "checkpoint image installs a latest slot twice");
-      gauge_.Add(now, LatestEntryBytes(key, it->second.value));
+      const uint32_t hash = KeyHash(key);
+      HM_CHECK_MSG(FindLatest(key, hash) == nullptr,
+                   "checkpoint image installs a latest slot twice");
+      gauge_.Add(now, LatestEntryBytes(key, value));
+      InsertLatest(std::move(key), hash, std::move(value), version);
       break;
     }
     case storage::FrameType::kCkptKvVersion: {

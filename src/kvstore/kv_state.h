@@ -15,10 +15,13 @@
 
 #include <compare>
 #include <cstdint>
+#include <deque>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/time.h"
@@ -53,6 +56,10 @@ class KvState {
   KvState& operator=(const KvState&) = delete;
 
   // ---- Single-version (LATEST) slot ----
+  //
+  // Latest slots sit in a dense table in insertion order (keys are never deleted), found
+  // through a flat open-addressed index of {key hash, slot number}. The checkpoint walk is
+  // then a slot-number range, and no key is copied or re-hashed to walk it.
 
   std::optional<Value> Get(const std::string& key) const;
 
@@ -104,15 +111,17 @@ class KvState {
   // unconditionally and versioned deletes always find their victim — they were journaled
   // only when they applied (asserted). In fuzzy mode (replay-suffix on top of a checkpoint
   // image, DESIGN.md §14) the image may already reflect the frame: a CondPut whose version
-  // is no longer newer and a delete that finds nothing are silently absorbed.
+  // the image already holds sets its value again (a plain Put replayed before it may have
+  // overwritten it), one whose version is older is absorbed, and so is a delete that finds
+  // nothing.
   void RestoreFrame(SimTime now, storage::FrameType type, storage::Cursor cursor,
                     bool fuzzy = false);
 
   // ---- Incremental checkpointing (DESIGN.md §14) ----
-  // The walk snapshots the key list (latest slots) and the versioned-object bound at round
-  // start, then emits one frame per latest slot / stored version across bounded slices.
-  // Keys and versions written after round start are covered by the replay suffix either way,
-  // so the fuzzy image + suffix composition is exact.
+  // The walk records the slot count and the versioned-object bound at round start, then emits
+  // one frame per latest slot in [0, slot count) — in insertion order — and per stored
+  // version across bounded slices. Keys and versions written after round start are covered by
+  // the replay suffix either way, so the fuzzy image + suffix composition is exact.
   void BeginCheckpointWalk();
   // Emits roughly `budget` image frames; returns true once the walk is complete. *frames
   // counts frames appended by this slice.
@@ -123,9 +132,35 @@ class KvState {
 
  private:
   struct LatestSlot {
+    std::string key;
     Value value;
     VersionTuple version;
   };
+  // One index bucket: the low 32 bits of the key's hash (so growing the index never re-hashes
+  // a key) and the slot number, kNoSlot when the bucket is empty.
+  struct IndexEntry {
+    uint32_t hash = 0;
+    uint32_t slot = kNoSlot;
+  };
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+  static uint32_t KeyHash(std::string_view key);
+  // The latest slot of `key` (whose KeyHash is `hash`), or null when the key has none.
+  const LatestSlot* FindLatest(std::string_view key, uint32_t hash) const;
+  LatestSlot* FindLatest(std::string_view key, uint32_t hash) {
+    return const_cast<LatestSlot*>(std::as_const(*this).FindLatest(key, hash));
+  }
+  // Appends a slot for a key that has none and indexes it.
+  void InsertLatest(std::string key, uint32_t hash, Value value, VersionTuple version);
+  // Bucket holding `key`, or the empty bucket where it would go. The index must be non-empty.
+  size_t IndexPos(std::string_view key, uint32_t hash) const;
+
+  // Shared payloads: kKvCondPut and kCkptKvLatest carry one latest slot; kKvPutVersioned and
+  // kCkptKvVersion carry one stored version.
+  static std::string EncodeLatest(std::string_view key, std::string_view value,
+                                  VersionTuple version);
+  static std::string EncodeVersion(ObjectId object, std::string_view version_id,
+                                   std::string_view value);
 
   static int64_t LatestEntryBytes(const std::string& key, const Value& value) {
     return static_cast<int64_t>(key.size() + value.size() + sizeof(VersionTuple));
@@ -136,7 +171,8 @@ class KvState {
 
   void JournalFrame(storage::FrameType type, std::string payload);
 
-  std::unordered_map<std::string, LatestSlot> latest_;
+  std::deque<LatestSlot> latest_;         // Slots in insertion order; a deque never moves one.
+  std::vector<IndexEntry> latest_index_;  // Power-of-two buckets, linear probing, load <= 3/4.
   // object -> version_id -> value, indexed by ObjectId. Interned tag ids are dense, so the
   // outer level is a flat vector (grown on first write to an object) instead of a hash map:
   // a versioned access costs one bounds-checked index, no hashing at either level's outer
@@ -150,8 +186,8 @@ class KvState {
   bool restoring_ = false;  // Suppresses journaling while RestoreFrame re-applies mutations.
 
   // Checkpoint-walk cursor (valid between BeginCheckpointWalk and the slice returning true).
-  std::vector<std::string> walk_keys_;  // Latest-slot keys snapshotted at round start.
-  size_t walk_key_idx_ = 0;
+  size_t walk_slot_ = 0;          // Next latest slot to emit.
+  size_t walk_slot_limit_ = 0;    // latest_.size() at round start.
   size_t walk_object_ = 0;        // Next versioned object to (re)visit.
   size_t walk_object_limit_ = 0;  // versioned_.size() at round start.
   std::string walk_version_;      // Last version emitted of walk_object_ (resume point).

@@ -461,7 +461,13 @@ void ShardedLog::FinishReplay(SimTime now) {
 }
 
 std::string ShardedLog::EncodeRecordPayload(const LogRecord& record) {
+  size_t bytes = 8 + 4 + 8 * record.tags.size() + 4;
+  for (const auto& [key, field] : record.fields) {
+    const std::string* str = std::get_if<std::string>(&field);
+    bytes += storage::StrBytes(key) + 1 + (str == nullptr ? 8 : storage::StrBytes(*str));
+  }
   std::string payload;
+  payload.reserve(bytes);
   storage::PutU64(&payload, record.seqnum);
   storage::PutU32(&payload, static_cast<uint32_t>(record.tags.size()));
   for (TagId tag : record.tags) storage::PutU64(&payload, tag);
@@ -596,6 +602,7 @@ size_t ShardedLog::CheckpointTag(TagId tag, storage::CheckpointStore* store, int
   if (stream->length() == 0) return 0;
   size_t consumed = 1;
   std::string payload;
+  payload.reserve(8 + 8 + 4 + 8 * stream->size());
   storage::PutU64(&payload, tag);
   storage::PutU64(&payload, stream->base);
   storage::PutU32(&payload, static_cast<uint32_t>(stream->size()));

@@ -66,9 +66,10 @@ CheckpointManifest DecodeManifest(Cursor cursor) {
 }
 
 uint64_t ChecksumImage(const CheckpointStore& store, uint64_t from, uint64_t upto) {
-  std::string_view bytes = store.buffer().ReadDurable(from, upto - from);
   uint64_t h = kFnvOffset;
-  for (char c : bytes) h = (h ^ static_cast<uint8_t>(c)) * kFnvPrime;
+  store.device().ForEachPiece(from, upto - from, [&h](std::string_view piece) {
+    for (char c : piece) h = (h ^ static_cast<uint8_t>(c)) * kFnvPrime;
+  });
   return h;
 }
 

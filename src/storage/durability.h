@@ -138,6 +138,7 @@ class DurabilityService {
   }
 
   const Stats& stats() const { return stats_; }
+  const BlockBuffer& buffer() const { return buffer_; }
   const BlockDevice& device() const { return device_; }
   // Write amplification so far: device bytes moved per logical journal byte.
   double WriteAmplification() const {

@@ -3,12 +3,11 @@
 namespace halfmoon::storage {
 
 uint64_t AppendFrame(BlockBuffer* buffer, FrameType type, std::string_view payload) {
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU8(&frame, static_cast<uint8_t>(type));
-  frame.append(payload);
-  buffer->Append(frame);
+  char header[kFrameHeaderBytes];
+  StoreLE(header, static_cast<uint32_t>(payload.size()), 4);
+  header[4] = static_cast<char>(type);
+  buffer->Append(std::string_view(header, kFrameHeaderBytes));
+  buffer->Append(payload);
   return buffer->tail();
 }
 

@@ -44,18 +44,29 @@ enum class FrameType : uint8_t {
 
 inline constexpr uint64_t kFrameHeaderBytes = 5;  // u32 len + u8 type.
 
-// Little-endian primitive writers.
+// Writes the low `n` bytes of `v` into out[0, n), little-endian.
+inline void StoreLE(char* out, uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+// Little-endian primitive writers; each appends its whole word in one call.
 inline void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
 inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  char bytes[4];
+  StoreLE(bytes, v, 4);
+  out->append(bytes, sizeof(bytes));
 }
 inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  char bytes[8];
+  StoreLE(bytes, v, 8);
+  out->append(bytes, sizeof(bytes));
 }
 inline void PutStr(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }
+// Encoded size of a PutStr field, for reserving a payload up front.
+inline size_t StrBytes(std::string_view s) { return 4 + s.size(); }
 
 // Bounds-checked payload reader. Underflow is a corrupt frame — a simulation bug, not a
 // recoverable condition — so it aborts.

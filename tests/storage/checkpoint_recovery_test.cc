@@ -7,7 +7,9 @@
 //
 // The "[checkpoint] recovery: mode=image+suffix ..." lines printed here are load-bearing:
 // scripts/check.sh greps them to prove the replay-suffix path actually engaged (a silent
-// full-replay regression would still pass the equivalence checks).
+// full-replay regression would still pass the equivalence checks). So is the
+// "[storage] residency: ... one-copy" line: it proves the durable tier holds each retained
+// journal byte once, on its device, and not again in the block buffer.
 
 #include <cstdint>
 #include <cstdio>
@@ -22,7 +24,9 @@
 #include "src/sharedlog/log_record.h"
 #include "src/sharedlog/sharded_log.h"
 #include "src/sim/task.h"
+#include "src/storage/block_device.h"
 #include "src/storage/checkpoint.h"
+#include "src/storage/durability.h"
 #include "src/storage/journal.h"
 #include "tests/testing/state_checksum.h"
 
@@ -413,6 +417,59 @@ TEST(CheckpointRecoveryTest, SpilledStreamsSurviveReplayAndImage) {
   EXPECT_TRUE(cluster.last_log_recovery().used_checkpoint);
   EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), acked);
   EXPECT_EQ(log.ReadStream("k:a").size(), instances.size() * 2 + 2);
+}
+
+// Where one journal's bytes live: the buffer holds the block under the durable frontier and
+// the volatile tail, the device holds the retained durable bytes in whole pages. Returns
+// whether that is the one-copy layout, and appends the journal's figures to *line.
+bool OneCopy(const char* name, const storage::DurabilityService& journal, std::string* line) {
+  const uint64_t buffer = journal.buffer().resident_bytes();
+  const uint64_t volatile_bytes = journal.tail_offset() - journal.durable_offset();
+  const uint64_t device = journal.device().resident_bytes();
+  const uint64_t retained = journal.durable_offset() - journal.retained_offset();
+  char text[160];
+  std::snprintf(text, sizeof(text), "%s buffer=%llu volatile=%llu device=%llu retained=%llu",
+                name, static_cast<unsigned long long>(buffer),
+                static_cast<unsigned long long>(volatile_bytes),
+                static_cast<unsigned long long>(device),
+                static_cast<unsigned long long>(retained));
+  *line += text;
+  // The retained bytes must outweigh the buffer's allowance, or a second copy would pass.
+  EXPECT_GT(retained, 2 * storage::kBlockSize) << name;
+  return buffer <= volatile_bytes + storage::kBlockSize &&
+         device <= retained + storage::kBlockSize + 2 * storage::kPageSize;
+}
+
+TEST(CheckpointRecoveryTest, DurableBytesAreHeldOnce) {
+  Cluster cluster(CheckpointConfig());
+  cluster.scheduler().Spawn(PopulateWorkload(&cluster, 48));
+  cluster.scheduler().Run();
+  CheckpointOnce(cluster);
+  // Post-checkpoint work, left partly unflushed: the journals then carry a retained suffix
+  // and a volatile tail.
+  cluster.scheduler().Spawn(PopulateWorkload(&cluster, 16));
+  cluster.scheduler().Run();
+  cluster.scheduler().Spawn(PopulateWorkload(&cluster, 2));
+  const storage::DurabilityService& log = *cluster.log_durability();
+  const SimTime give_up = cluster.scheduler().Now() + Milliseconds(100);
+  while (log.tail_offset() == log.durable_offset()) {
+    ASSERT_LT(cluster.scheduler().Now(), give_up) << "no log append reached the journal";
+    cluster.scheduler().RunUntil(cluster.scheduler().Now() + Microseconds(10));
+  }
+
+  std::string line = "[storage] residency: ";
+  bool one_copy = OneCopy("log", log, &line);
+  line += " | ";
+  one_copy = OneCopy("kv", *cluster.kv_durability(), &line) && one_copy;
+  std::printf("%s | %s\n", line.c_str(), one_copy ? "one-copy" : "SECOND-COPY");
+  EXPECT_TRUE(one_copy);
+
+  // The one-copy layout still recovers exactly what was acknowledged.
+  cluster.scheduler().Run();
+  uint64_t acked = StateChecksum(cluster, kKvKeys, kObjects);
+  cluster.KillRestartStorage();
+  EXPECT_TRUE(cluster.last_log_recovery().used_checkpoint);
+  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), acked);
 }
 
 }  // namespace

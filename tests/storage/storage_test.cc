@@ -1,7 +1,7 @@
 // Unit tests for the simulated storage engine (DESIGN.md §13): the block device's whole-block
-// accounting, the buffer cache's flush/drop semantics, the journal frame codec (including
-// torn-tail skipping), and the durability service's group-flush, waiter, callback, and kill
-// behavior.
+// accounting and paged layout, the buffer cache's flush/drop semantics and its one-copy
+// residency bound, the journal frame codec (including torn-tail skipping), and the durability
+// service's group-flush, waiter, callback, and kill behavior.
 
 #include <cstdint>
 #include <string>
@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "src/common/latency_model.h"
+#include "src/common/rng.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
 #include "src/storage/block_buffer.h"
 #include "src/storage/block_device.h"
+#include "src/storage/checkpoint.h"
 #include "src/storage/durability.h"
 #include "src/storage/journal.h"
 
@@ -64,6 +66,126 @@ TEST(BlockBufferTest, PartialTailBlockIsRewrittenEachFlush) {
   buffer.FlushTo(8);
   EXPECT_EQ(device.stats().block_writes, 2);
   EXPECT_EQ(buffer.ReadDurable(0, 8), "aaaabbbb");
+}
+
+// Distinct bytes per offset, so a read from the wrong place cannot match by accident.
+std::string Pattern(uint64_t from, uint64_t n) {
+  std::string bytes(n, '\0');
+  for (uint64_t i = 0; i < n; ++i) bytes[i] = static_cast<char>(((from + i) * 131 + 7) % 251);
+  return bytes;
+}
+
+TEST(BlockBufferTest, HoldsOnlyThePartialBlockAndTheVolatileTail) {
+  BlockDevice device;
+  BlockBuffer buffer(&device);
+  Rng rng(11);
+  std::string written;
+  for (int i = 0; i < 400; ++i) {
+    uint64_t n = static_cast<uint64_t>(rng.UniformInt(1, 3000));
+    std::string bytes = Pattern(written.size(), n);
+    buffer.Append(bytes);
+    written += bytes;
+    if (rng.Bernoulli(0.5)) {
+      int64_t durable = static_cast<int64_t>(buffer.durable());
+      buffer.FlushTo(static_cast<uint64_t>(
+          rng.UniformInt(durable, static_cast<int64_t>(buffer.tail()))));
+      ASSERT_LE(buffer.resident_bytes(), (buffer.tail() - buffer.durable()) + kBlockSize);
+    }
+  }
+  buffer.FlushTo(buffer.tail());
+  EXPECT_LT(buffer.resident_bytes(), kBlockSize);
+  EXPECT_EQ(buffer.ReadDurable(0, written.size()), written);
+  // The device holds the durable bytes once, in whole pages.
+  EXPECT_EQ(device.resident_bytes(), (written.size() + kPageSize - 1) / kPageSize * kPageSize);
+}
+
+TEST(BlockBufferTest, DropAfterAMidBlockFlushRestoresTheDurablePrefix) {
+  BlockDevice device;
+  BlockBuffer buffer(&device);
+  const std::string head = Pattern(0, kBlockSize + 100);
+  buffer.Append(head);
+  buffer.FlushTo(kBlockSize + 60);  // Mid-block: the second block is partial.
+  buffer.Append("volatile bytes");
+  buffer.DropVolatile();
+  EXPECT_EQ(buffer.tail(), kBlockSize + 60);
+  EXPECT_EQ(buffer.durable(), kBlockSize + 60);
+  EXPECT_EQ(buffer.resident_bytes(), 60u);
+  EXPECT_EQ(buffer.ReadDurable(0, kBlockSize + 60), head.substr(0, kBlockSize + 60));
+
+  // The next flush rewrites the partial block from its start: one block, durable head intact.
+  int64_t writes = device.stats().block_writes;
+  buffer.Append("zz");
+  buffer.FlushTo(buffer.tail());
+  EXPECT_EQ(device.stats().block_writes, writes + 1);
+  EXPECT_EQ(buffer.ReadDurable(0, kBlockSize + 62), head.substr(0, kBlockSize + 60) + "zz");
+}
+
+TEST(BlockDeviceTest, TruncatePrefixFreesWholePagesWithoutCopying) {
+  BlockDevice device;
+  const uint64_t size = 3 * kPageSize + kPageSize / 2;
+  device.WriteBlocks(0, Pattern(0, size));
+  EXPECT_EQ(device.resident_bytes(), 4 * kPageSize);
+  // Page 2's bytes must stay where they are through every truncation below them.
+  const char* page2 = device.Read(2 * kPageSize, 1).data();
+
+  // Inside page 1: page 0 goes, the rest of page 1 stays readable above the base.
+  uint64_t cut = kPageSize + kBlockSize + 10;
+  EXPECT_EQ(device.TruncatePrefix(cut), kPageSize + kBlockSize);
+  EXPECT_EQ(device.base(), kPageSize + kBlockSize);
+  EXPECT_EQ(device.resident_bytes(), 3 * kPageSize);
+  EXPECT_EQ(device.Read(device.base(), 8), Pattern(device.base(), 8));
+
+  // Exactly on the page-1/page-2 edge: page 1 goes too.
+  EXPECT_EQ(device.TruncatePrefix(2 * kPageSize), kPageSize - kBlockSize);
+  EXPECT_EQ(device.resident_bytes(), 2 * kPageSize);
+  EXPECT_EQ(device.Read(2 * kPageSize, 1).data(), page2);
+  EXPECT_EQ(device.stats().bytes_dropped, static_cast<int64_t>(2 * kPageSize));
+  EXPECT_EQ(device.TruncatePrefix(2 * kPageSize + 1), 0u);  // Same block: nothing to release.
+}
+
+TEST(BlockDeviceTest, ReadsAboveTheBaseSurviveTruncationAcrossPageEdges) {
+  BlockDevice device;
+  const uint64_t size = 5 * kPageSize + 123;
+  device.WriteBlocks(0, Pattern(0, size));
+  device.TruncatePrefix(2 * kPageSize + 3 * kBlockSize);
+  // A read inside one page, one across one page edge, and one across several.
+  EXPECT_EQ(device.Read(3 * kPageSize + 5, 64), Pattern(3 * kPageSize + 5, 64));
+  EXPECT_EQ(device.Read(3 * kPageSize - 7, 20), Pattern(3 * kPageSize - 7, 20));
+  uint64_t from = device.base();
+  EXPECT_EQ(device.Read(from, size - from), Pattern(from, size - from));
+  // Piecewise scans visit the same bytes page by page.
+  std::string pieces;
+  int count = 0;
+  device.ForEachPiece(from, size - from, [&](std::string_view piece) {
+    pieces.append(piece);
+    ++count;
+  });
+  EXPECT_EQ(pieces, Pattern(from, size - from));
+  EXPECT_EQ(count, 4);  // The rest of page 2, pages 3 and 4, and the head of page 5.
+  // Rewriting above the base lands in place.
+  device.WriteBlocks(4 * kPageSize, "rewritten");
+  EXPECT_EQ(device.Read(4 * kPageSize - 2, 11), Pattern(4 * kPageSize - 2, 2) + "rewritten");
+}
+
+TEST(CheckpointStoreTest, CorruptByteMakesRecoveryRejectAMultiPageImage) {
+  CheckpointStore store;
+  CheckpointManifest m;
+  m.domain = kCkptKvDomain;
+  m.image_start = store.tail();
+  for (int i = 0; i < 12; ++i) store.AppendFrame(FrameType::kCkptKvVersion, Pattern(i, 3000));
+  store.Flush();
+  m.frame_count = 12;
+  m.checksum = ChecksumImage(store, m.image_start, store.tail());
+  store.AppendFrame(FrameType::kCkptManifest, EncodeManifest(m));
+  store.Flush();
+  ASSERT_GT(store.tail(), 2 * kPageSize);  // The checksum folds across page edges.
+  InstalledManifest found;
+  ASSERT_TRUE(FindLatestValidManifest(store, kCkptKvDomain, &found));
+
+  store.CorruptDurableByteForTest(kPageSize + 17);
+  int rejected = 0;
+  EXPECT_FALSE(FindLatestValidManifest(store, kCkptKvDomain, &found, &rejected));
+  EXPECT_EQ(rejected, 1);
 }
 
 TEST(JournalCodecTest, PrimitivesRoundTrip) {
