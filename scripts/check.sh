@@ -33,6 +33,10 @@ if grep -rnw --include='*.h' --include='*.cc' --include='CMakeLists.txt' 'LogSpa
   exit 1
 fi
 
+# Gate steps below surface their tagged lines on stderr with `tee >(cat >&2)`: it writes to
+# the inherited fd 2, where `tee /dev/stderr` would reopen it and, when stderr is a file
+# (`scripts/check.sh > log 2>&1`), truncate everything logged before the step.
+
 cmake -B "${BUILD_DIR}" -S . -DHM_WERROR=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure
@@ -48,7 +52,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 # MISMATCH line — or a missing match line — fails the run.
 "${BUILD_DIR}"/tests/sharded_equivalence_test \
   --gtest_filter='ShardedEquivalenceTest.ShardCountsProduceEquivalentExecutions' \
-  --gtest_brief=1 | grep '^\[shards\]' | tee /dev/stderr | grep -q ' match' \
+  --gtest_brief=1 | grep '^\[shards\]' | tee >(cat >&2) | grep -q ' match' \
   || { echo "check.sh: FAIL — shard-equivalence checksums diverged" >&2; exit 1; }
 
 # Parallel-mode smoke: the same seed through the single-threaded scheduler and the
@@ -57,7 +61,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 # or a missing match line — fails the run.
 "${BUILD_DIR}"/tests/parallel_cluster_test \
   --gtest_filter='ParallelClusterTest.*ModesCommitIdenticalContent:ParallelClusterTest.*ParallelRunsAreDeterministic' \
-  --gtest_brief=1 | grep '^\[parallel\]' | tee /dev/stderr | grep -q ' match' \
+  --gtest_brief=1 | grep '^\[parallel\]' | tee >(cat >&2) | grep -q ' match' \
   || { echo "check.sh: FAIL — parallel-mode checksums diverged" >&2; exit 1; }
 
 # Pipeline smoke: the same seed through the group-commit engine at depth 1 and at depth
@@ -66,7 +70,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 # MISMATCH line — or a missing match line — fails the run.
 "${BUILD_DIR}"/tests/sharded_equivalence_test \
   --gtest_filter='ShardedEquivalenceTest.PipelineDepthsCommitIdenticalContent' \
-  --gtest_brief=1 | grep '^\[pipeline\]' | tee /dev/stderr | grep -q ' match' \
+  --gtest_brief=1 | grep '^\[pipeline\]' | tee >(cat >&2) | grep -q ' match' \
   || { echo "check.sh: FAIL — pipeline-depth checksums diverged" >&2; exit 1; }
 
 # Faultcheck smoke: re-run the schedule-explorer suites standalone so the explored-schedule
@@ -86,7 +90,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 # load-image + replay-suffix — a silent regression to full replay would still pass the
 # equivalence assertions, so the 'mode=image+suffix' line is enforced here.
 "${BUILD_DIR}"/tests/checkpoint_recovery_test \
-  --gtest_brief=1 | grep '^\[checkpoint\]' | tee /dev/stderr | grep -q 'mode=image+suffix' \
+  --gtest_brief=1 | grep '^\[checkpoint\]' | tee >(cat >&2) | grep -q 'mode=image+suffix' \
   || { echo "check.sh: FAIL — checkpointed recovery silently fell back to full replay" >&2; exit 1; }
 
 # One-copy smoke (DESIGN.md §13): after a checkpointed durable run, each journal's block
@@ -96,7 +100,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 # is enforced here.
 "${BUILD_DIR}"/tests/checkpoint_recovery_test \
   --gtest_filter='CheckpointRecoveryTest.DurableBytesAreHeldOnce' \
-  --gtest_brief=1 | grep '^\[storage\]' | tee /dev/stderr | grep -q ' one-copy' \
+  --gtest_brief=1 | grep '^\[storage\]' | tee >(cat >&2) | grep -q ' one-copy' \
   || { echo "check.sh: FAIL — the durable tier holds a second copy of its bytes" >&2; exit 1; }
 
 # Advisor smoke (DESIGN.md §11): the drift byte gate (advisor strictly below both static
@@ -104,7 +108,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 # surfaced via their '[advisor]' summary lines. A missing 'win' line — the byte gate —
 # fails the run.
 "${BUILD_DIR}"/tests/online_advisor_test --gtest_brief=1 | grep '^\[advisor\]' \
-  | tee /dev/stderr | grep -q ' win' \
+  | tee >(cat >&2) | grep -q ' win' \
   || { echo "check.sh: FAIL — advisor drift byte gate did not report a win" >&2; exit 1; }
 
 echo "check.sh: all tests passed"

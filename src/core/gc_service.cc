@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/sharedlog/log_record.h"
 
 namespace halfmoon::core {
 
-using sharedlog::LogRecord;
 using sharedlog::LogRecordPtr;
 using sharedlog::SeqNum;
 using sharedlog::TagId;
@@ -41,30 +41,29 @@ void GcService::RunOnce() {
                               cluster_->CheckpointBound()});
 
   // (2) Per-object write logs and their versions. The write-log tag id doubles as the
-  // object's handle in the versioned store, so no key string is ever rebuilt here.
-  for (TagId tag : log.LiveTagsWithPrefix(sharedlog::kWriteLogPrefix)) {
-    std::vector<LogRecordPtr> records = log.ReadStream(tag);
+  // object's handle in the versioned store, so no key string is ever rebuilt here. The walk
+  // visits the registry's unretired ids in id order (none when the frontier is 0: no record
+  // lies below it). A stream with fewer than two entries has nothing below its marked
+  // record, so it is passed over before its name is read. Neither DeleteVersioned nor Trim
+  // interns or retires a tag, so no registry page spills under the loop: LiveStream
+  // pointers and the NextUnretired cursor stay valid throughout.
+  const sharedlog::TagRegistry& tags = log.tags();
+  for (TagId tag = frontier > 0 ? tags.NextUnretired(0) : tags.size(); tag < tags.size();
+       tag = tags.NextUnretired(tag + 1)) {
+    const sharedlog::TagStream* stream = tags.LiveStream(tag);
+    if (stream == nullptr || stream->size() < 2) continue;
+    if (!tags.Name(tag).starts_with(sharedlog::kWriteLogPrefix)) continue;
     // Mark the latest record below the frontier; everything before it is superseded.
-    const LogRecord* marked = nullptr;
-    for (const LogRecordPtr& record : records) {
-      if (record->seqnum < frontier) {
-        marked = record.get();
-      } else {
-        break;
-      }
-    }
-    if (marked == nullptr) continue;
-    for (const LogRecordPtr& record : records) {
-      if (record->seqnum >= marked->seqnum) break;
-      if (record->fields.Has("version") &&
-          kv.DeleteVersioned(now, tag, record->fields.GetStr("version"))) {
+    SeqNum marked = log.LatestSeqNoAtMost(tag, frontier - 1);
+    if (marked == sharedlog::kInvalidSeqNum) continue;
+    for (const LogRecordPtr& record : log.ReadStreamUpTo(tag, marked - 1)) {
+      const auto* version = std::get_if<std::string>(record->fields.Find("version"));
+      if (version != nullptr && kv.DeleteVersioned(now, tag, *version)) {
         ++stats_.versions_deleted;
       }
       ++stats_.write_records_trimmed;
     }
-    if (marked->seqnum > 0) {
-      log.Trim(now, tag, marked->seqnum - 1);
-    }
+    log.Trim(now, tag, marked - 1);
   }
 
   // (3) Step logs of finished workflows: each instance's tag is retired — its stream trimmed

@@ -6,7 +6,9 @@
 //   2. for every per-object write log, marks the latest record with seqnum < t and deletes
 //      all records preceding it together with their object versions (condition (a): the
 //      marked record supersedes them; condition (b): no running or future SSF can still seek
-//      backward past the marked record);
+//      backward past the marked record). The sweep walks the tag registry's unretired ids
+//      in id order, skips streams with fewer than two entries before reading their names,
+//      and reads only the garbage prefix below the marked record;
 //   3. retires the step logs of instances whose workflow has finished (their lifetime equals
 //      the initiating SSF's lifetime — this is where Halfmoon-write's read-log records and
 //      the version half of Halfmoon-read's write pairs get reclaimed): the stream is trimmed

@@ -62,12 +62,6 @@ TagStream& ShardedLog::RestoreStreamFor(TagId tag) {
   return replay_streams_[tag];
 }
 
-void ShardedLog::NoteRestoredLive(TagId tag, const TagStream& stream) {
-  if (stream.empty() && !tags_.Retired(tag)) {
-    live_tags_.insert(tag);
-  }
-}
-
 // ---- Record store ----
 
 const ShardedLog::StoredRecord* ShardedLog::FindSlot(SeqNum seqnum) const {
@@ -149,15 +143,7 @@ LogRecordPtr ShardedLog::InstallRecord(SimTime now, SeqNum seqnum, std::vector<T
   // Encoded seqnums are allocated in global commit order, so pushing to the back keeps every
   // stream sorted, whichever shard sequenced the record.
   for (TagId tag : record->tags) {
-    if (restoring) {
-      TagStream& stream = RestoreStreamFor(tag);
-      NoteRestoredLive(tag, stream);
-      stream.entries.push_back(seqnum);
-      continue;
-    }
-    TagStream& stream = StreamFor(tag);
-    if (stream.empty()) live_tags_.insert(tag);
-    stream.entries.push_back(seqnum);
+    (restoring ? RestoreStreamFor(tag) : StreamFor(tag)).entries.push_back(seqnum);
   }
   int live_tag_refs = static_cast<int>(record->tags.size());
   return InstallSlot(std::move(record), live_tag_refs).record;
@@ -261,19 +247,15 @@ LogRecordPtr ShardedLog::FindFirstByStep(TagId tag, OpId op, int64_t step) const
 
 std::vector<TagId> ShardedLog::LiveTagsWithPrefix(std::string_view prefix) const {
   std::vector<TagId> out;
-  // live_tags_ is name-ordered, so all matches form one contiguous range starting at the
-  // first name >= prefix; results come out in name order for free.
-  for (auto it = live_tags_.lower_bound(prefix); it != live_tags_.end(); ++it) {
-    if (!tags_.Name(*it).starts_with(prefix)) break;
-    out.push_back(*it);
+  for (TagId id = tags_.NextUnretired(0); id < tags_.size(); id = tags_.NextUnretired(id + 1)) {
+    const TagStream* stream = tags_.LiveStream(id);
+    if (stream != nullptr && !stream->empty() && tags_.Name(id).starts_with(prefix)) {
+      out.push_back(id);
+    }
   }
+  std::sort(out.begin(), out.end(),
+            [this](TagId a, TagId b) { return tags_.Name(a) < tags_.Name(b); });
   return out;
-}
-
-std::vector<std::string> ShardedLog::StreamTagsWithPrefix(std::string_view prefix) const {
-  std::vector<std::string> names;
-  for (TagId tag : LiveTagsWithPrefix(prefix)) names.emplace_back(tags_.Name(tag));
-  return names;
 }
 
 LogRecordPtr ShardedLog::ReadPrev(TagId tag, SeqNum max_seqnum) const {
@@ -344,9 +326,6 @@ size_t ShardedLog::Trim(SimTime now, TagId tag, SeqNum upto) {
   TagStream& stream = *found;
   size_t released = TrimPrefix(now, stream, upto);
   stream.base += released;
-  if (stream.empty() && stream.base > 0) {
-    live_tags_.erase(tag);
-  }
   // Trims are journaled fire-and-forget: nothing external depends on a trim being durable,
   // and a trim lost to a crash merely resurrects garbage the next GC pass re-collects. The
   // resulting base rides along so fuzzy replay (DESIGN.md §14) can restore logical offsets
@@ -377,7 +356,6 @@ size_t ShardedLog::Retire(SimTime now, TagId tag) {
 
 size_t ShardedLog::TrimAndClose(SimTime now, TagId tag) {
   TagStream& stream = *tags_.Stream(tag);
-  if (!stream.empty()) live_tags_.erase(tag);
   size_t released = TrimPrefix(now, stream, kMaxSeqNum);
   HM_CHECK_MSG(stream.empty(), "ShardedLog::Retire: stream still holds entries");
   stream = TagStream{};
@@ -425,7 +403,6 @@ void ShardedLog::AttachDurability(storage::DurabilityService* svc) {
 
 void ShardedLog::ResetVolatile(SimTime now) {
   gauge_.Add(now, -gauge_.CurrentBytes());
-  live_tags_.clear();
   watermark_ = 0;
   // Retiring tags stay closed: replay fills their streams (restore paths ignore the state)
   // and FinishReplay empties them again.
@@ -523,7 +500,6 @@ void ShardedLog::RestoreRecordFuzzy(SimTime now, SeqNum seqnum, std::vector<TagI
     TagStream& stream = RestoreStreamFor(tag);
     const SeqNum* pos = std::lower_bound(stream.begin(), stream.end(), seqnum);
     if (pos != stream.end() && *pos == seqnum) continue;  // Image already has it.
-    NoteRestoredLive(tag, stream);
     stream.InsertAt(static_cast<size_t>(pos - stream.begin()), seqnum);
     ++stored->live_tag_refs;
   }
@@ -537,9 +513,6 @@ void ShardedLog::RestoreTrim(SimTime now, TagId tag, SeqNum upto, size_t base_af
   // is the exact base the original trim left behind — logical offsets stay correct either
   // way.
   if (stream.base < base_after) stream.base = base_after;
-  if (stream.empty() && stream.base > 0 && !tags_.Retired(tag)) {
-    live_tags_.erase(tag);
-  }
 }
 
 void ShardedLog::VerifyTagDef(TagId id, std::string_view name) {
@@ -564,11 +537,7 @@ void ShardedLog::RestoreRetire(SimTime now, TagId tag, uint64_t name_hash) {
     HM_CHECK_MSG(TagRegistry::NameHash(tags_.Name(tag)) == name_hash,
                  "journal replay: kRetire frame does not match the registry");
   }
-  TagStream& stream = RestoreStreamFor(tag);
-  if (!stream.empty() && !tags_.Retired(tag)) {
-    live_tags_.erase(tag);
-  }
-  TrimPrefix(now, stream, kMaxSeqNum);
+  TrimPrefix(now, RestoreStreamFor(tag), kMaxSeqNum);
 }
 
 // ---- Incremental checkpointing ----
@@ -650,9 +619,6 @@ void ShardedLog::RestoreCheckpointStream(SimTime now, TagId tag, size_t base,
                  "checkpoint image stream references a record the image does not carry");
     ++slot->live_tag_refs;
     EnsureWatermark(seqnum);
-  }
-  if (!stream.empty() && !tags_.Retired(tag)) {
-    live_tags_.insert(tag);
   }
 }
 

@@ -36,8 +36,6 @@
 //     instances cost no stream memory.
 //   * The record store is node-free: per shard, slots indexed by seqnum / shard_count in
 //     64-slot pages, allocated on first install and freed with their last record.
-//   * Live stream tags are mirrored in a name-ordered index, so prefix scans (the GC's
-//     per-object write-log enumeration) are range scans instead of full-table scans.
 
 #ifndef HALFMOON_SHAREDLOG_SHARDED_LOG_H_
 #define HALFMOON_SHAREDLOG_SHARDED_LOG_H_
@@ -48,7 +46,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -150,13 +147,10 @@ class ShardedLog {
   // record's interned op id — no string comparison per record.
   LogRecordPtr FindFirstByStep(TagId tag, OpId op, int64_t step) const;
 
-  // Ids of all live streams whose name starts with `prefix` (GC scan over per-object write
-  // logs). Served by an ordered range scan over the live-tag index: O(log streams + matches);
-  // results are in name order.
+  // Ids of the live (unretired, not retiring), non-empty streams whose name starts with
+  // `prefix`, in name order. Cold: a walk over every unretired id plus a sort, for content
+  // checksums and tests only — hot paths (GC) walk the registry themselves.
   std::vector<TagId> LiveTagsWithPrefix(std::string_view prefix) const;
-
-  // Name-returning variant of LiveTagsWithPrefix, for tests and display.
-  std::vector<std::string> StreamTagsWithPrefix(std::string_view prefix) const;
 
   // Latest record in `tag`'s sub-stream with seqnum <= max (logReadPrev).
   LogRecordPtr ReadPrev(TagId tag, SeqNum max_seqnum) const;
@@ -248,8 +242,7 @@ class ShardedLog {
   // bit-identical to the pre-storage simulation.
   void AttachDurability(storage::DurabilityService* svc);
 
-  // Drops everything a node loss destroys: records, sub-stream indices, the live-tag index,
-  // the watermark, and the storage gauge's current bytes. The tag/op interners (names and
+  // Drops everything a node loss destroys: records, sub-stream indices, the watermark, and the storage gauge's current bytes. The tag/op interners (names and
   // states: retiring tags stay closed) and the list of retiring tags survive — ids are
   // deterministic client-side handles, and replay cross-checks them via kTagDef and kRetire
   // frames.
@@ -284,8 +277,8 @@ class ShardedLog {
   void VerifyTagDef(TagId id, std::string_view name);
 
   // Re-applies a durable kRetire frame: checks the name hash, then empties the stream. A
-  // retired id's records were replayed into a transient stream (replay_streams_, no
-  // live-tag entry), which this empties; a still-retiring id loses its stream exactly as the
+  // retired id's records were replayed into a transient stream (replay_streams_), which
+  // this empties; a still-retiring id loses its stream exactly as the
   // original did.
   void RestoreRetire(SimTime now, TagId tag, uint64_t name_hash);
 
@@ -403,8 +396,7 @@ class ShardedLog {
   // Builds the immutable record object (op interned) without installing it anywhere.
   LogRecordPtr MakeRecord(SeqNum seqnum, std::vector<TagId> tags, FieldMap fields);
   // The shared body of Commit and strict RestoreRecord: builds the immutable record and
-  // installs it into the record store, the per-tag sub-streams, the live-tag index, and the
-  // storage gauge — everything EXCEPT seqnum allocation, journaling, and commit notification,
+  // installs it into the record store, the per-tag sub-streams, and the storage gauge — everything EXCEPT seqnum allocation, journaling, and commit notification,
   // which is exactly what differs between a live append and a journal replay. `restoring`
   // selects the replay stream lookup (RestoreStreamFor) over the live one.
   LogRecordPtr InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
@@ -434,12 +426,8 @@ class ShardedLog {
   // Live write path: like FindStream, but the id must have been assigned.
   TagStream& StreamFor(TagId tag);
   // Replay path: `tag`'s stream in any state. A retired id gets a transient stream in
-  // replay_streams_ (no live-tag entry) that its kRetire frame empties — DESIGN.md §13's
-  // replay rule (c).
+  // replay_streams_ that its kRetire frame empties — DESIGN.md §13's replay rule (c).
   TagStream& RestoreStreamFor(TagId tag);
-  // Adds `tag` to the live-tag index when its stream gains a first entry during replay;
-  // retired ids' transient streams stay out of it.
-  void NoteRestoredLive(TagId tag, const TagStream& stream);
   // Every stream: the registry's unretired ids' in id order, then the transient ones.
   template <typename Fn>
   void ForEachStream(Fn fn) const {
@@ -476,16 +464,6 @@ class ShardedLog {
   TagRegistry ops_;
   metrics::StorageGauge gauge_;
   SeqNum watermark_ = 0;  // Largest encoded seqnum committed; 0 = none, the first is >= 1.
-  // Ids of the non-empty streams, ordered by name. The set holds ids, not names: names
-  // belong to the registry, which may move them (see TagRegistry's spill).
-  struct NameOrder {
-    using is_transparent = void;
-    const TagRegistry* tags;
-    bool operator()(TagId a, TagId b) const { return tags->Name(a) < tags->Name(b); }
-    bool operator()(std::string_view a, TagId b) const { return a < tags->Name(b); }
-    bool operator()(TagId a, std::string_view b) const { return tags->Name(a) < b; }
-  };
-  std::set<TagId, NameOrder> live_tags_{NameOrder{&tags_}};
   std::function<void(SeqNum)> commit_listener_;
   storage::DurabilityService* durability_ = nullptr;  // See AttachDurability.
 

@@ -3,14 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/gc_service.h"
 #include "src/core/switch_manager.h"
 #include "src/workloads/applications.h"
 #include "src/workloads/loadgen.h"
+#include "tests/testing/state_checksum.h"
 #include "tests/testing/test_world.h"
 
 namespace halfmoon::core {
@@ -276,6 +279,148 @@ TEST(GcTest, ChildInitRecordsDoNotFreezeTheFrontier) {
   // The seed version and the first four writes are superseded by the fifth.
   EXPECT_EQ(gc.stats().versions_deleted, 5);
   EXPECT_EQ(cluster.kv_state().VersionCount(testing::ObjectIdFor(cluster, "x")), 1u);
+}
+
+// The collector before its registry walk, kept as an oracle: write logs come from the
+// name-ordered LiveTagsWithPrefix("k:") and each is read whole, then steps (3) and (4) run as
+// in GcService.
+class FullWalkGc {
+ public:
+  explicit FullWalkGc(runtime::Cluster* cluster) : cluster_(cluster) {}
+
+  void RunOnce() {
+    ++stats_.scans;
+    sharedlog::ShardedLog& log = cluster_->log_space();
+    kvstore::KvState& kv = cluster_->kv_state();
+    SimTime now = cluster_->scheduler().Now();
+    sharedlog::SeqNum frontier = std::min({cluster_->RunningFrontier(),
+                                           cluster_->DurableTrimBound(),
+                                           cluster_->CheckpointBound()});
+    for (sharedlog::TagId tag : log.LiveTagsWithPrefix(sharedlog::kWriteLogPrefix)) {
+      std::vector<sharedlog::LogRecordPtr> records = log.ReadStream(tag);
+      const sharedlog::LogRecord* marked = nullptr;
+      for (const sharedlog::LogRecordPtr& record : records) {
+        if (record->seqnum >= frontier) break;
+        marked = record.get();
+      }
+      if (marked == nullptr) continue;
+      for (const sharedlog::LogRecordPtr& record : records) {
+        if (record->seqnum >= marked->seqnum) break;
+        if (record->fields.Has("version") &&
+            kv.DeleteVersioned(now, tag, record->fields.GetStr("version"))) {
+          ++stats_.versions_deleted;
+        }
+        ++stats_.write_records_trimmed;
+      }
+      log.Trim(now, tag, marked->seqnum - 1);
+    }
+    for (const std::string& instance_id : cluster_->DrainStepLogTrimQueue()) {
+      sharedlog::TagId step_tag = log.tags().Find(instance_id);
+      if (step_tag == sharedlog::kInvalidTagId) continue;
+      if (log.Retire(now, step_tag) > 0) ++stats_.step_logs_trimmed;
+    }
+    log.ReleaseRetired();
+    if (frontier > 0) {
+      stats_.init_records_trimmed +=
+          static_cast<int64_t>(log.Trim(now, sharedlog::kInitTagId, frontier - 1));
+    }
+  }
+
+  const core::GcStats& stats() const { return stats_; }
+
+ private:
+  runtime::Cluster* cluster_;
+  core::GcStats stats_;
+};
+
+// One Halfmoon-read Retwis deployment on the durable tier with checkpoints, under load.
+struct GcWorld {
+  GcWorld() : cluster(Config()), runtime(&cluster, RuntimeConfig()) {
+    workloads::RegisterRetwisApp(runtime, data);
+    workloads::LoadGenConfig load;
+    load.requests_per_second = 300;
+    load.warmup = 0;
+    load.duration = Seconds(4);
+    gen = std::make_unique<workloads::LoadGenerator>(
+        &runtime, load, workloads::RetwisRequestFactory(runtime, data));
+    cluster.scheduler().Spawn(gen->Run());
+  }
+
+  static runtime::ClusterConfig Config() {
+    runtime::ClusterConfig config;
+    config.seed = 7;
+    config.function_nodes = 4;
+    config.workers_per_node = 8;
+    config.durable = true;
+    config.checkpoint = true;
+    config.checkpoint_slice = 64;  // Rounds span several steps, so GC meets the fence.
+    return config;
+  }
+  static core::RuntimeConfig RuntimeConfig() {
+    core::RuntimeConfig config;
+    config.default_protocol = ProtocolKind::kHalfmoonRead;
+    return config;
+  }
+
+  // Every interned write-log id, retired or not, with its object's version count.
+  std::vector<std::pair<sharedlog::TagId, size_t>> VersionCounts() {
+    const sharedlog::TagRegistry& tags = cluster.log_space().tags();
+    std::vector<std::pair<sharedlog::TagId, size_t>> counts;
+    for (sharedlog::TagId id = tags.NextUnretired(0); id < tags.size();
+         id = tags.NextUnretired(id + 1)) {
+      if (tags.Name(id).starts_with(sharedlog::kWriteLogPrefix)) {
+        counts.emplace_back(id, cluster.kv_state().VersionCount(id));
+      }
+    }
+    return counts;
+  }
+
+  runtime::Cluster cluster;
+  core::SsfRuntime runtime;
+  workloads::AppDataset data;
+  std::unique_ptr<workloads::LoadGenerator> gen;
+};
+
+TEST(GcTest, RegistryWalkMatchesTheFullWalkReference) {
+  // Two identical runs, one collected by GcService and one by the full-walk reference, under
+  // storage kills and checkpoint rounds: after every scan both must have deleted the same
+  // versions and made the same trims.
+  GcWorld subject;
+  GcWorld reference;
+  GcService gc(&subject.cluster, Seconds(10));
+  FullWalkGc full_walk(&reference.cluster);
+  const std::vector<std::string> no_kv_keys;
+  int kills = 0;
+  for (int step = 1; step <= 50; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    for (GcWorld* world : {&subject, &reference}) {
+      world->cluster.scheduler().RunUntil(Milliseconds(100) * step);
+      if (step % 4 == 0) world->cluster.checkpoint_service()->TriggerRound();
+      if (step % 7 == 0) world->cluster.KillRestartStorage();
+    }
+    kills += step % 7 == 0;
+    gc.RunOnce();
+    full_walk.RunOnce();
+
+    const core::GcStats& a = gc.stats();
+    const core::GcStats& b = full_walk.stats();
+    ASSERT_EQ(a.scans, b.scans);
+    ASSERT_EQ(a.step_logs_trimmed, b.step_logs_trimmed);
+    ASSERT_EQ(a.write_records_trimmed, b.write_records_trimmed);
+    ASSERT_EQ(a.versions_deleted, b.versions_deleted);
+    ASSERT_EQ(a.init_records_trimmed, b.init_records_trimmed);
+    std::vector<std::pair<sharedlog::TagId, size_t>> counts = subject.VersionCounts();
+    ASSERT_EQ(counts, reference.VersionCounts());
+    std::vector<sharedlog::TagId> objects;
+    for (const auto& [id, count] : counts) objects.push_back(id);
+    ASSERT_EQ(testing::StateChecksum(subject.cluster, no_kv_keys, objects),
+              testing::StateChecksum(reference.cluster, no_kv_keys, objects));
+  }
+  // The run exercised what it claims to: superseded versions went, under kills.
+  EXPECT_GT(gc.stats().versions_deleted, 100);
+  EXPECT_GT(gc.stats().write_records_trimmed, 100);
+  EXPECT_EQ(kills, 7);
+  EXPECT_GT(subject.cluster.checkpoint_service()->stats().rounds_completed, 0);
 }
 
 TEST(GcTest, PeriodicLoopRunsOnSchedule) {

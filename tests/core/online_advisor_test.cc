@@ -24,6 +24,7 @@
 #include "src/faultcheck/workload.h"
 #include "src/runtime/cluster.h"
 #include "src/sim/task.h"
+#include "tests/testing/live_streams.h"
 
 namespace halfmoon {
 namespace {
@@ -302,7 +303,7 @@ PinnedRun RunCounterWithAdvisorFlag(bool advisor) {
   r.next_seqnum = static_cast<uint64_t>(cluster.log_space().next_seqnum());
   uint64_t h = 14695981039346656037ull;
   auto& log = cluster.log_space();
-  for (const std::string& name : log.StreamTagsWithPrefix("")) {
+  for (const std::string& name : halfmoon::testing::LiveStreamNames(log, "")) {
     h = HashBytes(h, name);
     for (const auto& rec : log.ReadStream(name)) {
       h = HashInt(h, rec->tags.size());

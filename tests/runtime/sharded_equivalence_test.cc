@@ -28,6 +28,7 @@
 #include "src/faultcheck/workload.h"
 #include "src/runtime/cluster.h"
 #include "src/sim/task.h"
+#include "tests/testing/live_streams.h"
 
 namespace halfmoon {
 namespace {
@@ -111,7 +112,7 @@ RunResult RunWorkload(ProtocolKind protocol, const faultcheck::Workload& workloa
   r.oracle_failure = verdict.failure;
   uint64_t h = kFnvOffset;
   auto& log = cluster.log_space();
-  for (const std::string& name : log.StreamTagsWithPrefix("")) {
+  for (const std::string& name : halfmoon::testing::LiveStreamNames(log, "")) {
     h = HashBytes(h, name);
     std::vector<sharedlog::LogRecordPtr> records = log.ReadStream(name);
     uint64_t stream_h = HashStream(records);

@@ -10,9 +10,12 @@
 
 #include "src/storage/checkpoint.h"
 #include "src/storage/journal.h"
+#include "tests/testing/live_streams.h"
 
 namespace halfmoon::sharedlog {
 namespace {
+
+using halfmoon::testing::LiveStreamNames;
 
 FieldMap Fields(const std::string& op, int64_t step) {
   FieldMap f;
@@ -199,17 +202,19 @@ TEST(LogSpaceTest, FindFirstByStepHonorsStreamOrder) {
   EXPECT_EQ(log.FindFirstByStep("s", "read", 4), nullptr);
 }
 
-TEST(LogSpaceTest, StreamTagsWithPrefixEnumeratesLiveStreams) {
+TEST(LogSpaceTest, LiveTagsWithPrefixListsLiveStreamsSortedByName) {
   ShardedLog log;
-  log.Append(0, OneTag("k:a"), Fields("w", 0));
+  // Interned out of name order: the result is sorted by name, not by id.
   log.Append(0, OneTag("k:b"), Fields("w", 0));
+  log.Append(0, OneTag("k:a"), Fields("w", 0));
   log.Append(0, OneTag("other"), Fields("w", 0));
-  std::vector<std::string> tags = log.StreamTagsWithPrefix("k:");
-  ASSERT_EQ(tags.size(), 2u);
-  EXPECT_EQ(tags[0], "k:a");
-  EXPECT_EQ(tags[1], "k:b");
+  EXPECT_EQ(LiveStreamNames(log, "k:"), (std::vector<std::string>{"k:a", "k:b"}));
+  EXPECT_EQ(LiveStreamNames(log, ""), (std::vector<std::string>{"k:a", "k:b", "other"}));
   log.Trim(0, "k:a", kMaxSeqNum);
-  EXPECT_EQ(log.StreamTagsWithPrefix("k:").size(), 1u);
+  EXPECT_EQ(LiveStreamNames(log, "k:"), std::vector<std::string>{"k:b"});
+  // A retiring tag is not live, even before its retirement is released.
+  log.Retire(0, log.tags().Find("other"));
+  EXPECT_EQ(LiveStreamNames(log, ""), std::vector<std::string>{"k:b"});
 }
 
 TEST(LogSpaceTest, ReadsAliasTheStoredRecordWithoutCopying) {
@@ -245,19 +250,19 @@ TEST(LogSpaceTest, TrimCompactsStreamIndexMemory) {
 
 TEST(LogSpaceTest, FullyTrimmedStreamsLeaveNoResidue) {
   // Regression for the fully-trimmed-stream leak: after every stream of a batch of objects
-  // is trimmed, neither the record store, the per-tag indices, nor the live-tag set may
-  // retain anything.
+  // is trimmed, neither the record store nor the per-tag indices may retain anything, and
+  // no stream is listed live.
   ShardedLog log;
   for (int i = 0; i < 50; ++i) {
     log.Append(0, OneTag("k:obj" + std::to_string(i)), Fields("w", i));
   }
-  EXPECT_EQ(log.StreamTagsWithPrefix("k:").size(), 50u);
+  EXPECT_EQ(log.LiveTagsWithPrefix("k:").size(), 50u);
   for (int i = 0; i < 50; ++i) {
     log.Trim(0, "k:obj" + std::to_string(i), kMaxSeqNum);
   }
   EXPECT_EQ(log.live_records(), 0u);
   EXPECT_EQ(log.IndexEntries(), 0u);
-  EXPECT_TRUE(log.StreamTagsWithPrefix("k:").empty());
+  EXPECT_TRUE(log.LiveTagsWithPrefix("k:").empty());
 }
 
 TEST(LogSpaceTest, FullyTrimmedStreamsGiveTheirIndexBufferBack) {
@@ -683,7 +688,7 @@ TEST(LogSpaceRetireTest, RetireEmptiesTheStreamAndFreesFullyRetiredPages) {
   EXPECT_EQ(log.pending_retirements(), 0u);
   EXPECT_TRUE(log.tags().Retired(instances[0]));
   EXPECT_EQ(log.tags().Find("inst#0"), kInvalidTagId);
-  EXPECT_EQ(log.StreamTagsWithPrefix("inst#"), std::vector<std::string>{});
+  EXPECT_TRUE(log.LiveTagsWithPrefix("inst#").empty());
   // The shared records stay live through the object stream; the read records are gone.
   EXPECT_EQ(log.live_records(), instances.size());
   EXPECT_EQ(log.ReadStream(keep).size(), instances.size());
@@ -745,7 +750,7 @@ TEST(LogSpaceRetireTest, SparsePageSurvivorsKeepWorkingAfterTheSpill) {
   // The object's stream moved intact: every record shared with a retired instance survives.
   std::vector<LogRecordPtr> stream = log.ReadStream(object);
   ASSERT_EQ(stream.size(), 1u + (TagRegistry::kPageIds - 11));
-  EXPECT_EQ(log.StreamTagsWithPrefix("k:"), std::vector<std::string>{"k:obj"});
+  EXPECT_EQ(LiveStreamNames(log, "k:"), std::vector<std::string>{"k:obj"});
   EXPECT_EQ(log.IndexEntries(), stream.size());
   // Appends, cond-appends and trims still reach it.
   size_t length = log.StreamLength(object);

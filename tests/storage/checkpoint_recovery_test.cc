@@ -29,6 +29,7 @@
 #include "src/storage/durability.h"
 #include "src/storage/journal.h"
 #include "tests/testing/state_checksum.h"
+#include "tests/testing/live_streams.h"
 
 namespace halfmoon::runtime {
 namespace {
@@ -377,7 +378,8 @@ TEST(CheckpointRecoveryTest, RetirementsAroundTheCutMatchFullReplay) {
     for (const char* name : {"a0", "a1", "a2", "a3", "c0", "c1"}) {
       EXPECT_EQ(c->log_space().tags().Find(name), sharedlog::kInvalidTagId) << name;
     }
-    EXPECT_EQ(c->log_space().StreamTagsWithPrefix("k:a"), std::vector<std::string>{"k:a"});
+    EXPECT_EQ(halfmoon::testing::LiveStreamNames(c->log_space(), "k:a"),
+              std::vector<std::string>{"k:a"});
   }
   EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects),
             StateChecksum(reference, kKvKeys, kObjects));
