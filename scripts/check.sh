@@ -103,6 +103,15 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[storage\]' | tee >(cat >&2) | grep -q ' one-copy' \
   || { echo "check.sh: FAIL — the durable tier holds a second copy of its bytes" >&2; exit 1; }
 
+# Retired-at-drain smoke (DESIGN.md §7.1): after a durable, checkpointed run with peers,
+# crashes and storage kills, no drained workflow may keep a live step-log tag, under
+# Halfmoon-read and Halfmoon-write. Deferring retirement (to a GC scan, say) would still pass
+# every functional check, so both 'retired-at-drain' lines are enforced here.
+"${BUILD_DIR}"/tests/gc_test \
+  --gtest_filter='GcTest.StepLogsRetireAtDrainUnderStorageKills' \
+  --gtest_brief=1 | grep '^\[gc\]' | tee >(cat >&2) | grep -c ' retired-at-drain$' | grep -qx 2 \
+  || { echo "check.sh: FAIL — drained workflows kept live step-log tags" >&2; exit 1; }
+
 # Advisor smoke (DESIGN.md §11): the drift byte gate (advisor strictly below both static
 # protocols), the hysteresis/dwell counters, and the advisor-off golden content checksum,
 # surfaced via their '[advisor]' summary lines. A missing 'win' line — the byte gate —

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "src/sharedlog/log_record.h"
 
@@ -66,17 +65,8 @@ void GcService::RunOnce() {
     log.Trim(now, tag, marked - 1);
   }
 
-  // (3) Step logs of finished workflows: each instance's tag is retired — its stream trimmed
-  // to empty and the id closed for good, since the drained workflow never runs again. Resolve
-  // without interning: an instance that never logged (e.g. unsafe protocol) has no registry
-  // entry to create. Retirements journaled by earlier passes whose frames are now durable
-  // release their names and pages.
-  for (const std::string& instance_id : cluster_->DrainStepLogTrimQueue()) {
-    TagId step_tag = log.tags().Find(instance_id);
-    if (step_tag == sharedlog::kInvalidTagId) continue;
-    // Empty streams (nothing logged) retire too, but must not inflate the counter.
-    if (log.Retire(now, step_tag) > 0) ++stats_.step_logs_trimmed;
-  }
+  // (3) Step logs retire as their workflows drain (SsfRuntime::MaybeFinishWorkflow); a scan
+  // only frees the registry slots of retirements whose frames have since become durable.
   log.ReleaseRetired();
 
   // (4) The global init stream: records below the frontier belong to finished SSFs.

@@ -9,11 +9,10 @@
 //      backward past the marked record). The sweep walks the tag registry's unretired ids
 //      in id order, skips streams with fewer than two entries before reading their names,
 //      and reads only the garbage prefix below the marked record;
-//   3. retires the step logs of instances whose workflow has finished (their lifetime equals
-//      the initiating SSF's lifetime — this is where Halfmoon-write's read-log records and
-//      the version half of Halfmoon-read's write pairs get reclaimed): the stream is trimmed
-//      to empty and its tag id closed and freed, so memory tracks live instances, not
-//      history (DESIGN.md §7.1);
+//   3. frees the registry slots of retired step-log tags whose kRetire frames are durable.
+//      The step logs themselves (Halfmoon-write's read logs, the version half of
+//      Halfmoon-read's write pairs) live exactly as long as their workflow, so SsfRuntime
+//      retires them when it drains, not at a scan (DESIGN.md §7.1);
 //   4. trims the global init stream up to the frontier.
 //
 // Modeling note: GC mutations are applied directly to the storage state (no simulated
@@ -33,7 +32,7 @@ namespace halfmoon::core {
 
 struct GcStats {
   int64_t scans = 0;
-  int64_t step_logs_trimmed = 0;
+  int64_t step_logs_trimmed = 0;  // Always 0 (see RuntimeStats); the benchmark reads it.
   int64_t write_records_trimmed = 0;
   int64_t versions_deleted = 0;
   int64_t init_records_trimmed = 0;

@@ -1,5 +1,6 @@
 #include "src/core/ssf_runtime.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -502,7 +503,6 @@ sim::Task<Value> SsfRuntime::RunInvocation(std::string instance_id,
                                            std::shared_ptr<Workflow> workflow,
                                            std::string name, Value input,
                                            sharedlog::SeqNum inherited_cursor) {
-  workflow->members.push_back(instance_id);
   auto state = std::make_shared<InvocationState>();
 
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
@@ -581,6 +581,8 @@ sim::Task<Value> SsfRuntime::RunAttempt(const std::shared_ptr<Workflow>& workflo
     } else {
       co_await InitChildSsf(env, inherited_cursor);
     }
+    std::vector<sharedlog::TagId>& tags = workflow->step_tags;
+    if (std::ranges::find(tags, env.step_tag) == tags.end()) tags.push_back(env.step_tag);
   }
   co_return co_await it->second(context);
 }
@@ -611,17 +613,19 @@ sim::Task<void> SsfRuntime::RunPeer(std::shared_ptr<InvocationState> state,
 void SsfRuntime::MaybeFinishWorkflow(Workflow& workflow) {
   if (!workflow.root_done || workflow.live_attempts > 0 || workflow.drained) return;
   // The whole workflow has drained: the root's init record may now release the GC/switch
-  // frontier, and every member's step log becomes collectible. Nothing runs in the workflow
-  // afterwards: each member invocation is awaited by some attempt, so all have completed,
-  // and a delayed peer wakes to a done invocation and never starts an attempt (RunAttempt
-  // enforces it).
+  // frontier, and every member's step log is garbage (§4.5), so its tag retires now.
+  // Nothing runs in the workflow afterwards: each member invocation is awaited by some
+  // attempt, so all have completed, and a delayed peer wakes to a done invocation and never
+  // starts an attempt (RunAttempt enforces it). A round a crashed attempt left in flight
+  // may still land; the log refuses it.
   workflow.drained = true;
   if (workflow.root_init != sharedlog::kInvalidSeqNum) {
     cluster_->RemoveRunningRoot(workflow.root_init);
   }
-  for (const std::string& member : workflow.members) {
-    cluster_->EnqueueStepLogTrim(member);
-  }
+  sharedlog::ShardedLog& log = cluster_->log_space();
+  for (sharedlog::TagId tag : workflow.step_tags) log.Retire(cluster_->scheduler().Now(), tag);
+  stats_.step_logs_retired += static_cast<int64_t>(workflow.step_tags.size());
+  log.ReleaseRetired();
 }
 
 void SsfRuntime::PopulateObject(const std::string& key, const Value& value) {

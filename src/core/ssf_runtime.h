@@ -67,6 +67,7 @@ struct RuntimeStats {
   int64_t attempts = 0;
   int64_t crashes = 0;
   int64_t peer_instances = 0;
+  int64_t step_logs_retired = 0;  // Member step-log tags retired as their workflows drained.
 };
 
 class SsfRuntime {
@@ -135,12 +136,14 @@ class SsfRuntime {
   // delayed peer can never outlive it.
   struct Workflow {
     std::string root_id;
-    std::vector<std::string> members;
+    // Every member's step-log tag, once each (re-invocations and peers share an instance
+    // id), recorded when an attempt's Init has interned it.
+    std::vector<sharedlog::TagId> step_tags;
     int live_attempts = 0;
     bool root_done = false;
-    // Set once the workflow has drained and its members' step logs were handed to GC, which
-    // retires their tags. No attempt may start afterwards: interning a retired instance id
-    // would open a fresh, empty step log and re-execute finished work.
+    // Set once the workflow has drained and its members' step-log tags were retired. No
+    // attempt may start afterwards: interning a retired instance id would open a fresh,
+    // empty step log and re-execute finished work.
     bool drained = false;
     sharedlog::SeqNum root_init = sharedlog::kInvalidSeqNum;  // Reported to the frontier.
   };

@@ -225,9 +225,9 @@ ExplorerReport Explorer::Run() {
         ++report.explored_kill;
         NoteVerdict(kill, RunSchedule(kill).verdict, &report);
       }
-      // GC × kill: a scan retires finished instances' step logs, then the storage tier dies
-      // with the kRetire frames still in the volatile tail (same hit) or after they may have
-      // flushed (later hits). Recovery must re-issue exactly the lost retirements.
+      // GC × kill: a scan trims write logs and the init stream and releases durably retired
+      // tags, then the storage tier dies with its frames still volatile (same hit) or after
+      // they may have flushed (later hits). Recovery must rebuild exactly the durable state.
       for (int64_t delta : {0, 1, 4}) {
         Schedule gc_kill;
         gc_kill.points.push_back(FaultPoint::GcScan(static_cast<int64_t>(i)));

@@ -221,19 +221,6 @@ class Cluster {
   // drain.
   size_t live_tracking_entries() const { return running_roots_.size(); }
 
-  // Queues an instance's step log for trimming. Called only once the instance's *workflow
-  // root* has finished, because a crashed parent may still replay through its callees' logs.
-  void EnqueueStepLogTrim(const std::string& instance_id) {
-    trim_queue_.push_back(instance_id);
-  }
-
-  // Drains the step-log trim queue (one GC scan's worth of work).
-  std::vector<std::string> DrainStepLogTrimQueue() {
-    std::vector<std::string> out;
-    out.swap(trim_queue_);
-    return out;
-  }
-
   // The GC/switch frontier: the largest seqnum t such that every SSF whose init record has
   // seqnum < t has finished (§4.7). O(1): the smallest running root's init seqnum.
   sharedlog::SeqNum RunningFrontier() const {
@@ -299,7 +286,6 @@ class Cluster {
   FailureInjector injector_;
 
   std::set<sharedlog::SeqNum> running_roots_;  // Ordered: begin() is the frontier.
-  std::vector<std::string> trim_queue_;
 
   // Pending index-propagation arrivals (arrival time, committed seqnum), strictly increasing
   // in both fields. Commits enter in seqnum order; an older commit whose sampled arrival is

@@ -207,6 +207,14 @@ std::vector<ShardedLog::GroupVerdict> ShardedLog::AppendGroup(
     GroupRequest& request = requests[i];
     GroupVerdict& verdict = verdicts[i];
     HM_CHECK(!request.entries.empty());
+    // A request naming a closed tag is refused whole: no seqnum, no frame. Only a round its
+    // crashed submitter left in flight can land after the workflow drained and retired the
+    // step log (RunAttempt refuses drained workflows).
+    bool closed = false;
+    for (const BatchEntry& entry : request.entries) {
+      for (TagId tag : entry.tags) closed = closed || tags_.Closed(tag);
+    }
+    if (closed) continue;
     if (request.cond_tag != kInvalidTagId) {
       // Otherwise the offset check is meaningless: the new record would never appear in the
       // conditional stream.
@@ -349,7 +357,9 @@ size_t ShardedLog::Retire(SimTime now, TagId tag) {
   if (durability_ == nullptr) {
     tags_.Retire(tag);  // Without a journal there is nothing to wait for: the slot goes now.
   } else {
-    pending_retire_.push_back(PendingRetire{tag, JournalRetire(tag)});
+    const uint64_t frame_end = JournalRetire(tag);
+    HM_CHECK(pending_retire_.empty() || pending_retire_.back().frame_end < frame_end);
+    pending_retire_.push_back(PendingRetire{tag, frame_end});
   }
   return released;
 }
@@ -375,14 +385,15 @@ uint64_t ShardedLog::JournalRetire(TagId tag) {
 
 size_t ShardedLog::ReleaseRetired() {
   if (pending_retire_.empty()) return 0;
+  // The list is in frame_end order, so its durable entries are a prefix.
   const uint64_t durable = durability_->durable_offset();
-  size_t before = pending_retire_.size();
-  std::erase_if(pending_retire_, [&](const PendingRetire& p) {
-    if (p.frame_end > durable) return false;
-    tags_.Retire(p.tag);
-    return true;
-  });
-  return before - pending_retire_.size();
+  size_t released = 0;
+  while (!pending_retire_.empty() && pending_retire_.front().frame_end <= durable) {
+    tags_.Retire(pending_retire_.front().tag);
+    pending_retire_.pop_front();
+    ++released;
+  }
+  return released;
 }
 
 // ---- Durable medium + crash-restart recovery ----

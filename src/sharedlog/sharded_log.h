@@ -43,6 +43,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -107,7 +108,8 @@ class ShardedLog {
   };
   // Per-request outcome of AppendGroup. On success `seqnum` is the first entry's position;
   // on conflict `existing_seqnum` is the record occupying the expected offset (the request
-  // is undone without a trace).
+  // is undone without a trace). A refused request (it names a closed tag, see Retire) is not
+  // ok and has no existing_seqnum.
   struct GroupVerdict {
     bool ok = false;
     SeqNum seqnum = kInvalidSeqNum;
@@ -185,15 +187,15 @@ class ShardedLog {
 
   // ---- Tag retirement (DESIGN.md §7.1, §13) ----
   // Retires a finished instance's step-log tag: trims every record from its stream, then
-  // closes the tag for good — append, cond-append, read and trim on it abort from now on,
-  // and the id is never reused. The registry slot (name and stream) is freed when the
-  // retirement is durable: immediately without a durability service, otherwise when a
-  // later ReleaseRetired finds the kRetire frame flushed. A tag that is already retiring is
-  // left alone. Returns the number of records removed from the stream.
+  // closes the tag for good — read and trim on it abort from now on, AppendGroup refuses any
+  // request naming it, and the id is never reused. The registry slot (name and stream) is
+  // freed when the retirement is durable: immediately without a durability service,
+  // otherwise when a later ReleaseRetired finds the kRetire frame flushed. A tag that is
+  // already retiring is left alone. Returns the number of records removed from the stream.
   size_t Retire(SimTime now, TagId tag);
 
-  // Frees the registry slots of every retiring tag whose kRetire frame is durable (GC calls
-  // this once per pass). Returns the number of tags released.
+  // Frees the registry slots of retiring tags, front first, while the kRetire frame is durable
+  // (called at each workflow drain and GC scan). Returns the number of tags released.
   size_t ReleaseRetired();
 
   // Retiring tags whose kRetire frame may not be durable yet.
@@ -470,12 +472,13 @@ class ShardedLog {
   std::vector<RecordStore> stores_;  // Indexed by shard.
 
   // Retiring tags (closed, name still interned) and the journal offset their kRetire frame
-  // ends at; see Retire. Survives ResetVolatile, like the registry.
+  // ends at, in frame order (a node loss destroys a suffix, which FinishReplay re-issues in
+  // order); see Retire. Survives ResetVolatile, like the registry.
   struct PendingRetire {
     TagId tag;
     uint64_t frame_end;
   };
-  std::vector<PendingRetire> pending_retire_;
+  std::deque<PendingRetire> pending_retire_;
   // Replay only: name hashes of kTagDef frames for retired ids, awaiting their kRetire frame,
   // and the transient streams of retired ids (see RestoreStreamFor).
   std::map<TagId, uint64_t> unmatched_tag_defs_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -22,15 +23,25 @@ namespace halfmoon::core {
 // workflow the test keeps, then starts one more attempt on it, as a late peer or a replayed
 // invoke would.
 struct SsfRuntimeTestPeer {
-  static std::shared_ptr<SsfRuntime::Workflow> RunToDrain(SsfRuntime& runtime,
-                                                          const std::string& name) {
+  using WorkflowPtr = std::shared_ptr<SsfRuntime::Workflow>;
+
+  // Spawns `name(input)` as the root of a fresh workflow, as InvokeSsf does, without running
+  // the scheduler.
+  static WorkflowPtr Launch(SsfRuntime& runtime, std::string root_id, std::string name,
+                            Value input) {
     auto workflow = std::make_shared<SsfRuntime::Workflow>();
-    workflow->root_id = name + "#late";
+    workflow->root_id = std::move(root_id);
     runtime.cluster().scheduler().Spawn(
-        [](SsfRuntime* runtime, std::shared_ptr<SsfRuntime::Workflow> workflow,
-           std::string name) -> sim::Task<void> {
-          co_await runtime->RunInvocation(workflow->root_id, workflow, name, "v");
-        }(&runtime, workflow, name));
+        [](SsfRuntime* runtime, WorkflowPtr workflow, std::string name,
+           Value input) -> sim::Task<void> {
+          co_await runtime->RunInvocation(workflow->root_id, workflow, std::move(name),
+                                          std::move(input));
+        }(&runtime, workflow, std::move(name), std::move(input)));
+    return workflow;
+  }
+
+  static WorkflowPtr RunToDrain(SsfRuntime& runtime, const std::string& name) {
+    WorkflowPtr workflow = Launch(runtime, name + "#late", name, "v");
     runtime.cluster().scheduler().Run();
     return workflow;
   }
@@ -103,51 +114,61 @@ TEST(GcTest, ReadsStillCorrectAfterGc) {
 }
 
 TEST(GcTest, TrimsStepLogsOfFinishedWorkflows) {
+  // A workflow's step log is garbage once the workflow drains (§4.5): its tag retires then,
+  // with no GC scan at all.
   TestWorld world(HmRead());
   RegisterWriter(world);
+  sharedlog::ShardedLog& log = world.cluster().log_space();
   for (int i = 0; i < 6; ++i) {
+    size_t before = log.live_records();
     world.Call("write_k", "v");
+    // Retirement freed what only the step log held (the write's pre record); the init record
+    // (in the init stream) and the commit record (in the write log) stay.
+    EXPECT_EQ(log.live_records(), before + 2);
+    EXPECT_EQ(log.tags().Find("write_k#" + std::to_string(i)), sharedlog::kInvalidTagId);
   }
-  size_t before = world.cluster().log_space().live_records();
+  EXPECT_EQ(world.runtime().stats().step_logs_retired, 6);
+  // A scan then leaves only the marked write record (the newest commit): every init record
+  // belongs to a finished workflow.
   GcService gc(&world.cluster(), Seconds(10));
   gc.RunOnce();
-  size_t after = world.cluster().log_space().live_records();
-  EXPECT_LT(after, before);
-  EXPECT_EQ(gc.stats().step_logs_trimmed, 6);
-  // Only the marked write record (the newest commit) should still be live, since every
-  // init/step record belongs to a finished workflow.
-  EXPECT_LE(after, 2u);
+  EXPECT_LE(log.live_records(), 2u);
+  EXPECT_EQ(world.runtime().stats().step_logs_retired, 6);
 }
 
 TEST(GcTest, StatsCountExactRecordsNotScans) {
   TestWorld world(HmRead());
   RegisterWriter(world);
   for (int i = 0; i < 6; ++i) world.Call("write_k", "v");
+  // Six root invocations → six step logs retired at drain, before any scan.
+  EXPECT_EQ(world.runtime().stats().step_logs_retired, 6);
   GcService gc(&world.cluster(), Seconds(10));
   gc.RunOnce();
-  // Six root invocations → exactly six init records trimmed (one per init append) and six
-  // step logs trimmed. init_records_trimmed used to count *scans* with a nonzero frontier,
-  // so a busy run with one scan reported 1 regardless of how many records it reclaimed.
+  // Exactly six init records trimmed (one per init append). init_records_trimmed used to
+  // count *scans* with a nonzero frontier, so a busy run with one scan reported 1 regardless
+  // of how many records it reclaimed. Scans retire nothing.
   EXPECT_EQ(gc.stats().init_records_trimmed, 6);
-  EXPECT_EQ(gc.stats().step_logs_trimmed, 6);
+  EXPECT_EQ(gc.stats().step_logs_trimmed, 0);
   // A second scan with nothing left to reclaim must not inflate either counter.
   gc.RunOnce();
   EXPECT_EQ(gc.stats().scans, 2);
   EXPECT_EQ(gc.stats().init_records_trimmed, 6);
-  EXPECT_EQ(gc.stats().step_logs_trimmed, 6);
+  EXPECT_EQ(world.runtime().stats().step_logs_retired, 6);
 }
 
 TEST(GcTest, UnsafeInstancesDoNotCountAsTrimmedStepLogs) {
-  // Unsafe SSFs never log: no init record, no step stream. The trim queue still carries their
-  // instance ids, but step_logs_trimmed used to count every queue entry whether or not a
-  // stream existed.
+  // Unsafe SSFs never log: no init record, no step stream, so their workflows have no step
+  // tag to retire and nothing to count.
   TestWorldOptions options;
   options.protocol = ProtocolKind::kUnsafe;
   TestWorld world(options);
   RegisterWriter(world);
+  size_t ids = world.cluster().log_space().tags().size();
   for (int i = 0; i < 4; ++i) world.Call("write_k", "v");
   GcService gc(&world.cluster(), Seconds(10));
   gc.RunOnce();
+  EXPECT_EQ(world.runtime().stats().step_logs_retired, 0);
+  EXPECT_EQ(world.cluster().log_space().tags().size(), ids);
   EXPECT_EQ(gc.stats().step_logs_trimmed, 0);
   EXPECT_EQ(gc.stats().init_records_trimmed, 0);
 }
@@ -283,7 +304,7 @@ TEST(GcTest, ChildInitRecordsDoNotFreezeTheFrontier) {
 
 // The collector before its registry walk, kept as an oracle: write logs come from the
 // name-ordered LiveTagsWithPrefix("k:") and each is read whole, then steps (3) and (4) run as
-// in GcService.
+// in GcService (step logs retire at drain, outside any collector).
 class FullWalkGc {
  public:
   explicit FullWalkGc(runtime::Cluster* cluster) : cluster_(cluster) {}
@@ -313,11 +334,6 @@ class FullWalkGc {
         ++stats_.write_records_trimmed;
       }
       log.Trim(now, tag, marked->seqnum - 1);
-    }
-    for (const std::string& instance_id : cluster_->DrainStepLogTrimQueue()) {
-      sharedlog::TagId step_tag = log.tags().Find(instance_id);
-      if (step_tag == sharedlog::kInvalidTagId) continue;
-      if (log.Retire(now, step_tag) > 0) ++stats_.step_logs_trimmed;
     }
     log.ReleaseRetired();
     if (frontier > 0) {
@@ -423,6 +439,86 @@ TEST(GcTest, RegistryWalkMatchesTheFullWalkReference) {
   EXPECT_GT(subject.cluster.checkpoint_service()->stats().rounds_completed, 0);
 }
 
+TEST(GcTest, StepLogsRetireAtDrainUnderStorageKills) {
+  // Durable, checkpointed Retwis with peers, crashes, storage kills and checkpoint rounds:
+  // at every check, no drained workflow may still have a live member step-log tag — each
+  // retired at its drain, or was re-issued by recovery when a kill lost the kRetire frame.
+  // Deferring retirement (to a GC scan, say) would still pass every functional check, so
+  // scripts/check.sh requires the "[gc] retired-at-drain" line printed here.
+  for (ProtocolKind protocol : {ProtocolKind::kHalfmoonRead, ProtocolKind::kHalfmoonWrite}) {
+    SCOPED_TRACE(core::ProtocolName(protocol));
+    runtime::Cluster cluster(GcWorld::Config());
+    core::RuntimeConfig rcfg;
+    rcfg.default_protocol = protocol;
+    core::SsfRuntime runtime(&cluster, rcfg);
+    workloads::AppDataset data;
+    workloads::RegisterRetwisApp(runtime, data);
+    workloads::RequestFactory next_request = workloads::RetwisRequestFactory(runtime, data);
+    cluster.failure_injector().SetDuplicateProbability(0.2);
+    cluster.failure_injector().SetCrashProbability(0.02);
+    GcService gc(&cluster, Seconds(10));
+    const sharedlog::TagRegistry& tags = cluster.log_space().tags();
+
+    std::vector<core::SsfRuntimeTestPeer::WorkflowPtr> workflows;
+    auto live_member_tags = [&] {
+      size_t live = 0;
+      for (const auto& workflow : workflows) {
+        if (!workflow->drained) continue;
+        for (sharedlog::TagId tag : workflow->step_tags) live += !tags.Closed(tag);
+      }
+      return live;
+    };
+    size_t max_live = 0;
+    int kills = 0;
+    for (int step = 1; step <= 40; ++step) {
+      // 15 roots per 50 ms (300 req/s), then run to the step's end.
+      for (int i = 0; i < 15; ++i) {
+        auto [name, input] = next_request();
+        workflows.push_back(core::SsfRuntimeTestPeer::Launch(
+            runtime, "r#" + std::to_string(workflows.size()), name, input));
+        cluster.scheduler().RunUntil(cluster.scheduler().Now() + Microseconds(3300));
+      }
+      cluster.scheduler().RunUntil(Milliseconds(50) * step);
+      max_live = std::max(max_live, live_member_tags());
+      if (step % 4 == 0) cluster.checkpoint_service()->TriggerRound();
+      if (step % 7 == 0) {
+        cluster.KillRestartStorage();
+        ++kills;
+        max_live = std::max(max_live, live_member_tags());
+      }
+      if (step % 10 == 0) gc.RunOnce();
+    }
+    cluster.failure_injector().SetDuplicateProbability(0.0);
+    cluster.failure_injector().SetCrashProbability(0.0);
+    cluster.scheduler().Run();
+    max_live = std::max(max_live, live_member_tags());
+
+    size_t drained = 0, member_tags = 0;
+    for (const auto& workflow : workflows) {
+      drained += workflow->drained;
+      member_tags += workflow->step_tags.size();
+    }
+    EXPECT_EQ(drained, workflows.size());
+    EXPECT_EQ(max_live, 0u);
+    EXPECT_EQ(runtime.stats().step_logs_retired, static_cast<int64_t>(member_tags));
+    EXPECT_GT(runtime.stats().peer_instances, 0);
+    EXPECT_GT(runtime.stats().crashes, 0);
+    EXPECT_GT(cluster.checkpoint_service()->stats().rounds_completed, 0);
+    // Once the last frames flush, a scan frees every retired slot.
+    gc.RunOnce();
+    EXPECT_EQ(cluster.log_space().pending_retirements(), 0u);
+    size_t unreleased = 0;
+    for (const auto& workflow : workflows) {
+      for (sharedlog::TagId tag : workflow->step_tags) unreleased += !tags.Retired(tag);
+    }
+    EXPECT_EQ(unreleased, 0u);
+    std::printf("[gc] %s: workflows=%zu member_tags=%zu kills=%d live_member_tags_max=%zu | %s\n",
+                core::ProtocolName(protocol), workflows.size(), member_tags, kills, max_live,
+                max_live == 0 && drained == workflows.size() ? "retired-at-drain"
+                                                             : "DEFERRED");
+  }
+}
+
 TEST(GcTest, PeriodicLoopRunsOnSchedule) {
   TestWorld world(HmRead());
   RegisterWriter(world);
@@ -437,15 +533,13 @@ TEST(GcTest, PeriodicLoopRunsOnSchedule) {
 }
 
 TEST(GcDeathTest, AttemptOnADrainedWorkflowAborts) {
-  // Once a workflow drains, GC may retire its members' step-log tags; an attempt starting
+  // Once a workflow drains, its members' step-log tags retire; an attempt starting
   // afterwards would re-intern its instance id as a fresh, empty step log and re-execute
   // finished work. The runtime must refuse it outright.
   TestWorld world(HmRead());
   RegisterWriter(world);
   auto workflow = core::SsfRuntimeTestPeer::RunToDrain(world.runtime(), "write_k");
   ASSERT_TRUE(workflow->drained);
-  GcService gc(&world.cluster(), Seconds(10));
-  gc.RunOnce();
   EXPECT_EQ(world.cluster().log_space().tags().Find(workflow->root_id), sharedlog::kInvalidTagId);
   EXPECT_DEATH(core::SsfRuntimeTestPeer::StartAttempt(world.runtime(), workflow, "write_k"),
                "attempt started on a drained workflow");
@@ -473,8 +567,8 @@ TEST(GcTest, TravelMemoryIsBoundedByLiveState) {
     workloads::LoadGenerator gen(&world.runtime(), config,
                                  workloads::TravelRequestFactory(world.runtime(), data));
     gen.RunToCompletion();
-    // Two more GC passes: the first retires the last workflows' tags, the second is a
-    // no-op here (no journal) but mirrors the durable release cadence.
+    // Two more GC passes collect what the last workflows left in the write logs and the
+    // init stream (their step-log tags retired as they drained).
     world.scheduler().RunUntil(world.scheduler().Now() + Seconds(2));
     return Footprint{log.tags().size(), log.tags().live_size(), log.tags().Pages(),
                      log.tags().spilled()};
@@ -505,8 +599,8 @@ TEST(GcTest, TravelMemoryIsBoundedByLiveState) {
 
 TEST(GcTest, ReadCacheHoldsNoRetiredTags) {
   // The node-local read cache admits an entry only on a ReadPrev miss. When every commit
-  // admitted one per tag, each step-log tag GC retired kept an entry (and its record) for
-  // the rest of the run.
+  // admitted one per tag, each retired step-log tag kept an entry (and its record) for the
+  // rest of the run.
   runtime::ClusterConfig ccfg;
   ccfg.seed = 1;
   ccfg.function_nodes = 4;
@@ -530,7 +624,7 @@ TEST(GcTest, ReadCacheHoldsNoRetiredTags) {
   gc.Stop();
 
   const sharedlog::TagRegistry& tags = cluster.log_space().tags();
-  ASSERT_GT(tags.size() - tags.live_size(), 500u);  // GC did retire instances' tags.
+  ASSERT_GT(tags.size() - tags.live_size(), 500u);  // Drains did retire instances' tags.
   // Without switching, HM-read reads only objects' write logs: those are all the cache may
   // hold.
   size_t objects = 0;

@@ -324,12 +324,13 @@ PinnedRun RunCounterWithAdvisorFlag(bool advisor) {
 TEST(OnlineAdvisorTest, AdvisorOffIsBitIdenticalToStaticRuntime) {
   // The same golden tuple sharded_equivalence_test pins for Halfmoon-read/counter (captured
   // at the PR 4 head): with advisor mode off the runtime must still reproduce it exactly —
-  // no extra events, no sketch, no resolution reads, identical committed content.
+  // no extra events, no sketch, no resolution reads, identical committed content (the
+  // content pin moved with that golden when step logs began retiring at workflow drain).
   PinnedRun r = RunCounterWithAdvisorFlag(/*advisor=*/false);
   EXPECT_EQ(r.events, 88ull);
   EXPECT_EQ(r.end_now, 23700364ull);
   EXPECT_EQ(r.next_seqnum, 11ull);
-  EXPECT_EQ(r.content_fnv, 0xa75e9b1f8b1c59c9ull);
+  EXPECT_EQ(r.content_fnv, 0x097d187114e529eaull);
   std::printf("[advisor] advisor-off content checksum 0x%llx (pinned)\n",
               static_cast<unsigned long long>(r.content_fnv));
 

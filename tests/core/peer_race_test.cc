@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/env.h"
+#include "src/core/gc_service.h"
 #include "tests/testing/test_world.h"
 
 namespace halfmoon {
@@ -68,6 +69,36 @@ TEST_P(PeerRaceTest, PeersPlusCrashStorms) {
     world.cluster().failure_injector().SetDuplicateProbability(0.0);
     world.cluster().failure_injector().SetCrashProbability(0.0);
     EXPECT_EQ(DecodeInt64(world.Call("read_counter")), 4) << "seed " << seed;
+  }
+}
+
+TEST_P(PeerRaceTest, RoundsLandingAfterTheirWorkflowDrainedAreRefused) {
+  // A batch round departs, its submitter crashes at batch.depart, the retry finishes the
+  // work and the workflow drains, retiring its step logs, while the round is still in
+  // flight. When the round lands it names a retired tag: the log must refuse that request
+  // (no seqnum, no frame) instead of aborting. GC scans every 20 µs of simulated time keep
+  // the rest of the log collecting under the race.
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    TestWorldOptions options;
+    options.protocol = GetParam();
+    options.seed = seed;
+    TestWorld world(options);
+    RegisterCounter(world);
+    core::GcService gc(&world.cluster(), Seconds(10));
+    world.cluster().failure_injector().SetDuplicateProbability(0.7);
+    world.cluster().failure_injector().SetCrashProbability(0.05);
+    for (int i = 0; i < 4; ++i) {
+      bool done = false;
+      world.CallAsync("incr", Value{}, nullptr, &done);
+      while (!world.scheduler().empty()) {
+        world.scheduler().RunUntil(world.scheduler().Now() + Microseconds(20));
+        gc.RunOnce();
+      }
+      ASSERT_TRUE(done) << "seed " << seed;
+    }
+    world.cluster().failure_injector().SetDuplicateProbability(0.0);
+    world.cluster().failure_injector().SetCrashProbability(0.0);
+    ASSERT_EQ(DecodeInt64(world.Call("read_counter")), 4) << "seed " << seed;
   }
 }
 

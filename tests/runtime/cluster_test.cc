@@ -139,15 +139,6 @@ TEST(ClusterTest, RunningFrontierTracksInitStream) {
   EXPECT_EQ(cluster.RunningFrontier(), cluster.log_space().next_seqnum());
 }
 
-TEST(ClusterTest, StepLogTrimQueueDrains) {
-  Cluster cluster(ClusterConfig{});
-  cluster.EnqueueStepLogTrim("a");
-  cluster.EnqueueStepLogTrim("b");
-  std::vector<std::string> drained = cluster.DrainStepLogTrimQueue();
-  EXPECT_EQ(drained.size(), 2u);
-  EXPECT_TRUE(cluster.DrainStepLogTrimQueue().empty());
-}
-
 TEST(ClusterTest, DeterministicForFixedSeed) {
   auto run = [](uint64_t seed) {
     ClusterConfig config;

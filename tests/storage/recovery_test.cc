@@ -160,13 +160,16 @@ TEST(RecoveryTest, FunctionNodeKillOnlyDropsSoftState) {
   EXPECT_EQ(latest->fields.GetInt("step"), 3);
 }
 
-// Runs `n` HM-read roots "w#0".."w#<n-1>", each writing one object, to completion.
-void RunWriters(Cluster& cluster, core::SsfRuntime& runtime, int n) {
+void RegisterWriter(core::SsfRuntime& runtime) {
   runtime.RegisterFunction("w", [](core::SsfContext& ctx) -> sim::Task<Value> {
     co_await ctx.Write("x", ctx.input());
     co_return "";
   });
-  for (int i = 0; i < n; ++i) {
+}
+
+// Runs HM-read roots "w#<first>".."w#<first+n-1>", each writing one object, to completion.
+void RunWriters(Cluster& cluster, core::SsfRuntime& runtime, int first, int n) {
+  for (int i = first; i < first + n; ++i) {
     cluster.scheduler().Spawn([](core::SsfRuntime* runtime, int i) -> sim::Task<void> {
       co_await runtime->InvokeSsf("w", "v" + std::to_string(i));
     }(&runtime, i));
@@ -175,34 +178,48 @@ void RunWriters(Cluster& cluster, core::SsfRuntime& runtime, int n) {
 }
 
 TEST(RecoveryTest, StepLogRetirementsLostToAStorageKillAreReissued) {
-  // GC retires finished instances' step logs, and a storage kill then destroys the journal
-  // frames recording it before they flush. The records come back with the replayed
-  // journal; recovery must collect them again rather than leave them live for good (the
-  // one-shot trim queue that fed the first pass is already drained).
+  // A workflow's step log retires the moment it drains, and a storage kill then destroys
+  // the kRetire frame before it flushes. The records come back with the replayed journal;
+  // recovery must retire them again rather than leave them live for good (the drain that
+  // retired them never runs again).
   core::RuntimeConfig rcfg;
   rcfg.default_protocol = core::ProtocolKind::kHalfmoonRead;
 
   // Reference: the same run with no kill.
   Cluster reference(DurableConfig());
   core::SsfRuntime reference_runtime(&reference, rcfg);
-  RunWriters(reference, reference_runtime, 4);
+  RegisterWriter(reference_runtime);
+  RunWriters(reference, reference_runtime, 0, 4);
   core::GcService reference_gc(&reference, Seconds(10));
   reference_gc.RunOnce();
   reference.scheduler().Run();
 
   Cluster cluster(DurableConfig());
   core::SsfRuntime runtime(&cluster, rcfg);
-  RunWriters(cluster, runtime, 4);
+  RegisterWriter(runtime);
+  RunWriters(cluster, runtime, 0, 3);
+  // The fourth root drains and, at that same instant, storage dies: its retirement's frame
+  // is still in the journal's volatile tail.
+  bool frame_in_tail = false;
+  cluster.scheduler().Spawn(
+      [](Cluster* cluster, core::SsfRuntime* runtime, bool* frame_in_tail) -> sim::Task<void> {
+        co_await runtime->InvokeSsf("w", "v3");
+        const storage::DurabilityService* journal = cluster->log_durability();
+        *frame_in_tail = journal->tail_offset() > journal->durable_offset();
+        cluster->KillRestartStorage();
+      }(&cluster, &runtime, &frame_in_tail));
+  cluster.scheduler().Run();
+  ASSERT_TRUE(frame_in_tail);
+  EXPECT_EQ(runtime.stats().step_logs_retired, 4);
+  // Recovery re-issued the lost retirement: w#3 is closed again, its frame pending.
+  EXPECT_EQ(cluster.log_space().pending_retirements(), 1u);
+  EXPECT_TRUE(cluster.log_space().tags().Closed(cluster.log_space().tags().Find("w#3")));
+
   core::GcService gc(&cluster, Seconds(10));
   gc.RunOnce();
-  EXPECT_EQ(gc.stats().step_logs_trimmed, 4);
-  // The pass's journal frames are still in the volatile tail: the kill loses them.
-  ASSERT_GT(cluster.log_durability()->tail_offset(), cluster.log_durability()->durable_offset());
-  cluster.KillRestartStorage();
-  for (int pass = 0; pass < 2; ++pass) {
-    gc.RunOnce();
-    cluster.scheduler().Run();
-  }
+  cluster.scheduler().Run();
+  gc.RunOnce();
+  EXPECT_EQ(cluster.log_space().pending_retirements(), 0u);
   EXPECT_EQ(cluster.log_space().live_records(), reference.log_space().live_records());
   for (int i = 0; i < 4; ++i) {
     std::string instance = "w#" + std::to_string(i);
