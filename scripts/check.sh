@@ -112,6 +112,16 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[gc\]' | tee >(cat >&2) | grep -c ' retired-at-drain$' | grep -qx 2 \
   || { echo "check.sh: FAIL — drained workflows kept live step-log tags" >&2; exit 1; }
 
+# Fig. 14 smoke (§4.7): bench_fig14_switching's shape with 1 s phases — both scope switches
+# must complete within 1 s of simulated time, with SSFs started inside each BEGIN..END window
+# (they log transitional records there). A switch that stalls or serves no window would still
+# pass the functional switching tests, so the 'switched-pauselessly' line is enforced here.
+# Which direction is slower is not gated.
+"${BUILD_DIR}"/tests/switching_test \
+  --gtest_filter='SwitchingTest.Fig14ShapeSwitchesCompleteAndServeTheirTransitionalWindows' \
+  --gtest_brief=1 | grep '^\[fig14\]' | tee >(cat >&2) | grep -q ' switched-pauselessly$' \
+  || { echo "check.sh: FAIL — a Fig. 14 switch stalled or served no transitional window" >&2; exit 1; }
+
 # Advisor smoke (DESIGN.md §11): the drift byte gate (advisor strictly below both static
 # protocols), the hysteresis/dwell counters, and the advisor-off golden content checksum,
 # surfaced via their '[advisor]' summary lines. A missing 'win' line — the byte gate —

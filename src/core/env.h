@@ -9,9 +9,8 @@
 #define HALFMOON_CORE_ENV_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/runtime/cluster.h"
@@ -30,9 +29,6 @@ enum class ProtocolKind {
 };
 
 const char* ProtocolName(ProtocolKind kind);
-
-// The kind a transition record's "target" field names; aborts on an out-of-range value.
-ProtocolKind KindFromInt(int64_t v);
 
 // Append-class id under which a protocol's log records are accounted (see
 // LogClientStats::appended_bytes_by_class). Class 0 is reserved for control records (init,
@@ -69,13 +65,11 @@ struct Env {
   std::vector<sharedlog::LogRecordPtr> step_logs;
   size_t log_pos = 0;
 
-  // Cached result of the transition-log lookup (one per SSF, first state access; §4.7).
-  std::optional<ProtocolResolution> resolution;
-
-  // Advisor mode (DESIGN.md §11): per-object resolutions, keyed by the object's transition
-  // TagId ("switch:k:<key>"). Cached for this attempt only; every entry derives from
-  // init_cursor_ts, so re-executions resolve each object identically.
-  std::unordered_map<sharedlog::TagId, ProtocolResolution> object_resolutions;
+  // Protocols this attempt resolved from transition streams (§4.7), one entry per stream:
+  // the scope's, or in advisor mode each accessed object's (DESIGN.md §11). Every entry
+  // derives from init_cursor_ts, so re-executions resolve identically. An attempt touches few
+  // streams, so lookups scan.
+  std::vector<std::pair<sharedlog::TagId, ProtocolResolution>> resolutions;
 
   // §4.4 ordered-writes extension state: the key of the previous operation when it was a
   // log-free write (empty otherwise). When the next write targets a *different* object, the
@@ -92,12 +86,14 @@ struct Env {
 
   sharedlog::LogClient& log() { return node->log(); }
   // The log client for an append this attempt issues: stamps the client's next append as
-  // in-attempt (LogClient::set_append_in_attempt), so a kill that loses its journal frame
+  // in-attempt under byte class `append_class` (LogClient::set_append_in_attempt; 0 =
+  // control, else a protocol's LogAppendClass), so a kill that loses its journal frame
   // aborts this attempt into the retry loop instead of handing back a rolled-back record.
   // Every append an attempt makes goes through here, in the append expression itself
-  // (`co_await env.attempt_log().Append(...)`), so no other coroutine can take the stamp.
-  sharedlog::LogClient& attempt_log() {
-    node->log().set_append_in_attempt();
+  // (`co_await env.attempt_log(cls).Append(...)`), so no other coroutine can take the stamp
+  // and a replayed step, which appends nothing, stamps nothing.
+  sharedlog::LogClient& attempt_log(int append_class = 0) {
+    node->log().set_append_in_attempt(append_class);
     return node->log();
   }
   kvstore::KvClient& kv() { return node->kv(); }

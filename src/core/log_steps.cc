@@ -43,7 +43,8 @@ void AdoptRecord(Env& env, LogRecordPtr record) {
 
 }  // namespace
 
-sim::Task<StepLogResult> LogStep(Env& env, std::vector<TagId> extra_tags, FieldMap fields) {
+sim::Task<StepLogResult> LogStep(Env& env, std::vector<TagId> extra_tags, FieldMap fields,
+                                 int append_class) {
   size_t pos = env.log_pos;
   if (const LogRecord* cached = PeekNextLog(env)) {
     HM_CHECK_MSG(cached->fields.GetStr("op") == fields.GetStr("op"),
@@ -60,7 +61,7 @@ sim::Task<StepLogResult> LogStep(Env& env, std::vector<TagId> extra_tags, FieldM
 
   // Only the op name survives the move below; it is all the lost-race check needs.
   std::string op = fields.GetStr("op");
-  CondAppendResult result = co_await env.attempt_log().CondAppend(
+  CondAppendResult result = co_await env.attempt_log(append_class).CondAppend(
       std::move(tags), std::move(fields), env.step_tag, pos);
   if (result.ok) {
     AdoptRecord(env, result.record);
@@ -161,11 +162,6 @@ sim::Task<void> InitChildSsf(Env& env, SeqNum inherited_cursor) {
   env.consecutive_writes = 0;
   env.cursor_ts = inherited_cursor;
   env.init_cursor_ts = inherited_cursor;
-}
-
-ProtocolKind KindFromInt(int64_t v) {
-  HM_CHECK(v >= 0 && v <= static_cast<int64_t>(ProtocolKind::kTransitional));
-  return static_cast<ProtocolKind>(v);
 }
 
 const char* ProtocolName(ProtocolKind kind) {

@@ -33,9 +33,10 @@ struct StepLogResult {
 const sharedlog::LogRecord* PeekNextLog(Env& env);
 
 // Logs one record at the next position (see file comment). `extra_tags` are added on top of
-// the instance's step-log tag.
+// the instance's step-log tag; an append it makes is accounted under `append_class`
+// (Env::attempt_log), a replay appends nothing.
 sim::Task<StepLogResult> LogStep(Env& env, std::vector<sharedlog::TagId> extra_tags,
-                                 FieldMap fields);
+                                 FieldMap fields, int append_class = 0);
 
 // Logs N records in one sequencer round at consecutive positions (scatter-gather workflows:
 // the pre/post records of parallel invocations). The batch commits atomically: either all

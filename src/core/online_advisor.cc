@@ -6,11 +6,9 @@
 
 #include "src/common/check.h"
 #include "src/core/ssf_runtime.h"
-#include "src/sharedlog/log_record.h"
 
 namespace halfmoon::core {
 
-using sharedlog::LogRecordPtr;
 using sharedlog::TagId;
 
 std::optional<ProtocolKind> AdvisorDecision(int64_t reads, int64_t writes, double boundary,
@@ -110,26 +108,19 @@ void OnlineAdvisor::RunOnce() {
 
     // Interning may grow the registry and invalidate `name`; copy the key suffix first.
     const std::string key(name.substr(sharedlog::kWriteLogPrefix.size()));
-    const TagId ttag = tags.InternPrefixed(sharedlog::kObjectTransitionPrefix, key);
+    const TagId ttag = ObjectTransitionTag(tags, key);
 
     // Current protocol, read directly off the transition stream. Like GC scans, advisor
     // inspection is charged no simulated latency — only the switches themselves append.
-    ProtocolKind current = default_protocol;
-    bool abandoned = false;
-    if (LogRecordPtr record = log.ReadPrev(ttag, sharedlog::kMaxSeqNum); record != nullptr) {
-      if (record->op == sharedlog::kOpSwitchEnd) {
-        current = KindFromInt(record->fields.GetInt("target"));
-      } else if (switcher_->ObjectSwitchInFlight(ttag)) {
-        ++stats_.suppressed_busy;
-        continue;
-      } else {
-        // BEGIN-terminated stream with nothing in flight: the previous transition was
-        // abandoned mid-switch, so fire regardless of the target to complete it.
-        current = ProtocolKind::kTransitional;
-        abandoned = true;
-      }
+    const ProtocolKind current =
+        ResolveTransition(log.ReadPrev(ttag, sharedlog::kMaxSeqNum), default_protocol).kind;
+    if (current == ProtocolKind::kTransitional && switcher_->InFlight(ttag)) {
+      ++stats_.suppressed_busy;
+      continue;
     }
-    if (!abandoned && current == *decision) continue;
+    // A transitional object with no switch in flight is an abandoned transition. No decision
+    // names the transitional protocol, so the advisor fires to complete it.
+    if (current == *decision) continue;
 
     if (auto it = last_switch_.find(ttag);
         it != last_switch_.end() && now - it->second < config_.dwell) {

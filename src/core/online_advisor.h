@@ -5,8 +5,8 @@
 // incrementally walks the interned keyspace (a bounded slice of dense TagIds per tick, so a
 // million-object keyspace never causes a scan spike), estimates each object's windowed
 // read/write mix from the sketch, evaluates the §4.6 runtime criterion, and — when an object
-// sits on the wrong side of the boundary — fires a pauseless §4.7 per-object switch through
-// SwitchManager::SwitchObject.
+// sits on the wrong side of the boundary — fires a pauseless §4.7 switch of the object's
+// transition stream through SwitchManager::SwitchObject.
 //
 // Three dampers keep the advisor from thrashing on noisy estimates:
 //   * a ratio deadband around the boundary (|r - r*| <= margin means "leave it alone"),

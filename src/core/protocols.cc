@@ -18,6 +18,12 @@ using sharedlog::TagId;
 
 namespace {
 
+// The byte classes of each protocol's own records (LogClientStats::appended_bytes_by_class).
+constexpr int kHmReadClass = LogAppendClass(ProtocolKind::kHalfmoonRead);
+constexpr int kHmWriteClass = LogAppendClass(ProtocolKind::kHalfmoonWrite);
+constexpr int kBokiClass = LogAppendClass(ProtocolKind::kBoki);
+constexpr int kTransitionalClass = LogAppendClass(ProtocolKind::kTransitional);
+
 // Scans the step log fetched at Init for a record with the given op/step, Boki's recovery
 // lookup (keyed by step, not by position, because Boki's commit markers are asynchronous and
 // may interleave arbitrarily with other records in the stream). Compares interned op ids.
@@ -74,8 +80,8 @@ sim::Task<void> HalfmoonReadWrite(Env& env, const std::string& key, Value value)
   pre_fields.SetStr("op", "write-pre");
   pre_fields.SetInt("step", env.step);
   pre_fields.SetStr("version", env.RandomId());
-  env.log().set_append_class(LogAppendClass(ProtocolKind::kHalfmoonRead));
-  StepLogResult pre = co_await LogStep(env, sharedlog::NoTags(), std::move(pre_fields));
+  StepLogResult pre =
+      co_await LogStep(env, sharedlog::NoTags(), std::move(pre_fields), kHmReadClass);
   const std::string& version = pre.record->fields.GetStr("version");
 
   // If the commit record already exists the write fully applied in a previous attempt
@@ -87,8 +93,7 @@ sim::Task<void> HalfmoonReadWrite(Env& env, const std::string& key, Value value)
   TagId write_tag = env.WriteTag(key);
   if (const LogRecord* cached = PeekNextLog(env);
       cached != nullptr && cached->op == sharedlog::kOpWrite) {
-    env.log().set_append_class(LogAppendClass(ProtocolKind::kHalfmoonRead));
-    co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields));
+    co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields), kHmReadClass);
     co_return;
   }
 
@@ -98,8 +103,7 @@ sim::Task<void> HalfmoonReadWrite(Env& env, const std::string& key, Value value)
   env.MaybeCrash("hmr.write.after_db");
   // Commit: the record appears in the step log and in the object's write log.
   if (!env.drop_commit_append) {  // Faultcheck negative control: lose the commit.
-    env.log().set_append_class(LogAppendClass(ProtocolKind::kHalfmoonRead));
-    co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields));
+    co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields), kHmReadClass);
   }
   env.MaybeCrash("hmr.write.after_log");
 }
@@ -119,8 +123,8 @@ sim::Task<Value> HalfmoonWriteRead(Env& env, const std::string& key, bool post_s
 
   if (const LogRecord* cached = PeekNextLog(env); cached != nullptr) {
     // Replay: recover the previous result from the step log (Figure 7, lines 10-12).
-    env.log().set_append_class(LogAppendClass(ProtocolKind::kHalfmoonWrite));
-    StepLogResult replayed = co_await LogStep(env, sharedlog::NoTags(), std::move(fields));
+    StepLogResult replayed =
+        co_await LogStep(env, sharedlog::NoTags(), std::move(fields), kHmWriteClass);
     co_return replayed.record->fields.GetStr("data");
   }
 
@@ -135,8 +139,8 @@ sim::Task<Value> HalfmoonWriteRead(Env& env, const std::string& key, bool post_s
   env.MaybeCrash("hmw.read.after_db");
 
   fields.SetStr("data", value);
-  env.log().set_append_class(LogAppendClass(ProtocolKind::kHalfmoonWrite));
-  StepLogResult logged = co_await LogStep(env, sharedlog::NoTags(), std::move(fields));
+  StepLogResult logged =
+      co_await LogStep(env, sharedlog::NoTags(), std::move(fields), kHmWriteClass);
   if (logged.recovered) {
     // A peer logged this read first; adopt its result so all instances agree (§5.1).
     value = logged.record->fields.GetStr("data");
@@ -156,8 +160,7 @@ sim::Task<void> HalfmoonWriteWrite(Env& env, const std::string& key, Value value
     FieldMap sync_fields;
     sync_fields.SetStr("op", "sync");
     sync_fields.SetInt("step", env.step);
-    env.log().set_append_class(LogAppendClass(ProtocolKind::kHalfmoonWrite));
-    co_await LogStep(env, sharedlog::NoTags(), std::move(sync_fields));
+    co_await LogStep(env, sharedlog::NoTags(), std::move(sync_fields), kHmWriteClass);
     env.consecutive_writes = 0;
   }
 
@@ -190,9 +193,9 @@ sim::Task<Value> BokiRead(Env& env, const std::string& key) {
   fields.SetStr("op", "read");
   fields.SetInt("step", env.step);
   fields.SetStr("data", value);
-  env.log().set_append_class(LogAppendClass(ProtocolKind::kBoki));
   SeqNum seqnum =
-      co_await env.attempt_log().Append(sharedlog::OneTag(env.step_tag), std::move(fields));
+      co_await env.attempt_log(kBokiClass).Append(sharedlog::OneTag(env.step_tag),
+                                                  std::move(fields));
   // Boki's peer-race resolution: honor the first record logged for this step (§5.1). The
   // check rides on the append reply (auxiliary data), so it costs no extra round.
   LogRecordPtr first =
@@ -216,9 +219,8 @@ sim::Task<void> BokiWrite(Env& env, const std::string& key, Value value) {
     FieldMap pre_fields;
     pre_fields.SetStr("op", "write-pre");
     pre_fields.SetInt("step", env.step);
-    env.log().set_append_class(LogAppendClass(ProtocolKind::kBoki));
-    version_seq = co_await env.attempt_log().Append(sharedlog::OneTag(env.step_tag),
-                                                    std::move(pre_fields));
+    version_seq = co_await env.attempt_log(kBokiClass).Append(
+        sharedlog::OneTag(env.step_tag), std::move(pre_fields));
     LogRecordPtr first =
         env.cluster->log_space().FindFirstByStep(env.step_tag, sharedlog::kOpWritePre, env.step);
     if (first != nullptr) version_seq = first->seqnum;
@@ -237,9 +239,8 @@ sim::Task<void> BokiWrite(Env& env, const std::string& key, Value value) {
   FieldMap post_fields;
   post_fields.SetStr("op", "write");
   post_fields.SetInt("step", env.step);
-  env.log().set_append_class(LogAppendClass(ProtocolKind::kBoki));
-  co_await env.attempt_log().Append(sharedlog::OneTag(env.step_tag),
-                                    std::move(post_fields));
+  co_await env.attempt_log(kBokiClass).Append(sharedlog::OneTag(env.step_tag),
+                                              std::move(post_fields));
   env.MaybeCrash("boki.write.after_log");
 }
 
@@ -300,8 +301,8 @@ sim::Task<Value> TransitionalRead(Env& env, const std::string& key) {
   fields.SetInt("step", env.step);
 
   if (const LogRecord* cached = PeekNextLog(env); cached != nullptr) {
-    env.log().set_append_class(LogAppendClass(ProtocolKind::kTransitional));
-    StepLogResult replayed = co_await LogStep(env, sharedlog::NoTags(), std::move(fields));
+    StepLogResult replayed =
+        co_await LogStep(env, sharedlog::NoTags(), std::move(fields), kTransitionalClass);
     co_return replayed.record->fields.GetStr("data");
   }
 
@@ -310,8 +311,8 @@ sim::Task<Value> TransitionalRead(Env& env, const std::string& key) {
   env.MaybeCrash("trans.read.after_db");
 
   fields.SetStr("data", value);
-  env.log().set_append_class(LogAppendClass(ProtocolKind::kTransitional));
-  StepLogResult logged = co_await LogStep(env, sharedlog::NoTags(), std::move(fields));
+  StepLogResult logged =
+      co_await LogStep(env, sharedlog::NoTags(), std::move(fields), kTransitionalClass);
   if (logged.recovered) {
     value = logged.record->fields.GetStr("data");
   }
@@ -336,15 +337,14 @@ sim::Task<void> TransitionalWrite(Env& env, const std::string& key, Value value)
   post_fields.SetStr("version", version);
 
   env.MaybeCrash("trans.write.before");
-  env.log().set_append_class(LogAppendClass(ProtocolKind::kTransitional));
-  co_await LogStep(env, sharedlog::NoTags(), std::move(pre_fields));
+  co_await LogStep(env, sharedlog::NoTags(), std::move(pre_fields), kTransitionalClass);
 
   TagId write_tag = env.WriteTag(key);
   if (const LogRecord* cached = PeekNextLog(env);
       cached != nullptr && cached->op == sharedlog::kOpWrite) {
     // Replay: both external effects (the version and the LATEST slot) already applied.
-    env.log().set_append_class(LogAppendClass(ProtocolKind::kTransitional));
-    co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields));
+    co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields),
+                     kTransitionalClass);
     co_return;
   }
 
@@ -354,8 +354,8 @@ sim::Task<void> TransitionalWrite(Env& env, const std::string& key, Value value)
   env.MaybeCrash("trans.write.after_version");
   co_await env.kv().CondPut(key, std::move(value), latest_version);
   env.MaybeCrash("trans.write.after_latest");
-  env.log().set_append_class(LogAppendClass(ProtocolKind::kTransitional));
-  co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields));
+  co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields),
+                   kTransitionalClass);
   env.MaybeCrash("trans.write.after_log");
 }
 

@@ -6,6 +6,7 @@
 #include "src/common/check.h"
 #include "src/core/log_steps.h"
 #include "src/core/protocols.h"
+#include "src/core/switch_manager.h"
 #include "src/sharedlog/log_record.h"
 
 namespace halfmoon::core {
@@ -13,24 +14,6 @@ namespace halfmoon::core {
 using sharedlog::LogRecord;
 using sharedlog::LogRecordPtr;
 using sharedlog::SeqNum;
-
-namespace {
-
-// Decodes the latest transition record of a scope or object (§4.7): none means the
-// configured default, an END names its target, and a BEGIN means a switch is in flight.
-ProtocolResolution ResolutionFrom(const LogRecordPtr& record, ProtocolKind default_kind) {
-  ProtocolResolution res;
-  if (record == nullptr) {
-    res.kind = default_kind;
-    return res;
-  }
-  res.kind = record->op == sharedlog::kOpSwitchEnd ? KindFromInt(record->fields.GetInt("target"))
-                                                   : ProtocolKind::kTransitional;
-  res.post_switch = true;
-  return res;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ContextImpl: protocol dispatch for one attempt
@@ -112,7 +95,7 @@ class ContextImpl final : public SsfContext {
   }
 
   sim::Task<void> Sync() override {
-    ProtocolResolution res = co_await Resolve();
+    ProtocolResolution res = co_await Resolve(runtime_->TransitionTag(nullptr));
     if (res.kind == ProtocolKind::kUnsafe || res.kind == ProtocolKind::kBoki) {
       co_return;  // Already real-time (Boki) or no guarantees at all (unsafe).
     }
@@ -327,46 +310,26 @@ class ContextImpl final : public SsfContext {
     co_return results;
   }
 
-  // §4.7: the first state access resolves the protocol from the transition log, using the
-  // initial cursorTS so that re-executions resolve identically.
-  sim::Task<ProtocolResolution> Resolve() {
-    if (env_->resolution.has_value()) co_return *env_->resolution;
-    const RuntimeConfig& config = runtime_->config();
-    ProtocolResolution res;
-    if (!config.enable_switching || config.default_protocol == ProtocolKind::kUnsafe ||
-        config.default_protocol == ProtocolKind::kBoki) {
-      res.kind = config.default_protocol;
-    } else {
-      LogRecordPtr record =
-          co_await env_->log().ReadPrev(runtime_->transition_tag(), env_->init_cursor_ts);
-      res = ResolutionFrom(record, config.default_protocol);
-    }
-    env_->resolution = res;
-    co_return res;
+  // The protocol of an access to `key`. In advisor mode the access is first counted in the
+  // workload sketch.
+  sim::Task<ProtocolResolution> ResolveFor(const std::string& key, bool is_read) {
+    if (runtime_->config().advisor) runtime_->RecordAccess(env_->WriteTag(key), is_read);
+    return Resolve(runtime_->TransitionTag(&key));
   }
 
-  // Advisor mode (DESIGN.md §11): counts the access in the workload sketch and resolves the
-  // protocol per OBJECT through the object's own "switch:k:<key>" transition stream, using
-  // the same init-cursorTS bound as the per-scope path so re-executions resolve identically.
-  // Resolutions are cached per attempt. Static modes fall through to Resolve().
-  sim::Task<ProtocolResolution> ResolveFor(const std::string& key, bool is_read) {
-    const RuntimeConfig& config = runtime_->config();
-    if (!config.advisor) co_return co_await Resolve();
-    runtime_->RecordAccess(env_->WriteTag(key), is_read);
+  // §4.7: resolves the protocol from a transition stream at the initial cursorTS, so that
+  // re-executions resolve identically; cached per attempt and stream. No stream
+  // (kInvalidTagId) means the configured default, with no lookup at all.
+  sim::Task<ProtocolResolution> Resolve(sharedlog::TagId transition_tag) {
     ProtocolResolution res;
-    if (config.default_protocol == ProtocolKind::kUnsafe ||
-        config.default_protocol == ProtocolKind::kBoki) {
-      res.kind = config.default_protocol;
-      co_return res;
-    }
-    sharedlog::TagId transition_tag = runtime_->ObjectTransitionTag(key);
-    if (auto it = env_->object_resolutions.find(transition_tag);
-        it != env_->object_resolutions.end()) {
-      co_return it->second;
+    res.kind = runtime_->config().default_protocol;
+    if (transition_tag == sharedlog::kInvalidTagId) co_return res;
+    for (const auto& [tag, cached] : env_->resolutions) {
+      if (tag == transition_tag) co_return cached;
     }
     LogRecordPtr record = co_await env_->log().ReadPrev(transition_tag, env_->init_cursor_ts);
-    res = ResolutionFrom(record, config.default_protocol);
-    env_->object_resolutions.emplace(transition_tag, res);
+    res = ResolveTransition(record, res.kind);
+    env_->resolutions.emplace_back(transition_tag, res);
     co_return res;
   }
 
@@ -476,6 +439,20 @@ SsfRuntime::SsfRuntime(runtime::Cluster* cluster, RuntimeConfig config)
   if (config_.advisor) {
     sketch_ = std::make_unique<metrics::WorkloadSketch>(config_.sketch);
   }
+}
+
+sharedlog::TagId SsfRuntime::TransitionTag(const std::string* object) {
+  if (config_.default_protocol == ProtocolKind::kUnsafe ||
+      config_.default_protocol == ProtocolKind::kBoki) {
+    return sharedlog::kInvalidTagId;
+  }
+  sharedlog::TagRegistry& tags = cluster_->log_space().tags();
+  if (config_.advisor && object != nullptr) return ObjectTransitionTag(tags, *object);
+  if (!config_.enable_switching) return sharedlog::kInvalidTagId;
+  if (scope_transition_tag_ == sharedlog::kInvalidTagId) {
+    scope_transition_tag_ = ScopeTransitionTag(tags, config_.switch_scope);
+  }
+  return scope_transition_tag_;
 }
 
 void SsfRuntime::RegisterFunction(std::string name, SsfBody body) {

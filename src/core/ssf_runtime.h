@@ -87,15 +87,13 @@ class SsfRuntime {
   runtime::Cluster& cluster() { return *cluster_; }
   const RuntimeConfig& config() const { return config_; }
 
-  // Interned id of the transition-log tag for the configured switch scope; resolved once per
-  // runtime so per-SSF protocol resolution never rebuilds the "switch:<scope>" string.
-  sharedlog::TagId transition_tag() {
-    if (transition_tag_ == sharedlog::kInvalidTagId) {
-      transition_tag_ = cluster_->log_space().tags().Intern(
-          sharedlog::TransitionLogTag(config_.switch_scope));
-    }
-    return transition_tag_;
-  }
+  // The transition stream an SSF resolves its protocol through (§4.7): in advisor mode
+  // (DESIGN.md §11) the accessed `object`'s own, otherwise the scope's under
+  // enable_switching. kInvalidTagId when none applies — a static run, an object-less step in
+  // advisor mode, or a baseline default protocol, which never switches: the default holds.
+  // Each stream is interned on first use.
+  sharedlog::TagId TransitionTag(const std::string* object);
+
   const RuntimeStats& stats() const { return stats_; }
 
   // ---- Advisor mode (DESIGN.md §11) ----
@@ -113,13 +111,6 @@ class SsfRuntime {
     } else {
       sketch_->RecordWrite(object);
     }
-  }
-
-  // Interned id of `key`'s per-object transition stream ("switch:k:<key>"), built without
-  // materializing the concatenated name.
-  sharedlog::TagId ObjectTransitionTag(const std::string& key) {
-    return cluster_->log_space().tags().InternPrefixed(sharedlog::kObjectTransitionPrefix,
-                                                       key);
   }
 
   // Outstanding top-level invocations; benchmarks drain this before reading metrics.
@@ -180,7 +171,7 @@ class SsfRuntime {
   RuntimeStats stats_;
   sim::WaitGroup inflight_;
   uint64_t next_invocation_ = 0;
-  sharedlog::TagId transition_tag_ = sharedlog::kInvalidTagId;
+  sharedlog::TagId scope_transition_tag_ = sharedlog::kInvalidTagId;  // See TransitionTag.
   std::unique_ptr<metrics::WorkloadSketch> sketch_;  // Non-null iff advisor mode.
 };
 

@@ -21,14 +21,8 @@ sim::Task<void> DriveInvocation(core::SsfRuntime* runtime, std::string function,
   *done = true;
 }
 
-sim::Task<void> DriveSwitch(core::SwitchManager* switcher, core::ProtocolKind target) {
-  co_await switcher->SwitchTo(target);
-}
-
-sim::Task<void> DriveObjectSwitch(core::SwitchManager* switcher, sharedlog::TagId tag,
-                                  core::ProtocolKind target) {
-  co_await switcher->SwitchObject(tag, target);
-}
+// Runs a switch (SwitchManager::SwitchTo or SwitchObject) detached, dropping its report.
+sim::Task<void> DriveSwitch(sim::Task<core::SwitchReport> task) { co_await std::move(task); }
 
 }  // namespace
 
@@ -92,20 +86,20 @@ Explorer::RunOutcome Explorer::RunSchedule(const Schedule& schedule, bool record
         HM_CHECK_MSG(options_.enable_switching,
                      "switch fault points require enable_switching");
         injector.RunAtHit(point.at_hit, [&cluster, &switcher, target = point.target] {
-          cluster.scheduler().Spawn(DriveSwitch(&switcher, target));
+          cluster.scheduler().Spawn(DriveSwitch(switcher.SwitchTo(target)));
         });
         break;
       case FaultKind::kAdvisorFire:
         // Models the advisor deciding to move every object at once — the densest possible
         // burst of per-object transitions racing the workload (and any scheduled crash).
         HM_CHECK_MSG(options_.advisor_mode, "advisor fault points require advisor_mode");
-        injector.RunAtHit(point.at_hit,
-                          [&cluster, &runtime, &switcher, target = point.target, this] {
-                            for (const std::string& key : workload_.keys) {
-                              cluster.scheduler().Spawn(DriveObjectSwitch(
-                                  &switcher, runtime.ObjectTransitionTag(key), target));
-                            }
-                          });
+        injector.RunAtHit(point.at_hit, [&cluster, &switcher, target = point.target, this] {
+          for (const std::string& key : workload_.keys) {
+            const sharedlog::TagId tag =
+                core::ObjectTransitionTag(cluster.log_space().tags(), key);
+            cluster.scheduler().Spawn(DriveSwitch(switcher.SwitchObject(tag, target)));
+          }
+        });
         break;
       case FaultKind::kNodeKill:
         HM_CHECK_MSG(ccfg.durable,

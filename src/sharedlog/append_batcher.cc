@@ -6,6 +6,7 @@
 
 #include "src/common/check.h"
 #include "src/sharedlog/log_client.h"
+#include "src/storage/durability.h"
 
 namespace halfmoon::sharedlog {
 
@@ -46,11 +47,14 @@ void AppendBatcher::CommitRound(std::vector<Submission*>& round,
   std::vector<ShardedLog::GroupVerdict> verdicts =
       owner_->log_->AppendGroup(shard_, owner_->scheduler_->Now(), std::move(requests));
   HM_CHECK(verdicts.size() == round.size());
+  const uint64_t epoch =
+      owner_->durability_ == nullptr ? 0 : owner_->durability_->epoch();
   bool any_committed = false;
   for (size_t i = 0; i < round.size(); ++i) {
     if (verdicts[i].ok) any_committed = true;
     if (round[i] == nullptr) continue;  // Depart-crash victim: record departed, nobody waits.
     round[i]->verdict = verdicts[i];
+    round[i]->commit_epoch = epoch;
   }
   if (any_committed) {
     // The node learns the round's seqnums with the reply (AppendGroup ran synchronously,

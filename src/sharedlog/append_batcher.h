@@ -95,6 +95,7 @@ class AppendBatcher {
     // and the explored batch-site schedules are pinned to this rule.
     bool crashable = false;
     ShardedLog::GroupVerdict verdict{};
+    uint64_t commit_epoch = 0;  // The journal's kill epoch at commit (WaitCommitted).
     // Armed by the batcher's crash probe; await_resume raises the runtime's crash exception
     // through the owner's installed thrower.
     const char* crash_site = nullptr;

@@ -68,7 +68,7 @@ sim::Task<CondAppendResult> LogClient::Submit(ShardedLog::GroupRequest request) 
   const bool conditional = request.cond_tag != kInvalidTagId;
   (conditional ? stats_.cond_appends : stats_.appends) += static_cast<int64_t>(n);
   // The caller's stamps and the byte size are snapshot before any suspension (and before the
-  // moves below); see set_append_class / set_append_in_attempt.
+  // moves below); see set_append_in_attempt.
   const int cls = std::exchange(append_class_, 0);
   const bool in_attempt = std::exchange(append_in_attempt_, false);
   int64_t bytes = 0;
@@ -79,12 +79,16 @@ sim::Task<CondAppendResult> LogClient::Submit(ShardedLog::GroupRequest request) 
   const TagId route = conditional ? request.cond_tag : request.entries[0].tags[0];
 
   ShardedLog::GroupVerdict verdict;
+  uint64_t epoch = 0;  // The journal's kill epoch at commit.
   SimDuration leg = 0;
   if (!batchers_.empty()) {
     // Group commit: the shard's batcher ships the request in a shared sequencer round and
     // resumes us at the round's reply time. Batch-site fault probes stay keyed to the byte
     // class, so the explored crash schedules do not depend on the in-attempt stamp.
-    verdict = co_await BatcherForTag(route)->Submit(std::move(request), /*crashable=*/cls != 0);
+    AppendBatcher::Submission submission =
+        BatcherForTag(route)->Submit(std::move(request), /*crashable=*/cls != 0);
+    verdict = co_await submission;
+    epoch = submission.commit_epoch;
   } else {
     SimDuration total = models_->log_append.Sample(*rng_);
     leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
@@ -93,14 +97,17 @@ sim::Task<CondAppendResult> LogClient::Submit(ShardedLog::GroupRequest request) 
     std::vector<ShardedLog::GroupRequest> round;
     round.push_back(std::move(request));
     verdict = log_->AppendGroup(log_->ShardOfTag(route), scheduler_->Now(), std::move(round))[0];
+    if (durability_ != nullptr) epoch = durability_->epoch();
   }
 
   CondAppendResult result{verdict.ok, verdict.seqnum, verdict.existing_seqnum, nullptr};
   if (verdict.ok) {
     NoteAppendedBytes(cls, bytes);
-    // The request's frames are journaled as one run; its last seqnum gates them all.
+    // The request's frames are journaled as one run; its last seqnum gates them all. The
+    // batched reply leg lies between commit and this wait, so the wait names the commit's
+    // epoch: a kill in between may have handed the seqnum to another record.
     const SeqNum last = log_->BatchSeq(verdict.seqnum, n - 1);
-    bool durable = durability_ == nullptr || co_await durability_->WaitSeq(last);
+    bool durable = durability_ == nullptr || co_await durability_->WaitCommitted(last, epoch);
     // A failed wait means a kill rolled the request back before it reached the device. An
     // attempt must not act on (or ack) the lost append: abort it into the retry loop, where
     // the re-executed attempt re-reads the rolled-back log. Appends from outside any attempt

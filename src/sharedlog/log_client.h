@@ -111,7 +111,7 @@ struct LogClientStats {
   // committed (conditional appends that lose their race contribute nothing), in total and
   // split by append class. Class 0 is control/runtime machinery (init records, invoke
   // steps, switch BEGIN/END); the core layer stamps protocol classes (1 + ProtocolKind)
-  // via LogClient::set_append_class. "Log-optimal" (§4.3) is a claim about bytes, not
+  // via LogClient::set_append_in_attempt. "Log-optimal" (§4.3) is a claim about bytes, not
   // record counts — these counters are what the bench_table1 audit and the advisor drift
   // gate measure.
   static constexpr int kAppendClasses = 8;
@@ -265,24 +265,20 @@ class LogClient {
   const LogClientStats& stats() const { return stats_; }
   LogClientStats& mutable_stats() { return stats_; }
 
-  // Per-append stamps for this client's NEXT append. The append engine consumes both in its
-  // pre-suspension prologue and resets them, so an unstamped append is a control append
-  // from outside any attempt. The caller must stamp synchronously before the append call —
-  // no co_await in between — which makes the pairing correct even with other coroutines
-  // interleaving on the same client.
+  // Stamps this client's NEXT append as issued from inside an SSF attempt, under byte class
+  // `cls` (0 = control; the core layer passes a protocol's class). The append engine
+  // consumes the stamp in its pre-suspension prologue and resets it, so an unstamped append
+  // is a control append from outside any attempt. Stamp in the append expression itself —
+  // no co_await in between — which pairs stamp and append even with other coroutines
+  // interleaving on the same client, and leaves nothing behind for a replayed step.
   //
-  // Byte-attribution class (0 = control, the default; the core layer stamps protocol
-  // classes). A stamped call that turns out to append nothing, e.g. a replayed step, leaves
-  // the class for the client's next append; that only shifts attribution of one control
-  // record during crash replay. The class also decides batch-site fault-probe eligibility.
-  void set_append_class(int cls) { append_class_ = cls; }
-  int append_class() const { return append_class_; }
-  // Fault scope: the next append is issued from inside an SSF attempt, whose retry loop
-  // handles the runtime's crash exception. If a kill then loses the append's journal frame,
-  // the append aborts the attempt through the installed thrower instead of resuming with a
-  // rolled-back record. Set it in the append expression itself, so a replayed step never
-  // leaves it behind for a detached service append.
-  void set_append_in_attempt() { append_in_attempt_ = true; }
+  // In-attempt: if a kill then loses the append's journal frame, the append aborts the
+  // attempt through the installed thrower instead of resuming with a rolled-back record.
+  // The class attributes the bytes and decides batch-site fault-probe eligibility.
+  void set_append_in_attempt(int cls = 0) {
+    append_in_attempt_ = true;
+    append_class_ = cls;
+  }
 
   bool read_cache_enabled() const { return read_cache_enabled_; }
   // Tags with a payload-cache entry, in no particular order. Cold accessor for tests.

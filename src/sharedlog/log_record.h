@@ -61,12 +61,11 @@ inline constexpr SeqNum kMaxSeqNum = std::numeric_limits<SeqNum>::max() - 1;
 // belong on cold paths only (interning, tests, display); steady-state code caches the TagId or
 // uses TagRegistry::InternPrefixed to avoid the concatenation.
 inline std::string WriteLogTag(const std::string& key) { return "k:" + key; }
-inline std::string TransitionLogTag(const std::string& scope) { return "switch:" + scope; }
 inline constexpr std::string_view kWriteLogPrefix = "k:";
-// Per-object transition sub-streams for the online advisor (DESIGN.md §11): the transition
-// log of object "k:<key>" is "switch:k:<key>", so the global per-scope streams and the
-// per-object streams share the "switch:" prefix but never collide with each other (scopes
-// never start with "k:").
+// Transition sub-streams (§4.7; interned by core/switch_manager.h): a scope's is
+// "switch:<scope>", and in advisor mode (DESIGN.md §11) object "k:<key>" is a scope of its
+// own, "switch:k:<key>". Scopes never start with "k:", so the two never collide.
+inline constexpr std::string_view kTransitionLogPrefix = "switch:";
 inline constexpr std::string_view kObjectTransitionPrefix = "switch:k:";
 // Every Init record is also tagged into one global stream so the switch manager and the GC can
 // enumerate running SSFs (§4.7 "scans the init log records").

@@ -107,6 +107,7 @@ void DurabilityService::AdvanceDurable() {
 }
 
 void DurabilityService::Kill() {
+  kill_frontiers_.push_back(durable_seq_);
   ++epoch_;
   flush_inflight_ = false;
   buffer_.DropVolatile();

@@ -24,6 +24,7 @@
 #include <functional>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/common/latency_model.h"
 #include "src/common/rng.h"
@@ -108,6 +109,20 @@ class DurabilityService {
   Waiter WaitSeq(uint64_t seqnum) { return Waiter{this, seqnum, /*by_seq=*/true}; }
   Waiter WaitOffset(uint64_t offset) { return Waiter{this, offset, /*by_seq=*/false}; }
 
+  // Kills so far: the epoch a record commits in. A seqnum alone cannot tell, after a
+  // suspension, whether its record outlived a kill — replay hands the seqnums a kill rolled
+  // back to new records — so a committer that suspends before waiting remembers the epoch.
+  uint64_t epoch() const { return epoch_; }
+  // WaitSeq for a record committed in `epoch`: resumes with false at once when a kill since
+  // then struck before the record was durable.
+  Waiter WaitCommitted(uint64_t seqnum, uint64_t epoch) {
+    if (epoch != epoch_ && seqnum > kill_frontiers_[epoch]) {
+      ++stats_.failed_waits;
+      return Waiter{nullptr, seqnum, /*by_seq=*/true, /*ok=*/false};
+    }
+    return WaitSeq(seqnum);
+  }
+
   // Runs `fn` once `seqnum` is durable — synchronously if it already is. Callers register in
   // commit order (asserted); a kill drops the callbacks of lost seqnums.
   void WhenDurable(uint64_t seqnum, std::function<void()> fn);
@@ -175,6 +190,7 @@ class DurabilityService {
   BlockBuffer buffer_;
 
   uint64_t epoch_ = 0;  // Bumped by Kill(); stale flushes see the mismatch and die.
+  std::vector<uint64_t> kill_frontiers_;  // durable_seq_ at the kill that ended each epoch.
   bool flush_inflight_ = false;
   uint64_t durable_seq_ = 0;
 

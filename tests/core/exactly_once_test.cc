@@ -9,6 +9,7 @@
 // The unsafe baseline is the negative control: the same sweep must produce at least one
 // anomalous state, proving the harness can actually detect duplicate updates.
 
+#include <array>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -216,6 +217,42 @@ TEST_P(ExactlyOnceTest, WorkflowWithInvokeSurvivesCrashSweep) {
     world.cluster().failure_injector().CrashAtSiteHits({});
     EXPECT_EQ(DecodeInt64(result), 11) << "crash at site " << k;
     EXPECT_EQ(DecodeInt64(world.Call("read_acc")), 11) << "crash at site " << k;
+  }
+}
+
+// ---- Byte attribution under replay ----
+
+TEST(AppendClassTest, ReplayedStepLeavesNoClassOnTheNextControlAppend) {
+  // Under Halfmoon-write a read is a logged step (its protocol's byte class). A crash at
+  // "invoke.before" kills the parent after that record; the retry replays the read, which
+  // appends nothing, then appends the invoke-pre control record. That record must land in
+  // class 0: every class then holds exactly the bytes of a crash-free run.
+  auto run = [](bool crash) {
+    TestWorldOptions options;
+    options.protocol = ProtocolKind::kHalfmoonWrite;
+    TestWorld world(options);
+    world.runtime().PopulateObject("x", "seed");
+    world.Register("child", [](core::SsfContext&) -> sim::Task<Value> { co_return "c"; });
+    world.Register("parent", [](core::SsfContext& ctx) -> sim::Task<Value> {
+      Value v = co_await ctx.Read("x");
+      Value c = co_await ctx.Invoke("child", "");
+      co_return v + c;
+    });
+    if (crash) world.cluster().failure_injector().CrashAtSite("invoke.before", 0);
+    EXPECT_EQ(world.Call("parent"), "seedc");
+    EXPECT_EQ(world.runtime().stats().crashes, crash ? 1 : 0);
+    std::array<int64_t, sharedlog::LogClientStats::kAppendClasses> bytes{};
+    for (int cls = 0; cls < sharedlog::LogClientStats::kAppendClasses; ++cls) {
+      bytes[cls] = world.cluster().TotalLoggedBytesByClass(cls);
+    }
+    return bytes;
+  };
+  const auto clean = run(false);
+  const auto replayed = run(true);
+  EXPECT_GT(clean[0], 0);
+  EXPECT_GT(clean[core::LogAppendClass(ProtocolKind::kHalfmoonWrite)], 0);
+  for (int cls = 0; cls < sharedlog::LogClientStats::kAppendClasses; ++cls) {
+    EXPECT_EQ(replayed[cls], clean[cls]) << "append class " << cls;
   }
 }
 

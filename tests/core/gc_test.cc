@@ -519,6 +519,65 @@ TEST(GcTest, StepLogsRetireAtDrainUnderStorageKills) {
   }
 }
 
+TEST(StorageKillTest, TravelAdoptsOnlyRecordsThatOutliveKills) {
+  // Durable, checkpointed travel with storage kills every 350 ms. A batched append commits
+  // when its round reaches the sequencer and waits for durability only after the reply leg;
+  // a kill in between rolls the record back, and replay hands its seqnum to the next record
+  // committed. The wait must then fail — not succeed on the new record's durability and hand
+  // the attempt another instance's record as its own step. Without the commit-epoch check
+  // seed 7 aborts with "expected offset beyond stream end" (crashes on) and seed 13 under
+  // Halfmoon-write with "FieldMap::GetStr: missing key" (no crashes, no peers).
+  struct Faults {
+    double duplicates, crashes;
+  };
+  for (uint64_t seed : {7, 13}) {
+    for (ProtocolKind protocol : {ProtocolKind::kHalfmoonRead, ProtocolKind::kHalfmoonWrite}) {
+      for (Faults faults : {Faults{0, 0}, Faults{0, 0.02}, Faults{0.2, 0.02}}) {
+        SCOPED_TRACE(std::string(core::ProtocolName(protocol)) + " seed=" +
+                     std::to_string(seed) + " duplicates=" + std::to_string(faults.duplicates) +
+                     " crashes=" + std::to_string(faults.crashes));
+        runtime::ClusterConfig ccfg = GcWorld::Config();
+        ccfg.seed = seed;
+        runtime::Cluster cluster(ccfg);
+        core::RuntimeConfig rcfg;
+        rcfg.default_protocol = protocol;
+        core::SsfRuntime runtime(&cluster, rcfg);
+        workloads::AppDataset data;
+        workloads::RegisterTravelApp(runtime, data);
+        workloads::RequestFactory next_request = workloads::TravelRequestFactory(runtime, data);
+        cluster.failure_injector().SetDuplicateProbability(faults.duplicates);
+        cluster.failure_injector().SetCrashProbability(faults.crashes);
+        GcService gc(&cluster, Seconds(10));
+
+        int launched = 0;
+        int completed = 0;
+        auto drive = [](core::SsfRuntime* runtime, std::string name, Value input,
+                        int* done) -> sim::Task<void> {
+          co_await runtime->InvokeSsf(std::move(name), std::move(input));
+          ++*done;
+        };
+        for (int step = 1; step <= 40; ++step) {
+          for (int i = 0; i < 15; ++i) {  // 300 req/s.
+            auto [name, input] = next_request();
+            cluster.scheduler().Spawn(drive(&runtime, name, input, &completed));
+            ++launched;
+            cluster.scheduler().RunUntil(cluster.scheduler().Now() + Microseconds(3300));
+          }
+          cluster.scheduler().RunUntil(Milliseconds(50) * step);
+          if (step % 4 == 0) cluster.checkpoint_service()->TriggerRound();
+          if (step % 7 == 0) cluster.KillRestartStorage();
+          if (step % 10 == 0) gc.RunOnce();
+        }
+        cluster.failure_injector().SetDuplicateProbability(0.0);
+        cluster.failure_injector().SetCrashProbability(0.0);
+        cluster.scheduler().Run();
+        EXPECT_EQ(completed, launched);
+        EXPECT_GT(cluster.log_durability()->stats().kills, 0);
+      }
+    }
+  }
+}
+
 TEST(GcTest, PeriodicLoopRunsOnSchedule) {
   TestWorld world(HmRead());
   RegisterWriter(world);

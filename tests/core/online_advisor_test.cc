@@ -130,14 +130,14 @@ int64_t RunDrift(bool advisor_on, ProtocolKind protocol, int64_t* switches_out =
   RunPhase(world, /*reads=*/2, /*writes=*/10);
   if (advisor) {
     advisor->RunOnce();
-    world.cluster->scheduler().Run();  // Drain the fired SwitchObject coroutines.
+    world.cluster->scheduler().Run();  // Drain the fired switch coroutines.
     EXPECT_EQ(advisor->stats().switches_fired, kDriftObjects);
-    EXPECT_EQ(world.switcher->object_switches_completed(), kDriftObjects);
+    EXPECT_EQ(world.switcher->switches_completed(), kDriftObjects);
   }
 
   RunPhase(world, /*reads=*/2, /*writes=*/20);
   if (switches_out != nullptr) {
-    *switches_out = world.switcher->object_switches_completed();
+    *switches_out = world.switcher->switches_completed();
   }
   return world.cluster->TotalLoggedBytes();
 }
@@ -178,7 +178,7 @@ TEST(OnlineAdvisorTest, OscillatingObjectSwitchesAtMostOncePerDwellWindow) {
   advisor.RunOnce();
   world.cluster->scheduler().Run();
   EXPECT_EQ(advisor.stats().switches_fired, 1);
-  EXPECT_EQ(world.switcher->object_switches_completed(), 1);
+  EXPECT_EQ(world.switcher->switches_completed(), 1);
 
   // Oscillate the observed mix each "period"; within the dwell window nothing may fire.
   for (int cycle = 0; cycle < 3; ++cycle) {
@@ -191,7 +191,7 @@ TEST(OnlineAdvisorTest, OscillatingObjectSwitchesAtMostOncePerDwellWindow) {
   }
   EXPECT_EQ(advisor.stats().switches_fired, 1);
   EXPECT_GE(advisor.stats().suppressed_dwell, 1);
-  EXPECT_EQ(world.switcher->object_switches_completed(), 1);
+  EXPECT_EQ(world.switcher->switches_completed(), 1);
   std::printf("[advisor] hysteresis: fired=%lld dwell_suppressed=%lld\n",
               static_cast<long long>(advisor.stats().switches_fired),
               static_cast<long long>(advisor.stats().suppressed_dwell));
@@ -229,7 +229,7 @@ TEST(OnlineAdvisorTest, AbandonedMidSwitchTransitionIsCompletedLater) {
   advisor.RunOnce();
   world.cluster->scheduler().Run();
   EXPECT_EQ(advisor.stats().switches_fired, 1);
-  EXPECT_EQ(world.switcher->object_switches_completed(), 0);
+  EXPECT_EQ(world.switcher->switches_completed(), 0);
 
   // Mid-transition the object still serves (transitional protocol), and the next sweep
   // completes the abandoned switch.
@@ -237,7 +237,7 @@ TEST(OnlineAdvisorTest, AbandonedMidSwitchTransitionIsCompletedLater) {
   EXPECT_EQ(world.Call("mix", "a|1|1"), "seed");
   advisor.RunOnce();
   world.cluster->scheduler().Run();
-  EXPECT_EQ(world.switcher->object_switches_completed(), 1);
+  EXPECT_EQ(world.switcher->switches_completed(), 1);
   EXPECT_EQ(world.Call("mix", "a|1|0"), "a=0");
 }
 

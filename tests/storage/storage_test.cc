@@ -371,6 +371,41 @@ TEST(DurabilityServiceTest, SeqnumsMayBeReusedAfterAKill) {
   EXPECT_EQ(fx.service.durable_seq(), 2u);
 }
 
+sim::Task<void> AwaitCommitted(DurabilityService* svc, uint64_t seqnum, uint64_t epoch,
+                               bool* ok, bool* done) {
+  *ok = co_await svc->WaitCommitted(seqnum, epoch);
+  *done = true;
+}
+
+TEST(DurabilityServiceTest, WaitCommittedFailsForARecordAKillRolledBack) {
+  // Seq 2 commits, a kill wipes it, and a new record reuses seq 2 and becomes durable. A
+  // waiter for the first seq 2 that registers only now must fail: WaitSeq would match the
+  // new record. Seq 1, durable before the kill, still waits true from its old epoch.
+  ServiceFixture fx;
+  std::string payload;
+  PutU64(&payload, 1);
+  fx.service.NoteCommit(1, fx.service.AppendFrame(FrameType::kRecord, payload));
+  fx.scheduler.Run();
+  PutU64(&payload, 2);
+  fx.service.NoteCommit(2, fx.service.AppendFrame(FrameType::kRecord, payload));
+  const uint64_t epoch = fx.service.epoch();
+  fx.service.Kill();
+  fx.service.NoteCommit(2, fx.service.AppendFrame(FrameType::kRecord, payload));
+  fx.scheduler.Run();
+  ASSERT_TRUE(fx.service.SeqDurable(2));
+
+  bool lost_ok = true, lost_done = false, kept_ok = false, kept_done = false, now_ok = false,
+       now_done = false;
+  fx.scheduler.Spawn(AwaitCommitted(&fx.service, 2, epoch, &lost_ok, &lost_done));
+  fx.scheduler.Spawn(AwaitCommitted(&fx.service, 1, epoch, &kept_ok, &kept_done));
+  fx.scheduler.Spawn(AwaitCommitted(&fx.service, 2, fx.service.epoch(), &now_ok, &now_done));
+  fx.scheduler.Run();
+  EXPECT_TRUE(lost_done && kept_done && now_done);
+  EXPECT_FALSE(lost_ok);
+  EXPECT_TRUE(kept_ok);
+  EXPECT_TRUE(now_ok);
+}
+
 TEST(DurabilityServiceTest, ReportsWriteAmplification) {
   ServiceFixture fx;
   std::string payload;

@@ -24,6 +24,7 @@ struct TestWorldOptions {
   core::ProtocolKind protocol = core::ProtocolKind::kHalfmoonRead;
   uint64_t seed = 1;
   bool enable_switching = false;
+  bool advisor = false;  // RuntimeConfig::advisor: per-object transition streams.
   int function_nodes = 4;
   int workers_per_node = 8;
   int log_shards = 1;  // Shared-log shard count.
@@ -42,6 +43,7 @@ class TestWorld {
     core::RuntimeConfig rcfg;
     rcfg.default_protocol = options.protocol;
     rcfg.enable_switching = options.enable_switching;
+    rcfg.advisor = options.advisor;
     runtime_ = std::make_unique<core::SsfRuntime>(cluster_.get(), rcfg);
   }
 
