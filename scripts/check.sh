@@ -112,6 +112,15 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[gc\]' | tee >(cat >&2) | grep -c ' retired-at-drain$' | grep -qx 2 \
   || { echo "check.sh: FAIL — drained workflows kept live step-log tags" >&2; exit 1; }
 
+# Object-sized smoke (DESIGN.md §7.1): the KV version table and its index must cost the same
+# for objects whose write-log tag ids are spread up to 2^20 as for ids 0..n-1. A table indexed
+# by id value would still pass every functional check, so the 'object-sized' line is enforced
+# here.
+"${BUILD_DIR}"/tests/kvstore_test \
+  --gtest_filter='KvStateTest.VersionIndexIsSizedByObjectsNotIds' \
+  --gtest_brief=1 | grep '^\[kv\]' | tee >(cat >&2) | grep -q ' object-sized$' \
+  || { echo "check.sh: FAIL — the KV version index is sized by tag ids, not objects" >&2; exit 1; }
+
 # Fig. 14 smoke (§4.7): bench_fig14_switching's shape with 1 s phases — both scope switches
 # must complete within 1 s of simulated time, with SSFs started inside each BEGIN..END window
 # (they log transitional records there). A switch that stalls or serves no window would still

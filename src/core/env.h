@@ -66,9 +66,10 @@ struct Env {
   size_t log_pos = 0;
 
   // Protocols this attempt resolved from transition streams (§4.7), one entry per stream:
-  // the scope's, or in advisor mode each accessed object's (DESIGN.md §11). Every entry
-  // derives from init_cursor_ts, so re-executions resolve identically. An attempt touches few
-  // streams, so lookups scan.
+  // the scope's, keyed by its tag, or in advisor mode each accessed object's (DESIGN.md §11),
+  // keyed by the object's write tag — its stream may have no id of its own yet, and two such
+  // objects must not share an entry. Every entry derives from init_cursor_ts, so
+  // re-executions resolve identically. An attempt touches few streams, so lookups scan.
   std::vector<std::pair<sharedlog::TagId, ProtocolResolution>> resolutions;
 
   // §4.4 ordered-writes extension state: the key of the previous operation when it was a

@@ -79,8 +79,8 @@ void OnlineAdvisor::RunOnce() {
 
   // One bounded slice of the dense-id keyspace per tick. The walk stops at the registry's
   // end (the next tick restarts a fresh sweep) so `sweeps` counts completed passes; ids
-  // interned mid-walk — including the transition tags we intern below — are simply picked
-  // up by a later slice.
+  // interned mid-walk — including the transition tags of the switches fired below — are
+  // simply picked up by a later slice.
   for (int examined = 0; examined < config_.ids_per_tick; ++examined) {
     if (cursor_ >= tags.size()) {
       if (cursor_ > 0) ++stats_.sweeps;
@@ -106,12 +106,12 @@ void OnlineAdvisor::RunOnce() {
       continue;
     }
 
-    // Interning may grow the registry and invalidate `name`; copy the key suffix first.
-    const std::string key(name.substr(sharedlog::kWriteLogPrefix.size()));
-    const TagId ttag = ObjectTransitionTag(tags, key);
-
     // Current protocol, read directly off the transition stream. Like GC scans, advisor
-    // inspection is charged no simulated latency — only the switches themselves append.
+    // inspection is charged no simulated latency — only the switches themselves append. An
+    // object that never switched has no stream yet (it reads as empty: the default), and
+    // finding one interns nothing.
+    const std::string_view key = name.substr(sharedlog::kWriteLogPrefix.size());
+    TagId ttag = FindObjectTransitionTag(tags, key);
     const ProtocolKind current =
         ResolveTransition(log.ReadPrev(ttag, sharedlog::kMaxSeqNum), default_protocol).kind;
     if (current == ProtocolKind::kTransitional && switcher_->InFlight(ttag)) {
@@ -132,6 +132,9 @@ void OnlineAdvisor::RunOnce() {
       continue;
     }
 
+    // The switch is the stream's writer: only now does an object get a stream of its own.
+    // Interning may grow the registry and invalidate `key`, which is not used past here.
+    if (ttag == sharedlog::kInvalidTagId) ttag = ObjectTransitionTag(tags, key);
     last_switch_[ttag] = now;
     ++stats_.switches_fired;
     cluster.scheduler().Spawn(DriveSwitch(ttag, *decision));

@@ -95,7 +95,7 @@ class ContextImpl final : public SsfContext {
   }
 
   sim::Task<void> Sync() override {
-    ProtocolResolution res = co_await Resolve(runtime_->TransitionTag(nullptr));
+    ProtocolResolution res = co_await Resolve(runtime_->TransitionStream());
     if (res.kind == ProtocolKind::kUnsafe || res.kind == ProtocolKind::kBoki) {
       co_return;  // Already real-time (Boki) or no guarantees at all (unsafe).
     }
@@ -311,25 +311,32 @@ class ContextImpl final : public SsfContext {
   }
 
   // The protocol of an access to `key`. In advisor mode the access is first counted in the
-  // workload sketch.
+  // workload sketch and resolves through the object's own stream.
   sim::Task<ProtocolResolution> ResolveFor(const std::string& key, bool is_read) {
-    if (runtime_->config().advisor) runtime_->RecordAccess(env_->WriteTag(key), is_read);
-    return Resolve(runtime_->TransitionTag(&key));
+    if (!runtime_->config().advisor) return Resolve(runtime_->TransitionStream());
+    const sharedlog::TagId object = env_->WriteTag(key);
+    runtime_->RecordAccess(object, is_read);
+    return Resolve(runtime_->TransitionStream(object), &key);
   }
 
   // §4.7: resolves the protocol from a transition stream at the initial cursorTS, so that
-  // re-executions resolve identically; cached per attempt and stream. No stream
-  // (kInvalidTagId) means the configured default, with no lookup at all.
-  sim::Task<ProtocolResolution> Resolve(sharedlog::TagId transition_tag) {
+  // re-executions resolve identically; cached per attempt under `stream` (see
+  // SsfRuntime::TransitionStream). No stream (kInvalidTagId) means the configured default,
+  // with no lookup at all. With `object` set, the stream is that object's, found by name: a
+  // stream no switch has interned reads as empty, at the same cost as one that exists.
+  sim::Task<ProtocolResolution> Resolve(sharedlog::TagId stream,
+                                        const std::string* object = nullptr) {
     ProtocolResolution res;
     res.kind = runtime_->config().default_protocol;
-    if (transition_tag == sharedlog::kInvalidTagId) co_return res;
-    for (const auto& [tag, cached] : env_->resolutions) {
-      if (tag == transition_tag) co_return cached;
+    if (stream == sharedlog::kInvalidTagId) co_return res;
+    for (const auto& [cached_stream, cached] : env_->resolutions) {
+      if (cached_stream == stream) co_return cached;
     }
+    const sharedlog::TagId transition_tag =
+        object == nullptr ? stream : FindObjectTransitionTag(env_->log().tags(), *object);
     LogRecordPtr record = co_await env_->log().ReadPrev(transition_tag, env_->init_cursor_ts);
     res = ResolveTransition(record, res.kind);
-    env_->resolutions.emplace_back(transition_tag, res);
+    env_->resolutions.emplace_back(stream, res);
     co_return res;
   }
 
@@ -441,16 +448,15 @@ SsfRuntime::SsfRuntime(runtime::Cluster* cluster, RuntimeConfig config)
   }
 }
 
-sharedlog::TagId SsfRuntime::TransitionTag(const std::string* object) {
+sharedlog::TagId SsfRuntime::TransitionStream(sharedlog::TagId object) {
   if (config_.default_protocol == ProtocolKind::kUnsafe ||
       config_.default_protocol == ProtocolKind::kBoki) {
     return sharedlog::kInvalidTagId;
   }
-  sharedlog::TagRegistry& tags = cluster_->log_space().tags();
-  if (config_.advisor && object != nullptr) return ObjectTransitionTag(tags, *object);
+  if (config_.advisor && object != sharedlog::kInvalidTagId) return object;
   if (!config_.enable_switching) return sharedlog::kInvalidTagId;
   if (scope_transition_tag_ == sharedlog::kInvalidTagId) {
-    scope_transition_tag_ = ScopeTransitionTag(tags, config_.switch_scope);
+    scope_transition_tag_ = ScopeTransitionTag(cluster_->log_space().tags(), config_.switch_scope);
   }
   return scope_transition_tag_;
 }

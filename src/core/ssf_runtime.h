@@ -87,12 +87,14 @@ class SsfRuntime {
   runtime::Cluster& cluster() { return *cluster_; }
   const RuntimeConfig& config() const { return config_; }
 
-  // The transition stream an SSF resolves its protocol through (§4.7): in advisor mode
-  // (DESIGN.md §11) the accessed `object`'s own, otherwise the scope's under
-  // enable_switching. kInvalidTagId when none applies — a static run, an object-less step in
-  // advisor mode, or a baseline default protocol, which never switches: the default holds.
-  // Each stream is interned on first use.
-  sharedlog::TagId TransitionTag(const std::string* object);
+  // The transition stream an SSF resolves its protocol through (§4.7), as the id that keys
+  // it in the per-attempt cache (Env::resolutions). In advisor mode (DESIGN.md §11) an access
+  // to `object` (its interned write-log tag) resolves through the object's own stream, keyed
+  // by `object` itself: the stream is interned only by a switch, so it may have no id yet.
+  // Otherwise the scope's stream under enable_switching, keyed by its tag (interned on first
+  // use). kInvalidTagId when none applies — a static run, an object-less step in advisor
+  // mode, or a baseline default protocol, which never switches: the default holds.
+  sharedlog::TagId TransitionStream(sharedlog::TagId object = sharedlog::kInvalidTagId);
 
   const RuntimeStats& stats() const { return stats_; }
 
@@ -171,7 +173,7 @@ class SsfRuntime {
   RuntimeStats stats_;
   sim::WaitGroup inflight_;
   uint64_t next_invocation_ = 0;
-  sharedlog::TagId scope_transition_tag_ = sharedlog::kInvalidTagId;  // See TransitionTag.
+  sharedlog::TagId scope_transition_tag_ = sharedlog::kInvalidTagId;  // See TransitionStream.
   std::unique_ptr<metrics::WorkloadSketch> sketch_;  // Non-null iff advisor mode.
 };
 

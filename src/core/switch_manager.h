@@ -7,7 +7,8 @@
 // polled every 2 ms; new SSFs are never blocked — they simply run the transitional protocol),
 // then appends the END record. SSFs resolve their protocol from the stream using their
 // initial cursorTS (ResolveTransition), which makes the resolution stable across
-// re-executions. The same writer, reader and per-attempt cache serve both kinds of stream.
+// re-executions. The same writer, reader and per-attempt cache serve both kinds of stream;
+// only the writer interns an object's stream.
 
 #ifndef HALFMOON_CORE_SWITCH_MANAGER_H_
 #define HALFMOON_CORE_SWITCH_MANAGER_H_
@@ -30,8 +31,16 @@ inline sharedlog::TagId ScopeTransitionTag(sharedlog::TagRegistry& tags,
                                            std::string_view scope) {
   return tags.InternPrefixed(sharedlog::kTransitionLogPrefix, scope);
 }
+// An object's stream is interned only by its writer, the switch (the advisor, or a test or
+// explorer driving SwitchObject). Readers find it: most objects never switch, and a stream
+// that was never interned holds no records, so it resolves to the default protocol without
+// costing a tag id per object ever accessed.
 inline sharedlog::TagId ObjectTransitionTag(sharedlog::TagRegistry& tags, std::string_view key) {
   return tags.InternPrefixed(sharedlog::kObjectTransitionPrefix, key);
+}
+inline sharedlog::TagId FindObjectTransitionTag(const sharedlog::TagRegistry& tags,
+                                                std::string_view key) {
+  return tags.FindPrefixed(sharedlog::kObjectTransitionPrefix, key);
 }
 
 // Decodes the latest record of a transition stream at or below an SSF's cursor: none means

@@ -14,6 +14,25 @@ uint32_t KvState::KeyHash(std::string_view key) {
   return static_cast<uint32_t>(std::hash<std::string_view>{}(key));
 }
 
+uint32_t KvState::ObjectHash(ObjectId object) {
+  // Ids are assigned densely, but objects' ids can share their low bits; the top half of a
+  // multiplicative hash mixes every bit of the id into the low bits that pick the bucket.
+  return static_cast<uint32_t>((object * 0x9E3779B97F4A7C15ULL) >> 32);
+}
+
+void KvState::ReserveOneMore(std::vector<IndexEntry>* index, size_t entries) {
+  if ((entries + 1) * 4 <= index->size() * 3) return;
+  std::vector<IndexEntry> grown(std::max<size_t>(16, index->size() * 2));
+  const size_t mask = grown.size() - 1;
+  for (const IndexEntry& e : *index) {
+    if (e.slot == kNoSlot) continue;
+    size_t pos = e.hash & mask;
+    while (grown[pos].slot != kNoSlot) pos = (pos + 1) & mask;
+    grown[pos] = e;
+  }
+  *index = std::move(grown);
+}
+
 size_t KvState::IndexPos(std::string_view key, uint32_t hash) const {
   const size_t mask = latest_index_.size() - 1;
   for (size_t pos = hash & mask;; pos = (pos + 1) & mask) {
@@ -30,22 +49,35 @@ const KvState::LatestSlot* KvState::FindLatest(std::string_view key, uint32_t ha
 
 void KvState::InsertLatest(std::string key, uint32_t hash, Value value, VersionTuple version) {
   HM_CHECK_MSG(latest_.size() < kNoSlot, "latest-slot table is full");
-  if ((latest_.size() + 1) * 4 > latest_index_.size() * 3) {
-    // Grow: re-place every slot by its stored hash; slots are distinct, so no key compares.
-    std::vector<IndexEntry> grown(std::max<size_t>(16, latest_index_.size() * 2));
-    const size_t mask = grown.size() - 1;
-    for (const IndexEntry& e : latest_index_) {
-      if (e.slot == kNoSlot) continue;
-      size_t pos = e.hash & mask;
-      while (grown[pos].slot != kNoSlot) pos = (pos + 1) & mask;
-      grown[pos] = e;
-    }
-    latest_index_ = std::move(grown);
-  }
+  ReserveOneMore(&latest_index_, latest_.size());
   IndexEntry& e = latest_index_[IndexPos(key, hash)];
   HM_CHECK(e.slot == kNoSlot);
   e = IndexEntry{hash, static_cast<uint32_t>(latest_.size())};
   latest_.emplace_back(LatestSlot{std::move(key), std::move(value), version});
+}
+
+size_t KvState::ObjectPos(ObjectId object, uint32_t hash) const {
+  const size_t mask = versioned_index_.size() - 1;
+  for (size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+    const IndexEntry& e = versioned_index_[pos];
+    if (e.slot == kNoSlot || (e.hash == hash && versioned_[e.slot].object == object)) return pos;
+  }
+}
+
+const std::map<std::string, Value>* KvState::FindVersions(ObjectId object) const {
+  if (versioned_index_.empty()) return nullptr;
+  const IndexEntry& e = versioned_index_[ObjectPos(object, ObjectHash(object))];
+  return e.slot == kNoSlot ? nullptr : &versioned_[e.slot].versions;
+}
+
+std::map<std::string, Value>& KvState::VersionsFor(ObjectId object) {
+  if (std::map<std::string, Value>* versions = FindVersions(object)) return *versions;
+  HM_CHECK_MSG(versioned_.size() < kNoSlot, "versioned-object table is full");
+  ReserveOneMore(&versioned_index_, versioned_.size());
+  const uint32_t hash = ObjectHash(object);
+  versioned_index_[ObjectPos(object, hash)] =
+      IndexEntry{hash, static_cast<uint32_t>(versioned_.size())};
+  return versioned_.emplace_back(VersionedSlot{object, {}}).versions;
 }
 
 std::string KvState::EncodeLatest(std::string_view key, std::string_view value,
@@ -127,8 +159,7 @@ void KvState::PutVersioned(SimTime now, ObjectId object, const std::string& vers
   if (durability_ != nullptr && !restoring_) {
     JournalFrame(storage::FrameType::kKvPutVersioned, EncodeVersion(object, version_id, value));
   }
-  if (object >= versioned_.size()) versioned_.resize(object + 1);
-  auto& versions = versioned_[object];
+  auto& versions = VersionsFor(object);
   if (versions.empty()) ++versioned_objects_;
   auto [it, inserted] = versions.try_emplace(version_id);
   if (!inserted) {
@@ -142,18 +173,18 @@ void KvState::PutVersioned(SimTime now, ObjectId object, const std::string& vers
 
 std::optional<Value> KvState::GetVersioned(ObjectId object,
                                            const std::string& version_id) const {
-  if (object >= versioned_.size()) return std::nullopt;
-  const auto& versions = versioned_[object];
-  auto vit = versions.find(version_id);
-  if (vit == versions.end()) return std::nullopt;
+  const auto* versions = FindVersions(object);
+  if (versions == nullptr) return std::nullopt;
+  auto vit = versions->find(version_id);
+  if (vit == versions->end()) return std::nullopt;
   return vit->second;
 }
 
 bool KvState::DeleteVersioned(SimTime now, ObjectId object, const std::string& version_id) {
-  if (object >= versioned_.size()) return false;
-  auto& versions = versioned_[object];
-  auto vit = versions.find(version_id);
-  if (vit == versions.end()) return false;
+  auto* versions = FindVersions(object);
+  if (versions == nullptr) return false;
+  auto vit = versions->find(version_id);
+  if (vit == versions->end()) return false;
   // Journaled only when something is actually released (replay asserts the same).
   if (durability_ != nullptr && !restoring_) {
     std::string payload;
@@ -163,13 +194,14 @@ bool KvState::DeleteVersioned(SimTime now, ObjectId object, const std::string& v
     JournalFrame(storage::FrameType::kKvDeleteVersioned, std::move(payload));
   }
   gauge_.Add(now, -VersionedEntryBytes(version_id, vit->second));
-  versions.erase(vit);
-  if (versions.empty()) --versioned_objects_;
+  versions->erase(vit);
+  if (versions->empty()) --versioned_objects_;
   return true;
 }
 
 size_t KvState::VersionCount(ObjectId object) const {
-  return object < versioned_.size() ? versioned_[object].size() : 0;
+  const auto* versions = FindVersions(object);
+  return versions == nullptr ? 0 : versions->size();
 }
 
 void KvState::ResetVolatile(SimTime now) {
@@ -177,6 +209,7 @@ void KvState::ResetVolatile(SimTime now) {
   latest_.clear();
   latest_index_ = {};
   versioned_.clear();
+  versioned_index_ = {};
   versioned_objects_ = 0;
   // The journal tail rolled back to the durable frontier with the kill; future mutations
   // re-establish the ack threshold. Zero is always already durable.
@@ -250,7 +283,8 @@ bool KvState::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budg
   // Latest slots first: the ones that existed at round start, in insertion order (keys are
   // never deleted, so the range stays valid; the values/versions read here are whatever the
   // slot holds NOW — fuzziness the replay suffix absorbs).
-  HM_CHECK_MSG(walk_slot_limit_ <= latest_.size(), "checkpoint walk: latest slot vanished");
+  HM_CHECK_MSG(walk_slot_limit_ <= latest_.size() && walk_object_limit_ <= versioned_.size(),
+               "checkpoint walk: a slot vanished");
   while (walk_slot_ < walk_slot_limit_) {
     if (consumed >= budget) return false;
     const LatestSlot& slot = latest_[walk_slot_++];
@@ -259,17 +293,18 @@ bool KvState::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budg
     ++*frames;
     ++consumed;
   }
-  // Then the version index, resumable mid-object: versions can be inserted or GC'd between
-  // slices (ordered map, no iterator held across the pause), and objects past the round-start
-  // bound are suffix-only.
+  // Then the version table, resumable mid-object: versions can be inserted or GC'd between
+  // slices (ordered map, no iterator held across the pause), and objects first written after
+  // round start are suffix-only.
   while (walk_object_ < walk_object_limit_) {
-    const auto& versions = versioned_[walk_object_];
+    const VersionedSlot& slot = versioned_[walk_object_];
+    const auto& versions = slot.versions;
     auto it = walk_version_valid_ ? versions.upper_bound(walk_version_) : versions.begin();
     while (it != versions.end()) {
       // walk_version_ names the last version emitted, so the next slice resumes just past it.
       if (consumed >= budget) return false;
       store->AppendFrame(storage::FrameType::kCkptKvVersion,
-                         EncodeVersion(walk_object_, it->first, it->second));
+                         EncodeVersion(slot.object, it->first, it->second));
       ++*frames;
       ++consumed;
       walk_version_ = it->first;
@@ -303,8 +338,7 @@ void KvState::RestoreCheckpointFrame(SimTime now, storage::FrameType type,
       ObjectId object = cursor.U64();
       std::string version_id(cursor.Str());
       Value value(cursor.Str());
-      if (object >= versioned_.size()) versioned_.resize(object + 1);
-      auto& versions = versioned_[object];
+      auto& versions = VersionsFor(object);
       if (versions.empty()) ++versioned_objects_;
       auto [it, inserted] = versions.try_emplace(version_id, std::move(value));
       HM_CHECK_MSG(inserted, "checkpoint image installs a version twice");

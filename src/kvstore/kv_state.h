@@ -77,7 +77,10 @@ class KvState {
   // Versioned storage is keyed by the object's interned write-log tag id rather than its
   // string key: the protocols already hold the TagId for "k:<key>" (they append the commit
   // record under it), so the version index costs an integer hash per access and never
-  // re-hashes the key string.
+  // re-hashes the key string. Objects sit in a dense table in first-write order, found
+  // through a flat open-addressed index like the latest slots': tag ids are assigned to every
+  // step log too, so a table indexed by id value would grow with every id ever assigned
+  // rather than with the objects written.
 
   void PutVersioned(SimTime now, ObjectId object, const std::string& version_id, Value value);
   std::optional<Value> GetVersioned(ObjectId object, const std::string& version_id) const;
@@ -89,8 +92,16 @@ class KvState {
 
   size_t key_count() const { return latest_.size(); }
 
-  // Objects currently holding at least one version (the flat index can be longer).
+  // Objects currently holding at least one version (the dense table can be longer: an
+  // object keeps its slot after its last version is deleted).
   size_t versioned_object_count() const { return versioned_objects_; }
+
+  // Bytes the version table and its index reserve, excluding the versions themselves: the
+  // footprint that must grow with the objects written, not with the ids' values.
+  size_t version_index_bytes() const {
+    return versioned_.size() * sizeof(VersionedSlot) +
+           versioned_index_.capacity() * sizeof(IndexEntry);
+  }
 
   // ---- Durable medium + crash-restart recovery (DESIGN.md §13) ----
 
@@ -118,10 +129,11 @@ class KvState {
                     bool fuzzy = false);
 
   // ---- Incremental checkpointing (DESIGN.md §14) ----
-  // The walk records the slot count and the versioned-object bound at round start, then emits
-  // one frame per latest slot in [0, slot count) — in insertion order — and per stored
-  // version across bounded slices. Keys and versions written after round start are covered by
-  // the replay suffix either way, so the fuzzy image + suffix composition is exact.
+  // The walk records the latest and versioned slot counts at round start, then emits one
+  // frame per latest slot in [0, slot count) — in insertion order — and per stored version
+  // of each versioned slot in [0, slot count), in first-write order, across bounded slices.
+  // Keys and versions written after round start are covered by the replay suffix either way,
+  // so the fuzzy image + suffix composition is exact.
   void BeginCheckpointWalk();
   // Emits roughly `budget` image frames; returns true once the walk is complete. *frames
   // counts frames appended by this slice.
@@ -136,15 +148,25 @@ class KvState {
     Value value;
     VersionTuple version;
   };
-  // One index bucket: the low 32 bits of the key's hash (so growing the index never re-hashes
-  // a key) and the slot number, kNoSlot when the bucket is empty.
+  // One index bucket: 32 bits of the key's (or object id's) hash, so growing the index never
+  // re-hashes a key, and the slot number, kNoSlot when the bucket is empty.
   struct IndexEntry {
     uint32_t hash = 0;
     uint32_t slot = kNoSlot;
   };
   static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+  struct VersionedSlot {
+    ObjectId object = 0;
+    // version_id -> value. Ordered for deterministic iteration in tests/GC and so a
+    // checkpoint walk can resume past the last version it emitted.
+    std::map<std::string, Value> versions;
+  };
 
   static uint32_t KeyHash(std::string_view key);
+  static uint32_t ObjectHash(ObjectId object);
+  // Makes room for one more entry, keeping the load <= 3/4: doubles the index (at least 16
+  // buckets) and re-places every entry by its stored hash, with no key compared.
+  static void ReserveOneMore(std::vector<IndexEntry>* index, size_t entries);
   // The latest slot of `key` (whose KeyHash is `hash`), or null when the key has none.
   const LatestSlot* FindLatest(std::string_view key, uint32_t hash) const;
   LatestSlot* FindLatest(std::string_view key, uint32_t hash) {
@@ -154,6 +176,17 @@ class KvState {
   void InsertLatest(std::string key, uint32_t hash, Value value, VersionTuple version);
   // Bucket holding `key`, or the empty bucket where it would go. The index must be non-empty.
   size_t IndexPos(std::string_view key, uint32_t hash) const;
+
+  // `object`'s versions, or null when it was never written.
+  const std::map<std::string, Value>* FindVersions(ObjectId object) const;
+  std::map<std::string, Value>* FindVersions(ObjectId object) {
+    return const_cast<std::map<std::string, Value>*>(std::as_const(*this).FindVersions(object));
+  }
+  // `object`'s versions, taking the next slot on its first write.
+  std::map<std::string, Value>& VersionsFor(ObjectId object);
+  // Bucket holding `object` (whose ObjectHash is `hash`), or the empty bucket where it would
+  // go. The index must be non-empty.
+  size_t ObjectPos(ObjectId object, uint32_t hash) const;
 
   // Shared payloads: kKvCondPut and kCkptKvLatest carry one latest slot; kKvPutVersioned and
   // kCkptKvVersion carry one stored version.
@@ -173,12 +206,9 @@ class KvState {
 
   std::deque<LatestSlot> latest_;         // Slots in insertion order; a deque never moves one.
   std::vector<IndexEntry> latest_index_;  // Power-of-two buckets, linear probing, load <= 3/4.
-  // object -> version_id -> value, indexed by ObjectId. Interned tag ids are dense, so the
-  // outer level is a flat vector (grown on first write to an object) instead of a hash map:
-  // a versioned access costs one bounds-checked index, no hashing at either level's outer
-  // step. Ordered inner map for deterministic iteration in tests/GC.
-  std::vector<std::map<std::string, Value>> versioned_;
-  size_t versioned_objects_ = 0;  // Objects currently holding at least one version.
+  std::deque<VersionedSlot> versioned_;      // Objects in first-write order; never moved.
+  std::vector<IndexEntry> versioned_index_;  // Same layout as latest_index_.
+  size_t versioned_objects_ = 0;            // Objects currently holding at least one version.
   metrics::StorageGauge gauge_;
 
   storage::DurabilityService* durability_ = nullptr;
@@ -188,7 +218,7 @@ class KvState {
   // Checkpoint-walk cursor (valid between BeginCheckpointWalk and the slice returning true).
   size_t walk_slot_ = 0;          // Next latest slot to emit.
   size_t walk_slot_limit_ = 0;    // latest_.size() at round start.
-  size_t walk_object_ = 0;        // Next versioned object to (re)visit.
+  size_t walk_object_ = 0;        // Next versioned slot to (re)visit.
   size_t walk_object_limit_ = 0;  // versioned_.size() at round start.
   std::string walk_version_;      // Last version emitted of walk_object_ (resume point).
   bool walk_version_valid_ = false;

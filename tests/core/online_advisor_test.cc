@@ -7,6 +7,9 @@
 //     pre-advisor golden execution exactly (events, end time, seqnums, content checksum);
 //   * abandoned transitions (daemon died between BEGIN and END) are completed by a later
 //     advisor sweep;
+//   * only a switch interns an object's transition stream: SSF accesses and advisor sweeps
+//     find it, and a stream never interned resolves to the default at the same cost as an
+//     interned, empty one;
 //   * the hot-path sketch's memory never grows with the live keyspace.
 
 #include <cstdint>
@@ -241,6 +244,47 @@ TEST(OnlineAdvisorTest, AbandonedMidSwitchTransitionIsCompletedLater) {
   EXPECT_EQ(world.Call("mix", "a|1|0"), "a=0");
 }
 
+TEST(OnlineAdvisorTest, ReadersInternNoStreamUntilTheAdvisorFires) {
+  // An object's transition stream has one writer, the switch (DESIGN.md §11). SSFs reading
+  // and writing the object, and advisor sweeps that leave it alone, only look the stream up:
+  // it stays absent and the object resolves to the default. Once the advisor fires, an SSF
+  // that starts after the END resolves to the target.
+  World world(/*advisor=*/true, ProtocolKind::kHalfmoonRead);
+  world.runtime->PopulateObject("a", "seed");
+  sharedlog::TagRegistry& tags = world.cluster->log_space().tags();
+  auto stream = [&] { return tags.FindPrefixed(sharedlog::kObjectTransitionPrefix, "a"); };
+  auto logged = [&](ProtocolKind kind) {
+    return world.cluster->TotalLoggedBytesByClass(core::LogAppendClass(kind));
+  };
+  OnlineAdvisor advisor(world.runtime.get(), world.switcher.get(), TestAdvisorConfig());
+
+  EXPECT_EQ(world.Call("mix", "a|3|3"), "seed");
+  EXPECT_GT(logged(ProtocolKind::kHalfmoonRead), 0);  // Halfmoon-read logs its writes.
+  EXPECT_EQ(logged(ProtocolKind::kHalfmoonWrite), 0);
+  EXPECT_EQ(logged(ProtocolKind::kTransitional), 0);
+  advisor.RunOnce();  // Six accesses: below min_ops, so the sweep leaves "a" alone.
+  world.cluster->scheduler().Run();
+  EXPECT_EQ(advisor.stats().objects_evaluated, 1);
+  EXPECT_EQ(advisor.stats().switches_fired, 0);
+  EXPECT_EQ(stream(), sharedlog::kInvalidTagId);
+
+  const sharedlog::TagId write_tag = tags.FindPrefixed(sharedlog::kWriteLogPrefix, "a");
+  for (int i = 0; i < 20; ++i) world.runtime->RecordAccess(write_tag, /*is_read=*/false);
+  advisor.RunOnce();
+  world.cluster->scheduler().Run();
+  EXPECT_EQ(advisor.stats().switches_fired, 1);
+  EXPECT_EQ(world.switcher->switches_completed(), 1);
+  EXPECT_NE(stream(), sharedlog::kInvalidTagId);
+
+  // After the END: Halfmoon-write logs the read, and nothing logs as Halfmoon-read.
+  const int64_t hm_read = logged(ProtocolKind::kHalfmoonRead);
+  const int64_t hm_write = logged(ProtocolKind::kHalfmoonWrite);
+  EXPECT_EQ(world.Call("mix", "a|1|1"), "a=2");
+  EXPECT_GT(logged(ProtocolKind::kHalfmoonWrite), hm_write);
+  EXPECT_EQ(logged(ProtocolKind::kHalfmoonRead), hm_read);
+  EXPECT_EQ(logged(ProtocolKind::kTransitional), 0);
+}
+
 TEST(OnlineAdvisorTest, SketchMemoryIndependentOfLiveObjects) {
   World world(/*advisor=*/true, ProtocolKind::kHalfmoonRead);
   const size_t before = world.runtime->sketch().MemoryBytes();
@@ -274,15 +318,22 @@ struct PinnedRun {
   uint64_t content_fnv = 0;
 };
 
-PinnedRun RunCounterWithAdvisorFlag(bool advisor) {
+// Runs `workload` on a Halfmoon-read runtime. `intern_streams` interns every object's
+// transition stream up front, as readers did before only switches interned them.
+PinnedRun RunWithAdvisorFlag(faultcheck::Workload workload, bool advisor,
+                             bool intern_streams = false) {
   runtime::ClusterConfig ccfg;  // Defaults: seed 1 — matches the PR 4 golden capture.
   runtime::Cluster cluster(ccfg);
   core::RuntimeConfig rcfg;
   rcfg.default_protocol = ProtocolKind::kHalfmoonRead;
   rcfg.advisor = advisor;
   core::SsfRuntime runtime(&cluster, rcfg);
-  faultcheck::Workload workload = faultcheck::CounterWorkload();
   workload.Install(runtime);
+  if (intern_streams) {
+    for (const std::string& key : workload.keys) {
+      core::ObjectTransitionTag(cluster.log_space().tags(), key);
+    }
+  }
 
   for (const auto& [function, input] : workload.invocations) {
     Value out;
@@ -326,7 +377,7 @@ TEST(OnlineAdvisorTest, AdvisorOffIsBitIdenticalToStaticRuntime) {
   // at the PR 4 head): with advisor mode off the runtime must still reproduce it exactly —
   // no extra events, no sketch, no resolution reads, identical committed content (the
   // content pin moved with that golden when step logs began retiring at workflow drain).
-  PinnedRun r = RunCounterWithAdvisorFlag(/*advisor=*/false);
+  PinnedRun r = RunWithAdvisorFlag(faultcheck::CounterWorkload(), /*advisor=*/false);
   EXPECT_EQ(r.events, 88ull);
   EXPECT_EQ(r.end_now, 23700364ull);
   EXPECT_EQ(r.next_seqnum, 11ull);
@@ -337,8 +388,23 @@ TEST(OnlineAdvisorTest, AdvisorOffIsBitIdenticalToStaticRuntime) {
   // Advisor mode with no advisor service running appends the same records — resolution is a
   // pure read. (Byte content is NOT compared: the resolution reads draw latency samples from
   // the shared rng, which shifts the random instance IDs embedded in record fields.)
-  PinnedRun with_advisor = RunCounterWithAdvisorFlag(/*advisor=*/true);
+  PinnedRun with_advisor = RunWithAdvisorFlag(faultcheck::CounterWorkload(), /*advisor=*/true);
   EXPECT_EQ(with_advisor.next_seqnum, r.next_seqnum);
+}
+
+TEST(OnlineAdvisorTest, AnUninternedStreamCostsWhatAnEmptyOneDoes) {
+  // Whether an object's stream was ever interned must not show in the simulation: the
+  // resolution read and its latency draw happen either way. A transfer SSF touches two
+  // never-switched objects, so two absent streams sharing one cache entry would skip a read.
+  for (const faultcheck::Workload& workload : faultcheck::AllWorkloads()) {
+    SCOPED_TRACE(workload.name);
+    PinnedRun found = RunWithAdvisorFlag(workload, /*advisor=*/true);
+    PinnedRun interned = RunWithAdvisorFlag(workload, /*advisor=*/true, /*intern_streams=*/true);
+    EXPECT_EQ(found.events, interned.events);
+    EXPECT_EQ(found.end_now, interned.end_now);
+    EXPECT_EQ(found.next_seqnum, interned.next_seqnum);
+    EXPECT_EQ(found.content_fnv, interned.content_fnv);
+  }
 }
 
 }  // namespace

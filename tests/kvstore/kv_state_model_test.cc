@@ -1,11 +1,12 @@
-// Model test for the KV store's latest-slot table and its durable tier: seeded random
-// sequences of Put, CondPut, PutVersioned and DeleteVersioned run against a KvState (with a
-// journal and a checkpoint store) and against a naive model, with checkpoint walks advancing
-// one small slice per step while new keys keep arriving, partial journal flushes, node kills
-// and clean restarts. After every step the store must agree with the model. After every kill
+// Model test for the KV store's latest-slot and versioned-object tables and its durable tier:
+// seeded random sequences of Put, CondPut, PutVersioned and DeleteVersioned run against a
+// KvState (with a journal and a checkpoint store) and against a naive model, with checkpoint
+// walks advancing one small slice per step while new keys keep arriving, partial journal
+// flushes, node kills and clean restarts. After every step the store must agree with the model. After every kill
 // or restart, image + suffix recovery and full replay must each rebuild exactly the
 // acknowledged state, and every completed walk must have emitted exactly the latest slots
-// that existed when its round started.
+// that existed when its round started. Object ids are drawn sparsely up to 2^20, some sharing
+// their low bits, as write-log tag ids are among the step-log ids interned between them.
 //
 // Tier-1 runs a few short seeds; HM_FAULTCHECK_FULL=1 runs many longer ones.
 
@@ -32,7 +33,8 @@ namespace {
 using storage::Cursor;
 using storage::FrameType;
 
-constexpr ObjectId kObjects = 6;
+constexpr size_t kObjects = 24;
+constexpr ObjectId kMaxObjectId = ObjectId{1} << 20;
 
 struct ModelState {
   struct Latest {
@@ -91,6 +93,19 @@ class KvModelRun {
  public:
   explicit KvModelRun(uint64_t seed) : rng_(seed), journal_(&scheduler_, &models_, seed) {
     kv_.AttachDurability(&journal_);
+    // Half the ids are spread over [0, 2^20]; the other half come in runs that share their
+    // low 16 bits, so the version index's probing and growth see clustered ids too.
+    std::set<ObjectId> ids;
+    while (ids.size() < kObjects / 2) {
+      ids.insert(static_cast<ObjectId>(rng_.UniformInt(0, static_cast<int64_t>(kMaxObjectId))));
+    }
+    while (ids.size() < kObjects) {
+      const auto low = static_cast<ObjectId>(rng_.UniformInt(0, (1 << 16) - 1));
+      for (ObjectId high = 0; high < 4 && ids.size() < kObjects; ++high) {
+        ids.insert((high << 16) | low);
+      }
+    }
+    objects_.assign(ids.begin(), ids.end());
   }
 
   void Step() {
@@ -113,7 +128,7 @@ class KvModelRun {
       Restart();
     }
     if (walk_open_) WalkSlice();
-    Check(kv_, live_, "after step");
+    Check(live_, "after step");
   }
 
   int walks() const { return walks_; }
@@ -154,6 +169,11 @@ class KvModelRun {
 
   std::string PickVersionId() { return "ver" + std::to_string(rng_.UniformInt(0, 9)); }
 
+  ObjectId PickObject() {
+    const int64_t last = static_cast<int64_t>(kObjects) - 1;
+    return objects_[static_cast<size_t>(rng_.UniformInt(0, last))];
+  }
+
   void Record(ModelOp op) {
     op.ApplyTo(&live_);
     op.frame_end = kv_.last_journal_offset();
@@ -179,7 +199,7 @@ class KvModelRun {
   }
 
   void PutVersioned() {
-    ObjectId object = static_cast<ObjectId>(rng_.UniformInt(0, kObjects - 1));
+    ObjectId object = PickObject();
     std::string id = PickVersionId();
     Value value = NextValue();
     kv_.PutVersioned(Now(), object, id, value);
@@ -187,7 +207,7 @@ class KvModelRun {
   }
 
   void DeleteVersioned() {
-    ObjectId object = static_cast<ObjectId>(rng_.UniformInt(0, kObjects - 1));
+    ObjectId object = PickObject();
     std::string id = PickVersionId();
     auto it = live_.versions.find(object);
     const bool expect = it != live_.versions.end() && it->second.contains(id);
@@ -284,13 +304,13 @@ class KvModelRun {
       kv_.ResetVolatile(Now());
       storage::RecoveryStats stats = RecoverKv(&store_);
       EXPECT_TRUE(stats.used_checkpoint);
-      Check(kv_, acked_, "image + suffix");
+      Check(acked_, "image + suffix");
       ++image_recoveries_;
     }
     kv_.ResetVolatile(Now());
     storage::RecoveryStats stats = RecoverKv(nullptr);
     EXPECT_FALSE(stats.used_checkpoint);
-    Check(kv_, acked_, "full replay");
+    Check(acked_, "full replay");
   }
 
   storage::RecoveryStats RecoverKv(const storage::CheckpointStore* store) {
@@ -303,8 +323,9 @@ class KvModelRun {
         });
   }
 
-  static void Check(const KvState& kv, const ModelState& model, const char* when) {
+  void Check(const ModelState& model, const char* when) const {
     SCOPED_TRACE(when);
+    const KvState& kv = kv_;
     ASSERT_EQ(kv.key_count(), model.latest.size());
     for (const auto& [key, slot] : model.latest) {
       ASSERT_EQ(kv.Get(key), slot.value) << key;
@@ -312,7 +333,7 @@ class KvModelRun {
     }
     EXPECT_FALSE(kv.Get("never-written").has_value());
     size_t objects = 0;
-    for (ObjectId object = 0; object < kObjects; ++object) {
+    for (ObjectId object : objects_) {
       auto it = model.versions.find(object);
       const size_t count = it == model.versions.end() ? 0 : it->second.size();
       ASSERT_EQ(kv.VersionCount(object), count) << object;
@@ -323,6 +344,7 @@ class KvModelRun {
       }
     }
     EXPECT_EQ(kv.versioned_object_count(), objects);
+    EXPECT_EQ(kv.VersionCount(kMaxObjectId + 1), 0u);  // Beyond every id drawn.
     EXPECT_EQ(kv.CurrentBytes(), model.Bytes());
   }
 
@@ -337,6 +359,7 @@ class KvModelRun {
   ModelState acked_;  // Everything whose journal frame is durable.
   std::vector<ModelOp> pending_;
   std::vector<std::string> keys_;
+  std::vector<ObjectId> objects_;  // The run's kObjects distinct object ids.
   int64_t values_ = 0;
 
   bool walk_open_ = false;

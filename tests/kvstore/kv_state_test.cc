@@ -1,5 +1,7 @@
 #include "src/kvstore/kv_state.h"
 
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
 namespace halfmoon::kvstore {
@@ -107,6 +109,31 @@ TEST(KvStateTest, KeyCountCountsLatestSlots) {
   kv.Put(0, "b", "2");
   kv.Put(0, "a", "3");
   EXPECT_EQ(kv.key_count(), 2u);
+}
+
+// Object ids are write-log tag ids, and every SSF instance takes a tag id for its step log, so
+// the ids of written objects are sparse and keep growing. The version table and its index
+// must be sized by the objects written: the same objects under ids spread up to 2^20 cost
+// exactly what they cost under ids 0..n-1.
+TEST(KvStateTest, VersionIndexIsSizedByObjectsNotIds) {
+  constexpr ObjectId kObjects = 100;
+  constexpr ObjectId kMaxId = ObjectId{1} << 20;
+  KvState dense;
+  KvState sparse;
+  for (ObjectId i = 0; i < kObjects; ++i) {
+    dense.PutVersioned(0, i, "v", "x");
+    sparse.PutVersioned(0, kMaxId - i * 10007, "v", "x");
+  }
+  const size_t bytes = sparse.version_index_bytes();
+  const bool object_sized = bytes == dense.version_index_bytes() && bytes <= kObjects * 128;
+  std::printf("[kv] version index: %llu objects, ids up to %llu: %zu B | %s\n",
+              static_cast<unsigned long long>(kObjects),
+              static_cast<unsigned long long>(kMaxId), bytes,
+              object_sized ? "object-sized" : "ID-SIZED");
+  EXPECT_TRUE(object_sized) << "dense ids: " << dense.version_index_bytes() << " B";
+  EXPECT_EQ(sparse.versioned_object_count(), kObjects);
+  EXPECT_EQ(sparse.GetVersioned(kMaxId, "v").value(), "x");
+  EXPECT_FALSE(sparse.GetVersioned(kMaxId - 1, "v").has_value());
 }
 
 }  // namespace
