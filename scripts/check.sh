@@ -112,6 +112,15 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[gc\]' | tee >(cat >&2) | grep -c ' retired-at-drain$' | grep -qx 2 \
   || { echo "check.sh: FAIL — drained workflows kept live step-log tags" >&2; exit 1; }
 
+# Init-released-at-drain smoke (DESIGN.md §7.1): after a volatile Retwis run with no GC scan,
+# the init stream must be empty once the load drains, under Halfmoon-read and Halfmoon-write:
+# each drain trims the init records the frontier passed. Deferring that trim to a scan would
+# still pass every functional check, so both 'init-released-at-drain' lines are enforced here.
+"${BUILD_DIR}"/tests/gc_test \
+  --gtest_filter='GcTest.InitRecordsReleaseAtDrainWithoutAScan' \
+  --gtest_brief=1 | grep '^\[gc\]' | tee >(cat >&2) | grep -c ' init-released-at-drain$' | grep -qx 2 \
+  || { echo "check.sh: FAIL — drains left init records for a GC scan" >&2; exit 1; }
+
 # Object-sized smoke (DESIGN.md §7.1): the KV version table and its index must cost the same
 # for objects whose write-log tag ids are spread up to 2^20 as for ids 0..n-1. A table indexed
 # by id value would still pass every functional check, so the 'object-sized' line is enforced

@@ -1,6 +1,5 @@
 #include "src/core/gc_service.h"
 
-#include <algorithm>
 #include <string>
 #include <variant>
 
@@ -11,6 +10,13 @@ namespace halfmoon::core {
 using sharedlog::LogRecordPtr;
 using sharedlog::SeqNum;
 using sharedlog::TagId;
+
+size_t TrimInitStream(runtime::Cluster& cluster) {
+  SeqNum frontier = cluster.BoundedFrontier();
+  if (frontier == 0) return 0;
+  return cluster.log_space().Trim(cluster.scheduler().Now(), sharedlog::kInitTagId,
+                                  frontier - 1);
+}
 
 void GcService::Start() {
   cluster_->scheduler().Spawn(Loop());
@@ -36,8 +42,7 @@ void GcService::RunOnce() {
   // would leave the object's write log pointing at a version that no longer exists.
   // CheckpointBound (DESIGN.md §14) additionally fences records an in-flight checkpoint
   // round may still walk: trimming them mid-round would tear the image under the walker.
-  SeqNum frontier = std::min({cluster_->RunningFrontier(), cluster_->DurableTrimBound(),
-                              cluster_->CheckpointBound()});
+  SeqNum frontier = cluster_->BoundedFrontier();
 
   // (2) Per-object write logs and their versions. The write-log tag id doubles as the
   // object's handle in the versioned store, so no key string is ever rebuilt here. The walk
@@ -69,12 +74,10 @@ void GcService::RunOnce() {
   // only frees the registry slots of retirements whose frames have since become durable.
   log.ReleaseRetired();
 
-  // (4) The global init stream: records below the frontier belong to finished SSFs.
-  // Counts trimmed *records*, not scans (a scan that trims nothing adds nothing).
-  if (frontier > 0) {
-    stats_.init_records_trimmed +=
-        static_cast<int64_t>(log.Trim(now, sharedlog::kInitTagId, frontier - 1));
-  }
+  // (4) The global init stream: records below the frontier belong to finished SSFs. Drains
+  // trim it as the frontier moves; the scan releases only what the durability and checkpoint
+  // clamps held back then. Counts trimmed *records*, not scans.
+  stats_.init_records_trimmed += static_cast<int64_t>(TrimInitStream(*cluster_));
 }
 
 }  // namespace halfmoon::core

@@ -13,7 +13,10 @@
 //      The step logs themselves (Halfmoon-write's read logs, the version half of
 //      Halfmoon-read's write pairs) live exactly as long as their workflow, so SsfRuntime
 //      retires them when it drains, not at a scan (DESIGN.md §7.1);
-//   4. trims the global init stream up to the frontier.
+//   4. trims the global init stream up to the frontier. A record there belongs to a finished
+//      root once the frontier passes it, so SsfRuntime trims the stream whenever a drain
+//      moves the frontier; the scan is only the backstop for trims the durability and
+//      checkpoint clamps deferred. Both call TrimInitStream (DESIGN.md §7.1).
 //
 // Modeling note: GC mutations are applied directly to the storage state (no simulated
 // latency). The paper observes that runtime performance is insensitive to the GC interval
@@ -23,6 +26,7 @@
 #ifndef HALFMOON_CORE_GC_SERVICE_H_
 #define HALFMOON_CORE_GC_SERVICE_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "src/runtime/cluster.h"
@@ -35,8 +39,13 @@ struct GcStats {
   int64_t step_logs_trimmed = 0;  // Always 0 (see RuntimeStats); the benchmark reads it.
   int64_t write_records_trimmed = 0;
   int64_t versions_deleted = 0;
-  int64_t init_records_trimmed = 0;
+  int64_t init_records_trimmed = 0;  // By the backstop only; drains count in RuntimeStats.
 };
+
+// Trims the global init stream below the cluster's bounded frontier and returns the number
+// of records released. The one init-stream trim: called at every workflow drain and by each
+// scan's step (4).
+size_t TrimInitStream(runtime::Cluster& cluster);
 
 class GcService {
  public:

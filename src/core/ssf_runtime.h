@@ -68,6 +68,7 @@ struct RuntimeStats {
   int64_t crashes = 0;
   int64_t peer_instances = 0;
   int64_t step_logs_retired = 0;  // Member step-log tags retired as their workflows drained.
+  int64_t init_records_trimmed = 0;  // Init records released as drains moved the frontier.
 };
 
 class SsfRuntime {

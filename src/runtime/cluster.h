@@ -8,6 +8,7 @@
 #ifndef HALFMOON_RUNTIME_CLUSTER_H_
 #define HALFMOON_RUNTIME_CLUSTER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -225,6 +226,13 @@ class Cluster {
   // seqnum < t has finished (§4.7). O(1): the smallest running root's init seqnum.
   sharedlog::SeqNum RunningFrontier() const {
     return running_roots_.empty() ? log_space_.next_seqnum() : *running_roots_.begin();
+  }
+
+  // The frontier GC acts on (DESIGN.md §7.2): RunningFrontier clamped by DurableTrimBound and
+  // CheckpointBound, so no trim passes a record a kill could roll back or one an in-flight
+  // checkpoint round may still walk. Both the drain path and GcService read it.
+  sharedlog::SeqNum BoundedFrontier() const {
+    return std::min({RunningFrontier(), DurableTrimBound(), CheckpointBound()});
   }
 
   // Number of index-propagation wake-up events that performed an advance, and the number of

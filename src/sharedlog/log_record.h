@@ -15,6 +15,7 @@
 #ifndef HALFMOON_SHAREDLOG_LOG_RECORD_H_
 #define HALFMOON_SHAREDLOG_LOG_RECORD_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -108,6 +109,9 @@ struct LogRecord {
   // by ShardedLog::Append so step arbitration scans compare integers instead of strings.
   OpId op = kInvalidOpId;
   FieldMap fields;
+  // ByteSize() as ShardedLog's storage gauge counted it when the record was installed, so a
+  // release subtracts exactly that without re-walking the fields.
+  size_t stored_bytes = 0;
 
   bool HasTag(TagId t) const {
     for (TagId tag : tags) {

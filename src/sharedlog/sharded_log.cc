@@ -103,7 +103,7 @@ void ShardedLog::ReleaseRef(SimTime now, SeqNum seqnum) {
   StoredRecord* slot = FindSlot(seqnum);
   HM_CHECK_MSG(slot != nullptr, "ReleaseRef on missing record");
   if (--slot->live_tag_refs > 0) return;
-  gauge_.Add(now, -static_cast<int64_t>(slot->record->ByteSize()));
+  gauge_.Add(now, -static_cast<int64_t>(slot->record->stored_bytes));
   slot->record.reset();
   RecordStore& store = stores_[ShardOfSeq(seqnum)];
   --store.live;
@@ -133,13 +133,14 @@ LogRecordPtr ShardedLog::MakeRecord(SeqNum seqnum, std::vector<TagId> tags, Fiel
   if (record->fields.Has("op")) {
     record->op = ops_.Intern(record->fields.GetStr("op"));
   }
+  record->stored_bytes = record->ByteSize();
   return record;
 }
 
 LogRecordPtr ShardedLog::InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
                                        FieldMap fields, bool restoring) {
   LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
-  gauge_.Add(now, static_cast<int64_t>(record->ByteSize()));
+  gauge_.Add(now, static_cast<int64_t>(record->stored_bytes));
   // Encoded seqnums are allocated in global commit order, so pushing to the back keeps every
   // stream sorted, whichever shard sequenced the record.
   for (TagId tag : record->tags) {
@@ -504,7 +505,7 @@ void ShardedLog::RestoreRecordFuzzy(SimTime now, SeqNum seqnum, std::vector<TagI
   StoredRecord* stored = FindSlot(seqnum);
   if (stored == nullptr) {
     LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
-    gauge_.Add(now, static_cast<int64_t>(record->ByteSize()));
+    gauge_.Add(now, static_cast<int64_t>(record->stored_bytes));
     stored = &InstallSlot(std::move(record), 0);
   }
   for (TagId tag : stored->record->tags) {
@@ -608,7 +609,7 @@ void ShardedLog::RestoreCheckpointRecord(SimTime now, SeqNum seqnum, std::vector
                                          FieldMap fields) {
   HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
   LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
-  gauge_.Add(now, static_cast<int64_t>(record->ByteSize()));
+  gauge_.Add(now, static_cast<int64_t>(record->stored_bytes));
   InstallSlot(std::move(record), 0);
   EnsureWatermark(seqnum);
 }

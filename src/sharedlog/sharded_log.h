@@ -395,7 +395,8 @@ class ShardedLog {
   // the append may proceed; on conflict fills `existing` with the occupant of `cond_pos`.
   bool CondHolds(TagId cond_tag, size_t cond_pos, SeqNum* existing);
 
-  // Builds the immutable record object (op interned) without installing it anywhere.
+  // Builds the immutable record object (op interned, stored_bytes sized) without installing
+  // it anywhere.
   LogRecordPtr MakeRecord(SeqNum seqnum, std::vector<TagId> tags, FieldMap fields);
   // The shared body of Commit and strict RestoreRecord: builds the immutable record and
   // installs it into the record store, the per-tag sub-streams, and the storage gauge — everything EXCEPT seqnum allocation, journaling, and commit notification,

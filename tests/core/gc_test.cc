@@ -114,25 +114,26 @@ TEST(GcTest, ReadsStillCorrectAfterGc) {
 }
 
 TEST(GcTest, TrimsStepLogsOfFinishedWorkflows) {
-  // A workflow's step log is garbage once the workflow drains (§4.5): its tag retires then,
-  // with no GC scan at all.
+  // A workflow's step log and its root's init record are garbage once the workflow drains
+  // (§4.5): the tag retires and the init stream is trimmed then, with no GC scan at all.
   TestWorld world(HmRead());
   RegisterWriter(world);
   sharedlog::ShardedLog& log = world.cluster().log_space();
   for (int i = 0; i < 6; ++i) {
     size_t before = log.live_records();
     world.Call("write_k", "v");
-    // Retirement freed what only the step log held (the write's pre record); the init record
-    // (in the init stream) and the commit record (in the write log) stay.
-    EXPECT_EQ(log.live_records(), before + 2);
+    // Retirement freed what only the step log held (the write's pre record) and the drain's
+    // trim the init record; only the commit record (in the write log) stays.
+    EXPECT_EQ(log.live_records(), before + 1);
     EXPECT_EQ(log.tags().Find("write_k#" + std::to_string(i)), sharedlog::kInvalidTagId);
   }
   EXPECT_EQ(world.runtime().stats().step_logs_retired, 6);
-  // A scan then leaves only the marked write record (the newest commit): every init record
-  // belongs to a finished workflow.
+  EXPECT_EQ(world.runtime().stats().init_records_trimmed, 6);
+  // A scan then leaves only the marked write record (the newest commit).
   GcService gc(&world.cluster(), Seconds(10));
   gc.RunOnce();
-  EXPECT_LE(log.live_records(), 2u);
+  EXPECT_EQ(log.live_records(), 1u);
+  EXPECT_EQ(gc.stats().init_records_trimmed, 0);
   EXPECT_EQ(world.runtime().stats().step_logs_retired, 6);
 }
 
@@ -140,19 +141,22 @@ TEST(GcTest, StatsCountExactRecordsNotScans) {
   TestWorld world(HmRead());
   RegisterWriter(world);
   for (int i = 0; i < 6; ++i) world.Call("write_k", "v");
-  // Six root invocations → six step logs retired at drain, before any scan.
+  // Six root invocations → six step logs retired and exactly six init records trimmed (one
+  // per init append) at drain, before any scan. init_records_trimmed once counted *scans*
+  // with a nonzero frontier, so a busy run with one scan reported 1 regardless of how many
+  // records it reclaimed.
   EXPECT_EQ(world.runtime().stats().step_logs_retired, 6);
+  EXPECT_EQ(world.runtime().stats().init_records_trimmed, 6);
   GcService gc(&world.cluster(), Seconds(10));
   gc.RunOnce();
-  // Exactly six init records trimmed (one per init append). init_records_trimmed used to
-  // count *scans* with a nonzero frontier, so a busy run with one scan reported 1 regardless
-  // of how many records it reclaimed. Scans retire nothing.
-  EXPECT_EQ(gc.stats().init_records_trimmed, 6);
+  // The drains left the backstop nothing; scans retire nothing.
+  EXPECT_EQ(gc.stats().init_records_trimmed, 0);
   EXPECT_EQ(gc.stats().step_logs_trimmed, 0);
-  // A second scan with nothing left to reclaim must not inflate either counter.
+  // A second scan with nothing left to reclaim must not inflate any counter.
   gc.RunOnce();
   EXPECT_EQ(gc.stats().scans, 2);
-  EXPECT_EQ(gc.stats().init_records_trimmed, 6);
+  EXPECT_EQ(gc.stats().init_records_trimmed, 0);
+  EXPECT_EQ(world.runtime().stats().init_records_trimmed, 6);
   EXPECT_EQ(world.runtime().stats().step_logs_retired, 6);
 }
 
@@ -182,12 +186,58 @@ TEST(GcTest, TrimsReadLogsUnderHalfmoonWrite) {
     for (int i = 0; i < 5; ++i) co_await ctx.Read("k");
     co_return "";
   });
-  for (int i = 0; i < 4; ++i) world.Call("reads");
-  int64_t bytes_before = world.cluster().log_space().CurrentBytes();
-  GcService gc(&world.cluster(), Seconds(10));
-  gc.RunOnce();
-  // Read-log records live exactly as long as the initiating SSF (§4.5): all are gone.
-  EXPECT_LT(world.cluster().log_space().CurrentBytes(), bytes_before / 4);
+  sharedlog::ShardedLog& log = world.cluster().log_space();
+  const int64_t bytes_before = log.CurrentBytes();
+  bool done = false;
+  world.CallAsync("reads", "", nullptr, &done);
+  int64_t bytes_mid_run = 0;
+  while (!done) {
+    world.scheduler().RunUntil(world.scheduler().Now() + Microseconds(100));
+    bytes_mid_run = std::max(bytes_mid_run, log.CurrentBytes());
+  }
+  for (int i = 0; i < 3; ++i) world.Call("reads");
+  // Read-log records and the init record live exactly as long as the initiating SSF
+  // (§4.5): all are gone at drain, with no scan.
+  EXPECT_GT(bytes_mid_run, bytes_before);
+  EXPECT_EQ(log.CurrentBytes(), bytes_before);
+  EXPECT_EQ(world.runtime().stats().init_records_trimmed, 4);
+}
+
+TEST(GcTest, LogBytesReturnToTheirPreRunValue) {
+  // The log's storage gauge adds each record's size at install and subtracts it at release.
+  // Concurrent reading workflows (each invoking a child) leave nothing behind once they have
+  // drained and one scan has run, so the gauge must land exactly where it started.
+  for (ProtocolKind protocol :
+       {ProtocolKind::kHalfmoonRead, ProtocolKind::kHalfmoonWrite, ProtocolKind::kBoki}) {
+    SCOPED_TRACE(core::ProtocolName(protocol));
+    TestWorldOptions options;
+    options.protocol = protocol;
+    TestWorld world(options);
+    world.runtime().PopulateObject("k", "v");
+    world.Register("child", [](core::SsfContext& ctx) -> sim::Task<Value> {
+      for (int i = 0; i < 2; ++i) co_await ctx.Read("k");
+      co_return "";
+    });
+    world.Register("parent", [](core::SsfContext& ctx) -> sim::Task<Value> {
+      for (int i = 0; i < 3; ++i) co_await ctx.Read("k");
+      co_return co_await ctx.Invoke("child", ctx.input());
+    });
+    sharedlog::ShardedLog& log = world.cluster().log_space();
+    const int64_t bytes_before = log.CurrentBytes();
+    constexpr int kRoots = 8;
+    bool done[kRoots] = {};
+    for (bool& d : done) world.CallAsync("parent", "", nullptr, &d);
+    int64_t peak = 0;
+    while (!world.scheduler().empty()) {
+      world.scheduler().RunUntil(world.scheduler().Now() + Microseconds(100));
+      peak = std::max(peak, log.CurrentBytes());
+    }
+    ASSERT_TRUE(std::all_of(std::begin(done), std::end(done), [](bool d) { return d; }));
+    GcService gc(&world.cluster(), Seconds(10));
+    gc.RunOnce();
+    EXPECT_GT(peak, bytes_before);
+    EXPECT_EQ(log.CurrentBytes(), bytes_before);
+  }
 }
 
 TEST(GcTest, KeepsVersionsVisibleToRunningSsfs) {
@@ -304,7 +354,8 @@ TEST(GcTest, ChildInitRecordsDoNotFreezeTheFrontier) {
 
 // The collector before its registry walk, kept as an oracle: write logs come from the
 // name-ordered LiveTagsWithPrefix("k:") and each is read whole, then steps (3) and (4) run as
-// in GcService (step logs retire at drain, outside any collector).
+// in GcService (step logs retire and the init stream is trimmed at drain, outside any
+// collector).
 class FullWalkGc {
  public:
   explicit FullWalkGc(runtime::Cluster* cluster) : cluster_(cluster) {}
@@ -314,9 +365,7 @@ class FullWalkGc {
     sharedlog::ShardedLog& log = cluster_->log_space();
     kvstore::KvState& kv = cluster_->kv_state();
     SimTime now = cluster_->scheduler().Now();
-    sharedlog::SeqNum frontier = std::min({cluster_->RunningFrontier(),
-                                           cluster_->DurableTrimBound(),
-                                           cluster_->CheckpointBound()});
+    sharedlog::SeqNum frontier = cluster_->BoundedFrontier();
     for (sharedlog::TagId tag : log.LiveTagsWithPrefix(sharedlog::kWriteLogPrefix)) {
       std::vector<sharedlog::LogRecordPtr> records = log.ReadStream(tag);
       const sharedlog::LogRecord* marked = nullptr;
@@ -336,10 +385,7 @@ class FullWalkGc {
       log.Trim(now, tag, marked->seqnum - 1);
     }
     log.ReleaseRetired();
-    if (frontier > 0) {
-      stats_.init_records_trimmed +=
-          static_cast<int64_t>(log.Trim(now, sharedlog::kInitTagId, frontier - 1));
-    }
+    stats_.init_records_trimmed += static_cast<int64_t>(core::TrimInitStream(*cluster_));
   }
 
   const core::GcStats& stats() const { return stats_; }
@@ -445,6 +491,8 @@ TEST(GcTest, StepLogsRetireAtDrainUnderStorageKills) {
   // retired at its drain, or was re-issued by recovery when a kill lost the kRetire frame.
   // Deferring retirement (to a GC scan, say) would still pass every functional check, so
   // scripts/check.sh requires the "[gc] retired-at-drain" line printed here.
+  // The drains also trim the init stream; here the clamps of Cluster::BoundedFrontier seldom
+  // bind (DrainTrimsStopAtTheDurableAndCheckpointBounds arranges both).
   for (ProtocolKind protocol : {ProtocolKind::kHalfmoonRead, ProtocolKind::kHalfmoonWrite}) {
     SCOPED_TRACE(core::ProtocolName(protocol));
     runtime::Cluster cluster(GcWorld::Config());
@@ -512,10 +560,142 @@ TEST(GcTest, StepLogsRetireAtDrainUnderStorageKills) {
       for (sharedlog::TagId tag : workflow->step_tags) unreleased += !tags.Retired(tag);
     }
     EXPECT_EQ(unreleased, 0u);
+    // The drains trimmed the init stream (one record per root; a kill may resurrect a few
+    // whose kTrim frames it lost), and with the last frames flushed the backstop leaves it
+    // empty.
+    EXPECT_GE(runtime.stats().init_records_trimmed, static_cast<int64_t>(workflows.size()));
+    EXPECT_TRUE(cluster.log_space().ReadStream(sharedlog::kInitTagId).empty());
     std::printf("[gc] %s: workflows=%zu member_tags=%zu kills=%d live_member_tags_max=%zu | %s\n",
                 core::ProtocolName(protocol), workflows.size(), member_tags, kills, max_live,
                 max_live == 0 && drained == workflows.size() ? "retired-at-drain"
                                                              : "DEFERRED");
+  }
+}
+
+TEST(GcTest, DrainTrimsStopAtTheDurableAndCheckpointBounds) {
+  // A drain trims the init stream only below Cluster::BoundedFrontier(), like a scan. Two
+  // arrangements make a clamp bind, each with the init record the clamp protects checked
+  // right after the drain.
+  runtime::ClusterConfig config = GcWorld::Config();
+  core::RuntimeConfig rcfg = GcWorld::RuntimeConfig();
+  auto register_writer = [](core::SsfRuntime& runtime) {
+    runtime.RegisterFunction("write_k", [](core::SsfContext& ctx) -> sim::Task<Value> {
+      co_await ctx.Write("k", ctx.input());
+      co_return "";
+    });
+  };
+  auto run_to_drain = [](runtime::Cluster& cluster,
+                         const core::SsfRuntimeTestPeer::WorkflowPtr& workflow) {
+    while (!workflow->drained && !cluster.scheduler().empty()) {
+      cluster.scheduler().RunUntil(cluster.scheduler().Now() + Microseconds(10));
+    }
+    ASSERT_TRUE(workflow->drained);
+  };
+  auto in_init_stream = [](runtime::Cluster& cluster, sharedlog::SeqNum seqnum) {
+    return cluster.log_space().LatestSeqNoAtMost(sharedlog::kInitTagId, seqnum) == seqnum;
+  };
+
+  // (1) Durable bound: root b drains, with no other root registered, while root c's init
+  // record is committed but not yet durable. The running frontier is then the next seqnum;
+  // only DurableTrimBound keeps c's record. c starts at increasing offsets until its Init
+  // lands in that window.
+  bool durable_bound_met = false;
+  for (int offset_us = 0; offset_us <= 5000 && !durable_bound_met; offset_us += 20) {
+    runtime::Cluster cluster(config);
+    core::SsfRuntime runtime(&cluster, rcfg);
+    register_writer(runtime);
+    auto b = core::SsfRuntimeTestPeer::Launch(runtime, "b", "write_k", "v");
+    cluster.scheduler().RunUntil(Microseconds(offset_us));
+    const bool b_drained_first = b->drained;  // Past every offset that could work.
+    if (!b_drained_first) {
+      auto c = core::SsfRuntimeTestPeer::Launch(runtime, "c", "write_k", "v");
+      run_to_drain(cluster, b);
+      const sharedlog::TagId c_tag = cluster.log_space().tags().Find("c");
+      const sharedlog::LogRecordPtr c_init = c_tag == sharedlog::kInvalidTagId
+                                                 ? nullptr
+                                                 : cluster.log_space().ReadNext(c_tag, 0);
+      durable_bound_met = c->root_init == sharedlog::kInvalidSeqNum && c_init != nullptr &&
+                          c_init->seqnum >= cluster.DurableTrimBound();
+      if (durable_bound_met) {
+        SCOPED_TRACE("c launched at " + std::to_string(offset_us) + " us");
+        EXPECT_EQ(cluster.live_tracking_entries(), 0u);
+        EXPECT_TRUE(in_init_stream(cluster, c_init->seqnum));
+        EXPECT_EQ(runtime.stats().init_records_trimmed, 1);  // b's own.
+      }
+    }
+    cluster.scheduler().Run();  // Nothing may stay suspended when the cluster goes.
+    if (durable_bound_met) {
+      // c's drain took its record.
+      EXPECT_TRUE(cluster.log_space().ReadStream(sharedlog::kInitTagId).empty());
+      EXPECT_EQ(runtime.stats().init_records_trimmed, 2);
+    }
+    if (b_drained_first) break;
+  }
+  EXPECT_TRUE(durable_bound_met);
+
+  // (2) Checkpoint bound: root b starts and drains inside a checkpoint round, so its init
+  // record lies above the round's fence and stays until the round ends. No drain follows, so
+  // the scan's backstop takes it.
+  config.checkpoint_slice = 1;  // One frame per slice: the round outlasts the workflow.
+  runtime::Cluster cluster(config);
+  core::SsfRuntime runtime(&cluster, rcfg);
+  register_writer(runtime);
+  for (int i = 0; i < 200; ++i) runtime.PopulateObject("o" + std::to_string(i), "v");
+  cluster.scheduler().Run();
+  storage::CheckpointService& ckpt = *cluster.checkpoint_service();
+  ASSERT_TRUE(ckpt.TriggerRound());
+  auto b = core::SsfRuntimeTestPeer::Launch(runtime, "b", "write_k", "v");
+  run_to_drain(cluster, b);
+  ASSERT_NE(cluster.CheckpointBound(), sharedlog::kMaxSeqNum);  // The round still walks.
+  EXPECT_GE(b->root_init, cluster.CheckpointBound());
+  EXPECT_TRUE(in_init_stream(cluster, b->root_init));
+  EXPECT_EQ(runtime.stats().init_records_trimmed, 0);
+  cluster.scheduler().Run();
+  EXPECT_EQ(ckpt.stats().rounds_completed, 1);
+  EXPECT_TRUE(in_init_stream(cluster, b->root_init));
+  GcService gc(&cluster, Seconds(10));
+  gc.RunOnce();
+  EXPECT_EQ(gc.stats().init_records_trimmed, 1);
+  EXPECT_TRUE(cluster.log_space().ReadStream(sharedlog::kInitTagId).empty());
+}
+
+TEST(GcTest, InitRecordsReleaseAtDrainWithoutAScan) {
+  // Volatile Retwis under load with no GC service at all: once the load drains, every root's
+  // init record must be gone, trimmed by the drain that moved the frontier past it. Deferring
+  // the trim to a scan would still pass every functional check, so scripts/check.sh requires
+  // the "[gc] init-released-at-drain" line printed here.
+  for (ProtocolKind protocol : {ProtocolKind::kHalfmoonRead, ProtocolKind::kHalfmoonWrite}) {
+    SCOPED_TRACE(core::ProtocolName(protocol));
+    runtime::ClusterConfig ccfg;
+    ccfg.seed = 1;
+    ccfg.function_nodes = 4;
+    ccfg.workers_per_node = 8;
+    runtime::Cluster cluster(ccfg);
+    core::RuntimeConfig rcfg;
+    rcfg.default_protocol = protocol;
+    core::SsfRuntime runtime(&cluster, rcfg);
+    workloads::AppDataset data;
+    workloads::RegisterRetwisApp(runtime, data);
+    workloads::LoadGenConfig load;
+    load.requests_per_second = 300;
+    load.warmup = 0;
+    load.duration = Seconds(2);
+    workloads::LoadGenerator gen(&runtime, load, workloads::RetwisRequestFactory(runtime, data));
+    gen.RunToCompletion();
+
+    const size_t left = cluster.log_space().ReadStream(sharedlog::kInitTagId).size();
+    const int64_t trimmed = runtime.stats().init_records_trimmed;
+    ASSERT_EQ(gen.completed(), gen.offered());
+    EXPECT_EQ(cluster.live_tracking_entries(), 0u);
+    EXPECT_EQ(left, 0u);
+    // One init record per root (Retwis children inherit their root's cursor), each trimmed
+    // once.
+    EXPECT_EQ(trimmed, gen.offered());
+    std::printf("[gc] %s retwis, no scan: roots=%lld init_trimmed_at_drain=%lld "
+                "init_stream_left=%zu | %s\n",
+                core::ProtocolName(protocol), static_cast<long long>(gen.offered()),
+                static_cast<long long>(trimmed), left,
+                left == 0 && trimmed == gen.offered() ? "init-released-at-drain" : "DEFERRED");
   }
 }
 

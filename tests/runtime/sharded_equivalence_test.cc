@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -29,6 +30,7 @@
 #include "src/runtime/cluster.h"
 #include "src/sim/task.h"
 #include "tests/testing/live_streams.h"
+#include "tests/testing/state_checksum.h"
 
 namespace halfmoon {
 namespace {
@@ -69,11 +71,28 @@ uint64_t HashStream(const std::vector<sharedlog::LogRecordPtr>& records) {
   return h;
 }
 
+// The KV state the workload's keys ended in: each key's latest slot and, where the key has a
+// write log, its version count. Version tuples carry encoded seqnums, so this pins the
+// one-shard run only.
+uint64_t KvContentHash(runtime::Cluster& cluster, const faultcheck::Workload& workload) {
+  std::set<std::string> keys(workload.keys.begin(), workload.keys.end());
+  for (const auto& [key, value] : workload.initial_state) keys.insert(key);
+  std::vector<sharedlog::TagId> objects;
+  for (const std::string& key : keys) {
+    sharedlog::TagId object =
+        cluster.log_space().tags().Find(std::string(sharedlog::kWriteLogPrefix) + key);
+    if (object != sharedlog::kInvalidTagId) objects.push_back(object);
+  }
+  return testing::KvChecksum(cluster, std::vector<std::string>(keys.begin(), keys.end()),
+                             objects);
+}
+
 struct RunResult {
   uint64_t events = 0;
   uint64_t end_now = 0;
   uint64_t next_seqnum = 0;
   uint64_t content_fnv = 0;                  // All streams folded, name-sorted.
+  uint64_t kv_fnv = 0;                       // KvContentHash.
   std::map<std::string, uint64_t> streams;   // Per-stream checksums, for pinpointing drift.
   bool oracle_ok = false;
   std::string oracle_failure;
@@ -130,6 +149,7 @@ RunResult RunWorkload(ProtocolKind protocol, const faultcheck::Workload& workloa
     }
   }
   r.content_fnv = h;
+  r.kv_fnv = KvContentHash(cluster, workload);
   return r;
 }
 
@@ -147,27 +167,37 @@ struct Golden {
   uint64_t end_now;
   uint64_t next_seqnum;
   uint64_t content_fnv;
+  uint64_t kv_fnv;
 };
 
 // Captured at the pre-sharding head (PR 4): ClusterConfig defaults, log_shards pinned to 1.
 // Any drift here means the one-shard code path is no longer the historic implementation.
-// content_fnv was re-pinned once when step logs began retiring at workflow drain: the
-// finished instances' streams left the hash, and each new value equals the old code's
-// content with every drained member's step log retired before hashing. The events, end_now
-// and next_seqnum columns did not move.
+// content_fnv was re-pinned twice, each time equal to the old code's content with the new
+// garbage removed before hashing: when step logs began retiring at workflow drain (every
+// drained member's step log), and when drains began trimming the init stream (every init
+// record below the frontier). The events, end_now and next_seqnum columns did not move. With
+// no stream surviving the drain, the Boki and Halfmoon-write rows hash no records (the FNV
+// offset basis), so kv_fnv (KvContentHash, captured before the second re-pin) pins what those
+// runs left in the KV store.
 const Golden kGoldens[] = {
-    {"Boki", "counter", 102ull, 29114551ull, 13ull, 0x05a9c3a68655ae57ull},
-    {"Boki", "transfer", 114ull, 36286555ull, 15ull, 0x0047eac725f71922ull},
-    {"Boki", "workflow", 194ull, 39466378ull, 29ull, 0x7bb6e81db3feefbeull},
-    {"Halfmoon-read", "counter", 88ull, 23700364ull, 11ull, 0x097d187114e529eaull},
-    {"Halfmoon-read", "transfer", 96ull, 32440175ull, 13ull, 0xbe1e825bf9358603ull},
-    {"Halfmoon-read", "workflow", 184ull, 41429721ull, 30ull, 0x304475ae258a8d7full},
-    {"Halfmoon-write", "counter", 66ull, 21705196ull, 7ull, 0x05a9c3a68655ae57ull},
-    {"Halfmoon-write", "transfer", 66ull, 25505280ull, 7ull, 0x0047eac725f71922ull},
-    {"Halfmoon-write", "workflow", 120ull, 33777847ull, 17ull, 0x7bb6e81db3feefbeull},
-    {"Transitional", "counter", 125ull, 36566345ull, 13ull, 0x73822ef0b1cec063ull},
-    {"Transitional", "transfer", 144ull, 48864106ull, 15ull, 0x397cf22e09f5418full},
-    {"Transitional", "workflow", 220ull, 53231692ull, 29ull, 0xcc3f974896395399ull},
+    {"Boki", "counter", 102ull, 29114551ull, 13ull, kFnvOffset, 0x89a6e2347a12a376ull},
+    {"Boki", "transfer", 114ull, 36286555ull, 15ull, kFnvOffset, 0xe91bc16c46a1bdfdull},
+    {"Boki", "workflow", 194ull, 39466378ull, 29ull, kFnvOffset, 0x3bd610a9c33e21a3ull},
+    {"Halfmoon-read", "counter", 88ull, 23700364ull, 11ull,
+     0x8635f68a0b1f1ea0ull, 0x366ae7d698caa87aull},
+    {"Halfmoon-read", "transfer", 96ull, 32440175ull, 13ull,
+     0xd902495be8ac6228ull, 0xe20de5eff84dd4b6ull},
+    {"Halfmoon-read", "workflow", 184ull, 41429721ull, 30ull,
+     0x2ac415f578fac748ull, 0x0a588529992e76a5ull},
+    {"Halfmoon-write", "counter", 66ull, 21705196ull, 7ull, kFnvOffset, 0x82c0119b92eed3a4ull},
+    {"Halfmoon-write", "transfer", 66ull, 25505280ull, 7ull, kFnvOffset, 0x4098e0edd8c70ff0ull},
+    {"Halfmoon-write", "workflow", 120ull, 33777847ull, 17ull, kFnvOffset, 0x2d9b0f14e2a78181ull},
+    {"Transitional", "counter", 125ull, 36566345ull, 13ull,
+     0x364d4e7c347fd891ull, 0xc3abdd89c62318f6ull},
+    {"Transitional", "transfer", 144ull, 48864106ull, 15ull,
+     0xe25db06246f13594ull, 0x6e6c5224d4ab1999ull},
+    {"Transitional", "workflow", 220ull, 53231692ull, 29ull,
+     0xeea28dcfbed76c3eull, 0xc00d4c9c8b54be1aull},
 };
 
 const faultcheck::Workload* FindWorkload(const std::vector<faultcheck::Workload>& all,
@@ -198,6 +228,7 @@ TEST(ShardedEquivalenceTest, OneShardIsBitIdenticalToPreShardingGoldens) {
     EXPECT_EQ(r.end_now, golden.end_now);
     EXPECT_EQ(r.next_seqnum, golden.next_seqnum);
     EXPECT_EQ(r.content_fnv, golden.content_fnv);
+    EXPECT_EQ(r.kv_fnv, golden.kv_fnv);
   }
 }
 

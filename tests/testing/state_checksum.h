@@ -31,6 +31,27 @@ inline uint64_t FnvStr(uint64_t h, const std::string& s) {
   return FnvBytes(h, s.data(), s.size());
 }
 
+// FNV-1a over the allocator position, the KV latest slot (value and version tuple) of each of
+// `kv_keys`, and the version count of each of `objects`.
+inline uint64_t KvChecksum(runtime::Cluster& cluster, const std::vector<std::string>& kv_keys,
+                           const std::vector<sharedlog::TagId>& objects) {
+  uint64_t kv_hash = kFnvOffset;
+  kv_hash = FnvU64(kv_hash, cluster.log_space().next_seqnum());
+  for (const std::string& key : kv_keys) {
+    kv_hash = FnvStr(kv_hash, key);
+    auto value = cluster.kv_state().Get(key);
+    kv_hash = FnvStr(kv_hash, value.has_value() ? *value : std::string("<missing>"));
+    auto version = cluster.kv_state().GetVersion(key);
+    kv_hash = FnvU64(kv_hash, version.has_value() ? version->cursor_ts : ~0ull);
+    kv_hash = FnvU64(kv_hash, version.has_value() ? version->counter : ~0ull);
+  }
+  for (sharedlog::TagId object : objects) {
+    kv_hash = FnvU64(kv_hash, object);
+    kv_hash = FnvU64(kv_hash, cluster.kv_state().VersionCount(object));
+  }
+  return kv_hash;
+}
+
 // Content checksum of the rebuilt state: every live tag's stream (name, seqnums, field maps)
 // XOR-folded, plus the allocator position and the KV latest slots and version index of the
 // keys/objects the test wrote. Seqnums ARE included — recovery must rebuild the identical
@@ -57,21 +78,7 @@ inline uint64_t StateChecksum(runtime::Cluster& cluster, const std::vector<std::
     combined ^= h;
   }
 
-  uint64_t kv_hash = kFnvOffset;
-  kv_hash = FnvU64(kv_hash, log.next_seqnum());
-  for (const std::string& key : kv_keys) {
-    kv_hash = FnvStr(kv_hash, key);
-    auto value = cluster.kv_state().Get(key);
-    kv_hash = FnvStr(kv_hash, value.has_value() ? *value : std::string("<missing>"));
-    auto version = cluster.kv_state().GetVersion(key);
-    kv_hash = FnvU64(kv_hash, version.has_value() ? version->cursor_ts : ~0ull);
-    kv_hash = FnvU64(kv_hash, version.has_value() ? version->counter : ~0ull);
-  }
-  for (sharedlog::TagId object : objects) {
-    kv_hash = FnvU64(kv_hash, object);
-    kv_hash = FnvU64(kv_hash, cluster.kv_state().VersionCount(object));
-  }
-  return combined ^ kv_hash;
+  return combined ^ KvChecksum(cluster, kv_keys, objects);
 }
 
 }  // namespace halfmoon::testing
