@@ -4,8 +4,7 @@
 //     in-tree reference modes (per-request appends, binary-heap queue), with committed
 //     content asserted identical;
 //   * shard scaling (>= 1.8x simulated throughput at 4 shards), pipelined group commit
-//     (>= 1.5x at depth 4), parallel-engine thread scaling (wall clock), and the node-local
-//     read cache (>= 60% hit rate);
+//     (>= 1.5x at depth 4), and the node-local read cache (>= 60% hit rate);
 //   * tag-intern, index-propagation coalescing and timer-wheel micro-sections;
 //   * the zero-copy audit (read_record_copies == 0) and the advisor drift section (advisor
 //     below both static protocols).
@@ -21,7 +20,6 @@
 #include <cstdio>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -31,7 +29,6 @@
 #include "src/core/online_advisor.h"
 #include "src/metrics/workload_sketch.h"
 #include "src/runtime/cluster.h"
-#include "src/runtime/parallel_cluster.h"
 #include "src/sharedlog/log_client.h"
 #include "src/sharedlog/sharded_log.h"
 #include "src/sharedlog/tag_registry.h"
@@ -450,74 +447,6 @@ EventResult RunSchedulerEvents(sim::QueueMode mode, uint64_t total, int batch) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-scaling section: the shard-parallel workload on runtime::ParallelCluster, one
-// shared single-threaded scheduler (parallel = false) vs one OS thread per partition
-// under the conservative engine. Unlike every other section, the measured quantity is
-// WALL-CLOCK events per second — virtual time and committed content are identical across
-// modes by construction (asserted every pass), so the only thing the threads can change is
-// how fast the same simulation runs. The workload keeps most appends partition-local (the
-// conservative window then holds many events per barrier) with a cross-partition append
-// every 16 ops so the synchronization protocol is genuinely exercised.
-// ---------------------------------------------------------------------------
-
-struct ParallelScalingResult {
-  double seconds = 0;  // Wall clock.
-  uint64_t events = 0;
-  uint64_t checksum = 0;
-  int64_t appends = 0;
-  uint64_t windows = 0;
-  uint64_t messages = 0;
-};
-
-sim::Task<void> ParallelLoad(runtime::ParallelCluster* pc, int p, int client, int ops,
-                             std::vector<std::vector<TagId>> tags) {
-  for (int i = 0; i < ops; ++i) {
-    int owner = p;
-    if (pc->partitions() > 1 && i % 16 == 0) owner = (p + 1) % pc->partitions();
-    FieldMap fields;
-    fields.SetStr("op", "write");
-    fields.SetInt("step", i);
-    std::vector<TagId> record_tags = {
-        tags[static_cast<size_t>(owner)][static_cast<size_t>(p)]};
-    co_await pc->Append(p, client, owner, std::move(record_tags), std::move(fields));
-  }
-}
-
-ParallelScalingResult RunParallelScaling(int partitions, bool parallel,
-                                         int clients_per_partition, int ops_per_client) {
-  runtime::ParallelClusterConfig config;
-  config.partitions = partitions;
-  config.parallel = parallel;
-  config.clients_per_partition = clients_per_partition;
-  config.seed = 1;
-  runtime::ParallelCluster pc(config);
-
-  std::vector<std::vector<TagId>> tags(static_cast<size_t>(partitions));
-  for (int owner = 0; owner < partitions; ++owner) {
-    for (int src = 0; src < partitions; ++src) {
-      tags[static_cast<size_t>(owner)].push_back(
-          pc.InternTag(owner, "p" + std::to_string(owner) + "/from" + std::to_string(src)));
-    }
-  }
-  for (int p = 0; p < partitions; ++p) {
-    for (int c = 0; c < clients_per_partition; ++c) {
-      pc.Spawn(p, ParallelLoad(&pc, p, c, ops_per_client, tags));
-    }
-  }
-
-  auto start = std::chrono::steady_clock::now();
-  pc.Run();
-  ParallelScalingResult out;
-  out.seconds = SecondsSince(start);
-  out.events = pc.TotalEventsProcessed();
-  out.checksum = pc.ContentChecksum();
-  out.appends = pc.TotalLogAppends();
-  out.windows = pc.windows();
-  out.messages = pc.messages_routed();
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Zero-copy audit: exercise the client read paths and report the stats counters.
 // ---------------------------------------------------------------------------
 
@@ -757,54 +686,7 @@ void Report() {
   HM_CHECK_MSG(pipe_d4.rounds_overlapped > 0, "depth-4 pipeline never overlapped rounds");
   HM_CHECK_MSG(pipe_speedup >= 1.5, "pipelined group commit fell below the 1.5x floor");
 
-  // Section 4: thread scaling on the shard-parallel workload (wall clock, best-of-3). The
-  // two modes must be observably identical — same committed content, same event count — so
-  // only the wall-clock ratio is a measurement; everything else is an equivalence assertion.
-  const int thread_workers = 4;
-  const int thread_clients = 64;
-  const int thread_ops = std::max(16, static_cast<int>(160 * scale));
-  RunParallelScaling(thread_workers, /*parallel=*/true, 8, 16);  // Warm-up (threads + alloc).
-  ParallelScalingResult seq_best, par_best;
-  for (int pass = 0; pass < 3; ++pass) {
-    ParallelScalingResult seq =
-        RunParallelScaling(thread_workers, /*parallel=*/false, thread_clients, thread_ops);
-    ParallelScalingResult par =
-        RunParallelScaling(thread_workers, /*parallel=*/true, thread_clients, thread_ops);
-    HM_CHECK_MSG(seq.checksum == par.checksum,
-                 "parallel mode changed committed log content");
-    HM_CHECK_MSG(seq.events == par.events, "parallel mode changed the event count");
-    HM_CHECK(seq.appends == par.appends);
-    if (pass == 0) {
-      seq_best = seq;
-      par_best = par;
-      continue;
-    }
-    HM_CHECK_MSG(seq.checksum == seq_best.checksum, "thread-scaling passes diverged");
-    if (seq.seconds < seq_best.seconds) seq_best = seq;
-    if (par.seconds < par_best.seconds) par_best = par;
-  }
-  double seq_eps = static_cast<double>(seq_best.events) / seq_best.seconds;
-  double par_eps = static_cast<double>(par_best.events) / par_best.seconds;
-  double thread_speedup = par_eps / seq_eps;
-  unsigned hardware_threads = std::thread::hardware_concurrency();
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-  constexpr bool sanitized = true;
-#else
-  constexpr bool sanitized = false;
-#endif
-  // The >= 3.0x wall-clock floor is a hard gate only where the hardware can express it: the
-  // workers need real cores (2x headroom over the worker count so the barrier protocol is
-  // not fighting the OS for them), no sanitizer instrumentation, and the full-scale
-  // workload (the smoke scale is too small to amortize thread start-up). Everywhere else
-  // the measured numbers are still recorded — see gate_enforced in BENCH_hotpath.json.
-  const bool thread_gate_armed =
-      !sanitized && hardware_threads >= 2u * static_cast<unsigned>(thread_workers) &&
-      scale >= 1.0;
-  if (thread_gate_armed) {
-    HM_CHECK_MSG(thread_speedup >= 3.0, "thread scaling fell below the 3.0x floor");
-  }
-
-  // Section 5: the node-local read cache on the Halfmoon-read log-free read mix (1 write
+  // Section 4: the node-local read cache on the Halfmoon-read log-free read mix (1 write
   // per 8 reads over shared objects). Cache-off is the reference; the cache must cut
   // simulated completion time, and the hit rate is the headline number.
   DrivenShape cache_shape;
@@ -823,10 +705,10 @@ void Report() {
   // Also deterministic: the log-free read mix must hit the cache at least 60% of the time.
   HM_CHECK_MSG(cache_hit_rate >= 0.6, "read-cache hit rate fell below the 60% floor");
 
-  // Section 6: tag-interning micro-section.
+  // Section 5: tag-interning micro-section.
   TagInternResult intern = RunTagInternMicro(intern_iters);
 
-  // Section 7: index-propagation coalescing on a real cluster. The reference run must be
+  // Section 6: index-propagation coalescing on a real cluster. The reference run must be
   // observably identical (bit-identical virtual time and final replica state).
   int appends_per_node = std::max(16, static_cast<int>(64 * scale));
   PropagationResult coalesced = RunPropagation(/*coalesce=*/true, appends_per_node);
@@ -837,17 +719,17 @@ void Report() {
   double coalescing_ratio = static_cast<double>(coalesced.commits) /
                             static_cast<double>(std::max<int64_t>(1, coalesced.ticks));
 
-  // Section 8: binary-heap reference vs timer wheel on the same multi-level delay storm.
+  // Section 7: binary-heap reference vs timer wheel on the same multi-level delay storm.
   EventResult pq_events = RunSchedulerEvents(sim::QueueMode::kPriorityQueue, event_total,
                                              kEventBatch);
   EventResult wheel_events = RunSchedulerEvents(sim::QueueMode::kTimerWheel, event_total,
                                                 kEventBatch);
 
-  // Section 9: zero-copy audit of the client read paths.
+  // Section 8: zero-copy audit of the client read paths.
   AuditResult audit = RunZeroCopyAudit();
   HM_CHECK_MSG(audit.copies == 0, "read path copied a record");
 
-  // Section 10: the online advisor over a drifting million-object keyspace (gates inside).
+  // Section 9: the online advisor over a drifting million-object keyspace (gates inside).
   AdvisorDriftResult drift = RunAdvisorDrift(scale);
 
   double pq_eps = static_cast<double>(pq_events.events) / pq_events.seconds;
@@ -880,12 +762,6 @@ void Report() {
               static_cast<long long>(pipe_d4.ctrl_lowered),
               static_cast<long long>(pipe_d4.ctrl_widened),
               static_cast<long long>(pipe_d4.ctrl_narrowed));
-  std::printf("  thread scaling: 1 thread %.0f ev/s, %d threads %.0f ev/s (%.2fx wall,"
-              " %llu windows, %llu msgs, hw=%u, gate %s)\n",
-              seq_eps, thread_workers, par_eps, thread_speedup,
-              static_cast<unsigned long long>(par_best.windows),
-              static_cast<unsigned long long>(par_best.messages), hardware_threads,
-              thread_gate_armed ? "enforced" : "recorded only");
   std::printf("  read cache:  %.1f%% hit rate (%lld hits, %lld misses), %.2fx less"
               " simulated time; index-local reads %lld, storage reads %lld\n",
               cache_hit_rate * 100.0, static_cast<long long>(cache_on.cache_hits),
@@ -943,11 +819,6 @@ void Report() {
                "               \"ctrl_depth_raised\": %lld, \"ctrl_depth_lowered\": %lld,\n"
                "               \"ctrl_window_widened\": %lld, \"ctrl_window_narrowed\": %lld,\n"
                "               \"gate\": \"speedup >= 1.5, checksum depth-invariant\"},\n"
-               "  \"thread_scaling\": {\"single_events_per_sec\": %.1f,\n"
-               "                    \"threads_events_per_sec\": %.1f, \"workers\": %d,\n"
-               "                    \"speedup_wall\": %.3f, \"events\": %llu,\n"
-               "                    \"windows\": %llu, \"messages_routed\": %llu,\n"
-               "                    \"hardware_threads\": %u, \"gate_enforced\": %s},\n"
                "  \"read_cache\": {\"hit_rate\": %.3f, \"hits\": %lld, \"misses\": %lld,\n"
                "                 \"sim_time_ratio\": %.3f, \"reads_index_local\": %lld,\n"
                "                 \"reads_storage\": %lld},\n"
@@ -982,11 +853,7 @@ void Report() {
                static_cast<long long>(pipe_d4.ctrl_lowered),
                static_cast<long long>(pipe_d4.ctrl_widened),
                static_cast<long long>(pipe_d4.ctrl_narrowed),
-               seq_eps, par_eps, thread_workers, thread_speedup,
-               static_cast<unsigned long long>(par_best.events),
-               static_cast<unsigned long long>(par_best.windows),
-               static_cast<unsigned long long>(par_best.messages), hardware_threads,
-               thread_gate_armed ? "true" : "false", cache_hit_rate,
+               cache_hit_rate,
                static_cast<long long>(cache_on.cache_hits),
                static_cast<long long>(cache_on.cache_misses), cache_time_ratio,
                static_cast<long long>(cache_on.reads_index_local),

@@ -95,26 +95,6 @@ struct LatencyCalibration {
   double durable_flush_p99 = 0.5;
 };
 
-// Minimum virtual latency of any interaction that crosses log shards (and, in parallel mode,
-// worker threads): no sampled cross-shard delay may fall below this floor. It is the
-// conservative-synchronization lookahead of sim::ParallelEngine (DESIGN.md §10) — a worker
-// may run `CrossShardLookahead()` of virtual time ahead of the global watermark because no
-// peer can reach it faster than this. 0.4 ms sits at roughly the 0.2nd percentile of the
-// Table-1 append distribution (median 1.18 ms, sigma ~= 0.21), so clamping sampled
-// cross-shard latencies up to it is a sub-1-in-10^5 perturbation of the calibrated model
-// while keeping windows ~50 level-0 timer-wheel slots wide.
-inline constexpr double kMinCrossShardLatencyMs = 0.4;
-
-inline constexpr SimDuration CrossShardLookahead() {
-  return FromMillisDouble(kMinCrossShardLatencyMs);
-}
-
-// Clamps a sampled cross-shard delay up to the conservative floor. Every delay handed to
-// ParallelEngine::Send must pass through this (Send hard-checks the floor).
-inline constexpr SimDuration ClampCrossShard(SimDuration sampled) {
-  return sampled < CrossShardLookahead() ? CrossShardLookahead() : sampled;
-}
-
 // Pre-built samplers for every calibrated operation. One instance is shared by the whole
 // simulated cluster.
 struct LatencyModels {

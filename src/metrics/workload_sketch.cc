@@ -94,23 +94,6 @@ void WorkloadSketch::AdvanceEpoch() {
   ++epochs_advanced_;
 }
 
-void WorkloadSketch::Merge(const WorkloadSketch& other) {
-  HM_CHECK_MSG(config_.width == other.config_.width && config_.depth == other.config_.depth &&
-                   config_.seed == other.config_.seed,
-               "WorkloadSketch::Merge: configurations differ");
-  const size_t cells = config_.depth * config_.width;
-  for (size_t i = 0; i < cells; ++i) {
-    current_.reads[i] += other.current_.reads[i];
-    current_.writes[i] += other.current_.writes[i];
-    previous_.reads[i] += other.previous_.reads[i];
-    previous_.writes[i] += other.previous_.writes[i];
-  }
-  current_.total_reads += other.current_.total_reads;
-  current_.total_writes += other.current_.total_writes;
-  previous_.total_reads += other.previous_.total_reads;
-  previous_.total_writes += other.previous_.total_writes;
-}
-
 size_t WorkloadSketch::MemoryBytes() const {
   // 2 epochs x 2 kinds x depth x width counters; the row-seed vector is depth entries.
   return 4 * config_.depth * config_.width * sizeof(uint32_t) +

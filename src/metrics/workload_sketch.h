@@ -11,11 +11,6 @@
 // retires previous and starts a fresh current. An object that goes quiet therefore ages out
 // of the estimate within two epoch lengths, which is what lets the advisor track a drifting
 // (diurnal) workload instead of averaging over all history.
-//
-// Threading: a sketch is single-owner, same contract as LatencyRecorder — in parallel mode
-// each worker records into its own per-partition sketch and the results are folded after the
-// threads join via Merge() (counter arrays add elementwise, so a post-join merge equals one
-// sketch having seen the union stream, in any merge order).
 
 #ifndef HALFMOON_METRICS_WORKLOAD_SKETCH_H_
 #define HALFMOON_METRICS_WORKLOAD_SKETCH_H_
@@ -55,10 +50,6 @@ class WorkloadSketch {
   // Slides the window: previous is dropped, current becomes previous. Counter storage is
   // recycled, so steady-state operation allocates nothing.
   void AdvanceEpoch();
-
-  // Elementwise fold of another sketch with the identical configuration (post-thread-join
-  // aggregation). Order-independent: merging A into B equals merging B into A.
-  void Merge(const WorkloadSketch& other);
 
   // The hard memory bound: counter storage in bytes, a pure function of the configuration.
   size_t MemoryBytes() const;

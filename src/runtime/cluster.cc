@@ -5,13 +5,11 @@
 #include "src/common/check.h"
 
 namespace halfmoon::runtime {
+namespace {
 
-Cluster::Cluster(const ClusterConfig& config)
-    : config_(config),
-      scheduler_(config.queue_mode),
-      rng_(config.seed),
-      models_(config.calibration),
-      log_space_(static_cast<uint32_t>(config.log_shards)) {
+// Every misuse check, run from the mem-initializer list so it precedes the log's
+// construction; each message names the field.
+const ClusterConfig& Validated(const ClusterConfig& config) {
   HM_CHECK_MSG(config.durable || !config.checkpoint,
                "ClusterConfig: checkpoint = true needs durable = true (the checkpoint tier "
                "compacts the durable journal)");
@@ -21,6 +19,36 @@ Cluster::Cluster(const ClusterConfig& config)
     HM_CHECK_MSG(config.sequencer_servers >= 1, "ClusterConfig: sequencer_servers must be >= 1");
     HM_CHECK_MSG(config.storage_servers >= 1, "ClusterConfig: storage_servers must be >= 1");
     HM_CHECK_MSG(config.db_servers >= 1, "ClusterConfig: db_servers must be >= 1");
+  }
+  // Tag ids carry their shard in one byte (TagRegistry::SetShardCount).
+  HM_CHECK_MSG(config.log_shards >= 1 && config.log_shards <= 256,
+               "ClusterConfig: log_shards must be in [1, 256]");
+  HM_CHECK_MSG(config.function_nodes >= 1, "ClusterConfig: function_nodes must be >= 1");
+  // Zero worker slots would park every invocation on the node's semaphore forever.
+  HM_CHECK_MSG(config.workers_per_node >= 1, "ClusterConfig: workers_per_node must be >= 1");
+  // The batch controller doubles a widened window: a negative one would double to overflow.
+  HM_CHECK_MSG(config.append_batch_window >= 0,
+               "ClusterConfig: append_batch_window must be >= 0");
+  // Checked before the size_t cast: a negative cap would wrap to a huge one.
+  HM_CHECK_MSG(config.append_batch_max >= 1, "ClusterConfig: append_batch_max must be >= 1");
+  // Depth 0 or below would silently run one round at a time.
+  HM_CHECK_MSG(config.append_batch_pipeline >= 1,
+               "ClusterConfig: append_batch_pipeline must be >= 1");
+  // A slice that walks nothing never finishes a round: the daemon livelocks writing
+  // zero-frame slices and the scheduler never drains.
+  HM_CHECK_MSG(config.checkpoint_slice >= 1, "ClusterConfig: checkpoint_slice must be >= 1");
+  return config;
+}
+
+}  // namespace
+
+Cluster::Cluster(const ClusterConfig& config)
+    : config_(Validated(config)),
+      scheduler_(config.queue_mode),
+      rng_(config.seed),
+      models_(config.calibration),
+      log_space_(static_cast<uint32_t>(config.log_shards)) {
+  if (config.model_queueing) {
     // One sequencer station per log shard: sequencer rounds bound for different shards no
     // longer contend, which is the shard-scaling mechanism (DESIGN.md §9).
     sequencer_stations_.reserve(static_cast<size_t>(config.log_shards));
@@ -32,17 +60,6 @@ Cluster::Cluster(const ClusterConfig& config)
         std::make_unique<sim::ServiceStation>(&scheduler_, config.storage_servers);
     db_station_ = std::make_unique<sim::ServiceStation>(&scheduler_, config.db_servers);
   }
-  HM_CHECK(config.function_nodes > 0);
-  // Zero worker slots would park every invocation on the node's semaphore forever.
-  HM_CHECK_MSG(config.workers_per_node >= 1, "ClusterConfig: workers_per_node must be >= 1");
-  // Checked before the size_t cast: a negative cap would wrap to a huge one.
-  HM_CHECK_MSG(config.append_batch_max >= 1, "ClusterConfig: append_batch_max must be >= 1");
-  // Depth 0 or below would silently run one round at a time.
-  HM_CHECK_MSG(config.append_batch_pipeline >= 1,
-               "ClusterConfig: append_batch_pipeline must be >= 1");
-  // A slice that walks nothing never finishes a round: the daemon livelocks writing
-  // zero-frame slices and the scheduler never drains.
-  HM_CHECK_MSG(config.checkpoint_slice >= 1, "ClusterConfig: checkpoint_slice must be >= 1");
   sharedlog::AppendBatchConfig batch;
   batch.enabled = config.group_commit_appends;
   batch.window = config.append_batch_window;

@@ -34,9 +34,9 @@
 namespace halfmoon::runtime {
 
 // Every default below is a plain constant, and nothing reads the environment: experiments
-// pin the fields they vary in code. The full-protocol Cluster always runs on ONE
-// single-threaded scheduler (DESIGN.md §10): protocol execution shares state synchronously
-// across components, which is what keeps faultcheck schedules replayable.
+// pin the fields they vary in code. The Cluster runs on ONE single-threaded scheduler
+// (DESIGN.md §10): protocol execution shares state synchronously across components, which
+// is what keeps faultcheck schedules replayable.
 struct ClusterConfig {
   // §6: eight function nodes; worker slots bound per-node concurrency.
   int function_nodes = 8;

@@ -118,9 +118,8 @@ struct LogClientStats {
   int64_t appended_bytes = 0;
   std::array<int64_t, kAppendClasses> appended_bytes_by_class{};
 
-  // Folds another client's counters into this one. Like LatencyRecorder::Merge this is the
-  // parallel-mode aggregation primitive: each worker thread's clients count into their own
-  // stats, and the main thread folds them after the join (DESIGN.md §10). Order-independent.
+  // Folds another client's counters into this one (a cluster-wide total is the fold of
+  // every node's client). Order-independent.
   void Add(const LogClientStats& other) {
     appends += other.appends;
     cond_appends += other.cond_appends;

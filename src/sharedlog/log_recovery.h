@@ -1,8 +1,7 @@
 // Crash-restart recovery of the shared log (DESIGN.md §13, §14): the log's frame decoders
 // plugged into storage::RecoverFromJournal, the policy every domain shares.
 //
-// One entry point serves both restart paths (Cluster::KillRestart* and ParallelCluster's
-// per-partition restarts):
+// One entry point serves every restart path (Cluster::KillRestart*):
 //   * no checkpoint store, or no valid manifest in it → strict full replay of the journal's
 //     surviving prefix (including the in-order watermark asserts) — legal only while the
 //     journal was never truncated;

@@ -133,9 +133,6 @@ enum class QueueMode {
 
 class Scheduler {
  public:
-  // The "no pending event" sentinel returned by NextEventTime.
-  static constexpr SimTime kMaxSimTime = std::numeric_limits<SimTime>::max();
-
   explicit Scheduler(QueueMode mode = QueueMode::kTimerWheel) : mode_(mode) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -162,10 +159,9 @@ class Scheduler {
     Enqueue(Event{now_ + delay, next_seq_++, handle, {}});
   }
 
-  // Registers `fn` at an absolute virtual time (used by the parallel engine to inject
-  // cross-worker messages carrying the sender's timestamp). `time` must not lie in the past;
-  // it may land inside the currently staged slot, where the event is filed in (time, seq)
-  // position like any other enqueue.
+  // Registers `fn` at an absolute virtual time (tests schedule faults at fixed instants this
+  // way). `time` must not lie in the past; it may land inside the currently staged slot,
+  // where the event is filed in (time, seq) position like any other enqueue.
   template <typename F>
   void PostAt(SimTime time, F&& fn) {
     HM_CHECK(time >= now_);
@@ -174,7 +170,7 @@ class Scheduler {
 
   // Runs events until the queue drains. Returns the final simulated time.
   SimTime Run() {
-    while (PrepareNext(kMaxSimTime)) {
+    while (PrepareNext(std::numeric_limits<SimTime>::max())) {
       FireNext();
     }
     return now_;
@@ -190,26 +186,6 @@ class Scheduler {
       now_ = deadline;
     }
     return now_;
-  }
-
-  // Runs every event with time strictly below `end`, leaving the clock at the last fired
-  // event (never artificially advanced — later windows may still deliver events at >= end).
-  // This is the conservative-window primitive of the parallel engine (parallel.h): `end` is
-  // the horizon the synchronization protocol has proven safe.
-  SimTime RunWindow(SimTime end) {
-    HM_CHECK(end > 0);
-    while (PrepareNext(end - 1)) {
-      FireNext();
-    }
-    return now_;
-  }
-
-  // Time of the earliest pending event, or kMaxSimTime when the queue is empty. Stages the
-  // event exactly as dispatch would (wheel cascades included) without firing it, so the call
-  // is amortized-free on the run path.
-  SimTime NextEventTime() {
-    if (!PrepareNext(kMaxSimTime)) return kMaxSimTime;
-    return mode_ == QueueMode::kPriorityQueue ? queue_.top().time : run_[run_pos_].time;
   }
 
   bool empty() const {

@@ -81,36 +81,6 @@ TEST(WorkloadSketchTest, SlidingWindowDecaysAfterTwoEpochs) {
   EXPECT_EQ(sketch.epochs_advanced(), 2u);
 }
 
-TEST(WorkloadSketchTest, MergeMatchesUnionStream) {
-  WorkloadSketchConfig config;
-  config.width = 256;
-  config.depth = 3;
-  WorkloadSketch a(config);
-  WorkloadSketch b(config);
-  WorkloadSketch unioned(config);
-
-  uint64_t state = 7;
-  for (int i = 0; i < 500; ++i) {
-    const uint64_t id = Next(state) % 64;  // Small keyspace: heavy overlap between a and b.
-    const bool is_read = (Next(state) & 1) != 0;
-    WorkloadSketch& half = (i % 2 == 0) ? a : b;
-    if (is_read) {
-      half.RecordRead(id);
-      unioned.RecordRead(id);
-    } else {
-      half.RecordWrite(id);
-      unioned.RecordWrite(id);
-    }
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.WindowReads(), unioned.WindowReads());
-  EXPECT_EQ(a.WindowWrites(), unioned.WindowWrites());
-  for (uint64_t id = 0; id < 64; ++id) {
-    EXPECT_EQ(a.EstimateReads(id), unioned.EstimateReads(id)) << id;
-    EXPECT_EQ(a.EstimateWrites(id), unioned.EstimateWrites(id)) << id;
-  }
-}
-
 TEST(WorkloadSketchTest, MemoryIsIndependentOfLiveObjectCount) {
   WorkloadSketchConfig config;
   config.width = 512;

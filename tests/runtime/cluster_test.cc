@@ -53,6 +53,24 @@ TEST(ClusterDeathTest, NonPositiveAppendBatchPipelineAborts) {
   }
 }
 
+TEST(ClusterDeathTest, NegativeAppendBatchWindowAborts) {
+  // The batch controller doubles a widened window; a negative one would double until it
+  // overflowed.
+  ClusterConfig config;
+  config.append_batch_pipeline = 4;
+  config.append_batch_window = -1;
+  EXPECT_DEATH(Cluster cluster(config), "append_batch_window must be >= 0");
+}
+
+TEST(ClusterDeathTest, LogShardsOutOfRangeAbortsNamingTheField) {
+  // Checked before the log is built, whose own checks do not name the config field.
+  for (int shards : {0, -1, 257}) {
+    ClusterConfig config;
+    config.log_shards = shards;
+    EXPECT_DEATH(Cluster cluster(config), "log_shards must be in \\[1, 256\\]") << shards;
+  }
+}
+
 TEST(ClusterDeathTest, NonPositiveCheckpointSliceAborts) {
   // A slice that walks nothing never finishes a checkpoint round: the daemon would livelock
   // writing empty slices and the scheduler would never drain.
@@ -72,7 +90,8 @@ TEST(ClusterDeathTest, ZeroCapacityFieldsAbortNamingTheField) {
     const char* field;
     int ClusterConfig::*member;
   };
-  for (const Case& c : {Case{"db_servers", &ClusterConfig::db_servers},
+  for (const Case& c : {Case{"function_nodes", &ClusterConfig::function_nodes},
+                        Case{"db_servers", &ClusterConfig::db_servers},
                         Case{"workers_per_node", &ClusterConfig::workers_per_node},
                         Case{"sequencer_servers", &ClusterConfig::sequencer_servers},
                         Case{"storage_servers", &ClusterConfig::storage_servers}}) {
