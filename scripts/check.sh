@@ -121,6 +121,15 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[kv\]' | tee >(cat >&2) | grep -q ' object-sized$' \
   || { echo "check.sh: FAIL — the KV version index is sized by tag ids, not objects" >&2; exit 1; }
 
+# Live-sized record store smoke (DESIGN.md §7.1): 10 K objects written once among ~10^6
+# trimmed step records must cost the store their live records plus one page-table entry per
+# page of history, not a page per surviving record. A store whose sparse pages never compact
+# would still pass every functional check, so the 'live-sized' line is enforced here.
+"${BUILD_DIR}"/tests/sharedlog_test \
+  --gtest_filter='LogSpaceRecordStoreTest.BytesFollowLiveRecordsNotSeqnumHistory' \
+  --gtest_brief=1 | grep '^\[mem\]' | tee >(cat >&2) | grep -q ' live-sized$' \
+  || { echo "check.sh: FAIL — the record store keeps pages sized by seqnum history" >&2; exit 1; }
+
 # Fig. 14 smoke (§4.7): bench_fig14_switching's shape with 1 s phases — both scope switches
 # must complete within 1 s of simulated time, with SSFs started inside each BEGIN..END window
 # (they log transitional records there). A switch that stalls or serves no window would still

@@ -28,6 +28,10 @@ const Field* FieldMap::Find(const std::string& key) const {
 Field& FieldMap::Upsert(const std::string& key) {
   auto it = std::lower_bound(fields_.begin(), fields_.end(), key, EntryKeyLess{});
   if (it == fields_.end() || it->first != key) {
+    if (fields_.capacity() == 0) {
+      fields_.reserve(4);  // One allocation for a record's usual three fields.
+      it = fields_.begin();
+    }
     it = fields_.emplace(it, key, Field{});
   }
   return it->second;

@@ -53,6 +53,11 @@ class FieldMap {
   // Approximate serialized size in bytes: key bytes + value bytes (8 for integers).
   size_t ByteSize() const;
 
+  // Drops spare capacity: a map kept for long (a committed log record) holds its fields only.
+  void ShrinkToFit() {
+    if (fields_.capacity() != fields_.size()) fields_.shrink_to_fit();
+  }
+
   bool operator==(const FieldMap& other) const { return fields_ == other.fields_; }
 
   auto begin() const { return fields_.begin(); }

@@ -49,7 +49,7 @@ void GcService::RunOnce() {
   // visits the registry's unretired ids in id order (none when the frontier is 0: no record
   // lies below it). A stream with fewer than two entries has nothing below its marked
   // record, so it is passed over before its name is read. Neither DeleteVersioned nor Trim
-  // interns or retires a tag, so no registry page spills under the loop: LiveStream
+  // interns or retires a tag, so no registry page moves its slots under the loop: LiveStream
   // pointers and the NextUnretired cursor stay valid throughout.
   const sharedlog::TagRegistry& tags = log.tags();
   for (TagId tag = frontier > 0 ? tags.NextUnretired(0) : tags.size(); tag < tags.size();

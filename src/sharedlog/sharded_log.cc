@@ -4,7 +4,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "src/common/check.h"
@@ -64,38 +63,13 @@ TagStream& ShardedLog::RestoreStreamFor(TagId tag) {
 
 // ---- Record store ----
 
-const ShardedLog::StoredRecord* ShardedLog::FindSlot(SeqNum seqnum) const {
-  const RecordStore& store = stores_[ShardOfSeq(seqnum)];
-  SeqNum local = seqnum / shard_count_;
-  size_t page = static_cast<size_t>(local / kRecordPageSlots);
-  if (page >= store.pages.size() || store.pages[page] == nullptr) return nullptr;
-  const StoredRecord& slot = store.pages[page]->slots[local % kRecordPageSlots];
-  return slot.record != nullptr ? &slot : nullptr;
-}
-
-ShardedLog::StoredRecord* ShardedLog::FindSlot(SeqNum seqnum) {
-  return const_cast<StoredRecord*>(std::as_const(*this).FindSlot(seqnum));
-}
-
 ShardedLog::StoredRecord& ShardedLog::InstallSlot(LogRecordPtr record, int live_tag_refs) {
-  // The page table grows by moving unique_ptrs; pages themselves never move.
-  static_assert(std::is_nothrow_move_constructible_v<std::unique_ptr<RecordPage>>);
-  static_assert(std::is_nothrow_move_constructible_v<RecordPage>);
-  static_assert(std::is_nothrow_move_constructible_v<StoredRecord>);
   static_assert(sizeof(StoredRecord) == sizeof(LogRecordPtr) + 8,
                 "the checkpoint stamp must fit in StoredRecord's padding");
-  RecordStore& store = stores_[ShardOfSeq(record->seqnum)];
-  SeqNum local = record->seqnum / shard_count_;
-  size_t page = static_cast<size_t>(local / kRecordPageSlots);
-  if (page >= store.pages.size()) store.pages.resize(page + 1);
-  if (store.pages[page] == nullptr) store.pages[page] = std::make_unique<RecordPage>();
-  StoredRecord& slot = store.pages[page]->slots[local % kRecordPageSlots];
-  HM_CHECK_MSG(slot.record == nullptr, "record store: seqnum installed twice");
+  // Insert aborts if the seqnum is installed already.
+  StoredRecord& slot = stores_[ShardOfSeq(record->seqnum)].Insert(record->seqnum / shard_count_);
   slot.record = std::move(record);
   slot.live_tag_refs = live_tag_refs;
-  slot.ckpt_round = 0;
-  ++store.pages[page]->occupied;
-  ++store.live;
   return slot;
 }
 
@@ -104,22 +78,12 @@ void ShardedLog::ReleaseRef(SimTime now, SeqNum seqnum) {
   HM_CHECK_MSG(slot != nullptr, "ReleaseRef on missing record");
   if (--slot->live_tag_refs > 0) return;
   gauge_.Add(now, -static_cast<int64_t>(slot->record->stored_bytes));
-  slot->record.reset();
-  RecordStore& store = stores_[ShardOfSeq(seqnum)];
-  --store.live;
-  size_t page = static_cast<size_t>(seqnum / shard_count_ / kRecordPageSlots);
-  if (--store.pages[page]->occupied == 0) store.pages[page].reset();
-}
-
-size_t ShardedLog::RecordPages(uint32_t shard) const {
-  const auto& pages = stores_[shard].pages;
-  return static_cast<size_t>(
-      std::count_if(pages.begin(), pages.end(), [](const auto& p) { return p != nullptr; }));
+  stores_[ShardOfSeq(seqnum)].Erase(seqnum / shard_count_);
 }
 
 size_t ShardedLog::live_records() const {
   size_t total = 0;
-  for (const RecordStore& store : stores_) total += store.live;
+  for (const RecordStore& store : stores_) total += store.size();
   return total;
 }
 
@@ -130,6 +94,7 @@ LogRecordPtr ShardedLog::MakeRecord(SeqNum seqnum, std::vector<TagId> tags, Fiel
   record->seqnum = seqnum;
   record->tags = std::move(tags);
   record->fields = std::move(fields);
+  record->fields.ShrinkToFit();  // Held until trimmed: drop the builder's slack.
   if (record->fields.Has("op")) {
     record->op = ops_.Intern(record->fields.GetStr("op"));
   }

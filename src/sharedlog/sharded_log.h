@@ -34,13 +34,12 @@
 //     own: each stream lives in its tag's registry slot, next to the name, shard and state,
 //     and is freed with the slot when the tag retires (see Retire), so a long run's finished
 //     instances cost no stream memory.
-//   * The record store is node-free: per shard, slots indexed by seqnum / shard_count in
-//     64-slot pages, allocated on first install and freed with their last record.
+//   * The record store is node-free: per shard, slots keyed by seqnum / shard_count in a
+//     SparsePages table (sparse_pages.h), whose 64-slot pages shrink to their live records.
 
 #ifndef HALFMOON_SHAREDLOG_SHARDED_LOG_H_
 #define HALFMOON_SHAREDLOG_SHARDED_LOG_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -55,6 +54,7 @@
 #include "src/common/time.h"
 #include "src/metrics/storage_sampler.h"
 #include "src/sharedlog/log_record.h"
+#include "src/sharedlog/sparse_pages.h"
 #include "src/sharedlog/tag_registry.h"
 #include "src/sharedlog/tag_stream.h"
 
@@ -320,11 +320,11 @@ class ShardedLog {
   // Number of records currently held (not yet trimmed from all their tags), in total and on
   // one shard's record store.
   size_t live_records() const;
-  size_t live_records(uint32_t shard) const { return stores_[shard].live; }
+  size_t live_records(uint32_t shard) const { return stores_[shard].size(); }
 
-  // Record-store pages currently allocated on `shard` (each holds kRecordPageSlots slots).
-  // Zero once every record is released. Cold accessor (scans the page table).
-  size_t RecordPages(uint32_t shard) const;
+  // `shard`'s record-store pages holding a record, and their bytes (sparse_pages.h).
+  size_t RecordPages(uint32_t shard) const { return stores_[shard].pages(); }
+  size_t RecordStoreBytes(uint32_t shard) const { return stores_[shard].bytes(); }
   static constexpr size_t kRecordPageSlots = 64;
 
   // Total seqnum entries retained across the sub-stream indices. Bounded by the number of
@@ -350,7 +350,7 @@ class ShardedLog {
   }
 
  private:
-  // One record-store slot; occupied iff `record` is non-null.
+  // One record-store slot.
   struct StoredRecord {
     LogRecordPtr record;
     // Number of tags that still reference this record (not yet trimmed past it).
@@ -359,19 +359,9 @@ class ShardedLog {
     // what would otherwise be padding after live_tag_refs.
     uint32_t ckpt_round = 0;
   };
-  // The slots of kRecordPageSlots consecutive local seqnums (seqnum / shard_count).
-  struct RecordPage {
-    std::array<StoredRecord, kRecordPageSlots> slots;
-    size_t occupied = 0;
-  };
-  // One shard's record store: the records it sequenced. Indexed by (seqnum / shard_count) /
-  // kRecordPageSlots; null where no slot is occupied. Each shard's locals are a disjoint
-  // subset of one global sequence, so with N shards a page is ~1/N occupied; the pointer
-  // table costs 8 B per page of seqnum history.
-  struct RecordStore {
-    std::vector<std::unique_ptr<RecordPage>> pages;
-    size_t live = 0;
-  };
+  // One shard's records, keyed by local seqnum (seqnum / shard_count). The shards' locals are
+  // disjoint, so with N shards a page is ~1/N live and compacts once the shard passes it.
+  using RecordStore = SparsePages<StoredRecord, kRecordPageSlots>;
 
   void PreinternWellKnown();
   std::vector<TagId> InternAll(std::vector<std::string> names);
@@ -447,10 +437,14 @@ class ShardedLog {
   uint64_t JournalRetire(TagId tag);
 
   // ---- Record store ----
-  // Slot of `seqnum` on its sequencing shard's store if occupied, else null.
-  StoredRecord* FindSlot(SeqNum seqnum);
-  const StoredRecord* FindSlot(SeqNum seqnum) const;
-  // Installs `record` into its (empty — HM_CHECKed) slot, allocating the page on demand.
+  // `seqnum`'s slot if occupied, else null; valid until the next install or release.
+  StoredRecord* FindSlot(SeqNum seqnum) {
+    return stores_[ShardOfSeq(seqnum)].Find(seqnum / shard_count_);
+  }
+  const StoredRecord* FindSlot(SeqNum seqnum) const {
+    return stores_[ShardOfSeq(seqnum)].Find(seqnum / shard_count_);
+  }
+  // Installs `record` into its (empty — HM_CHECKed) slot.
   StoredRecord& InstallSlot(LogRecordPtr record, int live_tag_refs);
 
   LogRecordPtr LookupLive(SeqNum seqnum) const {

@@ -1,6 +1,5 @@
 #include "src/sharedlog/tag_registry.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -76,28 +75,6 @@ TagId TagRegistry::FindPrefixed(std::string_view prefix, std::string_view suffix
   return table_[ProbeFor(HashName(prefix, suffix), prefix, suffix)].id;
 }
 
-size_t TagRegistry::Pages() const {
-  return static_cast<size_t>(
-      std::count_if(pages_.begin(), pages_.end(), [](const auto& p) { return p != nullptr; }));
-}
-
-TagId TagRegistry::NextUnretired(TagId from) const {
-  while (from < next_id_) {
-    const size_t p = static_cast<size_t>(from / kPageIds);
-    if (const IdPage* page = pages_[p].get()) {
-      if (page->slots[from % kPageIds].state != TagState::kRetired) return from;
-      ++from;
-      continue;
-    }
-    // A freed page: only spilled ids remain in its range.
-    const TagId page_end = (p + 1) * kPageIds;
-    auto it = spilled_.lower_bound(from);
-    if (it != spilled_.end() && it->first < page_end) return it->first;
-    from = page_end;
-  }
-  return next_id_;
-}
-
 void TagRegistry::Retire(TagId id) {
   Slot& slot = MutableSlot(id);  // Aborts on unknown and already-retired ids.
   HM_CHECK_MSG(slot.stream.empty(), "TagRegistry::Retire: the stream still holds entries");
@@ -114,56 +91,28 @@ void TagRegistry::Retire(TagId id) {
     i = j;
   }
   table_[i] = Bucket{};
-
-  ++retired_;
-  const size_t p = static_cast<size_t>(id / kPageIds);
-  if (pages_[p] == nullptr) {
-    spilled_.erase(id);
-    return;
-  }
-  // Swapping frees the name's buffer; assigning an empty string would keep its capacity.
-  std::string().swap(slot.name);
-  slot.stream = TagStream{};
-  slot.state = TagState::kRetired;
-  --pages_[p]->unretired;
-  MaybeSpill(p);
-}
-
-void TagRegistry::MaybeSpill(size_t p) {
-  if ((p + 1) * kPageIds > next_id_) return;  // Ids are still being assigned here.
-  IdPage& page = *pages_[p];
-  if (page.unretired > kSpillLive) return;
-  for (size_t i = 0; i < kPageIds; ++i) {
-    if (page.slots[i].state == TagState::kRetired) continue;
-    spilled_.emplace(p * kPageIds + i, std::move(page.slots[i]));
-  }
-  pages_[p].reset();
+  slots_.Erase(id);  // Frees the name and the stream.
 }
 
 void TagRegistry::ResetStreams() {
-  for (TagId id = NextUnretired(0); id < next_id_; id = NextUnretired(id + 1)) {
+  for (TagId id = NextUnretired(0); id < size(); id = NextUnretired(id + 1)) {
     *Stream(id) = TagStream{};
   }
 }
 
 TagId TagRegistry::Register(std::string full_name, uint64_t hash) {
-  TagId id = next_id_++;
-  const size_t p = static_cast<size_t>(id / kPageIds);
-  if (id % kPageIds == 0) pages_.push_back(std::make_unique<IdPage>());
-  IdPage& page = *pages_[p];
-  Slot& slot = page.slots[id % kPageIds];
+  const TagId id = size();
+  // Completing a page can compact it when most of its ids retired while it filled.
+  Slot& slot = slots_.Insert(id);
+  if ((live_size() + 1) * 3 > table_.size() * 2) GrowTable();
   slot.name = std::move(full_name);
   // The finalized name hash decides the owning shard, so the mapping depends only on the
   // name — never on interning order or process layout.
   slot.shard = shard_count_ <= 1 ? 0 : static_cast<uint8_t>(Finalize(hash) % shard_count_);
-  ++page.unretired;
-  if ((live_size() + 1) * 3 > table_.size() * 2) GrowTable();
   size_t i = Home(hash);
   while (table_[i].id != kInvalidTagId) i = (i + 1) & table_mask_;
   table_[i] = Bucket{hash, id};
   if (intern_sink_) intern_sink_(id, slot.name);
-  // Completing a page can leave it sparse when most of its ids retired while it filled.
-  MaybeSpill(p);
   return id;
 }
 

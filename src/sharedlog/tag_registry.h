@@ -10,16 +10,10 @@
 //                linear probe over a contiguous array plus one name verification, with
 //                heterogeneous support so a two-part name like ("k:", key) is hashed *as if
 //                concatenated* without allocating;
-//   * slots    — everything else a tag has: its name, owning shard, sub-stream (TagStream)
-//                and state (live, retiring, retired), one Slot per id. Slots sit in pages of
-//                kPageIds consecutive ids, allocated when the page's first id is assigned.
-//                A page whose ids are all assigned and at most kSpillLive of them unretired
-//                spills: the survivors' slots move, whole, into the ordered spill map and
-//                the page is freed. The one spill rule (MaybeSpill) runs when a retirement
-//                or an assignment could make a page complete and sparse. Long-lived tags
-//                interned among short-lived instance ids (an object created mid-run)
-//                therefore never pin a page, and a long run's dead ids cost only their
-//                8-byte page-table entry.
+//   * slots_   — everything else a tag has: its name, owning shard, sub-stream (TagStream)
+//                and state (live or retiring), one Slot per unretired id in a SparsePages
+//                table (sparse_pages.h), whose pages shrink to their unretired ids: a tag
+//                interned among short-lived instance ids costs its own slot, not a page.
 //
 // Lifecycle: an id is live from its assignment; Close makes it retiring (name and stream
 // kept, ShardedLog's live paths abort on it); Retire makes it retired (name and slot freed).
@@ -28,7 +22,7 @@
 //   * ids are dense, assigned in interning order, and never reused: size() counts every id
 //     ever assigned, retired or not;
 //   * a returned `const std::string&` / string_view / TagStream* stays valid until the next
-//     Intern or Retire: either may spill a page, which moves its surviving slots;
+//     Intern or Retire: either may compact, grow or shrink a page, which moves its slots;
 //   * Retire(id) removes the name from the table by backward-shift deletion (linear probing
 //     needs no tombstones) and frees it. Interning the same name later assigns a NEW id;
 //     callers that must never revive a retired name (the runtime's step logs) guard that
@@ -43,12 +37,9 @@
 #ifndef HALFMOON_SHAREDLOG_TAG_REGISTRY_H_
 #define HALFMOON_SHAREDLOG_TAG_REGISTRY_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -56,15 +47,15 @@
 
 #include "src/common/check.h"
 #include "src/sharedlog/log_record.h"
+#include "src/sharedlog/sparse_pages.h"
 #include "src/sharedlog/tag_stream.h"
 
 namespace halfmoon::sharedlog {
 
 class TagRegistry {
  public:
-  // Ids per slot page. A page is kPageIds 72-byte slots (~2.3 KiB): small pages free the
-  // slots of retired ids sooner, and this size measured the lowest peak RSS on the e2e
-  // workloads (EXPERIMENTS.md "One tag table").
+  // Ids per slot page. A dense page is kPageIds 72-byte slots (~2.3 KiB); this size measured
+  // the lowest peak RSS on the e2e workloads (EXPERIMENTS.md "One tag table").
   static constexpr size_t kPageIds = 32;
 
   TagRegistry() = default;
@@ -89,17 +80,17 @@ class TagRegistry {
 
   // True for every unretired id, false for ids never assigned; aborts on a retired id.
   bool Contains(TagId id) const {
-    if (id >= next_id_) return false;
+    if (id >= size()) return false;
     Locate(id);
     return true;
   }
 
   // True iff `id` was assigned and then retired. Never aborts.
-  bool Retired(TagId id) const { return id < next_id_ && FindSlot(id) == nullptr; }
+  bool Retired(TagId id) const { return id < size() && slots_.Find(id) == nullptr; }
   // True iff `id` was assigned and is retiring or retired. Never aborts.
   bool Closed(TagId id) const {
-    if (id >= next_id_) return false;
-    const Slot* slot = FindSlot(id);
+    if (id >= size()) return false;
+    const Slot* slot = slots_.Find(id);
     return slot == nullptr || slot->state != TagState::kLive;
   }
 
@@ -107,14 +98,14 @@ class TagRegistry {
   // while it is retiring. Null otherwise (unknown, closed or retired respectively). The
   // pointer is invalidated like a name reference (see the header).
   const TagStream* LiveStream(TagId id) const {
-    const Slot* slot = id < next_id_ ? FindSlot(id) : nullptr;
+    const Slot* slot = slots_.Find(id);
     return slot != nullptr && slot->state == TagState::kLive ? &slot->stream : nullptr;
   }
   TagStream* LiveStream(TagId id) {
     return const_cast<TagStream*>(std::as_const(*this).LiveStream(id));
   }
   const TagStream* Stream(TagId id) const {
-    const Slot* slot = id < next_id_ ? FindSlot(id) : nullptr;
+    const Slot* slot = slots_.Find(id);
     return slot != nullptr ? &slot->stream : nullptr;
   }
   TagStream* Stream(TagId id) { return const_cast<TagStream*>(std::as_const(*this).Stream(id)); }
@@ -122,15 +113,15 @@ class TagRegistry {
   // The first unretired (live or retiring) id >= `from`, or size() if there is none. Walks
   // visit every unretired id in id order with
   //   for (TagId id = NextUnretired(0); id < size(); id = NextUnretired(id + 1))
-  // skipping a freed page in one step.
-  TagId NextUnretired(TagId from) const;
+  // scanning each page's live mask.
+  TagId NextUnretired(TagId from) const { return slots_.NextLive(from); }
 
   // Marks a live or retiring id retiring: its name and stream stay, and ShardedLog's live
   // paths abort on it from now on.
   void Close(TagId id) { MutableSlot(id).state = TagState::kRetiring; }
 
   // Retires an unretired id for good: its name leaves the table and its slot is freed (its
-  // stream must already be empty); a page left sparse spills (see the header).
+  // stream must already be empty); its page may compact or shrink (see the header).
   void Retire(TagId id);
 
   // Empties every stream, keeping names and states: the log's records are gone after a node
@@ -138,16 +129,12 @@ class TagRegistry {
   void ResetStreams();
 
   // Number of ids ever assigned (retired ones included): the next id to be assigned.
-  size_t size() const { return next_id_; }
+  size_t size() const { return slots_.id_bound(); }
   // Ids assigned and not retired.
-  size_t live_size() const { return next_id_ - retired_; }
-  // Slot pages currently allocated. Cold accessor (scans the page table).
-  size_t Pages() const;
-  // Unretired ids held in the spill map, outside any page.
-  size_t spilled() const { return spilled_.size(); }
-
-  // A complete page with at most this many unretired ids spills them and is freed.
-  static constexpr size_t kSpillLive = kPageIds / 8;
+  size_t live_size() const { return slots_.size(); }
+  // Slot pages holding an unretired id, and the slot table's bytes (sparse_pages.h).
+  size_t Pages() const { return slots_.pages(); }
+  size_t SlotBytes() const { return slots_.bytes(); }
 
   // The full-name hash Retire records (FNV-style streaming polynomial over the name bytes);
   // the journal's kRetire frame carries it so replay can cross-check kTagDef frames of ids
@@ -160,7 +147,7 @@ class TagRegistry {
   // shard-equivalence guarantees. Must be set before the first interning; a single-shard
   // registry (the default) maps every tag to shard 0.
   void SetShardCount(uint32_t shard_count) {
-    HM_CHECK_MSG(next_id_ == 0, "TagRegistry::SetShardCount after tags were interned");
+    HM_CHECK_MSG(size() == 0, "TagRegistry::SetShardCount after tags were interned");
     HM_CHECK(shard_count >= 1);
     HM_CHECK_MSG(shard_count <= 256, "TagRegistry: at most 256 shards (one byte per id)");
     shard_count_ = shard_count;
@@ -227,10 +214,9 @@ class TagRegistry {
     TagId id = kInvalidTagId;
   };
 
-  // An id's lifecycle (see the header).
-  enum class TagState : uint8_t { kLive, kRetiring, kRetired };
-  // Everything one id owns. A retired slot's name and stream are freed at once; the slot
-  // itself goes when its page spills or, once spilled, on retirement.
+  // An unretired id's lifecycle (see the header); a retired id has no slot.
+  enum class TagState : uint8_t { kLive, kRetiring };
+  // Everything one unretired id owns.
   struct Slot {
     // shard and state sit in the stream's tail padding, so a slot is 72 bytes, not 80.
     [[no_unique_address]] TagStream stream;
@@ -239,34 +225,15 @@ class TagRegistry {
     std::string name;
   };
   static_assert(sizeof(Slot) == sizeof(std::string) + sizeof(TagStream));
-  // The slots of kPageIds consecutive ids.
-  struct IdPage {
-    std::array<Slot, kPageIds> slots;
-    size_t unretired = 0;  // Assigned slots not yet retired.
-  };
 
-  // `id`'s slot (id < size()), or null once retired.
-  const Slot* FindSlot(TagId id) const {
-    if (const IdPage* page = pages_[id / kPageIds].get()) {
-      const Slot& slot = page->slots[id % kPageIds];
-      return slot.state == TagState::kRetired ? nullptr : &slot;
-    }
-    auto it = spilled_.find(id);
-    return it == spilled_.end() ? nullptr : &it->second;
-  }
-  Slot* FindSlot(TagId id) { return const_cast<Slot*>(std::as_const(*this).FindSlot(id)); }
   // An unretired id's slot. Aborts with a named error on unknown and retired ids.
   const Slot& Locate(TagId id) const {
-    HM_CHECK_MSG(id < next_id_, "TagRegistry: unknown TagId");
-    const Slot* slot = FindSlot(id);
+    HM_CHECK_MSG(id < size(), "TagRegistry: unknown TagId");
+    const Slot* slot = slots_.Find(id);
     HM_CHECK_MSG(slot != nullptr, "TagRegistry: TagId was retired");
     return *slot;
   }
   Slot& MutableSlot(TagId id) { return const_cast<Slot&>(Locate(id)); }
-
-  // The one spill rule: frees page `p` if it is complete and at most kSpillLive of its ids
-  // are unretired, moving their slots to spilled_.
-  void MaybeSpill(size_t p);
 
   size_t Home(uint64_t hash) const { return static_cast<size_t>(Finalize(hash)) & table_mask_; }
 
@@ -280,10 +247,7 @@ class TagRegistry {
 
   std::vector<Bucket> table_;                   // Open-addressed name → id index.
   size_t table_mask_ = 0;                       // table_.size() - 1 (size is a power of two).
-  std::vector<std::unique_ptr<IdPage>> pages_;  // Indexed by id / kPageIds.
-  std::map<TagId, Slot> spilled_;               // Ordered, so NextUnretired can seek it.
-  TagId next_id_ = 0;
-  size_t retired_ = 0;
+  SparsePages<Slot, kPageIds> slots_;          // Unretired ids' slots; size() is its id bound.
   int64_t intern_requests_ = 0;
   std::function<void(TagId, std::string_view)> intern_sink_;
   uint32_t shard_count_ = 1;

@@ -52,7 +52,7 @@ struct TagStream {
   }
 };
 
-// Spills and page frees move streams between containers.
+// Slot-page compaction moves streams between arrays (sparse_pages.h).
 static_assert(std::is_nothrow_move_constructible_v<TagStream>);
 
 }  // namespace halfmoon::sharedlog

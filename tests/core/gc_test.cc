@@ -786,7 +786,7 @@ TEST(GcDeathTest, AttemptOnADrainedWorkflowAborts) {
 
 TEST(GcTest, TravelMemoryIsBoundedByLiveState) {
   // The travel app under load with periodic GC: the registry keeps assigning ids (one per
-  // instance), but retired ones free their names and pages, so what stays allocated after
+  // instance), but retired ones free their names and slots, so what stays allocated after
   // T and after 2T simulated seconds is the same live state, not twice the history.
   TestWorld world(HmRead());
   workloads::AppDataset data;
@@ -796,7 +796,7 @@ TEST(GcTest, TravelMemoryIsBoundedByLiveState) {
   sharedlog::ShardedLog& log = world.cluster().log_space();
 
   struct Footprint {
-    size_t ids, live, registry_pages, spilled;
+    size_t ids, live, slot_bytes;
   };
   auto run_for = [&](SimDuration duration) {
     workloads::LoadGenConfig config;
@@ -809,8 +809,7 @@ TEST(GcTest, TravelMemoryIsBoundedByLiveState) {
     // Two more GC passes collect what the last workflows left in the write logs and the
     // init stream (their step-log tags retired as they drained).
     world.scheduler().RunUntil(world.scheduler().Now() + Seconds(2));
-    return Footprint{log.tags().size(), log.tags().live_size(), log.tags().Pages(),
-                     log.tags().spilled()};
+    return Footprint{log.tags().size(), log.tags().live_size(), log.tags().SlotBytes()};
   };
   constexpr SimDuration kT = Seconds(10);
   Footprint at_t = run_for(kT);
@@ -825,15 +824,10 @@ TEST(GcTest, TravelMemoryIsBoundedByLiveState) {
                                                static_cast<long long>(b))) < a;
   };
   EXPECT_TRUE(within_10_percent(at_t.live, at_2t.live)) << at_t.live << " vs " << at_2t.live;
-  EXPECT_TRUE(within_10_percent(at_t.registry_pages, at_2t.registry_pages))
-      << at_t.registry_pages << " vs " << at_2t.registry_pages;
-  // Streams live in the registry's slots, so the slot count (paged plus spilled) is the
-  // stream footprint.
-  auto slots = [](const Footprint& f) {
-    return f.registry_pages * sharedlog::TagRegistry::kPageIds + f.spilled;
-  };
-  EXPECT_TRUE(within_10_percent(slots(at_t), slots(at_2t)))
-      << slots(at_t) << " vs " << slots(at_2t);
+  // Streams live in the registry's slots, so the slot table's bytes are the stream footprint
+  // (only its page table follows the history, by one small entry per page of ids).
+  EXPECT_TRUE(within_10_percent(at_t.slot_bytes, at_2t.slot_bytes))
+      << at_t.slot_bytes << " vs " << at_2t.slot_bytes;
 }
 
 TEST(GcTest, ReadCacheHoldsNoRetiredTags) {

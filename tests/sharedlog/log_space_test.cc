@@ -1,6 +1,7 @@
 #include "src/sharedlog/sharded_log.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
@@ -613,12 +614,56 @@ TEST(LogSpaceRecordStoreTest, PageIsFreedWithItsLastRecord) {
   EXPECT_EQ(log.Get(next)->fields.GetInt("step"), 71);
 }
 
+TEST(LogSpaceRecordStoreTest, BytesFollowLiveRecordsNotSeqnumHistory) {
+  // 10 K objects each written once among ~10^6 short-lived step records, trimmed as they go:
+  // nearly every 64-seqnum page ends up holding one object record. The store must cost those
+  // live records plus one page-table entry per page of history, not a page per record.
+  ShardedLog log;
+  constexpr size_t kObjects = 10000;
+  constexpr int kStepsPerObject = 100;
+  const TagId steps = log.tags().Intern("steps");
+  for (size_t i = 0; i < kObjects; ++i) {
+    SeqNum last = 0;
+    for (int j = 0; j < kStepsPerObject; ++j) last = log.Append(0, OneTag(steps), Fields("r", j));
+    TagId object = log.tags().Intern("k:" + std::to_string(i));
+    log.Append(0, OneTag(object), Fields("w", static_cast<int64_t>(i)));
+    log.Trim(0, steps, last);
+  }
+  ASSERT_EQ(log.live_records(), kObjects);
+  constexpr size_t kSlot = sizeof(LogRecordPtr) + 8;  // StoredRecord (see sharded_log.cc).
+  constexpr size_t kPageSlots = ShardedLog::kRecordPageSlots;
+  const size_t history_pages = log.next_seqnum() / kPageSlots + 1;
+  // The halving rule's bound: slot arrays at most twice the live records plus one young page,
+  // a header per page holding a record, and the page table at most twice (vector growth) one
+  // entry per page of history.
+  using Pages = SparsePages<int, kPageSlots>;
+  const size_t bound = 2 * kObjects * kSlot + kPageSlots * kSlot +
+                       (kObjects + 1) * Pages::kPageHeaderBytes +
+                       2 * history_pages * Pages::kPageEntryBytes;
+  const size_t bytes = log.RecordStoreBytes(0);
+  const bool live_sized = bytes <= bound;
+  std::printf("[mem] record store: %zu live records over %llu seqnums in %zu pages, %zu KiB "
+              "(bound %zu KiB; a dense page each: %zu KiB) | %s\n",
+              log.live_records(), static_cast<unsigned long long>(log.next_seqnum() - 1),
+              log.RecordPages(0), bytes / 1024, bound / 1024,
+              log.RecordPages(0) * kPageSlots * kSlot / 1024,
+              live_sized ? "live-sized" : "HISTORY-SIZED");
+  EXPECT_LE(bytes, bound);
+  // Every object record is still where its seqnum says.
+  for (size_t i = 0; i < kObjects; i += 997) {
+    LogRecordPtr record = log.ReadPrev("k:" + std::to_string(i), kMaxSeqNum);
+    ASSERT_NE(record, nullptr);
+    EXPECT_EQ(record->fields.GetInt("step"), static_cast<int64_t>(i));
+    EXPECT_EQ(log.Get(record->seqnum), record);
+  }
+}
+
 TEST(LogSpaceRecordStoreDeathTest, InstallingAnOccupiedSlotFails) {
   ShardedLog log;
   TagId t = log.tags().Intern("t");
   SeqNum s = log.Append(0, OneTag(t), Fields("w", 0));
   EXPECT_DEATH(log.RestoreCheckpointRecord(0, s, OneTag(t), Fields("w", 0)),
-               "seqnum installed twice");
+               "id inserted twice");
 }
 
 // Number of kCkptRecord frames per seqnum in the store's durable bytes from `from` on.
@@ -725,8 +770,8 @@ TEST(LogSpaceRetireTest, CheckpointWalkSkipsRetiredTags) {
 
 TEST(LogSpaceRetireTest, SparsePageSurvivorsKeepWorkingAfterTheSpill) {
   // An object tag interned among instance tags outlives them all: once its page turns sparse
-  // the page is freed and the object's name and stream move out, and every operation on it
-  // keeps working — including the checkpoint walk.
+  // the page keeps only the object's slot (its name and stream move), and every operation on
+  // it keeps working — including the checkpoint walk.
   ShardedLog log;
   while (log.tags().size() % TagRegistry::kPageIds != 0) {
     log.tags().Intern("pad" + std::to_string(log.tags().size()));
@@ -743,10 +788,13 @@ TEST(LogSpaceRetireTest, SparsePageSurvivorsKeepWorkingAfterTheSpill) {
     log.Append(0, object == kInvalidTagId ? OneTag(t) : TwoTags(t, object), Fields("read", 1));
     instances.push_back(t);
   }
-  size_t pages = log.tags().Pages();
+  // Bytes of one registry slot (tag_registry.h static_asserts this layout).
+  constexpr size_t kSlotBytes = sizeof(std::string) + sizeof(TagStream);
+  const size_t pages = log.tags().Pages();
+  const size_t bytes = log.tags().SlotBytes();
   for (TagId t : instances) log.Retire(0, t);
-  EXPECT_EQ(log.tags().Pages(), pages - 1);
-  EXPECT_EQ(log.tags().spilled(), 1u);
+  EXPECT_EQ(log.tags().Pages(), pages);
+  EXPECT_EQ(log.tags().SlotBytes(), bytes - (TagRegistry::kPageIds - 1) * kSlotBytes);
   // The object's stream moved intact: every record shared with a retired instance survives.
   std::vector<LogRecordPtr> stream = log.ReadStream(object);
   ASSERT_EQ(stream.size(), 1u + (TagRegistry::kPageIds - 11));
@@ -758,7 +806,7 @@ TEST(LogSpaceRetireTest, SparsePageSurvivorsKeepWorkingAfterTheSpill) {
   log.Trim(0, object, stream[0]->seqnum);
   EXPECT_EQ(log.StreamLength(object), length + 1);
   EXPECT_EQ(log.ReadPrev(object, kMaxSeqNum)->fields.GetInt("step"), 9);
-  // The checkpoint walk finds the spilled stream.
+  // The checkpoint walk finds the moved stream.
   storage::CheckpointStore store;
   log.BeginCheckpointWalk();
   int64_t frames = 0;
@@ -776,7 +824,9 @@ TEST(LogSpaceRetireTest, SparsePageSurvivorsKeepWorkingAfterTheSpill) {
   // And it retires like any other tag.
   log.Trim(0, object, kMaxSeqNum);
   log.Retire(0, object);
-  EXPECT_EQ(log.tags().spilled(), 0u);
+  EXPECT_EQ(log.tags().Pages(), pages - 1);
+  constexpr size_t kHeaderBytes = SparsePages<int, TagRegistry::kPageIds>::kPageHeaderBytes;
+  EXPECT_EQ(log.tags().SlotBytes(), bytes - TagRegistry::kPageIds * kSlotBytes - kHeaderBytes);
   EXPECT_EQ(log.IndexEntries(), 0u);
 }
 

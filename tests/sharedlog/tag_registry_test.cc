@@ -154,63 +154,89 @@ TEST(TagRegistryTest, BackwardShiftDeletionKeepsEveryProbeChainReachable) {
   EXPECT_EQ(reg.size(), size);
 }
 
+// Bytes of one registry slot (tag_registry.h static_asserts this layout) and of a slot
+// page's header.
+constexpr size_t kSlotBytes = sizeof(std::string) + sizeof(TagStream);
+constexpr size_t kHeaderBytes = SparsePages<int, TagRegistry::kPageIds>::kPageHeaderBytes;
+
 TEST(TagRegistryTest, SparsePageSpillsItsSurvivorsAndIsFreed) {
+  // A complete page keeps only its live slots once at most half of its ids are unretired,
+  // halves again whenever its array is at most half live, and is freed with its last id.
   TagRegistry reg;
   constexpr size_t kPage = TagRegistry::kPageIds;
   for (size_t i = 0; i < 3 * kPage; ++i) reg.Intern("i" + std::to_string(i));
   EXPECT_EQ(reg.Pages(), 3u);
-  // Retire page 1 down to one live id more than the spill threshold: the page stays.
+  const size_t dense = reg.SlotBytes();
+  // Retire page 1 down to one live id more than half: the page stays dense.
   size_t live = kPage;
-  for (TagId id = 2 * kPage - 1; live > TagRegistry::kSpillLive + 1; --id, --live) reg.Retire(id);
+  for (TagId id = 2 * kPage - 1; live > kPage / 2 + 1; --id, --live) reg.Retire(id);
+  EXPECT_EQ(reg.SlotBytes(), dense);
+  // One more retirement leaves it half live: it compacts to its survivors.
+  reg.Retire(kPage + kPage / 2);
   EXPECT_EQ(reg.Pages(), 3u);
-  EXPECT_EQ(reg.spilled(), 0u);
-  // One more retirement leaves it sparse: the survivors move out and the page goes.
-  reg.Retire(kPage + TagRegistry::kSpillLive);
-  EXPECT_EQ(reg.Pages(), 2u);
-  EXPECT_EQ(reg.spilled(), TagRegistry::kSpillLive);
-  // Page 1 is the freed one: a walk over it meets exactly its spilled survivors.
+  EXPECT_EQ(reg.SlotBytes(), dense - (kPage / 2) * kSlotBytes);
+  // A walk over page 1 meets exactly its survivors, in id order.
   std::vector<TagId> walked;
   for (TagId id = reg.NextUnretired(kPage); id < 2 * kPage; id = reg.NextUnretired(id + 1)) {
     walked.push_back(id);
   }
-  ASSERT_EQ(walked.size(), TagRegistry::kSpillLive);
+  ASSERT_EQ(walked.size(), kPage / 2);
   for (size_t i = 0; i < walked.size(); ++i) EXPECT_EQ(walked[i], kPage + i);
-  // Spilled ids keep their names, shards and lookups.
+  // Survivors keep their names, shards and lookups, wherever compaction moved them.
   EXPECT_EQ(reg.Name(kPage), "i" + std::to_string(kPage));
+  EXPECT_EQ(reg.Name(kPage + kPage / 2 - 1), "i" + std::to_string(kPage + kPage / 2 - 1));
   EXPECT_EQ(reg.Find("i" + std::to_string(kPage)), kPage);
   EXPECT_EQ(reg.ShardOf(kPage), 0u);
   EXPECT_FALSE(reg.Retired(kPage));
-  EXPECT_TRUE(reg.Retired(kPage + TagRegistry::kSpillLive));
-  // Retiring a spilled id removes it for good.
+  EXPECT_TRUE(reg.Retired(kPage + kPage / 2));
+  // Retiring a survivor removes it for good; the array halves once it is at most half live.
   reg.Retire(kPage);
-  EXPECT_EQ(reg.spilled(), TagRegistry::kSpillLive - 1);
   EXPECT_TRUE(reg.Retired(kPage));
   EXPECT_EQ(reg.Find("i" + std::to_string(kPage)), kInvalidTagId);
+  EXPECT_EQ(reg.Name(kPage + 1), "i" + std::to_string(kPage + 1));
+  EXPECT_EQ(reg.SlotBytes(), dense - (kPage / 2) * kSlotBytes);
+  for (TagId id = kPage + 1; id <= kPage + kPage / 4; ++id) reg.Retire(id);
+  EXPECT_EQ(reg.SlotBytes(), dense - (3 * kPage / 4) * kSlotBytes);
+  EXPECT_EQ(reg.NextUnretired(kPage), kPage + kPage / 4 + 1);
+  // The last survivor's retirement frees the page.
+  for (TagId id = kPage + kPage / 4 + 1; id < kPage + kPage / 2; ++id) reg.Retire(id);
+  EXPECT_EQ(reg.Pages(), 2u);
+  EXPECT_EQ(reg.SlotBytes(), dense - kPage * kSlotBytes - kHeaderBytes);
+  EXPECT_EQ(reg.NextUnretired(kPage), 2 * kPage);
   // Neighbouring pages are untouched.
   EXPECT_EQ(reg.Name(0), "i0");
   EXPECT_EQ(reg.Name(2 * kPage), "i" + std::to_string(2 * kPage));
-  EXPECT_EQ(reg.live_size(), 3 * kPage - (kPage - TagRegistry::kSpillLive) - 1);
+  EXPECT_EQ(reg.live_size(), 2 * kPage);
 }
 
 TEST(TagRegistryTest, PageCompletedAfterMostOfItsIdsRetiredSpills) {
-  // Regression: the spill rule ran only on retirement and skipped incomplete pages, so a
-  // page whose last id was assigned after most of its ids had retired stayed allocated
-  // until one of its survivors retired.
+  // Regression: a compaction rule run only on retirement would skip incomplete pages, so a
+  // page whose last id was assigned after most of its ids had retired would stay dense until
+  // one of its survivors retired.
   constexpr size_t kPage = TagRegistry::kPageIds;
-  constexpr size_t kSurvivors = TagRegistry::kSpillLive;
+  constexpr size_t kSurvivors = kPage / 4;
   TagRegistry reg;
-  for (size_t i = 0; i + 1 < kPage; ++i) reg.Intern("inst#" + std::to_string(i));
-  for (TagId id = 0; id + kSurvivors < kPage; ++id) reg.Retire(id);
-  // The late object completes page 0 with kSpillLive unretired ids.
+  TagRegistry reference;  // The same ids, none retired.
+  for (size_t i = 0; i + 1 < kPage; ++i) {
+    reg.Intern("inst#" + std::to_string(i));
+    reference.Intern("inst#" + std::to_string(i));
+  }
+  for (TagId id = 0; id + kSurvivors < kPage - 1; ++id) reg.Retire(id);
+  EXPECT_EQ(reg.SlotBytes(), reference.SlotBytes());  // Young: still dense.
+  // The late object completes page 0 with kSurvivors + 1 unretired ids, at most half.
   TagId late = reg.Intern("k:late-object");
+  reference.Intern("k:late-object");
   ASSERT_EQ(late, kPage - 1);
-  for (size_t i = 0; i < 10 * kPage; ++i) reg.Intern("more#" + std::to_string(i));
-  EXPECT_EQ(reg.Pages(), 10u);
-  EXPECT_EQ(reg.spilled(), kSurvivors);
-  EXPECT_EQ(reg.NextUnretired(0), kPage - kSurvivors);
+  for (size_t i = 0; i < 10 * kPage; ++i) {
+    reg.Intern("more#" + std::to_string(i));
+    reference.Intern("more#" + std::to_string(i));
+  }
+  EXPECT_EQ(reg.Pages(), 11u);
+  EXPECT_EQ(reference.SlotBytes() - reg.SlotBytes(), (kPage - kSurvivors - 1) * kSlotBytes);
+  EXPECT_EQ(reg.NextUnretired(0), kPage - 1 - kSurvivors);
   EXPECT_EQ(reg.Name(late), "k:late-object");
   EXPECT_EQ(reg.Find("k:late-object"), late);
-  EXPECT_EQ(reg.Name(kPage - kSurvivors), "inst#" + std::to_string(kPage - kSurvivors));
+  EXPECT_EQ(reg.Name(kPage - 1 - kSurvivors), "inst#" + std::to_string(kPage - 1 - kSurvivors));
 }
 
 TEST(TagRegistryTest, SlotStateAndStreamFollowTheIdThroughCloseSpillAndReset) {
@@ -232,13 +258,14 @@ TEST(TagRegistryTest, SlotStateAndStreamFollowTheIdThroughCloseSpillAndReset) {
   // Unknown ids have no stream and are neither closed nor retired.
   EXPECT_EQ(reg.Stream(kPage), nullptr);
   EXPECT_FALSE(reg.Closed(kPage));
-  // Retire everything but ids 3 and 4: the page spills, and both slots move whole.
+  // Retire everything but ids 3 and 4: the page compacts, and both slots move whole.
+  const size_t dense = reg.SlotBytes();
   reg.Stream(4)->entries.clear();
   for (TagId id = 0; id < kPage; ++id) {
     if (id != 3 && id != 4) reg.Retire(id);
   }
-  EXPECT_EQ(reg.Pages(), 0u);
-  EXPECT_EQ(reg.spilled(), 2u);
+  EXPECT_EQ(reg.Pages(), 1u);
+  EXPECT_EQ(reg.SlotBytes(), dense - (kPage - 2) * kSlotBytes);
   EXPECT_EQ(reg.NextUnretired(0), 3u);
   EXPECT_EQ(reg.NextUnretired(4), 4u);
   EXPECT_EQ(reg.NextUnretired(5), reg.size());
@@ -255,7 +282,8 @@ TEST(TagRegistryTest, SlotStateAndStreamFollowTheIdThroughCloseSpillAndReset) {
   EXPECT_EQ(reg.Name(3), "i3");
   reg.Retire(4);
   EXPECT_TRUE(reg.Retired(4));
-  EXPECT_EQ(reg.spilled(), 1u);
+  EXPECT_EQ(reg.SlotBytes(), dense - (kPage - 1) * kSlotBytes);
+  EXPECT_EQ(reg.Name(3), "i3");
 }
 
 TEST(TagRegistryDeathTest, RetiredIdsFailClosed) {

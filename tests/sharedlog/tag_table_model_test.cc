@@ -3,9 +3,9 @@
 // ShardedLog (with a journal and a checkpoint store) and against a naive model — per name,
 // the live seqnums and the logical length, plus the set of retired names. After every step
 // the log must agree with the model (the name-ordered listing of live streams included),
-// every unretired id must be reachable without an abort, the registry's pages must follow
-// live ids, and a full replay and an image + suffix recovery must both rebuild the same
-// state.
+// every unretired id must be reachable without an abort, the registry's and the record
+// store's pages must follow live ids (the halving rule of sparse_pages.h), and a full replay
+// and an image + suffix recovery must both rebuild the same state.
 //
 // Tier-1 runs a few short seeds; HM_FAULTCHECK_FULL=1 runs many longer ones.
 
@@ -95,9 +95,9 @@ class ModelRun {
     Check("after step");
   }
 
-  // What the run exercised: the most ids ever spilled at once, and the image + suffix
-  // recoveries.
-  size_t max_spilled() const { return max_spilled_; }
+  // What the run exercised: a registry page compacted to its live slots, and the image +
+  // suffix recoveries.
+  bool compacted() const { return compacted_; }
   int image_recoveries() const { return image_recoveries_; }
 
  private:
@@ -119,7 +119,7 @@ class ModelRun {
   }
 
   void Intern() {
-    // Few objects, so that pages of retired instances turn sparse and spill.
+    // Few objects, so that pages of retired instances turn sparse and compact.
     const bool object = rng_.Bernoulli(0.05);
     const std::string name = (object ? "k:" : "t") + std::to_string(names_++);
     ids_[name] = log_.tags().Intern(name);
@@ -279,19 +279,33 @@ class ModelRun {
     // no bookkeeping for it: it must match the model after every step and every recovery.
     EXPECT_EQ(LiveStreamNames(log_, ""), nonempty);
     EXPECT_EQ(LiveStreamNames(log_, "k:"), nonempty_objects);
-    // Pages follow live ids: every allocated page but the one still being filled holds more
-    // than kSpillLive unretired ids, and the spill map holds only unretired ids.
-    const size_t pages = tags.Pages();
-    if (pages > 0) {
-      EXPECT_LE((pages - 1) * (TagRegistry::kSpillLive + 1) + tags.spilled(), tags.live_size())
-          << "pages=" << pages << " spilled=" << tags.spilled();
+    // Pages follow live ids: a complete dense page is more than half live and a compacted
+    // one holds only live slots, so the slot arrays cost at most twice the unretired ids'
+    // slots plus the page still being filled, and the page table one entry per page of ids.
+    constexpr size_t kSlotBytes = sizeof(std::string) + sizeof(TagStream);  // tag_registry.h
+    constexpr size_t kPage = TagRegistry::kPageIds;
+    using Pages = SparsePages<int, kPage>;
+    const size_t table = 2 * (tags.size() / kPage + 1) * Pages::kPageEntryBytes;
+    const size_t headers = (tags.live_size() + 1) * Pages::kPageHeaderBytes;
+    EXPECT_LE(tags.SlotBytes(), (2 * tags.live_size() + kPage) * kSlotBytes + headers + table)
+        << "pages=" << tags.Pages();
+    compacted_ = compacted_ || tags.SlotBytes() < tags.Pages() * kPage * kSlotBytes;
+    // The record store's pages keep the same bound per shard (a record slot is 24 bytes).
+    using RecordPages = SparsePages<int, ShardedLog::kRecordPageSlots>;
+    for (uint32_t shard = 0; shard < log_.shard_count(); ++shard) {
+      const size_t records = log_.live_records(shard);
+      const size_t history = log_.next_seqnum() / ShardedLog::kRecordPageSlots + 1;
+      EXPECT_LE(log_.RecordStoreBytes(shard),
+                (2 * records + ShardedLog::kRecordPageSlots) * (sizeof(LogRecordPtr) + 8) +
+                    records * RecordPages::kPageHeaderBytes +
+                    2 * history * RecordPages::kPageEntryBytes)
+          << "shard " << shard;
     }
     size_t unretired = 0;
     for (TagId id = tags.NextUnretired(0); id < tags.size(); id = tags.NextUnretired(id + 1)) {
       ++unretired;
     }
     EXPECT_EQ(unretired, tags.live_size());
-    max_spilled_ = std::max(max_spilled_, tags.spilled());
   }
 
   Rng rng_;
@@ -313,7 +327,7 @@ class ModelRun {
   uint64_t walk_image_start_ = 0;
   int64_t walk_frames_ = 0;
 
-  size_t max_spilled_ = 0;
+  bool compacted_ = false;
   int image_recoveries_ = 0;
 };
 
@@ -328,7 +342,7 @@ TEST(TagTableModelTest, RandomSequencesMatchTheModel) {
       run.Step();
       if (::testing::Test::HasFatalFailure()) return;
     }
-    EXPECT_GT(run.max_spilled(), 0u);
+    EXPECT_TRUE(run.compacted());
     EXPECT_GT(run.image_recoveries(), 0);
   }
 }

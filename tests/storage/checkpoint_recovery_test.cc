@@ -386,10 +386,10 @@ TEST(CheckpointRecoveryTest, RetirementsAroundTheCutMatchFullReplay) {
 }
 
 TEST(CheckpointRecoveryTest, SpilledStreamsSurviveReplayAndImage) {
-  // One page of tags, all instances but "k:a" — once they retire the page spills and k:a's
-  // name and stream move out of it. Both restart paths must rebuild that exactly: full
-  // replay (retired ids' records land in transient streams outside any page) and image +
-  // suffix (the walk must find the spilled stream).
+  // One page of tags, all instances but "k:a" — once they retire the page compacts to k:a's
+  // slot alone, moving its name and stream. Both restart paths must rebuild that exactly:
+  // full replay (retired ids' records land in transient streams outside the registry) and
+  // image + suffix (the walk must find the moved stream).
   Cluster cluster(CheckpointConfig());
   sharedlog::ShardedLog& log = cluster.log_space();
   while (log.tags().size() % sharedlog::TagRegistry::kPageIds != 0) {
@@ -401,10 +401,13 @@ TEST(CheckpointRecoveryTest, SpilledStreamsSurviveReplayAndImage) {
     instances.push_back("i" + std::to_string(instances.size()));
     Append(cluster, instances.back());
   }
+  const size_t bytes = log.tags().SlotBytes();
   for (const std::string& name : instances) Retire(cluster, name);
   cluster.scheduler().Run();
   EXPECT_EQ(log.ReleaseRetired(), instances.size());
-  EXPECT_EQ(log.tags().spilled(), 1u);
+  // The page holds k:a's slot alone (a registry slot is a name and a stream).
+  constexpr size_t kSlotBytes = sizeof(std::string) + sizeof(sharedlog::TagStream);
+  EXPECT_EQ(log.tags().SlotBytes(), bytes - instances.size() * kSlotBytes);
   uint64_t acked = StateChecksum(cluster, kKvKeys, kObjects);
 
   cluster.KillRestartStorage();
