@@ -112,6 +112,16 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[gc\]' | tee >(cat >&2) | grep -c ' init-released-at-drain$' | grep -qx 2 \
   || { echo "check.sh: FAIL — drains left init records for a GC scan" >&2; exit 1; }
 
+# Write-logs-released-at-advance smoke (DESIGN.md §7.1): after a volatile Halfmoon-read Retwis
+# run with no GC scan, every object's write log must hold only its latest record and the KV
+# store only that record's version: each drain released the records the frontier passed and
+# a later record superseded. Deferring that release to a scan would still pass every
+# functional check, so the 'write-logs-released-at-advance' line is enforced here.
+"${BUILD_DIR}"/tests/gc_test \
+  --gtest_filter='GcTest.WriteLogsReleaseAtFrontierAdvance' \
+  --gtest_brief=1 | grep '^\[gc\]' | tee >(cat >&2) | grep -c ' write-logs-released-at-advance$' | grep -qx 1 \
+  || { echo "check.sh: FAIL — drains left superseded write-log records for a GC scan" >&2; exit 1; }
+
 # Object-sized smoke (DESIGN.md §7.1): the KV version table and its index must cost the same
 # for objects whose write-log tag ids are spread up to 2^20 as for ids 0..n-1. A table indexed
 # by id value would still pass every functional check, so the 'object-sized' line is enforced

@@ -17,7 +17,6 @@ using SimTime = int64_t;
 // A span of simulated time, in nanoseconds.
 using SimDuration = int64_t;
 
-constexpr SimDuration Nanoseconds(int64_t n) { return n; }
 constexpr SimDuration Microseconds(int64_t us) { return us * 1000; }
 constexpr SimDuration Milliseconds(int64_t ms) { return ms * 1000 * 1000; }
 constexpr SimDuration Seconds(int64_t s) { return s * 1000 * 1000 * 1000; }

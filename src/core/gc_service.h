@@ -1,27 +1,19 @@
 // Garbage collection of log records and stale object versions (§4.5).
 //
-// Periodically invoked by the runtime. Each scan:
-//   1. computes the frontier t: the largest seqnum such that every SSF whose init record has
-//      seqnum < t has finished (condition (b) of §4.5);
-//   2. for every per-object write log, marks the latest record with seqnum < t and deletes
-//      all records preceding it together with their object versions (condition (a): the
-//      marked record supersedes them; condition (b): no running or future SSF can still seek
-//      backward past the marked record). The sweep walks the tag registry's unretired ids
-//      in id order, skips streams with fewer than two entries before reading their names,
-//      and reads only the garbage prefix below the marked record;
-//   3. frees the registry slots of retired step-log tags whose kRetire frames are durable.
-//      The step logs themselves (Halfmoon-write's read logs, the version half of
-//      Halfmoon-read's write pairs) live exactly as long as their workflow, so SsfRuntime
-//      retires them when it drains, not at a scan (DESIGN.md §7.1);
-//   4. trims the global init stream up to the frontier. A record there belongs to a finished
-//      root once the frontier passes it, so SsfRuntime trims the stream whenever a drain
-//      moves the frontier; the scan is only the backstop for trims the durability and
-//      checkpoint clamps deferred. Both call TrimInitStream (DESIGN.md §7.1).
+// Garbage goes when the frontier t passes it: t is the largest seqnum such that every SSF
+// whose init record has seqnum < t has finished (condition (b)), clamped so no trim passes a
+// record a kill could roll back or one a checkpoint round still fences
+// (Cluster::BoundedFrontier). Each workflow drain (SsfRuntime::MaybeFinishWorkflow, DESIGN.md
+// §7.1, §7.2) calls ReleaseBelowFrontier, which trims the init records below t and, in every
+// write log queued with a record below t, the records before the latest one under t, with
+// the object versions they name (condition (a): that marked record supersedes them), then
+// retires the members' step logs. A scan (RunOnce) is only the backstop for what the
+// durability and checkpoint clamps held back at a drain: it calls the same routine and frees
+// the registry slots of retired step-log tags whose kRetire frames are durable.
 //
 // Modeling note: GC mutations are applied directly to the storage state (no simulated
 // latency). The paper observes that runtime performance is insensitive to the GC interval
-// (§6.3); charging GC traffic to the data-path stations would only distort that. All GC work
-// is still counted in GcStats.
+// (§6.3); charging GC traffic to the data-path stations would only distort that.
 
 #ifndef HALFMOON_CORE_GC_SERVICE_H_
 #define HALFMOON_CORE_GC_SERVICE_H_
@@ -34,18 +26,26 @@
 
 namespace halfmoon::core {
 
-struct GcStats {
-  int64_t scans = 0;
-  int64_t step_logs_trimmed = 0;  // Always 0 (see RuntimeStats); the benchmark reads it.
+// What frontier advances released (§4.5): init records of finished roots, and write-log
+// records a later record supersedes with the versions they name. RuntimeStats counts the
+// drains' releases, GcStats a scan's own.
+struct FrontierRelease {
+  int64_t init_records_trimmed = 0;
   int64_t write_records_trimmed = 0;
   int64_t versions_deleted = 0;
-  int64_t init_records_trimmed = 0;  // By the backstop only; drains count in RuntimeStats.
 };
 
-// Trims the global init stream below the cluster's bounded frontier and returns the number
-// of records released. The one init-stream trim: called at every workflow drain and by each
-// scan's step (4).
-size_t TrimInitStream(runtime::Cluster& cluster);
+struct GcStats : FrontierRelease {
+  int64_t scans = 0;
+  int64_t step_logs_trimmed = 0;  // Always 0 (see RuntimeStats); the benchmark reads it.
+};
+
+// Releases what the cluster's bounded frontier has passed, adding it to *released: trims the
+// global init stream below the frontier, then pops every write log queued below it
+// (Cluster::QueueWriteLog), marks its latest record below the frontier, deletes the versions
+// its earlier records name and trims them. The one release of either kind: called at every
+// workflow drain and by each scan.
+void ReleaseBelowFrontier(runtime::Cluster& cluster, FrontierRelease* released);
 
 class GcService {
  public:
@@ -57,7 +57,7 @@ class GcService {
   void Start();
   void Stop() { stopped_ = true; }
 
-  // One full scan; exposed for deterministic tests.
+  // One scan; exposed for deterministic tests and the benchmark.
   void RunOnce();
 
   const GcStats& stats() const { return stats_; }

@@ -80,15 +80,20 @@ void OnlineAdvisor::RunOnce() {
   // One bounded slice of the dense-id keyspace per tick. The walk stops at the registry's
   // end (the next tick restarts a fresh sweep) so `sweeps` counts completed passes; ids
   // interned mid-walk — including the transition tags of the switches fired below — are
-  // simply picked up by a later slice.
+  // simply picked up by a later slice. Retired ids (finished step logs) are jumped, each
+  // counted against the budget as if examined.
   for (int examined = 0; examined < config_.ids_per_tick; ++examined) {
+    const int jumped = static_cast<int>(std::min<size_t>(
+        tags.NextUnretired(cursor_) - cursor_, config_.ids_per_tick - examined));
+    cursor_ += jumped;
+    examined += jumped;
+    if (examined == config_.ids_per_tick) break;
     if (cursor_ >= tags.size()) {
       if (cursor_ > 0) ++stats_.sweeps;
       cursor_ = 0;
       break;
     }
     const TagId id = static_cast<TagId>(cursor_++);
-    if (tags.Retired(id)) continue;  // A finished instance's step log: never an object.
     std::string_view name = tags.Name(id);
     if (!name.starts_with(sharedlog::kWriteLogPrefix)) continue;
 

@@ -36,6 +36,12 @@ const LogRecord* FindBokiStep(const Env& env, sharedlog::OpId op, int64_t step) 
   return nullptr;
 }
 
+// Queues a write's object for the release of what its commit supersedes (DESIGN.md §7.1).
+// A commit whose attempt crashed before seeing it is queued by the retry that replays it.
+void QueueSuperseded(Env& env, TagId write_tag, const StepLogResult& commit) {
+  env.cluster->QueueWriteLog(write_tag, commit.record->seqnum);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -93,7 +99,8 @@ sim::Task<void> HalfmoonReadWrite(Env& env, const std::string& key, Value value)
   TagId write_tag = env.WriteTag(key);
   if (const LogRecord* cached = PeekNextLog(env);
       cached != nullptr && cached->op == sharedlog::kOpWrite) {
-    co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields), kHmReadClass);
+    QueueSuperseded(env, write_tag, co_await LogStep(env, sharedlog::OneTag(write_tag),
+                                                     std::move(post_fields), kHmReadClass));
     co_return;
   }
 
@@ -103,7 +110,8 @@ sim::Task<void> HalfmoonReadWrite(Env& env, const std::string& key, Value value)
   env.MaybeCrash("hmr.write.after_db");
   // Commit: the record appears in the step log and in the object's write log.
   if (!env.drop_commit_append) {  // Faultcheck negative control: lose the commit.
-    co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields), kHmReadClass);
+    QueueSuperseded(env, write_tag, co_await LogStep(env, sharedlog::OneTag(write_tag),
+                                                     std::move(post_fields), kHmReadClass));
   }
   env.MaybeCrash("hmr.write.after_log");
 }
@@ -343,8 +351,8 @@ sim::Task<void> TransitionalWrite(Env& env, const std::string& key, Value value)
   if (const LogRecord* cached = PeekNextLog(env);
       cached != nullptr && cached->op == sharedlog::kOpWrite) {
     // Replay: both external effects (the version and the LATEST slot) already applied.
-    co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields),
-                     kTransitionalClass);
+    QueueSuperseded(env, write_tag, co_await LogStep(env, sharedlog::OneTag(write_tag),
+                                                     std::move(post_fields), kTransitionalClass));
     co_return;
   }
 
@@ -354,8 +362,8 @@ sim::Task<void> TransitionalWrite(Env& env, const std::string& key, Value value)
   env.MaybeCrash("trans.write.after_version");
   co_await env.kv().CondPut(key, std::move(value), latest_version);
   env.MaybeCrash("trans.write.after_latest");
-  co_await LogStep(env, sharedlog::OneTag(write_tag), std::move(post_fields),
-                   kTransitionalClass);
+  QueueSuperseded(env, write_tag, co_await LogStep(env, sharedlog::OneTag(write_tag),
+                                                   std::move(post_fields), kTransitionalClass));
   env.MaybeCrash("trans.write.after_log");
 }
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/core/gc_service.h"
 #include "src/core/log_steps.h"
 #include "src/core/protocols.h"
 #include "src/core/switch_manager.h"
@@ -597,8 +596,8 @@ sim::Task<void> SsfRuntime::RunPeer(std::shared_ptr<InvocationState> state,
 void SsfRuntime::MaybeFinishWorkflow(Workflow& workflow) {
   if (!workflow.root_done || workflow.live_attempts > 0 || workflow.drained) return;
   // The whole workflow has drained: the root's init record may now release the GC/switch
-  // frontier, the init records the frontier passes belong to finished roots, and every
-  // member's step log is garbage (§4.5): all of them go now, not at the next GC scan.
+  // frontier, the init and superseded write-log records the frontier passes and every
+  // member's step log are garbage (§4.5): all of them go now, not at the next GC scan.
   // Nothing runs in the workflow afterwards: each member invocation is awaited by some
   // attempt, so all have completed, and a delayed peer wakes to a done invocation and never
   // starts an attempt (RunAttempt enforces it). A round a crashed attempt left in flight
@@ -607,7 +606,7 @@ void SsfRuntime::MaybeFinishWorkflow(Workflow& workflow) {
   if (workflow.root_init != sharedlog::kInvalidSeqNum) {
     cluster_->RemoveRunningRoot(workflow.root_init);
   }
-  stats_.init_records_trimmed += static_cast<int64_t>(TrimInitStream(*cluster_));
+  ReleaseBelowFrontier(*cluster_, &stats_);
   sharedlog::ShardedLog& log = cluster_->log_space();
   for (sharedlog::TagId tag : workflow.step_tags) log.Retire(cluster_->scheduler().Now(), tag);
   stats_.step_logs_retired += static_cast<int64_t>(workflow.step_tags.size());

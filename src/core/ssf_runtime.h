@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/core/env.h"
+#include "src/core/gc_service.h"
 #include "src/core/ssf_context.h"
 #include "src/metrics/workload_sketch.h"
 #include "src/runtime/cluster.h"
@@ -62,13 +63,12 @@ struct RuntimeConfig {
   metrics::WorkloadSketchConfig sketch;
 };
 
-struct RuntimeStats {
+struct RuntimeStats : FrontierRelease {
   int64_t invocations = 0;
   int64_t attempts = 0;
   int64_t crashes = 0;
   int64_t peer_instances = 0;
   int64_t step_logs_retired = 0;  // Member step-log tags retired as their workflows drained.
-  int64_t init_records_trimmed = 0;  // Init records released as drains moved the frontier.
 };
 
 class SsfRuntime {

@@ -265,6 +265,13 @@ void Cluster::ReplayLogJournal() {
   // manifest exists, strict full replay otherwise (always, when the tier is off).
   last_log_recovery_ = sharedlog::RestoreLogFromJournal(scheduler_.Now(), &log_space_,
                                                         log_durability_.get(), log_ckpt_.get());
+  // The kill may have lost the kTrim frame of a write-log release, whose queue entry is
+  // long popped: queue every restored write log holding two records or more at its second
+  // one, so the next frontier advance takes that garbage again (DESIGN.md §13).
+  for (sharedlog::TagId tag : log_space_.LiveTagsWithPrefix(sharedlog::kWriteLogPrefix)) {
+    const sharedlog::TagStream& stream = *log_space_.tags().LiveStream(tag);
+    if (stream.size() >= 2) QueueWriteLog(tag, stream[1]);
+  }
 }
 
 void Cluster::ReplayKvJournal() {

@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <set>
 #include <string>
 #include <utility>
@@ -165,7 +167,6 @@ class Cluster {
   // Null unless config.durable && config.checkpoint.
   storage::CheckpointService* checkpoint_service() { return ckpt_service_.get(); }
   storage::CheckpointStore* log_checkpoint_store() { return log_ckpt_.get(); }
-  storage::CheckpointStore* kv_checkpoint_store() { return kv_ckpt_.get(); }
 
   // What the last KillRestart* actually did per domain: image + replay-suffix (and how many
   // torn/corrupt manifests it skipped), or full replay. Tests and the check.sh smoke assert
@@ -235,6 +236,20 @@ class Cluster {
     return std::min({RunningFrontier(), DurableTrimBound(), CheckpointBound()});
   }
 
+  // ---- Superseded write-log records (GC condition (a) of §4.5, DESIGN.md §7.1) ----
+  // Queues write log `tag` for core::ReleaseBelowFrontier once the frontier passes `seqnum`.
+  void QueueWriteLog(sharedlog::TagId tag, sharedlog::SeqNum seqnum) {
+    write_logs_.emplace(seqnum, tag);
+  }
+  // Pops one queued write log whose seqnum lies below `frontier`; kInvalidTagId when none does.
+  sharedlog::TagId PopWriteLogBelow(sharedlog::SeqNum frontier) {
+    if (write_logs_.empty() || write_logs_.top().first >= frontier) return sharedlog::kInvalidTagId;
+    sharedlog::TagId tag = write_logs_.top().second;
+    write_logs_.pop();
+    return tag;
+  }
+  size_t queued_write_logs() const { return write_logs_.size(); }
+
   // Number of index-propagation wake-up events that performed an advance, and the number of
   // commit notifications they covered. Their ratio measures how much event-queue pressure
   // propagation coalescing removes (the reference mode schedules one event per commit).
@@ -294,6 +309,10 @@ class Cluster {
   FailureInjector injector_;
 
   std::set<sharedlog::SeqNum> running_roots_;  // Ordered: begin() is the frontier.
+  // (seqnum, write-log tag), smallest seqnum on top: commits of one round reach their
+  // attempts out of order, and a retry replays an old one, so no FIFO would stay sorted.
+  using WriteLogEntry = std::pair<sharedlog::SeqNum, sharedlog::TagId>;
+  std::priority_queue<WriteLogEntry, std::vector<WriteLogEntry>, std::greater<>> write_logs_;
 
   // Pending index-propagation arrivals (arrival time, committed seqnum), strictly increasing
   // in both fields. Commits enter in seqnum order; an older commit whose sampled arrival is

@@ -124,7 +124,6 @@ class AppendBatcher {
   // Controller observability (tests, benches).
   SimDuration effective_window() const { return effective_window_; }
   int effective_depth() const { return effective_depth_; }
-  int in_flight() const { return in_flight_; }
 
  private:
   // Waits until the pipeline has a free slot. Only the dispatcher ever waits here, so a

@@ -262,7 +262,6 @@ class LogClient {
 
   SeqNum indexed_upto() const { return indexed_upto_; }
   const LogClientStats& stats() const { return stats_; }
-  LogClientStats& mutable_stats() { return stats_; }
 
   // Stamps this client's NEXT append as issued from inside an SSF attempt, under byte class
   // `cls` (0 = control; the core layer passes a protocol's class). The append engine
@@ -279,7 +278,6 @@ class LogClient {
     append_class_ = cls;
   }
 
-  bool read_cache_enabled() const { return read_cache_enabled_; }
   // Tags with a payload-cache entry, in no particular order. Cold accessor for tests.
   std::vector<TagId> ReadCacheTags() const {
     std::vector<TagId> out;

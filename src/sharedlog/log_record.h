@@ -113,13 +113,6 @@ struct LogRecord {
   // release subtracts exactly that without re-walking the fields.
   size_t stored_bytes = 0;
 
-  bool HasTag(TagId t) const {
-    for (TagId tag : tags) {
-      if (tag == t) return true;
-    }
-    return false;
-  }
-
   // Approximate serialized size: header + tags + payload. Interned tags serialize as fixed
   // 64-bit ids rather than variable-length names.
   size_t ByteSize() const {

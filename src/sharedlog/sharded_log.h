@@ -151,7 +151,7 @@ class ShardedLog {
 
   // Ids of the live (unretired, not retiring), non-empty streams whose name starts with
   // `prefix`, in name order. Cold: a walk over every unretired id plus a sort, for content
-  // checksums and tests only — hot paths (GC) walk the registry themselves.
+  // checksums, tests and recovery (Cluster::ReplayLogJournal) only.
   std::vector<TagId> LiveTagsWithPrefix(std::string_view prefix) const;
 
   // Latest record in `tag`'s sub-stream with seqnum <= max (logReadPrev).

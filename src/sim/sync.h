@@ -34,7 +34,6 @@ class Event {
   }
 
   void Reset() { set_ = false; }
-  bool is_set() const { return set_; }
 
   struct Awaiter {
     Event* event;

@@ -75,31 +75,36 @@ TestWorldOptions HmRead() {
   return options;
 }
 
-void RegisterWriter(TestWorld& world) {
-  world.Register("write_k", [](core::SsfContext& ctx) -> sim::Task<Value> {
+void RegisterWriter(core::SsfRuntime& runtime) {
+  runtime.RegisterFunction("write_k", [](core::SsfContext& ctx) -> sim::Task<Value> {
     co_await ctx.Write("k", ctx.input());
     co_return "";
   });
-  world.Register("read_k", [](core::SsfContext& ctx) -> sim::Task<Value> {
+  runtime.RegisterFunction("read_k", [](core::SsfContext& ctx) -> sim::Task<Value> {
     co_return co_await ctx.Read("k");
   });
 }
+void RegisterWriter(TestWorld& world) { RegisterWriter(world.runtime()); }
 
 TEST(GcTest, ReclaimsSupersededVersionsAndWriteRecords) {
   TestWorld world(HmRead());
   RegisterWriter(world);
   for (int i = 0; i < 10; ++i) {
     world.Call("write_k", "v" + std::to_string(i));
+    // The write's drain moved the frontier past its commit record, which supersedes every
+    // earlier one: only the newest version (the marked record's) stays, with no scan.
+    ASSERT_EQ(world.cluster().kv_state().VersionCount(world.ObjectIdFor("k")), 1u);
   }
-  ASSERT_EQ(world.cluster().kv_state().VersionCount(world.ObjectIdFor("k")), 10u);
+  EXPECT_EQ(world.runtime().stats().versions_deleted, 9);
+  EXPECT_EQ(world.runtime().stats().write_records_trimmed, 9);
+  EXPECT_EQ(world.cluster().queued_write_logs(), 0u);
 
+  // The drains left a scan nothing.
   GcService gc(&world.cluster(), Seconds(10));
   gc.RunOnce();
-
-  // All SSFs have finished: only the newest version (pointed to by the marked record) stays.
   EXPECT_EQ(world.cluster().kv_state().VersionCount(world.ObjectIdFor("k")), 1u);
-  EXPECT_EQ(gc.stats().versions_deleted, 9);
-  EXPECT_GE(gc.stats().write_records_trimmed, 9);
+  EXPECT_EQ(gc.stats().versions_deleted, 0);
+  EXPECT_EQ(gc.stats().write_records_trimmed, 0);
 }
 
 TEST(GcTest, ReadsStillCorrectAfterGc) {
@@ -119,17 +124,18 @@ TEST(GcTest, TrimsStepLogsOfFinishedWorkflows) {
   TestWorld world(HmRead());
   RegisterWriter(world);
   sharedlog::ShardedLog& log = world.cluster().log_space();
+  const size_t before = log.live_records();
   for (int i = 0; i < 6; ++i) {
-    size_t before = log.live_records();
     world.Call("write_k", "v");
-    // Retirement freed what only the step log held (the write's pre record) and the drain's
-    // trim the init record; only the commit record (in the write log) stays.
+    // Retirement freed what only the step log held (the write's pre record), the drain's
+    // trims the init record and the commit it superseded; only the newest commit record (in
+    // the write log) stays.
     EXPECT_EQ(log.live_records(), before + 1);
     EXPECT_EQ(log.tags().Find("write_k#" + std::to_string(i)), sharedlog::kInvalidTagId);
   }
   EXPECT_EQ(world.runtime().stats().step_logs_retired, 6);
   EXPECT_EQ(world.runtime().stats().init_records_trimmed, 6);
-  // A scan then leaves only the marked write record (the newest commit).
+  // A scan finds nothing left: only the marked write record (the newest commit) lives.
   GcService gc(&world.cluster(), Seconds(10));
   gc.RunOnce();
   EXPECT_EQ(log.live_records(), 1u);
@@ -347,15 +353,17 @@ TEST(GcTest, ChildInitRecordsDoNotFreezeTheFrontier) {
   gc.RunOnce();
   EXPECT_EQ(cluster.RunningFrontier(), cluster.log_space().next_seqnum());
   EXPECT_EQ(cluster.live_tracking_entries(), 0u);
-  // The seed version and the first four writes are superseded by the fifth.
-  EXPECT_EQ(gc.stats().versions_deleted, 5);
+  // The seed version and the first four writes are superseded by the fifth, each released
+  // by the drain that moved the frontier past its successor: a frozen frontier would have
+  // left them to the scan.
+  EXPECT_EQ(runtime.stats().versions_deleted, 5);
+  EXPECT_EQ(gc.stats().versions_deleted, 0);
   EXPECT_EQ(cluster.kv_state().VersionCount(testing::ObjectIdFor(cluster, "x")), 1u);
 }
 
-// The collector before its registry walk, kept as an oracle: write logs come from the
-// name-ordered LiveTagsWithPrefix("k:") and each is read whole, then steps (3) and (4) run as
-// in GcService (step logs retire and the init stream is trimmed at drain, outside any
-// collector).
+// The scan before write logs were released at drain, kept as an oracle: every write log comes
+// from the name-ordered LiveTagsWithPrefix("k:") and is read whole, then retired slots are
+// freed and the init stream trimmed as in GcService.
 class FullWalkGc {
  public:
   explicit FullWalkGc(runtime::Cluster* cluster) : cluster_(cluster) {}
@@ -385,7 +393,10 @@ class FullWalkGc {
       log.Trim(now, tag, marked->seqnum - 1);
     }
     log.ReleaseRetired();
-    stats_.init_records_trimmed += static_cast<int64_t>(core::TrimInitStream(*cluster_));
+    if (frontier > 0) {
+      stats_.init_records_trimmed +=
+          static_cast<int64_t>(log.Trim(now, sharedlog::kInitTagId, frontier - 1));
+    }
   }
 
   const core::GcStats& stats() const { return stats_; }
@@ -443,14 +454,24 @@ struct GcWorld {
   std::unique_ptr<workloads::LoadGenerator> gen;
 };
 
-TEST(GcTest, RegistryWalkMatchesTheFullWalkReference) {
-  // Two identical runs, one collected by GcService and one by the full-walk reference, under
-  // storage kills and checkpoint rounds: after every scan both must have deleted the same
-  // versions and made the same trims.
+TEST(GcTest, DrainReleaseMatchesTheFullWalkReference) {
+  // Two identical runs under storage kills and checkpoint rounds, both releasing write-log
+  // garbage at their drains. One's scans pop only the queue entries the clamps deferred
+  // (GcService), the other's walk every write log whole (FullWalkGc). After every scan both
+  // must have deleted the same versions and made the same trims, drains and scans summed:
+  // garbage the queue lost track of (a kill dropping a kTrim frame, say) is found by the
+  // walk alone.
   GcWorld subject;
   GcWorld reference;
   GcService gc(&subject.cluster, Seconds(10));
   FullWalkGc full_walk(&reference.cluster);
+  auto released = [](const core::SsfRuntime& runtime, const core::GcStats& scans) {
+    const core::RuntimeStats& drains = runtime.stats();
+    return std::vector<int64_t>{scans.scans, scans.step_logs_trimmed,
+                                drains.write_records_trimmed + scans.write_records_trimmed,
+                                drains.versions_deleted + scans.versions_deleted,
+                                drains.init_records_trimmed + scans.init_records_trimmed};
+  };
   const std::vector<std::string> no_kv_keys;
   int kills = 0;
   for (int step = 1; step <= 50; ++step) {
@@ -464,13 +485,8 @@ TEST(GcTest, RegistryWalkMatchesTheFullWalkReference) {
     gc.RunOnce();
     full_walk.RunOnce();
 
-    const core::GcStats& a = gc.stats();
-    const core::GcStats& b = full_walk.stats();
-    ASSERT_EQ(a.scans, b.scans);
-    ASSERT_EQ(a.step_logs_trimmed, b.step_logs_trimmed);
-    ASSERT_EQ(a.write_records_trimmed, b.write_records_trimmed);
-    ASSERT_EQ(a.versions_deleted, b.versions_deleted);
-    ASSERT_EQ(a.init_records_trimmed, b.init_records_trimmed);
+    ASSERT_EQ(released(subject.runtime, gc.stats()),
+              released(reference.runtime, full_walk.stats()));
     std::vector<std::pair<sharedlog::TagId, size_t>> counts = subject.VersionCounts();
     ASSERT_EQ(counts, reference.VersionCounts());
     std::vector<sharedlog::TagId> objects;
@@ -478,9 +494,9 @@ TEST(GcTest, RegistryWalkMatchesTheFullWalkReference) {
     ASSERT_EQ(testing::StateChecksum(subject.cluster, no_kv_keys, objects),
               testing::StateChecksum(reference.cluster, no_kv_keys, objects));
   }
-  // The run exercised what it claims to: superseded versions went, under kills.
-  EXPECT_GT(gc.stats().versions_deleted, 100);
-  EXPECT_GT(gc.stats().write_records_trimmed, 100);
+  // The run exercised what it claims to: superseded versions went at drains, under kills.
+  EXPECT_GT(subject.runtime.stats().versions_deleted, 100);
+  EXPECT_GT(subject.runtime.stats().write_records_trimmed, 100);
   EXPECT_EQ(kills, 7);
   EXPECT_GT(subject.cluster.checkpoint_service()->stats().rounds_completed, 0);
 }
@@ -573,9 +589,9 @@ TEST(GcTest, StepLogsRetireAtDrainUnderStorageKills) {
 }
 
 TEST(GcTest, DrainTrimsStopAtTheDurableAndCheckpointBounds) {
-  // A drain trims the init stream only below Cluster::BoundedFrontier(), like a scan. Two
-  // arrangements make a clamp bind, each with the init record the clamp protects checked
-  // right after the drain.
+  // A drain trims the init stream and releases write logs only below
+  // Cluster::BoundedFrontier(), like a scan. Each arrangement makes a clamp bind and checks
+  // what it protects right after the drain.
   runtime::ClusterConfig config = GcWorld::Config();
   core::RuntimeConfig rcfg = GcWorld::RuntimeConfig();
   auto register_writer = [](core::SsfRuntime& runtime) {
@@ -634,13 +650,16 @@ TEST(GcTest, DrainTrimsStopAtTheDurableAndCheckpointBounds) {
   EXPECT_TRUE(durable_bound_met);
 
   // (2) Checkpoint bound: root b starts and drains inside a checkpoint round, so its init
-  // record lies above the round's fence and stays until the round ends. No drain follows, so
-  // the scan's backstop takes it.
+  // record and its commit record, which supersedes k's seed record, lie above the round's
+  // fence: the init record stays, and k stays queued, until the round ends. No drain
+  // follows, so the scan takes exactly them.
   config.checkpoint_slice = 1;  // One frame per slice: the round outlasts the workflow.
   runtime::Cluster cluster(config);
   core::SsfRuntime runtime(&cluster, rcfg);
   register_writer(runtime);
   for (int i = 0; i < 200; ++i) runtime.PopulateObject("o" + std::to_string(i), "v");
+  runtime.PopulateObject("k", "v");
+  const sharedlog::TagId k = cluster.log_space().tags().Find("k:k");
   cluster.scheduler().Run();
   storage::CheckpointService& ckpt = *cluster.checkpoint_service();
   ASSERT_TRUE(ckpt.TriggerRound());
@@ -650,43 +669,95 @@ TEST(GcTest, DrainTrimsStopAtTheDurableAndCheckpointBounds) {
   EXPECT_GE(b->root_init, cluster.CheckpointBound());
   EXPECT_TRUE(in_init_stream(cluster, b->root_init));
   EXPECT_EQ(runtime.stats().init_records_trimmed, 0);
+  EXPECT_EQ(cluster.queued_write_logs(), 1u);
+  EXPECT_EQ(runtime.stats().write_records_trimmed, 0);
   cluster.scheduler().Run();
   EXPECT_EQ(ckpt.stats().rounds_completed, 1);
   EXPECT_TRUE(in_init_stream(cluster, b->root_init));
+  EXPECT_EQ(cluster.kv_state().VersionCount(k), 2u);
   GcService gc(&cluster, Seconds(10));
   gc.RunOnce();
   EXPECT_EQ(gc.stats().init_records_trimmed, 1);
   EXPECT_TRUE(cluster.log_space().ReadStream(sharedlog::kInitTagId).empty());
+  EXPECT_EQ(gc.stats().write_records_trimmed, 1);
+  EXPECT_EQ(gc.stats().versions_deleted, 1);
+  EXPECT_EQ(cluster.queued_write_logs(), 0u);
+  EXPECT_EQ(cluster.log_space().ReadStream(k).size(), 1u);
+  EXPECT_EQ(cluster.kv_state().VersionCount(k), 1u);
+
+  // (3) Durable bound. A writer's commit is durable before its workflow can drain, so at a
+  // drain this clamp never binds on a write log; a record appended outside any SSF is not
+  // yet durable, and the one release routine the drain and the scan call must keep it
+  // queued until its frame flushes, then release exactly what it supersedes.
+  SimTime now = cluster.scheduler().Now();
+  cluster.kv_state().PutVersioned(now, k, "direct", "v");
+  FieldMap fields;
+  fields.SetStr("op", "write");
+  fields.SetInt("step", 0);
+  fields.SetStr("version", "direct");
+  sharedlog::SeqNum direct = cluster.log_space().Append(now, sharedlog::OneTag(k), fields);
+  cluster.QueueWriteLog(k, direct);
+  ASSERT_GE(direct, cluster.DurableTrimBound());
+  core::FrontierRelease held;
+  core::ReleaseBelowFrontier(cluster, &held);
+  EXPECT_EQ(held.write_records_trimmed + held.versions_deleted, 0);
+  EXPECT_EQ(cluster.queued_write_logs(), 1u);
+  cluster.scheduler().Run();
+  ASSERT_LT(direct, cluster.DurableTrimBound());
+  core::FrontierRelease released;
+  core::ReleaseBelowFrontier(cluster, &released);
+  EXPECT_EQ(released.write_records_trimmed, 1);
+  EXPECT_EQ(released.versions_deleted, 1);
+  EXPECT_EQ(cluster.queued_write_logs(), 0u);
+  EXPECT_EQ(cluster.kv_state().VersionCount(k), 1u);
 }
 
-TEST(GcTest, InitRecordsReleaseAtDrainWithoutAScan) {
-  // Volatile Retwis under load with no GC service at all: once the load drains, every root's
-  // init record must be gone, trimmed by the drain that moved the frontier past it. Deferring
-  // the trim to a scan would still pass every functional check, so scripts/check.sh requires
-  // the "[gc] init-released-at-drain" line printed here.
-  for (ProtocolKind protocol : {ProtocolKind::kHalfmoonRead, ProtocolKind::kHalfmoonWrite}) {
-    SCOPED_TRACE(core::ProtocolName(protocol));
-    runtime::ClusterConfig ccfg;
-    ccfg.seed = 1;
-    ccfg.function_nodes = 4;
-    ccfg.workers_per_node = 8;
-    runtime::Cluster cluster(ccfg);
-    core::RuntimeConfig rcfg;
-    rcfg.default_protocol = protocol;
-    core::SsfRuntime runtime(&cluster, rcfg);
-    workloads::AppDataset data;
+// Volatile Retwis under load (300 req/s for 2 s) with no GC service at all, run until the
+// load drains.
+struct NoScanRetwis {
+  explicit NoScanRetwis(ProtocolKind protocol)
+      : cluster(Config()), runtime(&cluster, RuntimeConfig(protocol)) {
     workloads::RegisterRetwisApp(runtime, data);
     workloads::LoadGenConfig load;
     load.requests_per_second = 300;
     load.warmup = 0;
     load.duration = Seconds(2);
-    workloads::LoadGenerator gen(&runtime, load, workloads::RetwisRequestFactory(runtime, data));
-    gen.RunToCompletion();
+    gen = std::make_unique<workloads::LoadGenerator>(
+        &runtime, load, workloads::RetwisRequestFactory(runtime, data));
+    gen->RunToCompletion();
+  }
+  static runtime::ClusterConfig Config() {
+    runtime::ClusterConfig config;
+    config.seed = 1;
+    config.function_nodes = 4;
+    config.workers_per_node = 8;
+    return config;
+  }
+  static core::RuntimeConfig RuntimeConfig(ProtocolKind protocol) {
+    core::RuntimeConfig config;
+    config.default_protocol = protocol;
+    return config;
+  }
 
-    const size_t left = cluster.log_space().ReadStream(sharedlog::kInitTagId).size();
-    const int64_t trimmed = runtime.stats().init_records_trimmed;
+  runtime::Cluster cluster;
+  core::SsfRuntime runtime;
+  workloads::AppDataset data;
+  std::unique_ptr<workloads::LoadGenerator> gen;
+};
+
+TEST(GcTest, InitRecordsReleaseAtDrainWithoutAScan) {
+  // Once the load drains, every root's init record must be gone, trimmed by the drain that
+  // moved the frontier past it. Deferring the trim to a scan would still pass every
+  // functional check, so scripts/check.sh requires the "[gc] init-released-at-drain" line
+  // printed here.
+  for (ProtocolKind protocol : {ProtocolKind::kHalfmoonRead, ProtocolKind::kHalfmoonWrite}) {
+    SCOPED_TRACE(core::ProtocolName(protocol));
+    NoScanRetwis run(protocol);
+    const workloads::LoadGenerator& gen = *run.gen;
+    const size_t left = run.cluster.log_space().ReadStream(sharedlog::kInitTagId).size();
+    const int64_t trimmed = run.runtime.stats().init_records_trimmed;
     ASSERT_EQ(gen.completed(), gen.offered());
-    EXPECT_EQ(cluster.live_tracking_entries(), 0u);
+    EXPECT_EQ(run.cluster.live_tracking_entries(), 0u);
     EXPECT_EQ(left, 0u);
     // One init record per root (Retwis children inherit their root's cursor), each trimmed
     // once.
@@ -697,6 +768,75 @@ TEST(GcTest, InitRecordsReleaseAtDrainWithoutAScan) {
                 static_cast<long long>(trimmed), left,
                 left == 0 && trimmed == gen.offered() ? "init-released-at-drain" : "DEFERRED");
   }
+}
+
+TEST(GcTest, WriteLogsReleaseAtFrontierAdvance) {
+  // Once the load drains, the frontier has passed every commit record, so each object's write
+  // log must hold only its marked (latest) record and the KV store only that record's
+  // version: the drains released the rest as the frontier passed their successors.
+  // Deferring that release to a scan would still pass every functional check, so
+  // scripts/check.sh requires the "[gc] write-logs-released-at-advance" line printed here.
+  NoScanRetwis run(ProtocolKind::kHalfmoonRead);
+  ASSERT_EQ(run.gen->completed(), run.gen->offered());
+  sharedlog::ShardedLog& log = run.cluster.log_space();
+  ASSERT_EQ(run.cluster.BoundedFrontier(), log.next_seqnum());
+  size_t objects = 0, below_mark = 0, extra_versions = 0;
+  for (sharedlog::TagId tag : log.LiveTagsWithPrefix(sharedlog::kWriteLogPrefix)) {
+    ++objects;
+    below_mark += log.ReadStream(tag).size() - 1;
+    extra_versions += run.cluster.kv_state().VersionCount(tag) != 1;
+  }
+  const core::RuntimeStats& stats = run.runtime.stats();
+  EXPECT_GT(stats.write_records_trimmed, 100);
+  EXPECT_EQ(stats.versions_deleted, stats.write_records_trimmed);
+  EXPECT_EQ(below_mark, 0u);
+  EXPECT_EQ(extra_versions, 0u);
+  EXPECT_EQ(run.cluster.queued_write_logs(), 0u);
+  std::printf("[gc] Halfmoon-read retwis write logs, no scan: objects=%zu "
+              "write_records_trimmed_at_drain=%lld versions_deleted_at_drain=%lld "
+              "records_below_mark=%zu objects_not_one_version=%zu | %s\n",
+              objects, static_cast<long long>(stats.write_records_trimmed),
+              static_cast<long long>(stats.versions_deleted), below_mark, extra_versions,
+              below_mark == 0 && extra_versions == 0 && stats.write_records_trimmed > 0
+                  ? "write-logs-released-at-advance"
+                  : "DEFERRED");
+}
+
+TEST(GcTest, WriteLogTrimsAKillLostAreRetakenAtTheNextDrain) {
+  // A drain journals its write-log trim and version deletes fire and forget. A storage kill
+  // before they flush loses the frames, and replay restores the superseded record and its
+  // version, whose queue entry is long popped. Recovery queues every restored write log that
+  // holds two records or more, so the next drain takes them again, with no scan.
+  runtime::Cluster cluster(GcWorld::Config());
+  core::SsfRuntime runtime(&cluster, GcWorld::RuntimeConfig());
+  RegisterWriter(runtime);
+  auto call = [&](std::string name, Value input, bool kill_at_drain) {
+    Value result;
+    cluster.scheduler().Spawn([](core::SsfRuntime* runtime, std::string name, Value input,
+                                 bool kill_at_drain, Value* result) -> sim::Task<void> {
+      *result = co_await runtime->InvokeSsf(std::move(name), std::move(input));
+      // The drain has just run: its frames are journaled, not yet flushed.
+      if (kill_at_drain) runtime->cluster().KillRestartStorage();
+    }(&runtime, std::move(name), std::move(input), kill_at_drain, &result));
+    cluster.scheduler().Run();
+    return result;
+  };
+  sharedlog::ShardedLog& log = cluster.log_space();
+  call("write_k", "a", false);
+  const sharedlog::TagId k = log.tags().Find("k:k");
+  call("write_k", "b", true);
+  // b's drain released a's commit record and version; the kill brought both back.
+  EXPECT_EQ(runtime.stats().write_records_trimmed, 1);
+  EXPECT_EQ(runtime.stats().versions_deleted, 1);
+  ASSERT_EQ(log.ReadStream(k).size(), 2u);
+  ASSERT_EQ(cluster.kv_state().VersionCount(k), 2u);
+
+  EXPECT_EQ(call("read_k", "", false), "b");
+  EXPECT_EQ(runtime.stats().write_records_trimmed, 2);
+  EXPECT_EQ(runtime.stats().versions_deleted, 2);
+  EXPECT_EQ(log.ReadStream(k).size(), 1u);
+  EXPECT_EQ(cluster.kv_state().VersionCount(k), 1u);
+  EXPECT_EQ(call("read_k", "", false), "b");
 }
 
 TEST(StorageKillTest, TravelAdoptsOnlyRecordsThatOutliveKills) {

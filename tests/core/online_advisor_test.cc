@@ -376,13 +376,14 @@ TEST(OnlineAdvisorTest, AdvisorOffIsBitIdenticalToStaticRuntime) {
   // The same golden tuple sharded_equivalence_test pins for Halfmoon-read/counter (captured
   // at the PR 4 head): with advisor mode off the runtime must still reproduce it exactly —
   // no extra events, no sketch, no resolution reads, identical committed content (the
-  // content pin moved with that golden when step logs began retiring at workflow drain, and
-  // again when drains began trimming the init stream).
+  // content pin moved with that golden when step logs began retiring at workflow drain, when
+  // drains began trimming the init stream, and when they began releasing superseded
+  // write-log records).
   PinnedRun r = RunWithAdvisorFlag(faultcheck::CounterWorkload(), /*advisor=*/false);
   EXPECT_EQ(r.events, 88ull);
   EXPECT_EQ(r.end_now, 23700364ull);
   EXPECT_EQ(r.next_seqnum, 11ull);
-  EXPECT_EQ(r.content_fnv, 0x8635f68a0b1f1ea0ull);
+  EXPECT_EQ(r.content_fnv, 0xe3e7cf21b28c1209ull);
   std::printf("[advisor] advisor-off content checksum 0x%llx (pinned)\n",
               static_cast<unsigned long long>(r.content_fnv));
 

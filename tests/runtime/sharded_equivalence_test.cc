@@ -172,32 +172,34 @@ struct Golden {
 
 // Captured at the pre-sharding head (PR 4): ClusterConfig defaults, log_shards pinned to 1.
 // Any drift here means the one-shard code path is no longer the historic implementation.
-// content_fnv was re-pinned twice, each time equal to the old code's content with the new
-// garbage removed before hashing: when step logs began retiring at workflow drain (every
-// drained member's step log), and when drains began trimming the init stream (every init
-// record below the frontier). The events, end_now and next_seqnum columns did not move. With
-// no stream surviving the drain, the Boki and Halfmoon-write rows hash no records (the FNV
-// offset basis), so kv_fnv (KvContentHash, captured before the second re-pin) pins what those
-// runs left in the KV store.
+// content_fnv was re-pinned three times, each time equal to the old code's content with the
+// new garbage removed before hashing: when step logs began retiring at workflow drain (every
+// drained member's step log), when drains began trimming the init stream (every init record
+// below the frontier), and when drains began releasing superseded write-log records with
+// their versions (the Halfmoon-read and Transitional rows; kv_fnv moved with them: both equal
+// the old code's values with one GC scan run before hashing). The events, end_now and
+// next_seqnum columns did not move. With no stream surviving the drain, the Boki and
+// Halfmoon-write rows hash no records (the FNV offset basis), so kv_fnv (KvContentHash,
+// captured before the second re-pin) pins what those runs left in the KV store.
 const Golden kGoldens[] = {
     {"Boki", "counter", 102ull, 29114551ull, 13ull, kFnvOffset, 0x89a6e2347a12a376ull},
     {"Boki", "transfer", 114ull, 36286555ull, 15ull, kFnvOffset, 0xe91bc16c46a1bdfdull},
     {"Boki", "workflow", 194ull, 39466378ull, 29ull, kFnvOffset, 0x3bd610a9c33e21a3ull},
     {"Halfmoon-read", "counter", 88ull, 23700364ull, 11ull,
-     0x8635f68a0b1f1ea0ull, 0x366ae7d698caa87aull},
+     0xe3e7cf21b28c1209ull, 0xd150cb03cf771b1full},
     {"Halfmoon-read", "transfer", 96ull, 32440175ull, 13ull,
-     0xd902495be8ac6228ull, 0xe20de5eff84dd4b6ull},
+     0xbc9ff8064ff2c718ull, 0x92c15c86b3efccb6ull},
     {"Halfmoon-read", "workflow", 184ull, 41429721ull, 30ull,
-     0x2ac415f578fac748ull, 0x0a588529992e76a5ull},
+     0xf5764785403096f8ull, 0xd3297ac9da6d02e7ull},
     {"Halfmoon-write", "counter", 66ull, 21705196ull, 7ull, kFnvOffset, 0x82c0119b92eed3a4ull},
     {"Halfmoon-write", "transfer", 66ull, 25505280ull, 7ull, kFnvOffset, 0x4098e0edd8c70ff0ull},
     {"Halfmoon-write", "workflow", 120ull, 33777847ull, 17ull, kFnvOffset, 0x2d9b0f14e2a78181ull},
     {"Transitional", "counter", 125ull, 36566345ull, 13ull,
-     0x364d4e7c347fd891ull, 0xc3abdd89c62318f6ull},
+     0x553d98b775c2e692ull, 0x85b64f77b04484b4ull},
     {"Transitional", "transfer", 144ull, 48864106ull, 15ull,
-     0xe25db06246f13594ull, 0x6e6c5224d4ab1999ull},
+     0x1dc7fbda7efa675cull, 0x5765ab8cbd3b38d9ull},
     {"Transitional", "workflow", 220ull, 53231692ull, 29ull,
-     0xeea28dcfbed76c3eull, 0xc00d4c9c8b54be1aull},
+     0x71228e5b94c9e7b5ull, 0x1906e52235ce2439ull},
 };
 
 const faultcheck::Workload* FindWorkload(const std::vector<faultcheck::Workload>& all,
