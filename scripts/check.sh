@@ -140,6 +140,14 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[mem\]' | tee >(cat >&2) | grep -q ' live-sized$' \
   || { echo "check.sh: FAIL — the record store keeps pages sized by seqnum history" >&2; exit 1; }
 
+# Allocation smoke (DESIGN.md §7.7): a seeded volatile travel load must cost at most 65% of
+# the heap allocations per invocation it cost before coroutine frames were pooled and records
+# built at their exact size. Frames or record fields back on the heap would still pass every
+# functional check, so the 'pooled' line is enforced here.
+"${BUILD_DIR}"/tests/alloc_test --gtest_brief=1 | grep '^\[alloc\]' | tee >(cat >&2) \
+  | grep -q ' | pooled$' \
+  || { echo "check.sh: FAIL — SSF invocations allocate over the pooled budget" >&2; exit 1; }
+
 # Fig. 14 smoke (§4.7): bench_fig14_switching's shape with 1 s phases — both scope switches
 # must complete within 1 s of simulated time, with SSFs started inside each BEGIN..END window
 # (they log transitional records there). A switch that stalls or serves no window would still

@@ -1,7 +1,10 @@
 #include "src/common/value.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <deque>
+#include <optional>
+#include <unordered_map>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -9,48 +12,95 @@ namespace halfmoon {
 
 namespace {
 
-// Comparator for the sorted entry vector; heterogeneous so lookups compare against the key
-// without materializing an Entry.
-struct EntryKeyLess {
-  bool operator()(const FieldMap::Entry& entry, const std::string& key) const {
-    return entry.first < key;
+// The process-wide field-name table. Names live in a deque, so the references FieldName hands
+// out and the string_view keys of the id map stay valid as the table grows.
+struct FieldNames {
+  std::deque<std::string> names;
+  std::unordered_map<std::string_view, FieldId> ids;
+
+  FieldNames() {
+    // The kField* constants of value.h, interned in id order.
+    const std::pair<FieldId, const char*> vocabulary[] = {
+        {kFieldOp, "op"},           {kFieldStep, "step"},     {kFieldVersion, "version"},
+        {kFieldCallee, "callee"},   {kFieldResult, "result"}, {kFieldData, "data"},
+        {kFieldInstance, "instance"}, {kFieldTarget, "target"}};
+    for (const auto& [id, name] : vocabulary) HM_CHECK(Intern(name) == id);
+  }
+
+  FieldId Intern(std::string_view name) {
+    if (auto it = ids.find(name); it != ids.end()) return it->second;
+    const FieldId id{static_cast<uint32_t>(names.size())};
+    ids.emplace(names.emplace_back(name), id);
+    return id;
   }
 };
 
-}  // namespace
-
-const Field* FieldMap::Find(const std::string& key) const {
-  auto it = std::lower_bound(fields_.begin(), fields_.end(), key, EntryKeyLess{});
-  if (it == fields_.end() || it->first != key) return nullptr;
-  return &it->second;
+// Never destroyed: records that outlive static teardown still iterate by name.
+FieldNames& Names() {
+  static FieldNames* names = new FieldNames();
+  return *names;
 }
 
-Field& FieldMap::Upsert(const std::string& key) {
-  auto it = std::lower_bound(fields_.begin(), fields_.end(), key, EntryKeyLess{});
-  if (it == fields_.end() || it->first != key) {
-    if (fields_.capacity() == 0) {
-      fields_.reserve(4);  // One allocation for a record's usual three fields.
-      it = fields_.begin();
-    }
-    it = fields_.emplace(it, key, Field{});
-  }
+// The id of `name` if it was ever interned. Lookups by name use this rather than
+// InternField, so probing for an absent field does not grow the table.
+std::optional<FieldId> FindField(std::string_view name) {
+  const FieldNames& table = Names();
+  auto it = table.ids.find(name);
+  if (it == table.ids.end()) return std::nullopt;
   return it->second;
 }
 
-int64_t FieldMap::GetInt(const std::string& key) const {
-  const Field* field = Find(key);
+}  // namespace
+
+FieldId InternField(std::string_view name) { return Names().Intern(name); }
+
+const std::string& FieldName(FieldId id) {
+  return Names().names[static_cast<uint32_t>(id)];
+}
+
+const Field* FieldMap::Find(std::string_view name) const {
+  std::optional<FieldId> id = FindField(name);
+  return id.has_value() ? Find(*id) : nullptr;
+}
+
+Field& FieldMap::Upsert(FieldId id) {
+  for (Entry& entry : fields_) {
+    if (entry.id == id) return entry.field;
+  }
+  const std::string& name = FieldName(id);
+  size_t pos = 0;
+  while (pos < fields_.size() && FieldName(fields_[pos].id) < name) ++pos;
+  if (fields_.size() == fields_.capacity()) fields_.reserve(fields_.size() + 1);
+  return fields_.insert(fields_.begin() + static_cast<std::ptrdiff_t>(pos), Entry{id, Field{}})
+      ->field;
+}
+
+int64_t FieldMap::GetInt(FieldId id) const {
+  const Field* field = Find(id);
   HM_CHECK_MSG(field != nullptr, "FieldMap::GetInt: missing key");
   const int64_t* v = std::get_if<int64_t>(field);
   HM_CHECK_MSG(v != nullptr, "FieldMap::GetInt: field is not an integer");
   return *v;
 }
 
-const std::string& FieldMap::GetStr(const std::string& key) const {
-  const Field* field = Find(key);
+const std::string& FieldMap::GetStr(FieldId id) const {
+  const Field* field = Find(id);
   HM_CHECK_MSG(field != nullptr, "FieldMap::GetStr: missing key");
   const std::string* v = std::get_if<std::string>(field);
   HM_CHECK_MSG(v != nullptr, "FieldMap::GetStr: field is not a string");
   return *v;
+}
+
+int64_t FieldMap::GetInt(std::string_view name) const {
+  std::optional<FieldId> id = FindField(name);
+  HM_CHECK_MSG(id.has_value(), "FieldMap::GetInt: missing key");
+  return GetInt(*id);
+}
+
+const std::string& FieldMap::GetStr(std::string_view name) const {
+  std::optional<FieldId> id = FindField(name);
+  HM_CHECK_MSG(id.has_value(), "FieldMap::GetStr: missing key");
+  return GetStr(*id);
 }
 
 size_t FieldMap::ByteSize() const {
@@ -58,9 +108,9 @@ size_t FieldMap::ByteSize() const {
   // space. The paper notes a write-log record's critical data is "covered in a few dozen
   // bytes" (§4.1), which this matches.
   size_t total = 0;
-  for (const auto& [key, field] : fields_) {
+  for (const Entry& entry : fields_) {
     total += 2;
-    if (const std::string* s = std::get_if<std::string>(&field)) {
+    if (const std::string* s = std::get_if<std::string>(&entry.field)) {
       total += s->size();
     } else {
       total += sizeof(int64_t);

@@ -47,7 +47,7 @@ sim::Task<StepLogResult> LogStep(Env& env, std::vector<TagId> extra_tags, FieldM
                                  int append_class) {
   size_t pos = env.log_pos;
   if (const LogRecord* cached = PeekNextLog(env)) {
-    HM_CHECK_MSG(cached->fields.GetStr("op") == fields.GetStr("op"),
+    HM_CHECK_MSG(cached->fields.GetStr(kFieldOp) == fields.GetStr(kFieldOp),
                  "replayed a different operation at this log position (non-determinism?)");
     LogRecordPtr record = env.step_logs[env.log_pos];
     AdoptRecord(env, record);
@@ -60,7 +60,7 @@ sim::Task<StepLogResult> LogStep(Env& env, std::vector<TagId> extra_tags, FieldM
   for (TagId tag : extra_tags) tags.push_back(tag);
 
   // Only the op name survives the move below; it is all the lost-race check needs.
-  std::string op = fields.GetStr("op");
+  std::string op = fields.GetStr(kFieldOp);
   CondAppendResult result = co_await env.attempt_log(append_class).CondAppend(
       std::move(tags), std::move(fields), env.step_tag, pos);
   if (result.ok) {
@@ -70,7 +70,7 @@ sim::Task<StepLogResult> LogStep(Env& env, std::vector<TagId> extra_tags, FieldM
 
   // A peer instance logged this step first: adopt its record and treat the step as done.
   LogRecordPtr record = co_await FetchExisting(env, result.existing_seqnum);
-  HM_CHECK_MSG(record->fields.GetStr("op") == op,
+  HM_CHECK_MSG(record->fields.GetStr(kFieldOp) == op,
                "peer logged a different operation at this position (non-determinism?)");
   AdoptRecord(env, record);
   co_return StepLogResult{std::move(record), /*recovered=*/true};
@@ -88,7 +88,7 @@ sim::Task<BatchLogResult> LogStepBatch(Env& env, std::vector<FieldMap> fields) {
     result.recovered = true;
     for (size_t i = 0; i < n; ++i) {
       LogRecordPtr cached = env.step_logs[env.log_pos];
-      HM_CHECK_MSG(cached->fields.GetStr("op") == fields[i].GetStr("op"),
+      HM_CHECK_MSG(cached->fields.GetStr(kFieldOp) == fields[i].GetStr(kFieldOp),
                    "replayed a different operation at this log position (non-determinism?)");
       result.records.push_back(cached);
       AdoptRecord(env, std::move(cached));
@@ -101,7 +101,7 @@ sim::Task<BatchLogResult> LogStepBatch(Env& env, std::vector<FieldMap> fields) {
   ops.reserve(n);
   std::vector<ShardedLog::BatchEntry> batch(n);
   for (size_t i = 0; i < n; ++i) {
-    ops.push_back(fields[i].GetStr("op"));
+    ops.push_back(fields[i].GetStr(kFieldOp));
     batch[i].tags = sharedlog::OneTag(step_tag);
     batch[i].fields = std::move(fields[i]);
   }
@@ -127,7 +127,7 @@ sim::Task<BatchLogResult> LogStepBatch(Env& env, std::vector<FieldMap> fields) {
   for (size_t i = 0; i < n; ++i) {
     LogRecordPtr record = co_await env.log().ReadNext(
         step_tag, i == 0 ? seqnum : result.records.back()->seqnum + 1);
-    HM_CHECK_MSG(record != nullptr && record->fields.GetStr("op") == ops[i],
+    HM_CHECK_MSG(record != nullptr && record->fields.GetStr(kFieldOp) == ops[i],
                  "peer's batched group is incomplete");
     result.records.push_back(record);
     AdoptRecord(env, std::move(record));
@@ -145,9 +145,10 @@ sim::Task<void> InitSsf(Env& env, const Value& input) {
   env.consecutive_writes = 0;
 
   FieldMap fields;
-  fields.SetStr("op", "init");
-  fields.SetInt("step", 0);
-  fields.SetStr("instance", env.instance_id);
+  fields.Reserve(3);
+  fields.SetStr(kFieldOp, "init");
+  fields.SetInt(kFieldStep, 0);
+  fields.SetStr(kFieldInstance, env.instance_id);
   StepLogResult init =
       co_await LogStep(env, sharedlog::OneTag(sharedlog::kInitTagId), std::move(fields));
   env.init_cursor_ts = init.record->seqnum;

@@ -29,7 +29,7 @@ constexpr int kTransitionalClass = LogAppendClass(ProtocolKind::kTransitional);
 // may interleave arbitrarily with other records in the stream). Compares interned op ids.
 const LogRecord* FindBokiStep(const Env& env, sharedlog::OpId op, int64_t step) {
   for (const sharedlog::LogRecordPtr& record : env.step_logs) {
-    if (record->op == op && record->fields.GetInt("step") == step) {
+    if (record->op == op && record->fields.GetInt(kFieldStep) == step) {
       return record.get();
     }
   }
@@ -67,7 +67,7 @@ sim::Task<Value> HalfmoonReadRead(Env& env, const std::string& key, bool post_sw
     co_return latest.value_or(Value{});
   }
   std::optional<Value> value =
-      co_await env.kv().GetVersioned(write_tag, write_log->fields.GetStr("version"));
+      co_await env.kv().GetVersioned(write_tag, write_log->fields.GetStr(kFieldVersion));
   // Commit records are only visible after the version exists, and GC keeps every version a
   // running SSF might still read (§4.5) — a miss here is a protocol bug.
   HM_CHECK_MSG(value.has_value(), "Halfmoon-read: committed version missing from the store");
@@ -83,19 +83,21 @@ sim::Task<void> HalfmoonReadWrite(Env& env, const std::string& key, Value value)
   env.MaybeCrash("hmr.write.before");
 
   FieldMap pre_fields;
-  pre_fields.SetStr("op", "write-pre");
-  pre_fields.SetInt("step", env.step);
-  pre_fields.SetStr("version", env.RandomId());
+  pre_fields.Reserve(3);
+  pre_fields.SetStr(kFieldOp, "write-pre");
+  pre_fields.SetInt(kFieldStep, env.step);
+  pre_fields.SetStr(kFieldVersion, env.RandomId());
   StepLogResult pre =
       co_await LogStep(env, sharedlog::NoTags(), std::move(pre_fields), kHmReadClass);
-  const std::string& version = pre.record->fields.GetStr("version");
+  const std::string& version = pre.record->fields.GetStr(kFieldVersion);
 
   // If the commit record already exists the write fully applied in a previous attempt
   // (Figure 5, lines 16-18): adopt it and skip the store update.
   FieldMap post_fields;
-  post_fields.SetStr("op", "write");
-  post_fields.SetInt("step", env.step);
-  post_fields.SetStr("version", version);
+  post_fields.Reserve(3);
+  post_fields.SetStr(kFieldOp, "write");
+  post_fields.SetInt(kFieldStep, env.step);
+  post_fields.SetStr(kFieldVersion, version);
   TagId write_tag = env.WriteTag(key);
   if (const LogRecord* cached = PeekNextLog(env);
       cached != nullptr && cached->op == sharedlog::kOpWrite) {
@@ -126,14 +128,15 @@ sim::Task<Value> HalfmoonWriteRead(Env& env, const std::string& key, bool post_s
   env.last_write_key.clear();  // A logged read already pins the order of surrounding writes.
 
   FieldMap fields;
-  fields.SetStr("op", "read");
-  fields.SetInt("step", env.step);
+  fields.Reserve(3);
+  fields.SetStr(kFieldOp, "read");
+  fields.SetInt(kFieldStep, env.step);
 
   if (const LogRecord* cached = PeekNextLog(env); cached != nullptr) {
     // Replay: recover the previous result from the step log (Figure 7, lines 10-12).
     StepLogResult replayed =
         co_await LogStep(env, sharedlog::NoTags(), std::move(fields), kHmWriteClass);
-    co_return replayed.record->fields.GetStr("data");
+    co_return replayed.record->fields.GetStr(kFieldData);
   }
 
   env.MaybeCrash("hmw.read.before");
@@ -146,12 +149,12 @@ sim::Task<Value> HalfmoonWriteRead(Env& env, const std::string& key, bool post_s
   }
   env.MaybeCrash("hmw.read.after_db");
 
-  fields.SetStr("data", value);
+  fields.SetStr(kFieldData, value);
   StepLogResult logged =
       co_await LogStep(env, sharedlog::NoTags(), std::move(fields), kHmWriteClass);
   if (logged.recovered) {
     // A peer logged this read first; adopt its result so all instances agree (§5.1).
-    value = logged.record->fields.GetStr("data");
+    value = logged.record->fields.GetStr(kFieldData);
   }
   env.MaybeCrash("hmw.read.after_log");
   co_return value;
@@ -166,8 +169,9 @@ sim::Task<void> HalfmoonWriteWrite(Env& env, const std::string& key, Value value
   if (env.preserve_write_order && !env.last_write_key.empty() && env.last_write_key != key) {
     env.step += 1;
     FieldMap sync_fields;
-    sync_fields.SetStr("op", "sync");
-    sync_fields.SetInt("step", env.step);
+    sync_fields.Reserve(2);
+    sync_fields.SetStr(kFieldOp, "sync");
+    sync_fields.SetInt(kFieldStep, env.step);
     co_await LogStep(env, sharedlog::NoTags(), std::move(sync_fields), kHmWriteClass);
     env.consecutive_writes = 0;
   }
@@ -190,7 +194,7 @@ sim::Task<void> HalfmoonWriteWrite(Env& env, const std::string& key, Value value
 sim::Task<Value> BokiRead(Env& env, const std::string& key) {
   env.step += 1;
   if (const LogRecord* prev = FindBokiStep(env, sharedlog::kOpRead, env.step); prev != nullptr) {
-    co_return prev->fields.GetStr("data");
+    co_return prev->fields.GetStr(kFieldData);
   }
   env.MaybeCrash("boki.read.before");
   std::optional<Value> latest = co_await env.kv().Get(key);
@@ -198,9 +202,10 @@ sim::Task<Value> BokiRead(Env& env, const std::string& key) {
   env.MaybeCrash("boki.read.after_db");
 
   FieldMap fields;
-  fields.SetStr("op", "read");
-  fields.SetInt("step", env.step);
-  fields.SetStr("data", value);
+  fields.Reserve(3);
+  fields.SetStr(kFieldOp, "read");
+  fields.SetInt(kFieldStep, env.step);
+  fields.SetStr(kFieldData, value);
   SeqNum seqnum =
       co_await env.attempt_log(kBokiClass).Append(sharedlog::OneTag(env.step_tag),
                                                   std::move(fields));
@@ -209,7 +214,7 @@ sim::Task<Value> BokiRead(Env& env, const std::string& key) {
   LogRecordPtr first =
       env.cluster->log_space().FindFirstByStep(env.step_tag, sharedlog::kOpRead, env.step);
   if (first != nullptr && first->seqnum != seqnum) {
-    value = first->fields.GetStr("data");
+    value = first->fields.GetStr(kFieldData);
   }
   env.MaybeCrash("boki.read.after_log");
   co_return value;
@@ -225,8 +230,9 @@ sim::Task<void> BokiWrite(Env& env, const std::string& key, Value value) {
   } else {
     env.MaybeCrash("boki.write.before");
     FieldMap pre_fields;
-    pre_fields.SetStr("op", "write-pre");
-    pre_fields.SetInt("step", env.step);
+    pre_fields.Reserve(2);
+    pre_fields.SetStr(kFieldOp, "write-pre");
+    pre_fields.SetInt(kFieldStep, env.step);
     version_seq = co_await env.attempt_log(kBokiClass).Append(
         sharedlog::OneTag(env.step_tag), std::move(pre_fields));
     LogRecordPtr first =
@@ -245,8 +251,9 @@ sim::Task<void> BokiWrite(Env& env, const std::string& key, Value value) {
   // Step 2: the commit marker that lets replay skip the write. Boki logs twice per write
   // (§4.1), both on the critical path — Halfmoon-read's write logging is aligned with this.
   FieldMap post_fields;
-  post_fields.SetStr("op", "write");
-  post_fields.SetInt("step", env.step);
+  post_fields.Reserve(2);
+  post_fields.SetStr(kFieldOp, "write");
+  post_fields.SetInt(kFieldStep, env.step);
   co_await env.attempt_log(kBokiClass).Append(sharedlog::OneTag(env.step_tag),
                                               std::move(post_fields));
   env.MaybeCrash("boki.write.after_log");
@@ -283,7 +290,7 @@ sim::Task<Value> DualRead(Env& env, const std::string& key) {
   std::optional<Value> versioned;
   SeqNum write_seq = 0;
   if (write_log != nullptr) {
-    versioned = co_await env.kv().GetVersioned(write_tag, write_log->fields.GetStr("version"));
+    versioned = co_await env.kv().GetVersioned(write_tag, write_log->fields.GetStr(kFieldVersion));
     HM_CHECK_MSG(versioned.has_value(), "DualRead: committed version missing from the store");
     write_seq = write_log->seqnum;
   }
@@ -305,24 +312,25 @@ sim::Task<Value> TransitionalRead(Env& env, const std::string& key) {
   env.consecutive_writes = 0;
 
   FieldMap fields;
-  fields.SetStr("op", "read");
-  fields.SetInt("step", env.step);
+  fields.Reserve(3);
+  fields.SetStr(kFieldOp, "read");
+  fields.SetInt(kFieldStep, env.step);
 
   if (const LogRecord* cached = PeekNextLog(env); cached != nullptr) {
     StepLogResult replayed =
         co_await LogStep(env, sharedlog::NoTags(), std::move(fields), kTransitionalClass);
-    co_return replayed.record->fields.GetStr("data");
+    co_return replayed.record->fields.GetStr(kFieldData);
   }
 
   env.MaybeCrash("trans.read.before");
   Value value = co_await DualRead(env, key);
   env.MaybeCrash("trans.read.after_db");
 
-  fields.SetStr("data", value);
+  fields.SetStr(kFieldData, value);
   StepLogResult logged =
       co_await LogStep(env, sharedlog::NoTags(), std::move(fields), kTransitionalClass);
   if (logged.recovered) {
-    value = logged.record->fields.GetStr("data");
+    value = logged.record->fields.GetStr(kFieldData);
   }
   co_return value;
 }
@@ -336,13 +344,15 @@ sim::Task<void> TransitionalWrite(Env& env, const std::string& key, Value value)
   VersionTuple latest_version{env.cursor_ts, static_cast<uint64_t>(env.consecutive_writes)};
 
   FieldMap pre_fields;
-  pre_fields.SetStr("op", "write-pre");
-  pre_fields.SetInt("step", env.step);
-  pre_fields.SetStr("version", version);
+  pre_fields.Reserve(3);
+  pre_fields.SetStr(kFieldOp, "write-pre");
+  pre_fields.SetInt(kFieldStep, env.step);
+  pre_fields.SetStr(kFieldVersion, version);
   FieldMap post_fields;
-  post_fields.SetStr("op", "write");
-  post_fields.SetInt("step", env.step);
-  post_fields.SetStr("version", version);
+  post_fields.Reserve(3);
+  post_fields.SetStr(kFieldOp, "write");
+  post_fields.SetInt(kFieldStep, env.step);
+  post_fields.SetStr(kFieldVersion, version);
 
   env.MaybeCrash("trans.write.before");
   co_await LogStep(env, sharedlog::NoTags(), std::move(pre_fields), kTransitionalClass);

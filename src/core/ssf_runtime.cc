@@ -103,8 +103,9 @@ class ContextImpl final : public SsfContext {
     // every operation that finished before this point in real time.
     env_->step += 1;
     FieldMap fields;
-    fields.SetStr("op", "sync");
-    fields.SetInt("step", env_->step);
+    fields.Reserve(2);
+    fields.SetStr(kFieldOp, "sync");
+    fields.SetInt(kFieldStep, env_->step);
     co_await LogStep(*env_, sharedlog::NoTags(), std::move(fields));
   }
 
@@ -169,9 +170,10 @@ class ContextImpl final : public SsfContext {
     std::vector<FieldMap> pre_fields(n);
     for (size_t i = 0; i < n; ++i) {
       env.step += 1;
-      pre_fields[i].SetStr("op", "invoke-pre");
-      pre_fields[i].SetInt("step", env.step);
-      pre_fields[i].SetStr("callee", env.instance_id + "/" + env.RandomId());
+      pre_fields[i].Reserve(3);
+      pre_fields[i].SetStr(kFieldOp, "invoke-pre");
+      pre_fields[i].SetInt(kFieldStep, env.step);
+      pre_fields[i].SetStr(kFieldCallee, env.instance_id + "/" + env.RandomId());
     }
     BatchLogResult pres = co_await LogStepBatch(env, std::move(pre_fields));
     std::vector<std::string> callees;
@@ -179,7 +181,7 @@ class ContextImpl final : public SsfContext {
     callees.reserve(n);
     cursors.reserve(n);
     for (const LogRecordPtr& record : pres.records) {
-      callees.push_back(record->fields.GetStr("callee"));
+      callees.push_back(record->fields.GetStr(kFieldCallee));
       cursors.push_back(record->seqnum);
     }
 
@@ -189,11 +191,11 @@ class ContextImpl final : public SsfContext {
         cached != nullptr && cached->op == sharedlog::kOpInvoke) {
       std::vector<FieldMap> post_fields(n);
       for (size_t i = 0; i < n; ++i) {
-        post_fields[i].SetStr("op", "invoke");
+        post_fields[i].SetStr(kFieldOp, "invoke");
       }
       BatchLogResult posts = co_await LogStepBatch(env, std::move(post_fields));
       for (const LogRecordPtr& record : posts.records) {
-        results.push_back(record->fields.GetStr("result"));
+        results.push_back(record->fields.GetStr(kFieldResult));
       }
       co_return results;
     }
@@ -204,15 +206,16 @@ class ContextImpl final : public SsfContext {
 
     std::vector<FieldMap> post_fields(n);
     for (size_t i = 0; i < n; ++i) {
-      post_fields[i].SetStr("op", "invoke");
-      post_fields[i].SetInt("step", pres.records[i]->fields.GetInt("step"));
-      post_fields[i].SetStr("result", results[i]);
+      post_fields[i].Reserve(3);
+      post_fields[i].SetStr(kFieldOp, "invoke");
+      post_fields[i].SetInt(kFieldStep, pres.records[i]->fields.GetInt(kFieldStep));
+      post_fields[i].SetStr(kFieldResult, results[i]);
     }
     BatchLogResult posts = co_await LogStepBatch(env, std::move(post_fields));
     if (posts.recovered) {
       results.clear();
       for (const LogRecordPtr& record : posts.records) {
-        results.push_back(record->fields.GetStr("result"));
+        results.push_back(record->fields.GetStr(kFieldResult));
       }
     }
     env.MaybeCrash("invoke_all.after_postlog");
@@ -237,12 +240,12 @@ class ContextImpl final : public SsfContext {
       env.step += 1;
       steps[i] = env.step;
       for (const LogRecordPtr& record : env.step_logs) {
-        if (record->fields.GetInt("step") != steps[i]) continue;
+        if (record->fields.GetInt(kFieldStep) != steps[i]) continue;
         if (record->op == sharedlog::kOpInvokePre) {
-          callees[i] = record->fields.GetStr("callee");
+          callees[i] = record->fields.GetStr(kFieldCallee);
           pre_seqs[i] = record->seqnum;
         } else if (record->op == sharedlog::kOpInvoke) {
-          results[i] = record->fields.GetStr("result");
+          results[i] = record->fields.GetStr(kFieldResult);
           have_result[i] = true;
         }
       }
@@ -255,9 +258,10 @@ class ContextImpl final : public SsfContext {
       callees[i] = env.instance_id + "/" + env.RandomId();
       sharedlog::ShardedLog::BatchEntry entry;
       entry.tags = sharedlog::OneTag(step_tag);
-      entry.fields.SetStr("op", "invoke-pre");
-      entry.fields.SetInt("step", steps[i]);
-      entry.fields.SetStr("callee", callees[i]);
+      entry.fields.Reserve(3);
+      entry.fields.SetStr(kFieldOp, "invoke-pre");
+      entry.fields.SetInt(kFieldStep, steps[i]);
+      entry.fields.SetStr(kFieldCallee, callees[i]);
       pre_batch.push_back(std::move(entry));
     }
     if (!pre_batch.empty()) {
@@ -266,7 +270,7 @@ class ContextImpl final : public SsfContext {
         LogRecordPtr first = env.cluster->log_space().FindFirstByStep(
             step_tag, sharedlog::kOpInvokePre, steps[i]);
         if (first != nullptr) {
-          callees[i] = first->fields.GetStr("callee");
+          callees[i] = first->fields.GetStr(kFieldCallee);
           pre_seqs[i] = first->seqnum;
         }
       }
@@ -295,16 +299,17 @@ class ContextImpl final : public SsfContext {
         results[pending_index[j]] = fresh[j];
         sharedlog::ShardedLog::BatchEntry entry;
         entry.tags = sharedlog::OneTag(step_tag);
-        entry.fields.SetStr("op", "invoke");
-        entry.fields.SetInt("step", steps[pending_index[j]]);
-        entry.fields.SetStr("result", fresh[j]);
+        entry.fields.Reserve(3);
+        entry.fields.SetStr(kFieldOp, "invoke");
+        entry.fields.SetInt(kFieldStep, steps[pending_index[j]]);
+        entry.fields.SetStr(kFieldResult, fresh[j]);
         post_batch.push_back(std::move(entry));
       }
       co_await env.attempt_log().AppendBatch(std::move(post_batch));
       for (size_t i = 0; i < n; ++i) {
         LogRecordPtr first =
             env.cluster->log_space().FindFirstByStep(step_tag, sharedlog::kOpInvoke, steps[i]);
-        if (first != nullptr) results[i] = first->fields.GetStr("result");
+        if (first != nullptr) results[i] = first->fields.GetStr(kFieldResult);
       }
     }
     co_return results;
@@ -348,21 +353,23 @@ class ContextImpl final : public SsfContext {
     env.step += 1;
 
     FieldMap pre_fields;
-    pre_fields.SetStr("op", "invoke-pre");
-    pre_fields.SetInt("step", env.step);
-    pre_fields.SetStr("callee", env.instance_id + "/" + env.RandomId());
+    pre_fields.Reserve(3);
+    pre_fields.SetStr(kFieldOp, "invoke-pre");
+    pre_fields.SetInt(kFieldStep, env.step);
+    pre_fields.SetStr(kFieldCallee, env.instance_id + "/" + env.RandomId());
     env.MaybeCrash("invoke.before");
     StepLogResult pre = co_await LogStep(env, sharedlog::NoTags(), std::move(pre_fields));
-    std::string callee = pre.record->fields.GetStr("callee");
+    std::string callee = pre.record->fields.GetStr(kFieldCallee);
 
     // Skip the call entirely if the result was already logged (Figure 5, lines 33-36).
     if (const LogRecord* cached = PeekNextLog(env);
         cached != nullptr && cached->op == sharedlog::kOpInvoke) {
       FieldMap post_fields;
-      post_fields.SetStr("op", "invoke");
-      post_fields.SetInt("step", env.step);
+      post_fields.Reserve(2);
+      post_fields.SetStr(kFieldOp, "invoke");
+      post_fields.SetInt(kFieldStep, env.step);
       StepLogResult post = co_await LogStep(env, sharedlog::NoTags(), std::move(post_fields));
-      co_return post.record->fields.GetStr("result");
+      co_return post.record->fields.GetStr(kFieldResult);
     }
 
     env.MaybeCrash("invoke.after_prelog");
@@ -371,12 +378,13 @@ class ContextImpl final : public SsfContext {
     env.MaybeCrash("invoke.after_call");
 
     FieldMap post_fields;
-    post_fields.SetStr("op", "invoke");
-    post_fields.SetInt("step", env.step);
-    post_fields.SetStr("result", result);
+    post_fields.Reserve(3);
+    post_fields.SetStr(kFieldOp, "invoke");
+    post_fields.SetInt(kFieldStep, env.step);
+    post_fields.SetStr(kFieldResult, result);
     StepLogResult post = co_await LogStep(env, sharedlog::NoTags(), std::move(post_fields));
     if (post.recovered) {
-      result = post.record->fields.GetStr("result");
+      result = post.record->fields.GetStr(kFieldResult);
     }
     env.MaybeCrash("invoke.after_postlog");
     co_return result;
@@ -392,27 +400,28 @@ class ContextImpl final : public SsfContext {
     std::string callee;
     SeqNum pre_seq = sharedlog::kInvalidSeqNum;
     for (const LogRecordPtr& record : env.step_logs) {
-      if (record->fields.GetInt("step") == env.step) {
+      if (record->fields.GetInt(kFieldStep) == env.step) {
         if (record->op == sharedlog::kOpInvokePre) {
-          callee = record->fields.GetStr("callee");
+          callee = record->fields.GetStr(kFieldCallee);
           pre_seq = record->seqnum;
         } else if (record->op == sharedlog::kOpInvoke) {
-          co_return record->fields.GetStr("result");
+          co_return record->fields.GetStr(kFieldResult);
         }
       }
     }
     if (callee.empty()) {
       env.MaybeCrash("invoke.before");
       FieldMap pre_fields;
-      pre_fields.SetStr("op", "invoke-pre");
-      pre_fields.SetInt("step", env.step);
-      pre_fields.SetStr("callee", env.instance_id + "/" + env.RandomId());
+      pre_fields.Reserve(3);
+      pre_fields.SetStr(kFieldOp, "invoke-pre");
+      pre_fields.SetInt(kFieldStep, env.step);
+      pre_fields.SetStr(kFieldCallee, env.instance_id + "/" + env.RandomId());
       co_await env.attempt_log().Append(sharedlog::OneTag(step_tag),
                                         std::move(pre_fields));
       LogRecordPtr first =
           env.cluster->log_space().FindFirstByStep(step_tag, sharedlog::kOpInvokePre, env.step);
       HM_CHECK(first != nullptr);
-      callee = first->fields.GetStr("callee");
+      callee = first->fields.GetStr(kFieldCallee);
       pre_seq = first->seqnum;
     }
 
@@ -421,13 +430,14 @@ class ContextImpl final : public SsfContext {
     env.MaybeCrash("invoke.after_call");
 
     FieldMap post_fields;
-    post_fields.SetStr("op", "invoke");
-    post_fields.SetInt("step", env.step);
-    post_fields.SetStr("result", result);
+    post_fields.Reserve(3);
+    post_fields.SetStr(kFieldOp, "invoke");
+    post_fields.SetInt(kFieldStep, env.step);
+    post_fields.SetStr(kFieldResult, result);
     co_await env.attempt_log().Append(sharedlog::OneTag(step_tag), std::move(post_fields));
     LogRecordPtr first =
         env.cluster->log_space().FindFirstByStep(step_tag, sharedlog::kOpInvoke, env.step);
-    if (first != nullptr) result = first->fields.GetStr("result");
+    if (first != nullptr) result = first->fields.GetStr(kFieldResult);
     co_return result;
   }
 
@@ -637,9 +647,10 @@ void SsfRuntime::PopulateObject(const std::string& key, const Value& value) {
       cluster_->log_space().tags().InternPrefixed(sharedlog::kWriteLogPrefix, key);
   cluster_->kv_state().PutVersioned(now, write_tag, version, value);
   FieldMap fields;
-  fields.SetStr("op", "write");
-  fields.SetInt("step", 0);
-  fields.SetStr("version", version);
+  fields.Reserve(3);
+  fields.SetStr(kFieldOp, "write");
+  fields.SetInt(kFieldStep, 0);
+  fields.SetStr(kFieldVersion, version);
   cluster_->log_space().Append(now, sharedlog::OneTag(write_tag), std::move(fields));
 }
 

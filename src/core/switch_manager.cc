@@ -15,9 +15,10 @@ ProtocolKind KindFromInt(int64_t v) {
 // A transition record: "BEGIN" or "END", naming the switch's target.
 FieldMap TransitionRecord(const char* op, ProtocolKind target) {
   FieldMap fields;
-  fields.SetStr("op", op);
-  fields.SetInt("step", 0);
-  fields.SetInt("target", static_cast<int64_t>(target));
+  fields.Reserve(3);
+  fields.SetStr(kFieldOp, op);
+  fields.SetInt(kFieldStep, 0);
+  fields.SetInt(kFieldTarget, static_cast<int64_t>(target));
   return fields;
 }
 
@@ -30,8 +31,9 @@ ProtocolResolution ResolveTransition(const sharedlog::LogRecordPtr& record,
     res.kind = default_kind;
     return res;
   }
-  res.kind = record->op == sharedlog::kOpSwitchEnd ? KindFromInt(record->fields.GetInt("target"))
-                                                   : ProtocolKind::kTransitional;
+  res.kind = record->op == sharedlog::kOpSwitchEnd
+                 ? KindFromInt(record->fields.GetInt(kFieldTarget))
+                 : ProtocolKind::kTransitional;
   res.post_switch = true;
   return res;
 }

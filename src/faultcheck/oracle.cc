@@ -44,7 +44,7 @@ bool ObservableValue(runtime::Cluster& cluster, core::ProtocolKind protocol, boo
   std::optional<Value> versioned;
   sharedlog::SeqNum commit_seq = 0;
   if (commit != nullptr) {
-    versioned = kv.GetVersioned(write_tag, commit->fields.GetStr("version"));
+    versioned = kv.GetVersioned(write_tag, commit->fields.GetStr(kFieldVersion));
     if (!versioned.has_value()) {
       *error = "committed version of \"" + key + "\" (record seqnum " +
                std::to_string(commit->seqnum) + ") is missing from the store";

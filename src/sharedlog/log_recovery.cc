@@ -25,8 +25,9 @@ DecodedRecord DecodeRecord(storage::Cursor* cursor) {
   r.tags.reserve(ntags);
   for (uint32_t t = 0; t < ntags; ++t) r.tags.push_back(cursor->U64());
   uint32_t nfields = cursor->U32();
+  r.fields.Reserve(nfields);
   for (uint32_t f = 0; f < nfields; ++f) {
-    std::string key(cursor->Str());
+    const FieldId key = InternField(cursor->Str());
     if (cursor->U8() == 0) {
       r.fields.SetInt(key, static_cast<int64_t>(cursor->U64()));
     } else {

@@ -94,9 +94,8 @@ LogRecordPtr ShardedLog::MakeRecord(SeqNum seqnum, std::vector<TagId> tags, Fiel
   record->seqnum = seqnum;
   record->tags = std::move(tags);
   record->fields = std::move(fields);
-  record->fields.ShrinkToFit();  // Held until trimmed: drop the builder's slack.
-  if (record->fields.Has("op")) {
-    record->op = ops_.Intern(record->fields.GetStr("op"));
+  if (record->fields.Has(kFieldOp)) {
+    record->op = ops_.Intern(record->fields.GetStr(kFieldOp));
   }
   record->stored_bytes = record->ByteSize();
   return record;
@@ -212,7 +211,7 @@ LogRecordPtr ShardedLog::FindFirstByStep(TagId tag, OpId op, int64_t step) const
   for (SeqNum seqnum : *stream) {
     LogRecordPtr record = LookupLive(seqnum);
     if (record == nullptr) continue;
-    if (record->op == op && record->fields.GetInt("step") == step) {
+    if (record->op == op && record->fields.GetInt(kFieldStep) == step) {
       return record;
     }
   }

@@ -6,19 +6,14 @@
 namespace halfmoon::sim {
 namespace {
 
-// A self-destructing root coroutine used to anchor detached tasks. Its frame is destroyed
-// automatically at final_suspend (suspend_never), after the awaited task has completed and
-// been destroyed with it. The promise deregisters the frame from the scheduler's live set
-// in its destructor, which runs both on natural completion and on explicit destroy.
+// A self-destructing root coroutine used to anchor detached tasks. Its frame comes from the
+// frame pool and is destroyed automatically at final_suspend (suspend_never), after the
+// awaited task has completed and been destroyed with it. The promise unlinks itself from its
+// scheduler's list in its destructor, which runs both on natural completion and on explicit
+// destroy.
 struct Detached {
-  struct promise_type {
-    std::unordered_set<void*>* registry = nullptr;
-
-    ~promise_type() {
-      if (registry != nullptr) {
-        registry->erase(std::coroutine_handle<promise_type>::from_promise(*this).address());
-      }
-    }
+  struct promise_type : internal::PooledFrame, internal::DetachedHook {
+    ~promise_type() { Unlink(); }
 
     Detached get_return_object() {
       return Detached{std::coroutine_handle<promise_type>::from_promise(*this)};
@@ -41,19 +36,17 @@ Detached RunDetached(Task<void> task) { co_await std::move(task); }
 
 void Scheduler::Spawn(Task<void> task) {
   Detached detached = RunDetached(std::move(task));
-  detached.handle.promise().registry = &detached_;
-  detached_.insert(detached.handle.address());
+  detached.handle.promise().LinkAfter(&detached_);
   PostResume(0, detached.handle);
 }
 
 Scheduler::~Scheduler() {
-  // Move the set aside so each promise destructor's deregistration is a no-op erase rather
-  // than a mutation of the container being iterated. Pending queue events may hold handles
-  // into the destroyed chains; they are never fired, only dropped.
-  std::unordered_set<void*> live = std::move(detached_);
-  detached_.clear();
-  for (void* frame : live) {
-    std::coroutine_handle<>::from_address(frame).destroy();
+  // Each destroy unlinks its root, so the list's first entry is always the next live one.
+  // Pending queue events may hold handles into the destroyed chains; they are never fired,
+  // only dropped.
+  while (detached_.next != &detached_) {
+    auto* root = static_cast<Detached::promise_type*>(detached_.next);
+    std::coroutine_handle<Detached::promise_type>::from_promise(*root).destroy();
   }
 }
 

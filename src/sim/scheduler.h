@@ -11,6 +11,10 @@
 // than the inline buffer fail to compile; shrink the capture list or move the state behind a
 // pointer instead of regressing the hot loop with type-erased heap allocations.
 //
+// Spawn allocates nothing either once warm: the root frame of a detached task comes from the
+// coroutine frame pool (task.h), and the Scheduler tracks live detached tasks through an
+// intrusive list threaded through their root promises (DetachedHook), not a hash set.
+//
 // Two queue implementations share the same observable contract (see QueueMode):
 //   * kTimerWheel (default) — a hierarchical timer wheel: O(1) schedule, amortized O(1)
 //     dispatch. Five levels of 64 slots each; level L slots are 2^(13+6L) ns wide, so the
@@ -34,7 +38,6 @@
 #include <new>
 #include <queue>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -122,6 +125,34 @@ class InlineCallback {
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
   const Ops* ops_ = nullptr;
 };
+
+namespace internal {
+
+// Links a live detached task's root promise into its Scheduler's list. The Scheduler's own
+// hook is the list's sentinel, so linking and unlinking touch no heap and need no owner
+// pointer. A hook starts (and ends) linked to itself.
+struct DetachedHook {
+  DetachedHook* prev = this;
+  DetachedHook* next = this;
+
+  DetachedHook() = default;
+  DetachedHook(const DetachedHook&) = delete;
+  DetachedHook& operator=(const DetachedHook&) = delete;
+
+  void LinkAfter(DetachedHook* head) {
+    prev = head;
+    next = head->next;
+    next->prev = this;
+    head->next = this;
+  }
+  void Unlink() {
+    prev->next = next;
+    next->prev = prev;
+    prev = next = this;
+  }
+};
+
+}  // namespace internal
 
 // Which event-queue implementation a Scheduler runs on. Both honor the same contract:
 // events fire in (time, insertion-seq) order, so same-seed simulations are bit-identical
@@ -391,11 +422,11 @@ class Scheduler {
   // Reference-mode state (kPriorityQueue only).
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
 
-  // Root frames of live detached tasks (frame addresses). A frame that completes removes
-  // itself (its promise holds a pointer to this set); frames still here at destruction are
-  // suspended mid-loop and are destroyed by ~Scheduler, which tears down the whole await
-  // chain (each co_await operand lives in its awaiter's frame).
-  std::unordered_set<void*> detached_;
+  // Sentinel of the list of live detached tasks' root promises. A root that completes
+  // unlinks itself; roots still linked at destruction are suspended mid-loop and are
+  // destroyed by ~Scheduler, which tears down the whole await chain (each co_await operand
+  // lives in its awaiter's frame).
+  internal::DetachedHook detached_;
 };
 
 }  // namespace halfmoon::sim
