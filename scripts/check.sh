@@ -131,6 +131,15 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[kv\]' | tee >(cat >&2) | grep -q ' object-sized$' \
   || { echo "check.sh: FAIL — the KV version index is sized by tag ids, not objects" >&2; exit 1; }
 
+# Exact-size KV entries smoke (DESIGN.md §7.8): each LATEST slot and each stored version must
+# be one heap block holding its key (or version id) and value, at most 80% of the bytes the
+# store held per entry before. A key or id back in its own string would still pass every
+# functional check, so the 'exact-size' line is enforced here.
+"${BUILD_DIR}"/tests/alloc_test \
+  --gtest_filter='AllocGateTest.KvEntriesAreOneExactSizeBlockEach' \
+  --gtest_brief=1 | grep '^\[kv\]' | tee >(cat >&2) | grep -q ' | exact-size$' \
+  || { echo "check.sh: FAIL — KV entries are not one exact-size block each" >&2; exit 1; }
+
 # Live-sized record store smoke (DESIGN.md §7.1): 10 K objects written once among ~10^6
 # trimmed step records must cost the store their live records plus one page-table entry per
 # page of history, not a page per surviving record. A store whose sparse pages never compact

@@ -80,7 +80,7 @@ sim::Task<void> KvClient::Put(std::string key, Value value) {
     co_await scheduler_->Delay(service);
   }
   // The write becomes visible when the store applies it, before the reply reaches the caller.
-  state_->Put(scheduler_->Now(), std::move(key), std::move(value));
+  state_->Put(scheduler_->Now(), key, value);
   if (durability_ != nullptr) co_await AwaitDurable("kv.put");
   co_await scheduler_->Delay(leg);
 }
@@ -96,7 +96,7 @@ sim::Task<bool> KvClient::CondPut(std::string key, Value value, VersionTuple ver
   } else {
     co_await scheduler_->Delay(service);
   }
-  bool applied = state_->CondPut(scheduler_->Now(), std::move(key), std::move(value), version);
+  bool applied = state_->CondPut(scheduler_->Now(), key, value, version);
   if (!applied) ++stats_.cond_write_rejects;
   // Rejected conditional writes mutate (and journal) nothing — nothing to wait for.
   if (applied && durability_ != nullptr) co_await AwaitDurable("kv.cond_put");
@@ -115,13 +115,13 @@ sim::Task<void> KvClient::PutVersioned(ObjectId object, std::string version_id, 
   } else {
     co_await scheduler_->Delay(service);
   }
-  state_->PutVersioned(scheduler_->Now(), object, std::move(version_id), std::move(value));
+  state_->PutVersioned(scheduler_->Now(), object, version_id, value);
   if (durability_ != nullptr) co_await AwaitDurable("kv.put_versioned");
   co_await scheduler_->Delay(leg);
 }
 
 sim::Task<std::optional<Value>> KvClient::GetVersioned(ObjectId object,
-                                                       std::string version_id) {
+                                                       const std::string& version_id) {
   ++stats_.versioned_reads;
   SimDuration total = models_->db_read.Sample(*rng_);
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
@@ -141,7 +141,7 @@ sim::Task<bool> KvClient::DeleteVersioned(ObjectId object, std::string version_i
   ++stats_.deletes;
   SimDuration total = models_->db_plain_write.Sample(*rng_);
   co_await Round(total);
-  bool deleted = state_->DeleteVersioned(scheduler_->Now(), object, std::move(version_id));
+  bool deleted = state_->DeleteVersioned(scheduler_->Now(), object, version_id);
   if (deleted && durability_ != nullptr) co_await AwaitDurable("kv.delete_versioned");
   co_return deleted;
 }

@@ -51,7 +51,10 @@ class KvClient {
   sim::Task<bool> CondPut(std::string key, Value value, VersionTuple version);
 
   sim::Task<void> PutVersioned(ObjectId object, std::string version_id, Value value);
-  sim::Task<std::optional<Value>> GetVersioned(ObjectId object, std::string version_id);
+  // `version_id` is borrowed across the awaits, not copied (a 16-hex-char id is one byte past
+  // the string's inline capacity): the caller keeps it alive until the task completes. Both
+  // protocol callers pass the version field of a LogRecordPtr held in their own frame.
+  sim::Task<std::optional<Value>> GetVersioned(ObjectId object, const std::string& version_id);
   sim::Task<bool> DeleteVersioned(ObjectId object, std::string version_id);
 
   const KvClientStats& stats() const { return stats_; }

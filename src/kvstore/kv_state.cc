@@ -1,7 +1,9 @@
 #include "src/kvstore/kv_state.h"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
+#include <memory>
 #include <utility>
 
 #include "src/common/check.h"
@@ -33,11 +35,31 @@ void KvState::ReserveOneMore(std::vector<IndexEntry>* index, size_t entries) {
   *index = std::move(grown);
 }
 
+KvState::PairBlock::PairBlock(std::string_view head, std::string_view tail)
+    : head_len_(static_cast<uint32_t>(head.size())), tail_len_(static_cast<uint32_t>(tail.size())) {
+  HM_CHECK_MSG(head.size() <= std::numeric_limits<uint32_t>::max() &&
+                   tail.size() <= std::numeric_limits<uint32_t>::max() - head.size(),
+               "KV entry exceeds 4 GiB");
+  if (head.empty() && tail.empty()) return;
+  bytes_ = std::make_unique_for_overwrite<char[]>(head.size() + tail.size());
+  std::copy(head.begin(), head.end(), bytes_.get());
+  std::copy(tail.begin(), tail.end(), bytes_.get() + head.size());
+}
+
+void KvState::PairBlock::SetTail(std::string_view tail) {
+  if (tail.size() == tail_len_) {
+    // memmove: a caller may pass bytes of this very block.
+    if (!tail.empty()) std::memmove(bytes_.get() + head_len_, tail.data(), tail.size());
+    return;
+  }
+  *this = PairBlock(head(), tail);
+}
+
 size_t KvState::IndexPos(std::string_view key, uint32_t hash) const {
   const size_t mask = latest_index_.size() - 1;
   for (size_t pos = hash & mask;; pos = (pos + 1) & mask) {
     const IndexEntry& e = latest_index_[pos];
-    if (e.slot == kNoSlot || (e.hash == hash && latest_[e.slot].key == key)) return pos;
+    if (e.slot == kNoSlot || (e.hash == hash && latest_[e.slot].entry.head() == key)) return pos;
   }
 }
 
@@ -47,13 +69,14 @@ const KvState::LatestSlot* KvState::FindLatest(std::string_view key, uint32_t ha
   return e.slot == kNoSlot ? nullptr : &latest_[e.slot];
 }
 
-void KvState::InsertLatest(std::string key, uint32_t hash, Value value, VersionTuple version) {
+void KvState::InsertLatest(std::string_view key, uint32_t hash, std::string_view value,
+                           VersionTuple version) {
   HM_CHECK_MSG(latest_.size() < kNoSlot, "latest-slot table is full");
   ReserveOneMore(&latest_index_, latest_.size());
   IndexEntry& e = latest_index_[IndexPos(key, hash)];
   HM_CHECK(e.slot == kNoSlot);
   e = IndexEntry{hash, static_cast<uint32_t>(latest_.size())};
-  latest_.emplace_back(LatestSlot{std::move(key), std::move(value), version});
+  latest_.push_back(LatestSlot{PairBlock(key, value), version});
 }
 
 size_t KvState::ObjectPos(ObjectId object, uint32_t hash) const {
@@ -64,20 +87,28 @@ size_t KvState::ObjectPos(ObjectId object, uint32_t hash) const {
   }
 }
 
-const std::map<std::string, Value>* KvState::FindVersions(ObjectId object) const {
+const KvState::Versions* KvState::FindVersions(ObjectId object) const {
   if (versioned_index_.empty()) return nullptr;
   const IndexEntry& e = versioned_index_[ObjectPos(object, ObjectHash(object))];
   return e.slot == kNoSlot ? nullptr : &versioned_[e.slot].versions;
 }
 
-std::map<std::string, Value>& KvState::VersionsFor(ObjectId object) {
-  if (std::map<std::string, Value>* versions = FindVersions(object)) return *versions;
+KvState::Versions& KvState::VersionsFor(ObjectId object) {
+  if (Versions* versions = FindVersions(object)) return *versions;
   HM_CHECK_MSG(versioned_.size() < kNoSlot, "versioned-object table is full");
   ReserveOneMore(&versioned_index_, versioned_.size());
   const uint32_t hash = ObjectHash(object);
   versioned_index_[ObjectPos(object, hash)] =
       IndexEntry{hash, static_cast<uint32_t>(versioned_.size())};
   return versioned_.emplace_back(VersionedSlot{object, {}}).versions;
+}
+
+void KvState::InsertVersion(Versions* versions, Versions::const_iterator pos,
+                            std::string_view version_id, std::string_view value) {
+  const size_t at = static_cast<size_t>(pos - versions->cbegin());
+  const size_t size = versions->size();
+  if (size == versions->capacity()) versions->reserve(size + std::max<size_t>(1, size / 8));
+  versions->insert(versions->begin() + static_cast<ptrdiff_t>(at), PairBlock(version_id, value));
 }
 
 std::string KvState::EncodeLatest(std::string_view key, std::string_view value,
@@ -104,10 +135,10 @@ std::string KvState::EncodeVersion(ObjectId object, std::string_view version_id,
 std::optional<Value> KvState::Get(const std::string& key) const {
   const LatestSlot* slot = FindLatest(key, KeyHash(key));
   if (slot == nullptr) return std::nullopt;
-  return slot->value;
+  return Value(slot->entry.tail());
 }
 
-void KvState::Put(SimTime now, const std::string& key, Value value) {
+void KvState::Put(SimTime now, std::string_view key, std::string_view value) {
   if (durability_ != nullptr && !restoring_) {
     std::string payload;
     payload.reserve(storage::StrBytes(key) + storage::StrBytes(value));
@@ -117,16 +148,17 @@ void KvState::Put(SimTime now, const std::string& key, Value value) {
   }
   const uint32_t hash = KeyHash(key);
   LatestSlot* slot = FindLatest(key, hash);
-  if (slot != nullptr) gauge_.Add(now, -LatestEntryBytes(key, slot->value));
+  if (slot != nullptr) gauge_.Add(now, -LatestEntryBytes(key, slot->entry.tail()));
   gauge_.Add(now, LatestEntryBytes(key, value));
   if (slot == nullptr) {
-    InsertLatest(key, hash, std::move(value), VersionTuple{});
+    InsertLatest(key, hash, value, VersionTuple{});
   } else {
-    slot->value = std::move(value);
+    slot->entry.SetTail(value);
   }
 }
 
-bool KvState::CondPut(SimTime now, const std::string& key, Value value, VersionTuple version) {
+bool KvState::CondPut(SimTime now, std::string_view key, std::string_view value,
+                      VersionTuple version) {
   const uint32_t hash = KeyHash(key);
   LatestSlot* slot = FindLatest(key, hash);
   // Missing keys carry the zero version; the write applies iff its version is larger.
@@ -138,12 +170,12 @@ bool KvState::CondPut(SimTime now, const std::string& key, Value value, VersionT
   }
   if (slot == nullptr) {
     gauge_.Add(now, LatestEntryBytes(key, value));
-    InsertLatest(key, hash, std::move(value), version);
+    InsertLatest(key, hash, value, version);
     return true;
   }
-  gauge_.Add(now, -LatestEntryBytes(key, slot->value));
+  gauge_.Add(now, -LatestEntryBytes(key, slot->entry.tail()));
   gauge_.Add(now, LatestEntryBytes(key, value));
-  slot->value = std::move(value);
+  slot->entry.SetTail(value);
   slot->version = version;
   return true;
 }
@@ -154,37 +186,40 @@ std::optional<VersionTuple> KvState::GetVersion(const std::string& key) const {
   return slot->version;
 }
 
-void KvState::PutVersioned(SimTime now, ObjectId object, const std::string& version_id,
-                           Value value) {
+void KvState::PutVersioned(SimTime now, ObjectId object, std::string_view version_id,
+                           std::string_view value) {
   if (durability_ != nullptr && !restoring_) {
     JournalFrame(storage::FrameType::kKvPutVersioned, EncodeVersion(object, version_id, value));
   }
-  auto& versions = VersionsFor(object);
+  Versions& versions = VersionsFor(object);
   if (versions.empty()) ++versioned_objects_;
-  auto [it, inserted] = versions.try_emplace(version_id);
-  if (!inserted) {
+  auto it = LowerBound(versions, version_id);
+  if (it != versions.end() && it->head() == version_id) {
     // Idempotent re-write of the same version (a retried SSF re-creating the version it
     // already wrote): replace without double-accounting.
-    gauge_.Add(now, -VersionedEntryBytes(version_id, it->second));
+    gauge_.Add(now, -VersionedEntryBytes(version_id, it->tail()));
+    gauge_.Add(now, VersionedEntryBytes(version_id, value));
+    it->SetTail(value);
+    return;
   }
   gauge_.Add(now, VersionedEntryBytes(version_id, value));
-  it->second = std::move(value);
+  InsertVersion(&versions, it, version_id, value);
 }
 
 std::optional<Value> KvState::GetVersioned(ObjectId object,
                                            const std::string& version_id) const {
-  const auto* versions = FindVersions(object);
+  const Versions* versions = FindVersions(object);
   if (versions == nullptr) return std::nullopt;
-  auto vit = versions->find(version_id);
-  if (vit == versions->end()) return std::nullopt;
-  return vit->second;
+  auto it = LowerBound(*versions, version_id);
+  if (it == versions->end() || it->head() != version_id) return std::nullopt;
+  return Value(it->tail());
 }
 
-bool KvState::DeleteVersioned(SimTime now, ObjectId object, const std::string& version_id) {
-  auto* versions = FindVersions(object);
+bool KvState::DeleteVersioned(SimTime now, ObjectId object, std::string_view version_id) {
+  Versions* versions = FindVersions(object);
   if (versions == nullptr) return false;
-  auto vit = versions->find(version_id);
-  if (vit == versions->end()) return false;
+  auto it = LowerBound(*versions, version_id);
+  if (it == versions->end() || it->head() != version_id) return false;
   // Journaled only when something is actually released (replay asserts the same).
   if (durability_ != nullptr && !restoring_) {
     std::string payload;
@@ -193,14 +228,14 @@ bool KvState::DeleteVersioned(SimTime now, ObjectId object, const std::string& v
     storage::PutStr(&payload, version_id);
     JournalFrame(storage::FrameType::kKvDeleteVersioned, std::move(payload));
   }
-  gauge_.Add(now, -VersionedEntryBytes(version_id, vit->second));
-  versions->erase(vit);
+  gauge_.Add(now, -VersionedEntryBytes(version_id, it->tail()));
+  versions->erase(it);
   if (versions->empty()) --versioned_objects_;
   return true;
 }
 
 size_t KvState::VersionCount(ObjectId object) const {
-  const auto* versions = FindVersions(object);
+  const Versions* versions = FindVersions(object);
   return versions == nullptr ? 0 : versions->size();
 }
 
@@ -221,14 +256,14 @@ void KvState::RestoreFrame(SimTime now, storage::FrameType type, storage::Cursor
   restoring_ = true;
   switch (type) {
     case storage::FrameType::kKvPut: {
-      std::string key(cursor.Str());
-      Value value(cursor.Str());
-      Put(now, key, std::move(value));
+      std::string_view key = cursor.Str();
+      std::string_view value = cursor.Str();
+      Put(now, key, value);
       break;
     }
     case storage::FrameType::kKvCondPut: {
-      std::string key(cursor.Str());
-      Value value(cursor.Str());
+      std::string_view key = cursor.Str();
+      std::string_view value = cursor.Str();
       VersionTuple version{cursor.U64(), cursor.U64()};
       // Fuzzy suffix replay: the image may already carry this version or a newer one.
       // Applied versions strictly increase per key, so an equal stored version means the
@@ -237,25 +272,25 @@ void KvState::RestoreFrame(SimTime now, storage::FrameType type, storage::Cursor
       // version belongs to a later frame of the suffix, which replays after this one.
       LatestSlot* slot = fuzzy ? FindLatest(key, KeyHash(key)) : nullptr;
       if (slot != nullptr && slot->version == version) {
-        gauge_.Add(now, -LatestEntryBytes(key, slot->value));
+        gauge_.Add(now, -LatestEntryBytes(key, slot->entry.tail()));
         gauge_.Add(now, LatestEntryBytes(key, value));
-        slot->value = std::move(value);
+        slot->entry.SetTail(value);
         break;
       }
-      bool applied = CondPut(now, key, std::move(value), version);
+      bool applied = CondPut(now, key, value, version);
       HM_CHECK_MSG(applied || fuzzy, "journal replay: conditional put no longer applies");
       break;
     }
     case storage::FrameType::kKvPutVersioned: {
       ObjectId object = cursor.U64();
-      std::string version_id(cursor.Str());
-      Value value(cursor.Str());
-      PutVersioned(now, object, version_id, std::move(value));
+      std::string_view version_id = cursor.Str();
+      std::string_view value = cursor.Str();
+      PutVersioned(now, object, version_id, value);
       break;
     }
     case storage::FrameType::kKvDeleteVersioned: {
       ObjectId object = cursor.U64();
-      std::string version_id(cursor.Str());
+      std::string_view version_id = cursor.Str();
       bool released = DeleteVersioned(now, object, version_id);
       // Fuzzy: the image may have been snapshotted after this delete already applied.
       HM_CHECK_MSG(released || fuzzy,
@@ -289,27 +324,31 @@ bool KvState::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budg
     if (consumed >= budget) return false;
     const LatestSlot& slot = latest_[walk_slot_++];
     store->AppendFrame(storage::FrameType::kCkptKvLatest,
-                       EncodeLatest(slot.key, slot.value, slot.version));
+                       EncodeLatest(slot.entry.head(), slot.entry.tail(), slot.version));
     ++*frames;
     ++consumed;
   }
   // Then the version table, resumable mid-object: versions can be inserted or GC'd between
-  // slices (ordered map, no iterator held across the pause), and objects first written after
-  // round start are suffix-only.
+  // slices (sorted array, no position held across the pause), and objects first written
+  // after round start are suffix-only.
   while (walk_object_ < walk_object_limit_) {
     const VersionedSlot& slot = versioned_[walk_object_];
-    const auto& versions = slot.versions;
-    auto it = walk_version_valid_ ? versions.upper_bound(walk_version_) : versions.begin();
-    while (it != versions.end()) {
+    const Versions& versions = slot.versions;
+    auto it = versions.begin();
+    if (walk_version_valid_) {
+      it = std::upper_bound(
+          versions.begin(), versions.end(), std::string_view(walk_version_),
+          [](std::string_view id, const PairBlock& v) { return id < v.head(); });
+    }
+    for (; it != versions.end(); ++it) {
       // walk_version_ names the last version emitted, so the next slice resumes just past it.
       if (consumed >= budget) return false;
       store->AppendFrame(storage::FrameType::kCkptKvVersion,
-                         EncodeVersion(slot.object, it->first, it->second));
+                         EncodeVersion(slot.object, it->head(), it->tail()));
       ++*frames;
       ++consumed;
-      walk_version_ = it->first;
+      walk_version_.assign(it->head());
       walk_version_valid_ = true;
-      ++it;
     }
     ++walk_object_;
     walk_version_.clear();
@@ -322,8 +361,8 @@ void KvState::RestoreCheckpointFrame(SimTime now, storage::FrameType type,
                                      storage::Cursor cursor) {
   switch (type) {
     case storage::FrameType::kCkptKvLatest: {
-      std::string key(cursor.Str());
-      Value value(cursor.Str());
+      std::string_view key = cursor.Str();
+      std::string_view value = cursor.Str();
       VersionTuple version{cursor.U64(), cursor.U64()};
       // Direct slot install: a slot's value (last Put) and version (last applied CondPut)
       // evolve independently, so neither public mutator alone could reproduce it.
@@ -331,18 +370,20 @@ void KvState::RestoreCheckpointFrame(SimTime now, storage::FrameType type,
       HM_CHECK_MSG(FindLatest(key, hash) == nullptr,
                    "checkpoint image installs a latest slot twice");
       gauge_.Add(now, LatestEntryBytes(key, value));
-      InsertLatest(std::move(key), hash, std::move(value), version);
+      InsertLatest(key, hash, value, version);
       break;
     }
     case storage::FrameType::kCkptKvVersion: {
       ObjectId object = cursor.U64();
-      std::string version_id(cursor.Str());
-      Value value(cursor.Str());
-      auto& versions = VersionsFor(object);
+      std::string_view version_id = cursor.Str();
+      std::string_view value = cursor.Str();
+      Versions& versions = VersionsFor(object);
       if (versions.empty()) ++versioned_objects_;
-      auto [it, inserted] = versions.try_emplace(version_id, std::move(value));
-      HM_CHECK_MSG(inserted, "checkpoint image installs a version twice");
-      gauge_.Add(now, VersionedEntryBytes(version_id, it->second));
+      auto it = LowerBound(versions, version_id);
+      HM_CHECK_MSG(it == versions.end() || it->head() != version_id,
+                   "checkpoint image installs a version twice");
+      gauge_.Add(now, VersionedEntryBytes(version_id, value));
+      InsertVersion(&versions, it, version_id, value);
       break;
     }
     default:

@@ -13,11 +13,12 @@
 #ifndef HALFMOON_KVSTORE_KV_STATE_H_
 #define HALFMOON_KVSTORE_KV_STATE_H_
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -59,16 +60,19 @@ class KvState {
   //
   // Latest slots sit in a dense table in insertion order (keys are never deleted), found
   // through a flat open-addressed index of {key hash, slot number}. The checkpoint walk is
-  // then a slot-number range, and no key is copied or re-hashed to walk it.
+  // then a slot-number range, and no key is copied or re-hashed to walk it. Each slot holds
+  // its key and value in one exact-size block (DESIGN.md §7.8). The mutators copy the bytes
+  // they are given into that block, so they take views: journal replay passes a frame's
+  // bytes straight in.
 
   std::optional<Value> Get(const std::string& key) const;
 
   // Unconditional write; leaves the stored version tuple untouched.
-  void Put(SimTime now, const std::string& key, Value value);
+  void Put(SimTime now, std::string_view key, std::string_view value);
 
   // Conditional write: applies iff the stored version is strictly smaller than `version`
   // (missing keys count as version zero). Returns whether the update was applied.
-  bool CondPut(SimTime now, const std::string& key, Value value, VersionTuple version);
+  bool CondPut(SimTime now, std::string_view key, std::string_view value, VersionTuple version);
 
   std::optional<VersionTuple> GetVersion(const std::string& key) const;
 
@@ -82,9 +86,10 @@ class KvState {
   // step log too, so a table indexed by id value would grow with every id ever assigned
   // rather than with the objects written.
 
-  void PutVersioned(SimTime now, ObjectId object, const std::string& version_id, Value value);
+  void PutVersioned(SimTime now, ObjectId object, std::string_view version_id,
+                    std::string_view value);
   std::optional<Value> GetVersioned(ObjectId object, const std::string& version_id) const;
-  bool DeleteVersioned(SimTime now, ObjectId object, const std::string& version_id);
+  bool DeleteVersioned(SimTime now, ObjectId object, std::string_view version_id);
   size_t VersionCount(ObjectId object) const;
 
   int64_t CurrentBytes() const { return gauge_.CurrentBytes(); }
@@ -143,23 +148,47 @@ class KvState {
   void RestoreCheckpointFrame(SimTime now, storage::FrameType type, storage::Cursor cursor);
 
  private:
+  // One exact-size heap block holding two byte strings back to back — a key (or version id)
+  // followed by its value — and their lengths: 16 bytes beside the block, and a single
+  // allocation per entry whatever the lengths (DESIGN.md §7.8). Null when both are empty.
+  class PairBlock {
+   public:
+    PairBlock() = default;
+    PairBlock(std::string_view head, std::string_view tail);
+
+    std::string_view head() const { return {bytes_.get(), head_len_}; }
+    std::string_view tail() const { return {bytes_.get() + head_len_, tail_len_}; }
+    // Replaces the tail: copied in place when its size is unchanged, into a new block
+    // otherwise.
+    void SetTail(std::string_view tail);
+
+   private:
+    std::unique_ptr<char[]> bytes_;
+    uint32_t head_len_ = 0;
+    uint32_t tail_len_ = 0;
+  };
+  static_assert(sizeof(PairBlock) == 16);
+  // The key and value in one block, and the version of the last applied CondPut: 32 bytes.
   struct LatestSlot {
-    std::string key;
-    Value value;
+    PairBlock entry;  // key, value
     VersionTuple version;
   };
-  // One index bucket: 32 bits of the key's (or object id's) hash, so growing the index never
-  // re-hashes a key, and the slot number, kNoSlot when the bucket is empty.
+  static_assert(sizeof(LatestSlot) == 32);
+  // One bucket of an index: 32 bits of the key's (or object id's) hash, so growing the index
+  // never re-hashes a key, and the slot number, kNoSlot when the bucket is empty.
   struct IndexEntry {
     uint32_t hash = 0;
     uint32_t slot = kNoSlot;
   };
   static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+  // An object's stored versions, each one block {version id, value}, sorted by version id:
+  // deterministic iteration in tests/GC, and a checkpoint walk can resume past the last
+  // version it emitted by binary search. Objects hold a handful of versions (GC keeps the
+  // ones a running SSF may still read), so an insert shifting the array's tail is cheap.
+  using Versions = std::vector<PairBlock>;
   struct VersionedSlot {
     ObjectId object = 0;
-    // version_id -> value. Ordered for deterministic iteration in tests/GC and so a
-    // checkpoint walk can resume past the last version it emitted.
-    std::map<std::string, Value> versions;
+    Versions versions;
   };
 
   static uint32_t KeyHash(std::string_view key);
@@ -173,17 +202,30 @@ class KvState {
     return const_cast<LatestSlot*>(std::as_const(*this).FindLatest(key, hash));
   }
   // Appends a slot for a key that has none and indexes it.
-  void InsertLatest(std::string key, uint32_t hash, Value value, VersionTuple version);
+  void InsertLatest(std::string_view key, uint32_t hash, std::string_view value,
+                    VersionTuple version);
   // Bucket holding `key`, or the empty bucket where it would go. The index must be non-empty.
   size_t IndexPos(std::string_view key, uint32_t hash) const;
 
   // `object`'s versions, or null when it was never written.
-  const std::map<std::string, Value>* FindVersions(ObjectId object) const;
-  std::map<std::string, Value>* FindVersions(ObjectId object) {
-    return const_cast<std::map<std::string, Value>*>(std::as_const(*this).FindVersions(object));
+  const Versions* FindVersions(ObjectId object) const;
+  Versions* FindVersions(ObjectId object) {
+    return const_cast<Versions*>(std::as_const(*this).FindVersions(object));
   }
   // `object`'s versions, taking the next slot on its first write.
-  std::map<std::string, Value>& VersionsFor(ObjectId object);
+  Versions& VersionsFor(ObjectId object);
+  // The first version of `versions` (a Versions, const or not) whose id is not less than
+  // `version_id`.
+  template <typename V>
+  static auto LowerBound(V& versions, std::string_view version_id) {
+    return std::lower_bound(
+        versions.begin(), versions.end(), version_id,
+        [](const PairBlock& v, std::string_view id) { return v.head() < id; });
+  }
+  // Inserts {version_id, value} before `pos`. A full array grows to exactly one more entry
+  // while it is small, and by an eighth once it is not.
+  static void InsertVersion(Versions* versions, Versions::const_iterator pos,
+                            std::string_view version_id, std::string_view value);
   // Bucket holding `object` (whose ObjectHash is `hash`), or the empty bucket where it would
   // go. The index must be non-empty.
   size_t ObjectPos(ObjectId object, uint32_t hash) const;
@@ -195,10 +237,10 @@ class KvState {
   static std::string EncodeVersion(ObjectId object, std::string_view version_id,
                                    std::string_view value);
 
-  static int64_t LatestEntryBytes(const std::string& key, const Value& value) {
+  static int64_t LatestEntryBytes(std::string_view key, std::string_view value) {
     return static_cast<int64_t>(key.size() + value.size() + sizeof(VersionTuple));
   }
-  static int64_t VersionedEntryBytes(const std::string& version_id, const Value& value) {
+  static int64_t VersionedEntryBytes(std::string_view version_id, std::string_view value) {
     return static_cast<int64_t>(sizeof(ObjectId) + version_id.size() + value.size());
   }
 

@@ -1,15 +1,19 @@
 // Model test for the KV store's latest-slot and versioned-object tables and its durable tier:
 // seeded random sequences of Put, CondPut, PutVersioned and DeleteVersioned run against a
 // KvState (with a journal and a checkpoint store) and against a naive model, with checkpoint
-// walks advancing one small slice per step while new keys keep arriving, partial journal
-// flushes, node kills and clean restarts. After every step the store must agree with the model. After every kill
-// or restart, image + suffix recovery and full replay must each rebuild exactly the
-// acknowledged state, and every completed walk must have emitted exactly the latest slots
-// that existed when its round started. Object ids are drawn sparsely up to 2^20, some sharing
-// their low bits, as write-log tag ids are among the step-log ids interned between them.
+// walks advancing one small slice per step while new keys keep arriving and versions are
+// deleted between slices, partial journal flushes, node kills and clean restarts. Rewrites
+// often keep the value's size, so both the in-place and the new-block rewrite run. After
+// every step the store must agree with the model. After every kill or restart, image + suffix
+// recovery and full replay must each rebuild exactly the acknowledged state. Every completed
+// walk must have emitted exactly the latest slots that existed when its round started, and
+// each version present from round start to walk end exactly once, in id order per object.
+// Object ids are drawn sparsely up to 2^20, some sharing their low bits, as write-log tag ids
+// are among the step-log ids interned between them.
 //
 // Tier-1 runs a few short seeds; HM_FAULTCHECK_FULL=1 runs many longer ones.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -127,7 +131,11 @@ class KvModelRun {
     } else {
       Restart();
     }
-    if (walk_open_) WalkSlice();
+    if (walk_open_) {
+      // Versions go between slices too, the walk's own cursor version among them.
+      if (rng_.Bernoulli(0.3)) DeleteVersioned();
+      WalkSlice();
+    }
     Check(live_, "after step");
   }
 
@@ -161,13 +169,28 @@ class KvModelRun {
   }
 
   // Unique values of varied size; some exceed a block, so frames cross block and page edges.
-  Value NextValue() {
+  // A rewrite of an existing value (`current`) keeps its size a third of the time, with new
+  // bytes, so the store's in-place rewrite runs as often as its new-block one.
+  Value NextValue(const Value* current = nullptr) {
+    ++values_;
+    if (current != nullptr && rng_.Bernoulli(0.33)) {
+      return std::string(current->size(), static_cast<char>('a' + values_ % 26));
+    }
     size_t pad = rng_.Bernoulli(0.05) ? static_cast<size_t>(rng_.UniformInt(4096, 20000))
                                       : static_cast<size_t>(rng_.UniformInt(0, 60));
-    return "v" + std::to_string(++values_) + std::string(pad, 'p');
+    return "v" + std::to_string(values_) + std::string(pad, 'p');
   }
 
-  std::string PickVersionId() { return "ver" + std::to_string(rng_.UniformInt(0, 9)); }
+  // Ids of mixed length, so their sorted order differs from their order by length.
+  std::string PickVersionId() {
+    const int64_t n = rng_.UniformInt(0, 11);
+    return n == 11 ? std::string("v") : "ver" + std::to_string(n);
+  }
+
+  const Value* LiveLatest(const std::string& key) const {
+    auto it = live_.latest.find(key);
+    return it == live_.latest.end() ? nullptr : &it->second.value;
+  }
 
   ObjectId PickObject() {
     const int64_t last = static_cast<int64_t>(kObjects) - 1;
@@ -182,14 +205,14 @@ class KvModelRun {
 
   void Put() {
     std::string key = PickKey();
-    Value value = NextValue();
+    Value value = NextValue(LiveLatest(key));
     kv_.Put(Now(), key, value);
     Record(ModelOp{FrameType::kKvPut, key, value, {}});
   }
 
   void CondPut() {
     std::string key = PickKey();
-    Value value = NextValue();
+    Value value = NextValue(LiveLatest(key));
     VersionTuple version{static_cast<uint64_t>(rng_.UniformInt(0, 30)),
                          static_cast<uint64_t>(rng_.UniformInt(0, 3))};
     auto it = live_.latest.find(key);
@@ -201,7 +224,11 @@ class KvModelRun {
   void PutVersioned() {
     ObjectId object = PickObject();
     std::string id = PickVersionId();
-    Value value = NextValue();
+    const Value* current = nullptr;
+    if (auto it = live_.versions.find(object); it != live_.versions.end()) {
+      if (auto vit = it->second.find(id); vit != it->second.end()) current = &vit->second;
+    }
+    Value value = NextValue(current);
     kv_.PutVersioned(Now(), object, id, value);
     Record(ModelOp{FrameType::kKvPutVersioned, id, value, {}, object});
   }
@@ -213,6 +240,7 @@ class KvModelRun {
     const bool expect = it != live_.versions.end() && it->second.contains(id);
     ASSERT_EQ(kv_.DeleteVersioned(Now(), object, id), expect) << object << "/" << id;
     if (expect) Record(ModelOp{FrameType::kKvDeleteVersioned, id, {}, {}, object});
+    walk_expected_versions_.erase({object, id});
   }
 
   // Lets the group-flusher run for a while: some, all or none of the tail becomes durable.
@@ -238,6 +266,10 @@ class KvModelRun {
     walk_frames_ = 0;
     walk_expected_.clear();
     for (const auto& [key, slot] : live_.latest) walk_expected_.insert(key);
+    walk_expected_versions_.clear();
+    for (const auto& [object, by_id] : live_.versions) {
+      for (const auto& [id, value] : by_id) walk_expected_versions_.insert({object, id});
+    }
     kv_.BeginCheckpointWalk();
     walk_open_ = true;
   }
@@ -252,6 +284,7 @@ class KvModelRun {
     scheduler_.Run();
     Settle();
     CheckWalkEmittedRoundStartSlots();
+    CheckWalkEmittedSurvivingVersions();
     storage::CheckpointManifest m;
     m.domain = storage::kCkptKvDomain;
     m.cut = walk_cut_;
@@ -275,6 +308,30 @@ class KvModelRun {
                           });
     EXPECT_EQ(emitted, std::multiset<std::string>(walk_expected_.begin(), walk_expected_.end()))
         << "the walk must emit each round-start slot once and no later insert";
+  }
+
+  // Versions may come and go while the walk runs. Each (object, id) is emitted at most once,
+  // an object's ids in ascending order, and every version present from round start to walk
+  // end is among them.
+  void CheckWalkEmittedSurvivingVersions() {
+    std::set<std::pair<ObjectId, std::string>> emitted;
+    std::map<ObjectId, std::string> last_id;
+    storage::ReplayFrames(store_.buffer(), walk_image_start_, store_.tail(),
+                          [&](FrameType type, Cursor cursor) {
+                            if (type != FrameType::kCkptKvVersion) return;
+                            ObjectId object = cursor.U64();
+                            std::string id(cursor.Str());
+                            auto [last, first] = last_id.try_emplace(object, id);
+                            EXPECT_TRUE(first || last->second < id)
+                                << object << ": " << id << " after " << last->second;
+                            last->second = id;
+                            EXPECT_TRUE(emitted.insert({object, id}).second)
+                                << "emitted twice: " << object << "/" << id;
+                          });
+    for (const auto& version : walk_expected_versions_) {
+      EXPECT_TRUE(emitted.contains(version))
+          << "surviving version not emitted: " << version.first << "/" << version.second;
+    }
   }
 
   // Node loss: the journal's and the store's volatile tails die, and so does any walk. Only
@@ -368,6 +425,8 @@ class KvModelRun {
   uint64_t walk_image_start_ = 0;
   int64_t walk_frames_ = 0;
   std::set<std::string> walk_expected_;
+  // Versions present at round start and not deleted since.
+  std::set<std::pair<ObjectId, std::string>> walk_expected_versions_;
 
   int walks_ = 0;
   int image_recoveries_ = 0;
