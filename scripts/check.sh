@@ -140,6 +140,15 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[kv\]' | tee >(cat >&2) | grep -q ' | exact-size$' \
   || { echo "check.sh: FAIL — KV entries are not one exact-size block each" >&2; exit 1; }
 
+# One-block log records smoke (DESIGN.md §7.9): each committed record of retwis's commit shape
+# must be one heap block holding its header, tags and fields, at most half the bytes a record
+# held before. A string field back in its own std::string would still pass every functional
+# check, so the 'one-block' line is enforced here.
+"${BUILD_DIR}"/tests/alloc_test \
+  --gtest_filter='AllocGateTest.LogRecordsAreOneExactSizeBlockEach' \
+  --gtest_brief=1 | grep '^\[record\]' | tee >(cat >&2) | grep -q ' | one-block$' \
+  || { echo "check.sh: FAIL — committed log records are not one exact-size block each" >&2; exit 1; }
+
 # Live-sized record store smoke (DESIGN.md §7.1): 10 K objects written once among ~10^6
 # trimmed step records must cost the store their live records plus one page-table entry per
 # page of history, not a page per surviving record. A store whose sparse pages never compact

@@ -41,18 +41,16 @@ FieldNames& Names() {
   return *names;
 }
 
-// The id of `name` if it was ever interned. Lookups by name use this rather than
-// InternField, so probing for an absent field does not grow the table.
+}  // namespace
+
+FieldId InternField(std::string_view name) { return Names().Intern(name); }
+
 std::optional<FieldId> FindField(std::string_view name) {
   const FieldNames& table = Names();
   auto it = table.ids.find(name);
   if (it == table.ids.end()) return std::nullopt;
   return it->second;
 }
-
-}  // namespace
-
-FieldId InternField(std::string_view name) { return Names().Intern(name); }
 
 const std::string& FieldName(FieldId id) {
   return Names().names[static_cast<uint32_t>(id)];
@@ -104,17 +102,10 @@ const std::string& FieldMap::GetStr(std::string_view name) const {
 }
 
 size_t FieldMap::ByteSize() const {
-  // Models a compact binary encoding: field names become 2-byte tags; only values occupy
-  // space. The paper notes a write-log record's critical data is "covered in a few dozen
-  // bytes" (§4.1), which this matches.
   size_t total = 0;
   for (const Entry& entry : fields_) {
-    total += 2;
-    if (const std::string* s = std::get_if<std::string>(&entry.field)) {
-      total += s->size();
-    } else {
-      total += sizeof(int64_t);
-    }
+    const std::string* s = std::get_if<std::string>(&entry.field);
+    total += FieldByteSize(s != nullptr ? s->size() : sizeof(int64_t));
   }
   return total;
 }

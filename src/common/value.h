@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -44,8 +45,16 @@ inline constexpr FieldId kFieldTarget{7};    // "target"
 
 // The id of `name`, interning it on first use.
 FieldId InternField(std::string_view name);
+// The id of `name` if it was ever interned. Lookups by name use this rather than InternField,
+// so probing for an absent field does not grow the table.
+std::optional<FieldId> FindField(std::string_view name);
 // The name interned as `id`. The reference stays valid for the life of the process.
 const std::string& FieldName(FieldId id);
+
+// The modelled serialized size of one field holding `value_bytes` (8 for an integer): field
+// names become 2-byte tags, so only values occupy space. The paper notes a write-log record's
+// critical data is "covered in a few dozen bytes" (§4.1), which this matches.
+inline constexpr size_t FieldByteSize(size_t value_bytes) { return 2 + value_bytes; }
 
 // An ordered field map, e.g. {"op": "write", "step": 3, "version": "a1b2"}.
 //
@@ -128,7 +137,7 @@ class FieldMap {
   int64_t GetInt(std::string_view name) const;
   const std::string& GetStr(std::string_view name) const;
 
-  // Approximate serialized size in bytes: key bytes + value bytes (8 for integers).
+  // Approximate serialized size in bytes: FieldByteSize of each field.
   size_t ByteSize() const;
 
   bool operator==(const FieldMap& other) const { return fields_ == other.fields_; }
@@ -136,6 +145,8 @@ class FieldMap {
   const_iterator begin() const { return const_iterator(fields_.begin()); }
   const_iterator end() const { return const_iterator(fields_.end()); }
   size_t size() const { return fields_.size(); }
+  // The entries in name order, ids and all (what a committed log record copies).
+  const std::vector<Entry>& entries() const { return fields_; }
 
  private:
   Field& Upsert(FieldId id);

@@ -27,8 +27,8 @@ void ReleaseBelowFrontier(runtime::Cluster& cluster, FrontierRelease* released) 
     if (marked == sharedlog::kInvalidSeqNum) continue;
     for (SeqNum seqnum : *log.tags().LiveStream(tag)) {
       if (seqnum >= marked) break;
-      const auto* version = std::get_if<std::string>(log.Get(seqnum)->fields.Find(kFieldVersion));
-      released->versions_deleted += version != nullptr && kv.DeleteVersioned(now, tag, *version);
+      std::optional<std::string_view> version = log.Get(seqnum)->fields.FindStr(kFieldVersion);
+      released->versions_deleted += version.has_value() && kv.DeleteVersioned(now, tag, *version);
     }
     released->write_records_trimmed += static_cast<int64_t>(log.Trim(now, tag, marked - 1));
   }

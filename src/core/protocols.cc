@@ -89,7 +89,8 @@ sim::Task<void> HalfmoonReadWrite(Env& env, const std::string& key, Value value)
   pre_fields.SetStr(kFieldVersion, env.RandomId());
   StepLogResult pre =
       co_await LogStep(env, sharedlog::NoTags(), std::move(pre_fields), kHmReadClass);
-  const std::string& version = pre.record->fields.GetStr(kFieldVersion);
+  // Views the pre record, which `pre` keeps alive for the rest of this frame.
+  const std::string_view version = pre.record->fields.GetStr(kFieldVersion);
 
   // If the commit record already exists the write fully applied in a previous attempt
   // (Figure 5, lines 16-18): adopt it and skip the store update.
@@ -97,7 +98,7 @@ sim::Task<void> HalfmoonReadWrite(Env& env, const std::string& key, Value value)
   post_fields.Reserve(3);
   post_fields.SetStr(kFieldOp, "write");
   post_fields.SetInt(kFieldStep, env.step);
-  post_fields.SetStr(kFieldVersion, version);
+  post_fields.SetStr(kFieldVersion, std::string(version));
   TagId write_tag = env.WriteTag(key);
   if (const LogRecord* cached = PeekNextLog(env);
       cached != nullptr && cached->op == sharedlog::kOpWrite) {
@@ -136,7 +137,7 @@ sim::Task<Value> HalfmoonWriteRead(Env& env, const std::string& key, bool post_s
     // Replay: recover the previous result from the step log (Figure 7, lines 10-12).
     StepLogResult replayed =
         co_await LogStep(env, sharedlog::NoTags(), std::move(fields), kHmWriteClass);
-    co_return replayed.record->fields.GetStr(kFieldData);
+    co_return Value(replayed.record->fields.GetStr(kFieldData));
   }
 
   env.MaybeCrash("hmw.read.before");
@@ -194,7 +195,7 @@ sim::Task<void> HalfmoonWriteWrite(Env& env, const std::string& key, Value value
 sim::Task<Value> BokiRead(Env& env, const std::string& key) {
   env.step += 1;
   if (const LogRecord* prev = FindBokiStep(env, sharedlog::kOpRead, env.step); prev != nullptr) {
-    co_return prev->fields.GetStr(kFieldData);
+    co_return Value(prev->fields.GetStr(kFieldData));
   }
   env.MaybeCrash("boki.read.before");
   std::optional<Value> latest = co_await env.kv().Get(key);
@@ -319,7 +320,7 @@ sim::Task<Value> TransitionalRead(Env& env, const std::string& key) {
   if (const LogRecord* cached = PeekNextLog(env); cached != nullptr) {
     StepLogResult replayed =
         co_await LogStep(env, sharedlog::NoTags(), std::move(fields), kTransitionalClass);
-    co_return replayed.record->fields.GetStr(kFieldData);
+    co_return Value(replayed.record->fields.GetStr(kFieldData));
   }
 
   env.MaybeCrash("trans.read.before");

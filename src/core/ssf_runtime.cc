@@ -181,7 +181,7 @@ class ContextImpl final : public SsfContext {
     callees.reserve(n);
     cursors.reserve(n);
     for (const LogRecordPtr& record : pres.records) {
-      callees.push_back(record->fields.GetStr(kFieldCallee));
+      callees.emplace_back(record->fields.GetStr(kFieldCallee));
       cursors.push_back(record->seqnum);
     }
 
@@ -195,7 +195,7 @@ class ContextImpl final : public SsfContext {
       }
       BatchLogResult posts = co_await LogStepBatch(env, std::move(post_fields));
       for (const LogRecordPtr& record : posts.records) {
-        results.push_back(record->fields.GetStr(kFieldResult));
+        results.emplace_back(record->fields.GetStr(kFieldResult));
       }
       co_return results;
     }
@@ -215,7 +215,7 @@ class ContextImpl final : public SsfContext {
     if (posts.recovered) {
       results.clear();
       for (const LogRecordPtr& record : posts.records) {
-        results.push_back(record->fields.GetStr(kFieldResult));
+        results.emplace_back(record->fields.GetStr(kFieldResult));
       }
     }
     env.MaybeCrash("invoke_all.after_postlog");
@@ -359,7 +359,7 @@ class ContextImpl final : public SsfContext {
     pre_fields.SetStr(kFieldCallee, env.instance_id + "/" + env.RandomId());
     env.MaybeCrash("invoke.before");
     StepLogResult pre = co_await LogStep(env, sharedlog::NoTags(), std::move(pre_fields));
-    std::string callee = pre.record->fields.GetStr(kFieldCallee);
+    std::string callee(pre.record->fields.GetStr(kFieldCallee));
 
     // Skip the call entirely if the result was already logged (Figure 5, lines 33-36).
     if (const LogRecord* cached = PeekNextLog(env);
@@ -369,7 +369,7 @@ class ContextImpl final : public SsfContext {
       post_fields.SetStr(kFieldOp, "invoke");
       post_fields.SetInt(kFieldStep, env.step);
       StepLogResult post = co_await LogStep(env, sharedlog::NoTags(), std::move(post_fields));
-      co_return post.record->fields.GetStr(kFieldResult);
+      co_return Value(post.record->fields.GetStr(kFieldResult));
     }
 
     env.MaybeCrash("invoke.after_prelog");
@@ -405,7 +405,7 @@ class ContextImpl final : public SsfContext {
           callee = record->fields.GetStr(kFieldCallee);
           pre_seq = record->seqnum;
         } else if (record->op == sharedlog::kOpInvoke) {
-          co_return record->fields.GetStr(kFieldResult);
+          co_return Value(record->fields.GetStr(kFieldResult));
         }
       }
     }

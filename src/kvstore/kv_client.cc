@@ -30,7 +30,7 @@ sim::Task<void> KvClient::AwaitDurable(std::string_view site) {
   if (!ok && crash_thrower_) crash_thrower_(site);
 }
 
-sim::Task<std::optional<Value>> KvClient::Get(std::string key) {
+sim::Task<std::optional<Value>> KvClient::Get(const std::string& key) {
   ++stats_.reads;
   SimDuration total = models_->db_read.Sample(*rng_);
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
@@ -48,7 +48,7 @@ sim::Task<std::optional<Value>> KvClient::Get(std::string key) {
 }
 
 sim::Task<std::optional<std::pair<Value, VersionTuple>>> KvClient::GetWithVersion(
-    std::string key) {
+    const std::string& key) {
   ++stats_.reads;
   SimDuration total = models_->db_read.Sample(*rng_);
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
@@ -68,7 +68,7 @@ sim::Task<std::optional<std::pair<Value, VersionTuple>>> KvClient::GetWithVersio
   co_return result;
 }
 
-sim::Task<void> KvClient::Put(std::string key, Value value) {
+sim::Task<void> KvClient::Put(std::string_view key, std::string_view value) {
   ++stats_.plain_writes;
   SimDuration total = models_->db_plain_write.Sample(*rng_);
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
@@ -85,7 +85,8 @@ sim::Task<void> KvClient::Put(std::string key, Value value) {
   co_await scheduler_->Delay(leg);
 }
 
-sim::Task<bool> KvClient::CondPut(std::string key, Value value, VersionTuple version) {
+sim::Task<bool> KvClient::CondPut(std::string_view key, std::string_view value,
+                                  VersionTuple version) {
   ++stats_.cond_writes;
   SimDuration total = models_->db_cond_write.Sample(*rng_);
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
@@ -104,7 +105,8 @@ sim::Task<bool> KvClient::CondPut(std::string key, Value value, VersionTuple ver
   co_return applied;
 }
 
-sim::Task<void> KvClient::PutVersioned(ObjectId object, std::string version_id, Value value) {
+sim::Task<void> KvClient::PutVersioned(ObjectId object, std::string_view version_id,
+                                       std::string_view value) {
   ++stats_.versioned_writes;
   SimDuration total = models_->db_plain_write.Sample(*rng_);
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
@@ -121,7 +123,7 @@ sim::Task<void> KvClient::PutVersioned(ObjectId object, std::string version_id, 
 }
 
 sim::Task<std::optional<Value>> KvClient::GetVersioned(ObjectId object,
-                                                       const std::string& version_id) {
+                                                       std::string_view version_id) {
   ++stats_.versioned_reads;
   SimDuration total = models_->db_read.Sample(*rng_);
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
@@ -137,7 +139,7 @@ sim::Task<std::optional<Value>> KvClient::GetVersioned(ObjectId object,
   co_return value;
 }
 
-sim::Task<bool> KvClient::DeleteVersioned(ObjectId object, std::string version_id) {
+sim::Task<bool> KvClient::DeleteVersioned(ObjectId object, std::string_view version_id) {
   ++stats_.deletes;
   SimDuration total = models_->db_plain_write.Sample(*rng_);
   co_await Round(total);

@@ -42,20 +42,22 @@ class KvClient {
            sim::ServiceStation* station)
       : scheduler_(scheduler), rng_(rng), models_(models), state_(state), station_(station) {}
 
-  sim::Task<std::optional<Value>> Get(std::string key);
+  // Every key, value and version id below is borrowed across the awaits, not copied into the
+  // task's frame: the caller keeps the bytes alive until the task completes. The protocol
+  // callers (core/protocols.cc) pass their own parameters and locals, and version ids that
+  // view a LogRecordPtr held in their own frame; the store copies what it keeps.
+  sim::Task<std::optional<Value>> Get(const std::string& key);
   // Read that also returns the stored version tuple, used by the transitional protocol and by
   // post-switch dual reads to compare the freshness of the LATEST slot against the write log
-  // (§5.2).
-  sim::Task<std::optional<std::pair<Value, VersionTuple>>> GetWithVersion(std::string key);
-  sim::Task<void> Put(std::string key, Value value);
-  sim::Task<bool> CondPut(std::string key, Value value, VersionTuple version);
+  // (§5.2). DualRead spawns it joinably and joins it before its own frame ends.
+  sim::Task<std::optional<std::pair<Value, VersionTuple>>> GetWithVersion(const std::string& key);
+  sim::Task<void> Put(std::string_view key, std::string_view value);
+  sim::Task<bool> CondPut(std::string_view key, std::string_view value, VersionTuple version);
 
-  sim::Task<void> PutVersioned(ObjectId object, std::string version_id, Value value);
-  // `version_id` is borrowed across the awaits, not copied (a 16-hex-char id is one byte past
-  // the string's inline capacity): the caller keeps it alive until the task completes. Both
-  // protocol callers pass the version field of a LogRecordPtr held in their own frame.
-  sim::Task<std::optional<Value>> GetVersioned(ObjectId object, const std::string& version_id);
-  sim::Task<bool> DeleteVersioned(ObjectId object, std::string version_id);
+  sim::Task<void> PutVersioned(ObjectId object, std::string_view version_id,
+                               std::string_view value);
+  sim::Task<std::optional<Value>> GetVersioned(ObjectId object, std::string_view version_id);
+  sim::Task<bool> DeleteVersioned(ObjectId object, std::string_view version_id);
 
   const KvClientStats& stats() const { return stats_; }
 

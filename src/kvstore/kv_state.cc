@@ -207,7 +207,7 @@ void KvState::PutVersioned(SimTime now, ObjectId object, std::string_view versio
 }
 
 std::optional<Value> KvState::GetVersioned(ObjectId object,
-                                           const std::string& version_id) const {
+                                           std::string_view version_id) const {
   const Versions* versions = FindVersions(object);
   if (versions == nullptr) return std::nullopt;
   auto it = LowerBound(*versions, version_id);

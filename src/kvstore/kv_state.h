@@ -88,7 +88,7 @@ class KvState {
 
   void PutVersioned(SimTime now, ObjectId object, std::string_view version_id,
                     std::string_view value);
-  std::optional<Value> GetVersioned(ObjectId object, const std::string& version_id) const;
+  std::optional<Value> GetVersioned(ObjectId object, std::string_view version_id) const;
   bool DeleteVersioned(SimTime now, ObjectId object, std::string_view version_id);
   size_t VersionCount(ObjectId object) const;
 

@@ -71,9 +71,11 @@ sim::Task<CondAppendResult> LogClient::Submit(ShardedLog::GroupRequest request) 
   // moves below); see set_append_in_attempt.
   const int cls = std::exchange(append_class_, 0);
   const bool in_attempt = std::exchange(append_in_attempt_, false);
+  // The bytes the records will be stored at (LogRecord::stored_bytes), credited to the stats
+  // only once the commit verdict is known.
   int64_t bytes = 0;
   for (const ShardedLog::BatchEntry& entry : request.entries) {
-    bytes += RecordBytes(entry.tags, entry.fields);
+    bytes += static_cast<int64_t>(RecordByteSize(entry.tags.size(), entry.fields.ByteSize()));
   }
   // The shard owning the cond tag arbitrates the condition; otherwise the first tag routes.
   const TagId route = conditional ? request.cond_tag : request.entries[0].tags[0];

@@ -341,13 +341,6 @@ class LogClient {
   // advance to that same seqnum, and the record view + payload cache. Conflicts are counted.
   sim::Task<CondAppendResult> Submit(ShardedLog::GroupRequest request);
 
-  // Exactly LogRecord::ByteSize for the record these tags/fields will commit as. Computed
-  // in the engine's prologue BEFORE tags/fields are moved into the request, and credited to
-  // the stats only once the commit verdict is known.
-  static int64_t RecordBytes(const std::vector<TagId>& tags, const FieldMap& fields) {
-    return static_cast<int64_t>(sizeof(SeqNum) + 8 + tags.size() * sizeof(TagId) +
-                                fields.ByteSize());
-  }
   void NoteAppendedBytes(int cls, int64_t bytes) {
     stats_.appended_bytes += bytes;
     if (cls < 0 || cls >= LogClientStats::kAppendClasses) cls = 0;

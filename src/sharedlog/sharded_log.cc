@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -64,8 +63,8 @@ TagStream& ShardedLog::RestoreStreamFor(TagId tag) {
 // ---- Record store ----
 
 ShardedLog::StoredRecord& ShardedLog::InstallSlot(LogRecordPtr record, int live_tag_refs) {
-  static_assert(sizeof(StoredRecord) == sizeof(LogRecordPtr) + 8,
-                "the checkpoint stamp must fit in StoredRecord's padding");
+  static_assert(sizeof(StoredRecord) == 16,
+                "a slot is the record pointer, its tag refs and the checkpoint stamp");
   // Insert aborts if the seqnum is installed already.
   StoredRecord& slot = stores_[ShardOfSeq(record->seqnum)].Insert(record->seqnum / shard_count_);
   slot.record = std::move(record);
@@ -89,21 +88,16 @@ size_t ShardedLog::live_records() const {
 
 // ---- Append paths ----
 
-LogRecordPtr ShardedLog::MakeRecord(SeqNum seqnum, std::vector<TagId> tags, FieldMap fields) {
-  auto record = std::make_shared<LogRecord>();
-  record->seqnum = seqnum;
-  record->tags = std::move(tags);
-  record->fields = std::move(fields);
-  if (record->fields.Has(kFieldOp)) {
-    record->op = ops_.Intern(record->fields.GetStr(kFieldOp));
-  }
-  record->stored_bytes = record->ByteSize();
-  return record;
+LogRecordPtr ShardedLog::MakeRecord(SeqNum seqnum, std::span<const TagId> tags,
+                                    const FieldMap& fields) {
+  const OpId op = fields.Has(kFieldOp) ? ops_.Intern(fields.GetStr(kFieldOp)) : kInvalidOpId;
+  return LogRecord::Build(seqnum, op, tags, fields,
+                          RecordByteSize(tags.size(), fields.ByteSize()));
 }
 
-LogRecordPtr ShardedLog::InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
-                                       FieldMap fields, bool restoring) {
-  LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
+LogRecordPtr ShardedLog::InstallRecord(SimTime now, SeqNum seqnum, std::span<const TagId> tags,
+                                       const FieldMap& fields, bool restoring) {
+  LogRecordPtr record = MakeRecord(seqnum, tags, fields);
   gauge_.Add(now, static_cast<int64_t>(record->stored_bytes));
   // Encoded seqnums are allocated in global commit order, so pushing to the back keeps every
   // stream sorted, whichever shard sequenced the record.
@@ -114,12 +108,11 @@ LogRecordPtr ShardedLog::InstallRecord(SimTime now, SeqNum seqnum, std::vector<T
   return InstallSlot(std::move(record), live_tag_refs).record;
 }
 
-SeqNum ShardedLog::Commit(uint32_t shard, SimTime now, std::vector<TagId> tags,
-                          FieldMap fields) {
+SeqNum ShardedLog::Commit(uint32_t shard, SimTime now, std::span<const TagId> tags,
+                          const FieldMap& fields) {
   HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
   SeqNum seqnum = AllocSeqNum(shard);
-  LogRecordPtr record =
-      InstallRecord(now, seqnum, std::move(tags), std::move(fields), /*restoring=*/false);
+  LogRecordPtr record = InstallRecord(now, seqnum, tags, fields, /*restoring=*/false);
   if (durability_ != nullptr) JournalRecord(*record);
   return seqnum;
 }
@@ -193,7 +186,7 @@ std::vector<ShardedLog::GroupVerdict> ShardedLog::AppendGroup(
     verdict.ok = true;
     for (size_t e = 0; e < request.entries.size(); ++e) {
       BatchEntry& entry = request.entries[e];
-      last = Commit(shard, now, std::move(entry.tags), std::move(entry.fields));
+      last = Commit(shard, now, entry.tags, entry.fields);
       if (e == 0) verdict.seqnum = last;
     }
   }
@@ -414,25 +407,28 @@ void ShardedLog::FinishReplay(SimTime now) {
 }
 
 std::string ShardedLog::EncodeRecordPayload(const LogRecord& record) {
+  // Walks the fields in place (RecordFields' iterator would copy each string out).
+  const RecordFields& fields = record.fields;
   size_t bytes = 8 + 4 + 8 * record.tags.size() + 4;
-  for (const auto& [key, field] : record.fields) {
-    const std::string* str = std::get_if<std::string>(&field);
-    bytes += storage::StrBytes(key) + 1 + (str == nullptr ? 8 : storage::StrBytes(*str));
+  for (auto it = fields.begin(); it != fields.end(); ++it) {
+    const FieldView v = it.view();
+    bytes += storage::StrBytes(FieldName(v.id)) + 1 + (v.is_int ? 8 : storage::StrBytes(v.str));
   }
   std::string payload;
   payload.reserve(bytes);
   storage::PutU64(&payload, record.seqnum);
   storage::PutU32(&payload, static_cast<uint32_t>(record.tags.size()));
   for (TagId tag : record.tags) storage::PutU64(&payload, tag);
-  storage::PutU32(&payload, static_cast<uint32_t>(record.fields.size()));
-  for (const auto& [key, field] : record.fields) {
-    storage::PutStr(&payload, key);
-    if (const int64_t* i = std::get_if<int64_t>(&field)) {
+  storage::PutU32(&payload, static_cast<uint32_t>(fields.size()));
+  for (auto it = fields.begin(); it != fields.end(); ++it) {
+    const FieldView v = it.view();
+    storage::PutStr(&payload, FieldName(v.id));
+    if (v.is_int) {
       storage::PutU8(&payload, 0);
-      storage::PutU64(&payload, static_cast<uint64_t>(*i));
+      storage::PutU64(&payload, static_cast<uint64_t>(v.int_value));
     } else {
       storage::PutU8(&payload, 1);
-      storage::PutStr(&payload, std::get<std::string>(field));
+      storage::PutStr(&payload, v.str);
     }
   }
   return payload;
@@ -456,7 +452,7 @@ void ShardedLog::RestoreRecord(SimTime now, SeqNum seqnum, std::vector<TagId> ta
   // run's durable prefix left it.
   HM_CHECK_MSG(seqnum > watermark_, "journal replay out of commit order");
   watermark_ = seqnum;
-  InstallRecord(now, seqnum, std::move(tags), std::move(fields), /*restoring=*/true);
+  InstallRecord(now, seqnum, tags, fields, /*restoring=*/true);
 }
 
 void ShardedLog::RestoreRecordFuzzy(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
@@ -468,7 +464,7 @@ void ShardedLog::RestoreRecordFuzzy(SimTime now, SeqNum seqnum, std::vector<TagI
   EnsureWatermark(seqnum);
   StoredRecord* stored = FindSlot(seqnum);
   if (stored == nullptr) {
-    LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
+    LogRecordPtr record = MakeRecord(seqnum, tags, fields);
     gauge_.Add(now, static_cast<int64_t>(record->stored_bytes));
     stored = &InstallSlot(std::move(record), 0);
   }
@@ -572,7 +568,7 @@ size_t ShardedLog::CheckpointTag(TagId tag, storage::CheckpointStore* store, int
 void ShardedLog::RestoreCheckpointRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
                                          FieldMap fields) {
   HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
-  LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
+  LogRecordPtr record = MakeRecord(seqnum, tags, fields);
   gauge_.Add(now, static_cast<int64_t>(record->stored_bytes));
   InstallSlot(std::move(record), 0);
   EnsureWatermark(seqnum);

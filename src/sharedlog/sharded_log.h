@@ -22,8 +22,9 @@
 // Each shard stores the records it sequenced (seqnum % shard_count names the shard).
 //
 // Performance notes (see DESIGN.md "Performance architecture"):
-//   * Records are immutable after commit and stored behind shared_ptr-to-const; every read
-//     API returns a shared view (LogRecordPtr), never a copy.
+//   * Records are immutable after commit, each one exact-size block behind a counted
+//     LogRecordPtr (log_record.h, DESIGN.md §7.9); every read API returns a shared view,
+//     never a copy.
 //   * Tags are interned ids (see tag_registry.h): the steady-state append/read/trim API takes
 //     TagId only, so no std::string is built or hashed per operation. The string-named
 //     overloads below are convenience entry points for tests and cold bootstrap code; they
@@ -46,6 +47,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -312,6 +314,9 @@ class ShardedLog {
   void RestoreCheckpointStream(SimTime now, TagId tag, size_t base,
                                const std::vector<SeqNum>& seqnums);
 
+  // The kRecord / kCkptRecord payload (they share one encoding): seqnum, tags, fields.
+  static std::string EncodeRecordPayload(const LogRecord& record);
+
   // ---- Accounting / hooks ----
   // Smallest seqnum the next append could receive; strictly greater than every committed
   // seqnum (watermark + 1, which IS the next seqnum when unsharded).
@@ -379,23 +384,22 @@ class ShardedLog {
   // Write-ahead ordering: the frame is journaled at commit, before AppendGroup's commit
   // notification can start index propagation — the cluster gates propagation (and the client
   // gates its external ack) on this frame becoming durable.
-  SeqNum Commit(uint32_t shard, SimTime now, std::vector<TagId> tags, FieldMap fields);
+  SeqNum Commit(uint32_t shard, SimTime now, std::span<const TagId> tags,
+                const FieldMap& fields);
 
   // Evaluates a logCondAppend condition against the current stream state. Returns true when
   // the append may proceed; on conflict fills `existing` with the occupant of `cond_pos`.
   bool CondHolds(TagId cond_tag, size_t cond_pos, SeqNum* existing);
 
-  // Builds the immutable record object (op interned, stored_bytes sized) without installing
-  // it anywhere.
-  LogRecordPtr MakeRecord(SeqNum seqnum, std::vector<TagId> tags, FieldMap fields);
+  // Builds the immutable record block (op interned, stored_bytes sized from the builder)
+  // without installing it anywhere.
+  LogRecordPtr MakeRecord(SeqNum seqnum, std::span<const TagId> tags, const FieldMap& fields);
   // The shared body of Commit and strict RestoreRecord: builds the immutable record and
   // installs it into the record store, the per-tag sub-streams, and the storage gauge — everything EXCEPT seqnum allocation, journaling, and commit notification,
   // which is exactly what differs between a live append and a journal replay. `restoring`
   // selects the replay stream lookup (RestoreStreamFor) over the live one.
-  LogRecordPtr InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
-                             FieldMap fields, bool restoring);
-  // The kRecord / kCkptRecord payload (they share one encoding): seqnum, tags, fields.
-  static std::string EncodeRecordPayload(const LogRecord& record);
+  LogRecordPtr InstallRecord(SimTime now, SeqNum seqnum, std::span<const TagId> tags,
+                             const FieldMap& fields, bool restoring);
   void JournalRecord(const LogRecord& record);
   void RestoreRecordFuzzy(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
                           FieldMap fields);

@@ -11,6 +11,12 @@
 // (plus its share of the tables) requesting at most 80% of the bytes the store held before
 // entries were sized by their bytes (DESIGN.md §7.8). A key or version id kept in its own
 // string lands at two blocks. scripts/check.sh requires the '| exact-size' line.
+//
+// Records: the heap a ShardedLog holds per committed record of retwis's commit shape. Each
+// must be one block (plus its share of the record store and the streams) requesting at most
+// half the bytes a record held before records were sized by their bytes (DESIGN.md §7.9). A
+// string field kept in its own std::string lands at two blocks. scripts/check.sh requires
+// the '| one-block' line.
 
 #include <cstdint>
 #include <cstdio>
@@ -22,6 +28,7 @@
 #include "src/core/ssf_runtime.h"
 #include "src/kvstore/kv_state.h"
 #include "src/runtime/cluster.h"
+#include "src/sharedlog/sharded_log.h"
 #include "src/sim/task.h"
 #include "src/workloads/applications.h"
 #include "src/workloads/loadgen.h"
@@ -132,6 +139,43 @@ TEST(AllocGateTest, KvEntriesAreOneExactSizeBlockEach) {
       slot_allocations, slot_bytes, version_allocations, version_bytes,
       exact_size ? "exact-size" : "over-budget");
   EXPECT_TRUE(exact_size);
+}
+
+// Live heap per committed record for the record gate's shape before records were sized by
+// their bytes, measured with this test on that tree: a make_shared block holding the record,
+// its entry and tag vectors, and the version string, plus the gate's share of the record
+// store and the two tag streams.
+constexpr double kUnsizedBytesPerRecord = 315.9;
+
+TEST(AllocGateTest, LogRecordsAreOneExactSizeBlockEach) {
+  constexpr int kRecords = 10000;
+  sharedlog::ShardedLog log;
+  // Retwis's commit shape: a step-log tag and an object's write-log tag, and the fields
+  // op, step and a 16-hex-char version.
+  const sharedlog::TagId step_tag = log.tags().Intern("retwis.step");
+  const sharedlog::TagId write_tag = log.tags().Intern(sharedlog::WriteLogTag("user:1"));
+  char version[32];
+  const auto [allocations, bytes] = HeldPerEntry(kRecords, [&] {
+    for (int i = 0; i < kRecords; ++i) {
+      std::snprintf(version, sizeof(version), "%016llx",
+                    static_cast<unsigned long long>(i) * 0x9E3779B97F4A7C15ULL);
+      FieldMap fields;
+      fields.Reserve(3);
+      fields.SetStr(kFieldOp, "write");
+      fields.SetInt(kFieldStep, i);
+      fields.SetStr(kFieldVersion, version);
+      log.Append(0, sharedlog::TwoTags(step_tag, write_tag), std::move(fields));
+    }
+  });
+  ASSERT_EQ(log.live_records(), static_cast<size_t>(kRecords));
+
+  // One block per record; the store's pages and the two streams add a small share.
+  const bool one_block = allocations <= 1.1 && bytes <= 0.5 * kUnsizedBytesPerRecord;
+  std::printf("[record] budget per record %.1f B (0.5 x unsized %.1f)\n",
+              0.5 * kUnsizedBytesPerRecord, kUnsizedBytesPerRecord);
+  std::printf("[record] %.2f allocations, %.1f B per record | %s\n", allocations, bytes,
+              one_block ? "one-block" : "over-budget");
+  EXPECT_TRUE(one_block);
 }
 
 }  // namespace

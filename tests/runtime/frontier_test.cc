@@ -48,7 +48,7 @@ SeqNum StartInstance(Cluster& cluster, const std::string& instance) {
 // init record whose instance has not finished (the pre-incremental definition).
 SeqNum FrontierByScan(Cluster& cluster, const std::unordered_set<std::string>& finished) {
   for (const auto& record : cluster.log_space().ReadStream(sharedlog::kInitTagId)) {
-    if (finished.count(record->fields.GetStr("instance")) == 0) return record->seqnum;
+    if (finished.count(std::string(record->fields.GetStr("instance"))) == 0) return record->seqnum;
   }
   return cluster.log_space().next_seqnum();
 }

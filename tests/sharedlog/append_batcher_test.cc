@@ -136,12 +136,12 @@ RunResult RunWorkload(AppendBatchConfig batch, uint64_t seed, int workers_per_no
   }
   fx.scheduler.Run();
   for (const LogRecordPtr& record : fx.space.ReadStreamUpTo(shared, kMaxSeqNum)) {
-    result.shared_payloads_sorted.push_back(record->fields.GetStr("v"));
+    result.shared_payloads_sorted.emplace_back(record->fields.GetStr("v"));
   }
   std::sort(result.shared_payloads_sorted.begin(), result.shared_payloads_sorted.end());
   for (SeqNum s = 1; s < fx.space.next_seqnum(); ++s) {
     LogRecordPtr record = fx.space.Get(s);
-    if (record != nullptr) result.log_by_seqnum.push_back(record->fields.GetStr("v"));
+    if (record != nullptr) result.log_by_seqnum.emplace_back(record->fields.GetStr("v"));
   }
   result.end_time = fx.scheduler.Now();
   for (const auto& client : fx.clients) {
@@ -355,7 +355,7 @@ TEST(AppendBatcherTest, CondConflictHeavyShapeIsDepthInvariant) {
     fx.scheduler.Run();
     std::vector<std::string> payloads;
     for (const LogRecordPtr& record : fx.space.ReadStreamUpTo(stream, kMaxSeqNum)) {
-      payloads.push_back(record->fields.GetStr("v"));
+      payloads.emplace_back(record->fields.GetStr("v"));
     }
     return std::make_pair(payloads, conflicts);
   };
